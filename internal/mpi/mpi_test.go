@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -402,9 +403,19 @@ func TestDeadlockSurfaceable(t *testing.T) {
 		if p.Rank() == 0 {
 			p.Recv(w.CommWorld(), 1, 0) // never sent
 		}
+		if p.Rank() == 1 {
+			p.Wait(p.Irecv(w.CommWorld(), AnySource, 42)) // never sent
+		}
 	})
 	if err == nil {
 		t.Fatal("want deadlock error")
+	}
+	// The report names each stuck receive's envelope, byte for byte.
+	const want = "sim: deadlock at t=0.000us: 2 of 2 processes blocked forever:\n" +
+		"  rank0: receiving msg(comm=0 src=1 tag=0) from mailbox rank0\n" +
+		"  rank1: receiving msg(comm=0 src=-1 tag=42) from mailbox rank1\n"
+	if !errors.Is(err, sim.ErrDeadlock) || err.Error() != want {
+		t.Fatalf("report =\n%q\nwant\n%q", err.Error(), want)
 	}
 }
 
