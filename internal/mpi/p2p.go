@@ -63,6 +63,14 @@ type Request struct {
 	posted   sim.Time
 }
 
+// recvWhat is a receive request seen as its deadlock-report description,
+// rendered only when a report is printed.
+type recvWhat Request
+
+func (r *recvWhat) String() string {
+	return fmt.Sprintf("msg(comm=%d src=%d tag=%d)", r.comm.id, r.src, r.tag)
+}
+
 // Isend starts a nonblocking send of data to comm rank dst. The payload is
 // snapshotted immediately (the caller may reuse its buffer). Transfer
 // resources are seized at post time; Wait blocks until the transfer ends.
@@ -388,8 +396,7 @@ func (p *Proc) Wait(req *Request) Buf {
 		return Buf{}
 	}
 	start := p.Now()
-	what := fmt.Sprintf("msg(comm=%d src=%d tag=%d)", req.comm.id, req.src, req.tag)
-	v := p.rs.mbox.Get(p.sp, what, func(v interface{}) bool {
+	v := p.rs.mbox.GetLazy(p.sp, (*recvWhat)(req), func(v interface{}) bool {
 		m := v.(*message)
 		return m.comm == req.comm.id && m.tag == req.tag &&
 			(req.src == AnySource || m.src == req.src)

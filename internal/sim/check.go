@@ -59,20 +59,20 @@ func (e *Engine) CheckQuiescent() error {
 			len(e.procs)-e.finished, len(e.procs)))
 	}
 	if n := e.events.Len(); n > 0 {
-		bad = append(bad, fmt.Sprintf("%d events still pending at t=%v", n, e.now))
+		bad = append(bad, fmt.Sprintf("%d events still pending at t=%v", n, e.Now()))
 	}
 	for _, r := range e.resources {
 		owned := ""
 		if r.lastOwner != "" {
 			owned = fmt.Sprintf(" (last acquired by %s)", r.lastOwner)
 		}
-		if r.freeAt > e.now {
+		if r.freeAt > e.Now() {
 			bad = append(bad, fmt.Sprintf("resource %s busy until %v, past end of run %v%s",
-				r.name, r.freeAt, e.now, owned))
+				r.name, r.freeAt, e.Now(), owned))
 		}
-		if r.busy < 0 || Time(r.busy) > e.now {
+		if r.busy < 0 || Time(r.busy) > e.Now() {
 			bad = append(bad, fmt.Sprintf("resource %s busy time %v exceeds makespan %v%s",
-				r.name, r.busy, e.now, owned))
+				r.name, r.busy, e.Now(), owned))
 		}
 	}
 	for _, m := range e.mailboxes {

@@ -9,8 +9,8 @@ import "fmt"
 // counter as each chunk lands in shared memory, and non-leader ranks wait
 // on it before copying the chunk out.
 type Counter struct {
+	label
 	eng     *Engine
-	name    string
 	val     int64
 	waiters []*counterWaiter
 }
@@ -23,7 +23,7 @@ type counterWaiter struct {
 
 // NewCounter creates a named counter starting at zero.
 func (e *Engine) NewCounter(name string) *Counter {
-	return &Counter{eng: e, name: name}
+	return &Counter{label: label{kind: kindCounter, name: name}, eng: e}
 }
 
 // Value returns the counter's current value.
@@ -44,7 +44,7 @@ func (c *Counter) Add(delta int64) {
 	e := c.eng
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.noteLocked("ctr:" + c.name)
+	e.noteLocked(&c.label)
 	c.val += delta
 	c.releaseLocked()
 }
@@ -57,11 +57,11 @@ func (c *Counter) AddAt(at Time, delta int64) {
 	e := c.eng
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if at < e.now {
-		at = e.now
+	if now := e.Now(); at < now {
+		at = now
 	}
-	e.scheduleLabeledLocked(at, "ctr:"+c.name, func() {
-		e.noteLocked("ctr:" + c.name)
+	e.scheduleLabeledLocked(at, &c.label, func() {
+		e.noteLocked(&c.label)
 		c.val += delta
 		c.releaseLocked()
 	})
@@ -72,7 +72,7 @@ func (c *Counter) SetAtLeast(v int64) {
 	e := c.eng
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.noteLocked("ctr:" + c.name)
+	e.noteLocked(&c.label)
 	if v > c.val {
 		c.val = v
 		c.releaseLocked()
@@ -89,7 +89,7 @@ func (c *Counter) releaseLocked() {
 		if !w.released && c.val >= w.threshold {
 			w.released = true
 			w := w
-			e.scheduleLabeledLocked(e.now, "proc:"+w.p.name, func() { e.wakeLocked(w.p) })
+			e.scheduleLabeledLocked(e.Now(), &w.p.label, func() { e.wakeLocked(w.p) })
 		} else {
 			kept = append(kept, w)
 		}
@@ -105,11 +105,11 @@ func (c *Counter) WaitGE(p *Proc, threshold int64) {
 		panic("sim: WaitGE across engines")
 	}
 	e.mu.Lock()
-	e.noteLocked("ctr:" + c.name)
+	e.noteLocked(&c.label)
 	if c.val >= threshold {
 		e.mu.Unlock()
 		return
 	}
 	c.waiters = append(c.waiters, &counterWaiter{p: p, threshold: threshold})
-	e.block(p, fmt.Sprintf("waiting for counter %s >= %d (now %d)", c.name, threshold, c.val))
+	e.block(p, procState{kind: stCounter, obj: c.name, n: threshold, m: c.val})
 }

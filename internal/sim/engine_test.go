@@ -12,10 +12,10 @@ import (
 
 // stateText renders what a process is blocked on, exactly as the deadlock
 // report prints it after the process name.
-func stateText(p *Proc) string { return p.state }
+func stateText(p *Proc) string { return p.state.String() }
 
 // clockLocked reads the clock from an event callback (engine lock held).
-func clockLocked(e *Engine) Time { return e.now }
+func clockLocked(e *Engine) Time { return e.Now() }
 
 // TestDeadlockReportText pins the report Run returns on deadlock, byte for
 // byte, for every way a process can block forever, plus the state text of

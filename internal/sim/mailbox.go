@@ -8,8 +8,8 @@ import "fmt"
 // runtime builds tag matching and unexpected-message queues on top of one
 // mailbox per destination rank.
 type Mailbox struct {
+	label
 	eng     *Engine
-	name    string
 	owner   string // attribution label for teardown audits ("" = unowned)
 	items   []mailItem
 	waiters []*mailWaiter
@@ -30,7 +30,7 @@ type mailWaiter struct {
 
 // NewMailbox creates a named mailbox bound to the engine.
 func (e *Engine) NewMailbox(name string) *Mailbox {
-	m := &Mailbox{eng: e, name: name}
+	m := &Mailbox{label: label{kind: kindMailbox, name: name}, eng: e}
 	e.mu.Lock()
 	e.mailboxes = append(e.mailboxes, m)
 	e.mu.Unlock()
@@ -44,17 +44,17 @@ func (m *Mailbox) PutAt(at Time, v interface{}) {
 	e := m.eng
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if at < e.now {
-		at = e.now
+	if now := e.Now(); at < now {
+		at = now
 	}
-	e.scheduleLabeledLocked(at, "mbox:"+m.name, func() { m.depositLocked(v) })
+	e.scheduleLabeledLocked(at, &m.label, func() { m.depositLocked(v) })
 }
 
 // depositLocked runs as an event at the arrival time: hand the item to the
 // first waiting matcher (FIFO) or queue it. Caller holds the engine lock;
 // at most one process is woken, preserving determinism.
 func (m *Mailbox) depositLocked(v interface{}) {
-	m.eng.noteLocked("mbox:" + m.name)
+	m.eng.noteLocked(&m.label)
 	m.arrived++
 	for _, w := range m.waiters {
 		if !w.found && w.match(v) {
@@ -65,7 +65,7 @@ func (m *Mailbox) depositLocked(v interface{}) {
 			return
 		}
 	}
-	m.items = append(m.items, mailItem{at: m.eng.now, v: v})
+	m.items = append(m.items, mailItem{at: m.eng.Now(), v: v})
 }
 
 func (m *Mailbox) removeWaiterLocked(target *mailWaiter) {
@@ -79,14 +79,24 @@ func (m *Mailbox) removeWaiterLocked(target *mailWaiter) {
 
 // Get blocks the calling process until an item matching match is available,
 // removes it from the mailbox, and returns it. Items are matched in arrival
-// order. The returned time is the item's arrival time (<= now).
+// order. what describes the receive in a deadlock report.
 func (m *Mailbox) Get(p *Proc, what string, match func(interface{}) bool) interface{} {
+	return m.get(p, procState{kind: stReceiving, what: what, obj: m.name}, match)
+}
+
+// GetLazy is Get for callers on a hot path: the description is rendered
+// only if a deadlock report has to print it.
+func (m *Mailbox) GetLazy(p *Proc, what fmt.Stringer, match func(interface{}) bool) interface{} {
+	return m.get(p, procState{kind: stReceiving, lazy: what, obj: m.name}, match)
+}
+
+func (m *Mailbox) get(p *Proc, waiting procState, match func(interface{}) bool) interface{} {
 	e := m.eng
 	if p.eng != e {
 		panic("sim: Get across engines")
 	}
 	e.mu.Lock()
-	e.noteLocked("mbox:" + m.name)
+	e.noteLocked(&m.label)
 	for i, it := range m.items {
 		if match(it.v) {
 			m.items = append(m.items[:i], m.items[i+1:]...)
@@ -96,7 +106,7 @@ func (m *Mailbox) Get(p *Proc, what string, match func(interface{}) bool) interf
 	}
 	w := &mailWaiter{p: p, match: match}
 	m.waiters = append(m.waiters, w)
-	e.block(p, fmt.Sprintf("receiving %s from mailbox %s", what, m.name))
+	e.block(p, waiting)
 	return w.got
 }
 
@@ -105,7 +115,7 @@ func (m *Mailbox) Get(p *Proc, what string, match func(interface{}) bool) interf
 func (m *Mailbox) TryGet(match func(interface{}) bool) (interface{}, bool) {
 	m.eng.mu.Lock()
 	defer m.eng.mu.Unlock()
-	m.eng.noteLocked("mbox:" + m.name)
+	m.eng.noteLocked(&m.label)
 	for i, it := range m.items {
 		if match(it.v) {
 			m.items = append(m.items[:i], m.items[i+1:]...)

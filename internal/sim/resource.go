@@ -10,8 +10,8 @@ import "fmt"
 // acquisitions always arrive with non-decreasing request times, which makes
 // the single freeAt register an exact FIFO queue model.
 type Resource struct {
+	label
 	eng       *Engine
-	name      string
 	freeAt    Time
 	busy      Duration // total occupied time, for utilization reporting
 	uses      int64
@@ -21,7 +21,7 @@ type Resource struct {
 
 // NewResource creates a named resource bound to the engine.
 func (e *Engine) NewResource(name string) *Resource {
-	r := &Resource{eng: e, name: name}
+	r := &Resource{label: label{kind: kindResource, name: name}, eng: e}
 	e.mu.Lock()
 	e.resources = append(e.resources, r)
 	e.mu.Unlock()
@@ -91,8 +91,8 @@ func (r *Resource) Acquire(d Duration) (start, end Time) {
 	e := r.eng
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.noteLocked("res:" + r.name)
-	start = e.now
+	e.noteLocked(&r.label)
+	start = e.Now()
 	if r.freeAt > start {
 		start = r.freeAt
 	}
@@ -112,8 +112,8 @@ func (r *Resource) AcquireAfter(notBefore Time, d Duration) (start, end Time) {
 	e := r.eng
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.noteLocked("res:" + r.name)
-	start = e.now
+	e.noteLocked(&r.label)
+	start = e.Now()
 	if notBefore > start {
 		start = notBefore
 	}
@@ -141,12 +141,12 @@ func AcquireTogether(d Duration, rs ...*Resource) (start, end Time) {
 	e := rs[0].eng
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	start = e.now
+	start = e.Now()
 	for _, r := range rs {
 		if r.eng != e {
 			panic("sim: AcquireTogether across engines")
 		}
-		e.noteLocked("res:" + r.name)
+		e.noteLocked(&r.label)
 		if r.freeAt > start {
 			start = r.freeAt
 		}
@@ -180,12 +180,12 @@ func AcquireHetero(ds []Duration, rs ...*Resource) (start, end Time) {
 	e := rs[0].eng
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	start = e.now
+	start = e.Now()
 	for _, r := range rs {
 		if r.eng != e {
 			panic("sim: AcquireHetero across engines")
 		}
-		e.noteLocked("res:" + r.name)
+		e.noteLocked(&r.label)
 		if r.freeAt > start {
 			start = r.freeAt
 		}
@@ -232,7 +232,7 @@ func (r *Resource) LastOwner() string {
 func (r *Resource) FreeAt() Time {
 	r.eng.mu.Lock()
 	defer r.eng.mu.Unlock()
-	r.eng.noteLocked("res:" + r.name)
+	r.eng.noteLocked(&r.label)
 	return r.freeAt
 }
 
@@ -255,15 +255,15 @@ func (r *Resource) Uses() int64 {
 // (the paper's b and cg terms). Inc takes effect immediately; the matching
 // decrement is scheduled for the operation's completion time.
 type Gauge struct {
+	label
 	eng  *Engine
-	name string
 	val  int
 	peak int
 }
 
 // NewGauge creates a named gauge bound to the engine.
 func (e *Engine) NewGauge(name string) *Gauge {
-	return &Gauge{eng: e, name: name}
+	return &Gauge{label: label{kind: kindGauge, name: name}, eng: e}
 }
 
 // Inc increments the gauge and returns the new value (the operation itself
@@ -272,7 +272,7 @@ func (g *Gauge) Inc() int {
 	e := g.eng
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.noteLocked("gauge:" + g.name)
+	e.noteLocked(&g.label)
 	g.val++
 	if g.val > g.peak {
 		g.peak = g.val
@@ -285,11 +285,11 @@ func (g *Gauge) DecAt(at Time) {
 	e := g.eng
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if at < e.now {
-		at = e.now
+	if now := e.Now(); at < now {
+		at = now
 	}
-	e.scheduleLabeledLocked(at, "gauge:"+g.name, func() {
-		e.noteLocked("gauge:" + g.name)
+	e.scheduleLabeledLocked(at, &g.label, func() {
+		e.noteLocked(&g.label)
 		g.val--
 		if g.val < 0 {
 			panic(fmt.Sprintf("sim: gauge %s went negative", g.name))
@@ -301,7 +301,7 @@ func (g *Gauge) DecAt(at Time) {
 func (g *Gauge) Value() int {
 	g.eng.mu.Lock()
 	defer g.eng.mu.Unlock()
-	g.eng.noteLocked("gauge:" + g.name)
+	g.eng.noteLocked(&g.label)
 	return g.val
 }
 

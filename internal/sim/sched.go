@@ -3,7 +3,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // The scheduler seam.
@@ -102,7 +102,7 @@ func (e *Engine) nextEventLocked() *event {
 	}
 	frontier := make([]EventInfo, len(batch))
 	for i, b := range batch {
-		frontier[i] = EventInfo{Seq: b.seq, Label: b.label}
+		frontier[i] = EventInfo{Seq: b.seq, Label: b.on.key()}
 	}
 	k := e.sched.Pick(ev.at, frontier)
 	if k < 0 || k >= len(batch) {
@@ -124,7 +124,7 @@ func (e *Engine) beginStepLocked(ev *event) {
 	}
 	e.stepOpen = true
 	e.stepSeq = ev.seq
-	e.stepLabel = ev.label
+	e.stepOn = ev.on
 	e.stepAt = ev.at
 	e.foot = e.foot[:0]
 	e.spawned = e.spawned[:0]
@@ -138,28 +138,34 @@ func (e *Engine) flushStepLocked() {
 		return
 	}
 	e.stepOpen = false
+	// Keys are deduplicated as strings, not as objects: two resources may
+	// share a name, and observers see names.
 	fp := make([]string, len(e.foot))
-	copy(fp, e.foot)
-	sort.Strings(fp)
+	for i, l := range e.foot {
+		fp[i] = l.key()
+	}
+	slices.Sort(fp)
+	fp = slices.Compact(fp)
 	var sp []uint64
 	if len(e.spawned) > 0 {
 		sp = make([]uint64, len(e.spawned))
 		copy(sp, e.spawned)
 	}
-	e.obs.ObserveStep(StepInfo{Seq: e.stepSeq, Label: e.stepLabel, At: e.stepAt, Footprint: fp, Spawned: sp})
+	e.obs.ObserveStep(StepInfo{Seq: e.stepSeq, Label: e.stepOn.key(), At: e.stepAt, Footprint: fp, Spawned: sp})
 }
 
-// noteLocked records that the current step touched the shared-state key.
-// Footprints are tiny (a handful of keys per step), so a linear-scan
-// dedup on a slice beats a map and keeps iteration order deterministic.
-func (e *Engine) noteLocked(key string) {
+// noteLocked records that the current step touched the labelled piece of
+// shared state. Footprints are tiny (a handful of keys per step), so a
+// linear-scan dedup on a slice beats a map and keeps iteration order
+// deterministic. With no StepObserver it is one untaken branch.
+func (e *Engine) noteLocked(l *label) {
 	if !e.stepOpen {
 		return
 	}
 	for _, k := range e.foot {
-		if k == key {
+		if k == l {
 			return
 		}
 	}
-	e.foot = append(e.foot, key)
+	e.foot = append(e.foot, l)
 }

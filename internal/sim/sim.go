@@ -22,6 +22,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the
@@ -79,10 +80,51 @@ func TransferTime(alpha Duration, n int, bw float64) Duration {
 // the order they were scheduled (seq) unless a Scheduler (sched.go) picks
 // a different serialization of the same-time frontier.
 type event struct {
-	at    Time
-	seq   uint64
-	label string // what the event acts on, for Scheduler frontiers
-	fire  func()
+	at   Time
+	seq  uint64
+	on   *label // what the event acts on, for Scheduler frontiers; nil = "ext"
+	fire func()
+}
+
+// A label names a piece of shared state (a process, mailbox, counter, gauge
+// or resource) for Scheduler frontiers and step footprints. Every such
+// object embeds one; the "kind:name" key is only built when a Scheduler
+// asks for it, and then kept.
+type label struct {
+	kind labelKind
+	name string
+	text string // kind:name, rendered on first use
+}
+
+type labelKind uint8
+
+const (
+	kindProc labelKind = iota
+	kindMailbox
+	kindCounter
+	kindGauge
+	kindResource
+)
+
+var kindPrefix = [...]string{
+	kindProc:     "proc:",
+	kindMailbox:  "mbox:",
+	kindCounter:  "ctr:",
+	kindGauge:    "gauge:",
+	kindResource: "res:",
+}
+
+// key returns the label's "kind:name" string; a nil label is the
+// conservative "ext" of events scheduled through Schedule/After. Caller
+// holds the engine lock.
+func (l *label) key() string {
+	if l == nil {
+		return "ext"
+	}
+	if l.text == "" {
+		l.text = kindPrefix[l.kind] + l.name
+	}
+	return l.text
 }
 
 type eventHeap []*event
@@ -111,7 +153,7 @@ type Engine struct {
 	mu      sync.Mutex
 	quiesce *sync.Cond
 
-	now      Time
+	now      atomic.Int64 // a Time; written under mu, read lock-free by Now
 	seq      uint64
 	events   eventHeap
 	procs    []*Proc
@@ -132,15 +174,15 @@ type Engine struct {
 	// Scheduler seam (see sched.go): an optional strategy for ordering
 	// same-time events, and per-step footprint collection state used when
 	// the strategy also observes steps.
-	sched     Scheduler
-	obs       StepObserver
-	collect   bool
-	stepOpen  bool
-	stepSeq   uint64
-	stepLabel string
-	stepAt    Time
-	foot      []string
-	spawned   []uint64
+	sched    Scheduler
+	obs      StepObserver
+	collect  bool
+	stepOpen bool
+	stepSeq  uint64
+	stepOn   *label
+	stepAt   Time
+	foot     []*label
+	spawned  []uint64
 }
 
 // NewEngine returns an empty simulation.
@@ -151,23 +193,69 @@ func NewEngine() *Engine {
 }
 
 // Now returns the current virtual time. It is safe to call from simulated
-// processes and from event callbacks.
-func (e *Engine) Now() Time {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.now
-}
+// processes and from event callbacks; it takes no lock.
+func (e *Engine) Now() Time { return Time(e.now.Load()) }
 
 // Proc is a simulated process. Its methods must only be called from the
 // goroutine running the process body.
 type Proc struct {
+	label
 	eng   *Engine
 	id    int
-	name  string
 	fn    func(*Proc)
 	wake  chan struct{}
-	state string // what the proc is blocked on, for diagnostics
+	state procState // what the proc is blocked on, for diagnostics
 	done  bool
+}
+
+// procState records what a process is doing as a kind plus operands, so
+// the blocking paths format nothing; String renders it for the deadlock
+// report.
+type procState struct {
+	kind stateKind
+	n, m int64        // time or duration; counter threshold and value
+	obj  string       // mailbox or counter name
+	what string       // receive description, or
+	lazy fmt.Stringer // one rendered only if a report asks
+}
+
+type stateKind uint8
+
+const (
+	stNotStarted stateKind = iota
+	stRunning
+	stSleepUntil
+	stSleeping
+	stYielding
+	stReceiving
+	stCounter
+	stFinished
+)
+
+func (s procState) String() string {
+	switch s.kind {
+	case stNotStarted:
+		return "not started"
+	case stRunning:
+		return "running"
+	case stSleepUntil:
+		return fmt.Sprintf("sleeping until %v", Time(s.n))
+	case stSleeping:
+		return fmt.Sprintf("sleeping %v", Duration(s.n))
+	case stYielding:
+		return "yielding"
+	case stReceiving:
+		what := s.what
+		if s.lazy != nil {
+			what = s.lazy.String()
+		}
+		return fmt.Sprintf("receiving %s from mailbox %s", what, s.obj)
+	case stCounter:
+		return fmt.Sprintf("waiting for counter %s >= %d (now %d)", s.obj, s.n, s.m)
+	case stFinished:
+		return "finished"
+	}
+	panic(fmt.Sprintf("sim: unknown process state %d", s.kind))
 }
 
 // ID returns the process's spawn index (0-based).
@@ -192,12 +280,11 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 		panic("sim: Spawn after Run")
 	}
 	p := &Proc{
+		label: label{kind: kindProc, name: name},
 		eng:   e,
 		id:    len(e.procs),
-		name:  name,
 		fn:    fn,
 		wake:  make(chan struct{}, 1),
-		state: "not started",
 	}
 	e.procs = append(e.procs, p)
 	return p
@@ -224,7 +311,7 @@ func (e *Engine) Run() error {
 		p := p
 		//lint:ignore gonosim engine-owned worker goroutine: runProc is the primitive behind Spawn, and the start event below serializes it deterministically
 		go e.runProc(p)
-		e.scheduleLabeledLocked(e.now, "proc:"+p.name, func() { e.wakeLocked(p) })
+		e.scheduleLabeledLocked(e.Now(), &p.label, func() { e.wakeLocked(p) })
 	}
 
 	for {
@@ -242,14 +329,15 @@ func (e *Engine) Run() error {
 			return e.deadlockErrorLocked()
 		}
 		ev := e.nextEventLocked()
-		if ev.at < e.now {
-			panic(fmt.Sprintf("sim: event scheduled in the past (%v < %v)", ev.at, e.now))
+		now := e.Now()
+		if ev.at < now {
+			panic(fmt.Sprintf("sim: event scheduled in the past (%v < %v)", ev.at, now))
 		}
-		if e.watcher != nil && ev.at > e.now {
-			e.watcher(e.now, ev.at)
+		if e.watcher != nil && ev.at > now {
+			e.watcher(now, ev.at)
 		}
 		e.beginStepLocked(ev)
-		e.now = ev.at
+		e.now.Store(int64(ev.at))
 		e.fired++
 		ev.fire() // runs with e.mu held; may wake at most a bounded set of procs
 	}
@@ -274,7 +362,7 @@ func (e *Engine) Stats() Stats {
 		Events:    e.fired,
 		Processes: len(e.procs),
 		Finished:  e.finished,
-		Now:       e.now,
+		Now:       e.Now(),
 	}
 }
 
@@ -288,7 +376,7 @@ func (e *Engine) runProc(p *Proc) {
 			}
 		}
 		p.done = true
-		p.state = "finished"
+		p.state = procState{kind: stFinished}
 		e.finished++
 		e.runnable--
 		if e.runnable == 0 {
@@ -304,18 +392,18 @@ func (e *Engine) runProc(p *Proc) {
 // Events scheduled through this untyped path carry the conservative
 // "ext" label (a Scheduler must assume they touch anything).
 func (e *Engine) scheduleLocked(at Time, fire func()) {
-	e.scheduleLabeledLocked(at, "ext", fire)
+	e.scheduleLabeledLocked(at, nil, fire)
 }
 
 // scheduleLabeledLocked enqueues fire with an explicit frontier label.
 // Caller holds e.mu. When a step is open the new event is recorded as
 // spawned by it, establishing the causal edge DPOR needs.
-func (e *Engine) scheduleLabeledLocked(at Time, label string, fire func()) {
+func (e *Engine) scheduleLabeledLocked(at Time, on *label, fire func()) {
 	e.seq++
 	if e.stepOpen {
 		e.spawned = append(e.spawned, e.seq)
 	}
-	heap.Push(&e.events, &event{at: at, seq: e.seq, label: label, fire: fire})
+	heap.Push(&e.events, &event{at: at, seq: e.seq, on: on, fire: fire})
 }
 
 // Schedule enqueues fire to run at virtual time at (>= now). fire executes
@@ -324,8 +412,8 @@ func (e *Engine) scheduleLabeledLocked(at Time, label string, fire func()) {
 func (e *Engine) Schedule(at Time, fire func()) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if at < e.now {
-		at = e.now
+	if now := e.Now(); at < now {
+		at = now
 	}
 	e.scheduleLocked(at, fire)
 }
@@ -334,8 +422,7 @@ func (e *Engine) Schedule(at Time, fire func()) {
 func (e *Engine) After(d Duration, fire func()) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	at := e.now + Time(d)
-	e.scheduleLocked(at, fire)
+	e.scheduleLocked(e.Now()+Time(d), fire)
 }
 
 // wakeLocked marks p runnable and releases it. Caller holds e.mu. The wake
@@ -346,15 +433,15 @@ func (e *Engine) wakeLocked(p *Proc) {
 	}
 	// A woken process runs inside the current step, so everything its
 	// rank-local state does is attributed to the step via its proc key.
-	e.noteLocked("proc:" + p.name)
+	e.noteLocked(&p.label)
 	e.runnable++
-	p.state = "running"
+	p.state = procState{kind: stRunning}
 	p.wake <- struct{}{}
 }
 
 // block parks the calling process until something wakes it. Caller holds
 // e.mu; block returns with e.mu released.
-func (e *Engine) block(p *Proc, state string) {
+func (e *Engine) block(p *Proc, state procState) {
 	p.state = state
 	e.runnable--
 	if e.runnable == 0 {
@@ -369,12 +456,12 @@ func (e *Engine) block(p *Proc, state string) {
 func (p *Proc) WaitUntil(t Time) {
 	e := p.eng
 	e.mu.Lock()
-	if t <= e.now {
+	if t <= e.Now() {
 		e.mu.Unlock()
 		return
 	}
-	e.scheduleLabeledLocked(t, "proc:"+p.name, func() { e.wakeLocked(p) })
-	e.block(p, fmt.Sprintf("sleeping until %v", t))
+	e.scheduleLabeledLocked(t, &p.label, func() { e.wakeLocked(p) })
+	e.block(p, procState{kind: stSleepUntil, n: int64(t)})
 }
 
 // Sleep blocks the process for a span of virtual time. Sleep models local
@@ -385,8 +472,8 @@ func (p *Proc) Sleep(d Duration) {
 	}
 	e := p.eng
 	e.mu.Lock()
-	e.scheduleLabeledLocked(e.now+Time(d), "proc:"+p.name, func() { e.wakeLocked(p) })
-	e.block(p, fmt.Sprintf("sleeping %v", d))
+	e.scheduleLabeledLocked(e.Now()+Time(d), &p.label, func() { e.wakeLocked(p) })
+	e.block(p, procState{kind: stSleeping, n: int64(d)})
 }
 
 // Yield reschedules the process behind every event already pending at the
@@ -394,14 +481,14 @@ func (p *Proc) Sleep(d Duration) {
 func (p *Proc) Yield() {
 	e := p.eng
 	e.mu.Lock()
-	e.scheduleLabeledLocked(e.now, "proc:"+p.name, func() { e.wakeLocked(p) })
-	e.block(p, "yielding")
+	e.scheduleLabeledLocked(e.Now(), &p.label, func() { e.wakeLocked(p) })
+	e.block(p, procState{kind: stYielding})
 }
 
 func (e *Engine) deadlockErrorLocked() error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "at t=%v: %d of %d processes blocked forever:\n",
-		e.now, len(e.procs)-e.finished, len(e.procs))
+		e.Now(), len(e.procs)-e.finished, len(e.procs))
 	blocked := make([]*Proc, 0, len(e.procs))
 	for _, p := range e.procs {
 		if !p.done {
