@@ -310,3 +310,79 @@ func TestEventOrderMatchesSortedReference(t *testing.T) {
 		}
 	}
 }
+
+// TestEventQueueAgainstSortedReference drives the typed heap directly:
+// random interleaved pushes and pops, with heavy (at) collisions, must
+// pop in exactly the order a sorted slice gives; popping a whole
+// same-time frontier and pushing all but one back — what nextEventLocked
+// does under a scheduler — must leave that order intact.
+func TestEventQueueAgainstSortedReference(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var q eventQueue
+		var ref []event // kept sorted by (at, seq)
+		var seq uint64
+		insert := func(ev event) {
+			q.push(ev)
+			i := sort.Search(len(ref), func(i int) bool { return ev.before(&ref[i]) })
+			ref = append(ref, event{})
+			copy(ref[i+1:], ref[i:])
+			ref[i] = ev
+		}
+		remove := func(seq uint64) {
+			for i := range ref {
+				if ref[i].seq == seq {
+					ref = append(ref[:i], ref[i+1:]...)
+					return
+				}
+			}
+			t.Fatalf("seed %d: popped seq %d is not in the reference", seed, seq)
+		}
+		for step := 0; step < 2000; step++ {
+			switch op := rng.Intn(10); {
+			case op < 5 || len(q) == 0:
+				seq++
+				insert(event{at: Time(rng.Intn(30)), seq: seq, fire: func() {}})
+			case op < 8:
+				got := q.pop()
+				if got.at != ref[0].at || got.seq != ref[0].seq {
+					t.Fatalf("seed %d step %d: popped (%d,%d), want (%d,%d)", seed, step, got.at, got.seq, ref[0].at, ref[0].seq)
+				}
+				ref = ref[1:]
+			default:
+				first := q.pop()
+				batch := []event{first}
+				for len(q) > 0 && q[0].at == first.at {
+					batch = append(batch, q.pop())
+				}
+				for i := range batch {
+					if batch[i].at != ref[i].at || batch[i].seq != ref[i].seq {
+						t.Fatalf("seed %d step %d: frontier[%d] = (%d,%d), want (%d,%d)", seed, step, i, batch[i].at, batch[i].seq, ref[i].at, ref[i].seq)
+					}
+				}
+				k := rng.Intn(len(batch))
+				remove(batch[k].seq)
+				for i := range batch {
+					if i != k {
+						q.push(batch[i])
+					}
+				}
+			}
+			if len(q) != len(ref) {
+				t.Fatalf("seed %d step %d: queue holds %d events, reference %d", seed, step, len(q), len(ref))
+			}
+		}
+		for len(q) > 0 {
+			got := q.pop()
+			if got.seq != ref[0].seq {
+				t.Fatalf("seed %d drain: popped seq %d, want %d", seed, got.seq, ref[0].seq)
+			}
+			ref = ref[1:]
+		}
+		for i, slot := range q[:cap(q)] {
+			if slot.fire != nil {
+				t.Fatalf("seed %d: drained queue still references a callback in slot %d", seed, i)
+			}
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"slices"
 )
@@ -88,37 +87,41 @@ func (e *Engine) SetScheduler(s Scheduler) {
 }
 
 // nextEventLocked pops the event to fire next. With no scheduler (or a
-// singleton frontier) it is exactly heap.Pop. Otherwise it pops the
+// singleton frontier) that is the queue's earliest. Otherwise it pops the
 // whole minimum-time frontier, asks the scheduler to choose, and pushes
 // the rest back.
-func (e *Engine) nextEventLocked() *event {
-	ev := heap.Pop(&e.events).(*event)
-	if e.sched == nil || e.events.Len() == 0 || e.events[0].at != ev.at {
+func (e *Engine) nextEventLocked() event {
+	ev := e.events.pop()
+	if e.sched == nil || len(e.events) == 0 || e.events[0].at != ev.at {
 		return ev
 	}
-	batch := []*event{ev}
-	for e.events.Len() > 0 && e.events[0].at == ev.at {
-		batch = append(batch, heap.Pop(&e.events).(*event))
+	batch := append(e.batch[:0], ev)
+	for len(e.events) > 0 && e.events[0].at == ev.at {
+		batch = append(batch, e.events.pop())
 	}
-	frontier := make([]EventInfo, len(batch))
-	for i, b := range batch {
-		frontier[i] = EventInfo{Seq: b.seq, Label: b.on.key()}
+	frontier := e.frontier[:0]
+	for i := range batch {
+		frontier = append(frontier, EventInfo{Seq: batch[i].seq, Label: batch[i].on.key()})
 	}
+	e.frontier = frontier
 	k := e.sched.Pick(ev.at, frontier)
 	if k < 0 || k >= len(batch) {
 		panic(fmt.Sprintf("sim: scheduler picked index %d of a %d-event frontier", k, len(batch)))
 	}
-	for i, b := range batch {
+	ev = batch[k]
+	for i := range batch {
 		if i != k {
-			heap.Push(&e.events, b)
+			e.events.push(batch[i])
 		}
+		batch[i] = event{} // release the closure
 	}
-	return batch[k]
+	e.batch = batch
+	return ev
 }
 
 // beginStepLocked opens footprint collection for the step initiated by
 // ev. No-op unless a StepObserver is installed.
-func (e *Engine) beginStepLocked(ev *event) {
+func (e *Engine) beginStepLocked(ev event) {
 	if !e.collect {
 		return
 	}

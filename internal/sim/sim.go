@@ -15,7 +15,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -127,26 +126,6 @@ func (l *label) key() string {
 	return l.text
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
-
 // Engine is a discrete-event simulation. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
@@ -155,7 +134,7 @@ type Engine struct {
 
 	now      atomic.Int64 // a Time; written under mu, read lock-free by Now
 	seq      uint64
-	events   eventHeap
+	events   eventQueue
 	procs    []*Proc
 	runnable int
 	finished int
@@ -176,6 +155,8 @@ type Engine struct {
 	// the strategy also observes steps.
 	sched    Scheduler
 	obs      StepObserver
+	batch    []event     // scratch for nextEventLocked, reused across steps
+	frontier []EventInfo // likewise; Pick may not retain it
 	collect  bool
 	stepOpen bool
 	stepSeq  uint64
@@ -322,10 +303,10 @@ func (e *Engine) Run() error {
 		if e.failure != nil {
 			return e.failure
 		}
-		if e.finished == len(e.procs) && e.events.Len() == 0 {
+		if e.finished == len(e.procs) && len(e.events) == 0 {
 			return nil
 		}
-		if e.events.Len() == 0 {
+		if len(e.events) == 0 {
 			return e.deadlockErrorLocked()
 		}
 		ev := e.nextEventLocked()
@@ -403,7 +384,7 @@ func (e *Engine) scheduleLabeledLocked(at Time, on *label, fire func()) {
 	if e.stepOpen {
 		e.spawned = append(e.spawned, e.seq)
 	}
-	heap.Push(&e.events, &event{at: at, seq: e.seq, on: on, fire: fire})
+	e.events.push(event{at: at, seq: e.seq, on: on, fire: fire})
 }
 
 // Schedule enqueues fire to run at virtual time at (>= now). fire executes
