@@ -129,8 +129,7 @@ func (l *label) key() string {
 // Engine is a discrete-event simulation. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
-	mu      sync.Mutex
-	quiesce *sync.Cond
+	mu sync.Mutex
 
 	now      atomic.Int64 // a Time; written under mu, read lock-free by Now
 	seq      uint64
@@ -141,6 +140,16 @@ type Engine struct {
 	started  bool
 	failure  error
 	fired    int64 // events executed, for Stats
+
+	// Run-loop state (see driveLocked): the process whose goroutine is
+	// firing events right now and whether one of them woke it, and how the
+	// simulation ended — done is closed once endErr/endPanic are set.
+	driver      *Proc
+	driverWoken bool
+	ended       bool
+	endErr      error
+	endPanic    interface{}
+	done        chan struct{}
 
 	// Verification hooks (see check.go): every resource and mailbox ever
 	// created on the engine, an optional observer of clock advances, and
@@ -168,9 +177,7 @@ type Engine struct {
 
 // NewEngine returns an empty simulation.
 func NewEngine() *Engine {
-	e := &Engine{}
-	e.quiesce = sync.NewCond(&e.mu)
-	return e
+	return &Engine{done: make(chan struct{})}
 }
 
 // Now returns the current virtual time. It is safe to call from simulated
@@ -277,11 +284,13 @@ var ErrDeadlock = errors.New("sim: deadlock")
 
 // Run executes the simulation until every process has returned. It returns
 // a deadlock error (wrapping ErrDeadlock) if processes remain blocked with
-// no pending events, or the panic value if a process panicked.
+// no pending events, or the panic value if a process panicked. A panic
+// raised by engine-side code — an event callback, a Scheduler, a
+// ClockWatcher — is re-raised here, on the caller's goroutine.
 func (e *Engine) Run() error {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.started {
+		e.mu.Unlock()
 		return errors.New("sim: Run called twice")
 	}
 	e.started = true
@@ -295,19 +304,60 @@ func (e *Engine) Run() error {
 		e.scheduleLabeledLocked(e.Now(), &p.label, func() { e.wakeLocked(p) })
 	}
 
-	for {
-		for e.runnable > 0 && e.failure == nil {
-			e.quiesce.Wait()
+	// Fire events until the first process is running; from then on the
+	// loop moves to whichever goroutine stops last (driveLocked).
+	e.driveLocked(nil)
+	e.mu.Unlock()
+	<-e.done
+	// Whoever ended the simulation did so with the lock held; taking it
+	// means Run never returns before that goroutine has let go of it.
+	e.mu.Lock()
+	err, panicked := e.endErr, e.endPanic
+	e.mu.Unlock()
+	if panicked != nil {
+		panic(panicked)
+	}
+	return err
+}
+
+// driveLocked is the event loop. It runs, with e.mu held, on the goroutine
+// that just brought runnable to zero — a process parking in block (self),
+// a process finishing in runProc, or Run at the start (self nil for both) —
+// and fires events until one makes a process runnable or the simulation
+// ends. Exactly one goroutine is ever here, and only while none runs
+// process code, so events and processes stay strictly serialized. A woken
+// process costs one goroutine switch (the driver parks, it runs); when the
+// process woken is the driver itself the result is true and it just
+// carries on, with no switch at all.
+//
+// A panic below this frame (event callback, Scheduler.Pick, ClockWatcher,
+// StepObserver) is not the driving process's fault: it is caught here and
+// handed to Run to re-raise, rather than unwinding into the process body.
+func (e *Engine) driveLocked(self *Proc) (resumed bool) {
+	if e.ended {
+		return false // a process woken just before the end has now stopped too
+	}
+	e.driver, e.driverWoken = self, false
+	defer func() {
+		e.driver = nil
+		if r := recover(); r != nil {
+			e.endLocked(nil, r)
+			resumed = false
 		}
+	}()
+	for e.runnable == 0 {
 		e.flushStepLocked() // the previous step is complete: report it
 		if e.failure != nil {
-			return e.failure
-		}
-		if e.finished == len(e.procs) && len(e.events) == 0 {
-			return nil
+			e.endLocked(e.failure, nil)
+			return false
 		}
 		if len(e.events) == 0 {
-			return e.deadlockErrorLocked()
+			if e.finished == len(e.procs) {
+				e.endLocked(nil, nil)
+			} else {
+				e.endLocked(e.deadlockErrorLocked(), nil)
+			}
+			return false
 		}
 		ev := e.nextEventLocked()
 		now := e.Now()
@@ -322,6 +372,14 @@ func (e *Engine) Run() error {
 		e.fired++
 		ev.fire() // runs with e.mu held; may wake at most a bounded set of procs
 	}
+	return e.driverWoken
+}
+
+// endLocked records how the simulation ended and releases Run.
+func (e *Engine) endLocked(err error, panicked interface{}) {
+	e.ended = true
+	e.endErr, e.endPanic = err, panicked
+	close(e.done)
 }
 
 // Stats reports the engine's execution counters.
@@ -361,11 +419,11 @@ func (e *Engine) runProc(p *Proc) {
 		e.finished++
 		e.runnable--
 		if e.runnable == 0 {
-			e.quiesce.Signal()
+			e.driveLocked(nil)
 		}
 		e.mu.Unlock()
 	}()
-	<-p.wake // start event; Run pre-counted us as runnable via wakeLocked
+	<-p.wake // start event; wakeLocked pre-counted us as runnable
 	p.fn(p)
 }
 
@@ -407,7 +465,9 @@ func (e *Engine) After(d Duration, fire func()) {
 }
 
 // wakeLocked marks p runnable and releases it. Caller holds e.mu. The wake
-// channel is buffered so this never blocks.
+// channel is buffered so this never blocks; a process that is itself
+// firing the event (see driveLocked) needs no message, it resumes by
+// returning from the loop.
 func (e *Engine) wakeLocked(p *Proc) {
 	if p.done {
 		panic(fmt.Sprintf("sim: waking finished process %q", p.name))
@@ -417,19 +477,24 @@ func (e *Engine) wakeLocked(p *Proc) {
 	e.noteLocked(&p.label)
 	e.runnable++
 	p.state = procState{kind: stRunning}
-	p.wake <- struct{}{}
+	if p == e.driver {
+		e.driverWoken = true
+	} else {
+		p.wake <- struct{}{}
+	}
 }
 
 // block parks the calling process until something wakes it. Caller holds
-// e.mu; block returns with e.mu released.
+// e.mu; block returns with e.mu released. The last process to stop fires
+// the pending events itself before parking.
 func (e *Engine) block(p *Proc, state procState) {
 	p.state = state
 	e.runnable--
-	if e.runnable == 0 {
-		e.quiesce.Signal()
-	}
+	resumed := e.runnable == 0 && e.driveLocked(p)
 	e.mu.Unlock()
-	<-p.wake
+	if !resumed {
+		<-p.wake
+	}
 }
 
 // WaitUntil blocks the process until virtual time t. If t is not after the
