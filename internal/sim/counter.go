@@ -88,8 +88,7 @@ func (c *Counter) releaseLocked() {
 	for _, w := range c.waiters {
 		if !w.released && c.val >= w.threshold {
 			w.released = true
-			w := w
-			e.scheduleLabeledLocked(e.Now(), &w.p.label, func() { e.wakeLocked(w.p) })
+			e.scheduleLabeledLocked(e.Now(), &w.p.label, w.p.fire)
 		} else {
 			kept = append(kept, w)
 		}

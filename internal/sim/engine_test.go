@@ -386,3 +386,46 @@ func TestEventQueueAgainstSortedReference(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocsPerEventFence keeps the scheduler-free hot path lean: 64
+// processes pass tokens round a mailbox ring, each hop taking a shared
+// resource and sleeping, and the whole run — engine, processes, heap growth
+// included — may allocate at most 3 objects per event fired. Formatting a
+// state string or a label per event, or boxing events, breaks it at once.
+func TestAllocsPerEventFence(t *testing.T) {
+	const procs, rounds = 64, 40
+	any := func(interface{}) bool { return true }
+	names := make([]string, procs)
+	for i := range names {
+		names[i] = fmt.Sprintf("p%d", i)
+	}
+	var events int64
+	allocs := testing.AllocsPerRun(5, func() {
+		e := NewEngine()
+		link := e.NewResource("link")
+		boxes := make([]*Mailbox, procs)
+		for i := range boxes {
+			boxes[i] = e.NewMailbox(names[i])
+		}
+		for i := 0; i < procs; i++ {
+			i := i
+			e.Spawn(names[i], func(p *Proc) {
+				for r := 0; r < rounds; r++ {
+					_, end := link.Acquire(10 * Nanosecond)
+					boxes[(i+1)%procs].PutAt(end, r)
+					boxes[i].Get(p, "token", any)
+					p.Sleep(Microsecond)
+				}
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		events = e.Stats().Events
+	})
+	if perEvent := allocs / float64(events); perEvent > 3 {
+		t.Fatalf("%.2f allocations per event (%.0f over %d events), fence is 3", perEvent, allocs, events)
+	} else {
+		t.Logf("%.2f allocations per event (%.0f over %d events)", perEvent, allocs, events)
+	}
+}

@@ -104,10 +104,13 @@ func (m *Mailbox) get(p *Proc, waiting procState, match func(interface{}) bool) 
 			return it.v
 		}
 	}
-	w := &mailWaiter{p: p, match: match}
+	w := &p.recv
+	*w = mailWaiter{p: p, match: match}
 	m.waiters = append(m.waiters, w)
 	e.block(p, waiting)
-	return w.got
+	got := w.got
+	*w = mailWaiter{} // drop the item and the predicate
+	return got
 }
 
 // TryGet removes and returns the first queued item matching match without

@@ -192,7 +192,9 @@ type Proc struct {
 	id    int
 	fn    func(*Proc)
 	wake  chan struct{}
-	state procState // what the proc is blocked on, for diagnostics
+	fire  func()     // the process's wake event: every sleep and release schedules this one closure
+	recv  mailWaiter // its pending Mailbox.Get; a process waits on one mailbox at a time
+	state procState  // what the proc is blocked on, for diagnostics
 	done  bool
 }
 
@@ -274,6 +276,7 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 		fn:    fn,
 		wake:  make(chan struct{}, 1),
 	}
+	p.fire = func() { e.wakeLocked(p) }
 	e.procs = append(e.procs, p)
 	return p
 }
@@ -298,10 +301,9 @@ func (e *Engine) Run() error {
 	// Launch every process goroutine; each blocks on its wake channel
 	// until its start event fires, serializing startup deterministically.
 	for _, p := range e.procs {
-		p := p
 		//lint:ignore gonosim engine-owned worker goroutine: runProc is the primitive behind Spawn, and the start event below serializes it deterministically
 		go e.runProc(p)
-		e.scheduleLabeledLocked(e.Now(), &p.label, func() { e.wakeLocked(p) })
+		e.scheduleLabeledLocked(e.Now(), &p.label, p.fire)
 	}
 
 	// Fire events until the first process is running; from then on the
@@ -506,7 +508,7 @@ func (p *Proc) WaitUntil(t Time) {
 		e.mu.Unlock()
 		return
 	}
-	e.scheduleLabeledLocked(t, &p.label, func() { e.wakeLocked(p) })
+	e.scheduleLabeledLocked(t, &p.label, p.fire)
 	e.block(p, procState{kind: stSleepUntil, n: int64(t)})
 }
 
@@ -518,7 +520,7 @@ func (p *Proc) Sleep(d Duration) {
 	}
 	e := p.eng
 	e.mu.Lock()
-	e.scheduleLabeledLocked(e.Now()+Time(d), &p.label, func() { e.wakeLocked(p) })
+	e.scheduleLabeledLocked(e.Now()+Time(d), &p.label, p.fire)
 	e.block(p, procState{kind: stSleeping, n: int64(d)})
 }
 
@@ -527,7 +529,7 @@ func (p *Proc) Sleep(d Duration) {
 func (p *Proc) Yield() {
 	e := p.eng
 	e.mu.Lock()
-	e.scheduleLabeledLocked(e.Now(), &p.label, func() { e.wakeLocked(p) })
+	e.scheduleLabeledLocked(e.Now(), &p.label, p.fire)
 	e.block(p, procState{kind: stYielding})
 }
 
