@@ -67,6 +67,7 @@ func TestComposeAgTraceEqualsSchedMHA(t *testing.T) {
 		{Nodes: 2, PPN: 4, HCAs: 2, Layout: topology.Block, Msg: 1024, Seed: 7},
 		{Nodes: 3, PPN: 2, HCAs: 2, Layout: topology.Block, Msg: 8192, Seed: 11},
 		{Nodes: 4, PPN: 4, HCAs: 4, Layout: topology.Block, Msg: 257, Seed: 13},
+		{Nodes: 4, PPN: 3, HCAs: 2, Layout: topology.Block, Msg: 65536, Seed: 17, NodeHCAs: []int{1, 2, 1, 2}},
 	}
 	for _, sc := range scenarios {
 		sc.Alg = "compose-ag"

@@ -216,9 +216,8 @@ func (lo *lowerer) mcNodeDirect(pr Prim) error {
 	case Allgather:
 		d := pr.Offload
 		if d < 0 {
-			node := topo
-			node.Nodes, node.PPN, node.Sockets = 1, L, 0
-			d = int(perfmodel.New(lo.prm, node).OffloadD(lo.msg))
+			// One d for the whole schedule: plan for the weakest node's rails.
+			d = int(perfmodel.New(lo.prm, topo.SingleNode(L, topo.MinHCAs())).OffloadD(lo.msg))
 		}
 		if d > L-1 {
 			d = L - 1

@@ -11,7 +11,7 @@ import (
 
 // testTopos spans the hierarchy shapes the lowerings must handle: a
 // single rank, a single fat node, multi-node with and without multiple
-// rails, odd counts, and a NUMA split.
+// rails, odd counts, a NUMA split, and mixed 1-/2-HCA nodes.
 var testTopos = []topology.Cluster{
 	{Nodes: 1, PPN: 1, HCAs: 1, Layout: topology.Block},
 	{Nodes: 1, PPN: 4, HCAs: 2, Layout: topology.Block},
@@ -20,6 +20,7 @@ var testTopos = []topology.Cluster{
 	{Nodes: 3, PPN: 4, HCAs: 2, Layout: topology.Block},
 	{Nodes: 4, PPN: 2, HCAs: 1, Layout: topology.Block},
 	{Nodes: 5, PPN: 3, HCAs: 2, Layout: topology.Block},
+	{Nodes: 4, PPN: 3, HCAs: 2, Layout: topology.Block, NodeHCAs: []int{1, 2, 1, 2}},
 }
 
 // TestVariantsAnalyzeClean lowers every registered derived variant for

@@ -19,7 +19,6 @@ import (
 
 	"mha/internal/mpi"
 	"mha/internal/perfmodel"
-	"mha/internal/topology"
 )
 
 // Tag phase ids private to the MHA algorithms. (Phases 0-8 belong to the
@@ -70,12 +69,9 @@ func MHAIntraAllgatherD(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf, d float64)
 		// every rank of the node derives the same count regardless of when
 		// it asks, so the byte-exact plans still agree.
 		t := p.World().Topo()
-		// Project the cluster down to this node: the heterogeneous fields
-		// describe the whole machine and do not survive the projection, but
-		// the node's own usable rail count does.
-		t.HCAs = t.HCAsOf(p.Node())
-		t.Nodes, t.PPN, t.Sockets = 1, L, 0
-		t.Layout, t.NodeHCAs, t.RailBW, t.Ranks = topology.Block, nil, nil, nil
+		// Project the cluster down to this node with its own usable rail
+		// count.
+		t = t.SingleNode(L, t.HCAsOf(p.Node()))
 		if h := p.World().Health(); h.Faulty() {
 			t.HCAs = h.PlanRails(p.Node())
 		}

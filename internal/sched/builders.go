@@ -114,9 +114,8 @@ func TwoPhaseMHA(topo topology.Cluster, prm *netmodel.Params, msg int, opt MHAOp
 	N, L, H := topo.Nodes, topo.PPN, topo.HCAs
 	d := opt.Offload
 	if d < 0 {
-		node := topo
-		node.Nodes, node.PPN, node.Sockets = 1, L, 0
-		d = int(perfmodel.New(prm, node).OffloadD(msg))
+		// One d for the whole schedule: plan for the weakest node's rails.
+		d = int(perfmodel.New(prm, topo.SingleNode(L, topo.MinHCAs())).OffloadD(msg))
 	}
 	if d > L-1 {
 		d = L - 1

@@ -199,6 +199,26 @@ func (c Cluster) Heterogeneous() bool {
 	return false
 }
 
+// MinHCAs returns the rail count of the weakest node (HCAs on a
+// homogeneous cluster).
+func (c Cluster) MinHCAs() int {
+	min := c.HCAs
+	for _, h := range c.NodeHCAs {
+		if h < min {
+			min = h
+		}
+	}
+	return min
+}
+
+// SingleNode projects the cluster onto one flat node of ppn processes
+// and hcas rails, the shape the intra-node cost model prices. NodeHCAs,
+// RailBW, Ranks, the layout and the sockets describe the whole machine
+// and do not survive the projection.
+func (c Cluster) SingleNode(ppn, hcas int) Cluster {
+	return Cluster{Nodes: 1, PPN: ppn, HCAs: hcas, Layout: Block}
+}
+
 // NumaSockets reports the effective socket count (at least 1).
 func (c Cluster) NumaSockets() int {
 	if c.Sockets < 1 {

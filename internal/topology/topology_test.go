@@ -123,6 +123,16 @@ func TestHeterogeneousShapes(t *testing.T) {
 	if !c.Heterogeneous() {
 		t.Fatal("mixed shape should report heterogeneous")
 	}
+	if c.MinHCAs() != 1 || New(2, 2, 2).MinHCAs() != 2 {
+		t.Fatal("MinHCAs wrong")
+	}
+	node := c.SingleNode(2, c.MinHCAs())
+	if err := node.Validate(); err != nil {
+		t.Fatalf("single-node projection does not validate: %v", err)
+	}
+	if !node.Equal(New(1, 2, 1)) {
+		t.Fatalf("single-node projection = %+v, want a plain 1x2x1", node)
+	}
 	if New(2, 2, 2).Heterogeneous() {
 		t.Fatal("uniform shape should not report heterogeneous")
 	}

@@ -264,3 +264,25 @@ func TestRegistryConstraints(t *testing.T) {
 		t.Error("flat ring must carry no constraints")
 	}
 }
+
+// TestHeterogeneousNodeProjection: the schedule builders price the
+// intra-node offload on a single-node projection of the cluster; on
+// mixed-HCA worlds that projection used to keep the whole machine's
+// NodeHCAs table and panic in the cost model. The first two lines are
+// the shrunk repros, the rest the campaign scenarios that found it.
+func TestHeterogeneousNodeProjection(t *testing.T) {
+	for _, spec := range []string{
+		"alg=sched-mha nodes=2 ppn=1 hcas=1 sockets=0 layout=block msg=0 seed=1 jitter=0 blind=0 nodehcas=1/1 faults=none",
+		"alg=compose-ag nodes=2 ppn=1 hcas=1 sockets=0 layout=block msg=0 seed=1 jitter=0 blind=0 nodehcas=1/1 faults=none",
+		"alg=sched-mha nodes=4 ppn=3 hcas=2 sockets=0 layout=block msg=65536 seed=1036591731 jitter=0 blind=0 nodehcas=1/2/1/2 faults=none",
+		"alg=compose-ag nodes=8 ppn=2 hcas=2 sockets=0 layout=block msg=13 seed=211160838 jitter=0.05 blind=0 nodehcas=2/1/1/1/1/1/2/1 faults=none",
+	} {
+		sc, err := ParseSpec(spec)
+		if err != nil {
+			t.Fatalf("parse %q: %v", spec, err)
+		}
+		for _, v := range Check(sc) {
+			t.Errorf("%s: %s", spec, v)
+		}
+	}
+}
