@@ -459,8 +459,11 @@ func (e *Engine) Schedule(at Time, fire func()) {
 	e.scheduleLocked(at, fire)
 }
 
-// After enqueues fire to run d from now.
+// After enqueues fire to run d (>= 0) from now.
 func (e *Engine) After(d Duration, fire func()) {
+	if d < 0 {
+		panic("sim: negative After")
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.scheduleLocked(e.Now()+Time(d), fire)

@@ -423,6 +423,27 @@ func TestScheduleAndAfterCallbacks(t *testing.T) {
 
 // Property: for any set of sleep durations, each process ends exactly at the
 // sum of its sleeps, independent of the other processes.
+// A negative After used to enqueue an event in the past and only blow up
+// later inside Run; it must fail where the mistake is.
+func TestNegativeAfterPanicsAtCallSite(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("p", func(p *Proc) {
+		p.Sleep(Microsecond)
+		defer func() {
+			if r := recover(); r != "sim: negative After" {
+				t.Errorf("recover = %v, want the negative-After panic", r)
+			}
+		}()
+		e.After(-1, func() { t.Error("callback of a negative After ran") })
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Stats().Events; n != 2 {
+		t.Fatalf("%d events fired, want only the start and the sleep", n)
+	}
+}
+
 func TestQuickSleepIndependence(t *testing.T) {
 	f := func(raw [][4]uint16) bool {
 		if len(raw) == 0 || len(raw) > 32 {
