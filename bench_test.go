@@ -378,6 +378,7 @@ func BenchmarkExtFabricTaper(b *testing.B) {
 func BenchmarkSimEngine(b *testing.B) {
 	prm := netmodel.Thor()
 	topo := topology.New(2, 16, 2)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		w := mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true})
 		err := w.Run(func(p *mpi.Proc) {

@@ -83,7 +83,7 @@ func TestTier1Metrics(t *testing.T) {
 	}
 	for _, id := range []string{"fig3-pt2pt-2hca-64k", "fig12a-allgather-MHA-8k",
 		"fig15-allreduce-mha-1m", "explore-states-per-sec-4x2",
-		"lint-whole-program-us"} {
+		"sim-events-per-sec-8x32x2", "lint-whole-program-us"} {
 		if !seen[id] {
 			t.Errorf("missing probe %s (have %v)", id, ms)
 		}
@@ -102,8 +102,8 @@ func TestTier1Metrics(t *testing.T) {
 	}
 }
 
-// maskWallClock zeroes the wall-clock (tuner-*, explore-*, lint-*,
-// compose-lower-us) probe values in a rendered tier-1 file so
+// maskWallClock zeroes the wall-clock (tuner-*, explore-*, lint-*, sim-*,
+// compose-lower-us, fabric-route-us) probe values in a rendered tier-1 file so
 // determinism checks compare only modeled time.
 func maskWallClock(t *testing.T, data []byte) string {
 	t.Helper()
@@ -113,7 +113,7 @@ func maskWallClock(t *testing.T, data []byte) string {
 	}
 	for k := range m {
 		if strings.HasPrefix(k, "tuner-") || strings.HasPrefix(k, "explore-") ||
-			strings.HasPrefix(k, "lint-") ||
+			strings.HasPrefix(k, "lint-") || strings.HasPrefix(k, "sim-") ||
 			k == "compose-lower-us" || k == "fabric-route-us" {
 			m[k] = 0
 		}

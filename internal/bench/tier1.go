@@ -22,8 +22,8 @@ type Tier1Metric struct {
 	ID string
 	// Micros is the probe's value: modeled latency in microseconds for
 	// the experiment probes, wall-clock microseconds for the tuner-*
-	// serving probes, and wall-clock states/sec for the explore-* probe
-	// (the one rate in the set, named accordingly).
+	// serving probes, and wall-clock rates for the explore-* and sim-*
+	// probes (states and events per second, named accordingly).
 	Micros float64
 }
 
@@ -126,6 +126,12 @@ func Tier1(sc Scale) []Tier1Metric {
 			Micros: rate,
 		})
 	}
+	// Engine probe, wall clock: events fired per second on a 256-rank
+	// MHA allgather — the rate ROADMAP item 2 moves.
+	out = append(out, Tier1Metric{
+		ID:     "sim-events-per-sec-8x32x2",
+		Micros: SimEventsPerSec(),
+	})
 	// Static-analysis probe, wall clock: one full whole-program mhalint
 	// cycle over a representative package (CI pays this on every push).
 	if us, err := LintWholeProgramMicros(); err == nil && us > 0 {
