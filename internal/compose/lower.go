@@ -217,7 +217,7 @@ func (lo *lowerer) mcNodeDirect(pr Prim) error {
 		d := pr.Offload
 		if d < 0 {
 			// One d for the whole schedule: plan for the weakest node's rails.
-			d = int(perfmodel.New(lo.prm, topo.SingleNode(L, topo.MinHCAs())).OffloadD(lo.msg))
+			d = int(perfmodel.New(lo.prm, topo.SingleNode(L)).OffloadD(lo.msg))
 		}
 		if d > L-1 {
 			d = L - 1

@@ -68,10 +68,10 @@ func MHAIntraAllgatherD(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf, d float64)
 		// plan the offload for the node's steady surviving rail count —
 		// every rank of the node derives the same count regardless of when
 		// it asks, so the byte-exact plans still agree.
-		t := p.World().Topo()
-		// Project the cluster down to this node with its own usable rail
+		// Project the cluster down to this node, with its own usable rail
 		// count.
-		t = t.SingleNode(L, t.HCAsOf(p.Node()))
+		t := p.World().Topo().SingleNode(L)
+		t.HCAs = p.World().Topo().HCAsOf(p.Node())
 		if h := p.World().Health(); h.Faulty() {
 			t.HCAs = h.PlanRails(p.Node())
 		}

@@ -115,7 +115,7 @@ func TwoPhaseMHA(topo topology.Cluster, prm *netmodel.Params, msg int, opt MHAOp
 	d := opt.Offload
 	if d < 0 {
 		// One d for the whole schedule: plan for the weakest node's rails.
-		d = int(perfmodel.New(prm, topo.SingleNode(L, topo.MinHCAs())).OffloadD(msg))
+		d = int(perfmodel.New(prm, topo.SingleNode(L)).OffloadD(msg))
 	}
 	if d > L-1 {
 		d = L - 1

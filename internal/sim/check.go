@@ -7,7 +7,7 @@ import (
 
 // A ClockWatcher observes every clock advance of the engine: it is invoked
 // with the time being left and the time being entered, strictly before the
-// advance takes effect. The watcher runs on the scheduler goroutine with
+// advance takes effect. The watcher runs inside the event loop with
 // the engine lock held, so it must not call engine methods; recording the
 // pair (e.g. to assert monotonicity afterwards) is the intended use.
 type ClockWatcher func(from, to Time)

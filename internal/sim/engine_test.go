@@ -10,13 +10,6 @@ import (
 	"time"
 )
 
-// stateText renders what a process is blocked on, exactly as the deadlock
-// report prints it after the process name.
-func stateText(p *Proc) string { return p.state.String() }
-
-// clockLocked reads the clock from an event callback (engine lock held).
-func clockLocked(e *Engine) Time { return e.Now() }
-
 // TestDeadlockReportText pins the report Run returns on deadlock, byte for
 // byte, for every way a process can block forever, plus the state text of
 // the kinds a report never lists (a report is only built once every start
@@ -88,13 +81,13 @@ func TestDeadlockReportText(t *testing.T) {
 	procs = append(procs, e.Spawn("yield", func(p *Proc) { p.Sleep(1); p.Yield() }))
 	procs = append(procs, e.Spawn("quick", func(p *Proc) {}))
 	late := e.Spawn("late", func(p *Proc) {})
-	if got := stateText(late); got != "not started" {
+	if got := late.state.String(); got != "not started" {
 		t.Errorf("before Run: state = %q, want %q", got, "not started")
 	}
 	sample := func() []string {
 		out := make([]string, len(procs))
 		for i, p := range procs {
-			out[i] = stateText(p)
+			out[i] = p.state.String()
 		}
 		return out
 	}
@@ -261,10 +254,10 @@ func TestEventOrderMatchesSortedReference(t *testing.T) {
 			push = func(depth int) {
 				id := next
 				next++
-				at := clockLocked(e) + Time(rng.Intn(40))
+				at := e.Now() + Time(rng.Intn(40))
 				want = append(want, fired{at, id})
 				e.scheduleLocked(at, func() {
-					got = append(got, fired{clockLocked(e), id})
+					got = append(got, fired{e.Now(), id})
 					if depth < 3 && rng.Intn(3) == 0 {
 						for k := rng.Intn(4); k > 0; k-- {
 							push(depth + 1)

@@ -156,8 +156,8 @@ func TestGaugeNegativePanics(t *testing.T) {
 		g.DecAt(p.Now()) // decrement without a matching Inc
 		p.Sleep(Microsecond)
 	})
-	// The decrement fires on the scheduler goroutine inside Run, so the
-	// panic surfaces there rather than in the process.
+	// The decrement fires inside the event loop, not in the process body,
+	// so the panic surfaces from Run rather than as a process failure.
 	defer func() {
 		r := recover()
 		if r == nil || !strings.Contains(fmt.Sprint(r), "went negative") {

@@ -448,7 +448,7 @@ func (e *Engine) scheduleLabeledLocked(at Time, on *label, fire func()) {
 }
 
 // Schedule enqueues fire to run at virtual time at (>= now). fire executes
-// on the scheduler goroutine with the engine lock held; it must not block
+// inside the event loop with the engine lock held; it must not block
 // and may only call *Locked engine helpers or wake processes via counters.
 func (e *Engine) Schedule(at Time, fire func()) {
 	e.mu.Lock()

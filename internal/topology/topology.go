@@ -202,21 +202,22 @@ func (c Cluster) Heterogeneous() bool {
 // MinHCAs returns the rail count of the weakest node (HCAs on a
 // homogeneous cluster).
 func (c Cluster) MinHCAs() int {
-	min := c.HCAs
+	least := c.HCAs
 	for _, h := range c.NodeHCAs {
-		if h < min {
-			min = h
+		if h < least {
+			least = h
 		}
 	}
-	return min
+	return least
 }
 
-// SingleNode projects the cluster onto one flat node of ppn processes
-// and hcas rails, the shape the intra-node cost model prices. NodeHCAs,
+// SingleNode projects the cluster onto one flat node of ppn processes,
+// the shape the intra-node cost model prices. It carries the weakest
+// node's rail count, so one plan made from it suits every node; NodeHCAs,
 // RailBW, Ranks, the layout and the sockets describe the whole machine
 // and do not survive the projection.
-func (c Cluster) SingleNode(ppn, hcas int) Cluster {
-	return Cluster{Nodes: 1, PPN: ppn, HCAs: hcas, Layout: Block}
+func (c Cluster) SingleNode(ppn int) Cluster {
+	return New(1, ppn, c.MinHCAs())
 }
 
 // NumaSockets reports the effective socket count (at least 1).

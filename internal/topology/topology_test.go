@@ -126,7 +126,7 @@ func TestHeterogeneousShapes(t *testing.T) {
 	if c.MinHCAs() != 1 || New(2, 2, 2).MinHCAs() != 2 {
 		t.Fatal("MinHCAs wrong")
 	}
-	node := c.SingleNode(2, c.MinHCAs())
+	node := c.SingleNode(2)
 	if err := node.Validate(); err != nil {
 		t.Fatalf("single-node projection does not validate: %v", err)
 	}
