@@ -261,3 +261,44 @@ func TestOracleViolationTextRealRun(t *testing.T) {
 		t.Errorf("violations:\n got %q\nwant %q", got, want)
 	}
 }
+
+// TestImageMatchesSpec holds the tabulated image to the written contract:
+// every byte of every expected block equals expByte, and a rank's blocks
+// add up to exactly the receive buffer Geometry sizes.
+func TestImageMatchesSpec(t *testing.T) {
+	for _, coll := range compose.Collectives() {
+		for _, n := range []int{1, 2, 3, 5, 8} {
+			for _, m := range []int{0, 1, 7, 64} {
+				im := newImage(coll, n, m)
+				sendLen, recvLen := compose.Geometry(coll, n, m)
+				for me := 0; me < n; me++ {
+					if len(im.pat[me]) != sendLen {
+						t.Fatalf("%v n=%d m=%d: send image of rank %d has %d bytes, want %d",
+							coll, n, m, me, len(im.pat[me]), sendLen)
+					}
+					for i, b := range im.pat[me] {
+						if b != patByte(me, i) {
+							t.Fatalf("%v n=%d m=%d: send image of rank %d byte %d = %#02x, patByte says %#02x",
+								coll, n, m, me, i, b, patByte(me, i))
+						}
+					}
+					total := 0
+					for blk := 0; m > 0 && blk*m < recvLen; blk++ {
+						w := im.want(me, blk)
+						total += len(w)
+						for i, b := range w {
+							if e := expByte(coll, n, m, me, blk, i); b != e {
+								t.Fatalf("%v n=%d m=%d: want(%d, %d)[%d] = %#02x, expByte says %#02x",
+									coll, n, m, me, blk, i, b, e)
+							}
+						}
+					}
+					if total != recvLen {
+						t.Fatalf("%v n=%d m=%d rank %d: blocks cover %d bytes, recv buffer is %d",
+							coll, n, m, me, total, recvLen)
+					}
+				}
+			}
+		}
+	}
+}
