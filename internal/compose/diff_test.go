@@ -2,6 +2,7 @@ package compose_test
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -234,5 +235,32 @@ func TestFlatEqualsHierarchicalBytes(t *testing.T) {
 			})
 		}
 		diffBufs(t, coll.String(), mk(compose.Hierarchical(coll)), mk(compose.Flat(coll)))
+	}
+}
+
+// TestExecutePlanLeavesPlanUntouched: compose.Runner hands every rank of
+// a world the same lowered *Plan, so executing it — schedule, goal and
+// the ByteSum fold included — must only read it. Lower is deterministic,
+// so a second lowering is the untouched reference.
+func TestExecutePlanLeavesPlanUntouched(t *testing.T) {
+	topo := topology.Cluster{Nodes: 2, PPN: 4, HCAs: 2, Layout: topology.Block}
+	n, m := topo.Size(), 512
+	for _, v := range compose.Variants() {
+		plan, err := compose.Lower(v.Comp, compose.NewHierarchy(topo), m, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", v.Name, err)
+		}
+		ref, _ := compose.Lower(v.Comp, compose.NewHierarchy(topo), m, nil)
+		sendLen, recvLen := compose.Geometry(v.Coll, n, m)
+		runCollect(t, topo, func(p *mpi.Proc, w *mpi.World) mpi.Buf {
+			send := mpi.NewBuf(sendLen)
+			fill(send, p.Rank())
+			recv := mpi.NewBuf(recvLen)
+			compose.ExecutePlan(p, w, plan, send, recv)
+			return recv
+		})
+		if !reflect.DeepEqual(plan, ref) {
+			t.Errorf("%s: executing the shared plan modified it", v.Name)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -648,4 +649,41 @@ func TestSendRecvCombined(t *testing.T) {
 func ExampleTag() {
 	fmt.Println(Tag(1, 2, 3), Tag(0, 0, 7))
 	// Output: 2228227 7
+}
+
+// TestWorldOnce: the per-world once-cell builds a key's value on the
+// first request and hands every rank the same one; another key, or
+// another world, builds its own.
+func TestWorldOnce(t *testing.T) {
+	var mu sync.Mutex
+	builds := map[string]int{}
+	build := func(k string) func() any {
+		return func() any {
+			mu.Lock()
+			builds[k]++
+			mu.Unlock()
+			return &k
+		}
+	}
+	for world := 1; world <= 2; world++ {
+		w := newWorld(2, 2, 1)
+		got := make([]any, w.Topo().Size())
+		err := w.Run(func(p *Proc) {
+			got[p.Rank()] = w.Once("a", build("a"))
+			if b := w.Once("b", build("b")); b == got[p.Rank()] {
+				t.Errorf("rank %d: keys a and b share a value", p.Rank())
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, v := range got {
+			if v != got[0] {
+				t.Errorf("world %d: rank %d got a different value than rank 0", world, r)
+			}
+		}
+		if builds["a"] != world || builds["b"] != world {
+			t.Errorf("after %d world(s): builds %v, want %d each", world, builds, world)
+		}
+	}
 }

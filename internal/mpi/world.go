@@ -80,6 +80,13 @@ type World struct {
 	leaders     *Comm
 	socketComms [][]*Comm // [node][socket], only when Topo.Sockets > 1
 	named       map[string]*Comm
+	shared      map[any]*onceCell
+}
+
+// onceCell is one Once entry: the value every rank of the world shares.
+type onceCell struct {
+	once sync.Once
+	v    any
 }
 
 // node holds the per-node hardware: HCA rails and the memory-concurrency
@@ -271,6 +278,29 @@ func (w *World) Engine() *sim.Engine { return w.eng }
 
 // Phantom reports whether shared-memory regions are size-only.
 func (w *World) Phantom() bool { return w.phantom }
+
+// Once returns the value build produces for key, calling build on the
+// first request in this world and handing every later caller the same
+// value. It is how the ranks of a job share what is identical for all of
+// them — a built schedule, a lowered plan — instead of deriving it once
+// per rank; callers must treat the value as read-only. The cell lives
+// exactly as long as the world, so nothing is ever evicted or
+// invalidated. key must be comparable. A build that panics does so on the
+// calling rank, which ends the simulation before any other rank asks.
+func (w *World) Once(key any, build func() any) any {
+	w.mu.Lock()
+	c := w.shared[key]
+	if c == nil {
+		if w.shared == nil {
+			w.shared = map[any]*onceCell{}
+		}
+		c = &onceCell{}
+		w.shared[key] = c
+	}
+	w.mu.Unlock()
+	c.once.Do(func() { c.v = build() })
+	return c.v
+}
 
 // perturb applies the configured OS/fabric noise to a modeled duration:
 // a uniform factor in [1, 1+2*Jitter]. With Jitter == 0 it is identity.

@@ -271,14 +271,24 @@ func ChargeRed(p *mpi.Proc, dst, src mpi.Buf) {
 	p.Compute(sim.FromSeconds(float64(src.Len()) / reduceBW))
 }
 
-// Runner adapts a schedule constructor to the verify.RunFn shape: each
-// rank builds the schedule for the world's actual topology and message
-// size and executes it. Constructors are deterministic pure functions of
-// (topology, msg), so every rank builds the identical plan; the builds
-// are cheap at verification scales.
+// Runner adapts a schedule constructor to the verify.RunFn shape. The
+// schedule is built once per world for the world's actual topology and
+// the message size in use (mpi.World.Once), and every rank executes that
+// one read-only value: constructors are deterministic pure functions of
+// (topology, msg), so a per-rank build would only repeat the work —
+// Build plus Validate cost more than executing a rank's share at
+// verification scales. A constructor that panics does so on the first
+// rank to ask.
 func Runner(build func(topo topology.Cluster, msg int) *Schedule) func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
+	type planKey struct {
+		runner *byte // this Runner call's identity: func values do not compare
+		msg    int
+	}
+	id := new(byte)
 	return func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
-		Execute(p, w, build(w.Topo(), send.Len()), send, recv)
+		msg := send.Len()
+		s := w.Once(planKey{id, msg}, func() any { return build(w.Topo(), msg) }).(*Schedule)
+		Execute(p, w, s, send, recv)
 	}
 }
 
