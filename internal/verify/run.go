@@ -26,7 +26,8 @@ func (v Violation) String() string { return v.Kind + ": " + v.Detail }
 
 // patByte is the oracle's expected byte i of rank r's contribution: a
 // non-repeating pattern so block swaps, off-by-ones and stale bytes all
-// produce visible mismatches.
+// produce visible mismatches. newImage relies on the per-byte step being
+// odd and the same for every rank.
 func patByte(r, i int) byte { return byte(r*131 + i*7 + 3) }
 
 // sumByte is the ByteSum fold of every rank's contribution byte i —
@@ -78,7 +79,8 @@ func expByte(coll compose.Collective, n, m, me, blk, i int) byte {
 type image struct {
 	coll compose.Collective
 	m    int
-	// pat[r] is rank r's send buffer, patByte(r, 0..sendLen).
+	// pat[r] is rank r's send buffer, patByte(r, 0..sendLen); rows overlap
+	// in memory and are read-only.
 	pat [][]byte
 	// sum is the ByteSum fold of pat's rows (reduce family only).
 	sum []byte
@@ -89,13 +91,17 @@ type image struct {
 func newImage(coll compose.Collective, n, m int) *image {
 	sendLen, _ := compose.Geometry(coll, n, m)
 	im := &image{coll: coll, m: m, pat: make([][]byte, n)}
-	all := make([]byte, n*sendLen)
+	// patByte steps by the same odd amount per byte on every rank, so the
+	// pattern has period 256 and rank r's row is rank 0's row entered at
+	// the offset where r's first byte occurs: n windows into one sequence
+	// instead of an n x sendLen table (32 MiB for a large alltoall).
+	seq := make([]byte, 256+sendLen)
+	for i := range seq {
+		seq[i] = patByte(0, i)
+	}
 	for r := range im.pat {
-		row := all[r*sendLen : (r+1)*sendLen : (r+1)*sendLen]
-		for i := range row {
-			row[i] = patByte(r, i)
-		}
-		im.pat[r] = row
+		at := bytes.IndexByte(seq[:256], patByte(r, 0))
+		im.pat[r] = seq[at : at+sendLen : at+sendLen]
 	}
 	switch coll {
 	case compose.ReduceScatter, compose.Allreduce:
