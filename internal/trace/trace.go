@@ -4,8 +4,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -71,11 +72,11 @@ func (r *Recorder) Events() []Event {
 	defer r.mu.Unlock()
 	out := make([]Event, len(r.events))
 	copy(out, r.events)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
+	slices.SortStableFunc(out, func(a, b Event) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return out[i].Rank < out[j].Rank
+		return cmp.Compare(a.Rank, b.Rank)
 	})
 	return out
 }

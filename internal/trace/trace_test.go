@@ -37,6 +37,14 @@ func TestEventsSortedByStart(t *testing.T) {
 	if got[0].Rank != 0 || got[1].Rank != 2 || got[2].Rank != 1 {
 		t.Fatalf("order wrong: %+v", got)
 	}
+	// Ties on (Start, Rank) keep insertion order: the trace hash and the
+	// timeline goldens depend on it.
+	r.Add(ev(2, CatWait, 10, 11))
+	r.Add(ev(2, CatCompute, 10, 12))
+	got = r.Events()
+	if got[1].Cat != CatHCA || got[2].Cat != CatWait || got[3].Cat != CatCompute {
+		t.Fatalf("ties reordered: %+v", got)
+	}
 }
 
 func TestTimelineRendersLanes(t *testing.T) {
