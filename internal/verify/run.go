@@ -3,6 +3,8 @@ package verify
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"mha/internal/compose"
@@ -268,9 +270,11 @@ func RunOnce(sc Scenario, install func(*mpi.World)) (res RunResult) {
 }
 
 // Check verifies one scenario completely: it validates the spec, executes
-// it twice, and returns every violation found — including a "determinism"
-// violation when the two identically-seeded runs produce different event
-// timelines or makespans. An empty slice means the scenario passed.
+// it twice, and returns every violation found — the first run's, then any
+// the second run alone produced (prefixed "second run: "), then a
+// "determinism" violation when the two identically-seeded runs produce
+// different event timelines or makespans. An empty slice means the
+// scenario passed.
 func Check(sc Scenario) []Violation {
 	if err := sc.Validate(); err != nil {
 		return []Violation{{Kind: "spec", Detail: err.Error()}}
@@ -278,6 +282,11 @@ func Check(sc Scenario) []Violation {
 	r1 := RunOnce(sc, nil)
 	r2 := RunOnce(sc, nil)
 	out := r1.Violations
+	for _, v := range r2.Violations {
+		if !slices.ContainsFunc(r1.Violations, func(v1 Violation) bool { return headline(v1) == headline(v) }) {
+			out = append(out, Violation{Kind: v.Kind, Detail: "second run: " + v.Detail})
+		}
+	}
 	if r1.Hash != r2.Hash {
 		out = append(out, Violation{Kind: "determinism",
 			Detail: fmt.Sprintf("trace hash %#x vs %#x across identical runs", r1.Hash, r2.Hash)})
@@ -286,4 +295,12 @@ func Check(sc Scenario) []Violation {
 			Detail: fmt.Sprintf("makespan %v vs %v across identical runs", r1.Makespan, r2.Makespan)})
 	}
 	return out
+}
+
+// headline is what identifies a violation across two runs of one
+// scenario: its kind and the first line of its detail. A panic report
+// carries a goroutine stack after that line, which legitimately differs.
+func headline(v Violation) string {
+	first, _, _ := strings.Cut(v.Detail, "\n")
+	return v.Kind + ": " + first
 }

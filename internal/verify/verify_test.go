@@ -3,7 +3,8 @@ package verify
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
+	"reflect"
+	"sync"
 	"testing"
 
 	"mha/internal/mpi"
@@ -99,26 +100,68 @@ func TestMutationCaught(t *testing.T) {
 	}
 }
 
-// TestNondeterminismCaught plants a variant whose timing depends on
-// cross-run mutable state; the same-seed double run must flag it.
-func TestNondeterminismCaught(t *testing.T) {
-	var runs int64
-	Register(Algorithm{Name: "broken-flaky", Run: func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
-		if p.Rank() == 0 && atomic.AddInt64(&runs, 1)%2 == 0 {
-			p.Compute(5 * sim.Microsecond)
+// plantFlaky registers "broken-flaky": a correct ring allgather whose
+// ranks additionally run misbehave in every world after the first one
+// they see — cross-run mutable state, the thing Check's second run is for.
+func plantFlaky(t *testing.T, misbehave func(p *mpi.Proc, recv mpi.Buf)) {
+	var mu sync.Mutex
+	var first *mpi.World
+	plant(t, Algorithm{Name: "broken-flaky", Run: func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
+		mu.Lock()
+		if first == nil {
+			first = w
 		}
+		second := w != first
+		mu.Unlock()
 		ByNameMust("ring").Run(p, w, send, recv)
-	}})
-	sc := Scenario{Alg: "broken-flaky", Nodes: 2, PPN: 2, HCAs: 1, Msg: 64, Seed: 1}
-	vs := Check(sc)
-	found := false
-	for _, v := range vs {
-		if v.Kind == "determinism" {
-			found = true
+		if second {
+			misbehave(p, recv)
 		}
+	}})
+}
+
+// TestSecondRunCaught: whatever only the second of Check's two runs does
+// wrong is reported — a timing change as "determinism", and a wrong byte,
+// or a panic under its own kind, marked "second run: " — including a
+// wrong byte that leaves the trace hash alone.
+func TestSecondRunCaught(t *testing.T) {
+	sc := Scenario{Alg: "broken-flaky", Nodes: 2, PPN: 2, HCAs: 1, Msg: 64, Seed: 1}
+	cases := []struct {
+		name      string
+		misbehave func(p *mpi.Proc, recv mpi.Buf)
+		want      []string // headlines; a determinism violation by kind alone (its text holds hashes)
+	}{
+		{"slower", func(p *mpi.Proc, _ mpi.Buf) {
+			if p.Rank() == 0 {
+				p.Compute(5 * sim.Microsecond)
+			}
+		}, []string{"determinism"}},
+		{"wrong byte, same timeline", func(p *mpi.Proc, recv mpi.Buf) {
+			if p.Rank() == 1 {
+				recv.Data()[0] ^= 0xff
+			}
+		}, []string{"oracle: second run: rank 1: block 0 byte 0 = 0xfc, want 0x03"}},
+		{"panic", func(p *mpi.Proc, _ mpi.Buf) {
+			if p.Rank() == 3 {
+				panic("boom")
+			}
+		}, []string{`run: second run: sim: process "rank3" (id 3) panicked: boom`, "determinism"}},
 	}
-	if !found {
-		t.Fatalf("cross-run nondeterminism not flagged: %v", vs)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plantFlaky(t, tc.misbehave)
+			var got []string
+			for _, v := range Check(sc) {
+				if v.Kind == "determinism" {
+					got = append(got, v.Kind)
+				} else {
+					got = append(got, headline(v))
+				}
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("violations %q, want %q", got, tc.want)
+			}
+		})
 	}
 }
 
