@@ -20,27 +20,22 @@ func MsgOf(coll Collective, n, sendLen int) int {
 
 // Runner adapts a composition to the verify harness's run signature:
 // the composition is lowered at run time against the world's machine —
-// once per world and message size (mpi.World.Once), all ranks executing
+// once per world and message size (mpi.PerWorld), all ranks executing
 // the same read-only plan — and run on the world communicator. Lowering
 // uses the default model parameters, like the hand-written sched
 // variants, so the model-derived choices (the allgather offload count)
 // match byte for byte. A lowering error panics on every rank that asks.
 func Runner(comp Composition) func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
-	type planKey struct {
-		runner *byte // this Runner call's identity: a Composition does not compare
-		msg    int
-	}
 	type lowered struct {
 		plan *Plan
 		err  error
 	}
-	id := new(byte)
+	lower := mpi.PerWorld(func(w *mpi.World, m int) lowered {
+		plan, err := Lower(comp, NewHierarchy(w.Topo()), m, nil)
+		return lowered{plan, err}
+	})
 	return func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
-		m := MsgOf(comp.Coll, w.Topo().Size(), send.Len())
-		l := w.Once(planKey{id, m}, func() any {
-			plan, err := Lower(comp, NewHierarchy(w.Topo()), m, nil)
-			return lowered{plan, err}
-		}).(lowered)
+		l := lower(w, MsgOf(comp.Coll, w.Topo().Size(), send.Len()))
 		if l.err != nil {
 			panic(fmt.Sprintf("%v (at run time)", l.err))
 		}

@@ -651,39 +651,42 @@ func ExampleTag() {
 	// Output: 2228227 7
 }
 
-// TestWorldOnce: the per-world once-cell builds a key's value on the
-// first request and hands every rank the same one; another key, or
-// another world, builds its own.
-func TestWorldOnce(t *testing.T) {
+// TestPerWorld: a PerWorld value is built on the first request in a world
+// and handed to every rank; another arg, another wrapper, or another
+// world builds its own.
+func TestPerWorld(t *testing.T) {
 	var mu sync.Mutex
 	builds := map[string]int{}
-	build := func(k string) func() any {
-		return func() any {
+	counted := func(name string) func(w *World, arg int) *int {
+		return PerWorld(func(w *World, arg int) *int {
 			mu.Lock()
-			builds[k]++
+			builds[fmt.Sprint(name, arg)]++
 			mu.Unlock()
-			return &k
-		}
+			return &arg
+		})
 	}
+	a, b := counted("a"), counted("b")
 	for world := 1; world <= 2; world++ {
 		w := newWorld(2, 2, 1)
-		got := make([]any, w.Topo().Size())
+		got := make([]*int, w.Topo().Size())
 		err := w.Run(func(p *Proc) {
-			got[p.Rank()] = w.Once("a", build("a"))
-			if b := w.Once("b", build("b")); b == got[p.Rank()] {
-				t.Errorf("rank %d: keys a and b share a value", p.Rank())
+			got[p.Rank()] = a(w, 7)
+			if a(w, 8) == got[p.Rank()] || b(w, 7) == got[p.Rank()] {
+				t.Errorf("rank %d: distinct (wrapper, arg) pairs share a value", p.Rank())
 			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for r, v := range got {
-			if v != got[0] {
-				t.Errorf("world %d: rank %d got a different value than rank 0", world, r)
+			if v != got[0] || *v != 7 {
+				t.Errorf("world %d: rank %d got %p (%d), rank 0 got %p", world, r, v, *v, got[0])
 			}
 		}
-		if builds["a"] != world || builds["b"] != world {
-			t.Errorf("after %d world(s): builds %v, want %d each", world, builds, world)
+		for _, k := range []string{"a7", "a8", "b7"} {
+			if builds[k] != world {
+				t.Errorf("after %d world(s): %s built %d times", world, k, builds[k])
+			}
 		}
 	}
 }

@@ -80,10 +80,17 @@ type World struct {
 	leaders     *Comm
 	socketComms [][]*Comm // [node][socket], only when Topo.Sockets > 1
 	named       map[string]*Comm
-	shared      map[any]*onceCell
+	shared      map[perWorldKey]*onceCell
 }
 
-// onceCell is one Once entry: the value every rank of the world shares.
+// perWorldKey names one PerWorld value: which wrapper (func values do
+// not compare, so each PerWorld call allocates its identity) and its arg.
+type perWorldKey struct {
+	id  *byte
+	arg int
+}
+
+// onceCell holds one PerWorld value, built by whichever rank asks first.
 type onceCell struct {
 	once sync.Once
 	v    any
@@ -279,27 +286,31 @@ func (w *World) Engine() *sim.Engine { return w.eng }
 // Phantom reports whether shared-memory regions are size-only.
 func (w *World) Phantom() bool { return w.phantom }
 
-// Once returns the value build produces for key, calling build on the
-// first request in this world and handing every later caller the same
-// value. It is how the ranks of a job share what is identical for all of
-// them — a built schedule, a lowered plan — instead of deriving it once
-// per rank; callers must treat the value as read-only. The cell lives
-// exactly as long as the world, so nothing is ever evicted or
-// invalidated. key must be comparable. A build that panics does so on the
-// calling rank, which ends the simulation before any other rank asks.
-func (w *World) Once(key any, build func() any) any {
-	w.mu.Lock()
-	c := w.shared[key]
-	if c == nil {
-		if w.shared == nil {
-			w.shared = map[any]*onceCell{}
+// PerWorld wraps build so that, within one world, it runs once per arg
+// and every later caller gets the same value back. It is how the ranks of
+// a job share what is identical for all of them — a schedule built or a
+// plan lowered for the world's machine and a message size — instead of
+// deriving it once per rank; callers must treat the value as read-only.
+// The value lives exactly as long as the world, so nothing is ever
+// evicted or invalidated. A build that panics does so on the calling
+// rank, which ends the simulation before any other rank asks.
+func PerWorld[T any](build func(w *World, arg int) T) func(w *World, arg int) T {
+	id := new(byte)
+	return func(w *World, arg int) T {
+		key := perWorldKey{id, arg}
+		w.mu.Lock()
+		c := w.shared[key]
+		if c == nil {
+			if w.shared == nil {
+				w.shared = map[perWorldKey]*onceCell{}
+			}
+			c = &onceCell{}
+			w.shared[key] = c
 		}
-		c = &onceCell{}
-		w.shared[key] = c
+		w.mu.Unlock()
+		c.once.Do(func() { c.v = build(w, arg) })
+		return c.v.(T)
 	}
-	w.mu.Unlock()
-	c.once.Do(func() { c.v = build() })
-	return c.v
 }
 
 // perturb applies the configured OS/fabric noise to a modeled duration:

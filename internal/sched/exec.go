@@ -273,22 +273,16 @@ func ChargeRed(p *mpi.Proc, dst, src mpi.Buf) {
 
 // Runner adapts a schedule constructor to the verify.RunFn shape. The
 // schedule is built once per world for the world's actual topology and
-// the message size in use (mpi.World.Once), and every rank executes that
+// the message size in use (mpi.PerWorld), and every rank executes that
 // one read-only value: constructors are deterministic pure functions of
 // (topology, msg), so a per-rank build would only repeat the work —
 // Build plus Validate cost more than executing a rank's share at
 // verification scales. A constructor that panics does so on the first
 // rank to ask.
 func Runner(build func(topo topology.Cluster, msg int) *Schedule) func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
-	type planKey struct {
-		runner *byte // this Runner call's identity: func values do not compare
-		msg    int
-	}
-	id := new(byte)
+	built := mpi.PerWorld(func(w *mpi.World, msg int) *Schedule { return build(w.Topo(), msg) })
 	return func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
-		msg := send.Len()
-		s := w.Once(planKey{id, msg}, func() any { return build(w.Topo(), msg) }).(*Schedule)
-		Execute(p, w, s, send, recv)
+		Execute(p, w, built(w, send.Len()), send, recv)
 	}
 }
 
