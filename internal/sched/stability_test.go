@@ -1,0 +1,266 @@
+package sched
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"mha/internal/mpi"
+	"mha/internal/netmodel"
+	"mha/internal/sim"
+	"mha/internal/topology"
+)
+
+// TestExecutorTagContract pins the wire contract of both interpreters:
+// the q-th transfer of a step between one (src, dst) pair travels under
+// mpi.Tag(epoch, 12, step<<7|q), q counted per ordered pair and per
+// step. Rank 0 interprets the schedule; rank 1 is written out by hand
+// against those tags, posting its sends in reverse so only the tag can
+// pair a payload with its window. A different numbering deadlocks the
+// world or lands bytes in the wrong window.
+func TestExecutorTagContract(t *testing.T) {
+	topo := topology.New(2, 1, 2)
+	const m = 96
+	b := NewBuilder("tags", topo, m)
+	// Step 0: 0->1 striped over both rails (two transfers of one pair),
+	// interleaved with a hand-built three-per-pair 1->0.
+	b.Step()
+	b.RailPiece(0, 1, 0, 1, 0, 48, 0)
+	b.Xfer(Transfer{Src: 1, Dst: 0, First: 1, Count: 1, Off: 0, Len: 32})
+	b.Xfer(Transfer{Src: 1, Dst: 0, First: 1, Count: 1, Off: 32, Len: 32})
+	b.RailPiece(0, 1, 0, 1, 48, 48, 1)
+	b.Xfer(Transfer{Src: 1, Dst: 0, First: 1, Count: 1, Off: 64, Len: 32})
+	// Step 1: the ordinal restarts; the step index moves into the tag.
+	b.Step()
+	b.Xfer(Transfer{Src: 0, Dst: 1, First: 1, Count: 1, Off: 0, Len: 40})
+	b.Xfer(Transfer{Src: 0, Dst: 1, First: 1, Count: 1, Off: 40, Len: 56})
+	s := b.MustBuild()
+	if striped := NewBuilder("striped", topo, m).Striped(0, 1, 0, 1, 2).MustBuild(); fmt.Sprint(striped.Steps[0].Xfers) !=
+		fmt.Sprint([]Transfer{s.Steps[0].Xfers[0], s.Steps[0].Xfers[3]}) {
+		t.Fatalf("the two 0->1 pieces of step 0 are not what Striped emits: %v", striped.Steps[0].Xfers)
+	}
+	if _, err := Analyze(s, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	interpreters := map[string]func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf){
+		"Execute": func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) { Execute(p, w, s, send, recv) },
+		"ExecuteGoal": func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
+			ExecuteGoal(p, w.CommWorld(), s, AllgatherGoal(2),
+				func(Range) mpi.Buf { return send }, func(Range) mpi.Buf { return recv }, nil)
+		},
+	}
+	for name, interpret := range interpreters {
+		t.Run(name, func(t *testing.T) {
+			w := mpi.New(mpi.Config{Topo: topo, Params: netmodel.Thor()})
+			err := w.Run(func(p *mpi.Proc) {
+				me := p.Rank()
+				send := mpi.NewBuf(m)
+				for i := range send.Data() {
+					send.Data()[i] = patByte(me, i)
+				}
+				recv := mpi.NewBuf(2 * m)
+				if me == 0 {
+					interpret(p, w, send, recv)
+				} else {
+					c := w.CommWorld()
+					epoch := c.Epoch(p)
+					tag := func(step, q int) int { return mpi.Tag(epoch, 12, step<<7|q) }
+					p.LocalCopy(recv.Slice(m, m), send)
+					lo, hi := p.Irecv(c, 0, tag(0, 0)), p.Irecv(c, 0, tag(0, 1))
+					sends := []*mpi.Request{
+						p.Isend(c, 0, tag(0, 2), recv.Slice(m+64, 32)),
+						p.Isend(c, 0, tag(0, 1), recv.Slice(m+32, 32)),
+						p.Isend(c, 0, tag(0, 0), recv.Slice(m, 32)),
+					}
+					recv.Slice(48, 48).CopyFrom(p.Wait(hi))
+					recv.Slice(0, 48).CopyFrom(p.Wait(lo))
+					for _, sr := range sends {
+						p.Wait(sr)
+					}
+					tail, head := p.Irecv(c, 0, tag(1, 1)), p.Irecv(c, 0, tag(1, 0))
+					if got := p.Wait(tail).Len(); got != 56 {
+						t.Errorf("step 1 ordinal 1 carried %d bytes, want 56", got)
+					}
+					if got := p.Wait(head).Len(); got != 40 {
+						t.Errorf("step 1 ordinal 0 carried %d bytes, want 40", got)
+					}
+				}
+				for i, got := range recv.Data() {
+					if want := patByte(i/m, i%m); got != want {
+						t.Errorf("rank %d byte %d = %#02x, want %#02x", me, i, got, want)
+						break
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestDirectRailMakespanPinned: the greedy direct construction is the
+// lowering with the most transfers per step (every cross-node pair at
+// once), so its simulated makespan is the executor's widest regression
+// net. Values recorded before the executors stopped counting other
+// ranks' transfers.
+func TestDirectRailMakespanPinned(t *testing.T) {
+	prm := netmodel.Thor()
+	for _, tc := range []struct {
+		topo topology.Cluster
+		msg  int
+		want sim.Duration
+	}{
+		{topology.New(2, 2, 2), 4 << 10, 5859},
+		{topology.New(4, 4, 2), 64 << 10, 230353},
+		{topology.New(8, 4, 2), 4 << 10, 131680},
+	} {
+		got, err := Simulate(tc.topo, prm, DirectRail(tc.topo, tc.msg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("direct-rail on %v msg=%d: makespan %d, recorded %d", tc.topo, tc.msg, int64(got), int64(tc.want))
+		}
+	}
+}
+
+// TestSynthesizeStable pins what the search returns — winner, its
+// analyzer cost and measured makespan, whether the measurement was
+// pruned, and the scored seed order — on three 32-rank shapes at three
+// sizes, healthy and with rail 1 at half rate, under the tuner's
+// pruning margin. Recorded before the
+// analyzer's per-step state moved from maps to slices; any rewrite of
+// the cold path must leave every line alone.
+func TestSynthesizeStable(t *testing.T) {
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(synthGolden), "\n") {
+		key, rest, _ := strings.Cut(line, ": ")
+		want[key] = rest
+	}
+	prm := netmodel.Thor()
+	for _, shape := range [][2]int{{2, 8}, {4, 8}, {8, 4}} {
+		for _, msg := range []int{4 << 10, 64 << 10, 1 << 20} {
+			if testing.Short() && msg != 64<<10 {
+				continue
+			}
+			topo := topology.New(shape[0], shape[1], 2)
+			for _, health := range [][]float64{nil, {1, 0.5}} {
+				res, err := Synthesize(topo, prm, msg, SynthOptions{PruneMargin: 0.25, Health: health})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var seeds []string
+				for _, c := range res.Seeds {
+					seeds = append(seeds, fmt.Sprintf("%s=%d", c.Name, int64(c.Cost)))
+				}
+				key := fmt.Sprintf("%dx%dx2/%d/%v", shape[0], shape[1], msg, health)
+				got := fmt.Sprintf("best=%s cost=%d makespan=%d pruned=%v seeds=%s",
+					res.Best.Name, int64(res.Best.Cost), int64(res.Best.Makespan), res.Pruned, strings.Join(seeds, ","))
+				if got != want[key] {
+					t.Errorf("%s:\n got %s\nwant %s", key, got, want[key])
+				}
+			}
+		}
+	}
+}
+
+// TestMutateStable pins the neighbors one candidate contributes — which
+// mutants survive, in which order, under which names, at what cost —
+// including the two ways a round runs out of budget: inside the fusion
+// scan and inside the rail scan. The candidate is a deliberately serial
+// exchange (one transfer per step), so almost every mutation improves it.
+func TestMutateStable(t *testing.T) {
+	prm := netmodel.Thor()
+	topo := topology.New(2, 2, 2)
+	// spread alternates the pinned rail by destination, which makes every
+	// adjacent pair of steps fusable (no endpoint is pinned twice).
+	serial := func(msg int, spread bool) *Schedule {
+		b := NewBuilder("serial", topo, msg)
+		for src := 0; src < 4; src++ {
+			for dst := 0; dst < 4; dst++ {
+				switch {
+				case src == dst:
+				case topo.SameNode(src, dst):
+					b.Step().Send(src, dst, src)
+				case spread:
+					b.Step().RailPiece(src, dst, src, 1, 0, msg, dst%2)
+				default:
+					b.Step().RailPiece(src, dst, src, 1, 0, msg, 0)
+				}
+			}
+		}
+		return b.MustBuild()
+	}
+	for _, tc := range []struct {
+		msg    int
+		spread bool
+		health []float64
+		want   string
+	}{
+		{1 << 20, false, nil, "serial+f0=1005495 serial+f2=1005495 serial+f3=1005495 serial+f5=1005495 serial+f7=1005495 serial+f8=1005495 serial+f10=1005495 serial+s1.0=1050776"},
+		{1 << 20, false, []float64{0.25, 1}, "serial+f0=3034573 serial+f2=3034573 serial+f3=3034573 serial+f5=2781304 serial+f7=3034573 serial+f8=3034573 serial+f10=3034573 serial+r1.0=2868867"},
+		{4 << 10, true, nil, "serial+f0=21121 serial+f1=19832 serial+f2=21121 serial+f3=21121 serial+f4=19832 serial+f5=19832 serial+f6=19832 serial+f7=21121"},
+	} {
+		s := serial(tc.msg, tc.spread)
+		rep, err := AnalyzeHealth(s, prm, tc.health)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, m := range mutate(Candidate{Name: "serial", Sched: s, Cost: rep.Cost}, prm, tc.health) {
+			if m.Sched.Name != m.Name {
+				t.Errorf("mutant %s carries schedule name %s", m.Name, m.Sched.Name)
+			}
+			got = append(got, fmt.Sprintf("%s=%d", m.Name, int64(m.Cost)))
+		}
+		if g := strings.Join(got, " "); g != tc.want {
+			t.Errorf("msg=%d health=%v: mutants of cost %d moved:\n got %s\nwant %s", tc.msg, tc.health, int64(rep.Cost), g, tc.want)
+		}
+	}
+}
+
+const synthGolden = `
+2x8x2/4096/[]: best=mha-rd cost=14697 makespan=14697 pruned=false seeds=mha-rd=14697,mha-rd-d0=14697,mha-rd-seq-d0=14697,mha-ring=14697,mha-ring-d0=14697,mha-ring-seq-d0=14697,ring=33908,mha-rd-push-d0=34683,mha-ring-push-d0=34683,mha-rd-seq-push-d0=36243,mha-ring-seq-push-d0=36243,rd=39215,direct-rail=71818,mha-rd-d7=132990,mha-rd-seq-d7=132990,mha-ring-d7=132990,mha-ring-seq-d7=132990,mha-rd-push-d7=152976,mha-ring-push-d7=152976,mha-rd-seq-push-d7=154536,mha-ring-seq-push-d7=154536
+2x8x2/4096/[1 0.5]: best=mha-rd cost=16019 makespan=19018 pruned=false seeds=mha-rd=16019,mha-rd-d0=16019,mha-rd-seq-d0=16019,mha-ring=16019,mha-ring-d0=16019,mha-ring-seq-d0=16019,mha-rd-push-d0=36005,mha-ring-push-d0=36005,ring=36225,mha-rd-seq-push-d0=37565,mha-ring-seq-push-d0=37565,rd=42743,direct-rail=82410,mha-rd-d7=142256,mha-rd-seq-d7=142256,mha-ring-d7=142256,mha-ring-seq-d7=142256,mha-rd-push-d7=162242,mha-ring-push-d7=162242,mha-rd-seq-push-d7=163802,mha-ring-seq-push-d7=163802
+2x8x2/65536/[]: best=ring cost=93736 makespan=93736 pruned=false seeds=ring=93736,mha-rd=113680,mha-rd-d0=113680,mha-rd-seq-d0=113680,mha-ring=113680,mha-ring-d0=113680,mha-ring-seq-d0=113680,rd=235978,direct-rail=267941,mha-rd-push-d0=379426,mha-ring-push-d0=379426,mha-rd-d7=387261,mha-rd-seq-d7=387261,mha-ring-d7=387261,mha-ring-seq-d7=387261,mha-rd-seq-push-d0=399891,mha-ring-seq-push-d0=399891,mha-rd-push-d7=653007,mha-ring-push-d7=653007,mha-rd-seq-push-d7=673472,mha-ring-seq-push-d7=673472
+2x8x2/65536/[1 0.5]: best=ring cost=100666 makespan=0 pruned=true seeds=ring=100666,mha-rd=134820,mha-rd-d0=134820,mha-rd-seq-d0=134820,mha-ring=134820,mha-ring-d0=134820,mha-ring-seq-d0=134820,rd=292354,mha-rd-push-d0=400566,mha-ring-push-d0=400566,mha-rd-seq-push-d0=421031,mha-ring-seq-push-d0=421031,direct-rail=437061,mha-rd-d7=457681,mha-rd-seq-d7=457681,mha-ring-d7=457681,mha-ring-seq-d7=457681,mha-rd-push-d7=723427,mha-ring-push-d7=723427,mha-rd-seq-push-d7=743892,mha-ring-seq-push-d7=743892
+2x8x2/1048576/[]: best=ring cost=1360345 makespan=1360345 pruned=false seeds=ring=1360345,mha-rd-d0=1697398,mha-rd-seq-d0=1697398,mha-ring-d0=1697398,mha-ring-seq-d0=1697398,mha-rd=1971665,mha-ring=1971665,direct-rail=2845572,rd=3384099,mha-rd-d7=3617267,mha-rd-seq-d7=3617267,mha-ring-d7=3617267,mha-ring-seq-d7=3617267,mha-rd-push-d0=5895304,mha-ring-push-d0=5895304,mha-rd-seq-push-d0=6218243,mha-ring-seq-push-d0=6218243,mha-rd-push-d7=7815173,mha-ring-push-d7=7815173,mha-rd-seq-push-d7=8138112,mha-ring-seq-push-d7=8138112
+2x8x2/1048576/[1 0.5]: best=ring cost=1360345 makespan=0 pruned=true seeds=ring=1360345,mha-rd-d0=2035649,mha-rd-seq-d0=2035649,mha-ring-d0=2035649,mha-ring-seq-d0=2035649,mha-rd=2422668,mha-ring=2422668,rd=4286099,mha-rd-d7=4744782,mha-rd-seq-d7=4744782,mha-ring-d7=4744782,mha-ring-seq-d7=4744782,direct-rail=5548630,mha-rd-push-d0=6233555,mha-ring-push-d0=6233555,mha-rd-seq-push-d0=6556494,mha-ring-seq-push-d0=6556494,mha-rd-push-d7=8942688,mha-ring-push-d7=8942688,mha-rd-seq-push-d7=9265627,mha-ring-seq-push-d7=9265627
+4x8x2/4096/[]: best=mha-rd cost=23070 makespan=23070 pruned=false seeds=mha-rd=23070,mha-rd-d0=23070,mha-ring=23339,mha-ring-d0=23339,mha-rd-seq-d0=30605,mha-ring-seq-d0=33604,ring=69588,mha-rd-push-d0=77110,mha-ring-push-d0=81317,rd=84359,mha-rd-seq-push-d0=116861,mha-ring-seq-push-d0=119860,mha-rd-d7=141363,mha-ring-d7=141632,mha-rd-seq-d7=148898,mha-ring-seq-d7=151897,mha-rd-push-d7=195403,mha-ring-push-d7=199610,direct-rail=214538,mha-rd-seq-push-d7=235154,mha-ring-seq-push-d7=238153
+4x8x2/4096/[1 0.5]: best=mha-rd cost=27034 makespan=33034 pruned=false seeds=mha-rd=27034,mha-rd-d0=27034,mha-ring=27305,mha-ring-d0=27305,mha-rd-seq-d0=34569,mha-ring-seq-d0=37570,ring=74553,mha-rd-push-d0=78432,mha-ring-push-d0=82639,rd=94927,mha-rd-seq-push-d0=120825,mha-ring-seq-push-d0=123826,mha-rd-d7=153271,mha-ring-d7=153542,mha-rd-seq-d7=160806,mha-ring-seq-d7=163807,mha-rd-push-d7=204669,mha-ring-push-d7=208876,direct-rail=246314,mha-rd-seq-push-d7=247062,mha-ring-seq-push-d7=250063
+4x8x2/65536/[]: best=ring cost=190712 makespan=190712 pruned=false seeds=ring=190712,mha-ring=202262,mha-ring-d0=202262,mha-rd=202651,mha-rd-d0=202651,mha-rd-seq-d0=305215,mha-ring-seq-d0=308216,mha-ring-d7=475843,mha-rd-d7=476232,mha-rd-seq-d7=578796,mha-ring-seq-d7=581797,rd=598226,direct-rail=798181,mha-rd-push-d0=995293,mha-ring-push-d0=999500,mha-rd-push-d7=1268874,mha-ring-push-d7=1273081,mha-rd-seq-push-d0=1509880,mha-ring-seq-push-d0=1512881,mha-rd-seq-push-d7=1783461,mha-ring-seq-push-d7=1786462
+4x8x2/65536/[1 0.5]: best=mha-ring cost=225382 makespan=234385 pruned=false seeds=ring=205034,mha-ring=225382,mha-ring-d0=225382,mha-rd=266073,mha-rd-d0=266073,mha-rd-seq-d0=368637,mha-ring-seq-d0=371636,mha-ring-d7=548243,mha-rd-d7=588934,mha-rd-seq-d7=691498,mha-ring-seq-d7=694497,rd=767354,mha-rd-push-d0=1016433,mha-ring-push-d0=1020640,direct-rail=1305541,mha-rd-push-d7=1339294,mha-ring-push-d7=1343501,mha-rd-seq-push-d0=1573302,mha-ring-seq-push-d0=1576301,mha-rd-seq-push-d7=1896163,mha-ring-seq-push-d7=1899162
+4x8x2/1048576/[]: best=ring cost=2768041 makespan=2768041 pruned=false seeds=ring=2768041,mha-rd-d0=3096099,mha-ring-d0=3096700,mha-rd=3370366,mha-ring=3370967,mha-rd-seq-d0=4698947,mha-ring-seq-d0=4701946,mha-rd-d7=5015968,mha-ring-d7=5016569,mha-rd-seq-d7=6618816,mha-ring-seq-d7=6621815,direct-rail=8449604,rd=8820107,mha-rd-push-d0=15686211,mha-ring-push-d0=15690418,mha-rd-push-d7=17606080,mha-ring-push-d7=17610287,mha-rd-seq-push-d0=23797958,mha-ring-seq-push-d0=23800957,mha-rd-seq-push-d7=25717827,mha-ring-seq-push-d7=25720826
+4x8x2/1048576/[1 0.5]: best=ring cost=2768041 makespan=2768041 pruned=false seeds=ring=2768041,mha-ring-d0=3434951,mha-ring=3821970,mha-rd-d0=4090700,mha-rd=4477719,mha-rd-seq-d0=5713698,mha-ring-seq-d0=5716699,mha-ring-d7=6144084,mha-rd-d7=6799833,mha-rd-seq-d7=8422831,mha-ring-seq-d7=8425832,rd=11526107,mha-rd-push-d0=16024462,mha-ring-push-d0=16028669,direct-rail=16564630,mha-rd-push-d7=18733595,mha-ring-push-d7=18737802,mha-rd-seq-push-d0=24812709,mha-ring-seq-push-d0=24815710,mha-rd-seq-push-d7=27521842,mha-ring-seq-push-d7=27524843
+8x4x2/4096/[]: best=mha-rd cost=21867 makespan=21867 pruned=false seeds=mha-rd=21867,mha-rd-d0=21867,mha-ring=23173,mha-ring-d0=23173,mha-rd-seq-d0=36064,mha-rd-push-d0=39913,mha-ring-seq-d0=41466,mha-rd-d3=45804,mha-ring-push-d0=47107,mha-ring-d3=47110,rd=57182,mha-rd-seq-d3=60001,mha-rd-push-d3=63850,mha-ring-seq-d3=65403,ring=69588,mha-ring-push-d3=71044,mha-rd-seq-push-d0=83265,mha-ring-seq-push-d0=88667,mha-rd-seq-push-d3=107202,mha-ring-seq-push-d3=112604,direct-rail=125338
+8x4x2/4096/[1 0.5]: best=mha-rd cost=26491 makespan=34392 pruned=false seeds=mha-rd=26491,mha-rd-d0=26491,mha-ring=27793,mha-ring-d0=27793,mha-rd-push-d0=40573,mha-rd-seq-d0=40688,mha-ring-seq-d0=46086,mha-ring-push-d0=47767,mha-rd-d3=51752,mha-ring-d3=53054,rd=63346,mha-rd-push-d3=65834,mha-rd-seq-d3=65949,mha-ring-seq-d3=71347,mha-ring-push-d3=73028,ring=74553,mha-rd-seq-push-d0=87889,mha-ring-seq-push-d0=93287,mha-rd-seq-push-d3=113150,mha-ring-seq-push-d3=118548,direct-rail=143874
+8x4x2/65536/[]: best=ring cost=190712 makespan=190712 pruned=false seeds=ring=190712,mha-ring=191689,mha-ring-d0=191689,mha-rd=191977,mha-rd-d0=191977,mha-ring-d3=241222,mha-rd-d3=241510,rd=352373,mha-rd-seq-d0=365096,mha-ring-seq-d0=377094,mha-rd-seq-d3=414629,mha-ring-seq-d3=426627,direct-rail=466781,mha-rd-push-d0=498725,mha-ring-push-d0=505919,mha-rd-push-d3=548258,mha-ring-push-d3=555452,mha-rd-seq-push-d0=962798,mha-ring-seq-push-d0=974796,mha-rd-seq-push-d3=1012331,mha-ring-seq-push-d3=1024329
+8x4x2/65536/[1 0.5]: best=mha-ring cost=212436 makespan=233429 pruned=false seeds=ring=205034,mha-ring=212436,mha-ring-d0=212436,mha-rd=265970,mha-rd-d0=265970,mha-ring-d3=272529,mha-rd-d3=326063,mha-rd-seq-d0=439089,rd=451033,mha-ring-seq-d0=451091,mha-rd-seq-d3=499182,mha-rd-push-d0=509296,mha-ring-seq-d3=511184,mha-ring-push-d0=516490,mha-rd-push-d3=569389,mha-ring-push-d3=576583,direct-rail=762741,mha-rd-seq-push-d0=1036791,mha-ring-seq-push-d0=1048793,mha-rd-seq-push-d3=1096884,mha-ring-seq-push-d3=1108886
+8x4x2/1048576/[]: best=ring cost=2768041 makespan=2768041 pruned=false seeds=ring=2768041,mha-rd-d0=2925175,mha-ring-d0=2927573,mha-rd=3018318,mha-ring=3020716,mha-rd-d3=3204604,mha-ring-d3=3207002,direct-rail=4945412,rd=5075478,mha-rd-seq-d0=5612070,mha-ring-seq-d0=5624069,mha-rd-seq-d3=5891499,mha-ring-seq-d3=5903498,mha-rd-push-d0=7822129,mha-ring-push-d0=7829323,mha-rd-push-d3=8101558,mha-ring-push-d3=8108752,mha-rd-seq-push-d0=15017816,mha-ring-seq-push-d0=15029815,mha-rd-seq-push-d3=15297245,mha-ring-seq-push-d3=15309244
+8x4x2/1048576/[1 0.5]: best=ring cost=2768041 makespan=2768041 pruned=false seeds=ring=2768041,mha-ring-d0=3096698,mha-ring=3246217,mha-ring-d3=3545255,mha-rd-d0=4080026,mha-rd=4229545,mha-rd-d3=4528583,rd=6653978,mha-rd-seq-d0=6795946,mha-ring-seq-d0=6807944,mha-rd-seq-d3=7244503,mha-ring-seq-d3=7256501,mha-rd-push-d0=7991254,mha-ring-push-d0=7998448,mha-rd-push-d3=8439811,mha-ring-push-d3=8447005,direct-rail=9679630,mha-rd-seq-push-d0=16201692,mha-ring-seq-push-d0=16213690,mha-rd-seq-push-d3=16650249,mha-ring-seq-push-d3=16662247
+`
+
+func BenchmarkSchedAnalyze(b *testing.B) {
+	prm := netmodel.Thor()
+	s := TwoPhaseMHA(topology.New(8, 16, 2), prm, 64<<10, MHAOptions{Offload: AutoOffload})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := AnalyzeHealth(s, prm, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSchedSynthesize(b *testing.B) {
+	prm := netmodel.Thor()
+	topo := topology.New(4, 8, 2)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Synthesize(topo, prm, 64<<10, SynthOptions{PruneMargin: 0.25}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
