@@ -14,10 +14,38 @@ import (
 // phaseSched is the tag phase id of schedule-interpreter messages.
 // Phases 0-8 belong to internal/collectives and 10-11 to internal/core;
 // a distinct id keeps traces and tag dumps unambiguous. The 16-bit step
-// field carries (step index << 7) | per-pair ordinal, which is why
-// Validate caps schedules at 512 steps and 128 same-step transfers per
-// (src, dst) pair.
+// field carries (step index << 7) | q, where the transfer is the q-th of
+// its step, in step order, between its ordered (src, dst) pair — which
+// is why Validate caps schedules at 512 steps and 128 same-step
+// transfers per pair. Each endpoint derives q by itself (pairOrdinals).
 const phaseSched = 12
+
+// pairOrdinals is one rank's tag numbering for the step it is in: how
+// many transfers it has posted so far to each peer and from each peer.
+// Source and destination of a transfer both walk the step's list in
+// order and both count exactly the transfers of their shared ordered
+// pair, so they arrive at the same q without looking at — or counting —
+// anyone else's transfers. One value serves a whole Execute call; reset
+// starts the next step.
+type pairOrdinals struct {
+	next []int // [peer]: sends to peer; [n+peer]: receives from peer
+}
+
+func newPairOrdinals(n int) pairOrdinals { return pairOrdinals{next: make([]int, 2*n)} }
+
+func (o pairOrdinals) reset() { clear(o.next) }
+
+// tag returns the message tag of t, a transfer of step si that rank me
+// sends or receives, and advances that pair's ordinal.
+func (o pairOrdinals) tag(epoch, si, me int, t *Transfer) int {
+	k := t.Dst
+	if t.Src != me {
+		k = len(o.next)/2 + t.Src
+	}
+	q := o.next[k]
+	o.next[k] = q + 1
+	return mpi.Tag(epoch, phaseSched, si<<7|q)
+}
 
 // Execute runs the schedule on the mpi runtime as this rank's share of
 // an allgather: send is the rank's contribution (Msg bytes), recv the
@@ -55,28 +83,23 @@ func Execute(p *mpi.Proc, w *mpi.World, s *Schedule, send, recv mpi.Buf) {
 
 	type pendingRecv struct {
 		req *mpi.Request
-		t   Transfer
+		t   *Transfer
 	}
+	ord := newPairOrdinals(p.Size())
+	var recvs []pendingRecv
+	var sends []*mpi.Request
 	for si := range s.Steps {
 		st := &s.Steps[si]
-		// Both endpoints must derive identical tags for the q-th transfer
-		// between a pair, so the ordinal comes from scanning the step's
-		// full transfer list in order on both sides.
-		ord := map[[2]int]int{}
-		tagOf := func(t Transfer) int {
-			k := [2]int{t.Src, t.Dst}
-			q := ord[k]
-			ord[k] = q + 1
-			return mpi.Tag(epoch, phaseSched, si<<7|q)
-		}
-		var recvs []pendingRecv
-		var sends []*mpi.Request
-		for _, t := range st.Xfers {
+		// A rank walks the whole step but only acts on — and only numbers —
+		// the transfers it sends or receives.
+		ord.reset()
+		recvs, sends = recvs[:0], sends[:0]
+		for xi := range st.Xfers {
+			t := &st.Xfers[xi]
 			if t.Dst != me && t.Src != me {
-				tagOf(t) // keep the shared ordinal stream in sync
 				continue
 			}
-			tag := tagOf(t)
+			tag := ord.tag(epoch, si, me, t)
 			if t.Dst == me {
 				recvs = append(recvs, pendingRecv{p.Irecv(c, t.Src, tag), t})
 			}
@@ -197,25 +220,21 @@ func ExecuteGoal(p *mpi.Proc, c *mpi.Comm, s *Schedule, g *Goal,
 	epoch := c.Epoch(p)
 	type pendingRecv struct {
 		req *mpi.Request
-		t   Transfer
+		t   *Transfer
 	}
+	ord := newPairOrdinals(n)
+	var recvs []pendingRecv
+	var sends []*mpi.Request
 	for si := range s.Steps {
 		st := &s.Steps[si]
-		ord := map[[2]int]int{}
-		tagOf := func(t Transfer) int {
-			k := [2]int{t.Src, t.Dst}
-			q := ord[k]
-			ord[k] = q + 1
-			return mpi.Tag(epoch, phaseSched, si<<7|q)
-		}
-		var recvs []pendingRecv
-		var sends []*mpi.Request
-		for _, t := range st.Xfers {
+		ord.reset()
+		recvs, sends = recvs[:0], sends[:0]
+		for xi := range st.Xfers {
+			t := &st.Xfers[xi]
 			if t.Dst != me && t.Src != me {
-				tagOf(t) // keep the shared ordinal stream in sync
 				continue
 			}
-			tag := tagOf(t)
+			tag := ord.tag(epoch, si, me, t)
 			if t.Dst == me {
 				recvs = append(recvs, pendingRecv{p.Irecv(c, t.Src, tag), t})
 			}
