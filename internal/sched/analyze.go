@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mha/internal/netmodel"
@@ -12,6 +13,10 @@ import (
 // analyzer is meant for schedules the simulator can also run, not for
 // arbitrarily large parsed inputs.
 const analyzeMaxRanks = 4096
+
+// analyzeMaxEndpoints bounds nodes x rails, the size of the per-step
+// rail tables: a parsed header may claim any rail count.
+const analyzeMaxEndpoints = 1 << 16
 
 // Report is the analyzer's verdict on a valid schedule: the alpha-beta
 // critical-path estimate and traffic accounting.
@@ -112,8 +117,9 @@ func (c *cover) full() bool { return c.done }
 // sets — overlap means some rank's contribution would fold in twice.
 type holdState struct {
 	n, nb, msg int
-	cov        []cover      // rank*nb + block
-	set        []contribSet // rank*nb + block; nil = holds nothing
+	cov        []cover       // rank*nb + block
+	set        []contribSet  // rank*nb + block; nil = holds nothing
+	win        []blockWindow // scratch: the windows of the transfer in hand
 }
 
 func newHoldState(n, nb, msg int, g *Goal) *holdState {
@@ -133,37 +139,39 @@ func newHoldState(n, nb, msg int, g *Goal) *holdState {
 func (h *holdState) at(rank, block int) *cover        { return &h.cov[rank*h.nb+block] }
 func (h *holdState) setAt(rank, block int) contribSet { return h.set[rank*h.nb+block] }
 
-// holdsWindow reports whether rank holds every byte the transfer reads.
-func (h *holdState) holdsWindow(rank int, t Transfer) (bool, int) {
-	for _, w := range windowBlocks(t, h.msg) {
-		c := h.at(rank, w.block)
-		if !c.full() {
-			// Partial coverage could in principle satisfy a partial read,
-			// but no builder forwards bytes it holds only partially;
-			// requiring full blocks keeps the invariant simple and strict.
-			return false, w.block
-		}
-	}
-	return true, 0
+// windows expands t's byte window into per-block slices, in the scratch
+// the next call overwrites.
+func (h *holdState) windows(t *Transfer) []blockWindow {
+	h.win = appendWindows(h.win[:0], t, h.msg)
+	return h.win
 }
 
-// snapshot captures the source's per-window contributor sets before any
-// of the step's deliveries land (sends read pre-step state). Sets are
-// copy-on-write, so aliasing the live slice is safe.
-func (h *holdState) snapshot(t Transfer) []contribSet {
-	ws := windowBlocks(t, h.msg)
-	out := make([]contribSet, len(ws))
-	for i, w := range ws {
-		out[i] = h.setAt(t.Src, w.block)
+// read is the source side of one transfer, taken before any of the
+// step's deliveries land (sends read pre-step state): it appends the
+// source's contributor set of every block window to sets, for deliver,
+// and reports the first block the source does not fully hold, or -1.
+// Sets are copy-on-write, so aliasing the live ones is safe.
+func (h *holdState) read(t *Transfer, sets []contribSet) (_ []contribSet, unheld int) {
+	unheld = -1
+	for _, w := range h.windows(t) {
+		sets = append(sets, h.setAt(t.Src, w.block))
+		// Partial coverage could in principle satisfy a partial read, but
+		// no builder forwards bytes it holds only partially; requiring
+		// full blocks keeps the invariant simple and strict.
+		if unheld < 0 && !h.at(t.Src, w.block).full() {
+			unheld = w.block
+		}
 	}
-	return out
+	return sets, unheld
 }
 
 // deliver credits the transfer's byte window to the destination, using
-// the pre-step source sets from snapshot. Reducing deliveries report
+// the pre-step source sets read took — one per block window, in window
+// order — and returns how many it consumed. Reducing deliveries report
 // double folds and partially-held destinations through viol.
-func (h *holdState) deliver(t Transfer, srcSets []contribSet, si, xi int, viol *violations) {
-	for i, w := range windowBlocks(t, h.msg) {
+func (h *holdState) deliver(t *Transfer, srcSets []contribSet, si, xi int, viol *violations) int {
+	ws := h.windows(t)
+	for i, w := range ws {
 		idx := t.Dst*h.nb + w.block
 		if t.Red {
 			switch {
@@ -190,6 +198,7 @@ func (h *holdState) deliver(t Transfer, srcSets []contribSet, si, xi int, viol *
 		h.cov[idx] = cover{}
 		h.cov[idx].add(w.lo, w.hi, h.msg)
 	}
+	return len(ws)
 }
 
 // blockWindow is the slice of one block touched by a transfer window.
@@ -198,11 +207,11 @@ type blockWindow struct {
 	lo, hi int // byte range within the block
 }
 
-// windowBlocks expands a transfer's byte window into per-block slices.
-// A whole-range transfer covers all its blocks fully even when msg == 0
-// (zero-byte allgathers still have a completion structure).
-func windowBlocks(t Transfer, msg int) []blockWindow {
-	out := make([]blockWindow, 0, t.Count)
+// appendWindows appends a transfer's byte window, cut into per-block
+// slices, to out. A whole-range transfer covers all its blocks fully
+// even when msg == 0 (zero-byte allgathers still have a completion
+// structure).
+func appendWindows(out []blockWindow, t *Transfer, msg int) []blockWindow {
 	if t.Whole(msg) {
 		for b := t.First; b < t.First+t.Count; b++ {
 			out = append(out, blockWindow{block: b, lo: 0, hi: msg})
@@ -223,20 +232,6 @@ func windowBlocks(t Transfer, msg int) []blockWindow {
 		}
 	}
 	return out
-}
-
-// resource keys for the per-step busy accounting.
-type resKind uint8
-
-const (
-	resCPU resKind = iota // per-rank CPU (CMA pushes, pulls, staging copies)
-	resTX                 // per-(node, rail) adapter transmit
-	resRX                 // per-(node, rail) adapter receive
-)
-
-type resKey struct {
-	kind resKind
-	a, b int // CPU: (rank, 0); TX/RX: (node, rail)
 }
 
 // Analyze statically checks a schedule and prices it, without running
@@ -317,6 +312,9 @@ func AnalyzeGoalHealth(s *Schedule, prm *netmodel.Params, health []float64, g *G
 	if n*nb > analyzeMaxRanks*analyzeMaxRanks {
 		return nil, fmt.Errorf("sched: hold matrix %d x %d exceeds the analyzer's bound", n, nb)
 	}
+	if s.Topo.HCAs > analyzeMaxEndpoints/s.Topo.Nodes {
+		return nil, fmt.Errorf("sched: analyzer supports up to %d rail endpoints, schedule has %d nodes x %d rails", analyzeMaxEndpoints, s.Topo.Nodes, s.Topo.HCAs)
+	}
 	m := s.Msg
 	hold := newHoldState(n, nb, m, g)
 	var viol violations
@@ -336,8 +334,34 @@ func AnalyzeGoalHealth(s *Schedule, prm *netmodel.Params, health []float64, g *G
 		}
 	}
 	rep.Cost = worstInit
-	H := s.Topo.HCAs
+	topo := s.Topo
+	H := topo.HCAs
 	railRR := make([]int, n) // per-rank round-robin cursor, mirroring the runtime
+
+	nodeOf := make([]int, n)
+	for r := range nodeOf {
+		nodeOf[r] = topo.NodeOf(r)
+	}
+
+	// Per-step state, dense and sized once: a rail endpoint is
+	// node*H + rail, a CPU is its rank, a node's memory system its node.
+	pinnedTX := make([]int, topo.Nodes*H) // pinned users of the endpoint this step
+	pinnedRX := make([]int, topo.Nodes*H)
+	memOps := make([]int, topo.Nodes) // CMA/copy operations hitting the node this step
+	busyCPU := make([]sim.Duration, n)
+	busyTX := make([]sim.Duration, topo.Nodes*H)
+	busyRX := make([]sim.Duration, topo.Nodes*H)
+	// The step's pre-delivery source sets: one per block window, in
+	// transfer order, at most one per block a transfer names.
+	most := 0
+	for si := range s.Steps {
+		blocks := 0
+		for xi := range s.Steps[si].Xfers {
+			blocks += s.Steps[si].Xfers[xi].Count
+		}
+		most = max(most, blocks)
+	}
+	srcSets := make([]contribSet, 0, most)
 
 	for si := range s.Steps {
 		st := &s.Steps[si]
@@ -345,24 +369,26 @@ func AnalyzeGoalHealth(s *Schedule, prm *netmodel.Params, health []float64, g *G
 		// Pass 1: invariants. Sends read pre-step state, so all checks —
 		// and the contributor-set snapshots the deliveries need — precede
 		// all deliveries.
-		pinned := map[resKey]int{} // (node, rail, dir) -> count of pinned users
-		srcSets := make([][]contribSet, len(st.Xfers))
-		for xi, t := range st.Xfers {
-			srcSets[xi] = hold.snapshot(t)
-			if ok, blk := hold.holdsWindow(t.Src, t); !ok {
-				viol.addf("step %d xfer %d: rank %d sends block %d before holding it", si, xi, t.Src, blk)
+		clear(pinnedTX)
+		clear(pinnedRX)
+		srcSets = srcSets[:0]
+		for xi := range st.Xfers {
+			t := &st.Xfers[xi]
+			var unheld int
+			if srcSets, unheld = hold.read(t, srcSets); unheld >= 0 {
+				viol.addf("step %d xfer %d: rank %d sends block %d before holding it", si, xi, t.Src, unheld)
 			}
 			if t.Via == ViaRail {
 				if healthOf(health, t.Rail) <= 0 {
 					viol.addf("step %d xfer %d: pinned to down rail %d", si, xi, t.Rail)
 				}
-				tx := resKey{resTX, s.Topo.NodeOf(t.Src), t.Rail}
-				rx := resKey{resRX, s.Topo.NodeOf(t.Dst), t.Rail}
-				if pinned[tx]++; pinned[tx] > 1 {
-					viol.addf("step %d xfer %d: rail conflict: node %d rail %d tx pinned twice", si, xi, tx.a, t.Rail)
+				srcNode, dstNode := nodeOf[t.Src], nodeOf[t.Dst]
+				tx, rx := srcNode*H+t.Rail, dstNode*H+t.Rail
+				if pinnedTX[tx]++; pinnedTX[tx] > 1 {
+					viol.addf("step %d xfer %d: rail conflict: node %d rail %d tx pinned twice", si, xi, srcNode, t.Rail)
 				}
-				if pinned[rx]++; pinned[rx] > 1 {
-					viol.addf("step %d xfer %d: rail conflict: node %d rail %d rx pinned twice", si, xi, rx.a, t.Rail)
+				if pinnedRX[rx]++; pinnedRX[rx] > 1 {
+					viol.addf("step %d xfer %d: rail conflict: node %d rail %d rx pinned twice", si, xi, dstNode, t.Rail)
 				}
 			}
 		}
@@ -377,41 +403,43 @@ func AnalyzeGoalHealth(s *Schedule, prm *netmodel.Params, health []float64, g *G
 
 		// Pass 2: concurrency census for the memory-congestion factor —
 		// how many CMA/copy operations hit each node in this step.
-		memOps := map[int]int{}
-		for _, t := range st.Xfers {
+		clear(memOps)
+		for xi := range st.Xfers {
+			t := &st.Xfers[xi]
 			switch t.Via {
 			case ViaAuto:
-				if s.Topo.SameNode(t.Src, t.Dst) {
-					memOps[s.Topo.NodeOf(t.Src)]++
+				if nodeOf[t.Src] == nodeOf[t.Dst] {
+					memOps[nodeOf[t.Src]]++
 				}
 			case ViaPull:
-				memOps[s.Topo.NodeOf(t.Dst)]++
+				memOps[nodeOf[t.Dst]]++
 			}
 		}
 		for _, cp := range st.Copies {
-			memOps[s.Topo.NodeOf(cp.Rank)]++
+			memOps[nodeOf[cp.Rank]]++
 		}
 
 		// Pass 3: price the step. Each resource serializes its own work;
 		// the step finishes when the busiest resource does.
-		busy := map[resKey]sim.Duration{}
-		addTX := func(node, rail int, d sim.Duration) { busy[resKey{resTX, node, rail}] += d }
-		addRX := func(node, rail int, d sim.Duration) { busy[resKey{resRX, node, rail}] += d }
-		for _, t := range st.Xfers {
-			srcNode, dstNode := s.Topo.NodeOf(t.Src), s.Topo.NodeOf(t.Dst)
+		clear(busyCPU)
+		clear(busyTX)
+		clear(busyRX)
+		for xi := range st.Xfers {
+			t := &st.Xfers[xi]
+			srcNode, dstNode := nodeOf[t.Src], nodeOf[t.Dst]
 			sameNode := srcNode == dstNode
 			switch {
 			case t.Via == ViaPull:
-				busy[resKey{resCPU, t.Dst, 0}] += prm.CMATime(t.Len, memOps[dstNode])
+				busyCPU[t.Dst] += prm.CMATime(t.Len, memOps[dstNode])
 				rep.Pulls++
 				rep.IntraBytes += int64(t.Len)
 			case t.Via == ViaAuto && sameNode:
-				busy[resKey{resCPU, t.Src, 0}] += prm.CMATime(t.Len, memOps[srcNode])
+				busyCPU[t.Src] += prm.CMATime(t.Len, memOps[srcNode])
 				rep.IntraBytes += int64(t.Len)
 			case t.Via == ViaRail:
 				d := hcaPiece(prm, t.Len, t.Len, healthOf(health, t.Rail))
-				addTX(srcNode, t.Rail, d)
-				addRX(dstNode, t.Rail, d)
+				busyTX[srcNode*H+t.Rail] += d
+				busyRX[dstNode*H+t.Rail] += d
 				rep.WireBytes += int64(t.Len)
 			default: // ViaHCA anywhere, or ViaAuto across nodes
 				if prm.ShouldStripe(t.Len) && H > 1 {
@@ -420,8 +448,8 @@ func AnalyzeGoalHealth(s *Schedule, prm *netmodel.Params, health []float64, g *G
 							continue
 						}
 						d := hcaPiece(prm, t.Len, piece, healthOf(health, rail))
-						addTX(srcNode, rail, d)
-						addRX(dstNode, rail, d)
+						busyTX[srcNode*H+rail] += d
+						busyRX[dstNode*H+rail] += d
 					}
 				} else {
 					r := railRR[t.Src] % H
@@ -433,36 +461,32 @@ func AnalyzeGoalHealth(s *Schedule, prm *netmodel.Params, health []float64, g *G
 						railRR[t.Src]++
 					}
 					d := hcaPiece(prm, t.Len, t.Len, healthOf(health, r))
-					addTX(srcNode, r, d)
-					addRX(dstNode, r, d)
+					busyTX[srcNode*H+r] += d
+					busyRX[dstNode*H+r] += d
 				}
 				rep.WireBytes += int64(t.Len)
 			}
 			if t.Red {
 				// The destination folds the arrived bytes into its copy;
 				// priced like the byte-wise reducers charge compute.
-				busy[resKey{resCPU, t.Dst, 0}] += sim.FromSeconds(float64(t.Len) / reduceBW)
+				busyCPU[t.Dst] += sim.FromSeconds(float64(t.Len) / reduceBW)
 				rep.Reduces++
 			}
 			rep.Transfers++
 		}
 		for _, cp := range st.Copies {
-			nd := s.Topo.NodeOf(cp.Rank)
-			busy[resKey{resCPU, cp.Rank, 0}] += prm.CopyTime(cp.Count*m, memOps[nd])
+			busyCPU[cp.Rank] += prm.CopyTime(cp.Count*m, memOps[nodeOf[cp.Rank]])
 			rep.Copies++
 		}
-		var worst sim.Duration
-		for _, d := range busy {
-			if d > worst {
-				worst = d
-			}
-		}
+		worst := max(slices.Max(busyCPU), slices.Max(busyTX), slices.Max(busyRX))
 		rep.StepCosts[si] = worst
 		rep.Cost += worst
 
 		// Pass 4: apply deliveries for the next step.
-		for xi, t := range st.Xfers {
-			hold.deliver(t, srcSets[xi], si, xi, &viol)
+		sets := srcSets
+		for xi := range st.Xfers {
+			t := &st.Xfers[xi]
+			sets = sets[hold.deliver(t, sets, si, xi, &viol):]
 		}
 	}
 

@@ -11,7 +11,8 @@ import (
 // with arbitrary input. Properties: Parse never panics; whatever it
 // accepts validates, renders via String() in a form Parse accepts
 // again, that render is a fixed point, and the analyzer can process
-// small accepted schedules without panicking.
+// small accepted schedules, healthy or with a rail degraded, without
+// panicking.
 func FuzzParseSchedule(f *testing.F) {
 	valid := NewBuilder("seedling", topology.New(2, 2, 2), 64)
 	valid.Step()
@@ -32,6 +33,8 @@ func FuzzParseSchedule(f *testing.F) {
 		"schedule x nodes=1 ppn=2 msg=4\nxfer src=0 dst=1 first=0 count=1\n",
 		"schedule x nodes=99999999 ppn=99999999 msg=99999999999\n",
 		"schedule x nodes=1 ppn=2 msg=4 msg=5\n",
+		"schedule wide nodes=2 ppn=1 hcas=40000 msg=8\nstep\nxfer src=0 dst=1 first=0 count=1 via=rail rail=39999\n",
+		"schedule tri nodes=2 ppn=2 hcas=3 msg=300000\nstep\nxfer src=0 dst=2 first=0 count=1 via=hca\nxfer src=1 dst=3 first=1 count=1 via=rail rail=2\n",
 		"step\n",
 		"{",
 		`{"name":"j","nodes":1,"ppn":2,"hcas":1,"layout":"block","msg":4,"steps":[{"xfers":[{"src":0,"dst":1,"first":0,"count":1}]}]}`,
@@ -59,10 +62,26 @@ func FuzzParseSchedule(f *testing.F) {
 		if s2.NumTransfers() != s.NumTransfers() {
 			t.Fatalf("round trip changed transfer count: %d -> %d", s.NumTransfers(), s2.NumTransfers())
 		}
-		// Analyze must never panic on a validated schedule; keep the work
-		// bounded so the fuzzer spends its time in the parser.
+		// The analyzer must never panic on a validated schedule — its
+		// per-step tables are indexed by the parsed nodes, hcas and rail —
+		// healthy or degraded; keep the work bounded so the fuzzer spends
+		// its time in the parser.
 		if s.Topo.Size() <= 64 && len(s.Steps) <= 32 && s.NumTransfers() <= 256 {
 			_, _ = Analyze(s, prm)
+			if H := s.Topo.HCAs; H <= 64 {
+				// One rail dead (which one depends on the input) when there
+				// is another to carry on, else the only rail at half rate.
+				health := make([]float64, H)
+				for r := range health {
+					health[r] = 1
+				}
+				health[len(text)%H] = 0
+				if H == 1 {
+					health[0] = 0.5
+				}
+				_, _ = AnalyzeHealth(s, prm, health)
+				_, _ = AnalyzeHealth(ApplyHealth(s, health), prm, health)
+			}
 		}
 	})
 }

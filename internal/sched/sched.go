@@ -184,6 +184,11 @@ func (s *Schedule) NumTransfers() int {
 // stays on-node, pinned rails exist), and the step/pair limits the
 // interpreter's tag scheme requires. It does not check semantics — that
 // is Analyze's job (hold tracking, rail conflicts, completeness).
+//
+// The first finding in (step, transfer, copy) order is the one reported.
+// Every synthesis candidate passes through here, so the passing path
+// formats nothing and allocates only for a step that could break the
+// pair limit at all.
 func (s *Schedule) Validate() error {
 	if err := s.Topo.Validate(); err != nil {
 		return err
@@ -202,37 +207,35 @@ func (s *Schedule) Validate() error {
 	}
 	n := s.Topo.Size()
 	nb := s.Blocks()
-	for si, st := range s.Steps {
-		pair := map[[2]int]int{}
-		for xi, t := range st.Xfers {
-			at := fmt.Sprintf("sched: step %d xfer %d", si, xi)
-			switch {
-			case t.Src < 0 || t.Src >= n || t.Dst < 0 || t.Dst >= n:
-				return fmt.Errorf("%s: rank out of range in %d->%d (size %d)", at, t.Src, t.Dst, n)
-			case t.Src == t.Dst:
-				return fmt.Errorf("%s: self transfer on rank %d (use a copy)", at, t.Src)
-			case t.Count < 1 || t.First < 0 || t.First+t.Count > nb:
-				return fmt.Errorf("%s: block range [%d,%d) out of [0,%d)", at, t.First, t.First+t.Count, nb)
-			case t.Off < 0 || t.Len < 0 || t.Off+t.Len > t.Count*s.Msg:
-				return fmt.Errorf("%s: byte window [%d,%d) outside range of %d bytes", at, t.Off, t.Off+t.Len, t.Count*s.Msg)
-			case s.Msg > 0 && t.Len == 0:
-				return fmt.Errorf("%s: empty byte window", at)
-			case t.Via < ViaAuto || t.Via > ViaRail:
-				return fmt.Errorf("%s: unknown transport %d", at, int(t.Via))
-			case t.Via == ViaRail && (t.Rail < 0 || t.Rail >= s.Topo.HCAs):
-				return fmt.Errorf("%s: rail %d out of range [0,%d)", at, t.Rail, s.Topo.HCAs)
-			case t.Via != ViaRail && t.Rail != 0:
-				return fmt.Errorf("%s: rail %d set on a %s transfer", at, t.Rail, t.Via)
-			case t.Via == ViaPull && !s.Topo.SameNode(t.Src, t.Dst):
-				return fmt.Errorf("%s: pull between ranks %d and %d on different nodes", at, t.Src, t.Dst)
-			case t.Red && !t.Whole(s.Msg):
-				return fmt.Errorf("%s: reducing transfer carries a partial window", at)
-			case t.Red && t.Via == ViaPull:
-				return fmt.Errorf("%s: reducing transfer cannot be a pull", at)
+	// sent[r] counts rank r's transfers in the current step. A pair can
+	// only exceed maxPerPair in a step with more transfers than that, and
+	// then only once its source alone has posted more: until a source
+	// does, nothing is counted per pair.
+	var sent []int32
+	for si := range s.Steps {
+		st := &s.Steps[si]
+		crowded := len(st.Xfers) > maxPerPair
+		if crowded {
+			if sent == nil {
+				sent = make([]int32, n)
+			} else {
+				clear(sent)
 			}
-			pair[[2]int{t.Src, t.Dst}]++
-			if pair[[2]int{t.Src, t.Dst}] > maxPerPair {
-				return fmt.Errorf("%s: more than %d transfers %d->%d in one step", at, maxPerPair, t.Src, t.Dst)
+		}
+		overflow := -1 // index of the step's first transfer past the pair limit, once known
+		for xi := range st.Xfers {
+			t := &st.Xfers[xi]
+			if err := s.checkXfer(si, xi, t, n, nb); err != nil {
+				return err
+			}
+			if !crowded {
+				continue
+			}
+			if sent[t.Src]++; sent[t.Src] > maxPerPair && overflow < 0 {
+				overflow = firstPairOverflow(st.Xfers)
+			}
+			if xi == overflow {
+				return xferErr(si, xi, "more than %d transfers %d->%d in one step", maxPerPair, t.Src, t.Dst)
 			}
 		}
 		for ci, cp := range st.Copies {
@@ -245,6 +248,56 @@ func (s *Schedule) Validate() error {
 		}
 	}
 	return nil
+}
+
+// xferErr is a Validate finding on transfer xi of step si.
+func xferErr(si, xi int, format string, args ...interface{}) error {
+	return fmt.Errorf("sched: step %d xfer %d: %s", si, xi, fmt.Sprintf(format, args...))
+}
+
+// checkXfer is the per-transfer part of Validate: everything that can be
+// said about t without looking at its neighbors.
+func (s *Schedule) checkXfer(si, xi int, t *Transfer, n, nb int) error {
+	switch {
+	case t.Src < 0 || t.Src >= n || t.Dst < 0 || t.Dst >= n:
+		return xferErr(si, xi, "rank out of range in %d->%d (size %d)", t.Src, t.Dst, n)
+	case t.Src == t.Dst:
+		return xferErr(si, xi, "self transfer on rank %d (use a copy)", t.Src)
+	case t.Count < 1 || t.First < 0 || t.First+t.Count > nb:
+		return xferErr(si, xi, "block range [%d,%d) out of [0,%d)", t.First, t.First+t.Count, nb)
+	case t.Off < 0 || t.Len < 0 || t.Off+t.Len > t.Count*s.Msg:
+		return xferErr(si, xi, "byte window [%d,%d) outside range of %d bytes", t.Off, t.Off+t.Len, t.Count*s.Msg)
+	case s.Msg > 0 && t.Len == 0:
+		return xferErr(si, xi, "empty byte window")
+	case t.Via < ViaAuto || t.Via > ViaRail:
+		return xferErr(si, xi, "unknown transport %d", int(t.Via))
+	case t.Via == ViaRail && (t.Rail < 0 || t.Rail >= s.Topo.HCAs):
+		return xferErr(si, xi, "rail %d out of range [0,%d)", t.Rail, s.Topo.HCAs)
+	case t.Via != ViaRail && t.Rail != 0:
+		return xferErr(si, xi, "rail %d set on a %s transfer", t.Rail, t.Via)
+	case t.Via == ViaPull && !s.Topo.SameNode(t.Src, t.Dst):
+		return xferErr(si, xi, "pull between ranks %d and %d on different nodes", t.Src, t.Dst)
+	case t.Red && !t.Whole(s.Msg):
+		return xferErr(si, xi, "reducing transfer carries a partial window")
+	case t.Red && t.Via == ViaPull:
+		return xferErr(si, xi, "reducing transfer cannot be a pull")
+	}
+	return nil
+}
+
+// firstPairOverflow returns the index of the first transfer of a step
+// that is its (src, dst) pair's (maxPerPair+1)-th, or len(xs) if no pair
+// exceeds the limit. Validate only calls it for a step in which one rank
+// sends more than maxPerPair transfers, which no lowering does.
+func firstPairOverflow(xs []Transfer) int {
+	pair := map[[2]int]int{}
+	for xi := range xs {
+		k := [2]int{xs[xi].Src, xs[xi].Dst}
+		if pair[k]++; pair[k] > maxPerPair {
+			return xi
+		}
+	}
+	return len(xs)
 }
 
 // String renders the canonical text form parsed by Parse: a header line,

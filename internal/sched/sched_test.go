@@ -205,6 +205,42 @@ func TestAnalyzeRejectsBroken(t *testing.T) {
 	})
 }
 
+// TestAnalyzeAllocFence keeps the analyzer's per-step state in slices
+// sized once per call: pricing the 128-rank two-phase plan costs 536
+// allocations (the goal, the hold matrix and its 128 initial sets), where
+// the per-step maps and per-transfer window slices took 15517. The bound
+// is that figure times 1.5.
+func TestAnalyzeAllocFence(t *testing.T) {
+	prm := netmodel.Thor()
+	s := TwoPhaseMHA(topology.New(8, 16, 2), prm, 64<<10, MHAOptions{Offload: AutoOffload})
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := AnalyzeHealth(s, prm, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 804 {
+		t.Errorf("AnalyzeHealth on %s 8x16x2/64KiB: %.0f allocations, fence is 804", s.Name, allocs)
+	}
+}
+
+// TestAnalyzeBoundsRailEndpoints: the per-step rail tables are sized by
+// nodes x rails, and a parsed header may claim any rail count.
+func TestAnalyzeBoundsRailEndpoints(t *testing.T) {
+	s, err := Parse("schedule wide nodes=2 ppn=1 hcas=40000 msg=8\nstep\nxfer src=0 dst=1 first=0 count=1\nxfer src=1 dst=0 first=1 count=1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Analyze(s, nil)
+	const want = "sched: analyzer supports up to 65536 rail endpoints, schedule has 2 nodes x 40000 rails"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Analyze = %v, want %q", err, want)
+	}
+	s.Topo.HCAs = 32768 // exactly at the bound
+	if _, err := Analyze(s, nil); err != nil {
+		t.Fatalf("Analyze at the bound: %v", err)
+	}
+}
+
 // TestPartialWindows checks the byte-interval bookkeeping: a block
 // forwarded as two half-windows in one step counts as held afterwards,
 // but a half-delivered block does not satisfy completeness.
