@@ -276,16 +276,14 @@ const (
 // naturally migrates pinned traffic onto the surviving rails.
 func mutate(c Candidate, prm *netmodel.Params, health []float64) []Candidate {
 	var out []Candidate
-	try := func(name string, s *Schedule) bool {
-		if len(out) >= mutationBudget {
-			return false
-		}
+	// full is asked before a neighbor is built: cloning the schedule and
+	// formatting its name are the expensive part of a rejected one.
+	full := func() bool { return len(out) >= mutationBudget }
+	try := func(s *Schedule) {
 		rep, err := AnalyzeHealth(s, prm, health)
-		if err != nil || rep.Cost >= c.Cost {
-			return true // keep scanning other mutations
+		if err == nil && rep.Cost < c.Cost {
+			out = append(out, Candidate{Name: s.Name, Sched: s, Cost: rep.Cost})
 		}
-		out = append(out, Candidate{Name: name, Sched: s, Cost: rep.Cost})
-		return true
 	}
 
 	// Step fusion: merging steps i and i+1 removes a synchronization
@@ -293,14 +291,15 @@ func mutate(c Candidate, prm *netmodel.Params, health []float64) []Candidate {
 	// step i delivered.
 	if len(c.Sched.Steps) <= fuseMaxSteps {
 		for i := 0; i+1 < len(c.Sched.Steps); i++ {
+			if full() {
+				return out
+			}
 			s := c.Sched.Clone()
 			s.Steps[i].Xfers = append(s.Steps[i].Xfers, s.Steps[i+1].Xfers...)
 			s.Steps[i].Copies = append(s.Steps[i].Copies, s.Steps[i+1].Copies...)
 			s.Steps = append(s.Steps[:i+1], s.Steps[i+2:]...)
 			s.Name = fmt.Sprintf("%s+f%d", c.Name, i)
-			if !try(s.Name, s) {
-				return out
-			}
+			try(s)
 		}
 	}
 
@@ -318,12 +317,13 @@ func mutate(c Candidate, prm *netmodel.Params, health []float64) []Candidate {
 					if r == t.Rail || healthOf(health, r) <= 0 {
 						continue
 					}
+					if full() {
+						return out
+					}
 					s := c.Sched.Clone()
 					s.Steps[si].Xfers[xi].Rail = r
 					s.Name = fmt.Sprintf("%s+r%d.%d", c.Name, si, xi)
-					if !try(s.Name, s) {
-						return out
-					}
+					try(s)
 					moves++
 					break
 				}
@@ -333,6 +333,9 @@ func mutate(c Candidate, prm *netmodel.Params, health []float64) []Candidate {
 					if r == t.Rail || healthOf(health, r) <= 0 {
 						continue
 					}
+					if full() {
+						return out
+					}
 					s := c.Sched.Clone()
 					half := t.Len / 2
 					s.Steps[si].Xfers[xi].Len = half
@@ -340,9 +343,7 @@ func mutate(c Candidate, prm *netmodel.Params, health []float64) []Candidate {
 					extra.Off, extra.Len, extra.Rail = t.Off+half, t.Len-half, r
 					s.Steps[si].Xfers = append(s.Steps[si].Xfers, extra)
 					s.Name = fmt.Sprintf("%s+s%d.%d", c.Name, si, xi)
-					if !try(s.Name, s) {
-						return out
-					}
+					try(s)
 					splits++
 					break
 				}
