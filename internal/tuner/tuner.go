@@ -80,6 +80,9 @@ type call struct {
 type Service struct {
 	prm   *netmodel.Params
 	synth sched.SynthOptions
+	// search is synthesize; tests substitute a synthesis that blocks or
+	// panics on cue.
+	search func(cq Query, key string) (*Decision, []byte, error)
 
 	mu        sync.Mutex
 	cache     *lruCache
@@ -106,13 +109,15 @@ func New(cfg Config) *Service {
 	} else if cfg.Synth.PruneMargin < 0 {
 		cfg.Synth.PruneMargin = 0
 	}
-	return &Service{
+	s := &Service{
 		prm:    cfg.Params,
 		synth:  cfg.Synth,
 		cache:  newLRU(cfg.Capacity),
 		flight: make(map[string]*call),
 		hist:   newHistogram(),
 	}
+	s.search = s.synthesize
+	return s
 }
 
 // Params returns the service's cost-model calibration.
@@ -149,26 +154,40 @@ func (s *Service) Decide(q Query) (Result, error) {
 	s.misses++
 	s.mu.Unlock()
 
-	start := time.Now()
-	c.dec, c.raw, c.err = s.synthesize(cq, key)
-	lat := time.Since(start)
-
-	s.mu.Lock()
-	delete(s.flight, key)
-	s.synths++
-	if c.err == nil {
-		s.cache.put(&cacheEntry{key: key, dec: c.dec, raw: c.raw})
-		s.hist.observe(lat)
-	} else {
-		s.errors++
-	}
-	s.mu.Unlock()
-	close(c.done)
-
+	s.fly(c, cq, key)
 	if c.err != nil {
 		return Result{}, c.err
 	}
 	return Result{Decision: c.dec, Raw: c.raw}, nil
+}
+
+// fly runs the one synthesis of an in-flight call and settles it: the
+// outcome lands in c, the key leaves the flight table and the waiters on
+// c.done wake — however the synthesis ends. sched.Synthesize panics by
+// design on a seed that fails its own analysis; a panic becomes this
+// call's error (and its waiters'), so the key is synthesized afresh on
+// the next request instead of blocking every later one.
+func (s *Service) fly(c *call, cq Query, key string) {
+	start := time.Now()
+	defer func() {
+		if r := recover(); r != nil {
+			c.dec, c.raw = nil, nil
+			c.err = fmt.Errorf("tuner: synthesis for %v panicked: %v", cq, r)
+		}
+		lat := time.Since(start)
+		s.mu.Lock()
+		delete(s.flight, key)
+		s.synths++
+		if c.err == nil {
+			s.cache.put(&cacheEntry{key: key, dec: c.dec, raw: c.raw})
+			s.hist.observe(lat)
+		} else {
+			s.errors++
+		}
+		s.mu.Unlock()
+		close(c.done)
+	}()
+	c.dec, c.raw, c.err = s.search(cq, key)
 }
 
 // synthesize runs the health-aware schedule search for one canonical

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"mha/internal/netmodel"
 	"mha/internal/sched"
 )
 
@@ -402,4 +404,81 @@ func TestWarmStartAndLoadgen(t *testing.T) {
 		t.Errorf("non-positive throughput %v", rep.PerSec)
 	}
 	t.Logf("warm load: %v", rep)
+}
+
+// TestPanickingSynthesisReleasesItsKey: a synthesis that panics must not
+// leave its key in the flight table (every later request for it would
+// block on a done channel nobody closes). The owner and every waiter get
+// the panic as an error, it is counted, and the next request runs a
+// fresh synthesis that can succeed.
+func TestPanickingSynthesisReleasesItsKey(t *testing.T) {
+	s := testService(8)
+	q := Query{Nodes: 2, PPN: 2, HCAs: 2, Msg: 4096}
+	const waiters = 4
+
+	// The poisoned synthesis holds its flight open until every waiter has
+	// joined it, then panics.
+	real := s.search
+	s.search = func(cq Query, key string) (*Decision, []byte, error) {
+		for s.Stats().Shared < waiters {
+			runtime.Gosched()
+		}
+		panic("poisoned seed")
+	}
+	errs := make(chan error, waiters+1)
+	for g := 0; g < waiters+1; g++ {
+		go func() {
+			_, err := s.Decide(q)
+			errs <- err
+		}()
+	}
+	for g := 0; g < waiters+1; g++ {
+		if err := <-errs; err == nil || !strings.Contains(err.Error(), "panicked: poisoned seed") {
+			t.Errorf("caller %d: err = %v, want the synthesis panic", g, err)
+		}
+	}
+	st := s.Stats()
+	if st.Inflight != 0 || st.Synths != 1 || st.Errors != 1 || st.Shared != waiters || st.Entries != 0 {
+		t.Errorf("after the panic: inflight=%d synths=%d errors=%d shared=%d entries=%d, want 0/1/1/%d/0",
+			st.Inflight, st.Synths, st.Errors, st.Shared, st.Entries, waiters)
+	}
+
+	s.search = real
+	res, err := s.Decide(q)
+	if err != nil {
+		t.Fatalf("request after the panic: %v", err)
+	}
+	if res.Hit {
+		t.Error("request after the panic was served from the cache")
+	}
+	if st := s.Stats(); st.Synths != 2 || st.Entries != 1 || st.Inflight != 0 {
+		t.Errorf("after the retry: synths=%d entries=%d inflight=%d, want 2/1/0", st.Synths, st.Entries, st.Inflight)
+	}
+}
+
+// TestSeedPanicIsAnError drives the panic sched.Synthesize raises by
+// design — a seed lowering that fails its own analysis, here because the
+// cost model is broken — through Decide: an error, not a crash or a
+// wedged key, and the same key is served once the model is repaired.
+func TestSeedPanicIsAnError(t *testing.T) {
+	prm := *netmodel.Thor()
+	good := prm
+	prm.BWHCA = 0
+	if prm.Validate() == nil {
+		t.Fatal("zero HCA bandwidth passes Params.Validate; pick another way to break the model")
+	}
+	s := New(Config{Params: &prm, Capacity: 8, Synth: sched.SynthOptions{Beam: 3, Rounds: 3}})
+	q := Query{Nodes: 2, PPN: 2, HCAs: 2, Msg: 4096}
+	for i := 0; i < 2; i++ {
+		if _, err := s.Decide(q); err == nil || !strings.Contains(err.Error(), "panicked: sched: seed ring invalid") {
+			t.Fatalf("request %d under a broken model: err = %v, want the seed panic", i, err)
+		}
+	}
+	prm = good
+	if _, err := s.Decide(q); err != nil {
+		t.Fatalf("request under the repaired model: %v", err)
+	}
+	if st := s.Stats(); st.Synths != 3 || st.Errors != 2 || st.Inflight != 0 || st.Entries != 1 {
+		t.Errorf("synths=%d errors=%d inflight=%d entries=%d, want 3/2/0/1", st.Synths, st.Errors, st.Inflight, st.Entries)
+	}
 }
