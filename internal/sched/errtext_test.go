@@ -25,10 +25,7 @@ func TestValidateErrorText(t *testing.T) {
 	ok := whole(0, 1, 0, 1, msg)
 	// flood is maxPerPair+1 identical 0->1 transfers: the last one is
 	// the pair-limit violation.
-	flood := make([]Transfer, maxPerPair+1)
-	for i := range flood {
-		flood[i] = ok
-	}
+	flood := repeat(ok, maxPerPair+1)
 	self := whole(1, 1, 0, 1, msg)
 	one := func(x Transfer) []Step { return []Step{{Xfers: []Transfer{x}}} }
 

@@ -21,29 +21,23 @@ import (
 const phaseSched = 12
 
 // pairOrdinals is one rank's tag numbering for the step it is in: how
-// many transfers it has posted so far to each peer and from each peer.
-// Source and destination of a transfer both walk the step's list in
-// order and both count exactly the transfers of their shared ordered
-// pair, so they arrive at the same q without looking at — or counting —
-// anyone else's transfers. One value serves a whole Execute call; reset
-// starts the next step.
-type pairOrdinals struct {
-	next []int // [peer]: sends to peer; [n+peer]: receives from peer
-}
-
-func newPairOrdinals(n int) pairOrdinals { return pairOrdinals{next: make([]int, 2*n)} }
-
-func (o pairOrdinals) reset() { clear(o.next) }
+// many transfers it has posted so far to each peer ([peer]) and from
+// each peer ([n+peer]). Source and destination of a transfer both walk
+// the step's list in order and both count exactly the transfers of their
+// shared ordered pair, so they arrive at the same q without looking at —
+// or counting — anyone else's transfers. One value of length 2n serves a
+// whole Execute call, cleared at the start of each step.
+type pairOrdinals []int
 
 // tag returns the message tag of t, a transfer of step si that rank me
 // sends or receives, and advances that pair's ordinal.
 func (o pairOrdinals) tag(epoch, si, me int, t *Transfer) int {
 	k := t.Dst
 	if t.Src != me {
-		k = len(o.next)/2 + t.Src
+		k = len(o)/2 + t.Src
 	}
-	q := o.next[k]
-	o.next[k] = q + 1
+	q := o[k]
+	o[k] = q + 1
 	return mpi.Tag(epoch, phaseSched, si<<7|q)
 }
 
@@ -85,14 +79,14 @@ func Execute(p *mpi.Proc, w *mpi.World, s *Schedule, send, recv mpi.Buf) {
 		req *mpi.Request
 		t   *Transfer
 	}
-	ord := newPairOrdinals(p.Size())
+	ord := make(pairOrdinals, 2*p.Size())
 	var recvs []pendingRecv
 	var sends []*mpi.Request
 	for si := range s.Steps {
 		st := &s.Steps[si]
 		// A rank walks the whole step but only acts on — and only numbers —
 		// the transfers it sends or receives.
-		ord.reset()
+		clear(ord)
 		recvs, sends = recvs[:0], sends[:0]
 		for xi := range st.Xfers {
 			t := &st.Xfers[xi]
@@ -222,12 +216,12 @@ func ExecuteGoal(p *mpi.Proc, c *mpi.Comm, s *Schedule, g *Goal,
 		req *mpi.Request
 		t   *Transfer
 	}
-	ord := newPairOrdinals(n)
+	ord := make(pairOrdinals, 2*n)
 	var recvs []pendingRecv
 	var sends []*mpi.Request
 	for si := range s.Steps {
 		st := &s.Steps[si]
-		ord.reset()
+		clear(ord)
 		recvs, sends = recvs[:0], sends[:0]
 		for xi := range st.Xfers {
 			t := &st.Xfers[xi]
