@@ -12,9 +12,9 @@ func reportFingerprint(rep *Report) string {
 	out := fmt.Sprintf("execs=%d steps=%d est=%g complete=%v ces=%d\n",
 		rep.Executions, rep.Steps, rep.SpaceEstimate, rep.Complete, rep.Counterexamples)
 	for _, pr := range rep.Placements {
-		out += fmt.Sprintf("%s %s execs=%d steps=%d decisions=%d maxf=%d est=%g adds=%d skips=%d redundant=%d complete=%v\n",
+		out += fmt.Sprintf("%s %s execs=%d steps=%d decisions=%d maxf=%d est=%g adds=%d skips=%d precise=%d fallback=%d redundant=%d complete=%v\n",
 			pr.Alg, pr.Fault, pr.Executions, pr.Steps, pr.Decisions, pr.MaxFrontier,
-			pr.SpaceEstimate, pr.BacktrackAdds, pr.SleepSkips, pr.RedundantExecs, pr.Complete)
+			pr.SpaceEstimate, pr.BacktrackAdds, pr.SleepSkips, pr.Precise, pr.Fallback, pr.RedundantExecs, pr.Complete)
 		for _, ce := range pr.Counterexamples {
 			out += fmt.Sprintf("  ce %s | %s | %v\n", ce.Spec, ce.Shrunk, ce.Violations)
 		}
