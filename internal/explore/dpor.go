@@ -2,7 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"sort"
 
 	"mha/internal/sim"
 )
@@ -44,19 +43,24 @@ type point struct {
 	at       sim.Time
 	frontier []sim.EventInfo
 	// chosen is the frontier index taken on the most recent execution
-	// through this point; done marks every index explored so far, and
-	// backtrack the indices race analysis has scheduled for exploration.
-	chosen    int
-	done      map[int]bool
-	backtrack map[int]bool
-	// stepIdx locates the chosen event's step in the current trace, and
-	// fpByChoice remembers the observed footprint of every explored
-	// choice (needed to seed sleep sets on later passes).
-	stepIdx    int
-	fpByChoice map[int][]string
+	// through this point, and alt the search state of every index.
+	chosen int
+	alt    []choice
+	// stepIdx locates the chosen event's step in the current trace.
+	stepIdx int
 	// sleepAt is the sleep set inherited when the point was first
 	// reached; a backtrack candidate found sleeping here is redundant.
 	sleepAt []sleepEntry
+}
+
+// A choice is the search state of one frontier index of a point: done
+// once an execution has taken it, backtrack once race analysis has
+// scheduled it for exploration, and — from the moment its step was
+// observed — the footprint that step exhibited (needed to seed sleep
+// sets on later passes).
+type choice struct {
+	done, backtrack, observed bool
+	fp                        []string
 }
 
 // guided is the sim.Scheduler+StepObserver that drives one execution.
@@ -69,8 +73,11 @@ type guided struct {
 	record bool
 	forced []int // replay mode choice list
 
-	steps     []step
-	parentOf  map[uint64]int
+	steps []step
+	// parentOf[seq] is 1 + the index of the step that spawned event seq,
+	// 0 for an event no observed step spawned. Sequence numbers are small
+	// and handed out in order, so the table is as long as the run.
+	parentOf  []int
 	sleep     []sleepEntry
 	nextPt    int
 	pending   int // point index whose chosen step is the next observed step
@@ -78,9 +85,18 @@ type guided struct {
 	redundant int64 // executions that fired a sleeping event (wasted work)
 }
 
-func newGuided(points []*point, prefix int) *guided {
-	return &guided{points: points, prefix: prefix, record: true,
-		parentOf: map[uint64]int{}, pending: -1}
+func newGuided() *guided {
+	return &guided{record: true, pending: -1}
+}
+
+// restart readies g for the next execution of the search: the first
+// prefix points are kept and forced, and the per-execution state is
+// emptied in place, so one exploration grows its trace, sleep set and
+// parent table once instead of once per replay.
+func (g *guided) restart(prefix int) {
+	g.points, g.prefix = g.points[:prefix], prefix
+	g.steps, g.parentOf, g.sleep = g.steps[:0], g.parentOf[:0], g.sleep[:0]
+	g.nextPt, g.pending, g.diverged, g.redundant = 0, -1, "", 0
 }
 
 func newReplay(choices []int) *guided {
@@ -137,15 +153,14 @@ func (g *guided) Pick(now sim.Time, frontier []sim.EventInfo) int {
 		g.redundant++
 	}
 	pt := &point{
-		at:         now,
-		frontier:   append([]sim.EventInfo(nil), frontier...),
-		chosen:     c,
-		done:       map[int]bool{c: true},
-		backtrack:  map[int]bool{},
-		stepIdx:    -1,
-		fpByChoice: map[int][]string{},
-		sleepAt:    append([]sleepEntry(nil), g.sleep...),
+		at:       now,
+		frontier: append([]sim.EventInfo(nil), frontier...),
+		chosen:   c,
+		alt:      make([]choice, len(frontier)),
+		stepIdx:  -1,
+		sleepAt:  append([]sleepEntry(nil), g.sleep...),
 	}
+	pt.alt[c].done = true
 	if d != len(g.points) {
 		panic(fmt.Sprintf("explore: decision %d but %d points recorded", d, len(g.points)))
 	}
@@ -160,17 +175,9 @@ func (g *guided) Pick(now sim.Time, frontier []sim.EventInfo) int {
 // would re-add them) is redundant until a dependent step wakes them.
 func (g *guided) enterPoint(pt *point, d int) {
 	g.pending = d
-	ks := make([]int, 0, len(pt.done))
-	for k := range pt.done {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	for _, k := range ks {
-		if k == pt.chosen {
-			continue
-		}
-		if fp, ok := pt.fpByChoice[k]; ok {
-			g.sleep = append(g.sleep, sleepEntry{seq: pt.frontier[k].Seq, fp: fp})
+	for k := range pt.alt {
+		if c := &pt.alt[k]; c.done && c.observed && k != pt.chosen {
+			g.sleep = append(g.sleep, sleepEntry{seq: pt.frontier[k].Seq, fp: c.fp})
 		}
 	}
 }
@@ -191,17 +198,21 @@ func (g *guided) ObserveStep(info sim.StepInfo) {
 	}
 	idx := len(g.steps)
 	parent := -1
-	if p, ok := g.parentOf[info.Seq]; ok {
-		parent = p
+	if info.Seq < uint64(len(g.parentOf)) {
+		parent = g.parentOf[info.Seq] - 1
 	}
 	for _, s := range info.Spawned {
-		g.parentOf[s] = idx
+		for uint64(len(g.parentOf)) <= s {
+			g.parentOf = append(g.parentOf, 0)
+		}
+		g.parentOf[s] = idx + 1
 	}
 	ptIdx := -1
 	if g.pending >= 0 {
 		pt := g.points[g.pending]
 		pt.stepIdx = idx
-		pt.fpByChoice[pt.chosen] = info.Footprint
+		c := &pt.alt[pt.chosen]
+		c.observed, c.fp = true, info.Footprint
 		ptIdx = g.pending
 		g.pending = -1
 	}
@@ -318,19 +329,19 @@ func (g *guided) analyze(m *metrics) {
 				pt := g.points[si.point]
 				if k, ok := frontierIndex(pt, sj.seq); ok {
 					m.precise++
-					if !pt.done[k] && !pt.backtrack[k] {
+					if c := &pt.alt[k]; !c.done && !c.backtrack {
 						if sleepHasSeq(pt.sleepAt, sj.seq) {
 							m.sleepSkips++
 						} else {
-							pt.backtrack[k] = true
+							c.backtrack = true
 							m.backtrackAdds++
 						}
 					}
 				} else {
 					m.fallback++
-					for k := range pt.frontier {
-						if k != pt.chosen && !pt.done[k] && !pt.backtrack[k] {
-							pt.backtrack[k] = true
+					for k := range pt.alt {
+						if c := &pt.alt[k]; k != pt.chosen && !c.done && !c.backtrack {
+							c.backtrack = true
 							m.backtrackAdds++
 						}
 					}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -208,18 +207,16 @@ func runSpec(base Spec, g *guided) (verify.RunResult, error) {
 func explorePlacement(opt Options, base Spec) (PlacementReport, error) {
 	rep := PlacementReport{Alg: base.Alg, Fault: base.Fault, Complete: true}
 	var m metrics
-	var points []*point
-	prefix := 0
+	g := newGuided()
 	for {
-		g := newGuided(points, prefix)
 		res, err := runSpec(base, g)
 		if err != nil {
 			return rep, err
 		}
 		rep.Executions++
 		rep.Steps += int64(len(g.steps))
-		rep.Decisions += int64(len(g.points) - prefix)
-		for _, pt := range g.points[prefix:] {
+		rep.Decisions += int64(len(g.points) - g.prefix)
+		for _, pt := range g.points[g.prefix:] {
 			if len(pt.frontier) > rep.MaxFrontier {
 				rep.MaxFrontier = len(pt.frontier)
 			}
@@ -250,9 +247,9 @@ func explorePlacement(opt Options, base Spec) (PlacementReport, error) {
 		if opt.Full {
 			// Unreduced enumeration: every alternative at every decision.
 			for _, pt := range g.points {
-				for k := range pt.frontier {
-					if !pt.done[k] {
-						pt.backtrack[k] = true
+				for k := range pt.alt {
+					if !pt.alt[k].done {
+						pt.alt[k].backtrack = true
 					}
 				}
 			}
@@ -264,14 +261,8 @@ func explorePlacement(opt Options, base Spec) (PlacementReport, error) {
 		// candidates are tried in ascending index order for determinism.
 		depth, choice := -1, 0
 		for i := len(g.points) - 1; i >= 0 && depth < 0; i-- {
-			pt := g.points[i]
-			ks := make([]int, 0, len(pt.backtrack))
-			for k := range pt.backtrack {
-				ks = append(ks, k)
-			}
-			sort.Ints(ks)
-			for _, k := range ks {
-				if !pt.done[k] {
+			for k, c := range g.points[i].alt {
+				if c.backtrack && !c.done {
 					depth, choice = i, k
 					break
 				}
@@ -286,9 +277,8 @@ func explorePlacement(opt Options, base Spec) (PlacementReport, error) {
 		}
 		pt := g.points[depth]
 		pt.chosen = choice
-		pt.done[choice] = true
-		points = g.points[:depth+1]
-		prefix = depth + 1
+		pt.alt[choice].done = true
+		g.restart(depth + 1)
 	}
 	rep.BacktrackAdds = m.backtrackAdds
 	rep.SleepSkips = m.sleepSkips
