@@ -262,6 +262,6 @@ func cmdRun(args []string) error {
 	}
 	fmt.Printf("%s on %dx%dx%d, msg %d B: verified, makespan %.3f us, trace hash %#016x\n",
 		*name, topo.Nodes, topo.PPN, topo.HCAs, *msg,
-		float64(res.Makespan)/1e3, res.Hash)
+		float64(res.Makespan)/1e3, res.Hash())
 	return nil
 }

@@ -101,6 +101,21 @@ func TestResetClears(t *testing.T) {
 	}
 }
 
+// TestAddReservesForASmallRun: a recorder that lives for one 4-rank
+// collective (verify.RunOnce builds one per run, the explorer 40 000 a
+// pass) takes its 40 events in one allocation besides itself.
+func TestAddReservesForASmallRun(t *testing.T) {
+	allocs := testing.AllocsPerRun(20, func() {
+		r := New()
+		for i := 0; i < 40; i++ {
+			r.Add(ev(i%4, CatSend, int64(i), int64(i)+1))
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("%.0f allocations for a 40-event trace, want the recorder and one slice", allocs)
+	}
+}
+
 func TestTimelineMinWidth(t *testing.T) {
 	r := New()
 	r.Add(ev(0, CatSend, 0, 100))

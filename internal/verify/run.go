@@ -154,11 +154,17 @@ const maxOracleReports = 8
 type RunResult struct {
 	// Makespan is the virtual time the run finished at.
 	Makespan sim.Time
-	// Hash fingerprints the run's event timeline (for determinism checks).
-	Hash uint64
 	// Violations holds every broken property; empty means the run passed.
 	Violations []Violation
+	// rec is the run's tracer, kept so that Hash costs only the callers
+	// that compare it; nil for a run that did not reach its end.
+	rec *trace.Recorder
 }
+
+// Hash fingerprints the run's event timeline (for determinism checks).
+// Every run that did not reach its end — unrunnable spec, panic — has
+// the same one.
+func (r RunResult) Hash() uint64 { return r.rec.Hash() }
 
 // RunOnce executes the scenario with real payloads and full
 // instrumentation: the differential oracle on every rank's receive
@@ -265,7 +271,7 @@ func RunOnce(sc Scenario, install func(*mpi.World)) (res RunResult) {
 		res.Violations = append(res.Violations, Violation{Kind: "oracle", Detail: s})
 	}
 	res.Makespan = w.Engine().Stats().Now
-	res.Hash = rec.Hash()
+	res.rec = rec
 	return res
 }
 
@@ -287,9 +293,9 @@ func Check(sc Scenario) []Violation {
 			out = append(out, Violation{Kind: v.Kind, Detail: "second run: " + v.Detail})
 		}
 	}
-	if r1.Hash != r2.Hash {
+	if h1, h2 := r1.Hash(), r2.Hash(); h1 != h2 {
 		out = append(out, Violation{Kind: "determinism",
-			Detail: fmt.Sprintf("trace hash %#x vs %#x across identical runs", r1.Hash, r2.Hash)})
+			Detail: fmt.Sprintf("trace hash %#x vs %#x across identical runs", h1, h2)})
 	} else if r1.Makespan != r2.Makespan {
 		out = append(out, Violation{Kind: "determinism",
 			Detail: fmt.Sprintf("makespan %v vs %v across identical runs", r1.Makespan, r2.Makespan)})

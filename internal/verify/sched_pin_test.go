@@ -27,9 +27,9 @@ func TestScheduleInterpreterPinned(t *testing.T) {
 			continue
 		}
 		res := RunOnce(tc.sc, nil)
-		if res.Hash != tc.hash || int64(res.Makespan) != tc.makespan {
+		if res.Hash() != tc.hash || int64(res.Makespan) != tc.makespan {
 			t.Errorf("%s: trace hash %#x makespan %d, recorded %#x and %d",
-				tc.sc.Spec(), res.Hash, int64(res.Makespan), tc.hash, tc.makespan)
+				tc.sc.Spec(), res.Hash(), int64(res.Makespan), tc.hash, tc.makespan)
 		}
 	}
 }
