@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -122,7 +121,8 @@ func (s pickSched) Pick(now Time, frontier []EventInfo) int {
 // a bug in the caller's model, not in a simulated process, so it must
 // propagate out of Run on the caller's goroutine — not be folded into a
 // "process panicked" error — and leave the engine lock free and no
-// goroutine behind beyond the processes that were still blocked.
+// goroutine behind beyond the processes that were still blocked and the
+// workers that went back on the free list.
 func TestEnginePanicsSurfaceFromRun(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -174,7 +174,7 @@ func TestEnginePanicsSurfaceFromRun(t *testing.T) {
 	for _, tc := range cases {
 		for _, tl := range tails {
 			t.Run(tc.name+"/"+tl.name, func(t *testing.T) {
-				before := runtime.NumGoroutine()
+				before := busyGoroutines()
 				e := NewEngine()
 				tc.build(e, tl.tail)
 				var runErr error
@@ -196,14 +196,14 @@ func TestEnginePanicsSurfaceFromRun(t *testing.T) {
 				if st := e.Stats(); st.Processes-st.Finished != tl.blocked {
 					t.Errorf("%d of %d processes unfinished, want %d", st.Processes-st.Finished, st.Processes, tl.blocked)
 				}
-				// Finished process goroutines exit just after releasing the
-				// engine lock; give them a moment.
+				// A finished process's worker goes idle (or exits) just after
+				// releasing the engine lock; give it a moment.
 				deadline := time.Now().Add(2 * time.Second)
-				for runtime.NumGoroutine() > before+tl.blocked && time.Now().Before(deadline) {
+				for busyGoroutines() > before+tl.blocked && time.Now().Before(deadline) {
 					time.Sleep(time.Millisecond)
 				}
-				if n := runtime.NumGoroutine(); n > before+tl.blocked {
-					t.Errorf("%d goroutines after Run, %d before: more than the %d parked processes leaked", n, before, tl.blocked)
+				if n := busyGoroutines(); n > before+tl.blocked {
+					t.Errorf("%d goroutines that are not idle workers after Run, %d before: more than the %d parked processes leaked", n, before, tl.blocked)
 				}
 			})
 		}

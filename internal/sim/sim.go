@@ -298,11 +298,11 @@ func (e *Engine) Run() error {
 	}
 	e.started = true
 
-	// Launch every process goroutine; each blocks on its wake channel
-	// until its start event fires, serializing startup deterministically.
+	// Hand every process to a worker goroutine; each blocks on its wake
+	// channel until its start event fires, serializing startup
+	// deterministically.
 	for _, p := range e.procs {
-		//lint:ignore gonosim engine-owned worker goroutine: runProc is the primitive behind Spawn, and the start event below serializes it deterministically
-		go e.runProc(p)
+		startProc(p)
 		e.scheduleLabeledLocked(e.Now(), &p.label, p.fire)
 	}
 
@@ -404,6 +404,53 @@ func (e *Engine) Stats() Stats {
 		Processes: len(e.procs),
 		Finished:  e.finished,
 		Now:       e.Now(),
+	}
+}
+
+// A worker is an engine-owned goroutine that runs process bodies, one at
+// a time, for whichever engine hands it one. A goroutine starts on a 2 KB
+// stack and copies it every time a body outgrows it; an explorer that
+// builds 40 000 four-rank worlds a pass would pay that 160 000 times, so
+// a worker whose runProc has returned — body finished or panicked, both
+// leave the stack unwound to here — offers itself for the next process of
+// any engine instead of exiting. A body that ends in runtime.Goexit takes
+// its worker with it, and one left parked by a deadlock or an engine-side
+// panic keeps it for good, as it kept its goroutine before.
+type worker chan *Proc
+
+// maxIdleWorkers bounds the goroutines kept parked between runs; beyond
+// it a finished worker exits. A constant, not a setting: it only has to
+// cover the small worlds that are built by the ten thousand (a 1024-rank
+// world is built once and its goroutines' cost is lost in its events),
+// and 64 idle goroutines cost a few hundred KB whatever the caller does.
+const maxIdleWorkers = 64
+
+// idleWorkers is the free list, shared by every engine of the process.
+// It carries no simulation state: which worker runs which body changes
+// nothing a simulation can observe.
+var idleWorkers = make(chan worker, maxIdleWorkers)
+
+// startProc gives p to an idle worker, or to a new one.
+func startProc(p *Proc) {
+	var w worker
+	select {
+	case w = <-idleWorkers:
+	default:
+		w = make(worker, 1) // a worker is handed one process at a time
+		//lint:ignore gonosim engine-owned worker goroutine: runProc is the primitive behind Spawn, and the start event Run schedules serializes it deterministically
+		go w.loop()
+	}
+	w <- p
+}
+
+func (w worker) loop() {
+	for p := range w {
+		p.eng.runProc(p)
+		select {
+		case idleWorkers <- w:
+		default:
+			return
+		}
 	}
 }
 

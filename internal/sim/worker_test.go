@@ -1,0 +1,146 @@
+package sim
+
+import (
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// busyGoroutines counts the goroutines that are not workers parked on the
+// free list: test goroutines, running or parked processes, and workers on
+// their way back to the list.
+func busyGoroutines() int { return runtime.NumGoroutine() - len(idleWorkers) }
+
+// dropIdleWorkers empties the free list and waits for its goroutines to
+// exit, so a test can count what one engine puts there. A worker of an
+// earlier test may still be on its way to the list (Run returns before
+// the last worker parks), so it drains until the goroutine count has held
+// still for a few milliseconds.
+func dropIdleWorkers() {
+	for quiet := 0; quiet < 3; {
+		n := runtime.NumGoroutine()
+		for len(idleWorkers) > 0 {
+			close(<-idleWorkers)
+		}
+		time.Sleep(time.Millisecond)
+		if len(idleWorkers) == 0 && runtime.NumGoroutine() == n {
+			quiet++
+		} else {
+			quiet = 0
+		}
+	}
+}
+
+// settle waits for the free list to hold want workers and for every other
+// goroutine started since before was sampled, bar leaked, to be gone.
+func settle(t *testing.T, before, leaked, want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for (len(idleWorkers) != want || busyGoroutines() != before+leaked) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if idle, busy := len(idleWorkers), busyGoroutines(); idle != want || busy != before+leaked {
+		t.Fatalf("%d idle workers and %d other goroutines, want %d and %d", idle, busy, want, before+leaked)
+	}
+}
+
+// TestWorkerFreeList: however a process body ends, the list stays
+// consistent. A body that returns or panics hands its worker to the next
+// engine; one that calls runtime.Goexit takes the goroutine with it; one
+// a deadlock leaves parked keeps it. None of them is on the list twice or
+// on the list while it still runs something.
+func TestWorkerFreeList(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		body    func(e *Engine, p *Proc)
+		wantErr string // substring of Run's error, "" for nil
+		idle    int    // workers on the list afterwards
+		leaked  int    // goroutines parked for good
+	}{
+		{name: "returns", body: func(e *Engine, p *Proc) { p.Sleep(Microsecond) }, idle: 1},
+		{name: "panics", body: func(e *Engine, p *Proc) { p.Sleep(Microsecond); panic("boom") },
+			wantErr: `sim: process "p" (id 0) panicked: boom`, idle: 1},
+		{name: "goexit", body: func(e *Engine, p *Proc) { p.Sleep(Microsecond); runtime.Goexit() }, idle: 0},
+		{name: "deadlocked", body: func(e *Engine, p *Proc) { e.NewCounter("never").WaitGE(p, 1) },
+			wantErr: "sim: deadlock", idle: 0, leaked: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dropIdleWorkers()
+			before := busyGoroutines()
+			e := NewEngine()
+			e.Spawn("p", func(p *Proc) { tc.body(e, p) })
+			err := e.Run()
+			if (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Run = %v, want %q", err, tc.wantErr)
+			}
+			settle(t, before, tc.leaked, tc.idle)
+
+			// The next engine takes what is on the list before it starts a
+			// goroutine, and its two finished processes both end up there.
+			duringRun := -1
+			e = NewEngine()
+			e.Spawn("a", func(p *Proc) { p.Sleep(Microsecond) })
+			e.Spawn("b", func(p *Proc) { duringRun = len(idleWorkers) })
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if duringRun != 0 {
+				t.Errorf("%d workers idle while two processes ran, want 0", duringRun)
+			}
+			settle(t, before, tc.leaked, 2)
+		})
+	}
+}
+
+// TestWorkerFreeListIsBounded: a world larger than the list leaves it
+// full, and the workers that found no room have exited.
+func TestWorkerFreeListIsBounded(t *testing.T) {
+	dropIdleWorkers()
+	before := busyGoroutines()
+	e := NewEngine()
+	for i := 0; i < maxIdleWorkers+8; i++ {
+		e.Spawn("p", func(p *Proc) { p.Sleep(Microsecond) })
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, before, 0, maxIdleWorkers)
+}
+
+// TestEnginesShareWorkers runs engines from two goroutines at once (the
+// explorer does, one per placement): they draw on one free list, and under
+// -race a worker carrying anything from one engine into the other shows.
+func TestEnginesShareWorkers(t *testing.T) {
+	const rounds, procs = 200, 4
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				e := NewEngine()
+				c := e.NewCounter("arrived")
+				sum := 0
+				for i := 0; i < procs; i++ {
+					e.Spawn("p", func(p *Proc) {
+						p.Sleep(Duration(i+1) * Microsecond)
+						sum += i // processes of one engine run one at a time
+						c.Add(1)
+						c.WaitGE(p, procs)
+					})
+				}
+				if err := e.Run(); err != nil {
+					t.Error(err)
+					return
+				}
+				if st := e.Stats(); sum != procs*(procs-1)/2 || st.Finished != procs || st.Now != Time(procs*Microsecond) {
+					t.Errorf("round %d: sum %d, %d finished, ended at %v", r, sum, st.Finished, st.Now)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
