@@ -216,14 +216,19 @@ func TestSmokeMhaexplore(t *testing.T) {
 }
 
 func TestSmokeMhaexploreRejectsUnfittingSchedule(t *testing.T) {
-	cmd := exec.Command(filepath.Join(binaries(t), "mhaexplore"), "-repro",
-		"alg=ring nodes=1 ppn=2 hcas=1 msg=4 fault=none sched=9.9.9")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("unfitting schedule accepted:\n%s", out)
-	}
-	if !strings.Contains(string(out), "does not replay") {
-		t.Fatalf("unfitting-schedule diagnostic unexpected:\n%s", out)
+	for _, sched := range []string{
+		"9.9.9",                     // outside the frontier
+		"0.0.0.0.0.0.0.0.0.0.0.0.1", // inside a frontier that never was: the run makes 7 decisions
+	} {
+		cmd := exec.Command(filepath.Join(binaries(t), "mhaexplore"), "-repro",
+			"alg=ring nodes=1 ppn=2 hcas=1 msg=4 fault=none sched="+sched)
+		out, err := cmd.CombinedOutput()
+		if err == nil {
+			t.Fatalf("unfitting schedule %s accepted:\n%s", sched, out)
+		}
+		if !strings.Contains(string(out), "does not replay") {
+			t.Fatalf("unfitting-schedule diagnostic for %s unexpected:\n%s", sched, out)
+		}
 	}
 }
 

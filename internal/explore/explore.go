@@ -287,8 +287,11 @@ func explorePlacement(opt Options, base Spec) (PlacementReport, error) {
 }
 
 // Replay runs one spec's forced schedule and returns its violations. A
-// spec whose choices do not fit the world's actual decision frontiers is
-// an error (it cannot correspond to a real execution).
+// spec whose choices do not fit the world's actual decision frontiers —
+// an index outside its frontier, or a non-canonical choice at a decision
+// the execution never reached — is an error (it cannot correspond to a
+// real execution). Zeros past the last decision are a longer spelling of
+// the same schedule and stay legal.
 func Replay(s Spec) ([]verify.Violation, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -300,6 +303,11 @@ func Replay(s Spec) ([]verify.Violation, error) {
 	}
 	if g.diverged != "" {
 		return nil, fmt.Errorf("explore: schedule does not replay: %s", g.diverged)
+	}
+	for d := g.nextPt; d < len(s.Choices); d++ {
+		if c := s.Choices[d]; c != 0 {
+			return nil, fmt.Errorf("explore: schedule does not replay: choice %d at decision %d, but the execution made only %d decisions", c, d, g.nextPt)
+		}
 	}
 	return res.Violations, nil
 }

@@ -230,3 +230,25 @@ func TestReplayRejectsUnfittingSchedule(t *testing.T) {
 		t.Fatal("replay accepted a schedule that does not fit the world")
 	}
 }
+
+// TestReplayRejectsDanglingChoices: a choice list longer than the run is
+// legal only while the surplus is canonical. This 2-rank ring makes 7
+// decisions; a 1 at decision 96 names an alternative of a decision that
+// never happened, and used to replay "clean".
+func TestReplayRejectsDanglingChoices(t *testing.T) {
+	s := Spec{Alg: "ring", Nodes: 1, PPN: 2, HCAs: 1, Msg: 2, Fault: NoFault, Choices: make([]int, 97)}
+	if vs, err := Replay(s); err != nil || len(vs) != 0 {
+		t.Fatalf("surplus zeros: err %v, violations %v; want a clean replay", err, vs)
+	}
+	s.Choices[96] = 1
+	_, err := Replay(s)
+	const want = "explore: schedule does not replay: choice 1 at decision 96, but the execution made only 7 decisions"
+	if err == nil || err.Error() != want {
+		t.Fatalf("dangling choice: err = %v, want %q", err, want)
+	}
+	// The same choice inside the run is judged against its frontier as before.
+	s.Choices = []int{0, 0, 0, 0, 0, 0, 1}
+	if _, err := Replay(s); err != nil {
+		t.Fatalf("choice 1 at the last real decision: %v", err)
+	}
+}
