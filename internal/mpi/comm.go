@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"strconv"
 
 	"mha/internal/sim"
 )
@@ -39,7 +40,7 @@ func (w *World) newComm(ranks []int) *Comm {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	c.id = len(w.comms)
-	c.barCounter = w.eng.NewCounter(fmt.Sprintf("comm%d.barrier", c.id))
+	c.barCounter = w.eng.NewCounter("comm" + strconv.Itoa(c.id) + ".barrier")
 	w.comms = append(w.comms, c)
 	return c
 }

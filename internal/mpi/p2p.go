@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"mha/internal/netmodel"
@@ -274,8 +275,22 @@ func (p *Proc) sendHCA(wdst, n int, o sendOpts) sim.Time {
 			end = e
 		}
 	}
-	p.trace(trace.CatHCA, fmt.Sprintf("hca(x%d)", len(rails)), start, end, wdst, n)
+	if p.w.tracer != nil {
+		p.trace(trace.CatHCA, hcaSpanName(len(rails)), start, end, wdst, n)
+	}
 	return end
+}
+
+// hcaSpanNames are the trace names of a network send striped over k
+// rails, "hca(xk)": every send records one, so the common widths are
+// spelled out and nothing is formatted per message.
+var hcaSpanNames = [...]string{"hca(x0)", "hca(x1)", "hca(x2)", "hca(x3)", "hca(x4)", "hca(x5)", "hca(x6)", "hca(x7)", "hca(x8)"}
+
+func hcaSpanName(rails int) string {
+	if rails < len(hcaSpanNames) {
+		return hcaSpanNames[rails]
+	}
+	return "hca(x" + strconv.Itoa(rails) + ")"
 }
 
 // railScales returns the first H per-rail bandwidth scales, or nil when

@@ -13,6 +13,7 @@ package mpi
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 
 	"mha/internal/fabric"
@@ -176,11 +177,12 @@ func New(cfg Config) *World {
 		w.net = nw
 	}
 	for n := 0; n < cfg.Topo.Nodes; n++ {
-		nd := &node{id: n, mem: eng.NewGauge(fmt.Sprintf("node%d.mem", n)), shms: map[string]*Shm{}}
+		nd := &node{id: n, mem: eng.NewGauge("node" + strconv.Itoa(n) + ".mem"), shms: map[string]*Shm{}}
 		for h := 0; h < cfg.Topo.HCAsOf(n); h++ {
+			name := "node" + strconv.Itoa(n) + ".hca" + strconv.Itoa(h)
 			a := &hca{
-				tx: eng.NewResource(fmt.Sprintf("node%d.hca%d.tx", n, h)),
-				rx: eng.NewResource(fmt.Sprintf("node%d.hca%d.rx", n, h)),
+				tx: eng.NewResource(name + ".tx"),
+				rx: eng.NewResource(name + ".rx"),
 			}
 			if w.health.Faulty() {
 				n, h := n, h
@@ -195,12 +197,13 @@ func New(cfg Config) *World {
 		w.nodes = append(w.nodes, nd)
 	}
 	for r := 0; r < cfg.Topo.Size(); r++ {
+		name := rankName(r)
 		w.ranks = append(w.ranks, &rankState{
 			rank:   r,
 			node:   cfg.Topo.NodeOf(r),
 			local:  cfg.Topo.LocalOf(r),
-			mbox:   eng.NewMailbox(fmt.Sprintf("rank%d", r)),
-			cpu:    eng.NewResource(fmt.Sprintf("rank%d.cpu", r)),
+			mbox:   eng.NewMailbox(name),
+			cpu:    eng.NewResource(name + ".cpu"),
 			epochs: map[int]int{},
 			barGen: map[int]int{},
 		})
@@ -327,12 +330,17 @@ func (w *World) perturb(d sim.Duration) sim.Duration {
 	return sim.Duration(float64(d) * f)
 }
 
+// rankName is the name of rank r's process and mailbox, and the stem of
+// its cpu resource's. Names are built by concatenation: a world of 4
+// ranks built 40 000 times a pass spent a third of New in Sprintf.
+func rankName(r int) string { return "rank" + strconv.Itoa(r) }
+
 // Run spawns one simulated process per rank, each executing body, and runs
 // the simulation to completion.
 func (w *World) Run(body func(*Proc)) error {
 	for r := 0; r < w.topo.Size(); r++ {
 		rs := w.ranks[r]
-		w.eng.Spawn(fmt.Sprintf("rank%d", r), func(sp *sim.Proc) {
+		w.eng.Spawn(rankName(r), func(sp *sim.Proc) {
 			body(&Proc{sp: sp, w: w, rs: rs})
 		})
 	}
