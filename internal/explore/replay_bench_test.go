@@ -22,3 +22,22 @@ func BenchmarkExploreReplay(b *testing.B) {
 		}
 	}
 }
+
+// TestReplayAllocFence bounds what one replay of rd on 2x2x2 allocates:
+// the world, its four ranks' messages and buffers, the trace, the step
+// records. It was 395 when every point kept three maps, every replay
+// regrew its trace from nil and every send formatted a span name; it is
+// 321 now, and the fence is that plus 15 %.
+func TestReplayAllocFence(t *testing.T) {
+	const replays = 500
+	allocs := testing.AllocsPerRun(3, func() {
+		if rep, err := Run(replayOptions("rd", replays)); err != nil || rep.Executions != replays {
+			t.Fatalf("%d executions, err %v", rep.Executions, err)
+		}
+	})
+	if per := allocs / replays; per > 369 {
+		t.Errorf("%.0f allocations per replay, fence is 369", per)
+	} else {
+		t.Logf("%.0f allocations per replay", per)
+	}
+}
