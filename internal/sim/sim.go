@@ -407,15 +407,15 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// A worker is an engine-owned goroutine that runs process bodies, one at
-// a time, for whichever engine hands it one. A goroutine starts on a 2 KB
-// stack and copies it every time a body outgrows it; an explorer that
-// builds 40 000 four-rank worlds a pass would pay that 160 000 times, so
-// a worker whose runProc has returned — body finished or panicked, both
-// leave the stack unwound to here — offers itself for the next process of
-// any engine instead of exiting. A body that ends in runtime.Goexit takes
-// its worker with it, and one left parked by a deadlock or an engine-side
-// panic keeps it for good, as it kept its goroutine before.
+// A worker is the mailbox of an engine-owned goroutine that has run a
+// process body to its end and waits to be handed the next, by any engine.
+// A goroutine starts on a 2 KB stack and copies it every time a body
+// outgrows it; an explorer that builds 40 000 four-rank worlds a pass
+// would pay that 160 000 times, so a goroutine whose runProc has returned
+// — body finished or panicked, both leave the stack unwound to work —
+// offers itself for reuse instead of exiting. A body that ends in
+// runtime.Goexit takes its goroutine with it, and one left parked by a
+// deadlock or an engine-side panic keeps it for good, as before.
 type worker chan *Proc
 
 // maxIdleWorkers bounds the goroutines kept parked between runs; beyond
@@ -430,27 +430,38 @@ const maxIdleWorkers = 64
 // nothing a simulation can observe.
 var idleWorkers = make(chan worker, maxIdleWorkers)
 
-// startProc gives p to an idle worker, or to a new one.
+// startProc runs p's body on an idle worker, or on a new goroutine that
+// may become one.
 func startProc(p *Proc) {
-	var w worker
 	select {
-	case w = <-idleWorkers:
+	case w := <-idleWorkers:
+		w <- p
 	default:
-		w = make(worker, 1) // a worker is handed one process at a time
 		//lint:ignore gonosim engine-owned worker goroutine: runProc is the primitive behind Spawn, and the start event Run schedules serializes it deterministically
-		go w.loop()
+		go work(p)
 	}
-	w <- p
 }
 
-func (w worker) loop() {
-	for p := range w {
+// work runs p's body and then, while the free list has room for it, the
+// bodies it is handed there. A goroutine that finds the list full at the
+// end of its first process — most goroutines of a large world — exits
+// having cost what it cost before there was a list.
+func work(p *Proc) {
+	var w worker
+	for {
 		p.eng.runProc(p)
+		if w == nil {
+			if len(idleWorkers) == maxIdleWorkers {
+				return
+			}
+			w = make(worker, 1) // a worker is handed one process at a time
+		}
 		select {
 		case idleWorkers <- w:
 		default:
 			return
 		}
+		p = <-w
 	}
 }
 

@@ -13,16 +13,24 @@ import (
 // their way back to the list.
 func busyGoroutines() int { return runtime.NumGoroutine() - len(idleWorkers) }
 
-// dropIdleWorkers empties the free list and waits for its goroutines to
-// exit, so a test can count what one engine puts there. A worker of an
+// dropIdleWorkers empties the free list, so a test can count what one
+// engine puts there: it hands every idle worker a body that ends in
+// runtime.Goexit, which takes the goroutine with it. A worker of an
 // earlier test may still be on its way to the list (Run returns before
-// the last worker parks), so it drains until the goroutine count has held
-// still for a few milliseconds.
-func dropIdleWorkers() {
+// the last worker parks), so it repeats until the list has stayed empty
+// and the goroutine count still for a few milliseconds.
+func dropIdleWorkers(t *testing.T) {
+	t.Helper()
 	for quiet := 0; quiet < 3; {
 		n := runtime.NumGoroutine()
-		for len(idleWorkers) > 0 {
-			close(<-idleWorkers)
+		if idle := len(idleWorkers); idle > 0 {
+			e := NewEngine()
+			for i := 0; i < idle; i++ {
+				e.Spawn("exit", func(*Proc) { runtime.Goexit() })
+			}
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		time.Sleep(time.Millisecond)
 		if len(idleWorkers) == 0 && runtime.NumGoroutine() == n {
@@ -67,7 +75,7 @@ func TestWorkerFreeList(t *testing.T) {
 			wantErr: "sim: deadlock", idle: 0, leaked: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dropIdleWorkers()
+			dropIdleWorkers(t)
 			before := busyGoroutines()
 			e := NewEngine()
 			e.Spawn("p", func(p *Proc) { tc.body(e, p) })
@@ -97,7 +105,7 @@ func TestWorkerFreeList(t *testing.T) {
 // TestWorkerFreeListIsBounded: a world larger than the list leaves it
 // full, and the workers that found no room have exited.
 func TestWorkerFreeListIsBounded(t *testing.T) {
-	dropIdleWorkers()
+	dropIdleWorkers(t)
 	before := busyGoroutines()
 	e := NewEngine()
 	for i := 0; i < maxIdleWorkers+8; i++ {
