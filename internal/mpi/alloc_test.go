@@ -1,0 +1,87 @@
+package mpi
+
+import (
+	"fmt"
+	"testing"
+
+	"mha/internal/netmodel"
+	"mha/internal/topology"
+)
+
+// TestAllocsPerMessageFence: a message costs the message. 32 phantom ranks
+// pass small messages round a ring with SendRecv, then exchange striped
+// ones across the two nodes with explicit Irecv/Isend/Wait/Wait, and the
+// whole run — world, engine and processes included — may allocate at most
+// 2 objects per message. A Request that escapes the frame that waits it, a
+// closure per deposit or per match, send options that push sendOpts to the
+// heap, or rail slices made per send each add one and break it.
+func TestAllocsPerMessageFence(t *testing.T) {
+	const rounds = 40
+	topo := topology.New(2, 16, 2)
+	prm := netmodel.Thor()
+	striped := 4 * prm.StripeThreshold
+	allocs := testing.AllocsPerRun(5, func() {
+		w := New(Config{Topo: topo, Params: prm, Phantom: true})
+		err := w.Run(func(p *Proc) {
+			c := w.CommWorld()
+			n := p.Size()
+			next, prev := (p.Rank()+1)%n, (p.Rank()-1+n)%n
+			for k := 0; k < rounds; k++ {
+				p.SendRecv(c, next, k, Phantom(1024), prev, k)
+			}
+			across := (p.Rank() + n/2) % n
+			for k := rounds; k < 2*rounds; k++ {
+				rreq := p.Irecv(c, across, k)
+				sreq := p.Isend(c, across, k, Phantom(striped))
+				p.Wait(rreq)
+				p.Wait(sreq)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	msgs := float64(topo.Size() * 2 * rounds)
+	if perMsg := allocs / msgs; perMsg > 2 {
+		t.Fatalf("%.2f allocations per message (%.0f over %.0f messages), fence is 2", perMsg, allocs, msgs)
+	} else {
+		t.Logf("%.2f allocations per message (%.0f over %.0f messages)", perMsg, allocs, msgs)
+	}
+}
+
+// TestSendOptionsFillSendOpts pins what every option, and every
+// combination of options the tree passes, does to a send's sendOpts.
+func TestSendOptionsFillSendOpts(t *testing.T) {
+	cases := []struct {
+		name string
+		opts []SendOption
+		want sendOpts
+	}{
+		{"none", nil, sendOpts{rail: -1}},
+		{"zero value", []SendOption{{}}, sendOpts{rail: -1}},
+		{"ViaHCA", []SendOption{ViaHCA()}, sendOpts{forceHCA: true, rail: -1}},
+		{"ViaRail(0)", []SendOption{ViaRail(0)}, sendOpts{forceHCA: true, rail: 0}},
+		{"ViaRail(3)", []SendOption{ViaRail(3)}, sendOpts{forceHCA: true, rail: 3}},
+		{"NoStripe", []SendOption{NoStripe()}, sendOpts{noStripe: true, rail: -1}},
+		{"ByRef", []SendOption{ByRef()}, sendOpts{byRef: true, rail: -1}},
+		{"ViaRail(1)+NoStripe", []SendOption{ViaRail(1), NoStripe()}, sendOpts{forceHCA: true, noStripe: true, rail: 1}},
+		{"ViaHCA+NoStripe", []SendOption{ViaHCA(), NoStripe()}, sendOpts{forceHCA: true, noStripe: true, rail: -1}},
+		{"ViaRail(2)+ViaHCA", []SendOption{ViaRail(2), ViaHCA()}, sendOpts{forceHCA: true, rail: 2}},
+	}
+	for _, tc := range cases {
+		got := sendOpts{rail: -1}
+		for _, opt := range tc.opts {
+			opt.apply(&got)
+		}
+		if got != tc.want {
+			t.Errorf("%s: sendOpts = %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+	defer func() {
+		const want = "mpi: ViaRail(-2): negative rail"
+		if r := recover(); fmt.Sprint(r) != want {
+			t.Errorf("ViaRail(-2) panicked with %q, want %q", fmt.Sprint(r), want)
+		}
+	}()
+	ViaRail(-2)
+}

@@ -22,13 +22,41 @@ type sendOpts struct {
 	owner    string // owning job label, from the comm (audit attribution)
 }
 
-// SendOption customizes how a message is carried.
-type SendOption func(*sendOpts)
+// SendOption customizes how a message is carried. It is a value, not a
+// function: applying one calls nothing the compiler cannot see, so a send's
+// options and the sendOpts they fill stay on the sender's stack.
+type SendOption struct {
+	kind optKind
+	rail int // optViaRail's rail
+}
+
+type optKind uint8
+
+const (
+	optViaHCA optKind = iota + 1
+	optViaRail
+	optNoStripe
+	optByRef
+)
+
+func (opt SendOption) apply(o *sendOpts) {
+	switch opt.kind {
+	case optViaHCA:
+		o.forceHCA = true
+	case optViaRail:
+		o.forceHCA = true
+		o.rail = opt.rail
+	case optNoStripe:
+		o.noStripe = true
+	case optByRef:
+		o.byRef = true
+	}
+}
 
 // ViaHCA forces the message through the network adapters even when the
 // peer is on the same node. This is the MHA-intra offload path: the NIC
 // loops the transfer back into the node, leaving the CPUs free.
-func ViaHCA() SendOption { return func(o *sendOpts) { o.forceHCA = true } }
+func ViaHCA() SendOption { return SendOption{kind: optViaHCA} }
 
 // ViaRail pins the message to one specific rail (implies ViaHCA). When a
 // fault schedule marks the pinned rail down at send time, the message
@@ -39,17 +67,17 @@ func ViaRail(r int) SendOption {
 	if r < 0 {
 		panic(fmt.Sprintf("mpi: ViaRail(%d): negative rail", r))
 	}
-	return func(o *sendOpts) { o.forceHCA = true; o.rail = r }
+	return SendOption{kind: optViaRail, rail: r}
 }
 
 // NoStripe disables multirail striping for this message.
-func NoStripe() SendOption { return func(o *sendOpts) { o.noStripe = true } }
+func NoStripe() SendOption { return SendOption{kind: optNoStripe} }
 
 // ByRef delivers the message instantly with no transfer cost, modeling a
 // pointer handoff between on-node ranks (e.g. exposing a buffer for the
 // peer to read via CMA). The consumer pays for the actual copy, typically
 // via ChargeCMA. Only valid between ranks on the same node.
-func ByRef() SendOption { return func(o *sendOpts) { o.byRef = true } }
+func ByRef() SendOption { return SendOption{kind: optByRef} }
 
 // A Request is an in-flight nonblocking operation; complete it with Wait.
 type Request struct {
@@ -64,25 +92,39 @@ type Request struct {
 	posted   sim.Time
 }
 
-// recvWhat is a receive request seen as its deadlock-report description,
-// rendered only when a report is printed.
-type recvWhat Request
-
-func (r *recvWhat) String() string {
-	return fmt.Sprintf("msg(comm=%d src=%d tag=%d)", r.comm.id, r.src, r.tag)
+// received is how a rank's mailbox matches a receive against the messages
+// in it: by communicator id, world source rank (or AnySource) and tag.
+var received = sim.Matcher{
+	Match: func(item interface{}, comm, src, tag int) bool {
+		m := item.(*message)
+		return m.comm == comm && m.tag == tag && (src == AnySource || m.src == src)
+	},
+	Describe: func(comm, src, tag int) string {
+		return fmt.Sprintf("msg(comm=%d src=%d tag=%d)", comm, src, tag)
+	},
 }
 
 // Isend starts a nonblocking send of data to comm rank dst. The payload is
 // snapshotted immediately (the caller may reuse its buffer). Transfer
 // resources are seized at post time; Wait blocks until the transfer ends.
+//
+// Isend and Irecv are thin enough to inline, and nothing they or Wait call
+// keeps a pointer to the request: one that is waited in the frame that
+// posted it lives on that frame's stack.
 func (p *Proc) Isend(c *Comm, dst, tag int, data Buf, opts ...SendOption) *Request {
+	r := new(Request)
+	p.isend(r, c, dst, tag, data, opts)
+	return r
+}
+
+func (p *Proc) isend(r *Request, c *Comm, dst, tag int, data Buf, opts []SendOption) {
 	var o sendOpts
 	o.rail = -1
 	// The engine serializes process execution, so the plain owner read is
 	// ordered after any SetOwner by the dispatching scheduler.
 	o.owner = c.owner
 	for _, opt := range opts {
-		opt(&o)
+		opt.apply(&o)
 	}
 	wdst := c.WorldRank(dst)
 	wsrc := p.rs.rank
@@ -109,7 +151,7 @@ func (p *Proc) Isend(c *Comm, dst, tag int, data Buf, opts ...SendOption) *Reque
 		end = p.sendHCA(wdst, n, o)
 	}
 	p.w.ranks[wdst].mbox.PutAt(end, msg)
-	return &Request{p: p, isSend: true, end: end, posted: msg.sentAt}
+	*r = Request{p: p, isSend: true, end: end, posted: msg.sentAt}
 }
 
 // sendCMA carries n bytes to an on-node peer with a kernel-assisted single
@@ -163,8 +205,9 @@ func (p *Proc) sendHCA(wdst, n int, o sendOpts) sim.Time {
 		rendezvous = prm.AlphaRendezvous
 	}
 
-	var rails []int
-	var pieces []int
+	// Rails and piece sizes live in the frame for up to 8 rails.
+	var railBuf, pieceBuf [8]int
+	var rails, pieces []int
 	switch {
 	case o.rail >= 0:
 		r := o.rail
@@ -193,17 +236,17 @@ func (p *Proc) sendHCA(wdst, n int, o sendOpts) sim.Time {
 				r = alt
 			}
 		}
-		rails, pieces = []int{r}, []int{n}
+		rails, pieces = append(railBuf[:0], r), append(pieceBuf[:0], n)
 	case !o.noStripe && prm.ShouldStripe(n) && H > 1:
 		if consult {
 			rails, pieces = p.stripeByHealth(srcNodeID, dstNodeID, wdst, n, H, now)
 		} else if scales := p.railScales(H); scales != nil {
 			// Asymmetric rails: split in proportion to deliverable
 			// bandwidth so every rail finishes its share together.
-			rails, pieces = dropEmptyPieces(railList(H), netmodel.RailChunkWeighted(n, scales))
+			rails, pieces = dropEmptyPieces(appendRails(railBuf[:0], H), netmodel.RailChunkWeighted(n, scales))
 		} else {
-			rails = railList(H)
-			pieces = netmodel.RailChunk(n, H)
+			rails = appendRails(railBuf[:0], H)
+			pieces = netmodel.AppendRailChunk(pieceBuf[:0], n, H)
 		}
 	default:
 		r := p.rs.railRR % H
@@ -226,7 +269,7 @@ func (p *Proc) sendHCA(wdst, n int, o sendOpts) sim.Time {
 				r = picked
 			}
 		}
-		rails, pieces = []int{r}, []int{n}
+		rails, pieces = append(railBuf[:0], r), append(pieceBuf[:0], n)
 	}
 
 	// Latency faults add a per-piece startup penalty whether or not
@@ -302,13 +345,12 @@ func (p *Proc) railScales(H int) []float64 {
 	return p.w.topo.RailBW[:H]
 }
 
-// railList returns [0..H).
-func railList(H int) []int {
-	rails := make([]int, H)
-	for i := range rails {
-		rails[i] = i
+// appendRails appends [0..H) to dst.
+func appendRails(dst []int, H int) []int {
+	for r := 0; r < H; r++ {
+		dst = append(dst, r)
 	}
-	return rails
+	return dst
 }
 
 // dropEmptyPieces removes zero-byte pieces so no startup cost is paid
@@ -386,11 +428,17 @@ func (p *Proc) stripeByHealth(srcNodeID, dstNodeID, wdst, n, H int, now sim.Time
 // Irecv posts a nonblocking receive for a message from comm rank src with
 // the given tag. src may be AnySource. The match happens at Wait time.
 func (p *Proc) Irecv(c *Comm, src, tag int) *Request {
+	r := new(Request)
+	p.irecv(r, c, src, tag)
+	return r
+}
+
+func (p *Proc) irecv(r *Request, c *Comm, src, tag int) {
 	wsrc := AnySource
 	if src != AnySource {
 		wsrc = c.WorldRank(src)
 	}
-	return &Request{p: p, comm: c, src: wsrc, tag: tag, posted: p.Now()}
+	*r = Request{p: p, comm: c, src: wsrc, tag: tag, posted: p.Now()}
 }
 
 // Wait completes a request. For receives it blocks until a matching
@@ -411,12 +459,7 @@ func (p *Proc) Wait(req *Request) Buf {
 		return Buf{}
 	}
 	start := p.Now()
-	v := p.rs.mbox.GetLazy(p.sp, (*recvWhat)(req), func(v interface{}) bool {
-		m := v.(*message)
-		return m.comm == req.comm.id && m.tag == req.tag &&
-			(req.src == AnySource || m.src == req.src)
-	})
-	m := v.(*message)
+	m := p.rs.mbox.GetMatch(p.sp, &received, req.comm.id, req.src, req.tag).(*message)
 	req.data = m.data
 	// Per-message completion overhead on the receiving CPU.
 	if post := p.w.prm.AlphaPost; post > 0 {
@@ -441,20 +484,25 @@ func (p *Proc) Waitall(reqs ...*Request) []Buf {
 
 // Send is a blocking send: it returns when the transfer completes.
 func (p *Proc) Send(c *Comm, dst, tag int, data Buf, opts ...SendOption) {
-	p.Wait(p.Isend(c, dst, tag, data, opts...))
+	var req Request
+	p.isend(&req, c, dst, tag, data, opts)
+	p.Wait(&req)
 }
 
 // Recv is a blocking receive returning the matched payload.
 func (p *Proc) Recv(c *Comm, src, tag int) Buf {
-	return p.Wait(p.Irecv(c, src, tag))
+	var req Request
+	p.irecv(&req, c, src, tag)
+	return p.Wait(&req)
 }
 
 // SendRecv posts the receive, starts the send, and completes both — the
 // classic ring-step primitive.
 func (p *Proc) SendRecv(c *Comm, dst, sendTag int, data Buf, src, recvTag int, opts ...SendOption) Buf {
-	rreq := p.Irecv(c, src, recvTag)
-	sreq := p.Isend(c, dst, sendTag, data, opts...)
-	got := p.Wait(rreq)
-	p.Wait(sreq)
+	var rreq, sreq Request
+	p.irecv(&rreq, c, src, recvTag)
+	p.isend(&sreq, c, dst, sendTag, data, opts)
+	got := p.Wait(&rreq)
+	p.Wait(&sreq)
 	return got
 }

@@ -74,7 +74,9 @@ func (s *Shm) Counter(name string) *sim.Counter {
 func (s *Shm) WaitCounter(p *Proc, name string, v int64) {
 	start := p.Now()
 	s.Counter(name).WaitGE(p.sp, v)
-	p.trace(trace.CatWait, "shm-counter:"+name, start, p.Now(), -1, 0)
+	if p.w.tracer != nil { // the span name is built only for a recorder
+		p.trace(trace.CatWait, "shm-counter:"+name, start, p.Now(), -1, 0)
+	}
 }
 
 // CopyIn copies src into the region at off, charging the copying rank's CPU

@@ -245,16 +245,22 @@ func (p *Params) HCATime(n, rails int) sim.Duration {
 // RailChunk returns the per-rail piece sizes when n bytes stripe across
 // `rails` rails; the remainder goes to the first rails.
 func RailChunk(n, rails int) []int {
-	out := make([]int, rails)
+	return AppendRailChunk(make([]int, 0, rails), n, rails)
+}
+
+// AppendRailChunk appends RailChunk(n, rails) to dst, for callers that
+// bring their own storage.
+func AppendRailChunk(dst []int, n, rails int) []int {
 	base := n / rails
 	rem := n % rails
-	for i := range out {
-		out[i] = base
+	for i := 0; i < rails; i++ {
+		piece := base
 		if i < rem {
-			out[i]++
+			piece++
 		}
+		dst = append(dst, piece)
 	}
-	return out
+	return dst
 }
 
 // RailChunkWeighted returns per-rail piece sizes when n bytes stripe

@@ -15,6 +15,7 @@ type Counter struct {
 	waiters []*counterWaiter
 }
 
+// A counterWaiter is a process's pending WaitGE; it lives in the Proc.
 type counterWaiter struct {
 	p         *Proc
 	threshold int64
@@ -109,6 +110,7 @@ func (c *Counter) WaitGE(p *Proc, threshold int64) {
 		e.mu.Unlock()
 		return
 	}
-	c.waiters = append(c.waiters, &counterWaiter{p: p, threshold: threshold})
+	p.ctr = counterWaiter{p: p, threshold: threshold}
+	c.waiters = append(c.waiters, &p.ctr)
 	e.block(p, procState{kind: stCounter, obj: c.name, n: threshold, m: c.val})
 }

@@ -33,6 +33,21 @@ func TestDeadlockReportText(t *testing.T) {
 				"  rx: receiving token 7 from mailbox inbox\n",
 		},
 		{
+			name: "mailbox get by value",
+			build: func(e *Engine) {
+				m := e.NewMailbox("inbox")
+				var describes int
+				by := triples(&describes)
+				e.Spawn("rx", func(p *Proc) {
+					m.PutAt(p.Now(), triple{2, 4, 7})
+					p.Sleep(3 * Microsecond)
+					m.GetMatch(p, by, 2, -1, 8)
+				})
+			},
+			want: "sim: deadlock at t=3.000us: 1 of 1 processes blocked forever:\n" +
+				"  rx: receiving triple(2,-1,8) from mailbox inbox\n",
+		},
+		{
 			name: "counter wait",
 			build: func(e *Engine) {
 				c := e.NewCounter("chunks")
@@ -383,8 +398,10 @@ func TestEventQueueAgainstSortedReference(t *testing.T) {
 // TestAllocsPerEventFence keeps the scheduler-free hot path lean: 64
 // processes pass tokens round a mailbox ring, each hop taking a shared
 // resource and sleeping, and the whole run — engine, processes, heap growth
-// included — may allocate at most 3 objects per event fired. Formatting a
-// state string or a label per event, or boxing events, breaks it at once.
+// included — may allocate at most one object per two events fired: what is
+// left is the engine, the processes and the heap's growth, and one closure
+// per deposit, decrement or wait would already double it. Formatting a state
+// string or a label per event, or boxing events, breaks it at once.
 func TestAllocsPerEventFence(t *testing.T) {
 	const procs, rounds = 64, 40
 	any := func(interface{}) bool { return true }
@@ -416,8 +433,8 @@ func TestAllocsPerEventFence(t *testing.T) {
 		}
 		events = e.Stats().Events
 	})
-	if perEvent := allocs / float64(events); perEvent > 3 {
-		t.Fatalf("%.2f allocations per event (%.0f over %d events), fence is 3", perEvent, allocs, events)
+	if perEvent := allocs / float64(events); perEvent > 0.5 {
+		t.Fatalf("%.2f allocations per event (%.0f over %d events), fence is 0.5", perEvent, allocs, events)
 	} else {
 		t.Logf("%.2f allocations per event (%.0f over %d events)", perEvent, allocs, events)
 	}

@@ -259,11 +259,20 @@ type Gauge struct {
 	eng  *Engine
 	val  int
 	peak int
+	dec  func() // the decrement event every DecAt schedules
 }
 
 // NewGauge creates a named gauge bound to the engine.
 func (e *Engine) NewGauge(name string) *Gauge {
-	return &Gauge{label: label{kind: kindGauge, name: name}, eng: e}
+	g := &Gauge{label: label{kind: kindGauge, name: name}, eng: e}
+	g.dec = func() {
+		e.noteLocked(&g.label)
+		g.val--
+		if g.val < 0 {
+			panic(fmt.Sprintf("sim: gauge %s went negative", g.name))
+		}
+	}
+	return g
 }
 
 // Inc increments the gauge and returns the new value (the operation itself
@@ -288,13 +297,7 @@ func (g *Gauge) DecAt(at Time) {
 	if now := e.Now(); at < now {
 		at = now
 	}
-	e.scheduleLabeledLocked(at, &g.label, func() {
-		e.noteLocked(&g.label)
-		g.val--
-		if g.val < 0 {
-			panic(fmt.Sprintf("sim: gauge %s went negative", g.name))
-		}
-	})
+	e.scheduleLabeledLocked(at, &g.label, g.dec)
 }
 
 // Value returns the current in-flight count.

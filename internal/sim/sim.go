@@ -78,6 +78,15 @@ func TransferTime(alpha Duration, n int, bw float64) Duration {
 // An event is a scheduled callback. Events with equal fire times execute in
 // the order they were scheduled (seq) unless a Scheduler (sched.go) picks
 // a different serialization of the same-time frontier.
+//
+// The events of the message path fire a closure made once per object — a
+// process's wake, a mailbox's arrival, a gauge's decrement — so scheduling
+// one allocates nothing. The record stays at four fields of one word on
+// purpose: that is the most the compiler will keep in registers, and a
+// fifth (an operand, say) doubles the frames of pop and nextEventLocked and
+// turns every move of an event into a memory copy. A mailbox therefore
+// keeps the items on the wire itself and its arrival event finds its own by
+// seq.
 type event struct {
 	at   Time
 	seq  uint64
@@ -139,7 +148,8 @@ type Engine struct {
 	finished int
 	started  bool
 	failure  error
-	fired    int64 // events executed, for Stats
+	fired    int64  // events executed, for Stats
+	firing   uint64 // seq of the event whose callback is running
 
 	// Run-loop state (see driveLocked): the process whose goroutine is
 	// firing events right now and whether one of them woke it, and how the
@@ -192,9 +202,10 @@ type Proc struct {
 	id    int
 	fn    func(*Proc)
 	wake  chan struct{}
-	fire  func()     // the process's wake event: every sleep and release schedules this one closure
-	recv  mailWaiter // its pending Mailbox.Get; a process waits on one mailbox at a time
-	state procState  // what the proc is blocked on, for diagnostics
+	fire  func()        // the process's wake event: every sleep and release schedules this one closure
+	recv  mailWaiter    // its pending Mailbox.Get and
+	ctr   counterWaiter // its pending Counter.WaitGE; a process waits on one thing at a time
+	state procState     // what the proc is blocked on, for diagnostics
 	done  bool
 }
 
@@ -203,10 +214,9 @@ type Proc struct {
 // report.
 type procState struct {
 	kind stateKind
-	n, m int64        // time or duration; counter threshold and value
-	obj  string       // mailbox or counter name
-	what string       // receive description, or
-	lazy fmt.Stringer // one rendered only if a report asks
+	n, m int64  // time or duration; counter threshold and value
+	obj  string // mailbox or counter name
+	what string // receive description; a receive by value is described by the waiter, if a report asks
 }
 
 type stateKind uint8
@@ -235,11 +245,7 @@ func (s procState) String() string {
 	case stYielding:
 		return "yielding"
 	case stReceiving:
-		what := s.what
-		if s.lazy != nil {
-			what = s.lazy.String()
-		}
-		return fmt.Sprintf("receiving %s from mailbox %s", what, s.obj)
+		return fmt.Sprintf("receiving %s from mailbox %s", s.what, s.obj)
 	case stCounter:
 		return fmt.Sprintf("waiting for counter %s >= %d (now %d)", s.obj, s.n, s.m)
 	case stFinished:
@@ -372,6 +378,7 @@ func (e *Engine) driveLocked(self *Proc) (resumed bool) {
 		e.beginStepLocked(ev)
 		e.now.Store(int64(ev.at))
 		e.fired++
+		e.firing = ev.seq
 		ev.fire() // runs with e.mu held; may wake at most a bounded set of procs
 	}
 	return e.driverWoken
@@ -494,15 +501,17 @@ func (e *Engine) scheduleLocked(at Time, fire func()) {
 	e.scheduleLabeledLocked(at, nil, fire)
 }
 
-// scheduleLabeledLocked enqueues fire with an explicit frontier label.
-// Caller holds e.mu. When a step is open the new event is recorded as
-// spawned by it, establishing the causal edge DPOR needs.
-func (e *Engine) scheduleLabeledLocked(at Time, on *label, fire func()) {
+// scheduleLabeledLocked enqueues fire with an explicit frontier label and
+// returns the event's sequence number. Caller holds e.mu. When a step is
+// open the new event is recorded as spawned by it, establishing the causal
+// edge DPOR needs.
+func (e *Engine) scheduleLabeledLocked(at Time, on *label, fire func()) uint64 {
 	e.seq++
 	if e.stepOpen {
 		e.spawned = append(e.spawned, e.seq)
 	}
 	e.events.push(event{at: at, seq: e.seq, on: on, fire: fire})
+	return e.seq
 }
 
 // Schedule enqueues fire to run at virtual time at (>= now). fire executes
@@ -606,7 +615,11 @@ func (e *Engine) deadlockErrorLocked() error {
 	}
 	sort.Slice(blocked, func(i, j int) bool { return blocked[i].id < blocked[j].id })
 	for _, p := range blocked {
-		fmt.Fprintf(&b, "  %s: %s\n", p.name, p.state)
+		state := p.state
+		if w := &p.recv; state.kind == stReceiving && w.by != nil {
+			state.what = w.by.Describe(w.ctx, w.src, w.tag)
+		}
+		fmt.Fprintf(&b, "  %s: %s\n", p.name, state)
 	}
 	return fmt.Errorf("%w %s", ErrDeadlock, b.String())
 }
