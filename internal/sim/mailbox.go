@@ -1,6 +1,9 @@
 package sim
 
-import "slices"
+import (
+	"cmp"
+	"slices"
+)
 
 // A Mailbox is an in-order message queue with virtual-time delivery: items
 // deposited with PutAt travel until their arrival time and become visible
@@ -12,7 +15,8 @@ type Mailbox struct {
 	label
 	eng     *Engine
 	owner   string     // attribution label for teardown audits ("" = unowned)
-	wire    []wireItem // on the wire: put, not yet arrived
+	wire    []wireItem // wire[head:] is on the wire: put, not yet arrived
+	head    int
 	items   []mailItem
 	waiters []*mailWaiter
 	arrived int64  // total items ever deposited
@@ -20,10 +24,18 @@ type Mailbox struct {
 }
 
 // A wireItem is an item PutAt has sent on its way, under the sequence
-// number of the event that will deliver it.
+// number of the event that will deliver it. PutAt appends under increasing
+// sequence numbers, so the wire is sorted by seq and an arrival finds its
+// item by binary search whatever the order of arrival; one that arrives
+// before an item put earlier leaves a hole (gone), dropped when it reaches
+// the front. What a delivery costs therefore does not depend on how many
+// items are in flight: 1-3 in the ring and hierarchical schedules, N-1 per
+// mailbox where every send is posted up front (IAllgatherDirect, a linear
+// gather's root, a direct alltoall).
 type wireItem struct {
-	seq uint64
-	v   interface{}
+	seq  uint64
+	v    interface{}
+	gone bool
 }
 
 type mailItem struct {
@@ -79,24 +91,37 @@ func (m *Mailbox) PutAt(at Time, v interface{}) {
 	if now := e.Now(); at < now {
 		at = now
 	}
+	// Reclaim the delivered front before the array would grow, and only once
+	// it is at least half of it: each slide is paid for by as many arrivals.
+	if len(m.wire) == cap(m.wire) && m.head > 0 && m.head >= len(m.wire)/2 {
+		n := copy(m.wire, m.wire[m.head:])
+		clear(m.wire[n:])
+		m.wire, m.head = m.wire[:n], 0
+	}
 	m.wire = append(m.wire, wireItem{seq: e.scheduleLabeledLocked(at, &m.label, m.arrive), v: v})
 }
 
 // arriveLocked runs as an event at an item's arrival time: the item is the
-// one that went on the wire under the firing event's sequence number. A
-// mailbox has a handful of items in flight at a time and they mostly arrive
-// in the order they were sent, so the scan ends at once.
+// one that went on the wire under the firing event's sequence number.
 func (m *Mailbox) arriveLocked() {
 	seq := m.eng.firing
-	for i := range m.wire {
-		if m.wire[i].seq == seq {
-			v := m.wire[i].v
-			m.wire = slices.Delete(m.wire, i, i+1)
-			m.depositLocked(v)
-			return
-		}
+	live := m.wire[m.head:]
+	i := 0
+	if len(live) > 0 && live[0].seq != seq { // not the oldest in flight
+		i, _ = slices.BinarySearchFunc(live, seq, func(w wireItem, seq uint64) int { return cmp.Compare(w.seq, seq) })
 	}
-	panic("sim: mailbox " + m.name + " has nothing on the wire for this arrival")
+	if i == len(live) || live[i].seq != seq || live[i].gone {
+		panic("sim: mailbox " + m.name + " has nothing on the wire for this arrival")
+	}
+	v := live[i].v
+	live[i].v, live[i].gone = nil, true
+	for m.head < len(m.wire) && m.wire[m.head].gone {
+		m.head++
+	}
+	if m.head == len(m.wire) { // nothing in flight: the next put starts the array over
+		m.wire, m.head = m.wire[:0], 0
+	}
+	m.depositLocked(v)
 }
 
 // depositLocked hands an arrived item to the first waiting matcher (FIFO)
@@ -167,15 +192,33 @@ func (m *Mailbox) get(p *Proc, waiting procState) interface{} {
 // takeLocked removes and returns the first queued item w accepts. The slot
 // it vacates at the tail is cleared, so the mailbox does not keep the item
 // — in payload runs a cloned message buffer — alive until a later deposit
-// overwrites it.
+// overwrites it. Where every send is posted up front the queue is as deep
+// as the wire, so the scan calls the matcher directly: one indirect call an
+// item, as the predicate costs, rather than accepts' two.
 func (m *Mailbox) takeLocked(w *mailWaiter) (interface{}, bool) {
-	for i, it := range m.items {
-		if w.accepts(it.v) {
-			m.items = slices.Delete(m.items, i, i+1)
-			return it.v, true
+	i := -1
+	if by := w.by; by != nil {
+		match, ctx, src, tag := by.Match, w.ctx, w.src, w.tag
+		for j := range m.items {
+			if match(m.items[j].v, ctx, src, tag) {
+				i = j
+				break
+			}
+		}
+	} else {
+		for j := range m.items {
+			if w.match(m.items[j].v) {
+				i = j
+				break
+			}
 		}
 	}
-	return nil, false
+	if i < 0 {
+		return nil, false
+	}
+	v := m.items[i].v
+	m.items = slices.Delete(m.items, i, i+1)
+	return v, true
 }
 
 // TryGet removes and returns the first queued item matching match without

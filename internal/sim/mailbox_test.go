@@ -178,9 +178,63 @@ func TestMailboxArrivalsFindTheirItem(t *testing.T) {
 			t.Fatalf("lastFirst=%v: %d items still on the wire", lastFirst, len(m.wire))
 		}
 		for i, slot := range m.wire[:cap(m.wire)] {
-			if slot != (wireItem{}) {
+			if slot.v != nil {
 				t.Errorf("lastFirst=%v: emptied wire still references item %v in slot %d", lastFirst, slot.v, i)
 			}
 		}
+	}
+}
+
+// TestMailboxWireDeepAndLong: an arrival finds its item however many are in
+// flight and in whatever order they land, and the wire does not grow with the
+// traffic that has passed through it. Deep: 1000 items put up front — every
+// send of a direct exchange is posted before any lands — that arrive last-put
+// first, so each is found by search and leaves a hole until the first-put
+// lands. Long: 20 000 items with three in flight at a time, as a pipelined
+// ring keeps a mailbox from ever emptying.
+func TestMailboxWireDeepAndLong(t *testing.T) {
+	any := func(interface{}) bool { return true }
+
+	const deep = 1000
+	e := NewEngine()
+	m := e.NewMailbox("deep")
+	e.Spawn("rx", func(p *Proc) {
+		for i := 0; i < deep; i++ {
+			m.PutAt(Time(deep-i)*Time(Microsecond), i)
+		}
+		for want := deep - 1; want >= 0; want-- {
+			if got := m.Get(p, "any", any); got != want {
+				t.Fatalf("deep: received %v, want %d", got, want)
+			}
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.wire) != 0 || m.head != 0 {
+		t.Errorf("deep: wire not empty at the end: len %d, head %d", len(m.wire), m.head)
+	}
+
+	const long = 20000
+	e = NewEngine()
+	m = e.NewMailbox("long")
+	e.Spawn("tx", func(p *Proc) {
+		for i := 0; i < long; i++ {
+			m.PutAt(p.Now()+Time(3*Microsecond), i)
+			p.Sleep(Microsecond)
+		}
+	})
+	e.Spawn("rx", func(p *Proc) {
+		for want := 0; want < long; want++ {
+			if got := m.Get(p, "any", any); got != want {
+				t.Fatalf("long: received %v, want %d", got, want)
+			}
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(m.wire); c > 16 {
+		t.Errorf("long: three items in flight at a time left a wire of capacity %d", c)
 	}
 }

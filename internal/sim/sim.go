@@ -148,8 +148,14 @@ type Engine struct {
 	finished int
 	started  bool
 	failure  error
-	fired    int64  // events executed, for Stats
-	firing   uint64 // seq of the event whose callback is running
+	fired    int64 // events executed, for Stats
+
+	// firing is the seq of the event whose callback is running: the operand
+	// the four-word event record has no room for. driveLocked, the one place
+	// an event fires, is its only writer; Mailbox.arriveLocked, which must
+	// run as the event PutAt scheduled and never be called directly, is its
+	// only reader and panics if no item went on the wire under that seq.
+	firing uint64
 
 	// Run-loop state (see driveLocked): the process whose goroutine is
 	// firing events right now and whether one of them woke it, and how the
