@@ -271,17 +271,13 @@ func BenchmarkExtNUMAThreeLevel(b *testing.B) {
 		var last sim.Time
 		for i := 0; i < b.N; i++ {
 			w := mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true})
-			var worst sim.Time
 			err := w.Run(func(p *mpi.Proc) {
 				alg(p, w, mpi.Phantom(m), mpi.Phantom(m*p.Size()))
-				if p.Now() > worst {
-					worst = p.Now()
-				}
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			last = worst
+			last = w.Makespan()
 		}
 		reportVirt(b, sim.Duration(last))
 	}
@@ -296,17 +292,13 @@ func BenchmarkExtCollectives(b *testing.B) {
 		var last sim.Time
 		for i := 0; i < b.N; i++ {
 			w := mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true})
-			var worst sim.Time
 			err := w.Run(func(p *mpi.Proc) {
 				body(p, w)
-				if p.Now() > worst {
-					worst = p.Now()
-				}
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			last = worst
+			last = w.Makespan()
 		}
 		reportVirt(b, sim.Duration(last))
 	}

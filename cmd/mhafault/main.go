@@ -119,18 +119,14 @@ func tracedRun(topo topology.Cluster, sched *faults.Schedule, alg struct {
 }, m int, seed int64, chrome string, timeline bool, width int) error {
 	rec := trace.New()
 	w := mpi.New(mpi.Config{Topo: topo, Tracer: rec, Phantom: true, Faults: sched, Seed: seed})
-	var worst sim.Time
 	if err := w.Run(func(p *mpi.Proc) {
 		alg.Fn(p, w, mpi.Phantom(m), mpi.Phantom(m*p.Size()))
-		if p.Now() > worst {
-			worst = p.Now()
-		}
 	}); err != nil {
 		return err
 	}
 	for n := 0; n < topo.Nodes; n++ {
 		for r := 0; r < topo.HCAs; r++ {
-			for _, win := range sched.Windows(n, r, 0, worst) {
+			for _, win := range sched.Windows(n, r, 0, w.Makespan()) {
 				name := fmt.Sprintf("fault:node%d.rail%d frac=%.2f", n, r, win.Fraction)
 				if win.Extra > 0 {
 					name += fmt.Sprintf(" extra=%v", win.Extra)

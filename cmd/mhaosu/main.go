@@ -125,7 +125,6 @@ func profileOf(lib string) (collectives.Profile, bool) {
 
 func measureBcast(topo topology.Cluster, prm *netmodel.Params, m int, lib string) sim.Duration {
 	w := mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true})
-	var worst sim.Time
 	err := w.Run(func(p *mpi.Proc) {
 		buf := mpi.Phantom(m)
 		if lib == "mha" {
@@ -133,19 +132,15 @@ func measureBcast(topo topology.Cluster, prm *netmodel.Params, m int, lib string
 		} else {
 			collectives.BinomialBcast(p, w.CommWorld(), 0, buf)
 		}
-		if p.Now() > worst {
-			worst = p.Now()
-		}
 	})
 	if err != nil {
 		panic(err)
 	}
-	return sim.Duration(worst)
+	return sim.Duration(w.Makespan())
 }
 
 func measureAlltoall(topo topology.Cluster, prm *netmodel.Params, m int, lib string) sim.Duration {
 	w := mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true})
-	var worst sim.Time
 	err := w.Run(func(p *mpi.Proc) {
 		total := m * p.Size()
 		if lib == "mha" {
@@ -153,12 +148,9 @@ func measureAlltoall(topo topology.Cluster, prm *netmodel.Params, m int, lib str
 		} else {
 			collectives.PairwiseAlltoall(p, w.CommWorld(), mpi.Phantom(total), mpi.Phantom(total))
 		}
-		if p.Now() > worst {
-			worst = p.Now()
-		}
 	})
 	if err != nil {
 		panic(err)
 	}
-	return sim.Duration(worst)
+	return sim.Duration(w.Makespan())
 }

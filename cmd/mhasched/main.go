@@ -221,7 +221,6 @@ func cmdRun(args []string) error {
 	w := mpi.New(mpi.Config{Topo: s.Topo, Params: prm})
 	n := s.Topo.Size()
 	m := s.Msg
-	var worst sim.Time
 	bad := 0
 	err = w.Run(func(p *mpi.Proc) {
 		send := mpi.NewBuf(m)
@@ -236,9 +235,6 @@ func cmdRun(args []string) error {
 				break
 			}
 		}
-		if p.Now() > worst {
-			worst = p.Now()
-		}
 	})
 	if err != nil {
 		return err
@@ -247,7 +243,7 @@ func cmdRun(args []string) error {
 		return fmt.Errorf("schedule %s: %d of %d ranks ended with wrong bytes", s.Name, bad, n)
 	}
 	fmt.Printf("schedule %s on %v: %d ranks verified, makespan %v\n",
-		s.Name, s.Topo, n, sim.Duration(worst))
+		s.Name, s.Topo, n, sim.Duration(w.Makespan()))
 	return nil
 }
 

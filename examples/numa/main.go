@@ -20,17 +20,13 @@ func main() {
 
 	measure := func(alg func(p *mha.Proc, w *mha.World, send, recv mha.Buf), m int) mha.Duration {
 		w := mha.NewWorld(mha.Config{Topo: topo, Params: prm, Phantom: true})
-		var worst mha.Time
 		err := w.Run(func(p *mha.Proc) {
 			alg(p, w, mha.Phantom(m), mha.Phantom(m*p.Size()))
-			if p.Now() > worst {
-				worst = p.Now()
-			}
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		return mha.Duration(worst)
+		return mha.Duration(w.Makespan())
 	}
 
 	fmt.Printf("allgather on %v with 2 NUMA sockets/node (1.5x cross-socket penalty)\n\n", topo)

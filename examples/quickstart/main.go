@@ -18,7 +18,6 @@ func main() {
 	// --- Correctness: real payloads round-trip through the collective.
 	w := mha.NewWorld(mha.Config{Topo: topo})
 	const m = 1024 // bytes contributed per rank
-	var latency mha.Duration
 	err := w.Run(func(p *mha.Proc) {
 		send := mha.NewBuf(m)
 		for i := range send.Data() {
@@ -33,15 +32,12 @@ func main() {
 				log.Fatalf("rank %d: block %d corrupted", p.Rank(), r)
 			}
 		}
-		if d := mha.Duration(p.Now()); d > latency {
-			latency = d
-		}
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("MHA allgather of %dB/rank verified on all %d ranks in %v (virtual)\n",
-		m, topo.Size(), latency)
+		m, topo.Size(), mha.Duration(w.Makespan()))
 
 	// --- Performance: sweep message sizes against the baselines.
 	fmt.Printf("\n%-8s %14s %14s %14s\n", "size", "HPC-X", "MVAPICH2-X", "MHA")

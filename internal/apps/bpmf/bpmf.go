@@ -104,7 +104,6 @@ func Run(cfg Config) (Result, error) {
 	uBytes, iBytes := uPer*K*8, iPer*K*8
 	cost := updateCost(cfg)
 
-	var worst sim.Time
 	digests := make([][2]float64, p)
 	mismatch := false
 	err := w.Run(func(proc *mpi.Proc) {
@@ -124,9 +123,6 @@ func Run(cfg Config) (Result, error) {
 			cfg.Profile.Allgather(proc, w, itemSeg, itemAll)
 		}
 		digests[r] = [2]float64{digest(userAll), digest(itemAll)}
-		if proc.Now() > worst {
-			worst = proc.Now()
-		}
 	})
 	if err != nil {
 		return Result{}, err
@@ -139,7 +135,7 @@ func Run(cfg Config) (Result, error) {
 	if mismatch {
 		return Result{}, fmt.Errorf("bpmf: ranks disagree on the final factors")
 	}
-	elapsed := sim.Duration(worst)
+	elapsed := sim.Duration(w.Makespan())
 	return Result{
 		Elapsed:      elapsed,
 		SweepsPerSec: float64(cfg.Sweeps) / elapsed.Seconds(),

@@ -96,7 +96,6 @@ func Run(cfg Config) (Result, error) {
 	unit := 8 * p
 	grad = (grad + unit - 1) / unit * unit
 
-	var worst sim.Time
 	var commTotal sim.Duration
 	err := w.Run(func(proc *mpi.Proc) {
 		buf := mpi.Phantom(grad)
@@ -108,14 +107,11 @@ func Run(cfg Config) (Result, error) {
 				commTotal += sim.Duration(proc.Now() - t0)
 			}
 		}
-		if proc.Now() > worst {
-			worst = proc.Now()
-		}
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	elapsed := sim.Duration(worst)
+	elapsed := sim.Duration(w.Makespan())
 	step := elapsed / sim.Duration(cfg.Steps)
 	images := float64(cfg.Steps * cfg.BatchPerRank * p)
 	return Result{

@@ -109,7 +109,6 @@ func Run(cfg Config) (Result, error) {
 	rowsPer := cfg.Rows / p
 	segBytes := segElems * 8
 
-	var worst sim.Time
 	y := make([]float64, cfg.Rows)
 	err := w.Run(func(proc *mpi.Proc) {
 		r := proc.Rank()
@@ -136,14 +135,11 @@ func Run(cfg Config) (Result, error) {
 				y[row] = s
 			}
 		}
-		if proc.Now() > worst {
-			worst = proc.Now()
-		}
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	elapsed := sim.Duration(worst)
+	elapsed := sim.Duration(w.Makespan())
 	totalFlops := float64(iters) * 2 * float64(cfg.Rows) * float64(cfg.Cols)
 	res := Result{
 		Elapsed: elapsed,

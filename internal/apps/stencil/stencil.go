@@ -95,7 +95,6 @@ func Run(cfg Config) (Result, error) {
 	w := mpi.New(mpi.Config{Topo: cfg.Topo, Params: cfg.Params, Phantom: cfg.Phantom})
 	p := cfg.Topo.Size()
 	per := cfg.Points / p
-	var worst sim.Time
 	grid := make([]float64, cfg.Points)
 	err := w.Run(func(proc *mpi.Proc) {
 		r := proc.Rank()
@@ -147,14 +146,11 @@ func Run(cfg Config) (Result, error) {
 				grid[base+i] = cur[i+1]
 			}
 		}
-		if proc.Now() > worst {
-			worst = proc.Now()
-		}
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	elapsed := sim.Duration(worst)
+	elapsed := sim.Duration(w.Makespan())
 	res := Result{
 		Elapsed:      elapsed,
 		PointsPerSec: float64(cfg.Points) * float64(cfg.Iterations) / elapsed.Seconds(),

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"mha/internal/compose"
 	"mha/internal/netmodel"
@@ -73,29 +72,6 @@ func ComposeLatency(name string, topo topology.Cluster, msg int) (sim.Duration, 
 		return 0, err
 	}
 	return sched.SimulateGoal(topo, prm, plan.Sched, plan.Goal)
-}
-
-// ComposeLowerMicros times the hierarchy compiler itself: wall-clock
-// microseconds per full Lower of the registered variant set on a
-// mid-size machine, amortized over enough rounds to be stable. This is
-// the compile-cost probe — it tracks regressions in the composition
-// layer's own speed, not in the schedules it emits.
-func ComposeLowerMicros() (float64, error) {
-	topo := topology.New(4, 8, 2)
-	hier := compose.NewHierarchy(topo)
-	prm := netmodel.Thor()
-	vars := compose.Variants()
-	const rounds = 50
-	start := time.Now()
-	for i := 0; i < rounds; i++ {
-		for _, v := range vars {
-			if _, err := compose.Lower(v.Comp, hier, 64<<10, prm); err != nil {
-				return 0, err
-			}
-		}
-	}
-	per := time.Since(start) / time.Duration(rounds*len(vars))
-	return float64(per) / float64(time.Microsecond), nil
 }
 
 func init() {

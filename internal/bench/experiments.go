@@ -556,16 +556,9 @@ func runAblLeaders(w io.Writer, sc Scale) error {
 	t.Notes = "the Section 1.1 critique: the multi-leader blend ring bottlenecks on intra-node hops"
 	measure := func(m, groups int) sim.Duration {
 		wl := mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true})
-		var worst sim.Time
-		if err := wl.Run(func(p *mpi.Proc) {
+		return makespan(wl, func(p *mpi.Proc) {
 			collectives.MultiLeaderAllgather(p, wl, mpi.Phantom(m), mpi.Phantom(m*p.Size()), groups)
-			if p.Now() > worst {
-				worst = p.Now()
-			}
-		}); err != nil {
-			panic(err)
-		}
-		return sim.Duration(worst)
+		})
 	}
 	for _, m := range sc.Sizes(geometric(16<<10, 256<<10)) {
 		mha := core.MeasureInter(topo, prm, m, core.InterConfig{})
@@ -591,16 +584,9 @@ func runExtNuma(w io.Writer, sc Scale) error {
 	t.Notes = "the paper's Section 7 future work: overlap intra-socket, inter-socket and inter-node"
 	measure := func(m int, alg func(p *mpi.Proc, wl *mpi.World, send, recv mpi.Buf)) sim.Duration {
 		wl := mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true})
-		var worst sim.Time
-		if err := wl.Run(func(p *mpi.Proc) {
+		return makespan(wl, func(p *mpi.Proc) {
 			alg(p, wl, mpi.Phantom(m), mpi.Phantom(m*p.Size()))
-			if p.Now() > worst {
-				worst = p.Now()
-			}
-		}); err != nil {
-			panic(err)
-		}
-		return sim.Duration(worst)
+		})
 	}
 	for _, m := range sc.Sizes(geometric(16<<10, 1<<20)) {
 		two := measure(m, core.MHAInterAllgather)
@@ -618,16 +604,9 @@ func runExtColl(w io.Writer, sc Scale) error {
 	t.Notes = "the hierarchical multi-rail template applied beyond allgather"
 	measure := func(body func(p *mpi.Proc, wl *mpi.World)) sim.Duration {
 		wl := mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true})
-		var worst sim.Time
-		if err := wl.Run(func(p *mpi.Proc) {
+		return makespan(wl, func(p *mpi.Proc) {
 			body(p, wl)
-			if p.Now() > worst {
-				worst = p.Now()
-			}
-		}); err != nil {
-			panic(err)
-		}
-		return sim.Duration(worst)
+		})
 	}
 	for _, m := range sc.Sizes([]int{64 << 10, 1 << 20, 4 << 20}) {
 		m := m

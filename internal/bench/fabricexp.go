@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"mha/internal/collectives"
 	"mha/internal/fabric"
@@ -22,16 +21,9 @@ func FabricAllgatherLatency(topo topology.Cluster, prm *netmodel.Params, m int, 
 		panic(fmt.Sprintf("bench: allgather %q is not registered", alg))
 	}
 	w := mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true, Fabric: spec})
-	var worst sim.Time
-	if err := w.Run(func(p *mpi.Proc) {
+	return makespan(w, func(p *mpi.Proc) {
 		run(p, w.CommWorld(), mpi.Phantom(m), mpi.Phantom(m*p.Size()))
-		if p.Now() > worst {
-			worst = p.Now()
-		}
-	}); err != nil {
-		panic(err)
-	}
-	return sim.Duration(worst)
+	})
 }
 
 // fabricSweepSpecs returns the fabric rows of the sweep for a cluster of
@@ -90,22 +82,4 @@ func runFabricSweep(w io.Writer, sc Scale) error {
 		}
 	}
 	return nil
-}
-
-// FabricRouteMicros is the wall-clock cost of building a mid-size
-// fat-tree network — links, capacities, and the full pairwise route
-// table — in microseconds. It is a serving-path number (mhafabric and
-// every World construction pay it), so it rides tier 1 as the one
-// wall-clock fabric probe.
-func FabricRouteMicros() float64 {
-	spec := fabric.Spec{Kind: fabric.FatTree, Arity: 4, Levels: 3, Over: []float64{2, 2}}
-	topo := topology.New(64, 4, 2)
-	const iters = 10
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if _, err := fabric.Build(nil, spec, topo, netmodel.Thor()); err != nil {
-			panic(err)
-		}
-	}
-	return float64(time.Since(start)) / float64(time.Microsecond) / iters
 }

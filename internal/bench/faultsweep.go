@@ -51,17 +51,10 @@ func FaultedAllgatherLatency(topo topology.Cluster, prm *netmodel.Params, m int,
 		Faults:     sched,
 		FaultBlind: blind,
 	})
-	var worst sim.Time
-	err := w.Run(func(p *mpi.Proc) {
+	lat := makespan(w, func(p *mpi.Proc) {
 		alg(p, w, mpi.Phantom(m), mpi.Phantom(m*p.Size()))
-		if p.Now() > worst {
-			worst = p.Now()
-		}
 	})
-	if err != nil {
-		panic(err)
-	}
-	return sim.Duration(worst), w.RailStats()
+	return lat, w.RailStats()
 }
 
 // FaultScenarios returns the degraded-mode sweep's scenarios for a

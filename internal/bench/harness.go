@@ -7,7 +7,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"mha/internal/collectives"
 	"mha/internal/core"
@@ -76,6 +75,17 @@ func PtPtBandwidth(topo topology.Cluster, prm *netmodel.Params, m int, opts ...m
 	return bytes / sim.Duration(done).Seconds() / 1e6
 }
 
+// makespan runs body on every rank of w and returns the latest rank
+// finish: what every latency in this package means. The bodies are
+// built-in collectives on built-in shapes, so a failed run is a bug and
+// panics.
+func makespan(w *mpi.World, body func(p *mpi.Proc)) sim.Duration {
+	if err := w.Run(body); err != nil {
+		panic(err)
+	}
+	return sim.Duration(w.Makespan())
+}
+
 // AllgatherLatency measures one allgather of m bytes per rank under the
 // given profile.
 func AllgatherLatency(topo topology.Cluster, prm *netmodel.Params, m int, prof collectives.Profile) sim.Duration {
@@ -88,31 +98,6 @@ func AllreduceLatency(topo topology.Cluster, prm *netmodel.Params, n int, prof c
 	unit := 8 * topo.Size()
 	n = (n + unit - 1) / unit * unit
 	return core.MeasureProfileAllreduce(topo, prm, n, prof)
-}
-
-// SimEventsPerSec runs the MHA allgather at 64 KB on the paper's 8x32x2
-// shape (256 ranks, phantom payload, no scheduler) three times and
-// returns the best rate of engine events fired per wall-clock second:
-// the substrate's own cost, which every consumer of the simulator pays.
-func SimEventsPerSec() float64 {
-	topo := topology.New(8, 32, 2)
-	prof := core.Profile()
-	best := 0.0
-	for i := 0; i < 3; i++ {
-		w := mpi.New(mpi.Config{Topo: topo, Phantom: true})
-		start := time.Now()
-		err := w.Run(func(p *mpi.Proc) {
-			prof.Allgather(p, w, mpi.Phantom(64<<10), mpi.Phantom(64<<10*p.Size()))
-		})
-		elapsed := time.Since(start).Seconds()
-		if err != nil {
-			panic(err)
-		}
-		if rate := float64(w.Engine().Stats().Events) / elapsed; rate > best {
-			best = rate
-		}
-	}
-	return best
 }
 
 // Profiles returns the three compared implementations in the paper's

@@ -56,17 +56,9 @@ func (s Stats) String() string {
 func AllgatherLatencySeeded(topo topology.Cluster, prm *netmodel.Params, m int,
 	prof collectives.Profile, seed int64) sim.Duration {
 	w := mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true, Seed: seed})
-	var worst sim.Time
-	err := w.Run(func(p *mpi.Proc) {
+	return makespan(w, func(p *mpi.Proc) {
 		prof.Allgather(p, w, mpi.Phantom(m), mpi.Phantom(m*p.Size()))
-		if p.Now() > worst {
-			worst = p.Now()
-		}
 	})
-	if err != nil {
-		panic(err)
-	}
-	return sim.Duration(worst)
 }
 
 // NoisyAllgather sweeps seeds and returns the latency distribution in

@@ -3,7 +3,6 @@ package bench
 import (
 	"encoding/json"
 	"io"
-	"time"
 
 	"mha/internal/cluster"
 	"mha/internal/core"
@@ -20,17 +19,16 @@ import (
 type Tier1Metric struct {
 	// ID names the probe after the experiment it samples.
 	ID string
-	// Micros is the probe's value: modeled latency in microseconds for
-	// the experiment probes, wall-clock microseconds for the tuner-*
-	// serving probes, and wall-clock rates for the explore-* and sim-*
-	// probes (states and events per second, named accordingly).
+	// Micros is the modeled (virtual-time) latency in microseconds.
 	Micros float64
 }
 
 // Tier1 measures the headline probes at the given scale. The set is small
 // on purpose: one representative point per major experiment family
 // (pt2pt, intra-node, inter-node allgather per library, allreduce,
-// resilience under a fault schedule).
+// resilience under a fault schedule). Every probe is virtual time and so
+// deterministic; what our own code costs on the wall clock is the
+// benchmark module's ledger (benchmark/probes.go), not this one's.
 func Tier1(sc Scale) []Tier1Metric {
 	prm := netmodel.Thor()
 	profs := Profiles() // HPC-X, MVAPICH2-X, MHA
@@ -64,17 +62,12 @@ func Tier1(sc Scale) []Tier1Metric {
 		ID:     "fig15-allreduce-mha-1m",
 		Micros: AllreduceLatency(inter, prm, 1<<20, core.Profile()).Micros(),
 	})
-	// Fabric probes: the locality-ring allgather on a 2:1-oversubscribed
-	// fat-tree (modeled), and the wall-clock cost of building a fabric's
-	// route table.
+	// Fabric probe: the locality-ring allgather on a 2:1-oversubscribed
+	// fat-tree.
 	ftSpec := fabric.Spec{Kind: fabric.FatTree, Arity: 2, Levels: 2, Over: []float64{2}}
 	out = append(out, Tier1Metric{
 		ID:     "fabric-ft-ag-4x2x2-64k",
 		Micros: FabricAllgatherLatency(topology.New(4, 2, 2), prm, 64<<10, &ftSpec, "locality-ring").Micros(),
-	})
-	out = append(out, Tier1Metric{
-		ID:     "fabric-route-us",
-		Micros: FabricRouteMicros(),
 	})
 	clusterTopo := topology.New(8, 4, 2)
 	for _, policy := range []string{cluster.Packed, cluster.RailAware} {
@@ -87,57 +80,12 @@ func Tier1(sc Scale) []Tier1Metric {
 			Micros: d.Micros(),
 		})
 	}
-	// Composition-layer probes: the modeled latency of the derived
-	// reduce-scatter on a small dual-rail machine, and the wall-clock
-	// cost of one hierarchy-compiler Lower (the only non-deterministic
-	// number besides the tuner/explore probes).
+	// Composition-layer probe: the derived reduce-scatter on a small
+	// dual-rail machine.
 	if d, err := ComposeLatency("compose-rs", topology.New(4, 2, 2), 64<<10); err == nil {
 		out = append(out, Tier1Metric{
 			ID:     "compose-rs-4x2x2-64k",
 			Micros: d.Micros(),
-		})
-	}
-	if us, err := ComposeLowerMicros(); err == nil && us > 0 {
-		out = append(out, Tier1Metric{
-			ID:     "compose-lower-us",
-			Micros: us,
-		})
-	}
-	// Autotuner-service probes: the only wall-clock (non-deterministic)
-	// tier-1 numbers — a cold-miss synthesis latency and the per-decision
-	// cost of the warm cache under load (1e6/us = decisions/sec).
-	if d, err := TunerColdSynthLatency(); err == nil {
-		out = append(out, Tier1Metric{
-			ID:     "tuner-cold-synth-2x8x2-64k",
-			Micros: float64(d) / float64(time.Microsecond),
-		})
-	}
-	if rep, err := TunerWarmThroughput(50000); err == nil && rep.PerSec > 0 {
-		out = append(out, Tier1Metric{
-			ID:     "tuner-warm-decision-us",
-			Micros: 1e6 / rep.PerSec,
-		})
-	}
-	// Model-checker probe, also wall clock: visited engine states per
-	// second while exhausting the 4-rank dual-rail ring exploration.
-	if rate, err := ExploreStatesPerSec(); err == nil && rate > 0 {
-		out = append(out, Tier1Metric{
-			ID:     "explore-states-per-sec-4x2",
-			Micros: rate,
-		})
-	}
-	// Engine probe, wall clock: events fired per second on a 256-rank
-	// MHA allgather — the rate ROADMAP item 2 moves.
-	out = append(out, Tier1Metric{
-		ID:     "sim-events-per-sec-8x32x2",
-		Micros: SimEventsPerSec(),
-	})
-	// Static-analysis probe, wall clock: one full whole-program mhalint
-	// cycle over a representative package (CI pays this on every push).
-	if us, err := LintWholeProgramMicros(); err == nil && us > 0 {
-		out = append(out, Tier1Metric{
-			ID:     "lint-whole-program-us",
-			Micros: us,
 		})
 	}
 	return out

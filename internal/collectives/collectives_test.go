@@ -47,7 +47,6 @@ func runAllgather(t *testing.T, nodes, ppn, hcas, m int, alg allgatherFn) sim.Ti
 	w := mpi.New(mpi.Config{Topo: topology.New(nodes, ppn, hcas)})
 	n := w.Topo().Size()
 	want := expectedAllgather(n, m)
-	var worst sim.Time
 	err := w.Run(func(p *mpi.Proc) {
 		send := mpi.Bytes(pattern(p.Rank(), m))
 		recv := mpi.NewBuf(n * m)
@@ -55,14 +54,11 @@ func runAllgather(t *testing.T, nodes, ppn, hcas, m int, alg allgatherFn) sim.Ti
 		if got := string(recv.Data()); got != string(want) {
 			t.Errorf("%d nodes x %d ppn, m=%d: rank %d wrong result", nodes, ppn, m, p.Rank())
 		}
-		if p.Now() > worst {
-			worst = p.Now()
-		}
 	})
 	if err != nil {
 		t.Fatalf("%d nodes x %d ppn: %v", nodes, ppn, err)
 	}
-	return worst
+	return w.Makespan()
 }
 
 var flatAlgorithms = map[string]allgatherFn{
@@ -146,17 +142,13 @@ func runTimedAllgather(t *testing.T, nodes, ppn, hcas, m int, cfg HierarchicalCo
 	t.Helper()
 	w := mpi.New(mpi.Config{Topo: topology.New(nodes, ppn, hcas), Phantom: true})
 	n := w.Topo().Size()
-	var worst sim.Time
 	err := w.Run(func(p *mpi.Proc) {
 		HierarchicalAllgather(p, w, mpi.Phantom(m), mpi.Phantom(n*m), cfg)
-		if p.Now() > worst {
-			worst = p.Now()
-		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return worst
+	return w.Makespan()
 }
 
 func TestArrivalOrderCoversAllNodes(t *testing.T) {
@@ -463,17 +455,13 @@ func TestMultiLeaderBlendBottleneck(t *testing.T) {
 	m := 256 << 10
 	run := func(groups int) sim.Time {
 		w := mpi.New(mpi.Config{Topo: topology.New(4, 8, 2), Phantom: true})
-		var worst sim.Time
 		err := w.Run(func(p *mpi.Proc) {
 			MultiLeaderAllgather(p, w, mpi.Phantom(m), mpi.Phantom(m*p.Size()), groups)
-			if p.Now() > worst {
-				worst = p.Now()
-			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return worst
+		return w.Makespan()
 	}
 	one, two := run(1), run(2)
 	if two <= one {
@@ -539,7 +527,6 @@ func TestIAllgatherOverlapsCompute(t *testing.T) {
 	compute := 300 * sim.Microsecond
 	measure := func(withCompute bool) sim.Time {
 		w := mpi.New(mpi.Config{Topo: topology.New(4, 1, 2), Phantom: true})
-		var worst sim.Time
 		err := w.Run(func(p *mpi.Proc) {
 			recv := mpi.Phantom(m * p.Size())
 			req := IAllgatherDirect(p, w.CommWorld(), mpi.Phantom(m), recv)
@@ -547,14 +534,11 @@ func TestIAllgatherOverlapsCompute(t *testing.T) {
 				p.Sleep(compute) // independent work
 			}
 			req.Wait()
-			if p.Now() > worst {
-				worst = p.Now()
-			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return worst
+		return w.Makespan()
 	}
 	plain := measure(false)
 	overlapped := measure(true)

@@ -126,17 +126,13 @@ func TestLocalityBeatsFlatOnOversubscribedFatTree(t *testing.T) {
 	m := 64 << 10
 	measure := func(alg func(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf)) sim.Time {
 		w := mpi.New(mpi.Config{Topo: topo, Fabric: &spec, Phantom: true})
-		var worst sim.Time
 		err := w.Run(func(p *mpi.Proc) {
 			alg(p, w.CommWorld(), mpi.Phantom(m), mpi.Phantom(m*p.Size()))
-			if p.Now() > worst {
-				worst = p.Now()
-			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return worst
+		return w.Makespan()
 	}
 	bestFlat := sim.Time(0)
 	for _, name := range []string{"ring", "rd", "bruck", "direct", "neighbor"} {

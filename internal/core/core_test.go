@@ -72,17 +72,13 @@ func TestMHAIntraSingleHCA(t *testing.T) {
 // measure runs an allgather in phantom mode and returns the latency.
 func measureAllgather(nodes, ppn, hcas, m int, alg func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf)) sim.Duration {
 	w := mpi.New(mpi.Config{Topo: topology.New(nodes, ppn, hcas), Phantom: true})
-	var worst sim.Time
 	err := w.Run(func(p *mpi.Proc) {
 		alg(p, w, mpi.Phantom(m), mpi.Phantom(m*p.Size()))
-		if p.Now() > worst {
-			worst = p.Now()
-		}
 	})
 	if err != nil {
 		panic(err)
 	}
-	return sim.Duration(worst)
+	return sim.Duration(w.Makespan())
 }
 
 func intraMHA(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {

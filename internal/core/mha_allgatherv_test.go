@@ -71,17 +71,13 @@ func TestMHAAllgathervBeatsFlatAtScale(t *testing.T) {
 	}
 	measure := func(alg func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf, counts []int)) sim.Duration {
 		w := mpi.New(mpi.Config{Topo: topo, Phantom: true})
-		var worst sim.Time
 		err := w.Run(func(p *mpi.Proc) {
 			alg(p, w, mpi.Phantom(counts[p.Rank()]), mpi.Phantom(total), counts)
-			if p.Now() > worst {
-				worst = p.Now()
-			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sim.Duration(worst)
+		return sim.Duration(w.Makespan())
 	}
 	mha := measure(MHAAllgatherv)
 	flat := measure(FlatAllgatherv)
@@ -174,17 +170,13 @@ func TestDisseminationBarrierSynchronizes(t *testing.T) {
 func TestDisseminationBarrierCostIsLogarithmic(t *testing.T) {
 	lat := func(n int) sim.Time {
 		w := mpi.New(mpi.Config{Topo: topology.New(n, 1, 2), Phantom: true})
-		var worst sim.Time
 		err := w.Run(func(p *mpi.Proc) {
 			collectives.DisseminationBarrier(p, w.CommWorld())
-			if p.Now() > worst {
-				worst = p.Now()
-			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return worst
+		return w.Makespan()
 	}
 	l8, l16 := lat(8), lat(16)
 	if l8 == 0 {

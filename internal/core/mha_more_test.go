@@ -153,17 +153,13 @@ func TestMHAAlltoallBeatsPairwiseAtScale(t *testing.T) {
 	m := 16 << 10
 	measure := func(alg func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf)) sim.Duration {
 		w := mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true})
-		var worst sim.Time
 		err := w.Run(func(p *mpi.Proc) {
 			alg(p, w, mpi.Phantom(m*p.Size()), mpi.Phantom(m*p.Size()))
-			if p.Now() > worst {
-				worst = p.Now()
-			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sim.Duration(worst)
+		return sim.Duration(w.Makespan())
 	}
 	mha := measure(MHAAlltoall)
 	flat := measure(func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
@@ -180,17 +176,13 @@ func TestMHABcastBeatsFlatBinomialAtScale(t *testing.T) {
 	n := 4 << 20
 	measure := func(alg func(p *mpi.Proc, w *mpi.World, buf mpi.Buf)) sim.Duration {
 		w := mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true})
-		var worst sim.Time
 		err := w.Run(func(p *mpi.Proc) {
 			alg(p, w, mpi.Phantom(n))
-			if p.Now() > worst {
-				worst = p.Now()
-			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sim.Duration(worst)
+		return sim.Duration(w.Makespan())
 	}
 	mha := measure(func(p *mpi.Proc, w *mpi.World, buf mpi.Buf) { MHABcast(p, w, 0, buf) })
 	flat := measure(func(p *mpi.Proc, w *mpi.World, buf mpi.Buf) {

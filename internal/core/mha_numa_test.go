@@ -44,17 +44,13 @@ func measureNuma(t *testing.T, topo topology.Cluster, prm *netmodel.Params, m in
 	alg func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf)) sim.Duration {
 	t.Helper()
 	w := mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true})
-	var worst sim.Time
 	err := w.Run(func(p *mpi.Proc) {
 		alg(p, w, mpi.Phantom(m), mpi.Phantom(m*p.Size()))
-		if p.Now() > worst {
-			worst = p.Now()
-		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim.Duration(worst)
+	return sim.Duration(w.Makespan())
 }
 
 func TestThreeLevelBeatsTwoLevelUnderNUMA(t *testing.T) {

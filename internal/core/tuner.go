@@ -22,18 +22,20 @@ type OffloadPoint struct {
 // (completion time of the slowest rank). Pass AutoOffload for the analytic
 // d of Equation (1).
 func MeasureIntra(topo topology.Cluster, prm *netmodel.Params, m int, d float64) sim.Duration {
-	w := mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true})
-	var worst sim.Time
-	err := w.Run(func(p *mpi.Proc) {
+	return measure(topo, prm, func(p *mpi.Proc, w *mpi.World) {
 		MHAIntraAllgatherD(p, w.CommWorld(), mpi.Phantom(m), mpi.Phantom(m*p.Size()), d)
-		if p.Now() > worst {
-			worst = p.Now()
-		}
 	})
-	if err != nil {
+}
+
+// measure runs body on every rank of a fresh phantom world and returns
+// the world's makespan. The bodies are the package's own collectives, so
+// a failed run is a bug and panics.
+func measure(topo topology.Cluster, prm *netmodel.Params, body func(p *mpi.Proc, w *mpi.World)) sim.Duration {
+	w := mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true})
+	if err := w.Run(func(p *mpi.Proc) { body(p, w) }); err != nil {
 		panic(err)
 	}
-	return sim.Duration(worst)
+	return sim.Duration(w.Makespan())
 }
 
 // TuneOffload implements the tuning procedure of Section 3.1 / Figure 5:
@@ -89,18 +91,9 @@ func TuneOffload(topo topology.Cluster, prm *netmodel.Params, m, points int) (fl
 // MeasureInter runs one phantom-mode hierarchical allgather on a fresh
 // world and returns its latency.
 func MeasureInter(topo topology.Cluster, prm *netmodel.Params, m int, cfg InterConfig) sim.Duration {
-	w := mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true})
-	var worst sim.Time
-	err := w.Run(func(p *mpi.Proc) {
+	return measure(topo, prm, func(p *mpi.Proc, w *mpi.World) {
 		MHAInterAllgatherCfg(p, w, mpi.Phantom(m), mpi.Phantom(m*p.Size()), cfg)
-		if p.Now() > worst {
-			worst = p.Now()
-		}
 	})
-	if err != nil {
-		panic(err)
-	}
-	return sim.Duration(worst)
 }
 
 // TuneLeaderAlg measures both phase-2 algorithms for message size m and
@@ -118,33 +111,15 @@ func TuneLeaderAlg(topo topology.Cluster, prm *netmodel.Params, m int) LeaderCho
 // MeasureProfileAllgather times an arbitrary profile's allgather on a
 // fresh phantom world — the building block of every allgather figure.
 func MeasureProfileAllgather(topo topology.Cluster, prm *netmodel.Params, m int, prof collectives.Profile) sim.Duration {
-	w := mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true})
-	var worst sim.Time
-	err := w.Run(func(p *mpi.Proc) {
+	return measure(topo, prm, func(p *mpi.Proc, w *mpi.World) {
 		prof.Allgather(p, w, mpi.Phantom(m), mpi.Phantom(m*p.Size()))
-		if p.Now() > worst {
-			worst = p.Now()
-		}
 	})
-	if err != nil {
-		panic(err)
-	}
-	return sim.Duration(worst)
 }
 
 // MeasureProfileAllreduce times an arbitrary profile's allreduce of n
 // bytes on a fresh phantom world.
 func MeasureProfileAllreduce(topo topology.Cluster, prm *netmodel.Params, n int, prof collectives.Profile) sim.Duration {
-	w := mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true})
-	var worst sim.Time
-	err := w.Run(func(p *mpi.Proc) {
+	return measure(topo, prm, func(p *mpi.Proc, w *mpi.World) {
 		prof.Allreduce(p, w, mpi.Phantom(n), collectives.SumF64())
-		if p.Now() > worst {
-			worst = p.Now()
-		}
 	})
-	if err != nil {
-		panic(err)
-	}
-	return sim.Duration(worst)
 }

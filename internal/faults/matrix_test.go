@@ -76,7 +76,6 @@ func runVariant(t *testing.T, alg func(p *mpi.Proc, w *mpi.World, send, recv mpi
 	})
 	n := w.Topo().Size()
 	want := expected(n, m)
-	var worst sim.Time
 	err := w.Run(func(p *mpi.Proc) {
 		send := mpi.Bytes(pattern(p.Rank(), m))
 		recv := mpi.NewBuf(n * m)
@@ -84,14 +83,11 @@ func runVariant(t *testing.T, alg func(p *mpi.Proc, w *mpi.World, send, recv mpi
 		if got := string(recv.Data()); got != string(want) {
 			t.Errorf("rank %d: wrong bytes under fault", p.Rank())
 		}
-		if p.Now() > worst {
-			worst = p.Now()
-		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return worst
+	return w.Makespan()
 }
 
 func TestAllgatherVariantsCorrectUnderEveryFault(t *testing.T) {

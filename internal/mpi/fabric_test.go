@@ -23,22 +23,18 @@ func crossTraffic(t *testing.T, prm *netmodel.Params, pairs, m int) sim.Time {
 	t.Helper()
 	// Nodes 0..pairs-1 on leaf 0, nodes pairs..2*pairs-1 on leaf 1.
 	w := New(Config{Topo: topology.New(2*pairs, 1, 2), Params: prm, Phantom: true})
-	var worst sim.Time
 	err := w.Run(func(p *Proc) {
 		c := w.CommWorld()
 		if p.Rank() < pairs {
 			p.Send(c, p.Rank()+pairs, 0, Phantom(m))
 		} else {
 			p.Recv(c, p.Rank()-pairs, 0)
-			if p.Now() > worst {
-				worst = p.Now()
-			}
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return worst
+	return w.Makespan()
 }
 
 func TestNonBlockingFabricUnchanged(t *testing.T) {

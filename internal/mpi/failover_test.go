@@ -233,20 +233,16 @@ func TestFaultRunsDeterministic(t *testing.T) {
 			Faults: sched,
 			Seed:   7,
 		})
-		var end sim.Time
 		err := w.Run(func(p *Proc) {
 			c := w.CommWorld()
 			peer := (p.Rank() + p.Size()/2) % p.Size()
 			got := p.SendRecv(c, peer, p.Rank(), Phantom(64<<10), peer, peer, ViaHCA())
 			_ = got
-			if t := p.Now(); t > end {
-				end = t
-			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return end
+		return w.Makespan()
 	}
 	a, b := run(), run()
 	if a != b {

@@ -15,7 +15,6 @@ func jitterRun(t *testing.T, jitter float64, seed int64) sim.Time {
 	prm := netmodel.Thor()
 	prm.Jitter = jitter
 	w := New(Config{Topo: topology.New(2, 2, 2), Params: prm, Phantom: true, Seed: seed})
-	var done sim.Time
 	err := w.Run(func(p *Proc) {
 		c := w.CommWorld()
 		switch p.Rank() {
@@ -30,20 +29,14 @@ func jitterRun(t *testing.T, jitter float64, seed int64) sim.Time {
 			s := p.ShmOpen("r", 1<<20)
 			s.WaitCounter(p, "ok", 1)
 			s.CopyOut(p, 0, Phantom(1<<20))
-			if p.Now() > done {
-				done = p.Now()
-			}
 		case 2:
 			p.Recv(c, 0, 0)
-		}
-		if p.Now() > done {
-			done = p.Now()
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return done
+	return w.Makespan()
 }
 
 func TestJitterZeroIsExact(t *testing.T) {

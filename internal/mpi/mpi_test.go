@@ -457,22 +457,18 @@ func TestCMACongestionSlowsConcurrentCopies(t *testing.T) {
 	n := 4 << 20
 	run := func(pairs int) sim.Time {
 		w := newWorld(1, 2*pairs, 1)
-		var worst sim.Time
 		err := w.Run(func(p *Proc) {
 			c := w.CommWorld()
 			if p.Rank() < pairs {
 				p.Send(c, p.Rank()+pairs, 0, Phantom(n))
 			} else {
 				p.Recv(c, p.Rank()-pairs, 0)
-				if p.Now() > worst {
-					worst = p.Now()
-				}
 			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return worst
+		return w.Makespan()
 	}
 	single := run(1)
 	many := run(24) // 24 concurrent 4MB CMA copies oversubscribe the pool

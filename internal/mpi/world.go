@@ -71,6 +71,12 @@ type World struct {
 	health     *RailHealth
 	faultBlind bool
 
+	// makespan is the latest virtual time a rank body returned at. A rank
+	// writes it once, as its body returns; the engine runs one process at
+	// a time and hands over under its lock, so the ranks' writes and the
+	// read after Run are ordered without a lock of their own.
+	makespan sim.Time
+
 	jitterMu sync.Mutex
 	jitter   *rand.Rand // nil when Params.Jitter == 0
 
@@ -342,10 +348,20 @@ func (w *World) Run(body func(*Proc)) error {
 		rs := w.ranks[r]
 		w.eng.Spawn(rankName(r), func(sp *sim.Proc) {
 			body(&Proc{sp: sp, w: w, rs: rs})
+			if now := sp.Now(); now > w.makespan {
+				w.makespan = now
+			}
 		})
 	}
 	return w.eng.Run()
 }
+
+// Makespan returns the latest virtual time at which a rank's body
+// returned: the paper's measure of a collective timed on a fresh world
+// (every point of Figs. 11-15). It is 0 before Run. Engine().Stats().Now
+// is not the same thing — a gauge decrement or a fault edge that fires
+// after the last rank finished moves the engine's clock, not this.
+func (w *World) Makespan() sim.Time { return w.makespan }
 
 // Proc is the per-rank handle passed to the rank body. All its methods must
 // be called from that rank's goroutine.

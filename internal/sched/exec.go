@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sync"
 
 	"mha/internal/faults"
 	"mha/internal/mpi"
@@ -46,12 +45,10 @@ func (o pairOrdinals) tag(epoch, si, me int, t *Transfer) int {
 // full result (Msg * Size bytes). All ranks must call it, like any
 // collective. The schedule must match the world's topology.
 //
-// Per step, the rank posts its receives, posts its sends (payloads are
-// snapshotted at post time, so every send reads the pre-step state even
-// when a receive of the same step would overwrite it), then completes
-// receives and sends. Steps are rank-local: no global barrier separates
-// them, so a step's CMA copies overlap a neighbor's rail transfers
-// exactly as the hand-written overlapped designs do.
+// The receive buffer is the degenerate arena of ExecuteGoal: every block
+// held, block b at byte b*Msg, nothing staged out at the end. A schedule
+// with reducing transfers has no reducer here and panics, as in
+// ExecuteGoal.
 //
 // Execute assumes a schedule Analyze accepts; running an invalid one
 // may deadlock the simulation (which the engine reports) or produce
@@ -68,18 +65,39 @@ func Execute(p *mpi.Proc, w *mpi.World, s *Schedule, send, recv mpi.Buf) {
 		panic(fmt.Sprintf("sched: buffer sizes (%d, %d) do not match schedule msg %d on %d ranks",
 			send.Len(), recv.Len(), m, p.Size()))
 	}
-	c := w.CommWorld()
-	me := p.Rank()
-	epoch := c.Epoch(p)
 
 	// Own contribution into place first, like every other variant.
-	p.LocalCopy(recv.Slice(me*m, m), send)
+	p.LocalCopy(recv.Slice(p.Rank()*m, m), send)
 
+	runSteps(p, w.CommWorld(), s, func(first, count, off, ln int) mpi.Buf {
+		return recv.Slice(first*m+off, ln)
+	}, nil)
+}
+
+// runSteps is the schedule interpreter: rank p's share of every step of
+// s over the communicator c, whose ranks are the schedule's. window says
+// where the rank keeps bytes [off, off+ln) of the block range [first,
+// first+count) — the only thing Execute and ExecuteGoal disagree on —
+// and red folds an arrived payload into its window for a reducing
+// transfer (nil when the schedule may have none).
+//
+// Per step, the rank posts its receives, posts its sends (payloads are
+// snapshotted at post time, so every send reads the pre-step state even
+// when a receive of the same step would overwrite it), then completes
+// receives and sends. Steps are rank-local: no global barrier separates
+// them, so a step's CMA copies overlap a neighbor's rail transfers
+// exactly as the hand-written overlapped designs do.
+func runSteps(p *mpi.Proc, c *mpi.Comm, s *Schedule,
+	window func(first, count, off, ln int) mpi.Buf,
+	red func(p *mpi.Proc, dst, src mpi.Buf)) {
 	type pendingRecv struct {
 		req *mpi.Request
 		t   *Transfer
 	}
-	ord := make(pairOrdinals, 2*p.Size())
+	m := s.Msg
+	me := c.Rank(p)
+	epoch := c.Epoch(p)
+	ord := make(pairOrdinals, 2*c.Size())
 	var recvs []pendingRecv
 	var sends []*mpi.Request
 	for si := range s.Steps {
@@ -98,7 +116,7 @@ func Execute(p *mpi.Proc, w *mpi.World, s *Schedule, send, recv mpi.Buf) {
 				recvs = append(recvs, pendingRecv{p.Irecv(c, t.Src, tag), t})
 			}
 			if t.Src == me {
-				buf := recv.Slice(t.First*m+t.Off, t.Len)
+				buf := window(t.First, t.Count, t.Off, t.Len)
 				switch t.Via {
 				case ViaPull:
 					sends = append(sends, p.Isend(c, t.Dst, tag, buf, mpi.ByRef()))
@@ -118,7 +136,15 @@ func Execute(p *mpi.Proc, w *mpi.World, s *Schedule, send, recv mpi.Buf) {
 				// actual copy out of the peer's buffer.
 				p.ChargeCMA(pr.t.Len)
 			}
-			recv.Slice(pr.t.First*m+pr.t.Off, pr.t.Len).CopyFrom(data)
+			dst := window(pr.t.First, pr.t.Count, pr.t.Off, pr.t.Len)
+			if pr.t.Red {
+				if red == nil {
+					panic("sched: schedule has reducing transfers but no reducer was supplied")
+				}
+				red(p, dst, data)
+			} else {
+				dst.CopyFrom(data)
+			}
 		}
 		for _, cp := range st.Copies {
 			if cp.Rank == me {
@@ -211,65 +237,7 @@ func ExecuteGoal(p *mpi.Proc, c *mpi.Comm, s *Schedule, g *Goal,
 		p.LocalCopy(window(rng.First, rng.Count, 0, rng.Count*m), init(rng))
 	}
 
-	epoch := c.Epoch(p)
-	type pendingRecv struct {
-		req *mpi.Request
-		t   *Transfer
-	}
-	ord := make(pairOrdinals, 2*n)
-	var recvs []pendingRecv
-	var sends []*mpi.Request
-	for si := range s.Steps {
-		st := &s.Steps[si]
-		clear(ord)
-		recvs, sends = recvs[:0], sends[:0]
-		for xi := range st.Xfers {
-			t := &st.Xfers[xi]
-			if t.Dst != me && t.Src != me {
-				continue
-			}
-			tag := ord.tag(epoch, si, me, t)
-			if t.Dst == me {
-				recvs = append(recvs, pendingRecv{p.Irecv(c, t.Src, tag), t})
-			}
-			if t.Src == me {
-				buf := window(t.First, t.Count, t.Off, t.Len)
-				switch t.Via {
-				case ViaPull:
-					sends = append(sends, p.Isend(c, t.Dst, tag, buf, mpi.ByRef()))
-				case ViaHCA:
-					sends = append(sends, p.Isend(c, t.Dst, tag, buf, mpi.ViaHCA()))
-				case ViaRail:
-					sends = append(sends, p.Isend(c, t.Dst, tag, buf, mpi.ViaRail(t.Rail)))
-				default:
-					sends = append(sends, p.Isend(c, t.Dst, tag, buf))
-				}
-			}
-		}
-		for _, pr := range recvs {
-			data := p.Wait(pr.req)
-			if pr.t.Via == ViaPull {
-				p.ChargeCMA(pr.t.Len)
-			}
-			dst := window(pr.t.First, pr.t.Count, pr.t.Off, pr.t.Len)
-			if pr.t.Red {
-				if red == nil {
-					panic("sched: schedule has reducing transfers but no reducer was supplied")
-				}
-				red(p, dst, data)
-			} else {
-				dst.CopyFrom(data)
-			}
-		}
-		for _, cp := range st.Copies {
-			if cp.Rank == me {
-				p.ChargeCopy(cp.Count * m)
-			}
-		}
-		for _, sr := range sends {
-			p.Wait(sr)
-		}
-	}
+	runSteps(p, c, s, window, red)
 
 	// Deliver the wanted ranges to the caller's buffers.
 	for _, rng := range g.Want[me] {
@@ -303,51 +271,32 @@ func Runner(build func(topo topology.Cluster, msg int) *Schedule) func(p *mpi.Pr
 // makespan (the latest rank-finish time). It is the measured counterpart
 // of Analyze's Cost: same plan, real contention.
 func Simulate(topo topology.Cluster, prm *netmodel.Params, s *Schedule) (sim.Duration, error) {
-	return runSchedule(newPhantomWorld(topo, prm, nil), s)
+	return simulate(topo, prm, nil, phantomAllgather(s))
+}
+
+// phantomAllgather is the rank body Simulate and SimulateHealth time.
+func phantomAllgather(s *Schedule) func(p *mpi.Proc, w *mpi.World) {
+	return func(p *mpi.Proc, w *mpi.World) {
+		Execute(p, w, s, mpi.Phantom(s.Msg), mpi.Phantom(s.Msg*p.Size()))
+	}
 }
 
 // SimulateGoal is Simulate for a goal-based schedule: every rank runs
 // ExecuteGoal with phantom buffers and the ChargeRed reducer.
 func SimulateGoal(topo topology.Cluster, prm *netmodel.Params, s *Schedule, g *Goal) (sim.Duration, error) {
-	w := newPhantomWorld(topo, prm, nil)
 	phantom := func(rng Range) mpi.Buf { return mpi.Phantom(rng.Count * s.Msg) }
-	var mu sync.Mutex
-	var worst sim.Time
-	err := w.Run(func(p *mpi.Proc) {
+	return simulate(topo, prm, nil, func(p *mpi.Proc, w *mpi.World) {
 		ExecuteGoal(p, w.CommWorld(), s, g, phantom, phantom, ChargeRed)
-		mu.Lock()
-		if p.Now() > worst {
-			worst = p.Now()
-		}
-		mu.Unlock()
 	})
-	if err != nil {
-		return 0, err
-	}
-	return sim.Duration(worst), nil
 }
 
-// newPhantomWorld builds the measurement world Simulate and
-// SimulateHealth share, optionally under a fault schedule.
-func newPhantomWorld(topo topology.Cluster, prm *netmodel.Params, fsched *faults.Schedule) *mpi.World {
-	return mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true, Faults: fsched})
-}
-
-// runSchedule executes the schedule on every rank of w and returns the
-// latest rank-finish time.
-func runSchedule(w *mpi.World, s *Schedule) (sim.Duration, error) {
-	var mu sync.Mutex
-	var worst sim.Time
-	err := w.Run(func(p *mpi.Proc) {
-		Execute(p, w, s, mpi.Phantom(s.Msg), mpi.Phantom(s.Msg*p.Size()))
-		mu.Lock()
-		if p.Now() > worst {
-			worst = p.Now()
-		}
-		mu.Unlock()
-	})
-	if err != nil {
+// simulate runs body on every rank of a fresh phantom world, optionally
+// under a fault schedule, and returns the world's makespan.
+func simulate(topo topology.Cluster, prm *netmodel.Params, fsched *faults.Schedule,
+	body func(p *mpi.Proc, w *mpi.World)) (sim.Duration, error) {
+	w := mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true, Faults: fsched})
+	if err := w.Run(func(p *mpi.Proc) { body(p, w) }); err != nil {
 		return 0, err
 	}
-	return sim.Duration(worst), nil
+	return sim.Duration(w.Makespan()), nil
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -81,5 +82,32 @@ func TestExecuteLeavesScheduleUntouched(t *testing.T) {
 		if !reflect.DeepEqual(s, before) || !reflect.DeepEqual(g, gBefore) {
 			t.Errorf("ExecuteGoal modified the shared schedule or goal of %s", s.Name)
 		}
+	}
+}
+
+// TestExecuteRefusesReducingTransfers: an allgather has no reducer, so a
+// reducing transfer under Execute stops the run and names the cause, as
+// it does under ExecuteGoal with a nil reducer; copying it like a plain
+// transfer would report a wrong result as verified.
+func TestExecuteRefusesReducingTransfers(t *testing.T) {
+	topo := topology.New(1, 2, 1)
+	prm := netmodel.Thor()
+	s := Ring(topo, 8)
+	for i := range s.Steps[0].Xfers {
+		s.Steps[0].Xfers[i].Red = true
+	}
+	if _, err := Analyze(s, prm); err != nil {
+		t.Fatalf("the analyzer is expected to accept the schedule (the executor is the gate): %v", err)
+	}
+	const want = "schedule has reducing transfers but no reducer was supplied"
+	if _, err := Simulate(topo, prm, s); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Execute: err = %v, want one naming %q", err, want)
+	}
+	g := AllgatherGoal(topo.Size())
+	w := mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true})
+	phantom := func(rng Range) mpi.Buf { return mpi.Phantom(rng.Count * s.Msg) }
+	err := w.Run(func(p *mpi.Proc) { ExecuteGoal(p, w.CommWorld(), s, g, phantom, phantom, nil) })
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("ExecuteGoal without a reducer: err = %v, want one naming %q", err, want)
 	}
 }

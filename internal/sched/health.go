@@ -132,9 +132,5 @@ func SimulateHealth(topo topology.Cluster, prm *netmodel.Params, s *Schedule, he
 	if err != nil {
 		return 0, err
 	}
-	if fsched == nil {
-		return Simulate(topo, prm, s)
-	}
-	w := newPhantomWorld(topo, prm, fsched)
-	return runSchedule(w, s)
+	return simulate(topo, prm, fsched, phantomAllgather(s))
 }

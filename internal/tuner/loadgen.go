@@ -7,10 +7,10 @@ import (
 )
 
 // The synthetic load generator: drives Service.Decide directly (no HTTP
-// overhead) with a fixed query mix from concurrent workers. It backs the
-// warm-cache throughput tier-1 probe and `mhatuned -bench` — the claim
-// under test being that a warm cache sustains ~10^5+ decisions/sec,
-// i.e. a cached decision costs a mutex, a map lookup, and a list splice.
+// overhead) with a fixed query mix from concurrent workers. It backs
+// `mhatuned -bench` — the claim under test being that a warm cache
+// sustains ~10^5+ decisions/sec, i.e. a cached decision costs a mutex, a
+// map lookup, and a list splice.
 
 // LoadOptions shapes one load run.
 type LoadOptions struct {

@@ -8,7 +8,7 @@
 //     equivalent machine states share one key;
 //   - an LRU cache of past decisions answers warm queries in a map
 //     lookup plus a list splice — the ~10^5+ decisions/sec path the
-//     tier-1 throughput probe measures (cache.go);
+//     benchmark's tuner.decide_warm_ns probe measures (cache.go);
 //   - a cold miss runs the internal/sched beam synthesizer, health-
 //     aware, with the alpha-beta analyzer pricing candidates and an
 //     analytic margin pruning the simulation pass when the model is

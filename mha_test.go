@@ -182,7 +182,6 @@ func TestPublicFaultInjection(t *testing.T) {
 	const m = 128
 	run := func(s *mha.FaultSchedule) (mha.Time, *mha.World) {
 		w := mha.NewWorld(mha.Config{Topo: topo, Faults: s})
-		var worst mha.Time
 		err := w.Run(func(p *mha.Proc) {
 			send := mha.NewBuf(m)
 			for i := range send.Data() {
@@ -195,14 +194,11 @@ func TestPublicFaultInjection(t *testing.T) {
 					t.Errorf("rank %d: block %d corrupted under faults", p.Rank(), r)
 				}
 			}
-			if p.Now() > worst {
-				worst = p.Now()
-			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return worst, w
+		return w.Makespan(), w
 	}
 	healthy, _ := run(nil)
 	faulted, w := run(sched)
