@@ -5,6 +5,7 @@ package mha_test
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -27,10 +28,8 @@ func binaries(t *testing.T) string {
 			return
 		}
 		cmd := exec.Command("go", "build", "-o", binDir+string(os.PathSeparator), "./cmd/...")
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			buildErr = err
-			_ = out
+		if out, err := cmd.CombinedOutput(); err != nil {
+			buildErr = fmt.Errorf("%v\n%s", err, out)
 		}
 	})
 	if buildErr != nil {
@@ -103,19 +102,6 @@ func TestSmokeMhaosu(t *testing.T) {
 		"-min", "4096", "-max", "16384")
 	if !strings.Contains(out, "MHA") {
 		t.Fatalf("mhaosu allgather output unexpected:\n%s", out)
-	}
-}
-
-func TestSmokeMhatuneRoundTrip(t *testing.T) {
-	tmp := filepath.Join(t.TempDir(), "table.json")
-	run(t, "mhatune", "-nodes", "2", "-ppn", "4", "-o", tmp)
-	out := run(t, "mhatune", "-show", tmp)
-	if !strings.Contains(out, "tuning table for 2 nodes") {
-		t.Fatalf("-show output unexpected:\n%s", out)
-	}
-	out = run(t, "mhatune", "-verify", tmp)
-	if !strings.Contains(out, "verified") {
-		t.Fatalf("-verify output unexpected:\n%s", out)
 	}
 }
 
@@ -422,23 +408,6 @@ func TestSmokeMhalintJSONAndBaseline(t *testing.T) {
 	}
 	if !strings.Contains(string(out4), "1 finding(s)") {
 		t.Fatalf("want exactly the un-baselined finding back:\n%s", out4)
-	}
-}
-
-func TestSmokeMhatuneCacheExport(t *testing.T) {
-	dir := t.TempDir()
-	table := filepath.Join(dir, "table.json")
-	cache := filepath.Join(dir, "warm.json")
-	out := run(t, "mhatune", "-nodes", "2", "-ppn", "4", "-o", table, "-o-cache", cache)
-	if !strings.Contains(out, "cache entries") {
-		t.Fatalf("-o-cache output unexpected:\n%s", out)
-	}
-	data, err := os.ReadFile(cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"source": "mhatune"`) {
-		t.Fatalf("cache export missing mhatune-sourced decisions:\n%.200s", data)
 	}
 }
 

@@ -103,7 +103,6 @@ func init() {
 	register("fabric", "fabric x algorithm sweep: locality family vs flat on structured networks", runFabricSweep)
 	register("ext-overhead", "extension: per-message software overhead sensitivity", runExtOverhead)
 	register("ext-apps", "extension: library sensitivity of all application kernels", runExtApps)
-	sort.SliceStable(registry, func(i, j int) bool { return false }) // keep insertion order
 }
 
 func runFig1(w io.Writer, sc Scale) error {

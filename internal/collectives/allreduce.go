@@ -120,13 +120,6 @@ func chunkOf(n, parts, i int) (off, ln int) {
 	return start * 8, count * 8
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // ReduceScatterRing performs the reduce-scatter phase of the
 // Patarasuk-Yuan ring allreduce on buf (which must be a multiple of 8
 // bytes): after it returns, rank r holds the fully reduced chunk r of buf,

@@ -37,11 +37,11 @@ func HPCX() Profile {
 	return Profile{
 		Name: "HPC-X",
 		Allgather: func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
-			name := "bruck"
-			if send.Len() >= smallAllgather {
-				name = "ring"
+			if send.Len() < smallAllgather {
+				BruckAllgather(p, w.CommWorld(), send, recv)
+				return
 			}
-			mustAllgather(name)(p, w.CommWorld(), send, recv)
+			RingAllgather(p, w.CommWorld(), send, recv)
 		},
 		Allreduce: func(p *mpi.Proc, w *mpi.World, buf mpi.Buf, red Reducer) {
 			c := w.CommWorld()
@@ -63,7 +63,7 @@ func MVAPICH2X() Profile {
 		Name: "MVAPICH2-X",
 		Allgather: func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
 			if send.Len() < smallAllgather {
-				mustAllgather("rd")(p, w.CommWorld(), send, recv)
+				RDAllgather(p, w.CommWorld(), send, recv)
 				return
 			}
 			KandallaAllgather(p, w, send, recv)

@@ -1,10 +1,6 @@
 package collectives
 
-import (
-	"fmt"
-
-	"mha/internal/mpi"
-)
+import "mha/internal/mpi"
 
 // NamedAllgather is one flat, communicator-based allgather registered
 // by name.
@@ -14,11 +10,10 @@ type NamedAllgather struct {
 }
 
 // Allgathers is the single registration point for the flat allgather
-// implementations. The verify campaign, the cluster scheduler's job
-// dispatch and the library profiles all resolve flat allgathers from
-// this table (compose.Variants is the analogous point for the derived
-// collectives), so an algorithm added here cannot drift out of any of
-// them.
+// implementations. The verify campaign and the cluster scheduler's job
+// dispatch resolve flat allgathers from this table (compose.Variants is
+// the analogous point for the derived collectives), so an algorithm
+// added here cannot drift out of either.
 func Allgathers() []NamedAllgather {
 	return []NamedAllgather{
 		{Name: "ring", Run: RingAllgather},
@@ -41,13 +36,4 @@ func AllgatherByName(name string) (func(p *mpi.Proc, c *mpi.Comm, send, recv mpi
 		}
 	}
 	return nil, false
-}
-
-// mustAllgather resolves a name the caller registered itself.
-func mustAllgather(name string) func(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf) {
-	run, ok := AllgatherByName(name)
-	if !ok {
-		panic(fmt.Sprintf("collectives: allgather %q is not registered", name))
-	}
-	return run
 }

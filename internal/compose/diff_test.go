@@ -26,29 +26,38 @@ func normalized(s *sched.Schedule) string {
 // TestComposeAgEqualsTwoPhaseMHA: the re-derived hierarchical
 // allgather must compile to the very schedule TwoPhaseMHA builds by
 // hand — same steps, transfers, transports, rails, byte windows — for
-// every machine shape and message size.
+// both leader rotations, every machine shape (testTopos plus every
+// block-layout shape of at most 32 ranks, so ppn = 1 and the RD → ring
+// fallback on non-power-of-two node counts are in) and message size.
 func TestComposeAgEqualsTwoPhaseMHA(t *testing.T) {
-	comp := compose.Hierarchical(compose.Allgather)
-	for _, topo := range testTopos {
-		for _, msg := range []int{1, 64, 4096, 256 << 10} {
-			plan, err := compose.Lower(comp, compose.NewHierarchy(topo), msg, nil)
-			if err != nil {
-				t.Fatalf("%v msg=%d: %v", topo, msg, err)
-			}
-			want := sched.TwoPhaseMHA(topo, nil, msg, sched.MHAOptions{Offload: sched.AutoOffload})
-			if got, exp := normalized(plan.Sched), normalized(want); got != exp {
-				t.Fatalf("%v msg=%d: compose-ag diverged from TwoPhaseMHA:\n--- compose\n%s\n--- hand\n%s",
-					topo, msg, got, exp)
+	topos := append(smallShapes(32, topology.Block), testTopos...)
+	for _, tc := range []struct {
+		alg    compose.Alg
+		phase2 sched.Phase2Alg
+	}{{compose.AlgRing, sched.Phase2Ring}, {compose.AlgRD, sched.Phase2RD}} {
+		comp := compose.Hierarchical(compose.Allgather)
+		comp.Pipeline[1].Alg = tc.alg
+		for _, topo := range topos {
+			for _, msg := range []int{1, 64, 4096, 256 << 10} {
+				plan, err := compose.Lower(comp, compose.NewHierarchy(topo), msg, nil)
+				if err != nil {
+					t.Fatalf("%v %v msg=%d: %v", tc.phase2, topo, msg, err)
+				}
+				want := sched.TwoPhaseMHA(topo, nil, msg, sched.MHAOptions{Phase2: tc.phase2, Offload: sched.AutoOffload})
+				if got, exp := normalized(plan.Sched), normalized(want); got != exp {
+					t.Fatalf("%v %v msg=%d: compose-ag diverged from TwoPhaseMHA:\n--- compose\n%s\n--- hand\n%s",
+						tc.phase2, topo, msg, got, exp)
+				}
 			}
 		}
 	}
 }
 
 // TestComposeAgRingEqualsRing: the flat allgather composition is the
-// classic ring, transfer for transfer.
+// classic ring, transfer for transfer, in either layout.
 func TestComposeAgRingEqualsRing(t *testing.T) {
 	comp := compose.Flat(compose.Allgather)
-	for _, topo := range testTopos {
+	for _, topo := range append(smallShapes(32, topology.Block, topology.Cyclic), testTopos...) {
 		plan, err := compose.Lower(comp, compose.NewHierarchy(topo), 512, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", topo, err)

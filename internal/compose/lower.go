@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mha/internal/netmodel"
-	"mha/internal/perfmodel"
 	"mha/internal/sched"
 	"mha/internal/topology"
 )
@@ -55,7 +54,7 @@ func Lower(comp Composition, hier Hierarchy, msg int, prm *netmodel.Params) (*Pl
 	}
 	g := GoalFor(comp.Coll, n)
 	lo := &lowerer{
-		topo: topo, msg: msg, prm: prm,
+		topo: topo, prm: prm,
 		coll: comp.Coll, g: g,
 		b: sched.NewBuilder(comp.Name, topo, msg),
 	}
@@ -97,7 +96,6 @@ func Lower(comp Composition, hier Hierarchy, msg int, prm *netmodel.Params) (*Pl
 // schedule under construction.
 type lowerer struct {
 	topo topology.Cluster
-	msg  int
 	prm  *netmodel.Params
 	coll Collective
 	g    *sched.Goal
@@ -133,21 +131,15 @@ func (lo *lowerer) apply(pr Prim) error {
 	}
 }
 
-// mcWorldRing is the flat rotation: in step s every rank forwards the
-// block it received in the previous step. It serves the allgather (and
-// the allgather phase of the allreduce pipeline, where "block r" is the
-// slot the reduce-scatter phase left fully reduced at rank r).
+// mcWorldRing is the flat rotation (sched.Builder.WorldRing, the loop
+// sched.Ring is). It serves the allgather (and the allgather phase of
+// the allreduce pipeline, where "block r" is the slot the reduce-scatter
+// phase left fully reduced at rank r).
 func (lo *lowerer) mcWorldRing() error {
 	if lo.coll != Allgather && lo.coll != Allreduce {
 		return fmt.Errorf("world-scope ring multicast derives allgather shapes, not %s", lo.coll)
 	}
-	n := lo.topo.Size()
-	for s := 0; s < n-1; s++ {
-		lo.b.Step()
-		for r := 0; r < n; r++ {
-			lo.b.Send(r, (r+1)%n, ((r-s)%n+n)%n)
-		}
-	}
+	lo.b.WorldRing()
 	return nil
 }
 
@@ -206,36 +198,15 @@ func (lo *lowerer) mcWorldDirect() error {
 }
 
 // mcNodeDirect is the node-scope staging pattern: the allgather's
-// direct spread (with the model-derived HCA offload tail), the
-// alltoall's concentrate-at-leader plus on-node pulls, and the
-// gather's members-to-leader push.
+// direct spread with its HCA offload tail (sched.Builder.NodeSpread,
+// TwoPhaseMHA's phase 1), the alltoall's concentrate-at-leader plus
+// on-node pulls, and the gather's members-to-leader push.
 func (lo *lowerer) mcNodeDirect(pr Prim) error {
 	topo := lo.topo
 	n, N, L := topo.Size(), topo.Nodes, topo.PPN
 	switch lo.coll {
 	case Allgather:
-		d := pr.Offload
-		if d < 0 {
-			// One d for the whole schedule: plan for the weakest node's rails.
-			d = int(perfmodel.New(lo.prm, topo.SingleNode(L)).OffloadD(lo.msg))
-		}
-		if d > L-1 {
-			d = L - 1
-		}
-		for s := 1; s < L; s++ {
-			lo.b.Step()
-			for nd := 0; nd < N; nd++ {
-				for l := 0; l < L; l++ {
-					src := topo.RankOf(nd, l)
-					dst := topo.RankOf(nd, (l+s)%L)
-					if s >= L-d {
-						lo.b.SendHCA(src, dst, src, 1)
-					} else {
-						lo.b.Send(src, dst, src)
-					}
-				}
-			}
-		}
+		lo.b.NodeSpread(lo.prm, pr.Offload)
 	case Alltoall:
 		if L == 1 {
 			return nil
@@ -337,78 +308,19 @@ func (lo *lowerer) mcNodePull() error {
 // mcLeadersRotate moves whole node blocks between leaders, ring or
 // recursive-doubling, optionally striped across every rail in pinned
 // pieces. fused overlaps each node block's on-node distribution with
-// the following rotation step (plus one trailing step), reproducing the
-// two-phase MHA design exactly.
+// the following rotation step (plus one trailing step). The loop is
+// sched.Builder.LeaderRotation, the one TwoPhaseMHA's phase 2 is, so
+// the fused striped pipeline is the two-phase MHA design by
+// construction.
 func (lo *lowerer) mcLeadersRotate(pr Prim, fused bool) error {
 	if lo.coll != Allgather {
 		return fmt.Errorf("leader-scope rotation multicast derives allgather, not %s", lo.coll)
 	}
-	topo := lo.topo
-	N, L, H := topo.Nodes, topo.PPN, topo.HCAs
-	if N == 1 {
-		return nil
+	alg := sched.Phase2Ring
+	if pr.Alg == AlgRD {
+		alg = sched.Phase2RD
 	}
-	send := func(src, dst, first, count int) {
-		if pr.Striped {
-			lo.b.Striped(src, dst, first, count, H)
-		} else {
-			lo.b.SendHCA(src, dst, first, count)
-		}
-	}
-	distribute := func(nd, firstBlock, count int) {
-		leader := topo.LeaderOf(nd)
-		for l := 1; l < L; l++ {
-			lo.b.Pull(leader, topo.RankOf(nd, l), firstBlock, count)
-		}
-	}
-	if pr.Alg == AlgRD && N&(N-1) == 0 {
-		type rng struct{ base, count int }
-		prev := make([]rng, N)
-		step := 0
-		for dist := 1; dist < N; dist *= 2 {
-			lo.b.Step()
-			for v := 0; v < N; v++ {
-				base := v &^ (2*dist - 1)
-				mine := base
-				if v&dist != 0 {
-					mine = base + dist
-				}
-				send(topo.LeaderOf(v), topo.LeaderOf(v^dist), mine*L, dist*L)
-				if fused && step > 0 {
-					distribute(v, prev[v].base*L, prev[v].count*L)
-				}
-				theirs := base
-				if v&dist == 0 {
-					theirs = base + dist
-				}
-				prev[v] = rng{theirs, dist}
-			}
-			step++
-		}
-		if fused && L > 1 {
-			lo.b.Step()
-			for v := 0; v < N; v++ {
-				distribute(v, prev[v].base*L, prev[v].count*L)
-			}
-		}
-		return nil
-	}
-	for k := 0; k < N-1; k++ {
-		lo.b.Step()
-		for v := 0; v < N; v++ {
-			cur := ((v-k)%N + N) % N
-			send(topo.LeaderOf(v), topo.LeaderOf((v+1)%N), cur*L, L)
-			if fused && k > 0 {
-				distribute(v, cur*L, L)
-			}
-		}
-	}
-	if fused && L > 1 {
-		lo.b.Step()
-		for v := 0; v < N; v++ {
-			distribute(v, ((v+1)%N)*L, L)
-		}
-	}
+	lo.b.LeaderRotation(alg, pr.Striped, fused, false)
 	return nil
 }
 

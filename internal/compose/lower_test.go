@@ -23,6 +23,23 @@ var testTopos = []topology.Cluster{
 	{Nodes: 4, PPN: 3, HCAs: 2, Layout: topology.Block, NodeHCAs: []int{1, 2, 1, 2}},
 }
 
+// smallShapes is every (nodes, ppn, hcas ∈ {1, 2}) machine of at most
+// maxRanks ranks in each of the given layouts: ppn = 1, single nodes
+// and every non-power-of-two count included.
+func smallShapes(maxRanks int, layouts ...topology.Layout) []topology.Cluster {
+	var out []topology.Cluster
+	for nodes := 1; nodes <= maxRanks; nodes++ {
+		for ppn := 1; nodes*ppn <= maxRanks; ppn++ {
+			for hcas := 1; hcas <= 2; hcas++ {
+				for _, layout := range layouts {
+					out = append(out, topology.Cluster{Nodes: nodes, PPN: ppn, HCAs: hcas, Layout: layout})
+				}
+			}
+		}
+	}
+	return out
+}
+
 // TestVariantsAnalyzeClean lowers every registered derived variant for
 // every test topology and runs the full static analysis: completeness
 // against the collective's goal, hold/provenance progression, double

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -318,17 +316,6 @@ func TestTuneOffloadSingleRank(t *testing.T) {
 	}
 }
 
-func TestTuneLeaderAlg(t *testing.T) {
-	topo := topology.New(8, 8, 2)
-	prm := netmodel.Thor()
-	if got := TuneLeaderAlg(topo, prm, 256); got != ForceRD {
-		t.Fatalf("small message tuned to %v, want rd", got)
-	}
-	if got := TuneLeaderAlg(topo, prm, 256<<10); got != ForceRing {
-		t.Fatalf("large message tuned to %v, want ring", got)
-	}
-}
-
 func f64buf(base float64, elems int) mpi.Buf {
 	b := make([]byte, elems*8)
 	for i := 0; i < elems; i++ {
@@ -490,76 +477,4 @@ func ExampleMHAAllgather() {
 		panic(err)
 	}
 	// Output: ABCD
-}
-
-func TestTuningTableBuildLookupRoundTrip(t *testing.T) {
-	topo := topology.New(4, 8, 2)
-	prm := netmodel.Thor()
-	table := BuildTuningTable(topo, prm, []int{1 << 10, 64 << 10, 1 << 20})
-	if len(table.Entries) != 3 {
-		t.Fatalf("entries = %d", len(table.Entries))
-	}
-	if !table.Matches(topo) || table.Matches(topology.New(2, 8, 2)) {
-		t.Fatal("Matches wrong")
-	}
-	// Small messages should select RD, large Ring (the Figure 8 result).
-	if table.Lookup(256).Alg != "rd" {
-		t.Fatalf("small lookup = %+v, want rd", table.Lookup(256))
-	}
-	if table.Lookup(1<<20).Alg != "ring" {
-		t.Fatalf("large lookup = %+v, want ring", table.Lookup(1<<20))
-	}
-	// Beyond the table: last entry.
-	if table.Lookup(64<<20).Alg != table.Entries[2].Alg {
-		t.Fatal("out-of-range lookup should use the last entry")
-	}
-	// Round-trip through JSON.
-	var buf bytes.Buffer
-	if err := table.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadTuningTable(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded.Entries) != 3 || loaded.Entries[1].Alg != table.Entries[1].Alg {
-		t.Fatalf("round trip mismatch: %+v", loaded)
-	}
-	// The derived config matches the entry.
-	if cfg := table.InterConfigFor(256); cfg.LeaderAlg != ForceRD {
-		t.Fatalf("InterConfigFor(256) = %+v", cfg)
-	}
-	if cfg := table.InterConfigFor(1 << 20); cfg.LeaderAlg != ForceRing {
-		t.Fatalf("InterConfigFor(1MB) = %+v", cfg)
-	}
-}
-
-func TestLoadTuningTableRejectsGarbage(t *testing.T) {
-	cases := []string{
-		`not json`,
-		`{"nodes":0,"ppn":1,"hcas":1,"entries":[{"max_bytes":1,"alg":"ring"}]}`,
-		`{"nodes":1,"ppn":1,"hcas":1,"entries":[]}`,
-		`{"nodes":1,"ppn":1,"hcas":1,"entries":[{"max_bytes":10,"alg":"ring"},{"max_bytes":5,"alg":"rd"}]}`,
-		`{"nodes":1,"ppn":1,"hcas":1,"entries":[{"max_bytes":10,"alg":"quantum"}]}`,
-	}
-	for i, c := range cases {
-		if _, err := LoadTuningTable(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d should fail", i)
-		}
-	}
-}
-
-func TestTunedTableAgreesWithAuto(t *testing.T) {
-	// The table-driven selection should never be much worse than the
-	// model-driven auto selection.
-	topo := topology.New(4, 8, 2)
-	prm := netmodel.Thor()
-	table := BuildTuningTable(topo, prm, []int{1 << 10, 16 << 10, 256 << 10})
-	for _, m := range []int{512, 8 << 10, 128 << 10} {
-		tuned := MeasureInter(topo, prm, m, table.InterConfigFor(m))
-		auto := MeasureInter(topo, prm, m, InterConfig{})
-		if float64(tuned) > 1.15*float64(auto) {
-			t.Fatalf("m=%d: table selection %v much worse than auto %v", m, tuned, auto)
-		}
-	}
 }

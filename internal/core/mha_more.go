@@ -323,10 +323,3 @@ func MHAAlltoall(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

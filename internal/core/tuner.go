@@ -96,18 +96,6 @@ func MeasureInter(topo topology.Cluster, prm *netmodel.Params, m int, cfg InterC
 	})
 }
 
-// TuneLeaderAlg measures both phase-2 algorithms for message size m and
-// returns the faster one — the empirical counterpart of the model-driven
-// selection in MHAInterAllgather.
-func TuneLeaderAlg(topo topology.Cluster, prm *netmodel.Params, m int) LeaderChoice {
-	ring := MeasureInter(topo, prm, m, InterConfig{LeaderAlg: ForceRing})
-	rd := MeasureInter(topo, prm, m, InterConfig{LeaderAlg: ForceRD})
-	if rd < ring {
-		return ForceRD
-	}
-	return ForceRing
-}
-
 // MeasureProfileAllgather times an arbitrary profile's allgather on a
 // fresh phantom world — the building block of every allgather figure.
 func MeasureProfileAllgather(topo topology.Cluster, prm *netmodel.Params, m int, prof collectives.Profile) sim.Duration {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mha/internal/netmodel"
 	"mha/internal/perfmodel"
@@ -17,15 +18,21 @@ import (
 // forwarding the block it received in the previous step to its right
 // neighbor over the default transport.
 func Ring(topo topology.Cluster, msg int) *Schedule {
-	n := topo.Size()
-	b := NewBuilder("ring", topo, msg)
+	return NewBuilder("ring", topo, msg).WorldRing().MustBuild()
+}
+
+// WorldRing emits the flat rotation: in step s every rank forwards the
+// block it received in step s-1 (its own at s = 0) to its right
+// neighbor.
+func (b *Builder) WorldRing() *Builder {
+	n := b.s.Topo.Size()
 	for s := 0; s < n-1; s++ {
 		b.Step()
 		for r := 0; r < n; r++ {
 			b.Send(r, (r+1)%n, ((r-s)%n+n)%n)
 		}
 	}
-	return b.MustBuild()
+	return b
 }
 
 // RecursiveDoubling lowers the recursive-doubling allgather: log2(n)
@@ -111,15 +118,6 @@ func TwoPhaseMHA(topo topology.Cluster, prm *netmodel.Params, msg int, opt MHAOp
 	if prm == nil {
 		prm = netmodel.Thor()
 	}
-	N, L, H := topo.Nodes, topo.PPN, topo.HCAs
-	d := opt.Offload
-	if d < 0 {
-		// One d for the whole schedule: plan for the weakest node's rails.
-		d = int(perfmodel.New(prm, topo.SingleNode(L)).OffloadD(msg))
-	}
-	if d > L-1 {
-		d = L - 1
-	}
 	name := "mha-" + opt.Phase2.String()
 	if opt.Sequential {
 		name += "-seq"
@@ -127,11 +125,40 @@ func TwoPhaseMHA(topo topology.Cluster, prm *netmodel.Params, msg int, opt MHAOp
 	if opt.Push {
 		name += "-push"
 	}
-	b := NewBuilder(name, topo, msg)
+	b := NewBuilder(name, topo, msg).
+		NodeSpread(prm, opt.Offload).
+		LeaderRotation(opt.Phase2, true, !opt.Sequential, opt.Push)
+	if N, L := topo.Nodes, topo.PPN; opt.Sequential && N > 1 && L > 1 {
+		// Every remote node block at once, staged through a leader copy
+		// (the shared-memory publish).
+		b.Step()
+		for v := 0; v < N; v++ {
+			for nd := 0; nd < N; nd++ {
+				if nd != v {
+					b.Copy(topo.LeaderOf(v), nd*L, L)
+					b.distribute(v, nd*L, L, opt.Push)
+				}
+			}
+		}
+	}
+	return b.MustBuild()
+}
 
-	// Phase 1: direct spread within each node; the last d steps ride the
-	// otherwise idle adapters (loopback), matching core.offloadPlan's
-	// whole-transfer assignment.
+// NodeSpread emits phase 1: the direct spread within each node, whose
+// last d steps ride the otherwise idle adapters (loopback), matching
+// core.offloadPlan's whole-transfer assignment. offload is d, or
+// AutoOffload for Equation 1 under prm.
+func (b *Builder) NodeSpread(prm *netmodel.Params, offload int) *Builder {
+	topo := b.s.Topo
+	N, L := topo.Nodes, topo.PPN
+	d := offload
+	if d < 0 {
+		// One d for the whole schedule: plan for the weakest node's rails.
+		d = int(perfmodel.New(prm, topo.SingleNode(L)).OffloadD(b.s.Msg))
+	}
+	if d > L-1 {
+		d = L - 1
+	}
 	for s := 1; s < L; s++ {
 		b.Step()
 		for nd := 0; nd < N; nd++ {
@@ -146,97 +173,82 @@ func TwoPhaseMHA(topo topology.Cluster, prm *netmodel.Params, msg int, opt MHAOp
 			}
 		}
 	}
+	return b
+}
+
+// distribute hands a block range that arrived at node nd's leader to the
+// node's other ranks: pulled by each of them, or pushed by the leader.
+func (b *Builder) distribute(nd, first, count int, push bool) {
+	topo := b.s.Topo
+	leader := topo.LeaderOf(nd)
+	for l := 1; l < topo.PPN; l++ {
+		peer := topo.RankOf(nd, l)
+		if push {
+			b.SendRange(leader, peer, first, count)
+		} else {
+			b.Pull(leader, peer, first, count)
+		}
+	}
+}
+
+// LeaderRotation emits phase 2: whole node blocks moving between the
+// node leaders. Under Phase2Ring every leader forwards to its right
+// neighbor the node block it received in the previous step (its own
+// first); under Phase2RD leaders exchange doubling node-block ranges
+// (non-power-of-two node counts rotate as a ring). striped splits each
+// transfer across every rail in pinned pieces, otherwise it is one
+// adapter transfer under the default rail policy. fused is phase 3:
+// the range a leader received in one step is distributed inside its
+// node (see distribute) during the next, plus one trailing step.
+func (b *Builder) LeaderRotation(alg Phase2Alg, striped, fused, push bool) *Builder {
+	topo := b.s.Topo
+	N, L := topo.Nodes, topo.PPN
 	if N == 1 {
-		return b.MustBuild()
+		return b
 	}
-
-	distribute := func(nd, firstBlock, count int) {
-		leader := topo.LeaderOf(nd)
-		for l := 1; l < L; l++ {
-			peer := topo.RankOf(nd, l)
-			if opt.Push {
-				b.SendRange(leader, peer, firstBlock, count)
-			} else {
-				b.Pull(leader, peer, firstBlock, count)
-			}
-		}
+	rd := alg == Phase2RD && N&(N-1) == 0
+	steps := N - 1
+	if rd {
+		steps = bits.Len(uint(N)) - 1
 	}
-
-	if opt.Phase2 == Phase2RD && N&(N-1) == 0 {
-		// Phase 2 RD: leaders exchange doubling node-block ranges; each
-		// range received in step j is distributed during step j+1.
-		type rng struct{ base, count int }
-		prev := make([]rng, N) // range received in the previous step, per node
-		step := 0
-		for dist := 1; dist < N; dist *= 2 {
-			b.Step()
-			for v := 0; v < N; v++ {
-				base := v &^ (2*dist - 1)
-				mine := base
-				if v&dist != 0 {
-					mine = base + dist
-				}
-				b.Striped(topo.LeaderOf(v), topo.LeaderOf(v^dist), mine*L, dist*L, H)
-				if !opt.Sequential && step > 0 {
-					distribute(v, prev[v].base*L, prev[v].count*L)
-				}
-				theirs := base
-				if v&dist == 0 {
-					theirs = base + dist
-				}
-				prev[v] = rng{theirs, dist}
-			}
-			step++
-		}
-		if L > 1 {
-			b.Step()
-			for v := 0; v < N; v++ {
-				if opt.Sequential {
-					// Every remote node block at once, staged through a
-					// leader copy (the shared-memory publish).
-					for nd := 0; nd < N; nd++ {
-						if nd != v {
-							b.Copy(topo.LeaderOf(v), nd*L, L)
-							distribute(v, nd*L, L)
-						}
-					}
-				} else {
-					distribute(v, prev[v].base*L, prev[v].count*L)
-				}
-			}
-		}
-		return b.MustBuild()
-	}
-
-	// Phase 2 ring: in step k every leader forwards the node block it
-	// received in step k-1 (its own block at k = 0) and, fused, its
-	// peers read that previous block out of the leader's buffer.
-	for k := 0; k < N-1; k++ {
+	type rng struct{ first, count int } // in node blocks
+	prev := make([]rng, N)              // what each leader received in the previous step
+	for k := 0; k < steps; k++ {
 		b.Step()
 		for v := 0; v < N; v++ {
-			cur := ((v-k)%N + N) % N
-			b.Striped(topo.LeaderOf(v), topo.LeaderOf((v+1)%N), cur*L, L, H)
-			if !opt.Sequential && k > 0 {
-				distribute(v, cur*L, L)
+			var to int
+			var out, in rng
+			if rd {
+				dist := 1 << k
+				base := v &^ (2*dist - 1) // group base after this exchange
+				mine, theirs := base, base+dist
+				if v&dist != 0 { // v is the upper half: it holds the upper range
+					mine, theirs = theirs, mine
+				}
+				to, out, in = v^dist, rng{mine, dist}, rng{theirs, dist}
+			} else {
+				// The block v forwards has travelled k hops; its left
+				// neighbor hands over the one a hop behind.
+				to, out, in = (v+1)%N, rng{((v-k)%N + N) % N, 1}, rng{((v-k-1)%N + N) % N, 1}
 			}
+			if striped {
+				b.Striped(topo.LeaderOf(v), topo.LeaderOf(to), out.first*L, out.count*L, topo.HCAs)
+			} else {
+				b.SendHCA(topo.LeaderOf(v), topo.LeaderOf(to), out.first*L, out.count*L)
+			}
+			if fused && k > 0 {
+				b.distribute(v, prev[v].first*L, prev[v].count*L, push)
+			}
+			prev[v] = in
 		}
 	}
-	if L > 1 {
+	if fused && L > 1 {
 		b.Step()
 		for v := 0; v < N; v++ {
-			if opt.Sequential {
-				for nd := 0; nd < N; nd++ {
-					if nd != v {
-						b.Copy(topo.LeaderOf(v), nd*L, L)
-						distribute(v, nd*L, L)
-					}
-				}
-			} else {
-				distribute(v, ((v+1)%N)*L, L)
-			}
+			b.distribute(v, prev[v].first*L, prev[v].count*L, push)
 		}
 	}
-	return b.MustBuild()
+	return b
 }
 
 // DirectRail is the synthesizer's greedy direct construction: every

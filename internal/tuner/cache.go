@@ -10,12 +10,11 @@ import (
 )
 
 // The schedule cache: a plain LRU over canonical keys, with a JSON
-// persistence form so a daemon restart (or an mhatune -o-cache export)
-// warm-starts instead of re-synthesizing. Everything about it is
-// deterministic: recency lives in a linked list, the map is only an
-// index (never iterated), and Save walks the list oldest-first — so the
-// same query sequence always persists to the same bytes, which is what
-// the determinism test diffs.
+// persistence form so a daemon restart warm-starts instead of
+// re-synthesizing. Everything about it is deterministic: recency lives
+// in a linked list, the map is only an index (never iterated), and Save
+// walks the list oldest-first — so the same query sequence always
+// persists to the same bytes, which is what the determinism test diffs.
 
 // cacheEntry is one cached decision plus its canonical wire bytes.
 type cacheEntry struct {

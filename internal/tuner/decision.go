@@ -32,8 +32,8 @@ type Decision struct {
 	PredictedUS float64 `json:"predicted_us"`
 	// Pruned records that the analytic margin made simulation unnecessary.
 	Pruned bool `json:"pruned,omitempty"`
-	// Source is "synth" for daemon-synthesized decisions, "mhatune" for
-	// entries imported from a measured tuning table (mhatune -o-cache).
+	// Source names what produced the decision: "synth", the daemon's
+	// synthesizer, is the only producer.
 	Source string `json:"source"`
 	// Schedule is the winning schedule in the sched-IR JSON form.
 	Schedule json.RawMessage `json:"schedule"`

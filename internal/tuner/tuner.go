@@ -17,7 +17,7 @@
 //     synthesis runs, everyone waits for it (singleflight, below);
 //   - the cache persists to JSON and fully re-verifies on load, and a
 //     warm-start table (the paper's Thor configurations, warmstart.go)
-//     or a measured mhatune table (import.go) preloads it.
+//     preloads it.
 //
 // The HTTP surface (server.go) exposes /v1/schedule, /v1/stats and
 // /healthz; loadgen.go drives it with synthetic traffic for the

@@ -170,22 +170,6 @@ var (
 	MultiLeaderAllgather = collectives.MultiLeaderAllgather
 )
 
-// Tuning tables: measured algorithm-selection tables in the style
-// production MPI libraries ship (see cmd/mhatune).
-type (
-	// TuningTable is a persisted per-size selection table.
-	TuningTable = core.TuningTable
-	// TuningEntry is one size class of a TuningTable.
-	TuningEntry = core.TuningEntry
-)
-
-// BuildTuningTable measures the best phase-2 algorithm and offload per
-// size class; LoadTuningTable reads a table saved with TuningTable.Save.
-var (
-	BuildTuningTable = core.BuildTuningTable
-	LoadTuningTable  = core.LoadTuningTable
-)
-
 // NumaThor returns the Thor calibration with a 1.5x cross-socket CMA
 // penalty, for the 3-level NUMA studies (set Cluster.Sockets > 1).
 func NumaThor() *Params { return netmodel.NumaThor() }

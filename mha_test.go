@@ -76,21 +76,6 @@ func TestPublicModelAndTuning(t *testing.T) {
 	}
 }
 
-func TestPublicTuningTableRoundTrip(t *testing.T) {
-	table := mha.BuildTuningTable(mha.NewCluster(2, 4, 2), mha.Thor(), []int{1 << 10, 256 << 10})
-	var buf bytes.Buffer
-	if err := table.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := mha.LoadTuningTable(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded.Entries) != 2 {
-		t.Fatalf("entries = %d", len(loaded.Entries))
-	}
-}
-
 func TestPublicOtherCollectives(t *testing.T) {
 	topo := mha.NewCluster(2, 2, 2)
 	w := mha.NewWorld(mha.Config{Topo: topo})
