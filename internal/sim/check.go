@@ -58,7 +58,7 @@ func (e *Engine) CheckQuiescent() error {
 		bad = append(bad, fmt.Sprintf("%d of %d processes never finished",
 			len(e.procs)-e.finished, len(e.procs)))
 	}
-	if n := len(e.events); n > 0 {
+	if n := e.events.n; n > 0 {
 		bad = append(bad, fmt.Sprintf("%d events still pending at t=%v", n, e.Now()))
 	}
 	for _, r := range e.resources {

@@ -319,11 +319,35 @@ func TestEventOrderMatchesSortedReference(t *testing.T) {
 	}
 }
 
-// TestEventQueueAgainstSortedReference drives the typed heap directly:
+// before reports whether a fires ahead of b: the order the queue owes.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// checkReleased fails if a drained queue still references a callback from
+// any slot of any bucket it keeps for reuse.
+func checkReleased(t *testing.T, q *eventQueue) {
+	t.Helper()
+	if q.n != 0 || len(q.times) != 0 || len(q.byTime) != 0 || q.last != nil {
+		t.Fatalf("drained queue has %d events, %d buckets on the heap, %d in the map, last = %v", q.n, len(q.times), len(q.byTime), q.last)
+	}
+	for i, b := range q.free {
+		if b.head != 0 || len(b.events) != 0 {
+			t.Fatalf("free bucket %d still holds events[%d:%d]", i, b.head, len(b.events))
+		}
+		for j, slot := range b.events[:cap(b.events)] {
+			if slot.fire != nil {
+				t.Fatalf("drained queue still references a callback in slot %d of free bucket %d", j, i)
+			}
+		}
+	}
+}
+
+// TestEventQueueAgainstSortedReference drives the queue directly:
 // random interleaved pushes and pops, with heavy (at) collisions, must
 // pop in exactly the order a sorted slice gives; popping a whole
-// same-time frontier and pushing all but one back — what nextEventLocked
-// does under a scheduler — must leave that order intact.
+// same-time frontier and pushing all but one back must leave that order
+// intact.
 func TestEventQueueAgainstSortedReference(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -348,7 +372,7 @@ func TestEventQueueAgainstSortedReference(t *testing.T) {
 		}
 		for step := 0; step < 2000; step++ {
 			switch op := rng.Intn(10); {
-			case op < 5 || len(q) == 0:
+			case op < 5 || q.n == 0:
 				seq++
 				insert(event{at: Time(rng.Intn(30)), seq: seq, fire: func() {}})
 			case op < 8:
@@ -360,7 +384,7 @@ func TestEventQueueAgainstSortedReference(t *testing.T) {
 			default:
 				first := q.pop()
 				batch := []event{first}
-				for len(q) > 0 && q[0].at == first.at {
+				for q.n > 0 && q.times[0].at == first.at {
 					batch = append(batch, q.pop())
 				}
 				for i := range batch {
@@ -376,22 +400,119 @@ func TestEventQueueAgainstSortedReference(t *testing.T) {
 					}
 				}
 			}
-			if len(q) != len(ref) {
-				t.Fatalf("seed %d step %d: queue holds %d events, reference %d", seed, step, len(q), len(ref))
+			if q.n != len(ref) {
+				t.Fatalf("seed %d step %d: queue holds %d events, reference %d", seed, step, q.n, len(ref))
 			}
 		}
-		for len(q) > 0 {
+		for q.n > 0 {
 			got := q.pop()
 			if got.seq != ref[0].seq {
 				t.Fatalf("seed %d drain: popped seq %d, want %d", seed, got.seq, ref[0].seq)
 			}
 			ref = ref[1:]
 		}
-		for i, slot := range q[:cap(q)] {
-			if slot.fire != nil {
-				t.Fatalf("seed %d: drained queue still references a callback in slot %d", seed, i)
-			}
+		checkReleased(t, &q)
+	}
+}
+
+// TestEventQueueBuckets pins what the per-time buckets add to the order:
+// a push lands in a bucket that is open, half drained or not there yet, the
+// picked member of the head frontier leaves in place, and drained buckets
+// are reused holding nothing.
+func TestEventQueueBuckets(t *testing.T) {
+	type key struct {
+		at  Time
+		seq uint64
+	}
+	ev := func(at Time, seq uint64) event { return event{at: at, seq: seq, fire: func() {}} }
+	drain := func(q *eventQueue) (out []key) {
+		for q.n > 0 {
+			e := q.pop()
+			out = append(out, key{e.at, e.seq})
 		}
+		return out
+	}
+	expect := func(t *testing.T, got, want []key) {
+		t.Helper()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("popped %v, want %v", got, want)
+		}
+	}
+
+	t.Run("push at the head time while the head bucket is half drained", func(t *testing.T) {
+		var q eventQueue
+		for _, e := range []event{ev(5, 1), ev(5, 2), ev(5, 3), ev(9, 4)} {
+			q.push(e)
+		}
+		if e := q.pop(); e.seq != 1 {
+			t.Fatalf("popped seq %d first, want 1", e.seq)
+		}
+		q.push(ev(5, 5))
+		q.push(ev(9, 6))
+		if q.opened != 2 || len(q.head()) != 3 {
+			t.Fatalf("%d buckets opened, %d events at the head; want 2 and 3", q.opened, len(q.head()))
+		}
+		expect(t, drain(&q), []key{{5, 2}, {5, 3}, {5, 5}, {9, 4}, {9, 6}})
+		// The head time again, once its bucket has gone: a new bucket, which
+		// is the old one.
+		q.push(ev(9, 7))
+		if q.opened != 3 || len(q.free) != 1 {
+			t.Fatalf("%d buckets opened and %d free after reopening a drained time, want 3 and 1", q.opened, len(q.free))
+		}
+		expect(t, drain(&q), []key{{9, 7}})
+		checkReleased(t, &q)
+	})
+
+	t.Run("push earlier than every pending time", func(t *testing.T) {
+		var q eventQueue
+		for _, e := range []event{ev(10, 1), ev(20, 2), ev(10, 3), ev(30, 4), ev(40, 5), ev(25, 6), ev(35, 7)} {
+			q.push(e)
+		}
+		q.push(ev(3, 8))
+		if at := q.times[0].at; at != 3 {
+			t.Fatalf("head time %d after pushing at 3, want 3", at)
+		}
+		q.push(ev(1, 9))
+		q.push(ev(3, 10))
+		expect(t, drain(&q), []key{{1, 9}, {3, 8}, {3, 10}, {10, 1}, {10, 3}, {20, 2}, {25, 6}, {30, 4}, {35, 7}, {40, 5}})
+		if q.peak != 10 {
+			t.Fatalf("peak %d, want 10", q.peak)
+		}
+		checkReleased(t, &q)
+	})
+
+	for _, k := range []int{0, 2, 4} { // first, middle, last of five
+		t.Run(fmt.Sprintf("remove member %d of the head frontier", k), func(t *testing.T) {
+			var q eventQueue
+			q.push(ev(8, 1))
+			for seq := uint64(2); seq <= 6; seq++ {
+				q.push(ev(7, seq))
+			}
+			got := q.remove(k)
+			if got.at != 7 || got.seq != uint64(2+k) {
+				t.Fatalf("remove(%d) = (%d,%d), want (7,%d)", k, got.at, got.seq, 2+k)
+			}
+			q.push(ev(7, 7)) // what the fired event schedules at its own time
+			var want []key
+			for seq := uint64(2); seq <= 7; seq++ {
+				if seq != got.seq {
+					want = append(want, key{7, seq})
+				}
+			}
+			for i, e := range q.head() {
+				if (key{e.at, e.seq}) != want[i] {
+					t.Fatalf("head()[%d] = (%d,%d), want %v", i, e.at, e.seq, want[i])
+				}
+			}
+			// Taking the rest from the back closes the bucket on its last.
+			for n := len(want); n > 0; n-- {
+				if got := q.remove(n - 1); (key{got.at, got.seq}) != want[n-1] {
+					t.Fatalf("remove(%d) = (%d,%d), want %v", n-1, got.at, got.seq, want[n-1])
+				}
+			}
+			expect(t, drain(&q), []key{{8, 1}})
+			checkReleased(t, &q)
+		})
 	}
 }
 

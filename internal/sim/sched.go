@@ -86,37 +86,28 @@ func (e *Engine) SetScheduler(s Scheduler) {
 	e.obs, e.collect = s.(StepObserver)
 }
 
-// nextEventLocked pops the event to fire next. With no scheduler (or a
-// singleton frontier) that is the queue's earliest. Otherwise it pops the
-// whole minimum-time frontier, asks the scheduler to choose, and pushes
-// the rest back.
+// nextEventLocked takes the event to fire next off the queue. With no
+// scheduler (or a singleton frontier) that is the queue's earliest.
+// Otherwise the minimum-time frontier is the queue's head bucket, read in
+// place; the scheduler chooses from it and only the chosen event leaves.
 func (e *Engine) nextEventLocked() event {
-	ev := e.events.pop()
-	if e.sched == nil || len(e.events) == 0 || e.events[0].at != ev.at {
-		return ev
+	if e.sched == nil {
+		return e.events.pop()
 	}
-	batch := append(e.batch[:0], ev)
-	for len(e.events) > 0 && e.events[0].at == ev.at {
-		batch = append(batch, e.events.pop())
+	pending := e.events.head()
+	if len(pending) == 1 {
+		return e.events.pop()
 	}
 	frontier := e.frontier[:0]
-	for i := range batch {
-		frontier = append(frontier, EventInfo{Seq: batch[i].seq, Label: batch[i].on.key()})
+	for i := range pending {
+		frontier = append(frontier, EventInfo{Seq: pending[i].seq, Label: pending[i].on.key()})
 	}
 	e.frontier = frontier
-	k := e.sched.Pick(ev.at, frontier)
-	if k < 0 || k >= len(batch) {
-		panic(fmt.Sprintf("sim: scheduler picked index %d of a %d-event frontier", k, len(batch)))
+	k := e.sched.Pick(pending[0].at, frontier)
+	if k < 0 || k >= len(pending) {
+		panic(fmt.Sprintf("sim: scheduler picked index %d of a %d-event frontier", k, len(pending)))
 	}
-	ev = batch[k]
-	for i := range batch {
-		if i != k {
-			e.events.push(batch[i])
-		}
-		batch[i] = event{} // release the closure
-	}
-	e.batch = batch
-	return ev
+	return e.events.remove(k)
 }
 
 // beginStepLocked opens footprint collection for the step initiated by

@@ -89,6 +89,72 @@ func TestSchedulerReordersSameTimeEvents(t *testing.T) {
 	}
 }
 
+// onceSched picks a fixed member of the first frontier of a given width and
+// canonically ever after, recording the sequence numbers it was offered.
+type onceSched struct {
+	width, index int
+	used         bool
+	offered      [][]uint64
+}
+
+func (s *onceSched) Pick(now Time, frontier []EventInfo) int {
+	seqs := make([]uint64, len(frontier))
+	for i, f := range frontier {
+		seqs[i] = f.Seq
+	}
+	s.offered = append(s.offered, seqs)
+	if !s.used && len(frontier) == s.width {
+		s.used = true
+		return s.index
+	}
+	return 0
+}
+
+// TestSchedulerPickLeavesFrontierInOrder: the event a scheduler picks is
+// taken out of the head bucket where it stands, whether it is the first,
+// a middle or the last member; the others are offered again in ascending
+// sequence order, joined at the end by what the fired event scheduled for
+// the same instant, and each fires once.
+func TestSchedulerPickLeavesFrontierInOrder(t *testing.T) {
+	for _, k := range []int{0, 2, 4} {
+		e := NewEngine()
+		s := &onceSched{width: 5, index: k}
+		e.SetScheduler(s)
+		var fired []int
+		e.Spawn("src", func(p *Proc) {
+			for id := 0; id < 5; id++ {
+				e.After(Microsecond, func() {
+					fired = append(fired, id)
+					if id == k {
+						e.scheduleLocked(e.Now(), func() { fired = append(fired, 5) })
+					}
+				})
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := []int{k}
+		for id := 0; id <= 5; id++ {
+			if id != k {
+				want = append(want, id)
+			}
+		}
+		if fmt.Sprint(fired) != fmt.Sprint(want) {
+			t.Errorf("pick %d: fired %v, want %v", k, fired, want)
+		}
+		if len(s.offered) != 5 {
+			t.Fatalf("pick %d: scheduler consulted %d times, want 5 (frontiers of 5, 5, 4, 3, 2)", k, len(s.offered))
+		}
+		first := s.offered[0]
+		next := append(append([]uint64{}, first[:k]...), first[k+1:]...)
+		next = append(next, first[4]+1) // the event the picked one scheduled
+		if fmt.Sprint(s.offered[1]) != fmt.Sprint(next) {
+			t.Errorf("pick %d: frontier after the pick %v, want %v", k, s.offered[1], next)
+		}
+	}
+}
+
 func TestSchedulerSeesLabeledFrontier(t *testing.T) {
 	var order []string
 	s := &recordingSched{}

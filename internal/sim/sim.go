@@ -180,8 +180,7 @@ type Engine struct {
 	// the strategy also observes steps.
 	sched    Scheduler
 	obs      StepObserver
-	batch    []event     // scratch for nextEventLocked, reused across steps
-	frontier []EventInfo // likewise; Pick may not retain it
+	frontier []EventInfo // scratch for nextEventLocked, reused across steps; Pick may not retain it
 	collect  bool
 	stepOpen bool
 	stepSeq  uint64
@@ -365,7 +364,7 @@ func (e *Engine) driveLocked(self *Proc) (resumed bool) {
 			e.endLocked(e.failure, nil)
 			return false
 		}
-		if len(e.events) == 0 {
+		if e.events.n == 0 {
 			if e.finished == len(e.procs) {
 				e.endLocked(nil, nil)
 			} else {
