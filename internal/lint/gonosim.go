@@ -10,8 +10,8 @@ import (
 // hash-identical across runs. A goroutine the engine does not know
 // about races the virtual clock and destroys that guarantee — sim
 // processes must be spawned with Engine.Spawn and communicate through
-// mailboxes/counters. The engine's own worker goroutine in
-// internal/sim carries a //lint:ignore with its justification.
+// mailboxes/counters. The engine itself starts none: its processes are
+// coroutines of the goroutine that calls Run.
 var gonosimPass = &Pass{
 	Name: "gonosim",
 	Doc:  "no raw goroutines in sim-proc code; use Engine.Spawn and mailboxes",

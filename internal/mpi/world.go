@@ -364,7 +364,7 @@ func (w *World) Run(body func(*Proc)) error {
 func (w *World) Makespan() sim.Time { return w.makespan }
 
 // Proc is the per-rank handle passed to the rank body. All its methods must
-// be called from that rank's goroutine.
+// be called from that rank's body.
 type Proc struct {
 	sp *sim.Proc
 	w  *World

@@ -35,7 +35,7 @@ func (e *Engine) SetItemDescriber(fn func(interface{}) string) {
 // CheckQuiescent audits the engine after Run has returned and reports every
 // violated teardown invariant:
 //
-//   - every spawned process finished (no leaked simulated goroutines),
+//   - every spawned process finished (no leaked simulated processes),
 //   - no events remain pending,
 //   - every resource is idle (freeAt <= now) and its cumulative busy time
 //     does not exceed the makespan (FIFO conservation: occupations of one

@@ -1,12 +1,13 @@
 // Package sim implements a deterministic, conservative discrete-event
 // simulation engine with virtual time.
 //
-// Simulated processes are ordinary goroutines spawned with Engine.Spawn.
-// They interact with virtual time only through blocking primitives
-// (Sleep, WaitUntil, Counter.WaitGE, ...). The engine serializes process
-// execution: at any wall-clock instant at most one simulated process runs,
-// and simultaneous events are ordered by a monotone sequence number, so a
-// simulation produces bit-identical results on every run.
+// Simulated processes are coroutines of the goroutine that calls
+// Engine.Run, spawned with Engine.Spawn. They interact with virtual time
+// only through blocking primitives (Sleep, WaitUntil, Counter.WaitGE, ...).
+// Process execution is serial by construction: Run resumes one process at
+// a time and nothing else runs until it parks, and simultaneous events are
+// ordered by a monotone sequence number, so a simulation produces
+// bit-identical results on every run.
 //
 // The engine models a closed system: when every process is blocked, the
 // earliest pending event fires and advances the clock. If every process is
@@ -157,15 +158,17 @@ type Engine struct {
 	// only reader and panics if no item went on the wire under that seq.
 	firing uint64
 
-	// Run-loop state (see driveLocked): the process whose goroutine is
-	// firing events right now and whether one of them woke it, and how the
-	// simulation ended — done is closed once endErr/endPanic are set.
-	driver      *Proc
-	driverWoken bool
-	ended       bool
-	endErr      error
-	endPanic    interface{}
-	done        chan struct{}
+	// Run-loop state: the process the last drive woke (see driveLocked),
+	// which Run resumes unless it is the one that was driving, how many
+	// drives ended each way, and how the simulation ended. Run reads these
+	// without the lock: it only runs while every coroutine is parked, and a
+	// coroutine switch orders what it sees after what they wrote.
+	next      *Proc
+	switches  int64
+	selfWakes int64
+	ended     bool
+	endErr    error
+	endPanic  interface{}
 
 	// Verification hooks (see check.go): every resource and mailbox ever
 	// created on the engine, an optional observer of clock advances, and
@@ -192,7 +195,7 @@ type Engine struct {
 
 // NewEngine returns an empty simulation.
 func NewEngine() *Engine {
-	return &Engine{done: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now returns the current virtual time. It is safe to call from simulated
@@ -200,13 +203,13 @@ func NewEngine() *Engine {
 func (e *Engine) Now() Time { return Time(e.now.Load()) }
 
 // Proc is a simulated process. Its methods must only be called from the
-// goroutine running the process body.
+// process body itself, not from a goroutine the body started.
 type Proc struct {
 	label
 	eng   *Engine
 	id    int
 	fn    func(*Proc)
-	wake  chan struct{}
+	w     *worker       // the coroutine running fn, from Run until the body has ended
 	fire  func()        // the process's wake event: every sleep and release schedules this one closure
 	recv  mailWaiter    // its pending Mailbox.Get and
 	ctr   counterWaiter // its pending Counter.WaitGE; a process waits on one thing at a time
@@ -271,9 +274,10 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.Now() }
 
-// Spawn registers a process to run when Engine.Run is called. fn runs in its
-// own goroutine; it must interact with virtual time only through p's
-// methods and sim types bound to the same engine.
+// Spawn registers a process to run when Engine.Run is called. fn runs as a
+// coroutine of Run's goroutine; it must interact with virtual time only
+// through p's methods and sim types bound to the same engine. A
+// runtime.Goexit in fn — a t.Fatal, say — ends Run's goroutine (see Run).
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -285,7 +289,6 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 		eng:   e,
 		id:    len(e.procs),
 		fn:    fn,
-		wake:  make(chan struct{}, 1),
 	}
 	p.fire = func() { e.wakeLocked(p) }
 	e.procs = append(e.procs, p)
@@ -301,6 +304,15 @@ var ErrDeadlock = errors.New("sim: deadlock")
 // no pending events, or the panic value if a process panicked. A panic
 // raised by engine-side code — an event callback, a Scheduler, a
 // ClockWatcher — is re-raised here, on the caller's goroutine.
+//
+// Process bodies run as coroutines of the calling goroutine, so a body that
+// calls runtime.Goexit ends that goroutine, deferred calls and all: a
+// t.Fatal in a rank body fails its test there and then, as t.FailNow
+// requires, instead of surfacing as the deadlock of the ranks it left
+// waiting. The process is counted finished first; the others stay parked.
+// For the same reason Run must not be called from a goroutine locked to its
+// OS thread (a coroutine may only be resumed under the thread lock it was
+// created under, and workers outlive their engine).
 func (e *Engine) Run() error {
 	e.mu.Lock()
 	if e.started {
@@ -309,50 +321,48 @@ func (e *Engine) Run() error {
 	}
 	e.started = true
 
-	// Hand every process to a worker goroutine; each blocks on its wake
-	// channel until its start event fires, serializing startup
-	// deterministically.
+	// Give every process a worker; its start event makes it the one to
+	// resume, serializing startup deterministically.
 	for _, p := range e.procs {
-		startProc(p)
+		p.w = startWorker(p)
 		e.scheduleLabeledLocked(e.Now(), &p.label, p.fire)
 	}
 
-	// Fire events until the first process is running; from then on the
-	// loop moves to whichever goroutine stops last (driveLocked).
+	// Fire events until the first process is to run. From then on the loop
+	// runs on the stack of whichever process stops (driveLocked), and this
+	// goroutine only carries control from the one that parked to the one it
+	// woke.
 	e.driveLocked(nil)
 	e.mu.Unlock()
-	<-e.done
-	// Whoever ended the simulation did so with the lock held; taking it
-	// means Run never returns before that goroutine has let go of it.
-	e.mu.Lock()
-	err, panicked := e.endErr, e.endPanic
-	e.mu.Unlock()
-	if panicked != nil {
-		panic(panicked)
+	for !e.ended {
+		p := e.next
+		p.w.resume()
+		if p.done {
+			p.w.release()
+			p.w = nil
+		}
 	}
-	return err
+	if e.endPanic != nil {
+		panic(e.endPanic)
+	}
+	return e.endErr
 }
 
-// driveLocked is the event loop. It runs, with e.mu held, on the goroutine
-// that just brought runnable to zero — a process parking in block (self),
-// a process finishing in runProc, or Run at the start (self nil for both) —
-// and fires events until one makes a process runnable or the simulation
-// ends. Exactly one goroutine is ever here, and only while none runs
-// process code, so events and processes stay strictly serialized. A woken
-// process costs one goroutine switch (the driver parks, it runs); when the
-// process woken is the driver itself the result is true and it just
-// carries on, with no switch at all.
+// driveLocked is the event loop. It runs, with e.mu held, on the stack of
+// whoever just brought runnable to zero — a process parking in block
+// (self), a process finishing in runProc, or Run at the start (self nil for
+// both) — and fires events until one makes a process runnable or the
+// simulation ends. Nothing else is running then, so events and processes
+// stay strictly serialized. When the process woken is self the result is
+// true and it just carries on, with no switch at all; otherwise the caller
+// yields to Run, which resumes e.next: two coroutine switches.
 //
 // A panic below this frame (event callback, Scheduler.Pick, ClockWatcher,
 // StepObserver) is not the driving process's fault: it is caught here and
 // handed to Run to re-raise, rather than unwinding into the process body.
 func (e *Engine) driveLocked(self *Proc) (resumed bool) {
-	if e.ended {
-		return false // a process woken just before the end has now stopped too
-	}
-	e.driver, e.driverWoken = self, false
+	e.next = nil
 	defer func() {
-		e.driver = nil
 		if r := recover(); r != nil {
 			e.endLocked(nil, r)
 			resumed = false
@@ -384,16 +394,21 @@ func (e *Engine) driveLocked(self *Proc) (resumed bool) {
 		e.now.Store(int64(ev.at))
 		e.fired++
 		e.firing = ev.seq
-		ev.fire() // runs with e.mu held; may wake at most a bounded set of procs
+		ev.fire() // runs with e.mu held; wakes at most one process
 	}
-	return e.driverWoken
+	if e.next == self {
+		e.selfWakes++
+		return true
+	}
+	e.switches++
+	return false
 }
 
-// endLocked records how the simulation ended and releases Run.
+// endLocked records how the simulation ended, for Run to find once the
+// caller has yielded to it.
 func (e *Engine) endLocked(err error, panicked interface{}) {
 	e.ended = true
 	e.endErr, e.endPanic = err, panicked
-	close(e.done)
 }
 
 // Stats reports the engine's execution counters.
@@ -405,6 +420,23 @@ type Stats struct {
 	Processes, Finished int
 	// Now is the current virtual time.
 	Now Time
+
+	// Where the loop's wall time goes. Each is a plain count kept off the
+	// per-event path or worth one increment there, and each is a function
+	// of the simulation alone: the same run gives the same figures.
+	//
+	// Switches is the number of times the event loop stopped because an
+	// event woke a process other than the one firing it (or with none
+	// firing: at the start, and after a process has finished): control
+	// then crosses to it by coroutine switch. SelfWakes is the number of
+	// times the process woken was the one firing the events, which costs
+	// nothing. Times is the number of distinct fire times the queue opened
+	// a bucket for (a time that drains and is scheduled again counts
+	// again); Events/Times is how many pops a heap operation is shared
+	// between. PeakPending is the most events pending at once.
+	Switches, SelfWakes int64
+	Times               int64
+	PeakPending         int
 }
 
 // Stats returns a snapshot of the engine's counters.
@@ -416,67 +448,18 @@ func (e *Engine) Stats() Stats {
 		Processes: len(e.procs),
 		Finished:  e.finished,
 		Now:       e.Now(),
+
+		Switches:    e.switches,
+		SelfWakes:   e.selfWakes,
+		Times:       e.events.opened,
+		PeakPending: e.events.peak,
 	}
 }
 
-// A worker is the mailbox of an engine-owned goroutine that has run a
-// process body to its end and waits to be handed the next, by any engine.
-// A goroutine starts on a 2 KB stack and copies it every time a body
-// outgrows it; an explorer that builds 40 000 four-rank worlds a pass
-// would pay that 160 000 times, so a goroutine whose runProc has returned
-// — body finished or panicked, both leave the stack unwound to work —
-// offers itself for reuse instead of exiting. A body that ends in
-// runtime.Goexit takes its goroutine with it, and one left parked by a
-// deadlock or an engine-side panic keeps it for good, as before.
-type worker chan *Proc
-
-// maxIdleWorkers bounds the goroutines kept parked between runs; beyond
-// it a finished worker exits. A constant, not a setting: it only has to
-// cover the small worlds that are built by the ten thousand (a 1024-rank
-// world is built once and its goroutines' cost is lost in its events),
-// and 64 idle goroutines cost a few hundred KB whatever the caller does.
-const maxIdleWorkers = 64
-
-// idleWorkers is the free list, shared by every engine of the process.
-// It carries no simulation state: which worker runs which body changes
-// nothing a simulation can observe.
-var idleWorkers = make(chan worker, maxIdleWorkers)
-
-// startProc runs p's body on an idle worker, or on a new goroutine that
-// may become one.
-func startProc(p *Proc) {
-	select {
-	case w := <-idleWorkers:
-		w <- p
-	default:
-		//lint:ignore gonosim engine-owned worker goroutine: runProc is the primitive behind Spawn, and the start event Run schedules serializes it deterministically
-		go work(p)
-	}
-}
-
-// work runs p's body and then, while the free list has room for it, the
-// bodies it is handed there. A goroutine that finds the list full at the
-// end of its first process — most goroutines of a large world — exits
-// having cost what it cost before there was a list.
-func work(p *Proc) {
-	var w worker
-	for {
-		p.eng.runProc(p)
-		if w == nil {
-			if len(idleWorkers) == maxIdleWorkers {
-				return
-			}
-			w = make(worker, 1) // a worker is handed one process at a time
-		}
-		select {
-		case idleWorkers <- w:
-		default:
-			return
-		}
-		p = <-w
-	}
-}
-
+// runProc runs p's body on the calling worker and counts it finished
+// however it ends: by returning, by a panic, which becomes the engine's
+// failure, or by runtime.Goexit, which goes on to unwind the worker and
+// then Run's goroutine.
 func (e *Engine) runProc(p *Proc) {
 	defer func() {
 		e.mu.Lock()
@@ -490,12 +473,9 @@ func (e *Engine) runProc(p *Proc) {
 		p.state = procState{kind: stFinished}
 		e.finished++
 		e.runnable--
-		if e.runnable == 0 {
-			e.driveLocked(nil)
-		}
+		e.driveLocked(nil)
 		e.mu.Unlock()
 	}()
-	<-p.wake // start event; wakeLocked pre-counted us as runnable
 	p.fn(p)
 }
 
@@ -541,10 +521,10 @@ func (e *Engine) After(d Duration, fire func()) {
 	e.scheduleLocked(e.Now()+Time(d), fire)
 }
 
-// wakeLocked marks p runnable and releases it. Caller holds e.mu. The wake
-// channel is buffered so this never blocks; a process that is itself
-// firing the event (see driveLocked) needs no message, it resumes by
-// returning from the loop.
+// wakeLocked marks p runnable and makes it the process to run when the
+// drive that fired this event returns: p itself if it is the one driving,
+// which resumes by returning from the loop, otherwise through Run. Caller
+// holds e.mu.
 func (e *Engine) wakeLocked(p *Proc) {
 	if p.done {
 		panic(fmt.Sprintf("sim: waking finished process %q", p.name))
@@ -554,23 +534,20 @@ func (e *Engine) wakeLocked(p *Proc) {
 	e.noteLocked(&p.label)
 	e.runnable++
 	p.state = procState{kind: stRunning}
-	if p == e.driver {
-		e.driverWoken = true
-	} else {
-		p.wake <- struct{}{}
-	}
+	e.next = p
 }
 
 // block parks the calling process until something wakes it. Caller holds
-// e.mu; block returns with e.mu released. The last process to stop fires
-// the pending events itself before parking.
+// e.mu; block returns with e.mu released. The process fires the pending
+// events itself, on its own stack, and yields to Run only once one of them
+// has woken another process or ended the simulation.
 func (e *Engine) block(p *Proc, state procState) {
 	p.state = state
 	e.runnable--
-	resumed := e.runnable == 0 && e.driveLocked(p)
+	resumed := e.driveLocked(p)
 	e.mu.Unlock()
 	if !resumed {
-		<-p.wake
+		p.w.yield(struct{}{})
 	}
 }
 

@@ -572,4 +572,27 @@ func TestEngineStats(t *testing.T) {
 	if s.Now != Time(2*Microsecond) {
 		t.Fatalf("now = %v", s.Now)
 	}
+	// The loop's own counters. Run's drive ends on a's start (a switch);
+	// a parks and its drive starts b (switch); b parks and its drive wakes
+	// a at 1us (switch); a sleeps again and wakes b, also at 1us (switch);
+	// b finishes and its drive wakes a at 2us (switch); a finishes and ends
+	// the run. Nobody woke itself; three times were opened, 0, 1us and 2us;
+	// and never more than two events were pending: the two starts, then one
+	// wake each.
+	if s.Switches != 5 || s.SelfWakes != 0 || s.Times != 3 || s.PeakPending != 2 {
+		t.Fatalf("switches %d, self-wakes %d, times %d, peak pending %d; want 5, 0, 3, 2",
+			s.Switches, s.SelfWakes, s.Times, s.PeakPending)
+	}
+
+	// One process alone drives every event that wakes it; its Yield finds
+	// the bucket of 1us drained and opens that time again.
+	e = NewEngine()
+	e.Spawn("solo", func(p *Proc) { p.Sleep(Microsecond); p.Yield(); p.Sleep(Microsecond) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	s = e.Stats()
+	if s.Events != 4 || s.Switches != 1 || s.SelfWakes != 3 || s.Times != 4 || s.PeakPending != 1 {
+		t.Fatalf("solo: %+v; want 4 events, 1 switch, 3 self-wakes, 4 times, peak 1", s)
+	}
 }

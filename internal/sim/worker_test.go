@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -9,34 +10,19 @@ import (
 )
 
 // busyGoroutines counts the goroutines that are not workers parked on the
-// free list: test goroutines, running or parked processes, and workers on
-// their way back to the list.
+// free list (a coroutine counts as a goroutine): test goroutines and
+// running or parked processes.
 func busyGoroutines() int { return runtime.NumGoroutine() - len(idleWorkers) }
 
 // dropIdleWorkers empties the free list, so a test can count what one
-// engine puts there: it hands every idle worker a body that ends in
-// runtime.Goexit, which takes the goroutine with it. A worker of an
-// earlier test may still be on its way to the list (Run returns before
-// the last worker parks), so it repeats until the list has stayed empty
-// and the goroutine count still for a few milliseconds.
-func dropIdleWorkers(t *testing.T) {
-	t.Helper()
-	for quiet := 0; quiet < 3; {
-		n := runtime.NumGoroutine()
-		if idle := len(idleWorkers); idle > 0 {
-			e := NewEngine()
-			for i := 0; i < idle; i++ {
-				e.Spawn("exit", func(*Proc) { runtime.Goexit() })
-			}
-			if err := e.Run(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		time.Sleep(time.Millisecond)
-		if len(idleWorkers) == 0 && runtime.NumGoroutine() == n {
-			quiet++
-		} else {
-			quiet = 0
+// engine puts there: it stops every idle worker, which ends its coroutine.
+func dropIdleWorkers() {
+	for {
+		select {
+		case w := <-idleWorkers:
+			w.stop()
+		default:
+			return
 		}
 	}
 }
@@ -56,32 +42,51 @@ func settle(t *testing.T, before, leaked, want int) {
 
 // TestWorkerFreeList: however a process body ends, the list stays
 // consistent. A body that returns or panics hands its worker to the next
-// engine; one that calls runtime.Goexit takes the goroutine with it; one
-// a deadlock leaves parked keeps it. None of them is on the list twice or
-// on the list while it still runs something.
+// engine; one that calls runtime.Goexit takes the coroutine with it, and
+// the goroutine that called Run too; one a deadlock leaves parked keeps
+// it. None of them is on the list twice or on the list while it still runs
+// something.
 func TestWorkerFreeList(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		body    func(e *Engine, p *Proc)
 		wantErr string // substring of Run's error, "" for nil
+		goexit  bool   // Run's goroutine ends instead of returning
 		idle    int    // workers on the list afterwards
 		leaked  int    // goroutines parked for good
 	}{
 		{name: "returns", body: func(e *Engine, p *Proc) { p.Sleep(Microsecond) }, idle: 1},
 		{name: "panics", body: func(e *Engine, p *Proc) { p.Sleep(Microsecond); panic("boom") },
 			wantErr: `sim: process "p" (id 0) panicked: boom`, idle: 1},
-		{name: "goexit", body: func(e *Engine, p *Proc) { p.Sleep(Microsecond); runtime.Goexit() }, idle: 0},
+		{name: "goexit", body: func(e *Engine, p *Proc) { p.Sleep(Microsecond); runtime.Goexit() }, goexit: true, idle: 0},
 		{name: "deadlocked", body: func(e *Engine, p *Proc) { e.NewCounter("never").WaitGE(p, 1) },
 			wantErr: "sim: deadlock", idle: 0, leaked: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dropIdleWorkers(t)
+			dropIdleWorkers()
 			before := busyGoroutines()
 			e := NewEngine()
 			e.Spawn("p", func(p *Proc) { tc.body(e, p) })
-			err := e.Run()
+			// Run on a helper goroutine, which a Goexit in the body ends
+			// before Run can return.
+			var err error
+			returned := false
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				err = e.Run()
+				returned = true
+			}()
+			wg.Wait()
+			if returned != !tc.goexit {
+				t.Fatalf("Run returned: %v, want %v", returned, !tc.goexit)
+			}
 			if (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("Run = %v, want %q", err, tc.wantErr)
+			}
+			if st := e.Stats(); st.Finished != 1-tc.leaked {
+				t.Errorf("%d processes counted finished, want %d", st.Finished, 1-tc.leaked)
 			}
 			settle(t, before, tc.leaked, tc.idle)
 
@@ -102,10 +107,52 @@ func TestWorkerFreeList(t *testing.T) {
 	}
 }
 
+// TestGoexitInBodyEndsRunsGoroutine: a body that calls runtime.Goexit —
+// what t.Fatal does — ends the goroutine that called Run, after its own
+// deferred calls and before Run can return, so a failing rank fails its
+// test instead of turning up as the deadlock of the ranks it left waiting.
+// The process is counted finished, the lock is free, and the others stay
+// parked as after a deadlock.
+func TestGoexitInBodyEndsRunsGoroutine(t *testing.T) {
+	dropIdleWorkers()
+	before := busyGoroutines()
+	e := NewEngine()
+	never := e.NewCounter("never")
+	var trail []string
+	e.Spawn("waits", func(p *Proc) {
+		never.WaitGE(p, 1)
+		trail = append(trail, "waiter resumed")
+	})
+	e.Spawn("exits", func(p *Proc) {
+		defer func() { trail = append(trail, "body's deferred call") }()
+		p.Sleep(Microsecond)
+		runtime.Goexit()
+	})
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		defer func() { trail = append(trail, "caller's deferred call") }()
+		err := e.Run()
+		trail = append(trail, fmt.Sprint("Run returned ", err))
+	}()
+	<-ended
+	if got, want := fmt.Sprint(trail), "[body's deferred call caller's deferred call]"; got != want {
+		t.Fatalf("trail %v, want %v", got, want)
+	}
+	if !e.mu.TryLock() {
+		t.Fatal("engine lock still held after the Goexit")
+	}
+	e.mu.Unlock()
+	if st := e.Stats(); st.Finished != 1 || st.Processes != 2 {
+		t.Errorf("%d of %d processes finished, want 1 of 2", st.Finished, st.Processes)
+	}
+	settle(t, before, 1, 0)
+}
+
 // TestWorkerFreeListIsBounded: a world larger than the list leaves it
 // full, and the workers that found no room have exited.
 func TestWorkerFreeListIsBounded(t *testing.T) {
-	dropIdleWorkers(t)
+	dropIdleWorkers()
 	before := busyGoroutines()
 	e := NewEngine()
 	for i := 0; i < maxIdleWorkers+8; i++ {

@@ -14,9 +14,10 @@
 //		mha.Allgather(p, w, send, recv)
 //	})
 //
-// Simulated ranks are goroutines; payloads really move (so results are
-// verifiable), and virtual time comes from a calibrated cost model of the
-// paper's testbed (Thor: 2x HDR100 InfiniBand rails per node, CMA
+// Simulated ranks run one at a time, as coroutines of the goroutine that
+// calls Run; payloads really move (so results are verifiable), and virtual
+// time comes from a calibrated cost model of the paper's testbed (Thor: 2x
+// HDR100 InfiniBand rails per node, CMA
 // intra-node, shared-memory chunk pipelines). Pass Phantom buffers to run
 // the paper's largest configurations (1024 ranks, multi-MB buffers)
 // without materializing the data.
