@@ -145,7 +145,6 @@ type Engine struct {
 	seq      uint64
 	events   eventQueue
 	procs    []*Proc
-	runnable int
 	finished int
 	started  bool
 	failure  error
@@ -349,10 +348,9 @@ func (e *Engine) Run() error {
 }
 
 // driveLocked is the event loop. It runs, with e.mu held, on the stack of
-// whoever just brought runnable to zero — a process parking in block
-// (self), a process finishing in runProc, or Run at the start (self nil for
-// both) — and fires events until one makes a process runnable or the
-// simulation ends. Nothing else is running then, so events and processes
+// whoever just stopped — a process parking in block (self), a process
+// finishing in runProc, or Run at the start (self nil for both) — and fires
+// events until one wakes a process (e.next) or the simulation ends. Nothing else is running then, so events and processes
 // stay strictly serialized. When the process woken is self the result is
 // true and it just carries on, with no switch at all; otherwise the caller
 // yields to Run, which resumes e.next: two coroutine switches.
@@ -368,7 +366,7 @@ func (e *Engine) driveLocked(self *Proc) (resumed bool) {
 			resumed = false
 		}
 	}()
-	for e.runnable == 0 {
+	for e.next == nil {
 		e.flushStepLocked() // the previous step is complete: report it
 		if e.failure != nil {
 			e.endLocked(e.failure, nil)
@@ -475,7 +473,6 @@ func (e *Engine) runProc(p *Proc) {
 		p.done = true
 		p.state = procState{kind: stFinished}
 		e.finished++
-		e.runnable--
 		e.driveLocked(nil)
 		e.mu.Unlock()
 	}()
@@ -524,8 +521,8 @@ func (e *Engine) After(d Duration, fire func()) {
 	e.scheduleLocked(e.Now()+Time(d), fire)
 }
 
-// wakeLocked marks p runnable and makes it the process to run when the
-// drive that fired this event returns: p itself if it is the one driving,
+// wakeLocked makes p the process to run when the drive that fired this
+// event returns, which ends the drive: p itself if it is the one driving,
 // which resumes by returning from the loop, otherwise through Run. Caller
 // holds e.mu.
 func (e *Engine) wakeLocked(p *Proc) {
@@ -535,7 +532,6 @@ func (e *Engine) wakeLocked(p *Proc) {
 	// A woken process runs inside the current step, so everything its
 	// rank-local state does is attributed to the step via its proc key.
 	e.noteLocked(&p.label)
-	e.runnable++
 	p.state = procState{kind: stRunning}
 	e.next = p
 }
@@ -546,7 +542,6 @@ func (e *Engine) wakeLocked(p *Proc) {
 // has woken another process or ended the simulation.
 func (e *Engine) block(p *Proc, state procState) {
 	p.state = state
-	e.runnable--
 	resumed := e.driveLocked(p)
 	e.mu.Unlock()
 	if !resumed {

@@ -79,7 +79,7 @@ func TestWorkerFreeList(t *testing.T) {
 				returned = true
 			}()
 			wg.Wait()
-			if returned != !tc.goexit {
+			if returned == tc.goexit {
 				t.Fatalf("Run returned: %v, want %v", returned, !tc.goexit)
 			}
 			if (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
