@@ -270,6 +270,7 @@ func cmdSearch(args []string) error {
 		fmt.Printf("%-16s %14v %14v\n", c.Name, c.Cost, c.Makespan)
 	}
 	fmt.Printf("best: %s  analyzer %v  simulated %v\n", res.Best.Name, res.Best.Cost, res.Best.Makespan)
+	fmt.Printf("effort: %v\n", res.Search)
 	if *out != "" {
 		return emit(res.Best.Sched, *out, *asJSON)
 	}

@@ -35,15 +35,17 @@ type Report struct {
 	WireBytes, IntraBytes    int64
 }
 
-// violations accumulates analyzer findings, keeping the first few.
+// violations accumulates analyzer findings, keeping the first few —
+// or, when quiet, only counting them.
 type violations struct {
-	n    int
-	msgs []string
+	n     int
+	msgs  []string
+	quiet bool
 }
 
 func (v *violations) addf(format string, args ...interface{}) {
 	v.n++
-	if len(v.msgs) < 8 {
+	if len(v.msgs) < 8 && !v.quiet {
 		v.msgs = append(v.msgs, fmt.Sprintf(format, args...))
 	}
 }
@@ -77,32 +79,17 @@ func (c *cover) add(lo, hi, size int) {
 		c.markAll()
 		return
 	}
-	out := c.ivs[:0]
-	merged := [2]int{lo, hi}
-	inserted := false
-	for _, iv := range c.ivs {
-		switch {
-		case iv[1] < merged[0]:
-			out = append(out, iv)
-		case merged[1] < iv[0]:
-			if !inserted {
-				out = append(out, merged)
-				inserted = true
-			}
-			out = append(out, iv)
-		default: // overlap or touch: absorb
-			if iv[0] < merged[0] {
-				merged[0] = iv[0]
-			}
-			if iv[1] > merged[1] {
-				merged[1] = iv[1]
-			}
-		}
+	// ivs[i:j] are the intervals the new one overlaps or touches; it
+	// absorbs them and takes their place.
+	i := 0
+	for i < len(c.ivs) && c.ivs[i][1] < lo {
+		i++
 	}
-	if !inserted {
-		out = append(out, merged)
+	j := i
+	for ; j < len(c.ivs) && c.ivs[j][0] <= hi; j++ {
+		lo, hi = min(lo, c.ivs[j][0]), max(hi, c.ivs[j][1])
 	}
-	c.ivs = out
+	c.ivs = slices.Replace(c.ivs, i, j, [2]int{lo, hi})
 	if len(c.ivs) == 1 && c.ivs[0][0] <= 0 && c.ivs[0][1] >= size {
 		c.markAll()
 	}
@@ -122,9 +109,12 @@ type holdState struct {
 	win        []blockWindow // scratch: the windows of the transfer in hand
 }
 
-func newHoldState(n, nb, msg int, g *Goal) *holdState {
-	h := &holdState{n: n, nb: nb, msg: msg,
-		cov: make([]cover, n*nb), set: make([]contribSet, n*nb)}
+// reset sizes the matrix for n ranks x nb blocks and seeds it with the
+// goal's initial holds, reusing the tables of an earlier analysis when
+// they are large enough.
+func (h *holdState) reset(n, nb, msg int, g *Goal) {
+	h.n, h.nb, h.msg = n, nb, msg
+	h.cov, h.set = zeroed(h.cov, n*nb), zeroed(h.set, n*nb)
 	for r, list := range g.Init {
 		for _, rng := range list {
 			for b := rng.First; b < rng.First+rng.Count; b++ {
@@ -133,7 +123,16 @@ func newHoldState(n, nb, msg int, g *Goal) *holdState {
 			}
 		}
 	}
-	return h
+}
+
+// zeroed returns a zeroed slice of n elements, in s's memory when it fits.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func (h *holdState) at(rank, block int) *cover        { return &h.cov[rank*h.nb+block] }
@@ -283,76 +282,107 @@ func AnalyzeGoal(s *Schedule, prm *netmodel.Params, g *Goal) (*Report, error) {
 //
 //lint:pure the alpha-beta price feeds cached decisions and must not drift
 func AnalyzeGoalHealth(s *Schedule, prm *netmodel.Params, health []float64, g *Goal) (*Report, error) {
-	if err := s.Validate(); err != nil {
+	var a analysis
+	return a.run(s, prm, health, g)
+}
+
+// analysis is the analyzer's state over one schedule: the hold matrix and
+// the dense per-step tables (a rail endpoint is node*H + rail, a CPU its
+// rank, a node's memory system its node), with the four passes of a step
+// — check, census, price, deliver — as methods. The synthesizer keeps one
+// for a whole search: begin clears the tables instead of allocating them,
+// and a walk of a candidate stops between steps to quote changed ones.
+type analysis struct {
+	prm    *netmodel.Params
+	health []float64
+	goal   *Goal
+	H      int   // rails per node
+	nodeOf []int // rank -> node
+
+	hold    holdState
+	railRR  []int // per-rank round-robin cursor, mirroring the runtime
+	rrSaved []int // quote's copy of railRR
+
+	pinnedTX, pinnedRX      []int // pinned users of the endpoint this step
+	memOps                  []int // CMA/copy operations hitting the node this step
+	busyCPU, busyTX, busyRX []sim.Duration
+	srcSets                 []contribSet // the step's pre-delivery source sets, one per block window, in transfer order
+
+	viol violations
+	rep  *Report
+}
+
+// run is the whole analysis: every step in order, then completeness.
+func (a *analysis) run(s *Schedule, prm *netmodel.Params, health []float64, g *Goal) (*Report, error) {
+	if err := a.begin(s, prm, health, g); err != nil {
 		return nil, err
 	}
+	for si := range s.Steps {
+		a.step(si, &s.Steps[si])
+	}
+	return a.finish()
+}
+
+// begin validates the inputs and puts the tables in their pre-step-0
+// state; the report starts at the initial self-copy.
+func (a *analysis) begin(s *Schedule, prm *netmodel.Params, health []float64, g *Goal) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
 	if err := ValidHealth(health, s.Topo.HCAs); err != nil {
-		return nil, err
+		return err
 	}
 	if prm == nil {
 		prm = netmodel.Thor()
 	}
 	if err := prm.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	n := s.Topo.Size()
+	topo := s.Topo
+	n := topo.Size()
 	if n > analyzeMaxRanks {
-		return nil, fmt.Errorf("sched: analyzer supports up to %d ranks, schedule has %d", analyzeMaxRanks, n)
+		return fmt.Errorf("sched: analyzer supports up to %d ranks, schedule has %d", analyzeMaxRanks, n)
 	}
 	nb := s.Blocks()
 	if g == nil {
 		if s.NumBlocks != 0 && s.NumBlocks != n {
-			return nil, fmt.Errorf("sched: block space %d needs an explicit goal (world has %d ranks)", s.NumBlocks, n)
+			return fmt.Errorf("sched: block space %d needs an explicit goal (world has %d ranks)", s.NumBlocks, n)
 		}
 		g = AllgatherGoal(n)
 	}
 	if err := g.Validate(n, nb); err != nil {
-		return nil, err
+		return err
 	}
 	if n*nb > analyzeMaxRanks*analyzeMaxRanks {
-		return nil, fmt.Errorf("sched: hold matrix %d x %d exceeds the analyzer's bound", n, nb)
+		return fmt.Errorf("sched: hold matrix %d x %d exceeds the analyzer's bound", n, nb)
 	}
-	if s.Topo.HCAs > analyzeMaxEndpoints/s.Topo.Nodes {
-		return nil, fmt.Errorf("sched: analyzer supports up to %d rail endpoints, schedule has %d nodes x %d rails", analyzeMaxEndpoints, s.Topo.Nodes, s.Topo.HCAs)
+	if topo.HCAs > analyzeMaxEndpoints/topo.Nodes {
+		return fmt.Errorf("sched: analyzer supports up to %d rail endpoints, schedule has %d nodes x %d rails", analyzeMaxEndpoints, topo.Nodes, topo.HCAs)
 	}
-	m := s.Msg
-	hold := newHoldState(n, nb, m, g)
-	var viol violations
-	rep := &Report{
-		// Every rank starts by staging its initial blocks into place; the
-		// interpreter performs the same LocalCopys.
-		StepCosts: make([]sim.Duration, len(s.Steps)),
-	}
-	var worstInit sim.Duration
+	a.prm, a.health, a.goal, a.H = prm, health, g, topo.HCAs
+	a.hold.reset(n, nb, s.Msg, g)
+	a.viol = violations{}
+	a.rep = &Report{StepCosts: make([]sim.Duration, len(s.Steps))}
+	// Every rank starts by staging its initial blocks into place; the
+	// interpreter performs the same LocalCopys.
 	for _, list := range g.Init {
 		var d sim.Duration
 		for _, rng := range list {
-			d += prm.CopyTime(rng.Count*m, 1)
+			d += prm.CopyTime(rng.Count*s.Msg, 1)
 		}
-		if d > worstInit {
-			worstInit = d
-		}
+		a.rep.Cost = max(a.rep.Cost, d)
 	}
-	rep.Cost = worstInit
-	topo := s.Topo
-	H := topo.HCAs
-	railRR := make([]int, n) // per-rank round-robin cursor, mirroring the runtime
-
-	nodeOf := make([]int, n)
-	for r := range nodeOf {
-		nodeOf[r] = topo.NodeOf(r)
+	a.railRR = zeroed(a.railRR, n)
+	a.nodeOf = zeroed(a.nodeOf, n)
+	for r := range a.nodeOf {
+		a.nodeOf[r] = topo.NodeOf(r)
 	}
-
-	// Per-step state, dense and sized once: a rail endpoint is
-	// node*H + rail, a CPU is its rank, a node's memory system its node.
-	pinnedTX := make([]int, topo.Nodes*H) // pinned users of the endpoint this step
-	pinnedRX := make([]int, topo.Nodes*H)
-	memOps := make([]int, topo.Nodes) // CMA/copy operations hitting the node this step
-	busyCPU := make([]sim.Duration, n)
-	busyTX := make([]sim.Duration, topo.Nodes*H)
-	busyRX := make([]sim.Duration, topo.Nodes*H)
-	// The step's pre-delivery source sets: one per block window, in
-	// transfer order, at most one per block a transfer names.
+	ends := topo.Nodes * topo.HCAs
+	a.pinnedTX, a.pinnedRX = zeroed(a.pinnedTX, ends), zeroed(a.pinnedRX, ends)
+	a.busyTX, a.busyRX = zeroed(a.busyTX, ends), zeroed(a.busyRX, ends)
+	a.memOps = zeroed(a.memOps, topo.Nodes)
+	a.busyCPU = zeroed(a.busyCPU, n)
+	// At most one source set per block a transfer names.
 	most := 0
 	for si := range s.Steps {
 		blocks := 0
@@ -361,139 +391,185 @@ func AnalyzeGoalHealth(s *Schedule, prm *netmodel.Params, health []float64, g *G
 		}
 		most = max(most, blocks)
 	}
-	srcSets := make([]contribSet, 0, most)
+	a.srcSets = slices.Grow(a.srcSets[:0], most)
+	return nil
+}
 
-	for si := range s.Steps {
-		st := &s.Steps[si]
+// step takes the analysis from before step si to after it.
+func (a *analysis) step(si int, st *Step) {
+	a.check(si, st)
+	a.census(st)
+	a.rep.StepCosts[si] = a.price(st)
+	a.rep.Cost += a.rep.StepCosts[si]
+	a.deliver(si, st)
+}
 
-		// Pass 1: invariants. Sends read pre-step state, so all checks —
-		// and the contributor-set snapshots the deliveries need — precede
-		// all deliveries.
-		clear(pinnedTX)
-		clear(pinnedRX)
-		srcSets = srcSets[:0]
-		for xi := range st.Xfers {
-			t := &st.Xfers[xi]
-			var unheld int
-			if srcSets, unheld = hold.read(t, srcSets); unheld >= 0 {
-				viol.addf("step %d xfer %d: rank %d sends block %d before holding it", si, xi, t.Src, unheld)
-			}
-			if t.Via == ViaRail {
-				if healthOf(health, t.Rail) <= 0 {
-					viol.addf("step %d xfer %d: pinned to down rail %d", si, xi, t.Rail)
-				}
-				srcNode, dstNode := nodeOf[t.Src], nodeOf[t.Dst]
-				tx, rx := srcNode*H+t.Rail, dstNode*H+t.Rail
-				if pinnedTX[tx]++; pinnedTX[tx] > 1 {
-					viol.addf("step %d xfer %d: rail conflict: node %d rail %d tx pinned twice", si, xi, srcNode, t.Rail)
-				}
-				if pinnedRX[rx]++; pinnedRX[rx] > 1 {
-					viol.addf("step %d xfer %d: rail conflict: node %d rail %d rx pinned twice", si, xi, dstNode, t.Rail)
-				}
-			}
+// check is pass 1, the invariants. Sends read pre-step state, so all
+// checks — and the contributor-set snapshots the deliveries need —
+// precede all deliveries.
+func (a *analysis) check(si int, st *Step) {
+	H, nodeOf, hold, viol := a.H, a.nodeOf, &a.hold, &a.viol
+	pinnedTX, pinnedRX, srcSets := a.pinnedTX, a.pinnedRX, a.srcSets[:0]
+	clear(pinnedTX)
+	clear(pinnedRX)
+	for xi := range st.Xfers {
+		t := &st.Xfers[xi]
+		var unheld int
+		if srcSets, unheld = hold.read(t, srcSets); unheld >= 0 {
+			viol.addf("step %d xfer %d: rank %d sends block %d before holding it", si, xi, t.Src, unheld)
 		}
-		for ci, cp := range st.Copies {
-			for b := cp.First; b < cp.First+cp.Count; b++ {
-				if !hold.at(cp.Rank, b).full() {
-					viol.addf("step %d copy %d: rank %d stages block %d before holding it", si, ci, cp.Rank, b)
-					break
-				}
+		if t.Via == ViaRail {
+			if healthOf(a.health, t.Rail) <= 0 {
+				viol.addf("step %d xfer %d: pinned to down rail %d", si, xi, t.Rail)
 			}
-		}
-
-		// Pass 2: concurrency census for the memory-congestion factor —
-		// how many CMA/copy operations hit each node in this step.
-		clear(memOps)
-		for xi := range st.Xfers {
-			t := &st.Xfers[xi]
-			switch t.Via {
-			case ViaAuto:
-				if nodeOf[t.Src] == nodeOf[t.Dst] {
-					memOps[nodeOf[t.Src]]++
-				}
-			case ViaPull:
-				memOps[nodeOf[t.Dst]]++
-			}
-		}
-		for _, cp := range st.Copies {
-			memOps[nodeOf[cp.Rank]]++
-		}
-
-		// Pass 3: price the step. Each resource serializes its own work;
-		// the step finishes when the busiest resource does.
-		clear(busyCPU)
-		clear(busyTX)
-		clear(busyRX)
-		for xi := range st.Xfers {
-			t := &st.Xfers[xi]
 			srcNode, dstNode := nodeOf[t.Src], nodeOf[t.Dst]
-			sameNode := srcNode == dstNode
-			switch {
-			case t.Via == ViaPull:
-				busyCPU[t.Dst] += prm.CMATime(t.Len, memOps[dstNode])
-				rep.Pulls++
-				rep.IntraBytes += int64(t.Len)
-			case t.Via == ViaAuto && sameNode:
-				busyCPU[t.Src] += prm.CMATime(t.Len, memOps[srcNode])
-				rep.IntraBytes += int64(t.Len)
-			case t.Via == ViaRail:
-				d := hcaPiece(prm, t.Len, t.Len, healthOf(health, t.Rail))
-				busyTX[srcNode*H+t.Rail] += d
-				busyRX[dstNode*H+t.Rail] += d
-				rep.WireBytes += int64(t.Len)
-			default: // ViaHCA anywhere, or ViaAuto across nodes
-				if prm.ShouldStripe(t.Len) && H > 1 {
-					for rail, piece := range stripeChunks(t.Len, H, health) {
-						if piece == 0 {
-							continue
-						}
-						d := hcaPiece(prm, t.Len, piece, healthOf(health, rail))
-						busyTX[srcNode*H+rail] += d
-						busyRX[dstNode*H+rail] += d
-					}
-				} else {
-					r := railRR[t.Src] % H
-					railRR[t.Src]++
-					for healthOf(health, r) <= 0 {
-						// The runtime's failover skips dead rails; ValidHealth
-						// guarantees a live one exists.
-						r = railRR[t.Src] % H
-						railRR[t.Src]++
-					}
-					d := hcaPiece(prm, t.Len, t.Len, healthOf(health, r))
-					busyTX[srcNode*H+r] += d
-					busyRX[dstNode*H+r] += d
-				}
-				rep.WireBytes += int64(t.Len)
+			tx, rx := srcNode*H+t.Rail, dstNode*H+t.Rail
+			if pinnedTX[tx]++; pinnedTX[tx] > 1 {
+				viol.addf("step %d xfer %d: rail conflict: node %d rail %d tx pinned twice", si, xi, srcNode, t.Rail)
 			}
-			if t.Red {
-				// The destination folds the arrived bytes into its copy;
-				// priced like the byte-wise reducers charge compute.
-				busyCPU[t.Dst] += sim.FromSeconds(float64(t.Len) / reduceBW)
-				rep.Reduces++
+			if pinnedRX[rx]++; pinnedRX[rx] > 1 {
+				viol.addf("step %d xfer %d: rail conflict: node %d rail %d rx pinned twice", si, xi, dstNode, t.Rail)
 			}
-			rep.Transfers++
-		}
-		for _, cp := range st.Copies {
-			busyCPU[cp.Rank] += prm.CopyTime(cp.Count*m, memOps[nodeOf[cp.Rank]])
-			rep.Copies++
-		}
-		worst := max(slices.Max(busyCPU), slices.Max(busyTX), slices.Max(busyRX))
-		rep.StepCosts[si] = worst
-		rep.Cost += worst
-
-		// Pass 4: apply deliveries for the next step.
-		sets := srcSets
-		for xi := range st.Xfers {
-			t := &st.Xfers[xi]
-			sets = sets[hold.deliver(t, sets, si, xi, &viol):]
 		}
 	}
+	a.srcSets = srcSets
+	for ci, cp := range st.Copies {
+		for b := cp.First; b < cp.First+cp.Count; b++ {
+			if !hold.at(cp.Rank, b).full() {
+				viol.addf("step %d copy %d: rank %d stages block %d before holding it", si, ci, cp.Rank, b)
+				break
+			}
+		}
+	}
+}
 
-	// Completeness: every wanted block fully covered and carrying exactly
-	// its canonical contributor set (for an allgather, "rank r ends
-	// holding every block"; for a reduction, "fully folded, no double
-	// counting").
+// census is pass 2, the concurrency count for the memory-congestion
+// factor: how many CMA/copy operations hit each node in this step.
+func (a *analysis) census(st *Step) {
+	nodeOf, memOps := a.nodeOf, a.memOps
+	clear(memOps)
+	for xi := range st.Xfers {
+		t := &st.Xfers[xi]
+		switch t.Via {
+		case ViaAuto:
+			if nodeOf[t.Src] == nodeOf[t.Dst] {
+				memOps[nodeOf[t.Src]]++
+			}
+		case ViaPull:
+			memOps[nodeOf[t.Dst]]++
+		}
+	}
+	for _, cp := range st.Copies {
+		memOps[nodeOf[cp.Rank]]++
+	}
+}
+
+// price is pass 3. Each resource serializes its own work; the step
+// finishes when the busiest resource does. It reads census's counts,
+// advances the round-robin cursors of the policy transfers it routes and
+// tallies the step's traffic into the report.
+func (a *analysis) price(st *Step) sim.Duration {
+	prm, health, H, nodeOf, memOps, rep := a.prm, a.health, a.H, a.nodeOf, a.memOps, a.rep
+	busyCPU, busyTX, busyRX, railRR := a.busyCPU, a.busyTX, a.busyRX, a.railRR
+	clear(busyCPU)
+	clear(busyTX)
+	clear(busyRX)
+	for xi := range st.Xfers {
+		t := &st.Xfers[xi]
+		srcNode, dstNode := nodeOf[t.Src], nodeOf[t.Dst]
+		sameNode := srcNode == dstNode
+		switch {
+		case t.Via == ViaPull:
+			busyCPU[t.Dst] += prm.CMATime(t.Len, memOps[dstNode])
+			rep.Pulls++
+			rep.IntraBytes += int64(t.Len)
+		case t.Via == ViaAuto && sameNode:
+			busyCPU[t.Src] += prm.CMATime(t.Len, memOps[srcNode])
+			rep.IntraBytes += int64(t.Len)
+		case t.Via == ViaRail:
+			d := hcaPiece(prm, t.Len, t.Len, healthOf(health, t.Rail))
+			busyTX[srcNode*H+t.Rail] += d
+			busyRX[dstNode*H+t.Rail] += d
+			rep.WireBytes += int64(t.Len)
+		default: // ViaHCA anywhere, or ViaAuto across nodes
+			if prm.ShouldStripe(t.Len) && H > 1 {
+				for rail, piece := range stripeChunks(t.Len, H, health) {
+					if piece == 0 {
+						continue
+					}
+					d := hcaPiece(prm, t.Len, piece, healthOf(health, rail))
+					busyTX[srcNode*H+rail] += d
+					busyRX[dstNode*H+rail] += d
+				}
+			} else {
+				r := railRR[t.Src] % H
+				railRR[t.Src]++
+				for healthOf(health, r) <= 0 {
+					// The runtime's failover skips dead rails; ValidHealth
+					// guarantees a live one exists.
+					r = railRR[t.Src] % H
+					railRR[t.Src]++
+				}
+				d := hcaPiece(prm, t.Len, t.Len, healthOf(health, r))
+				busyTX[srcNode*H+r] += d
+				busyRX[dstNode*H+r] += d
+			}
+			rep.WireBytes += int64(t.Len)
+		}
+		if t.Red {
+			// The destination folds the arrived bytes into its copy;
+			// priced like the byte-wise reducers charge compute.
+			busyCPU[t.Dst] += sim.FromSeconds(float64(t.Len) / reduceBW)
+			rep.Reduces++
+		}
+		rep.Transfers++
+	}
+	for _, cp := range st.Copies {
+		busyCPU[cp.Rank] += prm.CopyTime(cp.Count*a.hold.msg, memOps[nodeOf[cp.Rank]])
+		rep.Copies++
+	}
+	return max(slices.Max(busyCPU), slices.Max(busyTX), slices.Max(busyRX))
+}
+
+// quote answers, between two steps of a walk, what the analysis would
+// make of st standing where step si does: whether it passes check and,
+// if so, its price. Findings, round-robin cursors and the report's
+// tallies are put back; the per-step tables are scratch between steps.
+func (a *analysis) quote(si int, st *Step) (sim.Duration, bool) {
+	viol := a.viol
+	a.viol = violations{quiet: true}
+	a.check(si, st)
+	ok := a.viol.n == 0
+	a.viol = viol
+	if !ok {
+		return 0, false
+	}
+	rep := *a.rep
+	a.rrSaved = append(a.rrSaved[:0], a.railRR...)
+	a.census(st)
+	worst := a.price(st)
+	copy(a.railRR, a.rrSaved)
+	*a.rep = rep
+	return worst, true
+}
+
+// deliver is pass 4: the step's deliveries land, for the next step to
+// read. It consumes the source sets check took.
+func (a *analysis) deliver(si int, st *Step) {
+	sets := a.srcSets
+	for xi := range st.Xfers {
+		t := &st.Xfers[xi]
+		sets = sets[a.hold.deliver(t, sets, si, xi, &a.viol):]
+	}
+}
+
+// finish is completeness: every wanted block fully covered and carrying
+// exactly its canonical contributor set (for an allgather, "rank r ends
+// holding every block"; for a reduction, "fully folded, no double
+// counting").
+func (a *analysis) finish() (*Report, error) {
+	g, hold, viol := a.goal, &a.hold, &a.viol
+	n := hold.n
 	canon := g.contributors(n)
 	for r := 0; r < n && viol.n <= 8; r++ {
 		for _, rng := range g.Want[r] {
@@ -510,7 +586,7 @@ func AnalyzeGoalHealth(s *Schedule, prm *netmodel.Params, health []float64, g *G
 	if err := viol.err(); err != nil {
 		return nil, err
 	}
-	return rep, nil
+	return a.rep, nil
 }
 
 // reduceBW is the fold bandwidth (bytes/s) charged to the destination

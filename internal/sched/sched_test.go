@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -223,6 +224,25 @@ func TestAnalyzeAllocFence(t *testing.T) {
 	}
 }
 
+// TestSynthesizeAllocFence bounds one cold tuner miss on 4x8x2 at 64 KiB:
+// 18 578 allocations (41 416 when every neighbor was cloned and analyzed
+// on tables of its own), of which the five simulated finalists are
+// 10 581. The bound is that figure times 1.5: a search that goes back to
+// analyzing its ~100 neighbors in full, or to fresh tables per analysis
+// and per walk on top of anything else, crosses it.
+func TestSynthesizeAllocFence(t *testing.T) {
+	prm := netmodel.Thor()
+	topo := topology.New(4, 8, 2)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Synthesize(topo, prm, 64<<10, SynthOptions{PruneMargin: 0.25}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 27867 {
+		t.Errorf("Synthesize on 4x8x2/64KiB: %.0f allocations, fence is 27867", allocs)
+	}
+}
+
 // TestAnalyzeBoundsRailEndpoints: the per-step rail tables are sized by
 // nodes x rails, and a parsed header may claim any rail count.
 func TestAnalyzeBoundsRailEndpoints(t *testing.T) {
@@ -273,5 +293,64 @@ func TestRingFallbackForNonPow2(t *testing.T) {
 	}
 	if s := RecursiveDoubling(topology.New(1, 8, 1), 8); s.Name != "rd" {
 		t.Fatalf("power-of-two RD lowered to %q", s.Name)
+	}
+}
+
+// TestCoverArrivalOrders: a block's pieces may land in any order. The
+// in-place filter cover.add used to run wrote one slot ahead of its read
+// cursor when the new interval sorted before an existing one, so
+// [10,20] [30,40] + [0,5] lost [30,40] and the block never became full.
+func TestCoverArrivalOrders(t *testing.T) {
+	const size = 60
+	for _, tc := range []struct {
+		name string
+		adds [][2]int
+		want [][2]int // nil: full
+	}{
+		{"ascending", [][2]int{{0, 20}, {20, 40}, {40, 60}}, nil},
+		{"descending", [][2]int{{40, 60}, {20, 40}, {0, 20}}, nil},
+		{"interleaved", [][2]int{{20, 30}, {0, 10}, {40, 50}, {10, 20}, {30, 40}, {50, 60}}, nil},
+		{"before two", [][2]int{{10, 20}, {30, 40}, {0, 5}}, [][2]int{{0, 5}, {10, 20}, {30, 40}}},
+		{"between", [][2]int{{0, 5}, {30, 40}, {10, 20}}, [][2]int{{0, 5}, {10, 20}, {30, 40}}},
+		{"touching", [][2]int{{30, 40}, {10, 20}, {20, 30}}, [][2]int{{10, 40}}},
+		{"overlapping", [][2]int{{30, 45}, {5, 15}, {10, 35}}, [][2]int{{5, 45}}},
+		{"swallowing", [][2]int{{50, 55}, {30, 40}, {10, 20}, {5, 45}}, [][2]int{{5, 45}, {50, 55}}},
+		{"three-way stripe, ends first", [][2]int{{40, 60}, {0, 20}, {20, 40}}, nil},
+		{"three-way stripe, one missing", [][2]int{{40, 60}, {0, 20}}, [][2]int{{0, 20}, {40, 60}}},
+	} {
+		var c cover
+		for _, iv := range tc.adds {
+			c.add(iv[0], iv[1], size)
+		}
+		if tc.want == nil {
+			if !c.full() {
+				t.Errorf("%s: not full after %v: %v", tc.name, tc.adds, c.ivs)
+			}
+			continue
+		}
+		if c.full() || !slices.Equal(c.ivs, tc.want) {
+			t.Errorf("%s: after %v: full=%v ivs=%v, want %v", tc.name, tc.adds, c.full(), c.ivs, tc.want)
+		}
+	}
+}
+
+// TestAnalyzePieceOrders: the rail pieces of a block may be listed (and
+// so delivered) in any order. High-to-low pieces touch as they land and
+// always merged; an order that leaves two separate intervals and then
+// delivers one before both (here 2, 4, 0, 1, 3 of five) is the one the
+// analyzer used to fail with "rank ends missing block".
+func TestAnalyzePieceOrders(t *testing.T) {
+	for _, order := range [][]int{{2, 1, 0}, {2, 4, 0, 1, 3}} {
+		rails := len(order)
+		b := NewBuilder("pieces", topology.New(2, 1, rails), 30*rails)
+		b.Step()
+		for src := 0; src < 2; src++ {
+			for _, rail := range order {
+				b.RailPiece(src, 1-src, src, 1, 30*rail, 30, rail)
+			}
+		}
+		if _, err := Analyze(b.MustBuild(), netmodel.Thor()); err != nil {
+			t.Errorf("pieces listed in order %v rejected: %v", order, err)
+		}
 	}
 }

@@ -221,6 +221,23 @@ func TestMutateStable(t *testing.T) {
 	}
 }
 
+// TestSearchCountersPinned pins where one search spends its effort, on
+// the shape of the benchmark's sched.synth_ms probe under the tuner's
+// margin: one round over a beam of four, each parent walked once, every
+// one of its 107 neighbors settled by that walk (89 fail the read or pin
+// checks of the step they change, 18 pass at no lower a price), none
+// built, five finalists simulated.
+func TestSearchCountersPinned(t *testing.T) {
+	res, err := Synthesize(topology.New(4, 8, 2), netmodel.Thor(), 64<<10, SynthOptions{PruneMargin: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "1 rounds, 4 walks; 107 neighbors: 89 rejected locally, 18 not cheaper, 0 analyzed, 0 accepted; 5 simulated"
+	if got := res.Search.String(); got != want {
+		t.Errorf("search counters moved:\n got %s\nwant %s", got, want)
+	}
+}
+
 const synthGolden = `
 2x8x2/4096/[]: best=mha-rd cost=14697 makespan=14697 pruned=false seeds=mha-rd=14697,mha-rd-d0=14697,mha-rd-seq-d0=14697,mha-ring=14697,mha-ring-d0=14697,mha-ring-seq-d0=14697,ring=33908,mha-rd-push-d0=34683,mha-ring-push-d0=34683,mha-rd-seq-push-d0=36243,mha-ring-seq-push-d0=36243,rd=39215,direct-rail=71818,mha-rd-d7=132990,mha-rd-seq-d7=132990,mha-ring-d7=132990,mha-ring-seq-d7=132990,mha-rd-push-d7=152976,mha-ring-push-d7=152976,mha-rd-seq-push-d7=154536,mha-ring-seq-push-d7=154536
 2x8x2/4096/[1 0.5]: best=mha-rd cost=16019 makespan=19018 pruned=false seeds=mha-rd=16019,mha-rd-d0=16019,mha-rd-seq-d0=16019,mha-ring=16019,mha-ring-d0=16019,mha-ring-seq-d0=16019,mha-rd-push-d0=36005,mha-ring-push-d0=36005,ring=36225,mha-rd-seq-push-d0=37565,mha-ring-seq-push-d0=37565,rd=42743,direct-rail=82410,mha-rd-d7=142256,mha-rd-seq-d7=142256,mha-ring-d7=142256,mha-ring-seq-d7=142256,mha-rd-push-d7=162242,mha-ring-push-d7=162242,mha-rd-seq-push-d7=163802,mha-ring-seq-push-d7=163802
@@ -254,13 +271,20 @@ func BenchmarkSchedAnalyze(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedSynthesize is one cold tuner miss: the probe shape of
+// the benchmark's sched.synth_ms, and the 128-rank key that is a quarter
+// of tuner-serve's cold set-up.
 func BenchmarkSchedSynthesize(b *testing.B) {
 	prm := netmodel.Thor()
-	topo := topology.New(4, 8, 2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Synthesize(topo, prm, 64<<10, SynthOptions{PruneMargin: 0.25}); err != nil {
-			b.Fatal(err)
-		}
+	for _, shape := range [][2]int{{4, 8}, {8, 16}} {
+		topo := topology.New(shape[0], shape[1], 2)
+		b.Run(fmt.Sprintf("%dx%dx2", shape[0], shape[1]), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Synthesize(topo, prm, 64<<10, SynthOptions{PruneMargin: 0.25}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mha/internal/netmodel"
@@ -67,6 +68,24 @@ type SynthResult struct {
 	// Pruned records that the simulation pass was skipped because the
 	// analytic margin exceeded PruneMargin (or NoMeasure was set).
 	Pruned bool
+	// Search counts what the search did to get there.
+	Search Search
+}
+
+// Search is where one Synthesize spent its effort, in deterministic
+// counts: mutation rounds, parents walked by the analyzer, neighbors
+// considered — each rejected on the step it changes, or priced there at
+// no less than what it replaces, or built and fully analyzed — how many
+// of the analyzed were accepted, and finalists simulated.
+type Search struct {
+	Rounds, Walks                                     int
+	Considered, RejectedLocally, NotCheaper, Analyzed int
+	Accepted, Simulated                               int
+}
+
+func (s Search) String() string {
+	return fmt.Sprintf("%d rounds, %d walks; %d neighbors: %d rejected locally, %d not cheaper, %d analyzed, %d accepted; %d simulated",
+		s.Rounds, s.Walks, s.Considered, s.RejectedLocally, s.NotCheaper, s.Analyzed, s.Accepted, s.Simulated)
 }
 
 func (o SynthOptions) withDefaults() SynthOptions {
@@ -90,6 +109,7 @@ func Synthesize(topo topology.Cluster, prm *netmodel.Params, msg int, opt SynthO
 	if err := ValidHealth(opt.Health, topo.HCAs); err != nil {
 		return nil, err
 	}
+	sr := &search{prm: prm, health: opt.Health}
 	L := topo.PPN
 	pow2N := topo.Nodes > 1 && topo.Nodes&(topo.Nodes-1) == 0
 
@@ -107,7 +127,7 @@ func Synthesize(topo topology.Cluster, prm *netmodel.Params, msg int, opt SynthO
 			}
 		}
 		s = ApplyHealth(s, opt.Health)
-		rep, err := AnalyzeHealth(s, prm, opt.Health)
+		rep, err := sr.analyze(s)
 		if err != nil {
 			// A lowering that fails its own analysis is a bug; surface it
 			// instead of silently searching around it.
@@ -168,12 +188,11 @@ func Synthesize(topo topology.Cluster, prm *netmodel.Params, msg int, opt SynthO
 	}
 	best := beam[0]
 	for round := 0; round < opt.Rounds; round++ {
+		sr.stats.Rounds++
 		var next []Candidate
 		next = append(next, beam...)
 		for _, c := range beam {
-			for _, mut := range mutate(c, prm, opt.Health) {
-				next = append(next, mut)
-			}
+			next = append(next, sr.mutate(c)...)
 		}
 		sortCandidates(next)
 		next = dedupe(next)
@@ -187,7 +206,7 @@ func Synthesize(topo topology.Cluster, prm *netmodel.Params, msg int, opt SynthO
 		best = beam[0]
 	}
 
-	res := &SynthResult{Lowered: lowered, Seeds: seeds}
+	res := &SynthResult{Lowered: lowered, Seeds: seeds, Search: sr.stats}
 	if opt.NoMeasure {
 		res.Best, res.Pruned = best, true
 		return res, nil
@@ -218,6 +237,7 @@ func Synthesize(topo topology.Cluster, prm *netmodel.Params, msg int, opt SynthO
 		}
 		finalists[i].Makespan = mk
 	}
+	res.Search.Simulated = len(finalists)
 	for i := range res.Lowered {
 		for _, f := range finalists {
 			if f.Name == res.Lowered[i].Name {
@@ -261,92 +281,191 @@ func dedupe(cs []Candidate) []Candidate {
 }
 
 // mutationBudget bounds how many neighbors one candidate contributes
-// per round, and fusion is skipped for schedules whose size would make
-// re-analysis dominate the search.
+// per round. Fusion is skipped for schedules of more than fuseMaxSteps
+// steps: the bound was set when every fusion cost a whole analysis, and
+// it stays because lifting it changes which mutants exist for rings of
+// 50 ranks and more, that is, decisions the tuner has pinned.
 const (
 	mutationBudget = 8
 	fuseMaxSteps   = 48
 )
 
-// mutate generates improved neighbors of a candidate: adjacent-step
-// fusion, moving a pinned transfer off its rail, and splitting a large
-// pinned transfer across an idle rail. Only mutants the analyzer
-// accepts with a strictly lower cost survive; under a health vector the
-// pricing is health-aware and dead rails are never pinned, so the search
-// naturally migrates pinned traffic onto the surviving rails.
-func mutate(c Candidate, prm *netmodel.Params, health []float64) []Candidate {
-	var out []Candidate
-	// full is asked before a neighbor is built: cloning the schedule and
-	// formatting its name are the expensive part of a rejected one.
-	full := func() bool { return len(out) >= mutationBudget }
-	try := func(s *Schedule) {
-		rep, err := AnalyzeHealth(s, prm, health)
-		if err == nil && rep.Cost < c.Cost {
-			out = append(out, Candidate{Name: s.Name, Sched: s, Cost: rep.Cost})
+// search is the state of one Synthesize: the one analysis every seed,
+// walk and surviving mutant goes through, and the counters.
+type search struct {
+	prm    *netmodel.Params
+	health []float64
+	a      analysis
+	tmp    Step // the changed step of the neighbor in hand
+	stats  Search
+}
+
+func (sr *search) analyze(s *Schedule) (*Report, error) {
+	return sr.a.run(s, sr.prm, sr.health, nil)
+}
+
+// The three local mutations; the letter goes into the mutant's name.
+type neighborKind byte
+
+const (
+	fuseSteps neighborKind = 'f' // merge steps si and si+1
+	moveRail  neighborKind = 'r' // pin transfer xi of step si to rail instead
+	splitRail neighborKind = 's' // move the upper half of transfer xi onto rail
+)
+
+// neighbor is one local mutation of a parent — span steps from si become
+// one — and, after the walk, the analyzer's verdict on that one step: ok
+// if it passes the read and pin checks where it stands, then price what
+// it costs and old what the parent pays for the steps it replaces.
+type neighbor struct {
+	kind               neighborKind
+	si, span, xi, rail int
+	ok                 bool
+	price, old         sim.Duration
+}
+
+// neighbors lists the mutations of s in the order the search tries them:
+// every adjacent-step fusion, then per pinned transfer a move to and a
+// split onto the first other live rail, the first budget of each kind.
+func neighbors(s *Schedule, prm *netmodel.Params, health []float64, budget int) []neighbor {
+	var qs []neighbor
+	if len(s.Steps) <= fuseMaxSteps {
+		for i := 0; i+1 < len(s.Steps); i++ {
+			qs = append(qs, neighbor{kind: fuseSteps, si: i, span: 2})
 		}
 	}
-
-	// Step fusion: merging steps i and i+1 removes a synchronization
-	// point; the analyzer rejects the merge when step i+1 consumed what
-	// step i delivered.
-	if len(c.Sched.Steps) <= fuseMaxSteps {
-		for i := 0; i+1 < len(c.Sched.Steps); i++ {
-			if full() {
-				return out
-			}
-			s := c.Sched.Clone()
-			s.Steps[i].Xfers = append(s.Steps[i].Xfers, s.Steps[i+1].Xfers...)
-			s.Steps[i].Copies = append(s.Steps[i].Copies, s.Steps[i+1].Copies...)
-			s.Steps = append(s.Steps[:i+1], s.Steps[i+2:]...)
-			s.Name = fmt.Sprintf("%s+f%d", c.Name, i)
-			try(s)
-		}
-	}
-
-	// Rail reassignment and stripe splitting on pinned transfers.
 	moves, splits := 0, 0
-	for si := range c.Sched.Steps {
-		st := &c.Sched.Steps[si]
-		for xi := range st.Xfers {
-			t := st.Xfers[xi]
+	for si := range s.Steps {
+		for xi, t := range s.Steps[si].Xfers {
 			if t.Via != ViaRail {
 				continue
 			}
-			if moves < mutationBudget {
-				for r := 0; r < c.Sched.Topo.HCAs; r++ {
-					if r == t.Rail || healthOf(health, r) <= 0 {
-						continue
-					}
-					if full() {
-						return out
-					}
-					s := c.Sched.Clone()
-					s.Steps[si].Xfers[xi].Rail = r
-					s.Name = fmt.Sprintf("%s+r%d.%d", c.Name, si, xi)
-					try(s)
-					moves++
-					break
-				}
+			rail := 0
+			for rail < s.Topo.HCAs && (rail == t.Rail || healthOf(health, rail) <= 0) {
+				rail++
 			}
-			if splits < mutationBudget && t.Len >= 2*prm.StripeThreshold {
-				for r := 0; r < c.Sched.Topo.HCAs; r++ {
-					if r == t.Rail || healthOf(health, r) <= 0 {
-						continue
-					}
-					if full() {
-						return out
-					}
-					s := c.Sched.Clone()
-					half := t.Len / 2
-					s.Steps[si].Xfers[xi].Len = half
-					extra := t
-					extra.Off, extra.Len, extra.Rail = t.Off+half, t.Len-half, r
-					s.Steps[si].Xfers = append(s.Steps[si].Xfers, extra)
-					s.Name = fmt.Sprintf("%s+s%d.%d", c.Name, si, xi)
-					try(s)
-					splits++
-					break
-				}
+			if rail == s.Topo.HCAs {
+				continue
+			}
+			if moves < budget {
+				qs = append(qs, neighbor{kind: moveRail, si: si, span: 1, xi: xi, rail: rail})
+				moves++
+			}
+			if splits < budget && t.Len >= 2*prm.StripeThreshold {
+				qs = append(qs, neighbor{kind: splitRail, si: si, span: 1, xi: xi, rail: rail})
+				splits++
+			}
+		}
+	}
+	return qs
+}
+
+// changed writes the one step q changes, as q leaves it, into dst,
+// reusing dst's slices. Transfer order is kept: a fused step lists step
+// si's transfers, then step si+1's; a split appends the new piece.
+func (q *neighbor) changed(dst *Step, steps []Step) {
+	st := &steps[q.si]
+	dst.Xfers = append(dst.Xfers[:0], st.Xfers...)
+	dst.Copies = append(dst.Copies[:0], st.Copies...)
+	switch q.kind {
+	case fuseSteps:
+		dst.Xfers = append(dst.Xfers, steps[q.si+1].Xfers...)
+		dst.Copies = append(dst.Copies, steps[q.si+1].Copies...)
+	case moveRail:
+		dst.Xfers[q.xi].Rail = q.rail
+	case splitRail:
+		t := st.Xfers[q.xi]
+		half := t.Len / 2
+		dst.Xfers[q.xi].Len = half
+		t.Off, t.Len, t.Rail = t.Off+half, t.Len-half, q.rail
+		dst.Xfers = append(dst.Xfers, t)
+	}
+}
+
+// build is the neighbor as a schedule of its own.
+func (q *neighbor) build(c Candidate) *Schedule {
+	s := c.Sched.Clone()
+	q.changed(&s.Steps[q.si], c.Sched.Steps)
+	s.Steps = slices.Delete(s.Steps, q.si+1, q.si+q.span)
+	s.Name = fmt.Sprintf("%s+%c%d", c.Name, q.kind, q.si)
+	if q.kind != fuseSteps {
+		s.Name += fmt.Sprintf(".%d", q.xi)
+	}
+	return s
+}
+
+// walk takes the analysis through the (valid) parent once, as far as the
+// last step a neighbor touches, stopping before each step to quote the
+// neighbors that change it. Up to its step a neighbor is the parent, so
+// the tables are the ones its own analysis would have there. After it
+// the holds and round-robin cursors are the parent's again — a fusion
+// keeps the transfer order and is only ok if step si+1 reads nothing
+// step si delivers, a move or split touches pinned transfers only — so
+// every later step prices as in the parent and the neighbor costs
+// exactly parent - old + price.
+func (sr *search) walk(s *Schedule, qs []neighbor) error {
+	last := 0 // one past the last step a neighbor replaces
+	for _, q := range qs {
+		last = max(last, q.si+q.span)
+	}
+	if last == 0 {
+		return nil
+	}
+	sr.stats.Walks++
+	a := &sr.a
+	if err := a.begin(s, sr.prm, sr.health, nil); err != nil {
+		return err
+	}
+	for si := 0; si < last; si++ {
+		for i := range qs {
+			if q := &qs[i]; q.si == si {
+				q.changed(&sr.tmp, s.Steps)
+				q.price, q.ok = a.quote(si, &sr.tmp)
+			}
+		}
+		a.step(si, &s.Steps[si])
+	}
+	for i := range qs {
+		q := &qs[i]
+		for _, d := range a.rep.StepCosts[q.si : q.si+q.span] {
+			q.old += d
+		}
+	}
+	return nil
+}
+
+// mutate generates improved neighbors of a candidate: adjacent-step
+// fusion, moving a pinned transfer off its rail, and splitting a large
+// pinned transfer across an idle rail. One walk of the parent gives each
+// neighbor's verdict from the step it changes; those that pass and are
+// strictly cheaper are built and fully analyzed, and only what the full
+// analysis accepts at a strictly lower cost survives. Under a health
+// vector the pricing is health-aware and dead rails are never pinned, so
+// the search naturally migrates pinned traffic onto the surviving rails.
+func mutate(c Candidate, prm *netmodel.Params, health []float64) []Candidate {
+	return (&search{prm: prm, health: health}).mutate(c)
+}
+
+func (sr *search) mutate(c Candidate) []Candidate {
+	qs := neighbors(c.Sched, sr.prm, sr.health, mutationBudget)
+	if sr.walk(c.Sched, qs) != nil {
+		return nil
+	}
+	var out []Candidate
+	for i := 0; i < len(qs) && len(out) < mutationBudget; i++ {
+		q := &qs[i]
+		sr.stats.Considered++
+		switch {
+		case !q.ok:
+			sr.stats.RejectedLocally++
+		case q.price >= q.old:
+			sr.stats.NotCheaper++
+		default:
+			s := q.build(c)
+			sr.stats.Analyzed++
+			if rep, err := sr.analyze(s); err == nil && rep.Cost < c.Cost {
+				sr.stats.Accepted++
+				out = append(out, Candidate{Name: s.Name, Sched: s, Cost: rep.Cost})
 			}
 		}
 	}
