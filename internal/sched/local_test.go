@@ -42,24 +42,24 @@ func sameSteps(a, b *Schedule) bool {
 // verdictTally counts, per neighbor kind, how the local verdicts fell,
 // plus the cases the sweep must not miss.
 type verdictTally struct {
-	rejected, priced     map[neighborKind]int
-	pricedPartialSplit   int // a split of a piece that was a partial window already
-	pricedFusionOfCopies int // a fusion whose second step stages copies
+	rejected, priced     map[string]int // by the kind's letter
+	pricedPartialSplit   int            // a split of a piece that was a partial window already
+	pricedFusionOfCopies int            // a fusion whose second step stages copies
 }
 
-// checkLocalVerdicts puts every neighbor of parent (the first budget of
-// each rail kind) to one walk and to the full analyzer, and requires:
+// checkLocalVerdicts puts every neighbor of parent the search would ask
+// about to one walk and to the full analyzer, and requires:
 // locally rejected => the analyzer errors; locally priced => it accepts
 // at exactly parent - old + price. build must give the same schedule as
 // the old construction.
-func checkLocalVerdicts(t *testing.T, parent *Schedule, prm *netmodel.Params, health []float64, budget int, tally *verdictTally) {
+func checkLocalVerdicts(t *testing.T, parent *Schedule, prm *netmodel.Params, health []float64, tally *verdictTally) {
 	t.Helper()
 	rep, err := AnalyzeHealth(parent, prm, health)
 	if err != nil {
 		t.Fatalf("%s on %v: parent invalid: %v", parent.Name, parent.Topo, err)
 	}
 	c := Candidate{Name: parent.Name, Sched: parent, Cost: rep.Cost}
-	qs := neighbors(parent, prm, health, budget)
+	qs := neighbors(parent, prm, health)
 	sr := &search{prm: prm, health: health}
 	if err := sr.walk(parent, qs); err != nil {
 		t.Fatal(err)
@@ -77,14 +77,14 @@ func checkLocalVerdicts(t *testing.T, parent *Schedule, prm *netmodel.Params, he
 		case !q.ok && err == nil:
 			t.Errorf("%s: rejected locally, but the analyzer accepts it at %d", where(), int64(full.Cost))
 		case !q.ok:
-			tally.rejected[q.kind]++
+			tally.rejected[string(rune(q.kind))]++
 		case err != nil:
 			t.Errorf("%s: priced locally at %d, but the analyzer rejects it: %v", where(), int64(c.Cost-q.old+q.price), err)
 		case full.Cost != c.Cost-q.old+q.price:
 			t.Errorf("%s: priced locally at %d - %d + %d = %d, the analyzer says %d", where(),
 				int64(c.Cost), int64(q.old), int64(q.price), int64(c.Cost-q.old+q.price), int64(full.Cost))
 		default:
-			tally.priced[q.kind]++
+			tally.priced[string(rune(q.kind))]++
 			if q.kind == splitRail && !parent.Steps[q.si].Xfers[q.xi].Whole(parent.Msg) {
 				tally.pricedPartialSplit++
 			}
@@ -99,15 +99,15 @@ func checkLocalVerdicts(t *testing.T, parent *Schedule, prm *netmodel.Params, he
 	}
 }
 
-// looseParents are hand-built valid allgathers on 2x2x2 with room in
-// them, for the verdicts no lowering produces on a block layout (there
+// looseParent is a hand-built valid allgather on 2x2x2 with room in
+// it, for the verdicts no lowering produces on a block layout (there
 // every rail is taken in every step that pins one): each cross-node
 // block travels as two half-window pieces on rail 0, one piece a step,
 // so pieces split and move onto the idle rail 1 and adjacent steps
 // fuse; intra-node blocks go round-robin over the adapters, so a fused
 // step's price depends on where the cursors stand, in steps that also
 // stage a copy of a block held from the start.
-func looseParents(msg int) []*Schedule {
+func looseParent(msg int) *Schedule {
 	topo := topology.New(2, 2, 2)
 	b := NewBuilder("loose", topo, msg)
 	for src := 0; src < 4; src++ {
@@ -122,7 +122,7 @@ func looseParents(msg int) []*Schedule {
 			}
 		}
 	}
-	return []*Schedule{b.MustBuild()}
+	return b.MustBuild()
 }
 
 // TestLocalVerdictsMatchFullAnalysis is the proof that mutate's shortcut
@@ -138,7 +138,7 @@ func TestLocalVerdictsMatchFullAnalysis(t *testing.T) {
 	if testing.Short() {
 		maxRanks = 16
 	}
-	tally := &verdictTally{rejected: map[neighborKind]int{}, priced: map[neighborKind]int{}}
+	tally := &verdictTally{rejected: map[string]int{}, priced: map[string]int{}}
 	parents := 0
 	for nodes := 1; nodes <= maxRanks; nodes++ {
 		for ppn := 1; nodes*ppn <= maxRanks; ppn++ {
@@ -173,7 +173,7 @@ func TestLocalVerdictsMatchFullAnalysis(t *testing.T) {
 								continue
 							}
 							seen = append(seen, c.Sched)
-							checkLocalVerdicts(t, c.Sched, prm, health, mutationBudget, tally)
+							checkLocalVerdicts(t, c.Sched, prm, health, tally)
 							parents++
 						}
 					}
@@ -183,17 +183,15 @@ func TestLocalVerdictsMatchFullAnalysis(t *testing.T) {
 	}
 	for _, health := range [][]float64{nil, {1, 0.5}, {0.25, 1}} {
 		for _, msg := range []int{4 << 10, 1 << 20} {
-			for _, s := range looseParents(msg) {
-				checkLocalVerdicts(t, s, prm, health, 1<<30, tally)
-				parents++
-			}
+			checkLocalVerdicts(t, looseParent(msg), prm, health, tally)
+			parents++
 		}
 	}
 	t.Logf("%d parents; rejected locally %v, priced %v (%d partial-window splits, %d fusions of a step with copies)",
 		parents, tally.rejected, tally.priced, tally.pricedPartialSplit, tally.pricedFusionOfCopies)
-	for _, k := range []neighborKind{fuseSteps, moveRail, splitRail} {
+	for _, k := range []string{"f", "r", "s"} {
 		if tally.rejected[k] == 0 || tally.priced[k] == 0 {
-			t.Errorf("neighbor kind %c: %d rejected, %d priced — the sweep must see both", k, tally.rejected[k], tally.priced[k])
+			t.Errorf("neighbor kind %s: %d rejected, %d priced — the sweep must see both", k, tally.rejected[k], tally.priced[k])
 		}
 	}
 	if tally.pricedPartialSplit == 0 || tally.pricedFusionOfCopies == 0 {

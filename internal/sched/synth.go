@@ -326,8 +326,8 @@ type neighbor struct {
 
 // neighbors lists the mutations of s in the order the search tries them:
 // every adjacent-step fusion, then per pinned transfer a move to and a
-// split onto the first other live rail, the first budget of each kind.
-func neighbors(s *Schedule, prm *netmodel.Params, health []float64, budget int) []neighbor {
+// split onto the first other live rail, mutationBudget of each kind.
+func neighbors(s *Schedule, prm *netmodel.Params, health []float64) []neighbor {
 	var qs []neighbor
 	if len(s.Steps) <= fuseMaxSteps {
 		for i := 0; i+1 < len(s.Steps); i++ {
@@ -347,11 +347,11 @@ func neighbors(s *Schedule, prm *netmodel.Params, health []float64, budget int) 
 			if rail == s.Topo.HCAs {
 				continue
 			}
-			if moves < budget {
+			if moves < mutationBudget {
 				qs = append(qs, neighbor{kind: moveRail, si: si, span: 1, xi: xi, rail: rail})
 				moves++
 			}
-			if splits < budget && t.Len >= 2*prm.StripeThreshold {
+			if splits < mutationBudget && t.Len >= 2*prm.StripeThreshold {
 				qs = append(qs, neighbor{kind: splitRail, si: si, span: 1, xi: xi, rail: rail})
 				splits++
 			}
@@ -447,9 +447,9 @@ func mutate(c Candidate, prm *netmodel.Params, health []float64) []Candidate {
 }
 
 func (sr *search) mutate(c Candidate) []Candidate {
-	qs := neighbors(c.Sched, sr.prm, sr.health, mutationBudget)
+	qs := neighbors(c.Sched, sr.prm, sr.health)
 	if sr.walk(c.Sched, qs) != nil {
-		return nil
+		return nil // a parent the analyzer cannot begin on has no valid neighbor
 	}
 	var out []Candidate
 	for i := 0; i < len(qs) && len(out) < mutationBudget; i++ {
