@@ -72,9 +72,9 @@ type World struct {
 	faultBlind bool
 
 	// makespan is the latest virtual time a rank body returned at. A rank
-	// writes it once, as its body returns; the engine runs one process at
-	// a time and hands over under its lock, so the ranks' writes and the
-	// read after Run are ordered without a lock of their own.
+	// writes it once, as its body returns; rank bodies are coroutines of
+	// Run's goroutine, so the ranks' writes and the read after Run need no
+	// ordering of their own.
 	makespan sim.Time
 
 	jitterMu sync.Mutex

@@ -7,16 +7,14 @@ import (
 
 // A ClockWatcher observes every clock advance of the engine: it is invoked
 // with the time being left and the time being entered, strictly before the
-// advance takes effect. The watcher runs inside the event loop with
-// the engine lock held, so it must not call engine methods; recording the
-// pair (e.g. to assert monotonicity afterwards) is the intended use.
+// advance takes effect. The watcher runs inside the event loop, between two
+// events, so it must not call engine methods; recording the pair (e.g. to
+// assert monotonicity afterwards) is the intended use.
 type ClockWatcher func(from, to Time)
 
 // SetClockWatcher installs fn as the engine's clock observer (nil removes
 // it). Install before Run; the engine never advances the clock earlier.
 func (e *Engine) SetClockWatcher(fn ClockWatcher) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.watcher = fn
 }
 
@@ -27,8 +25,6 @@ func (e *Engine) SetClockWatcher(fn ClockWatcher) {
 // installs a describer so a leak under concurrent jobs names the job that
 // sent it instead of reporting an undifferentiated count.
 func (e *Engine) SetItemDescriber(fn func(interface{}) string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.describe = fn
 }
 
@@ -45,8 +41,6 @@ func (e *Engine) SetItemDescriber(fn func(interface{}) string) {
 // A nil error means the run tore down cleanly. Calling it before Run, or
 // after a Run that returned an error, reports those states too.
 func (e *Engine) CheckQuiescent() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var bad []string
 	if !e.started {
 		bad = append(bad, "Run was never called")

@@ -29,8 +29,6 @@ func (e *Engine) NewCounter(name string) *Counter {
 
 // Value returns the counter's current value.
 func (c *Counter) Value() int64 {
-	c.eng.mu.Lock()
-	defer c.eng.mu.Unlock()
 	return c.val
 }
 
@@ -43,11 +41,9 @@ func (c *Counter) Add(delta int64) {
 		panic(fmt.Sprintf("sim: negative Add on counter %s", c.name))
 	}
 	e := c.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.noteLocked(&c.label)
+	e.note(&c.label)
 	c.val += delta
-	c.releaseLocked()
+	c.release()
 }
 
 // AddAt schedules the counter to advance by delta at virtual time at.
@@ -56,40 +52,36 @@ func (c *Counter) AddAt(at Time, delta int64) {
 		panic(fmt.Sprintf("sim: negative AddAt on counter %s", c.name))
 	}
 	e := c.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if now := e.Now(); at < now {
 		at = now
 	}
-	e.scheduleLabeledLocked(at, &c.label, func() {
-		e.noteLocked(&c.label)
+	e.schedule(at, &c.label, func() {
+		e.note(&c.label)
 		c.val += delta
-		c.releaseLocked()
+		c.release()
 	})
 }
 
 // SetAtLeast raises the counter to at least v (it never decreases).
 func (c *Counter) SetAtLeast(v int64) {
 	e := c.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.noteLocked(&c.label)
+	e.note(&c.label)
 	if v > c.val {
 		c.val = v
-		c.releaseLocked()
+		c.release()
 	}
 }
 
-// releaseLocked schedules a wake event for every satisfied waiter. Caller
-// holds the engine lock. Each waiter wakes via its own event so that at
-// most one simulated process is runnable at a time.
-func (c *Counter) releaseLocked() {
+// release schedules a wake event for every satisfied waiter. Each waiter
+// wakes via its own event so that at most one simulated process is runnable
+// at a time.
+func (c *Counter) release() {
 	e := c.eng
 	kept := c.waiters[:0]
 	for _, w := range c.waiters {
 		if !w.released && c.val >= w.threshold {
 			w.released = true
-			e.scheduleLabeledLocked(e.Now(), &w.p.label, w.p.fire)
+			e.schedule(e.Now(), &w.p.label, w.p.fire)
 		} else {
 			kept = append(kept, w)
 		}
@@ -104,10 +96,8 @@ func (c *Counter) WaitGE(p *Proc, threshold int64) {
 	if p.eng != e {
 		panic("sim: WaitGE across engines")
 	}
-	e.mu.Lock()
-	e.noteLocked(&c.label)
+	e.note(&c.label)
 	if c.val >= threshold {
-		e.mu.Unlock()
 		return
 	}
 	p.ctr = counterWaiter{p: p, threshold: threshold}

@@ -135,7 +135,7 @@ func (s pickSched) Pick(now Time, frontier []EventInfo) int {
 // event callback, a gauge underflow, a scheduler returning a bad index) is
 // a bug in the caller's model, not in a simulated process, so it must
 // propagate out of Run on the caller's goroutine — not be folded into a
-// "process panicked" error — and leave the engine lock free and no
+// "process panicked" error — and leave the engine answering its audits and no
 // goroutine behind beyond the processes that were still blocked and the
 // workers that went back on the free list.
 func TestEnginePanicsSurfaceFromRun(t *testing.T) {
@@ -204,15 +204,15 @@ func TestEnginePanicsSurfaceFromRun(t *testing.T) {
 				if got := fmt.Sprint(r); !strings.Contains(got, tc.wantSub) || strings.Contains(got, "panicked") {
 					t.Fatalf("panic = %q, want the raw %q", got, tc.wantSub)
 				}
-				if !e.mu.TryLock() {
-					t.Fatal("engine lock still held after Run panicked")
+				audit := fmt.Sprint(e.CheckQuiescent())
+				if got := strings.Contains(audit, "1 of 1 processes never finished"); got != (tl.blocked == 1) {
+					t.Errorf("CheckQuiescent after the panic = %s, want %d processes unfinished", audit, tl.blocked)
 				}
-				e.mu.Unlock()
 				if st := e.Stats(); st.Processes-st.Finished != tl.blocked {
 					t.Errorf("%d of %d processes unfinished, want %d", st.Processes-st.Finished, st.Processes, tl.blocked)
 				}
 				// A finished process's worker goes idle (or exits) just after
-				// releasing the engine lock; give it a moment.
+				// its last drive; give it a moment.
 				deadline := time.Now().Add(2 * time.Second)
 				for busyGoroutines() > before+tl.blocked && time.Now().Before(deadline) {
 					time.Sleep(time.Millisecond)
@@ -263,15 +263,13 @@ func TestEventOrderMatchesSortedReference(t *testing.T) {
 			}
 			var got, want []fired
 			next := 0
-			// push runs with the engine lock held: callbacks fire that
-			// way, and the seeding process takes it for the purpose.
 			var push func(depth int)
 			push = func(depth int) {
 				id := next
 				next++
 				at := e.Now() + Time(rng.Intn(40))
 				want = append(want, fired{at, id})
-				e.scheduleLocked(at, func() {
+				e.schedule(at, nil, func() {
 					got = append(got, fired{e.Now(), id})
 					if depth < 3 && rng.Intn(3) == 0 {
 						for k := rng.Intn(4); k > 0; k-- {
@@ -281,8 +279,6 @@ func TestEventOrderMatchesSortedReference(t *testing.T) {
 				})
 			}
 			e.Spawn("src", func(p *Proc) {
-				e.mu.Lock()
-				defer e.mu.Unlock()
 				for i := 0; i < 300; i++ {
 					push(0)
 				}

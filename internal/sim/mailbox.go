@@ -20,7 +20,7 @@ type Mailbox struct {
 	items   []mailItem
 	waiters []*mailWaiter
 	arrived int64  // total items ever deposited
-	arrive  func() // arriveLocked, the one callback every PutAt schedules
+	arrival func() // arrive, the one callback every PutAt schedules
 }
 
 // A wireItem is an item PutAt has sent on its way, under the sequence
@@ -74,10 +74,8 @@ func (w *mailWaiter) accepts(v interface{}) bool {
 // NewMailbox creates a named mailbox bound to the engine.
 func (e *Engine) NewMailbox(name string) *Mailbox {
 	m := &Mailbox{label: label{kind: kindMailbox, name: name}, eng: e}
-	m.arrive = m.arriveLocked
-	e.mu.Lock()
+	m.arrival = m.arrive
 	e.mailboxes = append(e.mailboxes, m)
-	e.mu.Unlock()
 	return m
 }
 
@@ -86,8 +84,6 @@ func (e *Engine) NewMailbox(name string) *Mailbox {
 // depositor can keep computing while the message is "on the wire".
 func (m *Mailbox) PutAt(at Time, v interface{}) {
 	e := m.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if now := e.Now(); at < now {
 		at = now
 	}
@@ -98,12 +94,12 @@ func (m *Mailbox) PutAt(at Time, v interface{}) {
 		clear(m.wire[n:])
 		m.wire, m.head = m.wire[:n], 0
 	}
-	m.wire = append(m.wire, wireItem{seq: e.scheduleLabeledLocked(at, &m.label, m.arrive), v: v})
+	m.wire = append(m.wire, wireItem{seq: e.schedule(at, &m.label, m.arrival), v: v})
 }
 
-// arriveLocked runs as an event at an item's arrival time: the item is the
+// arrive runs as an event at an item's arrival time: the item is the
 // one that went on the wire under the firing event's sequence number.
-func (m *Mailbox) arriveLocked() {
+func (m *Mailbox) arrive() {
 	seq := m.eng.firing
 	live := m.wire[m.head:]
 	i := 0
@@ -121,28 +117,27 @@ func (m *Mailbox) arriveLocked() {
 	if m.head == len(m.wire) { // nothing in flight: the next put starts the array over
 		m.wire, m.head = m.wire[:0], 0
 	}
-	m.depositLocked(v)
+	m.deposit(v)
 }
 
-// depositLocked hands an arrived item to the first waiting matcher (FIFO)
-// or queues it. Caller holds the engine lock; at most one process is woken,
-// preserving determinism.
-func (m *Mailbox) depositLocked(v interface{}) {
-	m.eng.noteLocked(&m.label)
+// deposit hands an arrived item to the first waiting matcher (FIFO)
+// or queues it; at most one process is woken, preserving determinism.
+func (m *Mailbox) deposit(v interface{}) {
+	m.eng.note(&m.label)
 	m.arrived++
 	for _, w := range m.waiters {
 		if !w.found && w.accepts(v) {
 			w.found = true
 			w.got = v
-			m.removeWaiterLocked(w)
-			m.eng.wakeLocked(w.p)
+			m.removeWaiter(w)
+			m.eng.wake(w.p)
 			return
 		}
 	}
 	m.items = append(m.items, mailItem{at: m.eng.Now(), v: v})
 }
 
-func (m *Mailbox) removeWaiterLocked(target *mailWaiter) {
+func (m *Mailbox) removeWaiter(target *mailWaiter) {
 	for i, w := range m.waiters {
 		if w == target {
 			m.waiters = slices.Delete(m.waiters, i, i+1) // and clear the vacated slot
@@ -175,12 +170,9 @@ func (m *Mailbox) get(p *Proc, waiting procState) interface{} {
 		panic("sim: Get across engines")
 	}
 	w := &p.recv
-	e.mu.Lock()
-	e.noteLocked(&m.label)
-	got, ok := m.takeLocked(w)
-	if ok {
-		e.mu.Unlock()
-	} else {
+	e.note(&m.label)
+	got, ok := m.take(w)
+	if !ok {
 		m.waiters = append(m.waiters, w)
 		e.block(p, waiting)
 		got = w.got
@@ -189,13 +181,13 @@ func (m *Mailbox) get(p *Proc, waiting procState) interface{} {
 	return got
 }
 
-// takeLocked removes and returns the first queued item w accepts. The slot
+// take removes and returns the first queued item w accepts. The slot
 // it vacates at the tail is cleared, so the mailbox does not keep the item
 // — in payload runs a cloned message buffer — alive until a later deposit
 // overwrites it. Where every send is posted up front the queue is as deep
 // as the wire, so the scan calls the matcher directly: one indirect call an
 // item, as the predicate costs, rather than accepts' two.
-func (m *Mailbox) takeLocked(w *mailWaiter) (interface{}, bool) {
+func (m *Mailbox) take(w *mailWaiter) (interface{}, bool) {
 	i := -1
 	if by := w.by; by != nil {
 		match, ctx, src, tag := by.Match, w.ctx, w.src, w.tag
@@ -224,24 +216,18 @@ func (m *Mailbox) takeLocked(w *mailWaiter) (interface{}, bool) {
 // TryGet removes and returns the first queued item matching match without
 // blocking. It returns nil, false when nothing matches.
 func (m *Mailbox) TryGet(match func(interface{}) bool) (interface{}, bool) {
-	m.eng.mu.Lock()
-	defer m.eng.mu.Unlock()
-	m.eng.noteLocked(&m.label)
-	return m.takeLocked(&mailWaiter{match: match})
+	m.eng.note(&m.label)
+	return m.take(&mailWaiter{match: match})
 }
 
 // Pending reports how many delivered-but-unclaimed items are queued.
 func (m *Mailbox) Pending() int {
-	m.eng.mu.Lock()
-	defer m.eng.mu.Unlock()
 	return len(m.items)
 }
 
 // PendingItems returns the delivered-but-unclaimed items in arrival order.
 // Teardown audits use it to attribute leaked messages to their senders.
 func (m *Mailbox) PendingItems() []interface{} {
-	m.eng.mu.Lock()
-	defer m.eng.mu.Unlock()
 	out := make([]interface{}, len(m.items))
 	for i, it := range m.items {
 		out[i] = it.v
@@ -253,21 +239,15 @@ func (m *Mailbox) PendingItems() []interface{} {
 // (a rank, a job, a scheduler). Quiescence audits report the label when
 // the mailbox leaks, so concurrent owners stay distinguishable.
 func (m *Mailbox) SetOwner(label string) {
-	m.eng.mu.Lock()
-	defer m.eng.mu.Unlock()
 	m.owner = label
 }
 
 // Owner returns the attribution label set with SetOwner ("" = unowned).
 func (m *Mailbox) Owner() string {
-	m.eng.mu.Lock()
-	defer m.eng.mu.Unlock()
 	return m.owner
 }
 
 // Arrived reports the total number of items ever delivered.
 func (m *Mailbox) Arrived() int64 {
-	m.eng.mu.Lock()
-	defer m.eng.mu.Unlock()
 	return m.arrived
 }

@@ -22,9 +22,7 @@ type Resource struct {
 // NewResource creates a named resource bound to the engine.
 func (e *Engine) NewResource(name string) *Resource {
 	r := &Resource{label: label{kind: kindResource, name: name}, eng: e}
-	e.mu.Lock()
 	e.resources = append(e.resources, r)
-	e.mu.Unlock()
 	return r
 }
 
@@ -44,15 +42,12 @@ type RateFunc func(t Time) (fraction float64, until Time)
 // to cover d worth of work at the profile's varying rate, pausing entirely
 // through unavailability windows.
 func (r *Resource) SetRate(fn RateFunc) {
-	r.eng.mu.Lock()
-	defer r.eng.mu.Unlock()
 	r.rate = fn
 }
 
-// serviceEndLocked returns when an occupation of nominal duration d that
-// begins at start completes under the resource's rate profile. Caller
-// holds the engine lock.
-func (r *Resource) serviceEndLocked(start Time, d Duration) Time {
+// serviceEnd returns when an occupation of nominal duration d that
+// begins at start completes under the resource's rate profile.
+func (r *Resource) serviceEnd(start Time, d Duration) Time {
 	if r.rate == nil || d == 0 {
 		return start + Time(d)
 	}
@@ -89,14 +84,12 @@ func (r *Resource) Acquire(d Duration) (start, end Time) {
 		panic(fmt.Sprintf("sim: negative acquire on %s", r.name))
 	}
 	e := r.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.noteLocked(&r.label)
+	e.note(&r.label)
 	start = e.Now()
 	if r.freeAt > start {
 		start = r.freeAt
 	}
-	end = r.serviceEndLocked(start, d)
+	end = r.serviceEnd(start, d)
 	r.freeAt = end
 	r.busy += Duration(end - start)
 	r.uses++
@@ -110,9 +103,7 @@ func (r *Resource) AcquireAfter(notBefore Time, d Duration) (start, end Time) {
 		panic(fmt.Sprintf("sim: negative acquire on %s", r.name))
 	}
 	e := r.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.noteLocked(&r.label)
+	e.note(&r.label)
 	start = e.Now()
 	if notBefore > start {
 		start = notBefore
@@ -120,7 +111,7 @@ func (r *Resource) AcquireAfter(notBefore Time, d Duration) (start, end Time) {
 	if r.freeAt > start {
 		start = r.freeAt
 	}
-	end = r.serviceEndLocked(start, d)
+	end = r.serviceEnd(start, d)
 	r.freeAt = end
 	r.busy += Duration(end - start)
 	r.uses++
@@ -139,14 +130,12 @@ func AcquireTogether(d Duration, rs ...*Resource) (start, end Time) {
 		panic("sim: negative acquire")
 	}
 	e := rs[0].eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	start = e.Now()
 	for _, r := range rs {
 		if r.eng != e {
 			panic("sim: AcquireTogether across engines")
 		}
-		e.noteLocked(&r.label)
+		e.note(&r.label)
 		if r.freeAt > start {
 			start = r.freeAt
 		}
@@ -155,7 +144,7 @@ func AcquireTogether(d Duration, rs ...*Resource) (start, end Time) {
 	// its share of work; every endpoint stays held until then.
 	end = start + Time(d)
 	for _, r := range rs {
-		if e2 := r.serviceEndLocked(start, d); e2 > end {
+		if e2 := r.serviceEnd(start, d); e2 > end {
 			end = e2
 		}
 	}
@@ -178,14 +167,12 @@ func AcquireHetero(ds []Duration, rs ...*Resource) (start, end Time) {
 		panic("sim: AcquireHetero needs one duration per resource")
 	}
 	e := rs[0].eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	start = e.Now()
 	for _, r := range rs {
 		if r.eng != e {
 			panic("sim: AcquireHetero across engines")
 		}
-		e.noteLocked(&r.label)
+		e.note(&r.label)
 		if r.freeAt > start {
 			start = r.freeAt
 		}
@@ -194,7 +181,7 @@ func AcquireHetero(ds []Duration, rs ...*Resource) (start, end Time) {
 		if ds[i] < 0 {
 			panic("sim: negative acquire")
 		}
-		fin := r.serviceEndLocked(start, ds[i])
+		fin := r.serviceEnd(start, ds[i])
 		r.freeAt = fin
 		r.busy += Duration(fin - start)
 		r.uses++
@@ -213,15 +200,11 @@ func (r *Resource) MarkOwner(label string) {
 	if label == "" {
 		return
 	}
-	r.eng.mu.Lock()
-	defer r.eng.mu.Unlock()
 	r.lastOwner = label
 }
 
 // LastOwner returns the most recent MarkOwner label ("" = never marked).
 func (r *Resource) LastOwner() string {
-	r.eng.mu.Lock()
-	defer r.eng.mu.Unlock()
 	return r.lastOwner
 }
 
@@ -230,23 +213,17 @@ func (r *Resource) LastOwner() string {
 // toward the step footprint; BusyTime/Uses are post-run statistics and
 // deliberately do not.
 func (r *Resource) FreeAt() Time {
-	r.eng.mu.Lock()
-	defer r.eng.mu.Unlock()
-	r.eng.noteLocked(&r.label)
+	r.eng.note(&r.label)
 	return r.freeAt
 }
 
 // BusyTime reports the cumulative occupied duration.
 func (r *Resource) BusyTime() Duration {
-	r.eng.mu.Lock()
-	defer r.eng.mu.Unlock()
 	return r.busy
 }
 
 // Uses reports how many acquisitions the resource has served.
 func (r *Resource) Uses() int64 {
-	r.eng.mu.Lock()
-	defer r.eng.mu.Unlock()
 	return r.uses
 }
 
@@ -266,7 +243,7 @@ type Gauge struct {
 func (e *Engine) NewGauge(name string) *Gauge {
 	g := &Gauge{label: label{kind: kindGauge, name: name}, eng: e}
 	g.dec = func() {
-		e.noteLocked(&g.label)
+		e.note(&g.label)
 		g.val--
 		if g.val < 0 {
 			panic(fmt.Sprintf("sim: gauge %s went negative", g.name))
@@ -279,9 +256,7 @@ func (e *Engine) NewGauge(name string) *Gauge {
 // is included in its own concurrency count).
 func (g *Gauge) Inc() int {
 	e := g.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.noteLocked(&g.label)
+	e.note(&g.label)
 	g.val++
 	if g.val > g.peak {
 		g.peak = g.val
@@ -292,25 +267,19 @@ func (g *Gauge) Inc() int {
 // DecAt schedules the gauge to decrement at virtual time at.
 func (g *Gauge) DecAt(at Time) {
 	e := g.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if now := e.Now(); at < now {
 		at = now
 	}
-	e.scheduleLabeledLocked(at, &g.label, g.dec)
+	e.schedule(at, &g.label, g.dec)
 }
 
 // Value returns the current in-flight count.
 func (g *Gauge) Value() int {
-	g.eng.mu.Lock()
-	defer g.eng.mu.Unlock()
-	g.eng.noteLocked(&g.label)
+	g.eng.note(&g.label)
 	return g.val
 }
 
 // Peak returns the maximum in-flight count observed.
 func (g *Gauge) Peak() int {
-	g.eng.mu.Lock()
-	defer g.eng.mu.Unlock()
 	return g.peak
 }

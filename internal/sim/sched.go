@@ -16,11 +16,11 @@ import (
 // time. A Scheduler makes that choice explicit and pluggable, which is
 // what lets internal/explore enumerate the interleaving space.
 //
-// Contract: Pick is called with the engine lock held and the full
-// frontier of minimum-time events, ordered by ascending sequence number
-// (index 0 is the canonical choice). It must return an index into
-// frontier without calling back into the engine, blocking, or retaining
-// the slice past the call. Virtual time semantics (durations, resource
+// Contract: Pick is called from inside the event loop, between two events,
+// with the full frontier of minimum-time events, ordered by ascending
+// sequence number (index 0 is the canonical choice). It must return an
+// index into frontier without calling back into the engine, blocking, or
+// retaining the slice past the call. Virtual time semantics (durations, resource
 // queueing) are unaffected by the choice; only the serialization order
 // of simultaneous events changes.
 
@@ -65,7 +65,7 @@ type StepInfo struct {
 }
 
 // A StepObserver receives the dependency footprint of every executed
-// step. ObserveStep is called with the engine lock held and must not
+// step. ObserveStep is called from inside the event loop and must not
 // call back into the engine.
 type StepObserver interface {
 	ObserveStep(StepInfo)
@@ -77,8 +77,6 @@ type StepObserver interface {
 // reports per-step dependency footprints (off otherwise — the canonical
 // path pays nothing for the seam).
 func (e *Engine) SetScheduler(s Scheduler) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.started {
 		panic("sim: SetScheduler after Run")
 	}
@@ -86,11 +84,11 @@ func (e *Engine) SetScheduler(s Scheduler) {
 	e.obs, e.collect = s.(StepObserver)
 }
 
-// nextEventLocked takes the event to fire next off the queue. With no
+// nextEvent takes the event to fire next off the queue. With no
 // scheduler (or a singleton frontier) that is the queue's earliest.
 // Otherwise the minimum-time frontier is the queue's head bucket, read in
 // place; the scheduler chooses from it and only the chosen event leaves.
-func (e *Engine) nextEventLocked() event {
+func (e *Engine) nextEvent() event {
 	if e.sched == nil {
 		return e.events.pop()
 	}
@@ -110,9 +108,9 @@ func (e *Engine) nextEventLocked() event {
 	return e.events.remove(k)
 }
 
-// beginStepLocked opens footprint collection for the step initiated by
+// beginStep opens footprint collection for the step initiated by
 // ev. No-op unless a StepObserver is installed.
-func (e *Engine) beginStepLocked(ev event) {
+func (e *Engine) beginStep(ev event) {
 	if !e.collect {
 		return
 	}
@@ -124,10 +122,10 @@ func (e *Engine) beginStepLocked(ev event) {
 	e.spawned = e.spawned[:0]
 }
 
-// flushStepLocked closes the open step, if any, and delivers its
+// flushStep closes the open step, if any, and delivers its
 // StepInfo to the observer. Called when the engine quiesces (all
 // processes blocked again) before the next event is chosen.
-func (e *Engine) flushStepLocked() {
+func (e *Engine) flushStep() {
 	if !e.stepOpen {
 		return
 	}
@@ -148,11 +146,11 @@ func (e *Engine) flushStepLocked() {
 	e.obs.ObserveStep(StepInfo{Seq: e.stepSeq, Label: e.stepOn.key(), At: e.stepAt, Footprint: fp, Spawned: sp})
 }
 
-// noteLocked records that the current step touched the labelled piece of
+// note records that the current step touched the labelled piece of
 // shared state. Footprints are tiny (a handful of keys per step), so a
 // linear-scan dedup on a slice beats a map and keeps iteration order
 // deterministic. With no StepObserver it is one untaken branch.
-func (e *Engine) noteLocked(l *label) {
+func (e *Engine) note(l *label) {
 	if !e.stepOpen {
 		return
 	}

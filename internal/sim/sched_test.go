@@ -126,7 +126,7 @@ func TestSchedulerPickLeavesFrontierInOrder(t *testing.T) {
 				e.After(Microsecond, func() {
 					fired = append(fired, id)
 					if id == k {
-						e.scheduleLocked(e.Now(), func() { fired = append(fired, 5) })
+						e.Schedule(e.Now(), func() { fired = append(fired, 5) })
 					}
 				})
 			}

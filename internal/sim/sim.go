@@ -13,6 +13,18 @@
 // earliest pending event fires and advances the clock. If every process is
 // blocked and no events are pending, the simulation is deadlocked and Run
 // returns an error describing what each process was waiting for.
+//
+// Nothing in the package is synchronised. An Engine and everything bound to
+// it — its processes, mailboxes, counters, gauges and resources, and what a
+// layer above builds on them — belongs to one goroutine at a time: the one
+// that builds it, then the one that calls Run (process bodies, event
+// callbacks, Scheduler and ClockWatcher all run on it), then whoever reads
+// Stats or CheckQuiescent once Run has returned or its goroutine has ended.
+// Handing an engine from one goroutine to the next needs the ordering any
+// other value does (a channel, a WaitGroup); two engines share nothing but
+// the idle workers of worker.go, so any number may run at once, each on its
+// own goroutine. The gonosim lint keeps simulation packages from starting
+// goroutines of their own.
 package sim
 
 import (
@@ -21,8 +33,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the
@@ -84,7 +94,7 @@ func TransferTime(alpha Duration, n int, bw float64) Duration {
 // process's wake, a mailbox's arrival, a gauge's decrement — so scheduling
 // one allocates nothing. The record stays at four fields of one word on
 // purpose: that is the most the compiler will keep in registers, and a
-// fifth (an operand, say) doubles the frames of pop and nextEventLocked and
+// fifth (an operand, say) doubles the frames of pop and nextEvent and
 // turns every move of an event into a memory copy. A mailbox therefore
 // keeps the items on the wire itself and its arrival event finds its own by
 // seq.
@@ -124,8 +134,7 @@ var kindPrefix = [...]string{
 }
 
 // key returns the label's "kind:name" string; a nil label is the
-// conservative "ext" of events scheduled through Schedule/After. Caller
-// holds the engine lock.
+// conservative "ext" of events scheduled through Schedule/After.
 func (l *label) key() string {
 	if l == nil {
 		return "ext"
@@ -139,9 +148,7 @@ func (l *label) key() string {
 // Engine is a discrete-event simulation. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
-	mu sync.Mutex
-
-	now      atomic.Int64 // a Time; written under mu, read lock-free by Now
+	now      Time
 	seq      uint64
 	events   eventQueue
 	procs    []*Proc
@@ -151,17 +158,15 @@ type Engine struct {
 	fired    int64 // events executed, for Stats
 
 	// firing is the seq of the event whose callback is running: the operand
-	// the four-word event record has no room for. driveLocked, the one place
-	// an event fires, is its only writer; Mailbox.arriveLocked, which must
-	// run as the event PutAt scheduled and never be called directly, is its
-	// only reader and panics if no item went on the wire under that seq.
+	// the four-word event record has no room for. drive, the one place an
+	// event fires, is its only writer; Mailbox.arrive, which must run as the
+	// event PutAt scheduled and never be called directly, is its only reader
+	// and panics if no item went on the wire under that seq.
 	firing uint64
 
-	// Run-loop state: the process the last drive woke (see driveLocked),
-	// which Run resumes unless it is the one that was driving, how many
-	// drives ended each way, and how the simulation ended. Run reads these
-	// without the lock: it only runs while every coroutine is parked, and a
-	// coroutine switch orders what it sees after what they wrote.
+	// Run-loop state: the process the last drive woke (see drive), which
+	// Run resumes unless it is the one that was driving, how many drives
+	// ended each way, and how the simulation ended.
 	next      *Proc
 	switches  int64
 	selfWakes int64
@@ -182,7 +187,7 @@ type Engine struct {
 	// the strategy also observes steps.
 	sched    Scheduler
 	obs      StepObserver
-	frontier []EventInfo // scratch for nextEventLocked, reused across steps; Pick may not retain it
+	frontier []EventInfo // scratch for nextEvent, reused across steps; Pick may not retain it
 	collect  bool
 	stepOpen bool
 	stepSeq  uint64
@@ -197,9 +202,8 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
-// Now returns the current virtual time. It is safe to call from simulated
-// processes and from event callbacks; it takes no lock.
-func (e *Engine) Now() Time { return Time(e.now.Load()) }
+// Now returns the current virtual time.
+func (e *Engine) Now() Time { return e.now }
 
 // Proc is a simulated process. Its methods must only be called from the
 // process body itself, not from a goroutine the body started.
@@ -278,8 +282,6 @@ func (p *Proc) Now() Time { return p.eng.Now() }
 // through p's methods and sim types bound to the same engine. A
 // runtime.Goexit in fn — a t.Fatal, say — ends Run's goroutine (see Run).
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.started {
 		panic("sim: Spawn after Run")
 	}
@@ -289,7 +291,7 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 		id:    len(e.procs),
 		fn:    fn,
 	}
-	p.fire = func() { e.wakeLocked(p) }
+	p.fire = func() { e.wake(p) }
 	e.procs = append(e.procs, p)
 	return p
 }
@@ -313,9 +315,7 @@ var ErrDeadlock = errors.New("sim: deadlock")
 // OS thread (a coroutine may only be resumed under the thread lock it was
 // created under, and workers outlive their engine).
 func (e *Engine) Run() error {
-	e.mu.Lock()
 	if e.started {
-		e.mu.Unlock()
 		return errors.New("sim: Run called twice")
 	}
 	e.started = true
@@ -324,15 +324,14 @@ func (e *Engine) Run() error {
 	// resume, serializing startup deterministically.
 	for _, p := range e.procs {
 		p.w = startWorker(p)
-		e.scheduleLabeledLocked(e.Now(), &p.label, p.fire)
+		e.schedule(e.now, &p.label, p.fire)
 	}
 
 	// Fire events until the first process is to run. From then on the loop
-	// runs on the stack of whichever process stops (driveLocked), and this
+	// runs on the stack of whichever process stops (drive), and this
 	// goroutine only carries control from the one that parked to the one it
 	// woke.
-	e.driveLocked(nil)
-	e.mu.Unlock()
+	e.drive(nil)
 	for !e.ended {
 		p := e.next
 		p.w.resume()
@@ -347,55 +346,54 @@ func (e *Engine) Run() error {
 	return e.endErr
 }
 
-// driveLocked is the event loop. It runs, with e.mu held, on the stack of
-// whoever just stopped — a process parking in block (self), a process
-// finishing in runProc, or Run at the start (self nil for both) — and fires
-// events until one wakes a process (e.next) or the simulation ends. Nothing else is running then, so events and processes
-// stay strictly serialized. When the process woken is self the result is
-// true and it just carries on, with no switch at all; otherwise the caller
-// yields to Run, which resumes e.next: two coroutine switches.
+// drive is the event loop. It runs on the stack of whoever just stopped — a
+// process parking in block (self), a process finishing in runProc, or Run
+// at the start (self nil for both) — and fires events until one wakes a
+// process (e.next) or the simulation ends. Nothing else is running then, so
+// events and processes stay strictly serialized. When the process woken is
+// self the result is true and it just carries on, with no switch at all;
+// otherwise the caller yields to Run, which resumes e.next: two coroutine
+// switches.
 //
 // A panic below this frame (event callback, Scheduler.Pick, ClockWatcher,
 // StepObserver) is not the driving process's fault: it is caught here and
 // handed to Run to re-raise, rather than unwinding into the process body.
-func (e *Engine) driveLocked(self *Proc) (resumed bool) {
+func (e *Engine) drive(self *Proc) (resumed bool) {
 	e.next = nil
 	defer func() {
 		if r := recover(); r != nil {
-			e.endLocked(nil, r)
+			e.end(nil, r)
 			resumed = false
 		}
 	}()
 	for e.next == nil {
-		e.flushStepLocked() // the previous step is complete: report it
+		e.flushStep() // the previous step is complete: report it
 		if e.failure != nil {
-			e.endLocked(e.failure, nil)
+			e.end(e.failure, nil)
 			return false
 		}
 		if e.events.n == 0 {
 			if e.finished == len(e.procs) {
-				e.endLocked(nil, nil)
+				e.end(nil, nil)
 			} else {
-				e.endLocked(e.deadlockErrorLocked(), nil)
+				e.end(e.deadlockError(), nil)
 			}
 			return false
 		}
-		ev := e.nextEventLocked()
-		// Nineteen events in twenty fire at the time of the one before
-		// them: the clock, an atomic, is only written when it moves.
-		if now := e.Now(); ev.at != now {
+		ev := e.nextEvent()
+		if now := e.now; ev.at != now {
 			if ev.at < now {
 				panic(fmt.Sprintf("sim: event scheduled in the past (%v < %v)", ev.at, now))
 			}
 			if e.watcher != nil {
 				e.watcher(now, ev.at)
 			}
-			e.now.Store(int64(ev.at))
+			e.now = ev.at
 		}
-		e.beginStepLocked(ev)
+		e.beginStep(ev)
 		e.fired++
 		e.firing = ev.seq
-		ev.fire() // runs with e.mu held; wakes at most one process
+		ev.fire() // wakes at most one process
 	}
 	if e.next == self {
 		e.selfWakes++
@@ -405,9 +403,9 @@ func (e *Engine) driveLocked(self *Proc) (resumed bool) {
 	return false
 }
 
-// endLocked records how the simulation ended, for Run to find once the
-// caller has yielded to it.
-func (e *Engine) endLocked(err error, panicked interface{}) {
+// end records how the simulation ended, for Run to find once the caller has
+// yielded to it.
+func (e *Engine) end(err error, panicked interface{}) {
 	e.ended = true
 	e.endErr, e.endPanic = err, panicked
 }
@@ -442,8 +440,6 @@ type Stats struct {
 
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return Stats{
 		Events:    e.fired,
 		Processes: len(e.procs),
@@ -463,7 +459,6 @@ func (e *Engine) Stats() Stats {
 // then Run's goroutine.
 func (e *Engine) runProc(p *Proc) {
 	defer func() {
-		e.mu.Lock()
 		if r := recover(); r != nil {
 			if e.failure == nil {
 				e.failure = fmt.Errorf("sim: process %q (id %d) panicked: %v\n%s",
@@ -473,24 +468,17 @@ func (e *Engine) runProc(p *Proc) {
 		p.done = true
 		p.state = procState{kind: stFinished}
 		e.finished++
-		e.driveLocked(nil)
-		e.mu.Unlock()
+		e.drive(nil)
 	}()
 	p.fn(p)
 }
 
-// scheduleLocked enqueues fire to run at time at. Caller holds e.mu.
-// Events scheduled through this untyped path carry the conservative
-// "ext" label (a Scheduler must assume they touch anything).
-func (e *Engine) scheduleLocked(at Time, fire func()) {
-	e.scheduleLabeledLocked(at, nil, fire)
-}
-
-// scheduleLabeledLocked enqueues fire with an explicit frontier label and
-// returns the event's sequence number. Caller holds e.mu. When a step is
-// open the new event is recorded as spawned by it, establishing the causal
-// edge DPOR needs.
-func (e *Engine) scheduleLabeledLocked(at Time, on *label, fire func()) uint64 {
+// schedule enqueues fire to run at time at (>= now), labelled with what it
+// acts on for Scheduler frontiers (nil is the conservative "ext": a
+// Scheduler must assume the event touches anything), and returns the
+// event's sequence number. When a step is open the new event is recorded as
+// spawned by it, establishing the causal edge DPOR needs.
+func (e *Engine) schedule(at Time, on *label, fire func()) uint64 {
 	e.seq++
 	if e.stepOpen {
 		e.spawned = append(e.spawned, e.seq)
@@ -499,16 +487,11 @@ func (e *Engine) scheduleLabeledLocked(at Time, on *label, fire func()) uint64 {
 	return e.seq
 }
 
-// Schedule enqueues fire to run at virtual time at (>= now). fire executes
-// inside the event loop with the engine lock held; it must not block
-// and may only call *Locked engine helpers or wake processes via counters.
+// Schedule enqueues fire to run at virtual time at (clamped to now). fire
+// executes inside the event loop, between processes: it must not block,
+// and may wake processes only through counters and mailboxes.
 func (e *Engine) Schedule(at Time, fire func()) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if now := e.Now(); at < now {
-		at = now
-	}
-	e.scheduleLocked(at, fire)
+	e.schedule(max(at, e.now), nil, fire)
 }
 
 // After enqueues fire to run d (>= 0) from now.
@@ -516,35 +499,29 @@ func (e *Engine) After(d Duration, fire func()) {
 	if d < 0 {
 		panic("sim: negative After")
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.scheduleLocked(e.Now()+Time(d), fire)
+	e.schedule(e.now+Time(d), nil, fire)
 }
 
-// wakeLocked makes p the process to run when the drive that fired this
-// event returns, which ends the drive: p itself if it is the one driving,
-// which resumes by returning from the loop, otherwise through Run. Caller
-// holds e.mu.
-func (e *Engine) wakeLocked(p *Proc) {
+// wake makes p the process to run when the drive that fired this event
+// returns, which ends the drive: p itself if it is the one driving, which
+// resumes by returning from the loop, otherwise through Run.
+func (e *Engine) wake(p *Proc) {
 	if p.done {
 		panic(fmt.Sprintf("sim: waking finished process %q", p.name))
 	}
 	// A woken process runs inside the current step, so everything its
 	// rank-local state does is attributed to the step via its proc key.
-	e.noteLocked(&p.label)
+	e.note(&p.label)
 	p.state = procState{kind: stRunning}
 	e.next = p
 }
 
-// block parks the calling process until something wakes it. Caller holds
-// e.mu; block returns with e.mu released. The process fires the pending
-// events itself, on its own stack, and yields to Run only once one of them
-// has woken another process or ended the simulation.
+// block parks the calling process until something wakes it. The process
+// fires the pending events itself, on its own stack, and yields to Run only
+// once one of them has woken another process or ended the simulation.
 func (e *Engine) block(p *Proc, state procState) {
 	p.state = state
-	resumed := e.driveLocked(p)
-	e.mu.Unlock()
-	if !resumed {
+	if !e.drive(p) {
 		p.w.yield(struct{}{})
 	}
 }
@@ -553,12 +530,10 @@ func (e *Engine) block(p *Proc, state procState) {
 // current time it returns immediately without yielding.
 func (p *Proc) WaitUntil(t Time) {
 	e := p.eng
-	e.mu.Lock()
-	if t <= e.Now() {
-		e.mu.Unlock()
+	if t <= e.now {
 		return
 	}
-	e.scheduleLabeledLocked(t, &p.label, p.fire)
+	e.schedule(t, &p.label, p.fire)
 	e.block(p, procState{kind: stSleepUntil, n: int64(t)})
 }
 
@@ -569,8 +544,7 @@ func (p *Proc) Sleep(d Duration) {
 		panic("sim: negative sleep")
 	}
 	e := p.eng
-	e.mu.Lock()
-	e.scheduleLabeledLocked(e.Now()+Time(d), &p.label, p.fire)
+	e.schedule(e.now+Time(d), &p.label, p.fire)
 	e.block(p, procState{kind: stSleeping, n: int64(d)})
 }
 
@@ -578,12 +552,11 @@ func (p *Proc) Sleep(d Duration) {
 // current time, providing a deterministic interleaving point.
 func (p *Proc) Yield() {
 	e := p.eng
-	e.mu.Lock()
-	e.scheduleLabeledLocked(e.Now(), &p.label, p.fire)
+	e.schedule(e.now, &p.label, p.fire)
 	e.block(p, procState{kind: stYielding})
 }
 
-func (e *Engine) deadlockErrorLocked() error {
+func (e *Engine) deadlockError() error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "at t=%v: %d of %d processes blocked forever:\n",
 		e.Now(), len(e.procs)-e.finished, len(e.procs))

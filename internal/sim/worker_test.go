@@ -27,6 +27,23 @@ func dropIdleWorkers() {
 	}
 }
 
+// quietGoroutines is busyGoroutines once it holds still: the goroutine of
+// the test before this one signals its parent before it exits, so a single
+// read may count it, and a baseline one too high fails settle for the lack
+// of a goroutine this test never had. Two reads a millisecond apart that
+// agree have seen it go.
+func quietGoroutines() int {
+	n := busyGoroutines()
+	for {
+		time.Sleep(time.Millisecond)
+		m := busyGoroutines()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+}
+
 // settle waits for the free list to hold want workers and for every other
 // goroutine started since before was sampled, bar leaked, to be gone.
 func settle(t *testing.T, before, leaked, want int) {
@@ -64,7 +81,7 @@ func TestWorkerFreeList(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dropIdleWorkers()
-			before := busyGoroutines()
+			before := quietGoroutines()
 			e := NewEngine()
 			e.Spawn("p", func(p *Proc) { tc.body(e, p) })
 			// Run on a helper goroutine, which a Goexit in the body ends
@@ -111,11 +128,11 @@ func TestWorkerFreeList(t *testing.T) {
 // what t.Fatal does — ends the goroutine that called Run, after its own
 // deferred calls and before Run can return, so a failing rank fails its
 // test instead of turning up as the deadlock of the ranks it left waiting.
-// The process is counted finished, the lock is free, and the others stay
-// parked as after a deadlock.
+// The process is counted finished, the engine answers its audits, and the
+// others stay parked as after a deadlock.
 func TestGoexitInBodyEndsRunsGoroutine(t *testing.T) {
 	dropIdleWorkers()
-	before := busyGoroutines()
+	before := quietGoroutines()
 	e := NewEngine()
 	never := e.NewCounter("never")
 	var trail []string
@@ -139,10 +156,9 @@ func TestGoexitInBodyEndsRunsGoroutine(t *testing.T) {
 	if got, want := fmt.Sprint(trail), "[body's deferred call caller's deferred call]"; got != want {
 		t.Fatalf("trail %v, want %v", got, want)
 	}
-	if !e.mu.TryLock() {
-		t.Fatal("engine lock still held after the Goexit")
+	if audit := fmt.Sprint(e.CheckQuiescent()); !strings.Contains(audit, "1 of 2 processes never finished") {
+		t.Errorf("CheckQuiescent after the Goexit = %s, want 1 of 2 processes unfinished", audit)
 	}
-	e.mu.Unlock()
 	if st := e.Stats(); st.Finished != 1 || st.Processes != 2 {
 		t.Errorf("%d of %d processes finished, want 1 of 2", st.Finished, st.Processes)
 	}
@@ -153,7 +169,7 @@ func TestGoexitInBodyEndsRunsGoroutine(t *testing.T) {
 // full, and the workers that found no room have exited.
 func TestWorkerFreeListIsBounded(t *testing.T) {
 	dropIdleWorkers()
-	before := busyGoroutines()
+	before := quietGoroutines()
 	e := NewEngine()
 	for i := 0; i < maxIdleWorkers+8; i++ {
 		e.Spawn("p", func(p *Proc) { p.Sleep(Microsecond) })
