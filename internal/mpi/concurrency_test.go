@@ -2,8 +2,10 @@ package mpi
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
+	"mha/internal/sim"
 	"mha/internal/topology"
 )
 
@@ -102,5 +104,47 @@ func TestVerifyTeardownAttributesLeakToJob(t *testing.T) {
 	}
 	if strings.Contains(msg, "job1") {
 		t.Fatalf("clean job1 wrongly implicated: %v", msg)
+	}
+}
+
+// TestWorldsRunSideBySide runs two 8-rank worlds to completion on two
+// goroutines at once, as explore's worker pool and the tuner's handlers do.
+// A world, its engine and its spare records belong to the goroutine that
+// runs it and no lock guards them: under -race anything one world shares
+// with the other shows, and both must end at the same virtual time.
+func TestWorldsRunSideBySide(t *testing.T) {
+	const rounds = 50
+	var ends [2]sim.Time
+	var wg sync.WaitGroup
+	for g := range ends {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := New(Config{Topo: topology.New(2, 4, 2)})
+			err := w.Run(func(p *Proc) {
+				c := w.CommWorld()
+				n := p.Size()
+				next, prev := (p.Rank()+1)%n, (p.Rank()-1+n)%n
+				for k := 0; k < rounds; k++ {
+					b := NewBuf(512)
+					b.Data()[0] = byte(p.Rank() + k)
+					if got := p.SendRecv(c, next, k, b, prev, k); got.Data()[0] != byte(prev+k) {
+						t.Errorf("world %d rank %d round %d: got %d from rank %d", g, p.Rank(), k, got.Data()[0], prev)
+					}
+				}
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := w.VerifyTeardown(); err != nil {
+				t.Error(err)
+			}
+			ends[g] = w.Makespan()
+		}()
+	}
+	wg.Wait()
+	if ends[0] != ends[1] || ends[0] == 0 {
+		t.Errorf("the two worlds ended at %v and %v, want one non-zero time", ends[0], ends[1])
 	}
 }

@@ -135,7 +135,14 @@ func (p *Proc) isend(r *Request, c *Comm, dst, tag int, data Buf, opts []SendOpt
 		_, oe := p.rs.cpu.Acquire(post)
 		p.sp.WaitUntil(oe)
 	}
-	msg := &message{comm: c.id, src: wsrc, dst: wdst, tag: tag, data: data.Clone(), sentAt: p.Now()}
+	// The record is one a Wait of this world has finished with, if any is.
+	var msg *message
+	if k := len(p.w.spare); k > 0 {
+		msg, p.w.spare = p.w.spare[k-1], p.w.spare[:k-1]
+	} else {
+		msg = new(message)
+	}
+	*msg = message{comm: c.id, src: wsrc, dst: wdst, tag: tag, data: data.Clone(), sentAt: p.Now()}
 
 	var end sim.Time
 	sameNode := p.w.topo.SameNode(wsrc, wdst)
@@ -460,7 +467,12 @@ func (p *Proc) Wait(req *Request) Buf {
 	}
 	start := p.Now()
 	m := p.rs.mbox.GetMatch(p.sp, &received, req.comm.id, req.src, req.tag).(*message)
-	req.data = m.data
+	src, data := m.src, m.data
+	req.data = data
+	// Nothing refers to the record any more: it goes back to the world,
+	// cleared, so that it keeps no payload reachable while it waits.
+	*m = message{}
+	p.w.spare = append(p.w.spare, m)
 	// Per-message completion overhead on the receiving CPU.
 	if post := p.w.prm.AlphaPost; post > 0 {
 		_, oe := p.rs.cpu.Acquire(post)
@@ -468,8 +480,8 @@ func (p *Proc) Wait(req *Request) Buf {
 	}
 	// The blocking interval is wait time, not work: the transfer itself is
 	// traced on the sender's lane (CMA copy or HCA occupation).
-	p.trace(trace.CatWait, "recv-wait", start, p.Now(), m.src, m.data.Len())
-	return m.data
+	p.trace(trace.CatWait, "recv-wait", start, p.Now(), src, data.Len())
+	return data
 }
 
 // Waitall completes a set of requests in order and returns the receive

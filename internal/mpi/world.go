@@ -77,6 +77,12 @@ type World struct {
 	// ordering of their own.
 	makespan sim.Time
 
+	// spare holds the message records Wait has received and cleared, last in
+	// first out; isend takes one before it allocates. A record that is never
+	// received never gets here, so a world allocates as many records as it
+	// has messages in flight at once, and the list dies with the world.
+	spare []*message
+
 	jitterMu sync.Mutex
 	jitter   *rand.Rand // nil when Params.Jitter == 0
 
