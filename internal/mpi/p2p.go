@@ -145,7 +145,7 @@ func (p *Proc) isend(r *Request, c *Comm, dst, tag int, data Buf, opts []SendOpt
 	*msg = message{comm: c.id, src: wsrc, dst: wdst, tag: tag, data: data.Clone(), sentAt: p.Now()}
 
 	var end sim.Time
-	sameNode := p.w.topo.SameNode(wsrc, wdst)
+	sameNode := p.w.ranks[wdst].node == p.rs.node
 	switch {
 	case o.byRef:
 		if !sameNode {
@@ -169,7 +169,7 @@ func (p *Proc) sendCMA(wdst, n int) sim.Time {
 	conc := nd.mem.Inc()
 	d := p.w.perturb(p.w.prm.CMATime(n, conc))
 	if f := p.w.prm.SocketFactor(); f > 1 &&
-		!p.w.topo.SameSocket(p.rs.local, p.w.topo.LocalOf(wdst)) {
+		!p.w.topo.SameSocket(p.rs.local, p.w.ranks[wdst].local) {
 		d = sim.Duration(float64(d) * f)
 	}
 	start, end := p.rs.cpu.Acquire(d)
@@ -194,7 +194,7 @@ func (p *Proc) sendCMA(wdst, n int) sim.Time {
 func (p *Proc) sendHCA(wdst, n int, o sendOpts) sim.Time {
 	prm := p.w.prm
 	srcNodeID := p.rs.node
-	dstNodeID := p.w.topo.NodeOf(wdst)
+	dstNodeID := p.w.ranks[wdst].node
 	srcNode := p.w.nodes[srcNodeID]
 	dstNode := p.w.nodes[dstNodeID]
 	// A transfer occupies the same rail index at both ends, so a
