@@ -156,8 +156,10 @@ func TestArrivalOrderCoversAllNodes(t *testing.T) {
 		for _, n := range []int{1, 2, 3, 4, 7, 8, 16} {
 			for node := 0; node < n; node++ {
 				seen := map[int]bool{}
-				for _, grp := range arrivalOrder(alg, n, node) {
-					for _, b := range grp {
+				order := arrivalOrder(alg, n, node)
+				for k := 0; k < order.groups(); k++ {
+					lo, ln := order.group(k)
+					for b := lo; b < lo+ln; b++ {
 						if seen[b] {
 							t.Fatalf("%v n=%d node=%d: block %d twice", alg, n, node, b)
 						}
@@ -167,8 +169,8 @@ func TestArrivalOrderCoversAllNodes(t *testing.T) {
 				if len(seen) != n {
 					t.Fatalf("%v n=%d node=%d: %d blocks, want %d", alg, n, node, len(seen), n)
 				}
-				if grp := arrivalOrder(alg, n, node)[0]; len(grp) != 1 || grp[0] != node {
-					t.Fatalf("%v n=%d node=%d: first group %v, want own block", alg, n, node, grp)
+				if lo, ln := order.group(0); ln != 1 || lo != node {
+					t.Fatalf("%v n=%d node=%d: first group [%d,+%d), want own block", alg, n, node, lo, ln)
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package collectives
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mha/internal/mpi"
 )
@@ -114,9 +115,11 @@ func HierarchicalAllgather(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf, cfg Hi
 
 	// ---- Phase 3 (non-leaders): copy blocks out as they become available.
 	haveOwnBlock := cfg.NodeAllgather != nil
-	for k, blk := range arrivalOrder(cfg.LeaderAlg, N, node) {
+	order := arrivalOrder(cfg.LeaderAlg, N, node)
+	for k := 0; k < order.groups(); k++ {
 		shm.WaitCounter(p, availName, int64(k+1))
-		for _, nb := range blk {
+		lo, ln := order.group(k)
+		for nb := lo; nb < lo+ln; nb++ {
 			if haveOwnBlock && nb == node {
 				continue
 			}
@@ -156,34 +159,42 @@ func gatherToLeader(p *mpi.Proc, nodeComm *mpi.Comm, epoch int, send, nodeBlock 
 	}
 }
 
-// arrivalOrder returns, for phase 2 of the given algorithm on N nodes as
-// seen from `node`, the sequence of node-block groups in the order the node
-// leader copies them into shared memory. Element 0 is always the node's own
-// block; element k>0 lands when the avail counter reaches k+1.
-func arrivalOrder(alg LeaderAlg, n, node int) [][]int {
-	out := [][]int{{node}}
-	switch alg {
-	case LeaderRing:
-		for s := 1; s < n; s++ {
-			out = append(out, []int{(node - s + n) % n})
-		}
-	case LeaderRD:
-		if n&(n-1) != 0 {
-			// Non-power-of-two falls back to ring (see leaderRD).
-			return arrivalOrder(LeaderRing, n, node)
-		}
-		base := node
-		for dist := 1; dist < n; dist *= 2 {
-			base = base &^ (dist - 1)
-			sib := base ^ dist
-			grp := make([]int, dist)
-			for i := range grp {
-				grp[i] = sib&^(dist-1) + i
-			}
-			out = append(out, grp)
-		}
+// arrivals is, for phase 2 of one algorithm on n nodes as seen from node,
+// the sequence of node-block groups in the order the node leader copies
+// them into shared memory. A group is a run of adjacent node blocks — one
+// block a ring step, the sibling subtree a recursive-doubling step — so it
+// is computed from its index and nothing is built: every non-leader of every
+// node walks the sequence once a collective.
+type arrivals struct {
+	ring    bool
+	n, node int
+}
+
+// arrivalOrder returns the order in which phase 2 of alg delivers. A
+// non-power-of-two node count falls back to ring (see leaderRD).
+func arrivalOrder(alg LeaderAlg, n, node int) arrivals {
+	return arrivals{ring: alg == LeaderRing || n&(n-1) != 0, n: n, node: node}
+}
+
+// groups returns how many groups arrive, the node's own block included.
+func (a arrivals) groups() int {
+	if a.ring {
+		return a.n
 	}
-	return out
+	return bits.Len(uint(a.n)) // 1 + log2(n)
+}
+
+// group returns group k as the node blocks [lo, lo+ln). Group 0 is always
+// the node's own block; group k>0 lands when the avail counter reaches k+1.
+func (a arrivals) group(k int) (lo, ln int) {
+	switch {
+	case k == 0:
+		return a.node, 1
+	case a.ring:
+		return (a.node - k + a.n) % a.n, 1
+	}
+	dist := 1 << (k - 1)
+	return (a.node &^ (dist - 1)) ^ dist, dist
 }
 
 // leaderRing is phase 2 with the ring algorithm plus, optionally, the
@@ -221,11 +232,9 @@ func leaderRing(p *mpi.Proc, lc *mpi.Comm, epoch int, recv mpi.Buf, B, node int,
 		return
 	}
 	// Non-overlapped: publish everything only now, in arrival order.
-	for k, blk := range arrivalOrder(LeaderRing, n, node) {
-		for _, nb := range blk {
-			if k == 0 && skipOwn {
-				continue
-			}
+	order := arrivalOrder(LeaderRing, n, node)
+	for k := 0; k < order.groups(); k++ {
+		if nb, _ := order.group(k); k > 0 || !skipOwn {
 			shm.CopyIn(p, nb*B, recv.Slice(nb*B, B))
 		}
 		availC.Add(1)
@@ -275,13 +284,11 @@ func leaderRD(p *mpi.Proc, lc *mpi.Comm, epoch int, recv mpi.Buf, B, node int, s
 		availC.Add(1)
 		return
 	}
-	for k, blk := range arrivalOrder(LeaderRD, n, node) {
-		if k == 0 && skipOwn {
-			availC.Add(1)
-			continue
+	order := arrivalOrder(LeaderRD, n, node)
+	for k := 0; k < order.groups(); k++ {
+		if lo, ln := order.group(k); k > 0 || !skipOwn {
+			shm.CopyIn(p, lo*B, recv.Slice(lo*B, ln*B))
 		}
-		lo, ln := blk[0], len(blk)
-		shm.CopyIn(p, lo*B, recv.Slice(lo*B, ln*B))
 		availC.Add(1)
 	}
 }

@@ -85,8 +85,12 @@ func (b Buf) Clone() Buf {
 	if b.data == nil {
 		return Buf{n: b.n}
 	}
-	out := make([]byte, b.n)
-	copy(out, b.data)
+	// A local name and its len is the spelling the compiler turns into one
+	// allocate-and-copy that is not cleared first; a zero-length real buffer
+	// stays real, which append([]byte(nil), ...) would not keep.
+	src := b.data
+	out := make([]byte, len(src))
+	copy(out, src)
 	return Buf{n: b.n, data: out}
 }
 

@@ -509,6 +509,12 @@ func TestBufSliceAndCopy(t *testing.T) {
 	if b.Data()[4] == 99 {
 		t.Fatal("clone aliases original")
 	}
+	if !clone.Slice(0, 4).Equal(b.Slice(0, 4)) || clone.Len() != b.Len() || cap(clone.Data()) != b.Len() {
+		t.Fatalf("clone of %v is %v (cap %d)", b.Data(), clone.Data(), cap(clone.Data()))
+	}
+	if NewBuf(0).Clone().IsPhantom() || !Phantom(7).Clone().IsPhantom() {
+		t.Fatal("clone changed phantomness")
+	}
 }
 
 func TestBufEqual(t *testing.T) {
