@@ -40,8 +40,7 @@ func (c *Counter) Add(delta int64) {
 	if delta < 0 {
 		panic(fmt.Sprintf("sim: negative Add on counter %s", c.name))
 	}
-	e := c.eng
-	e.note(&c.label)
+	c.eng.note(&c.label)
 	c.val += delta
 	c.release()
 }
@@ -52,10 +51,7 @@ func (c *Counter) AddAt(at Time, delta int64) {
 		panic(fmt.Sprintf("sim: negative AddAt on counter %s", c.name))
 	}
 	e := c.eng
-	if now := e.Now(); at < now {
-		at = now
-	}
-	e.schedule(at, &c.label, func() {
+	e.schedule(max(at, e.now), &c.label, func() {
 		e.note(&c.label)
 		c.val += delta
 		c.release()
@@ -64,8 +60,7 @@ func (c *Counter) AddAt(at Time, delta int64) {
 
 // SetAtLeast raises the counter to at least v (it never decreases).
 func (c *Counter) SetAtLeast(v int64) {
-	e := c.eng
-	e.note(&c.label)
+	c.eng.note(&c.label)
 	if v > c.val {
 		c.val = v
 		c.release()

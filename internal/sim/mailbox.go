@@ -84,9 +84,7 @@ func (e *Engine) NewMailbox(name string) *Mailbox {
 // depositor can keep computing while the message is "on the wire".
 func (m *Mailbox) PutAt(at Time, v interface{}) {
 	e := m.eng
-	if now := e.Now(); at < now {
-		at = now
-	}
+	at = max(at, e.now)
 	// Reclaim the delivered front before the array would grow, and only once
 	// it is at least half of it: each slide is paid for by as many arrivals.
 	if len(m.wire) == cap(m.wire) && m.head > 0 && m.head >= len(m.wire)/2 {

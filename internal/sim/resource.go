@@ -255,8 +255,7 @@ func (e *Engine) NewGauge(name string) *Gauge {
 // Inc increments the gauge and returns the new value (the operation itself
 // is included in its own concurrency count).
 func (g *Gauge) Inc() int {
-	e := g.eng
-	e.note(&g.label)
+	g.eng.note(&g.label)
 	g.val++
 	if g.val > g.peak {
 		g.peak = g.val
@@ -266,11 +265,7 @@ func (g *Gauge) Inc() int {
 
 // DecAt schedules the gauge to decrement at virtual time at.
 func (g *Gauge) DecAt(at Time) {
-	e := g.eng
-	if now := e.Now(); at < now {
-		at = now
-	}
-	e.schedule(at, &g.label, g.dec)
+	g.eng.schedule(max(at, g.eng.now), &g.label, g.dec)
 }
 
 // Value returns the current in-flight count.
