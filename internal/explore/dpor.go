@@ -78,6 +78,7 @@ type guided struct {
 	// 0 for an event no observed step spawned. Sequence numbers are small
 	// and handed out in order, so the table is as long as the run.
 	parentOf  []int
+	arena     []string // the steps' footprints, copied out of engine scratch
 	sleep     []sleepEntry
 	nextPt    int
 	pending   int // point index whose chosen step is the next observed step
@@ -91,11 +92,11 @@ func newGuided() *guided {
 
 // restart readies g for the next execution of the search: the first
 // prefix points are kept and forced, and the per-execution state is
-// emptied in place, so one exploration grows its trace, sleep set and
-// parent table once instead of once per replay.
+// emptied in place, so one exploration grows its trace, footprint arena,
+// sleep set and parent table once instead of once per replay.
 func (g *guided) restart(prefix int) {
 	g.points, g.prefix = g.points[:prefix], prefix
-	g.steps, g.parentOf, g.sleep = g.steps[:0], g.parentOf[:0], g.sleep[:0]
+	g.steps, g.parentOf, g.arena, g.sleep = g.steps[:0], g.parentOf[:0], g.arena[:0], g.sleep[:0]
 	g.nextPt, g.pending, g.diverged, g.redundant = 0, -1, "", 0
 }
 
@@ -207,12 +208,18 @@ func (g *guided) ObserveStep(info sim.StepInfo) {
 		}
 		g.parentOf[s] = idx + 1
 	}
+	n := len(g.arena)
+	g.arena = append(g.arena, info.Footprint...)
+	foot := g.arena[n:len(g.arena):len(g.arena)]
 	ptIdx := -1
 	if g.pending >= 0 {
 		pt := g.points[g.pending]
 		pt.stepIdx = idx
-		c := &pt.alt[pt.chosen]
-		c.observed, c.fp = true, info.Footprint
+		// The chosen event's step is the same on every execution through
+		// the point, and the choice outlives this execution's arena.
+		if c := &pt.alt[pt.chosen]; !c.observed {
+			c.observed, c.fp = true, append([]string(nil), foot...)
+		}
 		ptIdx = g.pending
 		g.pending = -1
 	}
@@ -225,7 +232,7 @@ func (g *guided) ObserveStep(info sim.StepInfo) {
 			g.redundant++
 			continue
 		}
-		if dependent(se.fp, info.Footprint) {
+		if dependent(se.fp, foot) {
 			continue
 		}
 		kept = append(kept, se)
@@ -233,7 +240,7 @@ func (g *guided) ObserveStep(info sim.StepInfo) {
 	g.sleep = kept
 	g.steps = append(g.steps, step{
 		seq: info.Seq, label: info.Label, at: info.At,
-		foot: info.Footprint, parent: parent, point: ptIdx,
+		foot: foot, parent: parent, point: ptIdx,
 	})
 }
 

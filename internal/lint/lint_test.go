@@ -1,6 +1,9 @@
 package lint
 
 import (
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -18,6 +21,35 @@ func TestTreeIsClean(t *testing.T) {
 	}
 	for _, d := range Check(units, Passes()) {
 		t.Errorf("unexpected finding: %s", d)
+	}
+}
+
+// TestConfinedPackagesImportNoSync holds the confinement contract to its
+// word: an engine, the MPI world on it and the recorder it traces into
+// belong to one goroutine at a time, so no non-test file of sim, mpi or
+// trace imports sync or sync/atomic. A lock there guards a concurrency the
+// contract says does not exist.
+func TestConfinedPackagesImportNoSync(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{"../sim", "../mpi", "../trace"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: no Go files (%v)", dir, err)
+		}
+		for _, name := range files {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				if path := strings.Trim(imp.Path.Value, `"`); path == "sync" || strings.HasPrefix(path, "sync/") {
+					t.Errorf("%s imports %s", name, path)
+				}
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"mha/internal/sim"
@@ -12,37 +13,61 @@ import (
 // participating ranks; the pre-built World/node/leader comms and comms
 // created before Run always are.
 type Comm struct {
-	w          *World
-	id         int
-	owner      string      // attribution label for audits ("" = unowned)
-	ranks      []int       // comm rank -> world rank
-	index      map[int]int // world rank -> comm rank
+	w     *World
+	id    int
+	owner string // attribution label for audits ("" = unowned)
+	ranks []int  // comm rank -> world rank
+	// World rank -> comm rank: lo + i*stride is comm rank i if the ranks are
+	// that progression (world, node and leader comms are), else by index.
+	lo, stride int
+	index      map[int]int
 	barCounter *sim.Counter
 }
 
-// newComm registers a communicator. Caller holds no locks during New; at
-// runtime w.mu guards the registry.
+// newComm registers a communicator over ranks, which it keeps.
 func (w *World) newComm(ranks []int) *Comm {
-	c := &Comm{
-		w:     w,
-		ranks: append([]int(nil), ranks...),
-		index: make(map[int]int, len(ranks)),
+	c := &Comm{w: w, ranks: ranks, stride: 1}
+	if len(ranks) > 0 {
+		c.lo = ranks[0]
+	}
+	if len(ranks) > 1 {
+		c.stride = ranks[1] - ranks[0]
 	}
 	for i, r := range ranks {
 		if r < 0 || r >= w.topo.Size() {
 			panic(fmt.Sprintf("mpi: comm rank %d out of range", r))
 		}
-		if _, dup := c.index[r]; dup {
-			panic(fmt.Sprintf("mpi: duplicate rank %d in comm", r))
+		if c.index == nil && (c.stride < 1 || r != c.lo+i*c.stride) {
+			c.index = make(map[int]int, len(ranks))
+			for j, q := range ranks[:i] {
+				c.index[q] = j
+			}
 		}
-		c.index[r] = i
+		if c.index != nil {
+			if _, dup := c.index[r]; dup {
+				panic(fmt.Sprintf("mpi: duplicate rank %d in comm", r))
+			}
+			c.index[r] = i
+		}
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	c.id = len(w.comms)
 	c.barCounter = w.eng.NewCounter("comm" + strconv.Itoa(c.id) + ".barrier")
 	w.comms = append(w.comms, c)
 	return c
+}
+
+// rankOf returns world rank r's comm rank, or -1 if r is not a member.
+func (c *Comm) rankOf(r int) int {
+	if c.index != nil {
+		if i, ok := c.index[r]; ok {
+			return i
+		}
+		return -1
+	}
+	if d := r - c.lo; d >= 0 && d%c.stride == 0 && d/c.stride < len(c.ranks) {
+		return d / c.stride
+	}
+	return -1
 }
 
 // World returns the world communicator (all ranks).
@@ -57,29 +82,19 @@ func (w *World) LeaderComm() *Comm { return w.leaders }
 // NewComm creates a custom communicator over the given world ranks (in the
 // given order). Call it before Run, or make sure every rank that uses the
 // comm observes the same creation order.
-func (w *World) NewComm(ranks []int) *Comm { return w.newComm(ranks) }
+func (w *World) NewComm(ranks []int) *Comm { return w.newComm(slices.Clone(ranks)) }
 
 // CommNamed returns the communicator registered under key, creating it
 // from ranks() on first use. It makes runtime communicator creation safe:
 // every rank asking for the same key gets the same Comm object no matter
 // who asks first.
 func (w *World) CommNamed(key string, ranks func() []int) *Comm {
-	w.mu.Lock()
-	if w.named == nil {
-		w.named = map[string]*Comm{}
-	}
 	if c, ok := w.named[key]; ok {
-		w.mu.Unlock()
 		return c
 	}
-	w.mu.Unlock()
-	// newComm takes w.mu itself; build outside the lock, then publish
-	// (double-checked: a racing creator loses and adopts the winner).
-	c := w.newComm(ranks())
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if prev, ok := w.named[key]; ok {
-		return prev
+	c := w.newComm(slices.Clone(ranks()))
+	if w.named == nil {
+		w.named = map[string]*Comm{}
 	}
 	w.named[key] = c
 	return c
@@ -90,35 +105,19 @@ func (w *World) CommNamed(key string, ranks func() []int) *Comm {
 // send or a still-busy rail is attributed to the owning job instead of
 // being reported anonymously — essential once several jobs share one
 // world. Setting it again re-labels; "" removes the label.
-func (c *Comm) SetOwner(label string) {
-	c.w.mu.Lock()
-	defer c.w.mu.Unlock()
-	c.owner = label
-}
+func (c *Comm) SetOwner(label string) { c.owner = label }
 
 // Owner returns the label set with SetOwner ("" = unowned).
-func (c *Comm) Owner() string {
-	c.w.mu.Lock()
-	defer c.w.mu.Unlock()
-	return c.owner
-}
+func (c *Comm) Owner() string { return c.owner }
 
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.ranks) }
 
 // Rank returns p's rank within c, or -1 if p is not a member.
-func (c *Comm) Rank(p *Proc) int {
-	if i, ok := c.index[p.rs.rank]; ok {
-		return i
-	}
-	return -1
-}
+func (c *Comm) Rank(p *Proc) int { return c.rankOf(p.rs.rank) }
 
 // Contains reports whether world rank r belongs to the communicator.
-func (c *Comm) Contains(worldRank int) bool {
-	_, ok := c.index[worldRank]
-	return ok
-}
+func (c *Comm) Contains(worldRank int) bool { return c.rankOf(worldRank) >= 0 }
 
 // WorldRank maps a comm rank to its world rank.
 func (c *Comm) WorldRank(commRank int) int {
@@ -136,10 +135,16 @@ func (c *Comm) Ranks() []int { return append([]int(nil), c.ranks...) }
 // message tags, so back-to-back collectives on one comm can never match
 // each other's messages. All ranks invoke collectives in the same order,
 // so they agree on the epoch.
-func (c *Comm) Epoch(p *Proc) int {
-	e := p.rs.epochs[c.id]
-	p.rs.epochs[c.id] = e + 1
-	return e
+func (c *Comm) Epoch(p *Proc) int { return bump(&p.rs.epochs, c.id) }
+
+// bump returns a rank's counter for comm id and increments it; a rank's
+// counters cover the comms it has used, up to the highest id.
+func bump(byComm *[]int, id int) int {
+	for len(*byComm) <= id {
+		*byComm = append(*byComm, 0)
+	}
+	(*byComm)[id]++
+	return (*byComm)[id] - 1
 }
 
 // Tag composes a collision-free message tag from a collective epoch, a
@@ -161,8 +166,7 @@ func (c *Comm) Barrier(p *Proc) {
 	if c.Rank(p) < 0 {
 		panic(fmt.Sprintf("mpi: rank %d not in comm %d", p.rs.rank, c.id))
 	}
-	gen := p.rs.barGen[c.id]
-	p.rs.barGen[c.id] = gen + 1
+	gen := bump(&p.rs.barGen, c.id)
 	c.barCounter.Add(1)
 	c.barCounter.WaitGE(p.sp, int64(gen+1)*int64(len(c.ranks)))
 }

@@ -120,8 +120,6 @@ func (p *Proc) Isend(c *Comm, dst, tag int, data Buf, opts ...SendOption) *Reque
 func (p *Proc) isend(r *Request, c *Comm, dst, tag int, data Buf, opts []SendOption) {
 	var o sendOpts
 	o.rail = -1
-	// The engine serializes process execution, so the plain owner read is
-	// ordered after any SetOwner by the dispatching scheduler.
 	o.owner = c.owner
 	for _, opt := range opts {
 		opt.apply(&o)
@@ -165,7 +163,7 @@ func (p *Proc) isend(r *Request, c *Comm, dst, tag int, data Buf, opts []SendOpt
 // copy performed by this rank's CPU, subject to memory congestion and, on
 // NUMA topologies, the cross-socket penalty.
 func (p *Proc) sendCMA(wdst, n int) sim.Time {
-	nd := p.w.nodes[p.rs.node]
+	nd := &p.w.nodes[p.rs.node]
 	conc := nd.mem.Inc()
 	d := p.w.perturb(p.w.prm.CMATime(n, conc))
 	if f := p.w.prm.SocketFactor(); f > 1 &&
@@ -195,8 +193,8 @@ func (p *Proc) sendHCA(wdst, n int, o sendOpts) sim.Time {
 	prm := p.w.prm
 	srcNodeID := p.rs.node
 	dstNodeID := p.w.ranks[wdst].node
-	srcNode := p.w.nodes[srcNodeID]
-	dstNode := p.w.nodes[dstNodeID]
+	srcNode := &p.w.nodes[srcNodeID]
+	dstNode := &p.w.nodes[dstNodeID]
 	// A transfer occupies the same rail index at both ends, so a
 	// heterogeneous pair is limited to the rails the weaker endpoint has.
 	H := len(srcNode.hcas)

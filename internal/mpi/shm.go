@@ -29,9 +29,7 @@ func (p *Proc) ShmOpen(name string, size int) *Shm {
 		panic("mpi: negative shm size")
 	}
 	w := p.w
-	nd := w.nodes[p.rs.node]
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	nd := &w.nodes[p.rs.node]
 	if s, ok := nd.shms[name]; ok {
 		if s.buf.Len() != size {
 			panic(fmt.Sprintf("mpi: shm %q reopened with size %d, was %d", name, size, s.buf.Len()))
@@ -44,6 +42,9 @@ func (p *Proc) ShmOpen(name string, size int) *Shm {
 		name:     name,
 		buf:      Make(size, w.phantom),
 		counters: map[string]*sim.Counter{},
+	}
+	if nd.shms == nil {
+		nd.shms = map[string]*Shm{}
 	}
 	nd.shms[name] = s
 	return s
@@ -60,8 +61,6 @@ func (s *Shm) Region(off, n int) Buf { return s.buf.Slice(off, n) }
 // Counter returns the named availability counter of this region, creating
 // it at zero on first use.
 func (s *Shm) Counter(name string) *sim.Counter {
-	s.w.mu.Lock()
-	defer s.w.mu.Unlock()
 	if c, ok := s.counters[name]; ok {
 		return c
 	}

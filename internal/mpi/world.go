@@ -8,13 +8,17 @@
 // a specific HCA rail, striped multirail), communicators and sub-
 // communicators (node-local and leader comms), and node-level shared-memory
 // regions with virtual-time availability counters.
+//
+// Nothing in the package is synchronised: a World, with its communicators,
+// shared-memory regions and PerWorld values, belongs to one goroutine at a
+// time, as the sim engine it is bound to does — the one that builds it, then
+// the one that calls Run, then whoever reads it once Run has returned.
 package mpi
 
 import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"sync"
 
 	"mha/internal/fabric"
 	"mha/internal/faults"
@@ -65,8 +69,8 @@ type World struct {
 	tracer *trace.Recorder
 
 	phantom    bool
-	nodes      []*node
-	ranks      []*rankState
+	nodes      []node
+	ranks      []rankState
 	net        *fabric.Network // nil on a flat (non-blocking) fabric
 	health     *RailHealth
 	faultBlind bool
@@ -83,17 +87,15 @@ type World struct {
 	// has messages in flight at once, and the list dies with the world.
 	spare []*message
 
-	jitterMu sync.Mutex
-	jitter   *rand.Rand // nil when Params.Jitter == 0
+	jitter *rand.Rand // nil when Params.Jitter == 0
 
-	mu          sync.Mutex
 	comms       []*Comm
 	world       *Comm
 	nodeComms   []*Comm
 	leaders     *Comm
 	socketComms [][]*Comm // [node][socket], only when Topo.Sockets > 1
 	named       map[string]*Comm
-	shared      map[perWorldKey]*onceCell
+	shared      map[perWorldKey]any
 }
 
 // perWorldKey names one PerWorld value: which wrapper (func values do
@@ -103,17 +105,12 @@ type perWorldKey struct {
 	arg int
 }
 
-// onceCell holds one PerWorld value, built by whichever rank asks first.
-type onceCell struct {
-	once sync.Once
-	v    any
-}
-
 // node holds the per-node hardware: HCA rails and the memory-concurrency
-// gauge that drives the congestion factors, plus shared-memory regions.
+// gauge that drives the congestion factors, plus shared-memory regions
+// (nil until the first ShmOpen).
 type node struct {
 	id   int
-	hcas []*hca
+	hcas []hca
 	mem  *sim.Gauge
 	shms map[string]*Shm
 }
@@ -130,9 +127,9 @@ type rankState struct {
 	rank, node, local int
 	mbox              *sim.Mailbox
 	cpu               *sim.Resource
-	railRR            int         // round-robin cursor for small messages
-	epochs            map[int]int // per-comm collective epoch
-	barGen            map[int]int // per-comm barrier generation
+	railRR            int   // round-robin cursor for small messages
+	epochs            []int // collective epoch, by comm id
+	barGen            []int // barrier generation, by comm id
 }
 
 // message is what travels between ranks.
@@ -188,53 +185,52 @@ func New(cfg Config) *World {
 		}
 		w.net = nw
 	}
-	for n := 0; n < cfg.Topo.Nodes; n++ {
-		nd := &node{id: n, mem: eng.NewGauge("node" + strconv.Itoa(n) + ".mem"), shms: map[string]*Shm{}}
-		for h := 0; h < cfg.Topo.HCAsOf(n); h++ {
+	w.nodes = make([]node, cfg.Topo.Nodes)
+	hcas := make([]hca, cfg.Topo.Nodes*cfg.Topo.HCAs) // HCAs is the most a node has
+	for n := range w.nodes {
+		k := cfg.Topo.HCAsOf(n)
+		nd := &w.nodes[n]
+		*nd = node{id: n, hcas: hcas[:k:k], mem: eng.NewGauge("node" + strconv.Itoa(n) + ".mem")}
+		hcas = hcas[k:]
+		for h := range nd.hcas {
 			name := "node" + strconv.Itoa(n) + ".hca" + strconv.Itoa(h)
-			a := &hca{
-				tx: eng.NewResource(name + ".tx"),
-				rx: eng.NewResource(name + ".rx"),
-			}
+			a := &nd.hcas[h]
+			a.tx, a.rx = eng.NewResource(name+".tx"), eng.NewResource(name+".rx")
 			if w.health.Faulty() {
-				n, h := n, h
 				rate := func(t sim.Time) (float64, sim.Time) {
 					return cfg.Faults.RailState(n, h, t)
 				}
 				a.tx.SetRate(rate)
 				a.rx.SetRate(rate)
 			}
-			nd.hcas = append(nd.hcas, a)
 		}
-		w.nodes = append(w.nodes, nd)
 	}
-	for r := 0; r < cfg.Topo.Size(); r++ {
+	w.ranks = make([]rankState, cfg.Topo.Size())
+	for r := range w.ranks {
 		name := rankName(r)
-		w.ranks = append(w.ranks, &rankState{
-			rank:   r,
-			node:   cfg.Topo.NodeOf(r),
-			local:  cfg.Topo.LocalOf(r),
-			mbox:   eng.NewMailbox(name),
-			cpu:    eng.NewResource(name + ".cpu"),
-			epochs: map[int]int{},
-			barGen: map[int]int{},
-		})
+		w.ranks[r] = rankState{
+			rank:  r,
+			node:  cfg.Topo.NodeOf(r),
+			local: cfg.Topo.LocalOf(r),
+			mbox:  eng.NewMailbox(name),
+			cpu:   eng.NewResource(name + ".cpu"),
+		}
 	}
 	// Pre-build the standard communicators.
 	all := make([]int, cfg.Topo.Size())
 	for i := range all {
 		all[i] = i
 	}
+	w.comms = make([]*Comm, 0, cfg.Topo.Nodes+2)
 	w.world = w.newComm(all)
-	for n := 0; n < cfg.Topo.Nodes; n++ {
-		w.nodeComms = append(w.nodeComms, w.newComm(cfg.Topo.NodeRanks(n)))
+	w.nodeComms = make([]*Comm, cfg.Topo.Nodes)
+	for n := range w.nodeComms {
+		w.nodeComms[n] = w.newComm(cfg.Topo.NodeRanks(n))
 	}
 	w.leaders = w.newComm(cfg.Topo.Leaders())
 	// Leaked-message attribution: when the teardown audit finds an
 	// unclaimed mailbox item, render it in MPI terms — source, destination,
-	// tag, and the owning communicator's job label if one was set. The
-	// describer runs post-run only (no concurrent comm mutation), so the
-	// direct field reads are safe.
+	// tag, and the owning communicator's job label if one was set.
 	eng.SetItemDescriber(func(v interface{}) string {
 		m, ok := v.(*message)
 		if !ok {
@@ -271,8 +267,7 @@ func New(cfg Config) *World {
 func (w *World) Fabric() *fabric.Network { return w.net }
 
 // routeOf returns the shared fabric links between two nodes (nil for
-// same-node traffic or a flat fabric). The route table is immutable
-// after New, so concurrent rank processes may read it freely.
+// same-node traffic or a flat fabric).
 func (w *World) routeOf(srcNode, dstNode int) []*fabric.Link {
 	if w.net == nil || srcNode == dstNode {
 		return nil
@@ -307,24 +302,21 @@ func (w *World) Phantom() bool { return w.phantom }
 // plan lowered for the world's machine and a message size — instead of
 // deriving it once per rank; callers must treat the value as read-only.
 // The value lives exactly as long as the world, so nothing is ever
-// evicted or invalidated. A build that panics does so on the calling
-// rank, which ends the simulation before any other rank asks.
+// evicted or invalidated. build must not block in virtual time, so it
+// returns, or panics and ends the simulation, before any other rank asks.
 func PerWorld[T any](build func(w *World, arg int) T) func(w *World, arg int) T {
 	id := new(byte)
 	return func(w *World, arg int) T {
 		key := perWorldKey{id, arg}
-		w.mu.Lock()
-		c := w.shared[key]
-		if c == nil {
+		v, ok := w.shared[key]
+		if !ok {
+			v = build(w, arg)
 			if w.shared == nil {
-				w.shared = map[perWorldKey]*onceCell{}
+				w.shared = map[perWorldKey]any{}
 			}
-			c = &onceCell{}
-			w.shared[key] = c
+			w.shared[key] = v
 		}
-		w.mu.Unlock()
-		c.once.Do(func() { c.v = build(w, arg) })
-		return c.v.(T)
+		return v.(T)
 	}
 }
 
@@ -336,9 +328,7 @@ func (w *World) perturb(d sim.Duration) sim.Duration {
 	if w.jitter == nil {
 		return d
 	}
-	w.jitterMu.Lock()
 	f := 1 + 2*w.prm.Jitter*w.jitter.Float64()
-	w.jitterMu.Unlock()
 	return sim.Duration(float64(d) * f)
 }
 
@@ -350,8 +340,8 @@ func rankName(r int) string { return "rank" + strconv.Itoa(r) }
 // Run spawns one simulated process per rank, each executing body, and runs
 // the simulation to completion.
 func (w *World) Run(body func(*Proc)) error {
-	for r := 0; r < w.topo.Size(); r++ {
-		rs := w.ranks[r]
+	for r := range w.ranks {
+		rs := &w.ranks[r]
 		w.eng.Spawn(rankName(r), func(sp *sim.Proc) {
 			body(&Proc{sp: sp, w: w, rs: rs})
 			if now := sp.Now(); now > w.makespan {
@@ -426,7 +416,7 @@ func (p *Proc) Compute(d sim.Duration) {
 func (p *Proc) LocalCopy(dst, src Buf) {
 	n := src.Len()
 	dst.CopyFrom(src)
-	nd := p.w.nodes[p.rs.node]
+	nd := &p.w.nodes[p.rs.node]
 	conc := nd.mem.Inc()
 	d := p.w.perturb(p.w.prm.CopyTime(n, conc))
 	start, end := p.rs.cpu.Acquire(d)
@@ -442,7 +432,7 @@ func (p *Proc) ChargeCopy(n int) {
 	if n <= 0 {
 		return
 	}
-	nd := p.w.nodes[p.rs.node]
+	nd := &p.w.nodes[p.rs.node]
 	conc := nd.mem.Inc()
 	d := p.w.perturb(p.w.prm.CopyTime(n, conc))
 	start, end := p.rs.cpu.Acquire(d)
@@ -459,7 +449,7 @@ func (p *Proc) ChargeCMA(n int) {
 	if n <= 0 {
 		return
 	}
-	nd := p.w.nodes[p.rs.node]
+	nd := &p.w.nodes[p.rs.node]
 	conc := nd.mem.Inc()
 	d := p.w.perturb(p.w.prm.CMATime(n, conc))
 	start, end := p.rs.cpu.Acquire(d)

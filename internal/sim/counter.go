@@ -24,7 +24,7 @@ type counterWaiter struct {
 
 // NewCounter creates a named counter starting at zero.
 func (e *Engine) NewCounter(name string) *Counter {
-	return &Counter{label: label{kind: kindCounter, name: name}, eng: e}
+	return e.counterSlab.new(Counter{label: label{kind: kindCounter, name: name}, eng: e})
 }
 
 // Value returns the counter's current value.

@@ -73,7 +73,7 @@ func (w *mailWaiter) accepts(v interface{}) bool {
 
 // NewMailbox creates a named mailbox bound to the engine.
 func (e *Engine) NewMailbox(name string) *Mailbox {
-	m := &Mailbox{label: label{kind: kindMailbox, name: name}, eng: e}
+	m := e.mailboxSlab.new(Mailbox{label: label{kind: kindMailbox, name: name}, eng: e})
 	m.arrival = m.arrive
 	e.mailboxes = append(e.mailboxes, m)
 	return m

@@ -21,7 +21,7 @@ type Resource struct {
 
 // NewResource creates a named resource bound to the engine.
 func (e *Engine) NewResource(name string) *Resource {
-	r := &Resource{label: label{kind: kindResource, name: name}, eng: e}
+	r := e.resourceSlab.new(Resource{label: label{kind: kindResource, name: name}, eng: e})
 	e.resources = append(e.resources, r)
 	return r
 }
@@ -241,7 +241,7 @@ type Gauge struct {
 
 // NewGauge creates a named gauge bound to the engine.
 func (e *Engine) NewGauge(name string) *Gauge {
-	g := &Gauge{label: label{kind: kindGauge, name: name}, eng: e}
+	g := e.gaugeSlab.new(Gauge{label: label{kind: kindGauge, name: name}, eng: e})
 	g.dec = func() {
 		e.note(&g.label)
 		g.val--

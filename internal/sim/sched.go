@@ -48,6 +48,10 @@ type Scheduler interface {
 // everything that ran before the engine quiesced again (the woken
 // processes run until they all block). Schedulers that also implement
 // StepObserver receive one StepInfo per step, in execution order.
+//
+// Footprint and Spawned are engine scratch, as Pick's frontier is: they are
+// valid only until ObserveStep returns, and an observer copies what it
+// keeps.
 type StepInfo struct {
 	// Seq and Label identify the event that initiated the step.
 	Seq   uint64
@@ -66,7 +70,7 @@ type StepInfo struct {
 
 // A StepObserver receives the dependency footprint of every executed
 // step. ObserveStep is called from inside the event loop and must not
-// call back into the engine.
+// call back into the engine or retain the StepInfo's slices past the call.
 type StepObserver interface {
 	ObserveStep(StepInfo)
 }
@@ -132,18 +136,14 @@ func (e *Engine) flushStep() {
 	e.stepOpen = false
 	// Keys are deduplicated as strings, not as objects: two resources may
 	// share a name, and observers see names.
-	fp := make([]string, len(e.foot))
-	for i, l := range e.foot {
-		fp[i] = l.key()
+	fp := e.footKeys[:0]
+	for _, l := range e.foot {
+		fp = append(fp, l.key())
 	}
 	slices.Sort(fp)
 	fp = slices.Compact(fp)
-	var sp []uint64
-	if len(e.spawned) > 0 {
-		sp = make([]uint64, len(e.spawned))
-		copy(sp, e.spawned)
-	}
-	e.obs.ObserveStep(StepInfo{Seq: e.stepSeq, Label: e.stepOn.key(), At: e.stepAt, Footprint: fp, Spawned: sp})
+	e.footKeys = fp
+	e.obs.ObserveStep(StepInfo{Seq: e.stepSeq, Label: e.stepOn.key(), At: e.stepAt, Footprint: fp, Spawned: e.spawned})
 }
 
 // note records that the current step touched the labelled piece of

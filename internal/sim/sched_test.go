@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -33,7 +34,13 @@ func (s *recordingSched) Pick(now Time, frontier []EventInfo) int {
 	return 0
 }
 
-func (s *recordingSched) ObserveStep(info StepInfo) { s.steps = append(s.steps, info) }
+// ObserveStep keeps a copy of the step: its slices are the engine's
+// scratch and are overwritten by the next step.
+func (s *recordingSched) ObserveStep(info StepInfo) {
+	info.Footprint = slices.Clone(info.Footprint)
+	info.Spawned = slices.Clone(info.Spawned)
+	s.steps = append(s.steps, info)
+}
 
 // raceWorld builds a two-proc scenario where both processes wake at the
 // same virtual time and append their name to order.

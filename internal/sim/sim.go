@@ -182,6 +182,13 @@ type Engine struct {
 	watcher   ClockWatcher
 	describe  func(interface{}) string
 
+	// Where the objects bound to the engine come from (slab.go).
+	procSlab     slab[Proc]
+	resourceSlab slab[Resource]
+	mailboxSlab  slab[Mailbox]
+	counterSlab  slab[Counter]
+	gaugeSlab    slab[Gauge]
+
 	// Scheduler seam (see sched.go): an optional strategy for ordering
 	// same-time events, and per-step footprint collection state used when
 	// the strategy also observes steps.
@@ -194,6 +201,7 @@ type Engine struct {
 	stepOn   *label
 	stepAt   Time
 	foot     []*label
+	footKeys []string // scratch for flushStep, reused across steps like frontier
 	spawned  []uint64
 }
 
@@ -285,12 +293,12 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	if e.started {
 		panic("sim: Spawn after Run")
 	}
-	p := &Proc{
+	p := e.procSlab.new(Proc{
 		label: label{kind: kindProc, name: name},
 		eng:   e,
 		id:    len(e.procs),
 		fn:    fn,
-	}
+	})
 	p.fire = func() { e.wake(p) }
 	e.procs = append(e.procs, p)
 	return p

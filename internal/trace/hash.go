@@ -1,10 +1,5 @@
 package trace
 
-import (
-	"encoding/binary"
-	"hash/fnv"
-)
-
 // Hash returns an order-independent-of-insertion fingerprint of the
 // recorded timeline: FNV-1a over every field of every event in the
 // canonical Events() order. Two runs of a deterministic simulation with
@@ -12,22 +7,39 @@ import (
 // harness uses this to detect nondeterminism. Hash on a nil or empty
 // recorder returns the FNV offset basis.
 func (r *Recorder) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	num := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+	h := uint64(fnvOffset)
+	if r == nil {
+		return h
 	}
-	for _, ev := range r.Events() {
-		num(int64(ev.Rank))
-		h.Write([]byte(ev.Cat))
-		h.Write([]byte{0})
-		h.Write([]byte(ev.Name))
-		h.Write([]byte{0})
-		num(int64(ev.Start))
-		num(int64(ev.End))
-		num(int64(ev.Peer))
-		num(int64(ev.Bytes))
+	for _, k := range r.order() {
+		ev := &r.events[k]
+		h = fnvNum(h, int64(ev.Rank))
+		h = fnvStr(h, string(ev.Cat))
+		h = fnvStr(h, ev.Name)
+		h = fnvNum(h, int64(ev.Start))
+		h = fnvNum(h, int64(ev.End))
+		h = fnvNum(h, int64(ev.Peer))
+		h = fnvNum(h, int64(ev.Bytes))
 	}
-	return h.Sum64()
+	return h
+}
+
+// 64-bit FNV-1a (hash/fnv's New64a), written out: hashing a field is a loop
+// over its bytes, not a Write through an interface.
+const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
+
+// fnvNum hashes v's eight bytes, little-endian.
+func fnvNum(h uint64, v int64) uint64 {
+	for i := 0; i < 64; i += 8 {
+		h = (h ^ uint64(byte(v>>i))) * fnvPrime
+	}
+	return h
+}
+
+// fnvStr hashes s's bytes and a terminating NUL.
+func fnvStr(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h * fnvPrime
 }

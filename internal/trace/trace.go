@@ -1,6 +1,10 @@
 // Package trace records simulated communication events on the global
 // virtual timeline and renders them as an ASCII Gantt chart, standing in
 // for the TAU trace visualizations in the paper (its Figure 2).
+//
+// Nothing in the package is synchronised: a Recorder, like the mpi.World
+// that records into it, belongs to one goroutine at a time, and worlds that
+// run side by side each need their own.
 package trace
 
 import (
@@ -8,7 +12,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"mha/internal/sim"
 )
@@ -45,7 +48,6 @@ type Event struct {
 // *Recorder is a valid no-op sink, so tracing can stay compiled into hot
 // paths guarded only by a nil check.
 type Recorder struct {
-	mu     sync.Mutex
 	events []Event
 }
 
@@ -57,8 +59,6 @@ func (r *Recorder) Add(ev Event) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.events == nil {
 		// A 4-rank collective records 30 to 40 events; doubling up to
 		// that from one costs seven allocations and twice the bytes.
@@ -73,17 +73,31 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]Event, len(r.events))
-	copy(out, r.events)
-	slices.SortStableFunc(out, func(a, b Event) int {
-		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+	for i, k := range r.order() {
+		out[i] = r.events[k]
+	}
+	return out
+}
+
+// order returns the indices of the events in Events() order: sorting
+// indices by (Start, Rank, index) is a stable sort without moving events.
+func (r *Recorder) order() []int32 {
+	evs := r.events
+	idx := make([]int32, len(evs))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int {
+		if c := cmp.Compare(evs[a].Start, evs[b].Start); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.Rank, b.Rank)
+		if c := cmp.Compare(evs[a].Rank, evs[b].Rank); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
-	return out
+	return idx
 }
 
 // Len reports the number of recorded events.
@@ -91,8 +105,6 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return len(r.events)
 }
 
@@ -101,8 +113,6 @@ func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.events = r.events[:0]
 }
 

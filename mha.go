@@ -100,10 +100,14 @@ func Thor() *Params { return netmodel.Thor() }
 // ThetaGPU returns an 8-rail HDR200 calibration for rail-scaling studies.
 func ThetaGPU() *Params { return netmodel.ThetaGPU() }
 
-// NewWorld builds a simulated MPI job.
+// NewWorld builds a simulated MPI job. A World belongs to one goroutine at a
+// time: build it, Run it and read its results on one, or hand it between
+// goroutines with a channel; nothing in it is locked.
 func NewWorld(cfg Config) *World { return mpi.New(cfg) }
 
-// NewTracer returns an empty timeline recorder to pass in Config.Tracer.
+// NewTracer returns an empty timeline recorder to pass in Config.Tracer. Like
+// the World it records, a Recorder belongs to one goroutine at a time, so
+// give each world running alongside others a recorder of its own.
 func NewTracer() *Recorder { return trace.New() }
 
 // Buffer constructors.
