@@ -250,8 +250,6 @@ func cmdRun(args []string) error {
 func cmdSearch(args []string) error {
 	fs := flag.NewFlagSet("search", flag.ExitOnError)
 	msg := fs.Int("msg", 256<<10, "message size per rank in bytes")
-	beam := fs.Int("beam", 0, "beam width (default 4)")
-	rounds := fs.Int("rounds", 0, "mutation rounds (default 6)")
 	out := fs.String("o", "", "write the winning schedule here (default: report only)")
 	asJSON := fs.Bool("json", false, "emit the winner as JSON instead of text")
 	mkTopo := topoFlags(fs)
@@ -260,7 +258,7 @@ func cmdSearch(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := sched.Synthesize(topo, netmodel.Thor(), *msg, sched.SynthOptions{Beam: *beam, Rounds: *rounds})
+	res, err := sched.Synthesize(topo, netmodel.Thor(), *msg, sched.SynthOptions{})
 	if err != nil {
 		return err
 	}

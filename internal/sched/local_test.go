@@ -14,22 +14,10 @@ import (
 // with neighbor.changed, so it checks that too.
 func oldNeighbor(parent *Schedule, q neighbor) *Schedule {
 	s := parent.Clone()
-	switch q.kind {
-	case fuseSteps:
-		i := q.si
-		s.Steps[i].Xfers = append(s.Steps[i].Xfers, s.Steps[i+1].Xfers...)
-		s.Steps[i].Copies = append(s.Steps[i].Copies, s.Steps[i+1].Copies...)
-		s.Steps = append(s.Steps[:i+1], s.Steps[i+2:]...)
-	case moveRail:
-		s.Steps[q.si].Xfers[q.xi].Rail = q.rail
-	case splitRail:
-		t := parent.Steps[q.si].Xfers[q.xi]
-		half := t.Len / 2
-		s.Steps[q.si].Xfers[q.xi].Len = half
-		extra := t
-		extra.Off, extra.Len, extra.Rail = t.Off+half, t.Len-half, q.rail
-		s.Steps[q.si].Xfers = append(s.Steps[q.si].Xfers, extra)
-	}
+	i := q.si
+	s.Steps[i].Xfers = append(s.Steps[i].Xfers, s.Steps[i+1].Xfers...)
+	s.Steps[i].Copies = append(s.Steps[i].Copies, s.Steps[i+1].Copies...)
+	s.Steps = append(s.Steps[:i+1], s.Steps[i+2:]...)
 	return s
 }
 
@@ -39,12 +27,11 @@ func sameSteps(a, b *Schedule) bool {
 	})
 }
 
-// verdictTally counts, per neighbor kind, how the local verdicts fell,
-// plus the cases the sweep must not miss.
+// verdictTally counts how the local verdicts fell, plus the case the
+// sweep must not miss.
 type verdictTally struct {
-	rejected, priced     map[string]int // by the kind's letter
-	pricedPartialSplit   int            // a split of a piece that was a partial window already
-	pricedFusionOfCopies int            // a fusion whose second step stages copies
+	rejected, priced     int
+	pricedFusionOfCopies int // a fusion whose second step stages copies
 }
 
 // checkLocalVerdicts puts every neighbor of parent the search would ask
@@ -59,14 +46,14 @@ func checkLocalVerdicts(t *testing.T, parent *Schedule, prm *netmodel.Params, he
 		t.Fatalf("%s on %v: parent invalid: %v", parent.Name, parent.Topo, err)
 	}
 	c := Candidate{Name: parent.Name, Sched: parent, Cost: rep.Cost}
-	qs := neighbors(parent, prm, health)
+	qs := neighbors(parent)
 	sr := &search{prm: prm, health: health}
 	if err := sr.walk(parent, qs); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range qs {
 		where := func() string {
-			return fmt.Sprintf("%s on %v msg=%d health=%v: %c%d.%d->rail %d", parent.Name, parent.Topo, parent.Msg, health, q.kind, q.si, q.xi, q.rail)
+			return fmt.Sprintf("%s on %v msg=%d health=%v: f%d", parent.Name, parent.Topo, parent.Msg, health, q.si)
 		}
 		old := oldNeighbor(parent, q)
 		if built := q.build(c); !sameSteps(built, old) {
@@ -77,36 +64,32 @@ func checkLocalVerdicts(t *testing.T, parent *Schedule, prm *netmodel.Params, he
 		case !q.ok && err == nil:
 			t.Errorf("%s: rejected locally, but the analyzer accepts it at %d", where(), int64(full.Cost))
 		case !q.ok:
-			tally.rejected[string(rune(q.kind))]++
+			tally.rejected++
 		case err != nil:
 			t.Errorf("%s: priced locally at %d, but the analyzer rejects it: %v", where(), int64(c.Cost-q.old+q.price), err)
 		case full.Cost != c.Cost-q.old+q.price:
 			t.Errorf("%s: priced locally at %d - %d + %d = %d, the analyzer says %d", where(),
 				int64(c.Cost), int64(q.old), int64(q.price), int64(c.Cost-q.old+q.price), int64(full.Cost))
 		default:
-			tally.priced[string(rune(q.kind))]++
-			if q.kind == splitRail && !parent.Steps[q.si].Xfers[q.xi].Whole(parent.Msg) {
-				tally.pricedPartialSplit++
-			}
-			if q.kind == fuseSteps && len(parent.Steps[q.si+1].Copies) > 0 {
+			tally.priced++
+			if len(parent.Steps[q.si+1].Copies) > 0 {
 				tally.pricedFusionOfCopies++
 			}
 		}
 	}
 	// A walk that went to the end has priced the parent itself on the way.
-	if len(qs) > 0 && qs[0].kind == fuseSteps && sr.a.rep.Cost != rep.Cost {
+	if len(qs) > 0 && sr.a.rep.Cost != rep.Cost {
 		t.Errorf("%s on %v: the walk priced the parent at %d, the analyzer at %d", parent.Name, parent.Topo, int64(sr.a.rep.Cost), int64(rep.Cost))
 	}
 }
 
 // looseParent is a hand-built valid allgather on 2x2x2 with room in
-// it, for the verdicts no lowering produces on a block layout (there
-// every rail is taken in every step that pins one): each cross-node
-// block travels as two half-window pieces on rail 0, one piece a step,
-// so pieces split and move onto the idle rail 1 and adjacent steps
-// fuse; intra-node blocks go round-robin over the adapters, so a fused
-// step's price depends on where the cursors stand, in steps that also
-// stage a copy of a block held from the start.
+// it, for the verdicts no lowering produces on a block layout: each
+// cross-node block travels as two half-window pieces on rail 0, one
+// piece a step, so adjacent steps fuse; intra-node blocks go round-robin
+// over the adapters, so a fused step's price depends on where the
+// cursors stand, in steps that also stage a copy of a block held from
+// the start.
 func looseParent(msg int) *Schedule {
 	topo := topology.New(2, 2, 2)
 	b := NewBuilder("loose", topo, msg)
@@ -128,7 +111,7 @@ func looseParent(msg int) *Schedule {
 // TestLocalVerdictsMatchFullAnalysis is the proof that mutate's shortcut
 // is sound and exact: for every seed of Synthesize on every block-layout
 // machine of at most 32 ranks (16 under -short), at two sizes, healthy,
-// with rail 1 at half rate and with a rail down, every neighbor the
+// with rail 1 at half rate and with a rail down, every fusion the
 // search would ask about gets the same verdict from one walk of its
 // parent as from a full analysis of the neighbor built the old way, and
 // the same cost to the nanosecond.
@@ -138,7 +121,7 @@ func TestLocalVerdictsMatchFullAnalysis(t *testing.T) {
 	if testing.Short() {
 		maxRanks = 16
 	}
-	tally := &verdictTally{rejected: map[string]int{}, priced: map[string]int{}}
+	tally := &verdictTally{}
 	parents := 0
 	for nodes := 1; nodes <= maxRanks; nodes++ {
 		for ppn := 1; nodes*ppn <= maxRanks; ppn++ {
@@ -149,7 +132,7 @@ func TestLocalVerdictsMatchFullAnalysis(t *testing.T) {
 					healths = append(healths, []float64{1, 0.5})
 				case 3:
 					// Three rails only for the down-rail case: one dead, so the
-					// round-robin skips it, and two live ones to move between.
+					// round-robin skips it.
 					healths = [][]float64{{0.5, 0, 1}}
 					if nodes*ppn > 16 {
 						continue
@@ -158,17 +141,10 @@ func TestLocalVerdictsMatchFullAnalysis(t *testing.T) {
 				topo := topology.Cluster{Nodes: nodes, PPN: ppn, HCAs: hcas, Layout: topology.Block}
 				for _, msg := range []int{4 << 10, 1 << 20} {
 					for _, health := range healths {
-						res, err := Synthesize(topo, prm, msg, SynthOptions{NoMeasure: true, Health: health})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if c := res.Search; c.Considered != c.RejectedLocally+c.NotCheaper+c.Analyzed || c.Accepted > c.Analyzed {
-							t.Errorf("%v msg=%d health=%v: search counters do not add up: %v", topo, msg, health, c)
-						}
 						// Many seeds are one schedule under several names (the
 						// option grid collapses on small machines): once each.
 						var seen []*Schedule
-						for _, c := range res.Seeds {
+						for _, c := range (&search{prm: prm, health: health}).seeds(topo, msg) {
 							if slices.ContainsFunc(seen, func(s *Schedule) bool { return sameSteps(s, c.Sched) }) {
 								continue
 							}
@@ -187,14 +163,12 @@ func TestLocalVerdictsMatchFullAnalysis(t *testing.T) {
 			parents++
 		}
 	}
-	t.Logf("%d parents; rejected locally %v, priced %v (%d partial-window splits, %d fusions of a step with copies)",
-		parents, tally.rejected, tally.priced, tally.pricedPartialSplit, tally.pricedFusionOfCopies)
-	for _, k := range []string{"f", "r", "s"} {
-		if tally.rejected[k] == 0 || tally.priced[k] == 0 {
-			t.Errorf("neighbor kind %s: %d rejected, %d priced — the sweep must see both", k, tally.rejected[k], tally.priced[k])
-		}
+	t.Logf("%d parents; %d fusions rejected locally, %d priced (%d of a step with copies)",
+		parents, tally.rejected, tally.priced, tally.pricedFusionOfCopies)
+	if tally.rejected == 0 || tally.priced == 0 {
+		t.Errorf("%d fusions rejected, %d priced — the sweep must see both", tally.rejected, tally.priced)
 	}
-	if tally.pricedPartialSplit == 0 || tally.pricedFusionOfCopies == 0 {
-		t.Errorf("no priced partial-window split (%d) or no priced fusion of a step with copies (%d)", tally.pricedPartialSplit, tally.pricedFusionOfCopies)
+	if tally.pricedFusionOfCopies == 0 {
+		t.Error("no priced fusion of a step with copies")
 	}
 }

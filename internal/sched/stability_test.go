@@ -167,10 +167,10 @@ func TestSynthesizeStable(t *testing.T) {
 }
 
 // TestMutateStable pins the neighbors one candidate contributes — which
-// mutants survive, in which order, under which names, at what cost —
-// including the two ways a round runs out of budget: inside the fusion
-// scan and inside the rail scan. The candidate is a deliberately serial
-// exchange (one transfer per step), so almost every mutation improves it.
+// fusions survive, in which order, under which names, at what cost —
+// including a round that runs out of budget inside the scan. The
+// candidate is a deliberately serial exchange (one transfer per step),
+// so almost every fusion improves it.
 func TestMutateStable(t *testing.T) {
 	prm := netmodel.Thor()
 	topo := topology.New(2, 2, 2)
@@ -199,8 +199,8 @@ func TestMutateStable(t *testing.T) {
 		health []float64
 		want   string
 	}{
-		{1 << 20, false, nil, "serial+f0=1005495 serial+f2=1005495 serial+f3=1005495 serial+f5=1005495 serial+f7=1005495 serial+f8=1005495 serial+f10=1005495 serial+s1.0=1050776"},
-		{1 << 20, false, []float64{0.25, 1}, "serial+f0=3034573 serial+f2=3034573 serial+f3=3034573 serial+f5=2781304 serial+f7=3034573 serial+f8=3034573 serial+f10=3034573 serial+r1.0=2868867"},
+		{1 << 20, false, nil, "serial+f0=1005495 serial+f2=1005495 serial+f3=1005495 serial+f5=1005495 serial+f7=1005495 serial+f8=1005495 serial+f10=1005495"},
+		{1 << 20, false, []float64{0.25, 1}, "serial+f0=3034573 serial+f2=3034573 serial+f3=3034573 serial+f5=2781304 serial+f7=3034573 serial+f8=3034573 serial+f10=3034573"},
 		{4 << 10, true, nil, "serial+f0=21121 serial+f1=19832 serial+f2=21121 serial+f3=21121 serial+f4=19832 serial+f5=19832 serial+f6=19832 serial+f7=21121"},
 	} {
 		s := serial(tc.msg, tc.spread)
@@ -224,15 +224,15 @@ func TestMutateStable(t *testing.T) {
 // TestSearchCountersPinned pins where one search spends its effort, on
 // the shape of the benchmark's sched.synth_ms probe under the tuner's
 // margin: one round over a beam of four, each parent walked once, every
-// one of its 107 neighbors settled by that walk (89 fail the read or pin
-// checks of the step they change, 18 pass at no lower a price), none
+// one of its 59 fusions settled by that walk (41 fail the read or pin
+// checks of the step they make, 18 pass at no lower a price), none
 // built, five finalists simulated.
 func TestSearchCountersPinned(t *testing.T) {
 	res, err := Synthesize(topology.New(4, 8, 2), netmodel.Thor(), 64<<10, SynthOptions{PruneMargin: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "1 rounds, 4 walks; 107 neighbors: 89 rejected locally, 18 not cheaper, 0 analyzed, 0 accepted; 5 simulated"
+	const want = "1 rounds, 4 walks; 59 neighbors: 41 rejected locally, 18 not cheaper, 0 analyzed, 0 accepted; 5 simulated"
 	if got := res.Search.String(); got != want {
 		t.Errorf("search counters moved:\n got %s\nwant %s", got, want)
 	}

@@ -12,13 +12,14 @@ import (
 
 // The greedy/beam synthesizer: seed the beam with every lowered
 // hand-written design (plus the greedy direct-rail construction), score
-// each with the static analyzer, then locally mutate the best plans —
-// step fusion, pinned-rail reassignment, stripe splitting — keeping the
-// cheapest Beam survivors per round. The final pick simulates the
-// finalists and the lowered baselines, so the emitted schedule's
-// simulated makespan is never worse than the best lowering's (the
-// measured pick is the schedule-space analogue of the tuner's measured
-// dispatch).
+// each with the static analyzer, then fuse adjacent steps of the best
+// plans, keeping the cheapest beamWidth survivors per round. Fusion is
+// the only neighbor: pinned-rail moves and stripe splits were measured
+// over 2 800 tuner keys and never accepted once (DESIGN.md §8). The
+// final pick simulates the finalists and the lowered baselines, so the
+// emitted schedule's simulated makespan is never worse than the best
+// lowering's (the measured pick is the schedule-space analogue of the
+// tuner's measured dispatch).
 
 // Candidate is one scored schedule.
 type Candidate struct {
@@ -31,21 +32,12 @@ type Candidate struct {
 	Makespan sim.Duration
 }
 
-// SynthOptions tunes the search.
+// SynthOptions describes the machine state and the pruning margin.
 type SynthOptions struct {
-	// Beam is the number of survivors per round (default 4).
-	Beam int
-	// Rounds bounds the mutation rounds (default 6; the search also
-	// stops when a round improves nothing).
-	Rounds int
-	// NoMeasure skips the final simulation pass: the best candidate is
-	// then chosen purely by analyzer cost and Makespan stays zero.
-	NoMeasure bool
 	// Health is the steady rail-health vector (see ValidHealth): the
 	// seeds are repaired off dead rails (ApplyHealth), every candidate
-	// is priced health-aware, mutations never pin a dead rail, and the
-	// final measurement runs under the equivalent fault schedule. Nil
-	// means all rails healthy.
+	// is priced health-aware, and the final measurement runs under the
+	// equivalent fault schedule. Nil means all rails healthy.
 	Health []float64
 	// PruneMargin, when positive, is the analytic-pruning knob the
 	// autotuner service uses: if the cheapest candidate's analyzer cost
@@ -60,13 +52,13 @@ type SynthResult struct {
 	// Best is the emitted schedule.
 	Best Candidate
 	// Lowered holds the canonical hand-written lowerings (ring, rd,
-	// two-phase MHA both phase-2 flavors), measured unless NoMeasure —
-	// the baselines the acceptance comparison is made against.
+	// two-phase MHA both phase-2 flavors), measured unless Pruned — the
+	// baselines the acceptance comparison is made against.
 	Lowered []Candidate
 	// Seeds holds every analyzer-scored starting point, cheapest first.
 	Seeds []Candidate
 	// Pruned records that the simulation pass was skipped because the
-	// analytic margin exceeded PruneMargin (or NoMeasure was set).
+	// analytic margin exceeded PruneMargin.
 	Pruned bool
 	// Search counts what the search did to get there.
 	Search Search
@@ -88,15 +80,12 @@ func (s Search) String() string {
 		s.Rounds, s.Walks, s.Considered, s.RejectedLocally, s.NotCheaper, s.Analyzed, s.Accepted, s.Simulated)
 }
 
-func (o SynthOptions) withDefaults() SynthOptions {
-	if o.Beam <= 0 {
-		o.Beam = 4
-	}
-	if o.Rounds <= 0 {
-		o.Rounds = 6
-	}
-	return o
-}
+// The beam keeps beamWidth survivors per round for at most searchRounds
+// rounds; the search also stops when a round improves nothing.
+const (
+	beamWidth    = 4
+	searchRounds = 6
+)
 
 // Synthesize searches schedule space for the given machine and message
 // size and returns the best plan found together with the scored
@@ -105,70 +94,11 @@ func Synthesize(topo topology.Cluster, prm *netmodel.Params, msg int, opt SynthO
 	if prm == nil {
 		prm = netmodel.Thor()
 	}
-	opt = opt.withDefaults()
 	if err := ValidHealth(opt.Health, topo.HCAs); err != nil {
 		return nil, err
 	}
 	sr := &search{prm: prm, health: opt.Health}
-	L := topo.PPN
-	pow2N := topo.Nodes > 1 && topo.Nodes&(topo.Nodes-1) == 0
-
-	// Seed pool: the canonical lowerings plus an MHA option grid and the
-	// greedy direct construction, each repaired off dead rails before it
-	// is scored.
-	var seeds []Candidate
-	addSeed := func(name string, s *Schedule) {
-		if s == nil {
-			return
-		}
-		for _, c := range seeds {
-			if c.Name == name {
-				return
-			}
-		}
-		s = ApplyHealth(s, opt.Health)
-		rep, err := sr.analyze(s)
-		if err != nil {
-			// A lowering that fails its own analysis is a bug; surface it
-			// instead of silently searching around it.
-			panic(fmt.Sprintf("sched: seed %s invalid: %v", name, err))
-		}
-		seeds = append(seeds, Candidate{Name: name, Sched: s, Cost: rep.Cost})
-	}
-
-	addSeed("ring", Ring(topo, msg))
-	if rd := RecursiveDoubling(topo, msg); rd.Name == "rd" {
-		addSeed("rd", rd)
-	}
-	mhaOK := topo.Nodes == 1 || topo.Layout == topology.Block
-	if mhaOK {
-		addSeed("mha-ring", TwoPhaseMHA(topo, prm, msg, MHAOptions{Offload: AutoOffload}))
-		if pow2N {
-			addSeed("mha-rd", TwoPhaseMHA(topo, prm, msg, MHAOptions{Phase2: Phase2RD, Offload: AutoOffload}))
-		}
-		// Option grid around the canonical MHA plans.
-		offloads := []int{0}
-		if L > 1 {
-			offloads = append(offloads, L-1)
-		}
-		for _, d := range offloads {
-			for _, p2 := range []Phase2Alg{Phase2Ring, Phase2RD} {
-				if p2 == Phase2RD && !pow2N {
-					continue
-				}
-				for _, seq := range []bool{false, true} {
-					for _, push := range []bool{false, true} {
-						o := MHAOptions{Phase2: p2, Offload: d, Sequential: seq, Push: push}
-						s := TwoPhaseMHA(topo, prm, msg, o)
-						addSeed(fmt.Sprintf("%s-d%d", s.Name, d), s)
-					}
-				}
-			}
-		}
-	}
-	addSeed("direct-rail", DirectRail(topo, msg))
-
-	sortCandidates(seeds)
+	seeds := sr.seeds(topo, msg)
 
 	// The canonical hand-written lowerings serve as the comparison
 	// baselines; recover them from the seed pool by name.
@@ -181,13 +111,10 @@ func Synthesize(topo topology.Cluster, prm *netmodel.Params, msg int, opt SynthO
 		}
 	}
 
-	// Beam search over local mutations.
-	beam := append([]Candidate(nil), seeds...)
-	if len(beam) > opt.Beam {
-		beam = beam[:opt.Beam]
-	}
-	best := beam[0]
-	for round := 0; round < opt.Rounds; round++ {
+	// Beam search over step fusions.
+	beam := append([]Candidate(nil), seeds[:min(len(seeds), beamWidth)]...)
+	best := beam[0].Cost
+	for round := 0; round < searchRounds; round++ {
 		sr.stats.Rounds++
 		var next []Candidate
 		next = append(next, beam...)
@@ -196,21 +123,14 @@ func Synthesize(topo topology.Cluster, prm *netmodel.Params, msg int, opt SynthO
 		}
 		sortCandidates(next)
 		next = dedupe(next)
-		if len(next) > opt.Beam {
-			next = next[:opt.Beam]
-		}
-		beam = next
-		if beam[0].Cost >= best.Cost {
+		beam = next[:min(len(next), beamWidth)]
+		if beam[0].Cost >= best {
 			break
 		}
-		best = beam[0]
+		best = beam[0].Cost
 	}
 
 	res := &SynthResult{Lowered: lowered, Seeds: seeds, Search: sr.stats}
-	if opt.NoMeasure {
-		res.Best, res.Pruned = best, true
-		return res, nil
-	}
 
 	// Measured final pick: simulate the finalists and every lowered
 	// baseline, choose the fastest. Including the baselines makes the
@@ -258,6 +178,67 @@ func Synthesize(topo topology.Cluster, prm *netmodel.Params, msg int, opt SynthO
 	return res, nil
 }
 
+// seeds is the search's starting pool, cheapest first: the canonical
+// lowerings plus an MHA option grid and the greedy direct construction,
+// each repaired off dead rails before it is scored.
+func (sr *search) seeds(topo topology.Cluster, msg int) []Candidate {
+	L := topo.PPN
+	pow2N := topo.Nodes > 1 && topo.Nodes&(topo.Nodes-1) == 0
+	var seeds []Candidate
+	addSeed := func(name string, s *Schedule) {
+		if s == nil {
+			return
+		}
+		for _, c := range seeds {
+			if c.Name == name {
+				return
+			}
+		}
+		s = ApplyHealth(s, sr.health)
+		rep, err := sr.analyze(s)
+		if err != nil {
+			// A lowering that fails its own analysis is a bug; surface it
+			// instead of silently searching around it.
+			panic(fmt.Sprintf("sched: seed %s invalid: %v", name, err))
+		}
+		seeds = append(seeds, Candidate{Name: name, Sched: s, Cost: rep.Cost})
+	}
+
+	addSeed("ring", Ring(topo, msg))
+	if rd := RecursiveDoubling(topo, msg); rd.Name == "rd" {
+		addSeed("rd", rd)
+	}
+	mhaOK := topo.Nodes == 1 || topo.Layout == topology.Block
+	if mhaOK {
+		addSeed("mha-ring", TwoPhaseMHA(topo, sr.prm, msg, MHAOptions{Offload: AutoOffload}))
+		if pow2N {
+			addSeed("mha-rd", TwoPhaseMHA(topo, sr.prm, msg, MHAOptions{Phase2: Phase2RD, Offload: AutoOffload}))
+		}
+		// Option grid around the canonical MHA plans.
+		offloads := []int{0}
+		if L > 1 {
+			offloads = append(offloads, L-1)
+		}
+		for _, d := range offloads {
+			for _, p2 := range []Phase2Alg{Phase2Ring, Phase2RD} {
+				if p2 == Phase2RD && !pow2N {
+					continue
+				}
+				for _, seq := range []bool{false, true} {
+					for _, push := range []bool{false, true} {
+						o := MHAOptions{Phase2: p2, Offload: d, Sequential: seq, Push: push}
+						s := TwoPhaseMHA(topo, sr.prm, msg, o)
+						addSeed(fmt.Sprintf("%s-d%d", s.Name, d), s)
+					}
+				}
+			}
+		}
+	}
+	addSeed("direct-rail", DirectRail(topo, msg))
+	sortCandidates(seeds)
+	return seeds
+}
+
 func sortCandidates(cs []Candidate) {
 	sort.SliceStable(cs, func(i, j int) bool {
 		if cs[i].Cost != cs[j].Cost {
@@ -296,7 +277,7 @@ type search struct {
 	prm    *netmodel.Params
 	health []float64
 	a      analysis
-	tmp    Step // the changed step of the neighbor in hand
+	tmp    Step // the fused step of the neighbor in hand
 	stats  Search
 }
 
@@ -304,111 +285,55 @@ func (sr *search) analyze(s *Schedule) (*Report, error) {
 	return sr.a.run(s, sr.prm, sr.health, nil)
 }
 
-// The three local mutations; the letter goes into the mutant's name.
-type neighborKind byte
-
-const (
-	fuseSteps neighborKind = 'f' // merge steps si and si+1
-	moveRail  neighborKind = 'r' // pin transfer xi of step si to rail instead
-	splitRail neighborKind = 's' // move the upper half of transfer xi onto rail
-)
-
-// neighbor is one local mutation of a parent — span steps from si become
-// one — and, after the walk, the analyzer's verdict on that one step: ok
-// if it passes the read and pin checks where it stands, then price what
-// it costs and old what the parent pays for the steps it replaces.
+// neighbor is the fusion of steps si and si+1 of a parent and, after the
+// walk, the analyzer's verdict on the fused step: ok if it passes the
+// read and pin checks where it stands, then price what it costs and old
+// what the parent pays for the two steps it replaces.
 type neighbor struct {
-	kind               neighborKind
-	si, span, xi, rail int
-	ok                 bool
-	price, old         sim.Duration
+	si         int
+	ok         bool
+	price, old sim.Duration
 }
 
-// neighbors lists the mutations of s in the order the search tries them:
-// every adjacent-step fusion, then per pinned transfer a move to and a
-// split onto the first other live rail, mutationBudget of each kind.
-func neighbors(s *Schedule, prm *netmodel.Params, health []float64) []neighbor {
-	var qs []neighbor
-	if len(s.Steps) <= fuseMaxSteps {
-		for i := 0; i+1 < len(s.Steps); i++ {
-			qs = append(qs, neighbor{kind: fuseSteps, si: i, span: 2})
-		}
+// neighbors lists the fusions of s in the order the search tries them:
+// neighbor i fuses steps i and i+1.
+func neighbors(s *Schedule) []neighbor {
+	if len(s.Steps) > fuseMaxSteps {
+		return nil
 	}
-	moves, splits := 0, 0
-	for si := range s.Steps {
-		for xi, t := range s.Steps[si].Xfers {
-			if t.Via != ViaRail {
-				continue
-			}
-			rail := 0
-			for rail < s.Topo.HCAs && (rail == t.Rail || healthOf(health, rail) <= 0) {
-				rail++
-			}
-			if rail == s.Topo.HCAs {
-				continue
-			}
-			if moves < mutationBudget {
-				qs = append(qs, neighbor{kind: moveRail, si: si, span: 1, xi: xi, rail: rail})
-				moves++
-			}
-			if splits < mutationBudget && t.Len >= 2*prm.StripeThreshold {
-				qs = append(qs, neighbor{kind: splitRail, si: si, span: 1, xi: xi, rail: rail})
-				splits++
-			}
-		}
+	var qs []neighbor
+	for i := 0; i+1 < len(s.Steps); i++ {
+		qs = append(qs, neighbor{si: i})
 	}
 	return qs
 }
 
-// changed writes the one step q changes, as q leaves it, into dst,
-// reusing dst's slices. Transfer order is kept: a fused step lists step
-// si's transfers, then step si+1's; a split appends the new piece.
+// changed writes the fused step into dst, reusing dst's slices. Transfer
+// order is kept: step si's transfers, then step si+1's.
 func (q *neighbor) changed(dst *Step, steps []Step) {
-	st := &steps[q.si]
-	dst.Xfers = append(dst.Xfers[:0], st.Xfers...)
-	dst.Copies = append(dst.Copies[:0], st.Copies...)
-	switch q.kind {
-	case fuseSteps:
-		dst.Xfers = append(dst.Xfers, steps[q.si+1].Xfers...)
-		dst.Copies = append(dst.Copies, steps[q.si+1].Copies...)
-	case moveRail:
-		dst.Xfers[q.xi].Rail = q.rail
-	case splitRail:
-		t := st.Xfers[q.xi]
-		half := t.Len / 2
-		dst.Xfers[q.xi].Len = half
-		t.Off, t.Len, t.Rail = t.Off+half, t.Len-half, q.rail
-		dst.Xfers = append(dst.Xfers, t)
-	}
+	a, b := &steps[q.si], &steps[q.si+1]
+	dst.Xfers = append(append(dst.Xfers[:0], a.Xfers...), b.Xfers...)
+	dst.Copies = append(append(dst.Copies[:0], a.Copies...), b.Copies...)
 }
 
 // build is the neighbor as a schedule of its own.
 func (q *neighbor) build(c Candidate) *Schedule {
 	s := c.Sched.Clone()
 	q.changed(&s.Steps[q.si], c.Sched.Steps)
-	s.Steps = slices.Delete(s.Steps, q.si+1, q.si+q.span)
-	s.Name = fmt.Sprintf("%s+%c%d", c.Name, q.kind, q.si)
-	if q.kind != fuseSteps {
-		s.Name += fmt.Sprintf(".%d", q.xi)
-	}
+	s.Steps = slices.Delete(s.Steps, q.si+1, q.si+2)
+	s.Name = fmt.Sprintf("%s+f%d", c.Name, q.si)
 	return s
 }
 
-// walk takes the analysis through the (valid) parent once, as far as the
-// last step a neighbor touches, stopping before each step to quote the
-// neighbors that change it. Up to its step a neighbor is the parent, so
-// the tables are the ones its own analysis would have there. After it
-// the holds and round-robin cursors are the parent's again — a fusion
-// keeps the transfer order and is only ok if step si+1 reads nothing
-// step si delivers, a move or split touches pinned transfers only — so
-// every later step prices as in the parent and the neighbor costs
-// exactly parent - old + price.
+// walk takes the analysis through the (valid) parent once, stopping
+// before each step to quote the fusion that starts there. Up to its step
+// a neighbor is the parent, so the tables are the ones its own analysis
+// would have there. After it the holds and round-robin cursors are the
+// parent's again — a fusion keeps the transfer order and is only ok if
+// step si+1 reads nothing step si delivers — so every later step prices
+// as in the parent and the neighbor costs exactly parent - old + price.
 func (sr *search) walk(s *Schedule, qs []neighbor) error {
-	last := 0 // one past the last step a neighbor replaces
-	for _, q := range qs {
-		last = max(last, q.si+q.span)
-	}
-	if last == 0 {
+	if len(qs) == 0 {
 		return nil
 	}
 	sr.stats.Walks++
@@ -416,38 +341,32 @@ func (sr *search) walk(s *Schedule, qs []neighbor) error {
 	if err := a.begin(s, sr.prm, sr.health, nil); err != nil {
 		return err
 	}
-	for si := 0; si < last; si++ {
-		for i := range qs {
-			if q := &qs[i]; q.si == si {
-				q.changed(&sr.tmp, s.Steps)
-				q.price, q.ok = a.quote(si, &sr.tmp)
-			}
+	for si := range s.Steps {
+		if si < len(qs) {
+			q := &qs[si]
+			q.changed(&sr.tmp, s.Steps)
+			q.price, q.ok = a.quote(si, &sr.tmp)
 		}
 		a.step(si, &s.Steps[si])
 	}
 	for i := range qs {
 		q := &qs[i]
-		for _, d := range a.rep.StepCosts[q.si : q.si+q.span] {
-			q.old += d
-		}
+		q.old = a.rep.StepCosts[q.si] + a.rep.StepCosts[q.si+1]
 	}
 	return nil
 }
 
-// mutate generates improved neighbors of a candidate: adjacent-step
-// fusion, moving a pinned transfer off its rail, and splitting a large
-// pinned transfer across an idle rail. One walk of the parent gives each
-// neighbor's verdict from the step it changes; those that pass and are
-// strictly cheaper are built and fully analyzed, and only what the full
-// analysis accepts at a strictly lower cost survives. Under a health
-// vector the pricing is health-aware and dead rails are never pinned, so
-// the search naturally migrates pinned traffic onto the surviving rails.
+// mutate generates improved neighbors of a candidate by fusing adjacent
+// steps. One walk of the parent gives each fusion's verdict from the
+// step it makes; those that pass and are strictly cheaper are built and
+// fully analyzed, and only what the full analysis accepts at a strictly
+// lower cost survives. Under a health vector the pricing is health-aware.
 func mutate(c Candidate, prm *netmodel.Params, health []float64) []Candidate {
 	return (&search{prm: prm, health: health}).mutate(c)
 }
 
 func (sr *search) mutate(c Candidate) []Candidate {
-	qs := neighbors(c.Sched, sr.prm, sr.health)
+	qs := neighbors(c.Sched)
 	if sr.walk(c.Sched, qs) != nil {
 		return nil // a parent the analyzer cannot begin on has no valid neighbor
 	}

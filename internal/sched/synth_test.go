@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"mha/internal/netmodel"
@@ -76,5 +77,21 @@ func TestAnalyzerSimAgreement(t *testing.T) {
 		for _, c := range res.Lowered {
 			t.Logf("%v %-10s cost=%8v makespan=%8v", topo, c.Name, c.Cost, c.Makespan)
 		}
+	}
+}
+
+// TestSynthesizePicksAFusion pins the key where fusion earns its code:
+// on 16x4x3 at 256 KiB no seed wins; the pick fuses two steps of the
+// RD-phase-2 MHA lowering twice over and beats the best seed by 22 µs.
+func TestSynthesizePicksAFusion(t *testing.T) {
+	res, err := Synthesize(topology.New(16, 4, 3), netmodel.Thor(), 256<<10, SynthOptions{PruneMargin: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("best=%s cost=%d makespan=%d; best seed %s=%d",
+		res.Best.Name, int64(res.Best.Cost), int64(res.Best.Makespan), res.Seeds[0].Name, int64(res.Seeds[0].Cost))
+	const want = "best=mha-rd+f1+f0 cost=1399580 makespan=1399580; best seed mha-rd-d0=1422025"
+	if got != want {
+		t.Errorf("16x4x3/256KiB:\n got %s\nwant %s", got, want)
 	}
 }

@@ -15,6 +15,7 @@ func FuzzParseQuery(f *testing.F) {
 	f.Add([]byte(`{"nodes":-1,"ppn":1e9,"hcas":999,"msg":0}`))
 	f.Add([]byte(`{"nodes":2,"ppn":2,"hcas":2,"msg":64,"health":[null,"x"]}`))
 	f.Add([]byte(`{"nodes":1000000000,"ppn":1000000000,"hcas":16,"msg":67108864}`))
+	// Only the flat fabric parses; the structured specs must be refused.
 	f.Add([]byte(`{"nodes":4,"ppn":2,"hcas":2,"msg":4096,"fabric":"ft:arity=2,levels=2,over=2:1"}`))
 	f.Add([]byte(`{"nodes":4,"ppn":2,"hcas":2,"msg":4096,"fabric":"dfly:groups=2,routers=2,nodes=1"}`))
 	f.Add([]byte(`{"nodes":4,"ppn":2,"hcas":2,"msg":4096,"fabric":"flat"}`))
@@ -32,6 +33,9 @@ func FuzzParseQuery(f *testing.F) {
 		// idempotent and canonicalization succeeds and is stable.
 		if err := q.validate(); err != nil {
 			t.Fatalf("ParseQuery accepted %q but validate rejects: %v", data, err)
+		}
+		if q.Fabric != "" && q.Fabric != "flat" {
+			t.Fatalf("ParseQuery accepted fabric %q", q.Fabric)
 		}
 		cq, key, err := q.Canonical()
 		if err != nil {

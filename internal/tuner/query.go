@@ -8,7 +8,6 @@ import (
 	"math"
 	"strings"
 
-	"mha/internal/fabric"
 	"mha/internal/sched"
 	"mha/internal/topology"
 )
@@ -34,18 +33,16 @@ const (
 const healthQuantum = 64
 
 // Query asks the autotuner for the best allgather schedule on one
-// machine state: the cluster shape, the inter-node fabric, the per-rank
-// message size, and the steady rail-health vector (omitted = all rails
-// healthy).
+// machine state: the cluster shape, the per-rank message size, and the
+// steady rail-health vector (omitted = all rails healthy).
 type Query struct {
 	Nodes  int    `json:"nodes"`
 	PPN    int    `json:"ppn"`
 	HCAs   int    `json:"hcas"`
 	Layout string `json:"layout,omitempty"` // "block" (default) or "cyclic"
-	// Fabric is an internal/fabric spec ("" and "flat" mean the
-	// non-blocking fabric). It is canonicalized into the cache key, so
-	// equivalent spellings ("over=2" vs "over=2:1") share one entry and
-	// a tapered fabric never serves a flat-fabric decision.
+	// Fabric must be "" or "flat": the synthesizer prices a flat,
+	// non-blocking fabric only, so a tapered one is refused rather than
+	// served a flat-fabric decision.
 	Fabric string    `json:"fabric,omitempty"`
 	Msg    int       `json:"msg"`
 	Health []float64 `json:"health,omitempty"` // per rail, 0 down .. 1 healthy
@@ -88,14 +85,8 @@ func (q Query) validate() error {
 	if q.Layout != "" && q.Layout != "block" && q.Layout != "cyclic" {
 		return fmt.Errorf("tuner: unknown layout %q", q.Layout)
 	}
-	if q.Fabric != "" {
-		fs, err := fabric.ParseSpec(q.Fabric)
-		if err != nil {
-			return fmt.Errorf("tuner: %v", err)
-		}
-		if err := fs.CheckNodes(q.Nodes); err != nil {
-			return fmt.Errorf("tuner: %v", err)
-		}
+	if q.Fabric != "" && q.Fabric != "flat" {
+		return fmt.Errorf("tuner: fabric %q: the synthesizer prices a flat fabric only", q.Fabric)
 	}
 	if q.Health != nil {
 		if len(q.Health) != q.HCAs {
@@ -120,8 +111,8 @@ func (q Query) validate() error {
 }
 
 // Canonical normalizes the query into the form the cache is keyed on —
-// explicit layout, the fabric spec in its canonical text (flat dropped
-// entirely), health quantized to 1/64ths and dropped entirely when
+// explicit layout, no fabric (validate admits only the flat one), health
+// quantized to 1/64ths and dropped entirely when
 // fully healthy — and derives the key: the hex SHA-256 of a versioned
 // rendering of every normalized field. Two queries with the same
 // canonical form are, to the synthesizer, the same machine state.
@@ -135,17 +126,7 @@ func (q Query) Canonical() (Query, string, error) {
 	if cq.Layout == "" {
 		cq.Layout = "block"
 	}
-	if cq.Fabric != "" {
-		fs, err := fabric.ParseSpec(cq.Fabric)
-		if err != nil {
-			return Query{}, "", fmt.Errorf("tuner: %v", err)
-		}
-		if fs.Kind == fabric.Flat {
-			cq.Fabric = ""
-		} else {
-			cq.Fabric = fs.String()
-		}
-	}
+	cq.Fabric = ""
 	if cq.Health != nil {
 		quant := make([]float64, len(cq.Health))
 		healthy := true
@@ -172,12 +153,6 @@ func (q Query) Canonical() (Query, string, error) {
 			b.WriteByte(',')
 		}
 		fmt.Fprintf(&b, "%d", int(math.Round(h*healthQuantum)))
-	}
-	// The fabric segment is appended only when a structured fabric is
-	// set, so every flat-fabric key — including those persisted before
-	// the field existed — keeps its exact bytes.
-	if cq.Fabric != "" {
-		fmt.Fprintf(&b, "|fabric=%s", cq.Fabric)
 	}
 	sum := sha256.Sum256([]byte(b.String()))
 	return cq, hex.EncodeToString(sum[:]), nil
@@ -209,9 +184,6 @@ func (q Query) equal(o Query) bool {
 
 func (q Query) String() string {
 	s := fmt.Sprintf("%dx%dx%d/%s msg=%d", q.Nodes, q.PPN, q.HCAs, q.Layout, q.Msg)
-	if q.Fabric != "" {
-		s += " fabric=" + q.Fabric
-	}
 	if q.Health != nil {
 		s += fmt.Sprintf(" health=%v", q.Health)
 	}

@@ -26,6 +26,7 @@ func TestParseQueryRejects(t *testing.T) {
 		{"bad layout", `{"nodes":2,"ppn":2,"hcas":2,"msg":64,"layout":"spiral"}`, "layout"},
 		{"bad fabric", `{"nodes":2,"ppn":2,"hcas":2,"msg":64,"fabric":"torus:dims=3"}`, "fabric"},
 		{"fabric misfit", `{"nodes":6,"ppn":2,"hcas":2,"msg":64,"fabric":"dfly:groups=2,routers=2,nodes=1"}`, "fabric"},
+		{"tapered fabric", `{"nodes":4,"ppn":2,"hcas":2,"msg":64,"fabric":"ft:arity=2,levels=2,over=2:1"}`, "flat fabric"},
 		{"health length", `{"nodes":2,"ppn":2,"hcas":2,"msg":64,"health":[1]}`, "health"},
 		{"health range", `{"nodes":2,"ppn":2,"hcas":2,"msg":64,"health":[1,2]}`, "health"},
 		{"health negative", `{"nodes":2,"ppn":2,"hcas":2,"msg":64,"health":[-0.5,1]}`, "health"},
@@ -92,21 +93,20 @@ func TestCanonicalKey(t *testing.T) {
 		t.Error("0.5 vs 0.25 health collapsed into one key")
 	}
 
-	// A flat fabric collapses to the no-fabric form, and equivalent
-	// spellings of one taper share a key.
+	// An explicit flat fabric is the no-fabric form, key bytes and all;
+	// a tapered one has no key, because the synthesizer cannot price it.
 	flat := base
 	flat.Fabric = "flat"
 	if key(base) != key(flat) {
 		t.Error("explicit flat fabric keyed differently from no fabric")
 	}
-	ft, ftRatio := base, base
-	ft.Fabric = "ft:arity=2,levels=2,over=2"
-	ftRatio.Fabric = "ft:arity=2,levels=2,over=2:1"
-	if key(ft) != key(ftRatio) {
-		t.Error("over=2 vs over=2:1 shattered the fabric key")
+	if cq, _, _ := flat.Canonical(); cq.Fabric != "" {
+		t.Errorf("canonical form kept fabric %q", cq.Fabric)
 	}
-	if key(ft) == key(base) {
-		t.Error("a 2:1 fat-tree keyed the same as the flat fabric")
+	ft := base
+	ft.Fabric = "ft:arity=2,levels=2,over=2:1"
+	if _, _, err := ft.Canonical(); err == nil {
+		t.Error("Canonical keyed a 2:1 fat-tree, which would serve it a flat-fabric decision")
 	}
 
 	// Every dimension distinguishes keys.
@@ -115,7 +115,6 @@ func TestCanonicalKey(t *testing.T) {
 		"ppn":    {Nodes: 4, PPN: 4, HCAs: 2, Msg: 65536},
 		"hcas":   {Nodes: 4, PPN: 8, HCAs: 1, Msg: 65536},
 		"layout": {Nodes: 4, PPN: 8, HCAs: 2, Layout: "cyclic", Msg: 65536},
-		"fabric": {Nodes: 4, PPN: 8, HCAs: 2, Fabric: "ft:arity=4,levels=2,over=2", Msg: 65536},
 		"msg":    {Nodes: 4, PPN: 8, HCAs: 2, Msg: 32768},
 	} {
 		if key(base) == key(vary) {

@@ -8,13 +8,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"mha/internal/sched"
 )
 
 func testServer(t *testing.T) (*Service, *httptest.Server) {
 	t.Helper()
-	s := New(Config{Capacity: 8, Synth: sched.SynthOptions{Beam: 3, Rounds: 3}})
+	s := New(Config{Capacity: 8})
 	ts := httptest.NewServer(Handler(s))
 	t.Cleanup(ts.Close)
 	return s, ts

@@ -45,15 +45,11 @@ type Config struct {
 	Params *netmodel.Params
 	// Capacity is the LRU entry limit (default 512).
 	Capacity int
-	// Synth tunes the schedule search. Beam/Rounds default as in
-	// internal/sched; PruneMargin defaults to 0.25 (skip the simulation
-	// pass when the analytic winner leads by >25%) — set it negative to
-	// always simulate.
-	Synth sched.SynthOptions
 }
 
-// DefaultPruneMargin is the analytic-pruning margin used when
-// Config.Synth.PruneMargin is zero.
+// DefaultPruneMargin is the service's analytic-pruning margin: the
+// simulation pass is skipped when the analytic winner leads every other
+// finalist by more than 25 %.
 const DefaultPruneMargin = 0.25
 
 // Result is one Decide outcome.
@@ -78,8 +74,7 @@ type call struct {
 
 // Service is the autotuner: cache + singleflight + synthesizer.
 type Service struct {
-	prm   *netmodel.Params
-	synth sched.SynthOptions
+	prm *netmodel.Params
 	// search is synthesize; tests substitute a synthesis that blocks or
 	// panics on cue.
 	search func(cq Query, key string) (*Decision, []byte, error)
@@ -104,14 +99,8 @@ func New(cfg Config) *Service {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 512
 	}
-	if cfg.Synth.PruneMargin == 0 {
-		cfg.Synth.PruneMargin = DefaultPruneMargin
-	} else if cfg.Synth.PruneMargin < 0 {
-		cfg.Synth.PruneMargin = 0
-	}
 	s := &Service{
 		prm:    cfg.Params,
-		synth:  cfg.Synth,
 		cache:  newLRU(cfg.Capacity),
 		flight: make(map[string]*call),
 		hist:   newHistogram(),
@@ -193,9 +182,7 @@ func (s *Service) fly(c *call, cq Query, key string) {
 // synthesize runs the health-aware schedule search for one canonical
 // query and wraps the winner as a Decision.
 func (s *Service) synthesize(cq Query, key string) (*Decision, []byte, error) {
-	opt := s.synth
-	opt.Health = cq.Health
-	res, err := sched.Synthesize(cq.Cluster(), s.prm, cq.Msg, opt)
+	res, err := sched.Synthesize(cq.Cluster(), s.prm, cq.Msg, sched.SynthOptions{Health: cq.Health, PruneMargin: DefaultPruneMargin})
 	if err != nil {
 		return nil, nil, fmt.Errorf("tuner: synthesis for %v: %v", cq, err)
 	}

@@ -10,12 +10,11 @@ import (
 	"testing"
 
 	"mha/internal/netmodel"
-	"mha/internal/sched"
 )
 
-// testService keeps the search small so cold syntheses stay fast.
+// testService is a service with room for capacity decisions.
 func testService(capacity int) *Service {
-	return New(Config{Capacity: capacity, Synth: sched.SynthOptions{Beam: 3, Rounds: 3}})
+	return New(Config{Capacity: capacity})
 }
 
 func TestDecideColdThenWarm(t *testing.T) {
@@ -365,12 +364,18 @@ func TestLoadCacheRejectsCorrupt(t *testing.T) {
 		// key derivation and the schedule match. (The persist encoder
 		// indents the embedded decision, hence the spaced form.)
 		"tampered query": strings.Replace(good, `"msg": 4096`, `"msg": 8192`, 1),
+		// A structured fabric is no query the service answers.
+		"fat-tree query": strings.Replace(good, `"msg": 4096`, `"fabric": "ft:arity=2,levels=2,over=2:1", "msg": 4096`, 1),
 	}
 	for name, text := range cases {
 		t.Run(name, func(t *testing.T) {
 			fresh := testService(4)
-			if _, err := fresh.LoadCache(strings.NewReader(text)); err == nil {
+			_, err := fresh.LoadCache(strings.NewReader(text))
+			if err == nil {
 				t.Fatal("corrupt cache file loaded cleanly")
+			}
+			if name == "fat-tree query" && !strings.Contains(err.Error(), "flat fabric") {
+				t.Fatalf("fat-tree entry refused for another reason: %v", err)
 			}
 		})
 	}
@@ -380,7 +385,7 @@ func TestWarmStartAndLoadgen(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warm-start synthesis is seconds of work; skipped in -short")
 	}
-	s := New(Config{Capacity: 64, Synth: sched.SynthOptions{Beam: 3, Rounds: 3}})
+	s := New(Config{Capacity: 64})
 	n, err := WarmStart(s)
 	if err != nil {
 		t.Fatal(err)
@@ -467,7 +472,7 @@ func TestSeedPanicIsAnError(t *testing.T) {
 	if prm.Validate() == nil {
 		t.Fatal("zero HCA bandwidth passes Params.Validate; pick another way to break the model")
 	}
-	s := New(Config{Params: &prm, Capacity: 8, Synth: sched.SynthOptions{Beam: 3, Rounds: 3}})
+	s := New(Config{Params: &prm, Capacity: 8})
 	q := Query{Nodes: 2, PPN: 2, HCAs: 2, Msg: 4096}
 	for i := 0; i < 2; i++ {
 		if _, err := s.Decide(q); err == nil || !strings.Contains(err.Error(), "panicked: sched: seed ring invalid") {

@@ -278,7 +278,8 @@ type (
 	// SynthesisResult is the schedule-search outcome (best plan plus the
 	// measured hand-written baselines).
 	SynthesisResult = sched.SynthResult
-	// SynthesisOptions tunes the schedule search (beam width, rounds).
+	// SynthesisOptions is the schedule search's rail health and
+	// analytic-pruning margin.
 	SynthesisOptions = sched.SynthOptions
 )
 
