@@ -67,8 +67,7 @@ func Contended(groups int) func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
 				if j == gi {
 					continue
 				}
-				got := p.Wait(recvs[j])
-				recv.Slice(bounds[j]*m, (bounds[j+1]-bounds[j])*m).CopyFrom(got)
+				p.WaitInto(recvs[j], recv.Slice(bounds[j]*m, (bounds[j+1]-bounds[j])*m), nil)
 			}
 			for _, r := range reqs {
 				p.Wait(r)

@@ -64,9 +64,8 @@ func RingAllgather(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf) {
 		tag := mpi.Tag(epoch, phaseRing, s)
 		rreq := p.Irecv(c, left, tag)
 		sreq := p.Isend(c, right, tag, recv.Slice(cur*m, m))
-		data := p.Wait(rreq)
 		cur = (cur - 1 + n) % n
-		recv.Slice(cur*m, m).CopyFrom(data)
+		p.WaitInto(rreq, recv.Slice(cur*m, m), nil)
 		p.Wait(sreq)
 	}
 }
@@ -152,8 +151,7 @@ func DirectSpreadAllgather(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf) {
 		tag := mpi.Tag(epoch, phaseDirect, s)
 		rreq := p.Irecv(c, src, tag)
 		sreq := p.Isend(c, dst, tag, send)
-		got := p.Wait(rreq)
-		recv.Slice(src*m, m).CopyFrom(got)
+		p.WaitInto(rreq, recv.Slice(src*m, m), nil)
 		p.Wait(sreq)
 	}
 }

@@ -54,9 +54,8 @@ func RingAllgatherv(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf, counts []int) 
 		tag := mpi.Tag(epoch, phaseAGV, s)
 		rreq := p.Irecv(c, left, tag)
 		sreq := p.Isend(c, right, tag, recv.Slice(offs[cur], counts[cur]))
-		data := p.Wait(rreq)
 		cur = (cur - 1 + n) % n
-		recv.Slice(offs[cur], counts[cur]).CopyFrom(data)
+		p.WaitInto(rreq, recv.Slice(offs[cur], counts[cur]), nil)
 		p.Wait(sreq)
 	}
 }

@@ -175,8 +175,7 @@ func RingAllreduce(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, red Reducer) {
 		tag := mpi.Tag(epoch, phaseARAG, s)
 		rreq := p.Irecv(c, left, tag)
 		sreq := p.Isend(c, right, tag, buf.Slice(so, sl))
-		got := p.Wait(rreq)
-		buf.Slice(ro, rl).CopyFrom(got)
+		p.WaitInto(rreq, buf.Slice(ro, rl), nil)
 		p.Wait(sreq)
 	}
 }
@@ -203,8 +202,7 @@ func RDAllreduce(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, red Reducer) {
 	if me >= pow2 {
 		partner := me - pow2
 		p.Send(c, partner, mpi.Tag(epoch, phaseRD, 1<<12), buf)
-		got := p.Recv(c, partner, mpi.Tag(epoch, phaseRD, 1<<13))
-		buf.CopyFrom(got)
+		p.WaitInto(p.Irecv(c, partner, mpi.Tag(epoch, phaseRD, 1<<13)), buf, nil)
 		return
 	}
 	if me < extra {

@@ -35,8 +35,7 @@ func BinomialBcast(p *mpi.Proc, c *mpi.Comm, root int, buf mpi.Buf) {
 	for mask < n {
 		if rel&mask != 0 {
 			src := (rel - mask + root) % n
-			got := p.Recv(c, src, mpi.Tag(epoch, phaseBcast2, mask))
-			buf.CopyFrom(got)
+			p.WaitInto(p.Irecv(c, src, mpi.Tag(epoch, phaseBcast2, mask)), buf, nil)
 			break
 		}
 		mask <<= 1
@@ -104,8 +103,7 @@ func LinearGather(p *mpi.Proc, c *mpi.Comm, root int, send, recv mpi.Buf) {
 		if r == root {
 			continue
 		}
-		got := p.Recv(c, r, mpi.Tag(epoch, phaseGatherL, r))
-		recv.Slice(r*m, m).CopyFrom(got)
+		p.WaitInto(p.Irecv(c, r, mpi.Tag(epoch, phaseGatherL, r)), recv.Slice(r*m, m), nil)
 	}
 }
 
@@ -117,8 +115,7 @@ func LinearScatter(p *mpi.Proc, c *mpi.Comm, root int, send, recv mpi.Buf) {
 	me := c.Rank(p)
 	epoch := c.Epoch(p)
 	if me != root {
-		got := p.Recv(c, root, mpi.Tag(epoch, phaseScatterL, me))
-		recv.CopyFrom(got)
+		p.WaitInto(p.Irecv(c, root, mpi.Tag(epoch, phaseScatterL, me)), recv, nil)
 		return
 	}
 	if send.Len() != n*m {

@@ -41,8 +41,7 @@ func LinearGatherv(p *mpi.Proc, c *mpi.Comm, root int, send, recv mpi.Buf, count
 		if r == root || counts[r] == 0 {
 			continue
 		}
-		got := p.Recv(c, r, mpi.Tag(epoch, phaseGatherV, r))
-		recv.Slice(offs[r], counts[r]).CopyFrom(got)
+		p.WaitInto(p.Irecv(c, r, mpi.Tag(epoch, phaseGatherV, r)), recv.Slice(offs[r], counts[r]), nil)
 	}
 }
 
@@ -61,8 +60,7 @@ func LinearScatterv(p *mpi.Proc, c *mpi.Comm, root int, send, recv mpi.Buf, coun
 	epoch := c.Epoch(p)
 	if me != root {
 		if counts[me] > 0 {
-			got := p.Recv(c, root, mpi.Tag(epoch, phaseScatterV, me))
-			recv.CopyFrom(got)
+			p.WaitInto(p.Irecv(c, root, mpi.Tag(epoch, phaseScatterV, me)), recv, nil)
 		}
 		return
 	}

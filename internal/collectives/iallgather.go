@@ -60,8 +60,7 @@ func (r *AllgatherRequest) Wait() {
 	}
 	r.done = true
 	for _, pr := range r.recvs {
-		data := r.p.Wait(pr.req)
-		r.recv.Slice(pr.off, pr.n).CopyFrom(data)
+		r.p.WaitInto(pr.req, r.recv.Slice(pr.off, pr.n), nil)
 	}
 	for _, sr := range r.sends {
 		r.p.Wait(sr)

@@ -69,9 +69,8 @@ func localityAllgather(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf, exchange lo
 		// CMA pulls carry the real intra-node price.
 		leader := mine[0]
 		p.Send(c, leader, mpi.Tag(epoch, phaseLocGather, slot), send, mpi.ByRef())
-		got := p.Recv(c, leader, mpi.Tag(epoch, phaseLocBcast, slot))
+		p.WaitInto(p.Irecv(c, leader, mpi.Tag(epoch, phaseLocBcast, slot)), recv, nil)
 		p.ChargeCMA(n * m)
-		recv.CopyFrom(got)
 		return
 	}
 
@@ -85,9 +84,8 @@ func localityAllgather(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf, exchange lo
 	}
 	tmp.Slice(off[g], m).CopyFrom(send)
 	for j := 1; j < k; j++ {
-		got := p.Recv(c, mine[j], mpi.Tag(epoch, phaseLocGather, j))
+		p.WaitInto(p.Irecv(c, mine[j], mpi.Tag(epoch, phaseLocGather, j)), tmp.Slice(off[g]+j*m, m), nil)
 		p.ChargeCMA(m)
-		tmp.Slice(off[g]+j*m, m).CopyFrom(got)
 	}
 	p.ChargeCopy(k * m)
 
@@ -132,8 +130,7 @@ func LocalityP2PAllgather(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf) {
 				tag := mpi.Tag(epoch, phaseLocX, s)
 				rreq := p.Irecv(c, groups[src][0], tag)
 				sreq := p.Isend(c, groups[dst][0], tag, own)
-				got := p.Wait(rreq)
-				tmp.Slice(off[src], off[src+1]-off[src]).CopyFrom(got)
+				p.WaitInto(rreq, tmp.Slice(off[src], off[src+1]-off[src]), nil)
 				p.Wait(sreq)
 			}
 		})
@@ -154,9 +151,8 @@ func LocalityRingAllgather(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf) {
 				tag := mpi.Tag(epoch, phaseLocX, s)
 				rreq := p.Irecv(c, left, tag)
 				sreq := p.Isend(c, right, tag, tmp.Slice(off[cur], off[cur+1]-off[cur]))
-				got := p.Wait(rreq)
 				cur = (cur - 1 + G) % G
-				tmp.Slice(off[cur], off[cur+1]-off[cur]).CopyFrom(got)
+				p.WaitInto(rreq, tmp.Slice(off[cur], off[cur+1]-off[cur]), nil)
 				p.Wait(sreq)
 			}
 		})
@@ -281,8 +277,7 @@ func HierBruckMLAllgather(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf) {
 		rreq := p.Irecv(c, src, tag)
 		sreq := p.Isend(c, dst, tag, tmpJ.Slice(0, cnt*m))
 		share(step, prevLo, prevCnt) // CPU shares round s while NICs run step s+1
-		got := p.Wait(rreq)
-		tmpJ.Slice(filled*m, cnt*m).CopyFrom(got)
+		p.WaitInto(rreq, tmpJ.Slice(filled*m, cnt*m), nil)
 		p.Wait(sreq)
 		prevLo, prevCnt = filled, cnt
 		filled += cnt

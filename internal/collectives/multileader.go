@@ -75,9 +75,8 @@ func MultiLeaderAllgather(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf, groups 
 			tag := mpi.Tag(epoch, phaseLeader, s)
 			rreq := p.Irecv(lc, left, tag)
 			sreq := p.Isend(lc, right, tag, recv.Slice(cur*B, B))
-			got := p.Wait(rreq)
 			cur = (me - s - 1 + nl) % nl
-			recv.Slice(cur*B, B).CopyFrom(got)
+			p.WaitInto(rreq, recv.Slice(cur*B, B), nil)
 			p.Wait(sreq)
 		}
 	}

@@ -153,9 +153,8 @@ func gatherToLeader(p *mpi.Proc, nodeComm *mpi.Comm, epoch int, send, nodeBlock 
 	}
 	p.LocalCopy(nodeBlock.Slice(0, m), send)
 	for peer := 1; peer < nodeComm.Size(); peer++ {
-		got := p.Recv(nodeComm, peer, mpi.Tag(epoch, phaseGather, peer))
+		p.WaitInto(p.Irecv(nodeComm, peer, mpi.Tag(epoch, phaseGather, peer)), nodeBlock.Slice(peer*m, m), nil)
 		p.ChargeCMA(m)
-		nodeBlock.Slice(peer*m, m).CopyFrom(got)
 	}
 }
 
@@ -220,9 +219,8 @@ func leaderRing(p *mpi.Proc, lc *mpi.Comm, epoch int, recv mpi.Buf, B, node int,
 			}
 			availC.Add(1)
 		}
-		got := p.Wait(rreq)
 		cur = (node - s - 1 + n) % n
-		recv.Slice(cur*B, B).CopyFrom(got)
+		p.WaitInto(rreq, recv.Slice(cur*B, B), nil)
 		p.Wait(sreq)
 	}
 	if overlap {
@@ -272,9 +270,8 @@ func leaderRD(p *mpi.Proc, lc *mpi.Comm, epoch int, recv mpi.Buf, B, node int, s
 			}
 			availC.Add(1)
 		}
-		got := p.Wait(rreq)
 		sibBase := base ^ dist
-		recv.Slice(sibBase*B, dist*B).CopyFrom(got)
+		p.WaitInto(rreq, recv.Slice(sibBase*B, dist*B), nil)
 		p.Wait(sreq)
 		pending = rng{sibBase, dist}
 		pendingOwn = false

@@ -61,9 +61,8 @@ func MHAAllgatherv(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf, counts []int) 
 		p.LocalCopy(recv.Slice(offs[me], counts[me]), send)
 		for l := 1; l < L; l++ {
 			src := topo.RankOf(node, l)
-			got := p.Recv(c, src, mpi.Tag(epoch, phaseVGather, l))
+			p.WaitInto(p.Irecv(c, src, mpi.Tag(epoch, phaseVGather, l)), recv.Slice(offs[src], counts[src]), nil)
 			p.ChargeCMA(counts[src])
-			recv.Slice(offs[src], counts[src]).CopyFrom(got)
 		}
 	}
 
@@ -101,9 +100,8 @@ func MHAAllgatherv(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf, counts []int) 
 				shm.CopyIn(p, nodeOff[cur], recv.Slice(nodeOff[cur], nodeLen[cur]))
 			}
 			avail.Add(1)
-			got := p.Wait(rreq)
 			cur = (node - s - 1 + N) % N
-			recv.Slice(nodeOff[cur], nodeLen[cur]).CopyFrom(got)
+			p.WaitInto(rreq, recv.Slice(nodeOff[cur], nodeLen[cur]), nil)
 			p.Wait(sreq)
 		}
 		if nodeLen[cur] > 0 {

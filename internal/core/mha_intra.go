@@ -129,8 +129,7 @@ func MHAIntraAllgatherD(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf, d float64)
 	}
 
 	for _, pr := range recvs {
-		data := p.Wait(pr.req)
-		recv.Slice(pr.src*m+pr.off, pr.n).CopyFrom(data)
+		p.WaitInto(pr.req, recv.Slice(pr.src*m+pr.off, pr.n), nil)
 	}
 	for _, sr := range sends {
 		p.Wait(sr)

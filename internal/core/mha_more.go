@@ -45,8 +45,7 @@ func MHABcast(p *mpi.Proc, w *mpi.World, root int, buf mpi.Buf) {
 		p.Send(c, topo.LeaderOf(rootNode), mpi.Tag(epoch, phaseMBcast, 1<<12), buf)
 	}
 	if p.IsLeader() && p.Node() == rootNode && me != root {
-		got := p.Recv(c, root, mpi.Tag(epoch, phaseMBcast, 1<<12))
-		buf.CopyFrom(got)
+		p.WaitInto(p.Irecv(c, root, mpi.Tag(epoch, phaseMBcast, 1<<12)), buf, nil)
 	}
 
 	// Phase B: binomial broadcast over the leaders (world ranks of local 0).
@@ -106,8 +105,7 @@ func MHAReduce(p *mpi.Proc, w *mpi.World, root int, buf mpi.Buf, red collectives
 			p.Send(c, root, mpi.Tag(epoch, phaseMReduce, 1<<12), buf)
 		}
 		if p.Rank() == root {
-			got := p.Recv(c, lead, mpi.Tag(epoch, phaseMReduce, 1<<12))
-			buf.CopyFrom(got)
+			p.WaitInto(p.Irecv(c, lead, mpi.Tag(epoch, phaseMReduce, 1<<12)), buf, nil)
 		}
 	}
 }
@@ -155,8 +153,7 @@ func MHAGather(p *mpi.Proc, w *mpi.World, root int, send, recv mpi.Buf) {
 			if nd == rootNode {
 				continue
 			}
-			got := p.Recv(c, topo.LeaderOf(nd), mpi.Tag(epoch, phaseMGather, nd))
-			recv.Slice(nd*B, B).CopyFrom(got)
+			p.WaitInto(p.Irecv(c, topo.LeaderOf(nd), mpi.Tag(epoch, phaseMGather, nd)), recv.Slice(nd*B, B), nil)
 		}
 	}
 	if p.IsLeader() && p.Node() == rootNode && me != root {
@@ -198,8 +195,7 @@ func MHAScatter(p *mpi.Proc, w *mpi.World, root int, send, recv mpi.Buf) {
 	if L == 1 {
 		// Every rank is a leader; just receive the block.
 		if me != root {
-			got := p.Recv(c, root, mpi.Tag(epoch, phaseMScatter, p.Node()))
-			recv.CopyFrom(got)
+			p.WaitInto(p.Irecv(c, root, mpi.Tag(epoch, phaseMScatter, p.Node())), recv, nil)
 		} else {
 			p.LocalCopy(recv, send.Slice(rootNode*B, m))
 		}

@@ -38,3 +38,12 @@ func CarriedButDropped(p *Proc, data Buf) {
 	}
 	_ = len(reqs)
 }
+
+// IntoOnlyWhenWanted completes the receive into dst only when want is set:
+// WaitInto counts as the wait it is, and the other path leaks the request.
+func IntoOnlyWhenWanted(p *Proc, dst Buf, want bool) {
+	req := p.Irecv(4, 0) // finding: waited only inside a conditional
+	if want {
+		p.WaitInto(req, dst, nil)
+	}
+}

@@ -42,3 +42,11 @@ func HandedOff(p *Proc, data Buf) {
 func WaitInline(p *Proc) Buf {
 	return p.Wait(p.Irecv(2, 1))
 }
+
+// CompletedInto completes the receive straight into the caller's buffer.
+func CompletedInto(p *Proc, data, dst Buf) {
+	rreq := p.Irecv(0, 8)
+	sreq := p.Isend(1, 8, data)
+	p.WaitInto(rreq, dst, nil)
+	p.Wait(sreq)
+}

@@ -16,6 +16,8 @@ func (p *Proc) Wait(r *Request) Buf { return Buf{} }
 
 func (p *Proc) Waitall(rs ...*Request) []Buf { return nil }
 
+func (p *Proc) WaitInto(r *Request, dst Buf, red func(p *Proc, dst, src Buf)) {}
+
 // drain stands in for a helper that takes ownership of requests.
 func drain(p *Proc, rs []*Request) {
 	for _, r := range rs {

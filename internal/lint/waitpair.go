@@ -7,7 +7,8 @@ import (
 )
 
 // waitpair checks that every request returned by Isend/Irecv — or by a
-// helper whose signature returns a request — reaches a Wait/Waitall. It
+// helper whose signature returns a request — reaches a Wait, a Waitall or
+// a WaitInto, which completes a receive into a buffer. It
 // is the static mirror of the teardown audit: VerifyTeardown catches a
 // leaked receive only on the scenarios a campaign happens to run, while
 // this pass rejects the code shape outright.
@@ -83,7 +84,7 @@ type useKind int
 
 const (
 	useInspect useKind = iota // read-only: comparison, field access, non-consuming helper
-	useWait                   // passed to Wait/Waitall or a consuming helper
+	useWait                   // passed to Wait/Waitall/WaitInto or a consuming helper
 	useEscape                 // trusted escape: return, store, call outside the program
 	useCarry                  // appended into a slice (consumed iff the slice is)
 )
@@ -289,7 +290,7 @@ func (a *reqAnalysis) classify(id *ast.Ident) use {
 				return use{id: id, kind: useEscape}
 			}
 			switch callee.Name {
-			case "Wait", "Waitall":
+			case "Wait", "Waitall", "WaitInto":
 				return use{id: id, kind: useWait}
 			case "append":
 				if len(p.Args) > 0 && p.Args[0] == exprOf(cur) {

@@ -79,7 +79,9 @@ func Execute(p *mpi.Proc, w *mpi.World, s *Schedule, send, recv mpi.Buf) {
 // where the rank keeps bytes [off, off+ln) of the block range [first,
 // first+count) — the only thing Execute and ExecuteGoal disagree on —
 // and red folds an arrived payload into its window for a reducing
-// transfer (nil when the schedule may have none).
+// transfer (nil when the schedule may have none). Every payload is
+// completed into its window with WaitInto, so its storage goes back to the
+// world for a later send.
 //
 // Per step, the rank posts its receives, posts its sends (payloads are
 // snapshotted at post time, so every send reads the pre-step state even
@@ -130,20 +132,21 @@ func runSteps(p *mpi.Proc, c *mpi.Comm, s *Schedule,
 			}
 		}
 		for _, pr := range recvs {
-			data := p.Wait(pr.req)
-			if pr.t.Via == ViaPull {
-				// ByRef handoff: the reader performs (and pays for) the
-				// actual copy out of the peer's buffer.
-				p.ChargeCMA(pr.t.Len)
-			}
-			dst := window(pr.t.First, pr.t.Count, pr.t.Off, pr.t.Len)
-			if pr.t.Red {
+			t := pr.t
+			var fold func(p *mpi.Proc, dst, src mpi.Buf)
+			if t.Red {
 				if red == nil {
 					panic("sched: schedule has reducing transfers but no reducer was supplied")
 				}
-				red(p, dst, data)
-			} else {
-				dst.CopyFrom(data)
+				fold = red
+			}
+			p.WaitInto(pr.req, window(t.First, t.Count, t.Off, t.Len), fold)
+			if t.Via == ViaPull {
+				// ByRef handoff: the reader performs (and pays for) the
+				// actual copy out of the peer's buffer. A pull never
+				// reduces, so the bytes, which move in no virtual time,
+				// may land before the charge.
+				p.ChargeCMA(t.Len)
 			}
 		}
 		for _, cp := range st.Copies {
@@ -169,8 +172,9 @@ func runSteps(p *mpi.Proc, c *mpi.Comm, s *Schedule,
 // are copied through a private arena so the caller's send buffer is
 // never aliased or clobbered. red folds an arrived payload into the
 // arena for reducing transfers (required iff the schedule contains
-// any); it must charge its own compute time and tolerate phantom
-// buffers.
+// any); it must charge its own compute time, tolerate phantom buffers
+// and keep no reference to src, whose storage a later send reuses
+// (mpi.Proc.WaitInto).
 //
 // Every transfer window must stay inside one contiguous run of the
 // rank's touched blocks — lowerings guarantee this by construction, and

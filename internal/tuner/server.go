@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 )
 
 // The HTTP surface. Three endpoints, all JSON:
@@ -16,7 +17,9 @@ import (
 // /v1/schedule answers with the decision's canonical bytes and an
 // X-Mhatuned-Cache header ("hit" or "miss") so clients — and the CI
 // smoke test — can tell a warm answer from a cold one. Bodies are
-// byte-identical either way.
+// byte-identical either way, and carry their Content-Length: without
+// it, every body larger than net/http's 2 KB write buffer goes out
+// chunked.
 
 // cacheHeader is the response header reporting hit/miss.
 const cacheHeader = "X-Mhatuned-Cache"
@@ -62,6 +65,7 @@ func Handler(s *Service) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(res.Raw)))
 		if res.Hit {
 			w.Header().Set(cacheHeader, "hit")
 		} else {
