@@ -4,19 +4,14 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"testing"
+
+	"mha/internal/sched"
 )
 
-// TestDecisionsPinned is the cold path's answer sheet: the daemon's
-// default service synthesizes the repository benchmark's 55 tuner-serve
-// keys (every small shape at three sizes, healthy and with rail 1 at
-// half rate, plus one 128-rank shape), a dead-rail machine and a
-// three-rail degraded one, and the SHA-256 over the Decision.Raw bytes in
-// that order must equal the digest recorded before the analyzer and the
-// schedule executors were rewritten for speed. Raw carries the winner's
-// name, analyzer cost, simulated makespan, pruning verdict and the whole
-// schedule, so a search that prices, orders or measures any candidate
-// differently moves it. -short keeps the shapes of at most 16 ranks.
-func TestDecisionsPinned(t *testing.T) {
+// benchmarkQueries is the repository benchmark's tuner-serve key set:
+// every small shape at three sizes, healthy and with rail 1 at half
+// rate, plus one 128-rank shape.
+func benchmarkQueries() []Query {
 	var qs []Query
 	for _, nodes := range []int{2, 4, 8} {
 		for _, ppn := range []int{2, 4, 8} {
@@ -27,13 +22,26 @@ func TestDecisionsPinned(t *testing.T) {
 			}
 		}
 	}
-	qs = append(qs,
-		Query{Nodes: 8, PPN: 16, HCAs: 2, Msg: 64 << 10},
+	return append(qs, Query{Nodes: 8, PPN: 16, HCAs: 2, Msg: 64 << 10})
+}
+
+// TestDecisionsPinned is the cold path's answer sheet: the daemon's
+// default service synthesizes the benchmark's 55 keys, a dead-rail
+// machine and a three-rail degraded one, and the SHA-256 over what each
+// served decision says must equal the recorded digest. What a decision
+// says is read back through DecodeDecision, not from its bytes: the
+// winner's name, analyzer cost, simulated makespan, closed-form
+// prediction, pruning verdict and the schedule's text form. A search
+// that prices, orders or measures any candidate differently moves it; a
+// change of wire format does not. -short keeps the shapes of at most 16
+// ranks.
+func TestDecisionsPinned(t *testing.T) {
+	qs := append(benchmarkQueries(),
 		Query{Nodes: 4, PPN: 4, HCAs: 2, Msg: 64 << 10, Health: []float64{0, 1}},
 		Query{Nodes: 2, PPN: 4, HCAs: 3, Msg: 256 << 10, Health: []float64{1, 0.5, 0.25}})
-	want := "4880838cc49dba08898af29e81efb13f1dd9ebdbe95340338dab923586935636"
+	want := "6759814d9ca2231ce73e3b3cbb5282a6792f955dfab14e087183d69d0f4d4022"
 	if testing.Short() {
-		want = "0ce0506183ceccd7ad15bd8612a003bf6e83e83aff55a4f4f7edb1f319c4a4fc"
+		want = "1a37f1fc1b2964014b52ebb6f8b8a78e18039aea8eecc6ec365e0ecf4a614f20"
 	}
 	svc := New(Config{Capacity: 512})
 	h := sha256.New()
@@ -45,7 +53,15 @@ func TestDecisionsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", q, err)
 		}
-		h.Write(res.Raw)
+		d, err := DecodeDecision(res.Raw, svc.Params())
+		if err != nil {
+			t.Fatalf("%+v: served decision does not decode: %v", q, err)
+		}
+		s, err := sched.Parse(string(d.Schedule))
+		if err != nil {
+			t.Fatalf("%+v: served schedule does not parse: %v", q, err)
+		}
+		fmt.Fprintf(h, "%s|%v|%v|%v|%v\n%s", d.Name, d.CostUS, d.MakespanUS, d.PredictedUS, d.Pruned, s)
 	}
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
 		t.Errorf("decisions moved: digest %s, recorded %s", got, want)
