@@ -11,7 +11,7 @@
 //	mhasched analyze -f plan.sched                                 # invariants + cost report
 //	mhasched run -f plan.sched                                     # execute, verify bytes, time it
 //	mhasched search -nodes 4 -ppn 8 -hcas 2 -msg 262144 -o best.sched
-//	mhasched export -f plan.sched -json                            # convert text <-> JSON
+//	mhasched export -f plan.sched -json                            # text -> JSON tuples (and back)
 //
 // The exit status is 0 on success; analysis failures (an invalid
 // schedule) and verification mismatches exit 1, so scripts can gate on

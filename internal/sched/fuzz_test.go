@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"bytes"
 	"testing"
+	"unicode/utf8"
 
 	"mha/internal/netmodel"
 	"mha/internal/topology"
@@ -9,10 +11,10 @@ import (
 
 // FuzzParseSchedule drives the schedule parser (text and JSON forms)
 // with arbitrary input. Properties: Parse never panics; whatever it
-// accepts validates, renders via String() in a form Parse accepts
-// again, that render is a fixed point, and the analyzer can process
-// small accepted schedules, healthy or with a rail degraded, without
-// panicking.
+// accepts validates, renders via String() and via JSON() in forms Parse
+// accepts again, each render is a fixed point, and the analyzer can
+// process small accepted schedules, healthy or with a rail degraded,
+// without panicking.
 func FuzzParseSchedule(f *testing.F) {
 	valid := NewBuilder("seedling", topology.New(2, 2, 2), 64)
 	valid.Step()
@@ -37,8 +39,23 @@ func FuzzParseSchedule(f *testing.F) {
 		"schedule tri nodes=2 ppn=2 hcas=3 msg=300000\nstep\nxfer src=0 dst=2 first=0 count=1 via=hca\nxfer src=1 dst=3 first=1 count=1 via=rail rail=2\n",
 		"step\n",
 		"{",
-		`{"name":"j","nodes":1,"ppn":2,"hcas":1,"layout":"block","msg":4,"steps":[{"xfers":[{"src":0,"dst":1,"first":0,"count":1}]}]}`,
+		tupleJSON(`{"xfers":[[0,1,0,1]]}`),
 		`{"name":"j","nodes":1,"ppn":2,"hcas":1,"layout":"spiral","msg":4,"steps":[]}`,
+		// Long forms: a reduction, a pinned striped pair, a pull and a copy.
+		tupleJSON(`{"xfers":[[0,1,0,1,0,4,0,0,1]]},{"xfers":[[1,0,0,2,0,4,1,0,0]],"copies":[[1,0,2]]}`),
+		`{"name":"p","nodes":2,"ppn":1,"hcas":2,"layout":"cyclic","msg":8,"blocks":2,"steps":[
+{"xfers":[[0,1,0,1,0,4,3,0,0],[0,1,0,1,4,4,3,1,0],[1,0,1,1,0,8,2,0,0]]}]}`,
+		// Malformed: arity, non-integers, flags and ordinals out of range,
+		// negatives, and the object form the tuples replaced.
+		tupleJSON(`{"xfers":[[0,1,0]]}`),
+		tupleJSON(`{"xfers":[[0,1,0,1,0]]}`),
+		tupleJSON(`{"xfers":[[0,1,0,1.5]]}`),
+		tupleJSON(`{"xfers":[[0,"1",0,1]]}`),
+		tupleJSON(`{"xfers":[[0,1,0,1,0,4,0,0,2]]}`),
+		tupleJSON(`{"xfers":[[0,1,0,1,0,4,9,0,0]]}`),
+		tupleJSON(`{"xfers":[[-1,1,0,1],[0,1,0,1,-4,4,-1,-1,-1]],"copies":[[-1,0,1]]}`),
+		tupleJSON(`{"copies":[[0,0]]}`),
+		tupleJSON(`{"xfers":[{"src":0,"dst":1,"first":0,"count":1}]}`),
 	} {
 		f.Add(seed)
 	}
@@ -61,6 +78,21 @@ func FuzzParseSchedule(f *testing.F) {
 		}
 		if s2.NumTransfers() != s.NumTransfers() {
 			t.Fatalf("round trip changed transfer count: %d -> %d", s.NumTransfers(), s2.NumTransfers())
+		}
+		js, err := s.JSON()
+		if err != nil {
+			t.Fatalf("JSON() fails on an accepted schedule: %v\ninput: %q", err, text)
+		}
+		s3, err := Parse(string(js))
+		if err != nil {
+			t.Fatalf("JSON() output does not re-parse: %v\ninput: %q\nrendered:\n%s", err, text, js)
+		}
+		if js3, _ := s3.JSON(); !bytes.Equal(js3, js) {
+			t.Fatalf("JSON/Parse not a fixed point:\nfirst:\n%s\nsecond:\n%s", js, js3)
+		}
+		// JSON replaces a name's invalid UTF-8; everything else survives.
+		if utf8.ValidString(s.Name) && s3.String() != rendered {
+			t.Fatalf("JSON round trip changed the schedule:\nwant:\n%s\ngot:\n%s", rendered, s3)
 		}
 		// The analyzer must never panic on a validated schedule — its
 		// per-step tables are indexed by the parsed nodes, hcas and rail —

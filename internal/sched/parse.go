@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -20,83 +22,71 @@ import (
 //
 // Omitted off/len mean the whole range; omitted via means auto. Blank
 // lines and '#' comments are skipped; a trailing "# ..." on any line is
-// stripped. JSON is the same structure with lowercase keys; Parse
-// dispatches on a leading '{'.
+// stripped. JSON (a leading '{') writes the same steps as integer tuples:
+//
+//	{"name":"ring","nodes":2,"ppn":2,"hcas":2,"layout":"block","msg":1024,"steps":[
+//	{"xfers":[[0,1,0,1],[2,3,2,2,0,512,3,1,0]],"copies":[[0,0,4]]}]}
+//
+// [src,dst,first,count] is a whole-range, auto-transport, non-reducing
+// transfer; any other is [src,dst,first,count,off,len,via,rail,red], via
+// the Via ordinal, red 0 or 1. A copy is [rank,first,count].
 
-// jsonSchedule is the JSON shape of a Schedule.
-type jsonSchedule struct {
-	Name   string     `json:"name"`
-	Nodes  int        `json:"nodes"`
-	PPN    int        `json:"ppn"`
-	HCAs   int        `json:"hcas"`
-	Layout string     `json:"layout"`
-	Msg    int        `json:"msg"`
-	Blocks int        `json:"blocks,omitempty"`
-	Steps  []jsonStep `json:"steps"`
-}
-
-type jsonStep struct {
-	Xfers  []jsonXfer `json:"xfers,omitempty"`
-	Copies []jsonCopy `json:"copies,omitempty"`
-}
-
-type jsonXfer struct {
-	Src   int    `json:"src"`
-	Dst   int    `json:"dst"`
-	First int    `json:"first"`
-	Count int    `json:"count"`
-	Off   *int   `json:"off,omitempty"`
-	Len   *int   `json:"len,omitempty"`
-	Via   string `json:"via,omitempty"`
-	Rail  int    `json:"rail,omitempty"`
-	Red   bool   `json:"red,omitempty"`
-}
-
-type jsonCopy struct {
-	Rank  int `json:"rank"`
-	First int `json:"first"`
-	Count int `json:"count"`
-}
-
-// JSON renders the schedule as indented JSON (the machine-readable
-// counterpart of String, accepted back by Parse).
+// JSON renders the schedule in the tuple form, one step per line (the
+// machine-readable counterpart of String, accepted back by Parse).
 func (s *Schedule) JSON() ([]byte, error) {
-	js := jsonSchedule{
-		Name:   s.Name,
-		Nodes:  s.Topo.Nodes,
-		PPN:    s.Topo.PPN,
-		HCAs:   s.Topo.HCAs,
-		Layout: s.Topo.Layout.String(),
-		Msg:    s.Msg,
-		Blocks: s.NumBlocks,
+	name, _ := json.Marshal(s.Name) // a string always marshals
+	b := fmt.Appendf(nil, `{"name":%s,"nodes":%d,"ppn":%d,"hcas":%d,"layout":"%s","msg":%d`,
+		name, s.Topo.Nodes, s.Topo.PPN, s.Topo.HCAs, s.Topo.Layout, s.Msg)
+	if s.NumBlocks != 0 {
+		b = fmt.Appendf(b, `,"blocks":%d`, s.NumBlocks)
 	}
+	b = append(b, `,"steps":[`...)
 	for _, st := range s.Steps {
-		jst := jsonStep{}
-		for _, t := range st.Xfers {
-			jx := jsonXfer{Src: t.Src, Dst: t.Dst, First: t.First, Count: t.Count, Rail: t.Rail, Red: t.Red}
-			if !t.Whole(s.Msg) {
-				off, n := t.Off, t.Len
-				jx.Off, jx.Len = &off, &n
+		b = append(b, "\n{"...)
+		if len(st.Xfers) > 0 {
+			b = append(b, `"xfers":[`...)
+			for _, t := range st.Xfers {
+				if t.Whole(s.Msg) && t.Via == ViaAuto && t.Rail == 0 && !t.Red {
+					b = appendTuple(b, t.Src, t.Dst, t.First, t.Count)
+					continue
+				}
+				red := 0
+				if t.Red {
+					red = 1
+				}
+				b = appendTuple(b, t.Src, t.Dst, t.First, t.Count, t.Off, t.Len, int(t.Via), t.Rail, red)
 			}
-			if t.Via != ViaAuto {
-				jx.Via = t.Via.String()
+			b = append(closeWith(b, ']'), ',')
+		}
+		if len(st.Copies) > 0 {
+			b = append(b, `"copies":[`...)
+			for _, cp := range st.Copies {
+				b = appendTuple(b, cp.Rank, cp.First, cp.Count)
 			}
-			jst.Xfers = append(jst.Xfers, jx)
+			b = append(closeWith(b, ']'), ',')
 		}
-		for _, cp := range st.Copies {
-			jst.Copies = append(jst.Copies, jsonCopy{Rank: cp.Rank, First: cp.First, Count: cp.Count})
-		}
-		js.Steps = append(js.Steps, jst)
+		b = append(closeWith(b, '}'), ',')
 	}
-	return json.MarshalIndent(js, "", "  ")
+	return append(closeWith(b, ']'), '}'), nil
 }
 
-// Parse reads a schedule in the text form produced by String, or in JSON
-// when the input starts with '{'. The result is shape-validated; run
+// appendTuple appends v as a JSON array and a comma for closeWith to end.
+func appendTuple(b []byte, v ...int) []byte {
+	b = append(b, '[')
+	for _, n := range v {
+		b = append(strconv.AppendInt(b, int64(n), 10), ',')
+	}
+	return append(closeWith(b, ']'), ',')
+}
+
+// closeWith ends a list: its trailing comma, if any, becomes c.
+func closeWith(b []byte, c byte) []byte { return append(bytes.TrimSuffix(b, []byte{','}), c) }
+
+// Parse reads a schedule in the text form of String, or in the tuple form
+// of JSON when the input starts with '{', and shape-validates it; run
 // Analyze for the semantic checks.
 func Parse(text string) (*Schedule, error) {
-	trimmed := strings.TrimSpace(text)
-	if strings.HasPrefix(trimmed, "{") {
+	if trimmed := strings.TrimSpace(text); strings.HasPrefix(trimmed, "{") {
 		return parseJSON(trimmed)
 	}
 	return parseText(text)
@@ -105,7 +95,11 @@ func Parse(text string) (*Schedule, error) {
 func parseJSON(text string) (*Schedule, error) {
 	dec := json.NewDecoder(strings.NewReader(text))
 	dec.DisallowUnknownFields()
-	var js jsonSchedule
+	var js struct {
+		Name, Layout                  string
+		Nodes, PPN, HCAs, Msg, Blocks int
+		Steps                         []struct{ Xfers, Copies [][]json.RawMessage }
+	}
 	if err := dec.Decode(&js); err != nil {
 		return nil, fmt.Errorf("sched: bad JSON: %v", err)
 	}
@@ -113,36 +107,33 @@ func parseJSON(text string) (*Schedule, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sched: %v", err)
 	}
-	s := &Schedule{
-		Name:      js.Name,
-		Topo:      topology.Cluster{Nodes: js.Nodes, PPN: js.PPN, HCAs: js.HCAs, Layout: layout},
-		Msg:       js.Msg,
-		NumBlocks: js.Blocks,
-	}
+	s := &Schedule{Name: js.Name, Msg: js.Msg, NumBlocks: js.Blocks,
+		Topo: topology.Cluster{Nodes: js.Nodes, PPN: js.PPN, HCAs: js.HCAs, Layout: layout}}
 	if s.Name == "" {
 		return nil, fmt.Errorf("sched: schedule has no name")
 	}
 	for si, jst := range js.Steps {
 		st := Step{}
-		for xi, jx := range jst.Xfers {
-			t := Transfer{Src: jx.Src, Dst: jx.Dst, First: jx.First, Count: jx.Count, Rail: jx.Rail, Red: jx.Red}
-			if (jx.Off == nil) != (jx.Len == nil) {
-				return nil, fmt.Errorf("sched: step %d xfer %d: off and len must appear together", si, xi)
+		for xi, raw := range jst.Xfers {
+			v, err := tuple(raw, 4, 9)
+			if err == nil && len(raw) == 9 && v[8] != 0 && v[8] != 1 {
+				err = fmt.Errorf("red %d, want 0 or 1", v[8])
 			}
-			if jx.Off != nil {
-				t.Off, t.Len = *jx.Off, *jx.Len
-			} else {
-				t.Len = t.Count * s.Msg
+			if err != nil {
+				return nil, fmt.Errorf("sched: step %d xfer %d: %v", si, xi, err)
 			}
-			if jx.Via != "" {
-				if t.Via, err = parseVia(jx.Via); err != nil {
-					return nil, fmt.Errorf("sched: step %d xfer %d: %v", si, xi, err)
-				}
+			t := Transfer{Src: v[0], Dst: v[1], First: v[2], Count: v[3], Len: v[3] * s.Msg}
+			if len(raw) == 9 {
+				t.Off, t.Len, t.Via, t.Rail, t.Red = v[4], v[5], Via(v[6]), v[7], v[8] == 1
 			}
 			st.Xfers = append(st.Xfers, t)
 		}
-		for _, jc := range jst.Copies {
-			st.Copies = append(st.Copies, Copy{Rank: jc.Rank, First: jc.First, Count: jc.Count})
+		for ci, raw := range jst.Copies {
+			v, err := tuple(raw, 3)
+			if err != nil {
+				return nil, fmt.Errorf("sched: step %d copy %d: %v", si, ci, err)
+			}
+			st.Copies = append(st.Copies, Copy{Rank: v[0], First: v[1], Count: v[2]})
 		}
 		s.Steps = append(s.Steps, st)
 	}
@@ -150,6 +141,19 @@ func parseJSON(text string) (*Schedule, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// tuple reads a JSON array of integers whose length is one of arity.
+func tuple(raw []json.RawMessage, arity ...int) (v [9]int, err error) {
+	if !slices.Contains(arity, len(raw)) {
+		return v, fmt.Errorf("arity %d, want one of %v", len(raw), arity)
+	}
+	for i, r := range raw {
+		if v[i], err = strconv.Atoi(string(r)); err != nil {
+			return v, fmt.Errorf("element %d: %s is not an integer", i, r)
+		}
+	}
+	return v, nil
 }
 
 func parseLayout(s string) (topology.Layout, error) {
@@ -225,14 +229,16 @@ func parseText(text string) (*Schedule, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s: %v", at, err)
 			}
-			t := Transfer{}
-			var errs [6]error
+			t, red := Transfer{}, 0
+			var errs [8]error
 			t.Src, errs[0] = kv.num("src", -1)
 			t.Dst, errs[1] = kv.num("dst", -1)
 			t.First, errs[2] = kv.num("first", -1)
 			t.Count, errs[3] = kv.num("count", -1)
 			t.Off, errs[4] = kv.num("off", 0)
 			t.Len, errs[5] = kv.num("len", t.Count*s.Msg)
+			t.Rail, errs[6] = kv.num("rail", 0)
+			red, errs[7] = kv.num("red", 0)
 			for _, err := range errs {
 				if err != nil {
 					return nil, fmt.Errorf("%s: %v", at, err)
@@ -242,13 +248,6 @@ func parseText(text string) (*Schedule, error) {
 				return nil, fmt.Errorf("%s: off and len must appear together", at)
 			}
 			if t.Via, err = parseVia(kv.str("via", "auto")); err != nil {
-				return nil, fmt.Errorf("%s: %v", at, err)
-			}
-			if t.Rail, err = kv.num("rail", 0); err != nil {
-				return nil, fmt.Errorf("%s: %v", at, err)
-			}
-			red, err := kv.num("red", 0)
-			if err != nil {
 				return nil, fmt.Errorf("%s: %v", at, err)
 			}
 			t.Red = red != 0

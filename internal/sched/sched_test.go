@@ -61,6 +61,38 @@ func TestJSONRoundTrip(t *testing.T) {
 	if s2.String() != s.String() {
 		t.Fatalf("JSON round trip changed the schedule:\nwant:\n%s\ngot:\n%s", s, s2)
 	}
+	// A header line, then one line per step.
+	if lines := strings.Count(string(js), "\n") + 1; lines != 1+len(s.Steps) {
+		t.Fatalf("JSON has %d lines for %d steps:\n%s", lines, len(s.Steps), js)
+	}
+}
+
+// TestViaOrdinals pins the transport numbering: the JSON form carries a
+// transfer's Via as its ordinal, so renumbering would make every stored
+// or served schedule mean something else.
+func TestViaOrdinals(t *testing.T) {
+	for want, v := range []Via{ViaAuto, ViaPull, ViaHCA, ViaRail} {
+		if int(v) != want {
+			t.Errorf("%s has ordinal %d, want %d", v, int(v), want)
+		}
+	}
+	s := small(t)
+	js, err := s.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Step 0 sends 1->0 through the HCAs, step 1 pins rail 1, step 2 pulls.
+	for _, tuple := range []string{"[1,0,1,1,0,100,2,0,0]", "[0,2,0,2,100,100,3,1,0]", "[0,1,2,2,0,200,1,0,0]", "[0,1,0,1]"} {
+		if !strings.Contains(string(js), tuple) {
+			t.Errorf("JSON lacks the tuple %s:\n%s", tuple, js)
+		}
+	}
+}
+
+// tupleJSON is a 1x2x1, msg=4 schedule in the JSON form with the given
+// steps.
+func tupleJSON(step string) string {
+	return `{"name":"j","nodes":1,"ppn":2,"hcas":1,"layout":"block","msg":4,"steps":[` + step + `]}`
 }
 
 func TestParseRejects(t *testing.T) {
@@ -82,6 +114,21 @@ func TestParseRejects(t *testing.T) {
 		{"huge topo", "schedule x nodes=99999999 ppn=99999999 msg=4\n", "rank limit"},
 		{"bad json", "{", "bad JSON"},
 		{"json layout", `{"name":"x","nodes":1,"ppn":2,"hcas":1,"layout":"diagonal","msg":4,"steps":[]}`, "unknown layout"},
+		{"json arity 3", tupleJSON(`{"xfers":[[0,1,0]]}`), "step 0 xfer 0: arity 3, want one of [4 9]"},
+		{"json arity 5", tupleJSON(`{"xfers":[[0,1,0,1],[0,1,0,1,0]]}`), "step 0 xfer 1: arity 5"},
+		{"json copy arity", tupleJSON(`{"copies":[[0,0]]}`), "step 0 copy 0: arity 2, want one of [3]"},
+		{"json float", tupleJSON(`{"xfers":[[0,1,0,1.5]]}`), "element 3: 1.5 is not an integer"},
+		{"json exponent", tupleJSON(`{"xfers":[[0,1,0,1e0]]}`), "element 3: 1e0 is not an integer"},
+		{"json string", tupleJSON(`{"xfers":[[0,"1",0,1]]}`), `element 1: "1" is not an integer`},
+		{"json null", tupleJSON(`{"xfers":[[null,1,0,1]]}`), "element 0: null is not an integer"},
+		{"json red 2", tupleJSON(`{"xfers":[[0,1,0,1,0,4,0,0,2]]}`), "red 2, want 0 or 1"},
+		{"json red negative", tupleJSON(`{"xfers":[[0,1,0,1,0,4,0,0,-1]]}`), "red -1, want 0 or 1"},
+		{"json via 9", tupleJSON(`{"xfers":[[0,1,0,1,0,4,9,0,0]]}`), "unknown transport 9"},
+		{"json via negative", tupleJSON(`{"xfers":[[0,1,0,1,0,4,-1,0,0]]}`), "unknown transport -1"},
+		{"json negative rank", tupleJSON(`{"xfers":[[-1,1,0,1]]}`), "rank out of range in -1->1"},
+		{"json negative count", tupleJSON(`{"xfers":[[0,1,0,-1]]}`), "block range [0,-1)"},
+		{"json negative window", tupleJSON(`{"xfers":[[0,1,0,1,-2,4,0,0,0]]}`), "byte window [-2,2)"},
+		{"json object transfer", tupleJSON(`{"xfers":[{"src":0,"dst":1,"first":0,"count":1}]}`), "bad JSON"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -86,18 +86,20 @@ type persistEntry struct {
 	Decision json.RawMessage `json:"decision"`
 }
 
-const persistVersion = 1
+// persistVersion 2 is the tuple form of the embedded schedules; a
+// version-1 file (object transfers) is refused, and the daemon starts
+// cold.
+const persistVersion = 2
 
-// save writes the cache in the persistence format.
+// save writes the cache in the persistence format, each decision as the
+// bytes it is served as.
 func (c *lruCache) save(w io.Writer) error {
 	pf := persistFile{Version: persistVersion}
 	for el := c.ll.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*cacheEntry)
 		pf.Entries = append(pf.Entries, persistEntry{Key: e.key, Decision: e.raw})
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(pf)
+	return json.NewEncoder(w).Encode(pf)
 }
 
 // load replays a persisted cache into c, fully re-verifying every

@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -55,7 +56,7 @@ func ParseQuery(data []byte) (Query, error) {
 	if len(data) > maxQueryBytes {
 		return Query{}, fmt.Errorf("tuner: query of %d bytes exceeds the %d-byte limit", len(data), maxQueryBytes)
 	}
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var q Query
 	if err := dec.Decode(&q); err != nil {

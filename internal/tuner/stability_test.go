@@ -67,3 +67,28 @@ func TestDecisionsPinned(t *testing.T) {
 		t.Errorf("decisions moved: digest %s, recorded %s", got, want)
 	}
 }
+
+// TestWireBytesFence holds the served form to its size: the benchmark's
+// 55 keys' wire bytes (what every warm request writes) total at most the
+// measured figure plus 5 %. Schedules as integer tuples measured 375 267
+// bytes; with each transfer an object of named fields they were
+// 1 086 281.
+func TestWireBytesFence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("synthesizes the 128-rank key; skipped in -short")
+	}
+	const measured = 375267
+	svc := New(Config{Capacity: 512})
+	total := 0
+	for _, q := range benchmarkQueries() {
+		res, err := svc.Decide(q)
+		if err != nil {
+			t.Fatalf("%+v: %v", q, err)
+		}
+		total += len(res.Raw)
+	}
+	t.Logf("55 keys: %d wire bytes", total)
+	if limit := measured + measured/20; total > limit {
+		t.Errorf("55 keys serve %d bytes, over the fence of %d (measured %d + 5 %%)", total, limit, measured)
+	}
+}

@@ -2,14 +2,17 @@ package tuner
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"mha/internal/netmodel"
+	"mha/internal/sched"
 )
 
 // testService is a service with room for capacity decisions.
@@ -355,30 +358,70 @@ func TestLoadCacheRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.String()
-
-	cases := map[string]string{
-		"not json":      "what cache",
-		"wrong version": strings.Replace(good, `"version": 1`, `"version": 99`, 1),
-		"tampered key":  strings.Replace(good, `"key": "`, `"key": "0000`, 1),
-		// Changing the message size inside the decision breaks both the
-		// key derivation and the schedule match. (The persist encoder
-		// indents the embedded decision, hence the spaced form.)
-		"tampered query": strings.Replace(good, `"msg": 4096`, `"msg": 8192`, 1),
-		// A structured fabric is no query the service answers.
-		"fat-tree query": strings.Replace(good, `"msg": 4096`, `"fabric": "ft:arity=2,levels=2,over=2:1", "msg": 4096`, 1),
+	v1 := objectForm(good)
+	if !strings.Contains(v1, `"src":`) {
+		t.Fatalf("no transfer tuple found to rewrite in:\n%s", good)
 	}
-	for name, text := range cases {
+
+	// Each case names a text its error must carry, or "" for any error.
+	cases := map[string]struct{ text, why string }{
+		"not json":      {"what cache", ""},
+		"wrong version": {strings.Replace(good, `"version":2`, `"version":99`, 1), "version 99"},
+		"tampered key":  {strings.Replace(good, `"key":"`, `"key":"0000`, 1), ""},
+		// Changing the message size inside the decision breaks both the
+		// key derivation and the schedule match. The query precedes the
+		// schedule, whose header carries the same "msg":4096.
+		"tampered query": {strings.Replace(good, `"msg":4096`, `"msg":8192`, 1), ""},
+		// A structured fabric is no query the service answers.
+		"fat-tree query": {strings.Replace(good, `"msg":4096`, `"fabric":"ft:arity=2,levels=2,over=2:1","msg":4096`, 1), "flat fabric"},
+		// A file saved before schedules travelled as tuples is refused by
+		// its version, and its object transfers would not be misread as
+		// tuples under the current one either.
+		"version-1 file with object transfers": {strings.Replace(v1, `"version":2`, `"version":1`, 1), "version 1, want 2"},
+		"object transfers under version 2":     {v1, "decision schedule: sched: bad JSON"},
+	}
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			fresh := testService(4)
-			_, err := fresh.LoadCache(strings.NewReader(text))
+			_, err := fresh.LoadCache(strings.NewReader(tc.text))
 			if err == nil {
 				t.Fatal("corrupt cache file loaded cleanly")
 			}
-			if name == "fat-tree query" && !strings.Contains(err.Error(), "flat fabric") {
-				t.Fatalf("fat-tree entry refused for another reason: %v", err)
+			if !strings.Contains(err.Error(), tc.why) {
+				t.Fatalf("refused for another reason (want %q): %v", tc.why, err)
 			}
 		})
 	}
+}
+
+// objectForm rewrites every integer tuple of a saved cache file as the
+// object a version-1 file carried in its place: a transfer's off and len
+// only for a partial window, its via by name unless auto, its rail and
+// red only when set.
+func objectForm(file string) string {
+	return regexp.MustCompile(`\[-?\d+(,-?\d+)*\]`).ReplaceAllStringFunc(file, func(tup string) string {
+		var v []int
+		if err := json.Unmarshal([]byte(tup), &v); err != nil {
+			panic(err)
+		}
+		if len(v) == 3 {
+			return fmt.Sprintf(`{"rank":%d,"first":%d,"count":%d}`, v[0], v[1], v[2])
+		}
+		obj := fmt.Sprintf(`{"src":%d,"dst":%d,"first":%d,"count":%d`, v[0], v[1], v[2], v[3])
+		if len(v) == 9 {
+			obj += fmt.Sprintf(`,"off":%d,"len":%d`, v[4], v[5])
+			if v[6] != 0 {
+				obj += fmt.Sprintf(`,"via":%q`, sched.Via(v[6]))
+			}
+			if v[7] != 0 {
+				obj += fmt.Sprintf(`,"rail":%d`, v[7])
+			}
+			if v[8] != 0 {
+				obj += `,"red":true`
+			}
+		}
+		return obj + "}"
+	})
 }
 
 func TestWarmStartAndLoadgen(t *testing.T) {

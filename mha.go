@@ -289,7 +289,8 @@ var (
 	// designs to the IR; MHASchedule uses the analytic offload (Eq. 1).
 	RingSchedule = sched.Ring
 	RDSchedule   = sched.RecursiveDoubling
-	// ParseSchedule reads the text or JSON form (see Schedule.String and
+	// ParseSchedule reads the text form or the JSON form, whose
+	// transfers and copies are integer tuples (see Schedule.String and
 	// Schedule.JSON); AnalyzeSchedule checks invariants and prices the
 	// critical path; ExecuteSchedule runs a valid schedule as this rank's
 	// share of an allgather; SimulateSchedule measures one phantom run.
