@@ -35,10 +35,9 @@ type Decision struct {
 	// Source names what produced the decision: "synth", the daemon's
 	// synthesizer, is the only producer.
 	Source string `json:"source"`
-	// Schedule is the winning schedule in the sched-IR JSON form: each
-	// transfer an integer tuple [src,dst,first,count], or the nine-field
-	// form when it is partial, not auto, or reducing (sched.Schedule.JSON).
-	// Embedded compact, it is most of a served body.
+	// Schedule is the winning schedule in the sched-IR JSON form, its
+	// transfers and copies integer tuples (sched.Schedule.JSON); embedded
+	// compact, it is most of a served body.
 	Schedule json.RawMessage `json:"schedule"`
 }
 
