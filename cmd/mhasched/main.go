@@ -258,8 +258,13 @@ func cmdSearch(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := sched.Synthesize(topo, netmodel.Thor(), *msg, sched.SynthOptions{})
+	prm := netmodel.Thor()
+	res, err := sched.Synthesize(topo, prm, *msg, sched.SynthOptions{})
 	if err != nil {
+		return err
+	}
+	// Rows the bound ruled out were never simulated; measure them here.
+	if err := res.MeasureLowered(topo, prm, nil); err != nil {
 		return err
 	}
 	fmt.Printf("search on %v, msg %d B: %d seeds\n", topo, *msg, len(res.Seeds))

@@ -35,6 +35,20 @@ import (
 	"mha/internal/tuner"
 )
 
+// The server's timeouts, so a slow or silent client cannot hold a
+// connection open. A query body is at most 64 KiB, so reading one takes
+// well under the read timeouts. The write timeout runs from the end of the
+// request's headers to the end of the response, so it also covers a
+// cold miss's synthesis: about 0.1 s for a 128-rank key and longer up to
+// the 256-rank limit. If it runs out, the synthesized decision is still
+// cached for the next request.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7117", "listen address")
@@ -90,7 +104,13 @@ func main() {
 	// smoke test) wait for it as the readiness signal.
 	fmt.Fprintf(os.Stderr, "mhatuned: listening on http://%s\n", ln.Addr())
 
-	srv := &http.Server{Handler: tuner.Handler(svc)}
+	srv := &http.Server{
+		Handler:           tuner.Handler(svc),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -40,6 +40,11 @@ func runSchedExperiment(w io.Writer, sc Scale) error {
 		if err != nil {
 			return fmt.Errorf("synthesize on %v: %v", topo, err)
 		}
+		// The pick simulates only the lowerings it cannot rule out; the
+		// table reports every one.
+		if err := res.MeasureLowered(topo, prm, nil); err != nil {
+			return err
+		}
 		machine := fmt.Sprintf("%dx%dx%d", topo.Nodes, topo.PPN, topo.HCAs)
 		byCost, bySim := res.Lowered[0], res.Lowered[0]
 		bestHand := res.Lowered[0]

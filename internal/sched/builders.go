@@ -277,14 +277,19 @@ func DirectRail(topo topology.Cluster, msg int) *Schedule {
 	}
 	type placed struct{ src, dst, step, rail int }
 	var plan []placed
+	// from[sn*Nodes+dn] is where the search for a free rail pair from node
+	// sn to node dn starts: the step its last transfer took. Occupancy only
+	// grows, so every step before that has stayed full for the pair.
+	from := make([]int, topo.Nodes*topo.Nodes)
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
 			if dst == src || topo.SameNode(src, dst) {
 				continue
 			}
 			sn, dn := topo.NodeOf(src), topo.NodeOf(dst)
+			pair := &from[sn*topo.Nodes+dn]
 			placedAt := -1
-			for step := 0; placedAt < 0; step++ {
+			for step := *pair; placedAt < 0; step++ {
 				if !ensure(step) {
 					return nil
 				}
@@ -298,6 +303,7 @@ func DirectRail(topo topology.Cluster, msg int) *Schedule {
 					}
 				}
 			}
+			*pair = placedAt
 		}
 	}
 	// Emit pinned transfers step by step (the builder appends to the

@@ -144,28 +144,34 @@ func TestSynthesizeUnderRailOutage(t *testing.T) {
 	}
 }
 
+// TestSynthesizePruneMarginSkipsSimulation takes both branches of the
+// tuner's margin on two keys of synthGolden. On 2x8x2 at 64 KiB with rail
+// 1 at half rate, ring (100 666 ns) undercuts every other finalist by
+// more than 25 %, so nothing is simulated. Healthy, ring (93 736 ns) and
+// the MHA lowerings (113 680 ns) sit within 25 %, so the pick is
+// measured.
 func TestSynthesizePruneMarginSkipsSimulation(t *testing.T) {
-	topo := topology.New(2, 4, 2)
-	prm := netmodel.Thor()
-	// An absurdly generous margin can never be exceeded, so the pick is
-	// measured; a tiny margin on a shape where the analyzer clearly
-	// separates candidates prunes.
-	res, err := Synthesize(topo, prm, 256<<10, SynthOptions{PruneMargin: 1e-9})
-	if err != nil {
-		t.Fatalf("Synthesize: %v", err)
-	}
-	if !res.Pruned {
-		// Acceptable when the top finalists are within a hair of each
-		// other — but then the result must be measured.
-		if res.Best.Makespan == 0 {
-			t.Fatalf("unpruned synthesis left Makespan unset")
+	topo := topology.New(2, 8, 2)
+	for _, tc := range []struct {
+		health []float64
+		pruned bool
+	}{
+		{[]float64{1, 0.5}, true},
+		{nil, false},
+	} {
+		res, err := Synthesize(topo, netmodel.Thor(), 64<<10, SynthOptions{PruneMargin: 0.25, Health: tc.health})
+		if err != nil {
+			t.Fatalf("health %v: %v", tc.health, err)
 		}
-		return
-	}
-	if res.Best.Makespan != 0 {
-		t.Fatalf("pruned synthesis still simulated (makespan %v)", res.Best.Makespan)
-	}
-	if res.Best.Sched == nil {
-		t.Fatalf("pruned synthesis emitted no schedule")
+		switch {
+		case res.Pruned != tc.pruned:
+			t.Errorf("health %v: pruned=%v, want %v", tc.health, res.Pruned, tc.pruned)
+		case res.Best.Sched == nil:
+			t.Errorf("health %v: no schedule emitted", tc.health)
+		case tc.pruned && (res.Best.Makespan != 0 || res.Search.Simulated != 0):
+			t.Errorf("health %v: pruned, but simulated %d finalists (best makespan %v)", tc.health, res.Search.Simulated, res.Best.Makespan)
+		case !tc.pruned && (res.Best.Makespan == 0 || res.Search.Simulated == 0):
+			t.Errorf("health %v: not pruned, but the winner %s is unmeasured", tc.health, res.Best.Name)
+		}
 	}
 }

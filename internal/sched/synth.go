@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"mha/internal/netmodel"
 	"mha/internal/sim"
@@ -16,20 +18,27 @@ import (
 // plans, keeping the cheapest beamWidth survivors per round. Fusion is
 // the only neighbor: pinned-rail moves and stripe splits were measured
 // over 2 800 tuner keys and never accepted once (DESIGN.md §8). The
-// final pick simulates the finalists and the lowered baselines, so the
-// emitted schedule's simulated makespan is never worse than the best
-// lowering's (the measured pick is the schedule-space analogue of the
-// tuner's measured dispatch).
+// final pick is a branch and bound over the finalists and the lowered
+// baselines: each is either simulated or proven slower than the pick by
+// the analyzer's lower bound, so the emitted schedule's simulated
+// makespan is never worse than the best lowering's (the measured pick is
+// the schedule-space analogue of the tuner's measured dispatch).
 
 // Candidate is one scored schedule.
 type Candidate struct {
 	Name  string
 	Sched *Schedule
-	// Cost is the analyzer's alpha-beta prediction; Makespan is the
-	// simulated runtime (zero until measured — only finalists and the
-	// lowered baselines are simulated).
+	// Cost is the analyzer's alpha-beta prediction. Makespan is the
+	// simulated runtime, set only on a candidate the final pick
+	// simulated: it stays zero on a seed that was not a finalist, on a
+	// bounded finalist the bound ruled out, and on everything a pruned
+	// search returns.
 	Cost     sim.Duration
 	Makespan sim.Duration
+	// bounded marks a construction whose simulated makespan is never
+	// below its Cost (TestBoundedFinalistsNeverBeatTheirCost is the
+	// gate): set per seed in seeds, inherited by a fusion from its parent.
+	bounded bool
 }
 
 // SynthOptions describes the machine state and the pruning margin.
@@ -52,8 +61,10 @@ type SynthResult struct {
 	// Best is the emitted schedule.
 	Best Candidate
 	// Lowered holds the canonical hand-written lowerings (ring, rd,
-	// two-phase MHA both phase-2 flavors), measured unless Pruned — the
-	// baselines the acceptance comparison is made against.
+	// two-phase MHA both phase-2 flavors) — the baselines the acceptance
+	// comparison is made against. A row's Makespan is set only if the
+	// final pick simulated it; a caller that reports every row measures
+	// the rest with MeasureLowered.
 	Lowered []Candidate
 	// Seeds holds every analyzer-scored starting point, cheapest first.
 	Seeds []Candidate
@@ -68,16 +79,17 @@ type SynthResult struct {
 // counts: mutation rounds, parents walked by the analyzer, neighbors
 // considered — each rejected on the step it changes, or priced there at
 // no less than what it replaces, or built and fully analyzed — how many
-// of the analyzed were accepted, and finalists simulated.
+// of the analyzed were accepted, finalists simulated, and finalists the
+// bound ruled out without simulating them.
 type Search struct {
 	Rounds, Walks                                     int
 	Considered, RejectedLocally, NotCheaper, Analyzed int
-	Accepted, Simulated                               int
+	Accepted, Simulated, Skipped                      int
 }
 
 func (s Search) String() string {
-	return fmt.Sprintf("%d rounds, %d walks; %d neighbors: %d rejected locally, %d not cheaper, %d analyzed, %d accepted; %d simulated",
-		s.Rounds, s.Walks, s.Considered, s.RejectedLocally, s.NotCheaper, s.Analyzed, s.Accepted, s.Simulated)
+	return fmt.Sprintf("%d rounds, %d walks; %d neighbors: %d rejected locally, %d not cheaper, %d analyzed, %d accepted; %d simulated, %d skipped",
+		s.Rounds, s.Walks, s.Considered, s.RejectedLocally, s.NotCheaper, s.Analyzed, s.Accepted, s.Simulated, s.Skipped)
 }
 
 // The beam keeps beamWidth survivors per round for at most searchRounds
@@ -98,6 +110,63 @@ func Synthesize(topo topology.Cluster, prm *netmodel.Params, msg int, opt SynthO
 		return nil, err
 	}
 	sr := &search{prm: prm, health: opt.Health}
+	res, finalists := sr.finalists(topo, msg)
+
+	// Analytic pruning: when the model already separates the winner from
+	// every rival by more than the margin, skip the simulations.
+	if opt.PruneMargin > 0 {
+		margin := sim.Duration(float64(finalists[0].Cost) * (1 + opt.PruneMargin))
+		if len(finalists) == 1 || finalists[1].Cost > margin {
+			res.Best, res.Pruned, res.Search = finalists[0], true, sr.stats
+			return res, nil
+		}
+	}
+
+	// Measured final pick, by branch and bound. An unbounded finalist may
+	// simulate faster than its cost says, so every one is simulated. Then
+	// the bounded ones, cheapest first, until one costs more than the
+	// fastest makespan measured so far: its makespan is at least its cost,
+	// so it and every bounded finalist after it are strictly slower than
+	// that and can neither win nor tie. Every lowered baseline is a
+	// finalist, so each is measured or proven slower than the pick, which
+	// keeps "never worse than the best hand-written lowering" structural.
+	sort.SliceStable(finalists, func(i, j int) bool { return !finalists[i].bounded && finalists[j].bounded })
+	n := 0
+	var fastest sim.Duration
+	for ; n < len(finalists); n++ {
+		f := &finalists[n]
+		if f.bounded && n > 0 && f.Cost > fastest {
+			break
+		}
+		mk, err := SimulateHealth(topo, prm, f.Sched, opt.Health)
+		if err != nil {
+			return nil, fmt.Errorf("sched: simulating candidate %s: %v", f.Name, err)
+		}
+		f.Makespan = mk
+		if n == 0 || mk < fastest {
+			fastest = mk
+		}
+	}
+	measured := finalists[:n]
+	sr.stats.Simulated, sr.stats.Skipped = n, len(finalists)-n
+	res.Search = sr.stats
+	for i := range res.Lowered {
+		for _, f := range measured {
+			if f.Name == res.Lowered[i].Name {
+				res.Lowered[i].Makespan = f.Makespan
+			}
+		}
+	}
+	res.Best = slices.MinFunc(measured, func(a, b Candidate) int {
+		return cmp.Or(cmp.Compare(a.Makespan, b.Makespan), cmp.Compare(a.Cost, b.Cost), strings.Compare(a.Name, b.Name))
+	})
+	return res, nil
+}
+
+// finalists runs the search up to its final pick. It returns the result
+// so far (seeds and lowered baselines) and the finalists, cheapest
+// first: the last beam plus every lowered baseline.
+func (sr *search) finalists(topo topology.Cluster, msg int) (*SynthResult, []Candidate) {
 	seeds := sr.seeds(topo, msg)
 
 	// The canonical hand-written lowerings serve as the comparison
@@ -130,62 +199,43 @@ func Synthesize(topo topology.Cluster, prm *netmodel.Params, msg int, opt SynthO
 		best = beam[0].Cost
 	}
 
-	res := &SynthResult{Lowered: lowered, Seeds: seeds, Search: sr.stats}
-
-	// Measured final pick: simulate the finalists and every lowered
-	// baseline, choose the fastest. Including the baselines makes the
-	// "never worse than the best hand-written lowering" guarantee
-	// structural rather than hoped-for.
 	finalists := append([]Candidate(nil), beam...)
-	finalists = append(finalists, lowered...)
-	finalists = dedupe(finalists)
+	finalists = dedupe(append(finalists, lowered...))
+	sortCandidates(finalists)
+	return &SynthResult{Lowered: lowered, Seeds: seeds}, finalists
+}
 
-	// Analytic pruning: when the model already separates the winner from
-	// every rival by more than the margin, skip the simulations.
-	if opt.PruneMargin > 0 {
-		sortCandidates(finalists)
-		margin := sim.Duration(float64(finalists[0].Cost) * (1 + opt.PruneMargin))
-		if len(finalists) == 1 || finalists[1].Cost > margin {
-			res.Best, res.Pruned = finalists[0], true
-			return res, nil
+// MeasureLowered simulates every lowered baseline the final pick left
+// unmeasured (Makespan zero), under the health vector the search ran
+// with, for a caller that reports every row.
+func (r *SynthResult) MeasureLowered(topo topology.Cluster, prm *netmodel.Params, health []float64) error {
+	for i := range r.Lowered {
+		c := &r.Lowered[i]
+		if c.Makespan != 0 {
+			continue
 		}
-	}
-	for i := range finalists {
-		mk, err := SimulateHealth(topo, prm, finalists[i].Sched, opt.Health)
+		mk, err := SimulateHealth(topo, prm, c.Sched, health)
 		if err != nil {
-			return nil, fmt.Errorf("sched: simulating candidate %s: %v", finalists[i].Name, err)
+			return fmt.Errorf("sched: simulating lowering %s: %v", c.Name, err)
 		}
-		finalists[i].Makespan = mk
+		c.Makespan = mk
 	}
-	res.Search.Simulated = len(finalists)
-	for i := range res.Lowered {
-		for _, f := range finalists {
-			if f.Name == res.Lowered[i].Name {
-				res.Lowered[i].Makespan = f.Makespan
-			}
-		}
-	}
-	sort.SliceStable(finalists, func(i, j int) bool {
-		if finalists[i].Makespan != finalists[j].Makespan {
-			return finalists[i].Makespan < finalists[j].Makespan
-		}
-		if finalists[i].Cost != finalists[j].Cost {
-			return finalists[i].Cost < finalists[j].Cost
-		}
-		return finalists[i].Name < finalists[j].Name
-	})
-	res.Best = finalists[0]
-	return res, nil
+	return nil
 }
 
 // seeds is the search's starting pool, cheapest first: the canonical
 // lowerings plus an MHA option grid and the greedy direct construction,
-// each repaired off dead rails before it is scored.
+// each repaired off dead rails before it is scored. A seed is bounded
+// when its construction is one the gate has shown never to simulate
+// faster than the analyzer prices it: the ring on a block layout, the
+// AutoOffload MHA lowerings, and the grid's overlapped plans without an
+// offload tail. Everything else can simulate below its cost (DESIGN.md
+// §8).
 func (sr *search) seeds(topo topology.Cluster, msg int) []Candidate {
 	L := topo.PPN
 	pow2N := topo.Nodes > 1 && topo.Nodes&(topo.Nodes-1) == 0
 	var seeds []Candidate
-	addSeed := func(name string, s *Schedule) {
+	addSeed := func(name string, s *Schedule, bounded bool) {
 		if s == nil {
 			return
 		}
@@ -201,18 +251,21 @@ func (sr *search) seeds(topo topology.Cluster, msg int) []Candidate {
 			// instead of silently searching around it.
 			panic(fmt.Sprintf("sched: seed %s invalid: %v", name, err))
 		}
-		seeds = append(seeds, Candidate{Name: name, Sched: s, Cost: rep.Cost})
+		seeds = append(seeds, Candidate{Name: name, Sched: s, Cost: rep.Cost, bounded: bounded})
 	}
 
-	addSeed("ring", Ring(topo, msg))
+	// On a block layout one ring transfer per node leaves it in a step; on
+	// a cyclic one every transfer does, and the analyzer serializes on a
+	// rail what the runtime overlaps, so the ring is bounded only here.
+	block := topo.Nodes == 1 || topo.Layout == topology.Block
+	addSeed("ring", Ring(topo, msg), block)
 	if rd := RecursiveDoubling(topo, msg); rd.Name == "rd" {
-		addSeed("rd", rd)
+		addSeed("rd", rd, false)
 	}
-	mhaOK := topo.Nodes == 1 || topo.Layout == topology.Block
-	if mhaOK {
-		addSeed("mha-ring", TwoPhaseMHA(topo, sr.prm, msg, MHAOptions{Offload: AutoOffload}))
+	if block {
+		addSeed("mha-ring", TwoPhaseMHA(topo, sr.prm, msg, MHAOptions{Offload: AutoOffload}), true)
 		if pow2N {
-			addSeed("mha-rd", TwoPhaseMHA(topo, sr.prm, msg, MHAOptions{Phase2: Phase2RD, Offload: AutoOffload}))
+			addSeed("mha-rd", TwoPhaseMHA(topo, sr.prm, msg, MHAOptions{Phase2: Phase2RD, Offload: AutoOffload}), true)
 		}
 		// Option grid around the canonical MHA plans.
 		offloads := []int{0}
@@ -228,13 +281,13 @@ func (sr *search) seeds(topo topology.Cluster, msg int) []Candidate {
 					for _, push := range []bool{false, true} {
 						o := MHAOptions{Phase2: p2, Offload: d, Sequential: seq, Push: push}
 						s := TwoPhaseMHA(topo, sr.prm, msg, o)
-						addSeed(fmt.Sprintf("%s-d%d", s.Name, d), s)
+						addSeed(fmt.Sprintf("%s-d%d", s.Name, d), s, d == 0 && !seq)
 					}
 				}
 			}
 		}
 	}
-	addSeed("direct-rail", DirectRail(topo, msg))
+	addSeed("direct-rail", DirectRail(topo, msg), false)
 	sortCandidates(seeds)
 	return seeds
 }
@@ -384,7 +437,7 @@ func (sr *search) mutate(c Candidate) []Candidate {
 			sr.stats.Analyzed++
 			if rep, err := sr.analyze(s); err == nil && rep.Cost < c.Cost {
 				sr.stats.Accepted++
-				out = append(out, Candidate{Name: s.Name, Sched: s, Cost: rep.Cost})
+				out = append(out, Candidate{Name: s.Name, Sched: s, Cost: rep.Cost, bounded: c.bounded})
 			}
 		}
 	}

@@ -23,6 +23,9 @@ func TestSynthesizeBeatsLowerings(t *testing.T) {
 		if err != nil {
 			t.Fatalf("synthesize on %v: %v", topo, err)
 		}
+		if err := res.MeasureLowered(topo, prm, nil); err != nil {
+			t.Fatal(err)
+		}
 		if len(res.Lowered) == 0 {
 			t.Fatalf("no lowered baselines on %v", topo)
 		}
@@ -60,6 +63,9 @@ func TestAnalyzerSimAgreement(t *testing.T) {
 		res, err := Synthesize(topo, prm, msg, SynthOptions{})
 		if err != nil {
 			t.Fatalf("synthesize on %v: %v", topo, err)
+		}
+		if err := res.MeasureLowered(topo, prm, nil); err != nil {
+			t.Fatal(err)
 		}
 		byCost, bySim := res.Lowered[0], res.Lowered[0]
 		for _, c := range res.Lowered[1:] {
