@@ -108,6 +108,35 @@ func (r *Recorder) Len() int {
 	return len(r.events)
 }
 
+// Diff compares r's events with o's in insertion order. It returns -1 when
+// the two recorded the same sequence; otherwise the index of the first
+// event at which they part, with each recorder's event there (nil past the
+// end of its sequence). Equal sequences have equal Hashes, so Diff is the
+// stricter comparison, and the cheaper one: nothing is sorted. A nil
+// recorder has no events.
+func (r *Recorder) Diff(o *Recorder) (at int, a, b *Event) {
+	var ra, rb []Event
+	if r != nil {
+		ra = r.events
+	}
+	if o != nil {
+		rb = o.events
+	}
+	n := min(len(ra), len(rb))
+	for i := range n {
+		if ra[i] != rb[i] {
+			return i, &ra[i], &rb[i]
+		}
+	}
+	switch {
+	case len(ra) > n:
+		return n, &ra[n], nil
+	case len(rb) > n:
+		return n, nil, &rb[n]
+	}
+	return -1, nil, nil
+}
+
 // Reset discards all events.
 func (r *Recorder) Reset() {
 	if r == nil {

@@ -101,6 +101,47 @@ func TestResetClears(t *testing.T) {
 	}
 }
 
+// TestDiff: Diff names the first index where two insertion sequences part,
+// and stays stricter than Hash, which sorts: the same events added in
+// another order hash alike and still differ.
+func TestDiff(t *testing.T) {
+	rec := func(evs ...Event) *Recorder {
+		r := New()
+		for _, e := range evs {
+			r.Add(e)
+		}
+		return r
+	}
+	a, b, c := ev(0, CatSend, 0, 10), ev(1, CatRecv, 0, 10), ev(1, CatWait, 10, 20)
+	cases := []struct {
+		name     string
+		r, o     *Recorder
+		at       int
+		wantA    *Event
+		wantB    *Event
+		sameHash bool
+	}{
+		{"equal", rec(a, b, c), rec(a, b, c), -1, nil, nil, true},
+		{"both nil", nil, nil, -1, nil, nil, true},
+		{"nil and empty", nil, New(), -1, nil, nil, true},
+		{"swapped", rec(a, b, c), rec(b, a, c), 0, &a, &b, true},
+		{"second longer", rec(a, b), rec(a, b, c), 2, nil, &c, false},
+		{"first longer", rec(a, b, c), rec(a), 1, &b, nil, false},
+		{"nil and one event", nil, rec(a), 0, nil, &a, false},
+	}
+	for _, tc := range cases {
+		at, ea, eb := tc.r.Diff(tc.o)
+		if at != tc.at || !sameEvent(ea, tc.wantA) || !sameEvent(eb, tc.wantB) {
+			t.Errorf("%s: Diff = %d, %v, %v; want %d, %v, %v", tc.name, at, ea, eb, tc.at, tc.wantA, tc.wantB)
+		}
+		if got := tc.r.Hash() == tc.o.Hash(); got != tc.sameHash {
+			t.Errorf("%s: equal hashes %v, want %v", tc.name, got, tc.sameHash)
+		}
+	}
+}
+
+func sameEvent(a, b *Event) bool { return a == b || a != nil && b != nil && *a == *b }
+
 // TestAddReservesForASmallRun: a recorder that lives for one 4-rank
 // collective (verify.RunOnce builds one per run, the explorer 40 000 a
 // pass) takes its 40 events in one allocation besides itself.

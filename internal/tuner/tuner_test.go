@@ -392,6 +392,27 @@ func TestLoadCacheRejectsCorrupt(t *testing.T) {
 			}
 		})
 	}
+
+	// A file cut short, as a crash mid-save leaves it, is refused whole:
+	// the fresh service starts cold. Only the trailing newline is optional.
+	for name, cut := range map[string]int{"cut to 0 bytes": 0, "cut to 1 byte": 1, "cut in half": len(good) / 2, "cut 2 bytes short": len(good) - 2} {
+		t.Run(name, func(t *testing.T) {
+			fresh := testService(4)
+			n, err := fresh.LoadCache(strings.NewReader(good[:cut]))
+			if err == nil || !strings.Contains(err.Error(), "bad cache file") {
+				t.Fatalf("loaded %d entries, err %v; want a bad cache file", n, err)
+			}
+			if got := fresh.Stats().Entries; n != 0 || got != 0 {
+				t.Fatalf("a refused file left %d entries (%d reported)", got, n)
+			}
+		})
+	}
+	t.Run("no trailing newline", func(t *testing.T) {
+		fresh := testService(4)
+		if n, err := fresh.LoadCache(strings.NewReader(strings.TrimSuffix(good, "\n"))); err != nil || n != 1 {
+			t.Fatalf("loaded %d entries, err %v; want the 1 entry", n, err)
+		}
+	})
 }
 
 // objectForm rewrites every integer tuple of a saved cache file as the

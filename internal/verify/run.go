@@ -164,14 +164,16 @@ type RunResult struct {
 	Makespan sim.Time
 	// Violations holds every broken property; empty means the run passed.
 	Violations []Violation
-	// rec is the run's tracer, kept so that Hash costs only the callers
-	// that compare it; nil for a run that did not reach its end.
+	// rec is the run's tracer, kept for Check's comparison and for Hash.
+	// A rank's panic or a deadlock ends the run with the events recorded
+	// up to it. rec is nil when no world ran: the spec was unrunnable, or
+	// a panic unwound the run itself (world construction, the install
+	// hook, or engine-side code such as a Scheduler).
 	rec *trace.Recorder
 }
 
-// Hash fingerprints the run's event timeline (for determinism checks).
-// Every run that did not reach its end — unrunnable spec, panic — has
-// the same one.
+// Hash fingerprints the run's event timeline in the recorder's canonical
+// order. Every run without a recorder (see rec) has the same one.
 func (r RunResult) Hash() uint64 { return r.rec.Hash() }
 
 // RunOnce executes the scenario with real payloads and full
@@ -183,34 +185,44 @@ func (r RunResult) Hash() uint64 { return r.rec.Hash() }
 // a sim.Scheduler to the engine, sharing this oracle across the
 // randomized campaign and the exhaustive explorer.
 func RunOnce(sc Scenario, install func(*mpi.World)) RunResult {
-	return run(sc, install, &buffers{})
+	var bufs buffers
+	defer bufs.release()
+	return run(sc, install, &bufs)
 }
 
 // buffers is what a run of a scenario needs besides the world: the
-// oracle's image and every rank's send and receive buffer. Check's two
-// runs share one, so its bytes are allocated once. Each rank keeps arrays
-// of its own: one slab for all of them cost more to set up than it saved.
+// oracle's image and every rank's send and receive array. Check's two
+// runs share one. Each rank keeps arrays of its own: one slab for all of
+// them cost more to set up than it saved.
 type buffers struct {
 	img   *image
 	ranks []rankBufs
 }
 
-// rankBufs is one rank's pair; send has nil Data until the rank first runs.
-type rankBufs struct{ send, recv mpi.Buf }
+// rankBufs is one rank's pair of arrays from the store, nil until the rank
+// first runs. An array may be longer than its buffer (see takeArray).
+type rankBufs struct{ send, recv []byte }
 
-// fill readies a rank's buffers for a run: its pattern in the send buffer
-// and zeros in the receive buffer, made on the first run and rewritten on
-// the second.
-func (rb *rankBufs) fill(pat []byte, recvLen int) {
-	if rb.send.Data() == nil {
-		rb.send, rb.recv = mpi.NewBuf(len(pat)), mpi.NewBuf(recvLen)
-	} else {
-		clear(rb.recv.Data())
+// fill readies a rank's buffers for a run and returns them: its pattern
+// in the send buffer and zeros in the receive buffer, each exactly as
+// long as Geometry says, with no capacity past its end. The arrays come
+// from the store on the rank's first run holding whatever their last run
+// left, so every run rewrites both in full.
+func (rb *rankBufs) fill(pat []byte, recvLen int) (send, recv mpi.Buf) {
+	if rb.send == nil {
+		rb.send, rb.recv = takeArray(len(pat)), takeArray(recvLen)
 	}
-	copy(rb.send.Data(), pat)
+	s, r := rb.send[:len(pat):len(pat)], rb.recv[:recvLen:recvLen]
+	copy(s, pat)
+	clear(r)
+	return mpi.Bytes(s), mpi.Bytes(r)
 }
 
-// run is RunOnce on the buffers given; it makes them on first use.
+// release gives the ranks' arrays back to the store once no run will touch
+// them again.
+func (b *buffers) release() { giveArrays(b.ranks) }
+
+// run is RunOnce on the buffers given; it takes their arrays on first use.
 func run(sc Scenario, install func(*mpi.World), bufs *buffers) (res RunResult) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -270,9 +282,7 @@ func run(sc Scenario, install func(*mpi.World), bufs *buffers) (res RunResult) {
 	img, ranks := bufs.img, bufs.ranks
 	err := w.Run(func(p *mpi.Proc) {
 		me := p.Rank()
-		rb := &ranks[me]
-		rb.fill(img.pat[me], recvLen)
-		send, recv := rb.send, rb.recv
+		send, recv := ranks[me].fill(img.pat[me], recvLen)
 		alg.Run(p, w, send, recv)
 		data := recv.Data()
 		for blk := 0; m > 0 && blk*m < len(data); blk++ {
@@ -316,9 +326,9 @@ func run(sc Scenario, install func(*mpi.World), bufs *buffers) (res RunResult) {
 // Check verifies one scenario completely: it validates the spec, executes
 // it twice, and returns every violation found — the first run's, then any
 // the second run alone produced (prefixed "second run: "), then a
-// "determinism" violation when the two identically-seeded runs produce
-// different event timelines or makespans. An empty slice means the
-// scenario passed.
+// "determinism" violation when the two identically-seeded runs record
+// different event sequences (in insertion order, naming the first event
+// that differs) or makespans. An empty slice means the scenario passed.
 func Check(sc Scenario) []Violation {
 	if err := sc.Validate(); err != nil {
 		return []Violation{{Kind: "spec", Detail: err.Error()}}
@@ -326,20 +336,30 @@ func Check(sc Scenario) []Violation {
 	var bufs buffers
 	r1 := run(sc, nil, &bufs)
 	r2 := run(sc, nil, &bufs)
+	bufs.release()
 	out := r1.Violations
 	for _, v := range r2.Violations {
 		if !slices.ContainsFunc(r1.Violations, func(v1 Violation) bool { return headline(v1) == headline(v) }) {
 			out = append(out, Violation{Kind: v.Kind, Detail: "second run: " + v.Detail})
 		}
 	}
-	if h1, h2 := r1.Hash(), r2.Hash(); h1 != h2 {
+	if at, e1, e2 := r1.rec.Diff(r2.rec); at >= 0 {
 		out = append(out, Violation{Kind: "determinism",
-			Detail: fmt.Sprintf("trace hash %#x vs %#x across identical runs", h1, h2)})
+			Detail: fmt.Sprintf("event %d is %s vs %s across identical runs", at, eventText(e1), eventText(e2))})
 	} else if r1.Makespan != r2.Makespan {
 		out = append(out, Violation{Kind: "determinism",
 			Detail: fmt.Sprintf("makespan %v vs %v across identical runs", r1.Makespan, r2.Makespan)})
 	}
 	return out
+}
+
+// eventText renders one side of a determinism report: the event, or that
+// the run recorded none at that index.
+func eventText(e *trace.Event) string {
+	if e == nil {
+		return "no event"
+	}
+	return fmt.Sprintf("%+v", *e)
 }
 
 // headline is what identifies a violation across two runs of one

@@ -101,9 +101,10 @@ func TestMutationCaught(t *testing.T) {
 }
 
 // plantFlaky registers "broken-flaky": a correct ring allgather whose
-// ranks additionally run misbehave in every world after the first one
-// they see — cross-run mutable state, the thing Check's second run is for.
-func plantFlaky(t *testing.T, misbehave func(p *mpi.Proc, recv mpi.Buf)) {
+// ranks then run misbehave, told whether their world is a later one than
+// the first they saw — cross-run mutable state, the thing Check's second
+// run is for.
+func plantFlaky(t *testing.T, misbehave func(p *mpi.Proc, recv mpi.Buf, second bool)) {
 	var mu sync.Mutex
 	var first *mpi.World
 	plant(t, Algorithm{Name: "broken-flaky", Run: func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
@@ -114,49 +115,61 @@ func plantFlaky(t *testing.T, misbehave func(p *mpi.Proc, recv mpi.Buf)) {
 		second := w != first
 		mu.Unlock()
 		ByNameMust("ring").Run(p, w, send, recv)
-		if second {
-			misbehave(p, recv)
-		}
+		misbehave(p, recv, second)
 	}})
 }
 
 // TestSecondRunCaught: whatever only the second of Check's two runs does
-// wrong is reported — a timing change as "determinism", and a wrong byte,
-// or a panic under its own kind, marked "second run: " — including a
-// wrong byte that leaves the trace hash alone.
+// wrong is reported — a timing change, or the same events recorded in
+// another order, as "determinism" naming the first event that differs,
+// and a wrong byte, or a panic under its own kind, marked "second run: "
+// — including a wrong byte that leaves the trace alone.
 func TestSecondRunCaught(t *testing.T) {
 	sc := Scenario{Alg: "broken-flaky", Nodes: 2, PPN: 2, HCAs: 1, Msg: 64, Seed: 1}
 	cases := []struct {
 		name      string
-		misbehave func(p *mpi.Proc, recv mpi.Buf)
-		want      []string // headlines; a determinism violation by kind alone (its text holds hashes)
+		misbehave func(p *mpi.Proc, recv mpi.Buf, second bool)
+		want      []string // headlines
 	}{
-		{"slower", func(p *mpi.Proc, _ mpi.Buf) {
-			if p.Rank() == 0 {
+		{"slower", func(p *mpi.Proc, _ mpi.Buf, second bool) {
+			if second && p.Rank() == 0 {
 				p.Compute(5 * sim.Microsecond)
 			}
-		}, []string{"determinism"}},
-		{"wrong byte, same timeline", func(p *mpi.Proc, recv mpi.Buf) {
-			if p.Rank() == 1 {
+		}, []string{"determinism: event 40 is no event vs {Rank:0 Cat:compute Name:compute Start:6.017us End:11.017us Peer:-1 Bytes:0} across identical runs"}},
+		{"wrong byte, same timeline", func(p *mpi.Proc, recv mpi.Buf, second bool) {
+			if second && p.Rank() == 1 {
 				recv.Data()[0] ^= 0xff
 			}
 		}, []string{"oracle: second run: rank 1: block 0 byte 0 = 0xfc, want 0x03"}},
-		{"panic", func(p *mpi.Proc, _ mpi.Buf) {
-			if p.Rank() == 3 {
+		{"panic", func(p *mpi.Proc, _ mpi.Buf, second bool) {
+			if second && p.Rank() == 3 {
 				panic("boom")
 			}
-		}, []string{`run: second run: sim: process "rank3" (id 3) panicked: boom`, "determinism"}},
+		}, []string{`run: second run: sim: process "rank3" (id 3) panicked: boom`,
+			"determinism: event 39 is {Rank:1 Cat:wait Name:wait-send Start:4.717us End:6.017us Peer:-1 Bytes:0} vs no event across identical runs"}},
+		// Every rank computes from the same instant, so the two runs' events
+		// sort, and hash, alike. Each rank gets there by a last step of its
+		// own length, the longest waking first: in rank order in the first
+		// run and in reverse in the second, which records them the other way
+		// round.
+		{"same events, another order", func(p *mpi.Proc, _ mpi.Buf, second bool) {
+			const at = sim.Time(sim.Millisecond)
+			last := sim.Time(p.Size() - p.Rank())
+			if second {
+				last = sim.Time(p.Rank() + 1)
+			}
+			p.Sleep(sim.Duration(at - last - p.Now()))
+			p.Sleep(sim.Duration(last))
+			p.Compute(sim.Microsecond)
+		}, []string{"determinism: event 40 is {Rank:0 Cat:compute Name:compute Start:1000.000us End:1001.000us Peer:-1 Bytes:0} " +
+			"vs {Rank:3 Cat:compute Name:compute Start:1000.000us End:1001.000us Peer:-1 Bytes:0} across identical runs"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			plantFlaky(t, tc.misbehave)
 			var got []string
 			for _, v := range Check(sc) {
-				if v.Kind == "determinism" {
-					got = append(got, v.Kind)
-				} else {
-					got = append(got, headline(v))
-				}
+				got = append(got, headline(v))
 			}
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Errorf("violations %q, want %q", got, tc.want)
