@@ -1,31 +1,33 @@
 // Command mhatrace renders communication timelines of the simulated
 // collectives as ASCII Gantt charts — the reproduction of the paper's
 // Figure 2 (a TAU trace of the flat ring allgather on 2 nodes x 2 PPN,
-// exposing the intra-node bottleneck) and a tool for inspecting any of the
-// implemented algorithms.
+// exposing the intra-node bottleneck) and a tool for inspecting any
+// registered variant (see mhaverify -list).
 //
 // Usage:
 //
-//	mhatrace                                  # Figure 2 (ring, 2x2)
-//	mhatrace -alg mha-inter -nodes 4 -ppn 4   # the proposed design
-//	mhatrace -alg mha-intra -ppn 4 -listing   # per-event log
+//	mhatrace                                          # Figure 2 (ring, 2x2)
+//	mhatrace -alg mha -nodes 4 -ppn 4                 # the proposed design
+//	mhatrace -alg mha-intra -nodes 1 -ppn 4 -listing  # per-event log
+//	mhatrace -alg compose-a2a                         # a derived alltoall
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"mha/internal/collectives"
-	"mha/internal/core"
+	"mha/internal/compose"
 	"mha/internal/mpi"
 	"mha/internal/topology"
 	"mha/internal/trace"
+	"mha/internal/verify"
 )
 
 func main() {
 	var (
-		alg     = flag.String("alg", "ring", "algorithm: ring | rd | bruck | direct | mha-intra | mha-inter | kandalla | mamidala")
+		alg     = flag.String("alg", "ring", "registered variant: "+names())
 		nodes   = flag.Int("nodes", 2, "number of nodes")
 		ppn     = flag.Int("ppn", 2, "processes per node")
 		hcas    = flag.Int("hcas", 2, "HCAs per node")
@@ -36,20 +38,26 @@ func main() {
 	)
 	flag.Parse()
 
-	run, ok := algorithms(*alg)
+	a, ok := verify.ByName(*alg)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *alg)
+		fmt.Fprintf(os.Stderr, "unknown algorithm %q (have %s)\n", *alg, names())
+		os.Exit(2)
+	}
+	sc := verify.Scenario{Alg: *alg, Nodes: *nodes, PPN: *ppn, HCAs: *hcas, Layout: topology.Block, Msg: *size}
+	if err := sc.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
 	rec := trace.New()
 	w := mpi.New(mpi.Config{
-		Topo:    topology.New(*nodes, *ppn, *hcas),
+		Topo:    sc.Topo(),
 		Tracer:  rec,
 		Phantom: true,
 	})
+	sendLen, recvLen := compose.Geometry(a.Coll, w.Topo().Size(), *size)
 	err := w.Run(func(p *mpi.Proc) {
-		run(p, w, mpi.Phantom(*size), mpi.Phantom(*size*p.Size()))
+		a.Run(p, w, mpi.Phantom(sendLen), mpi.Phantom(recvLen))
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -71,7 +79,7 @@ func main() {
 		return
 	}
 
-	fmt.Printf("%s allgather, %v, %d bytes/rank\n", *alg, w.Topo(), *size)
+	fmt.Printf("%s %s, %v, %d bytes/rank\n", *alg, a.Coll, w.Topo(), *size)
 	if *listing {
 		fmt.Print(rec.Listing())
 		return
@@ -79,33 +87,11 @@ func main() {
 	fmt.Print(rec.Timeline(*width))
 }
 
-func algorithms(name string) (func(*mpi.Proc, *mpi.World, mpi.Buf, mpi.Buf), bool) {
-	switch name {
-	case "ring":
-		return flat(collectives.RingAllgather), true
-	case "rd":
-		return flat(collectives.RDAllgather), true
-	case "bruck":
-		return flat(collectives.BruckAllgather), true
-	case "direct":
-		return flat(collectives.DirectSpreadAllgather), true
-	case "mha-intra":
-		return func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
-			core.MHAIntraAllgather(p, w.CommWorld(), send, recv)
-		}, true
-	case "mha-inter":
-		return core.MHAInterAllgather, true
-	case "kandalla":
-		return collectives.KandallaAllgather, true
-	case "mamidala":
-		return collectives.MamidalaAllgather, true
-	default:
-		return nil, false
+// names lists the registered variants for help and error text.
+func names() string {
+	var out []string
+	for _, a := range verify.Algorithms() {
+		out = append(out, a.Name)
 	}
-}
-
-func flat(f func(*mpi.Proc, *mpi.Comm, mpi.Buf, mpi.Buf)) func(*mpi.Proc, *mpi.World, mpi.Buf, mpi.Buf) {
-	return func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
-		f(p, w.CommWorld(), send, recv)
-	}
+	return strings.Join(out, ", ")
 }

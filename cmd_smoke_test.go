@@ -70,13 +70,29 @@ func TestSmokeMhatraceTimelineAndChrome(t *testing.T) {
 		t.Fatalf("timeline output unexpected:\n%s", out)
 	}
 	tmp := filepath.Join(t.TempDir(), "trace.json")
-	out = run(t, "mhatrace", "-alg", "mha-inter", "-nodes", "2", "-ppn", "2", "-chrome", tmp)
+	out = run(t, "mhatrace", "-alg", "mha", "-nodes", "2", "-ppn", "2", "-chrome", tmp)
 	if !strings.Contains(out, "wrote") {
 		t.Fatalf("chrome export output unexpected:\n%s", out)
 	}
 	data, err := os.ReadFile(tmp)
 	if err != nil || !strings.HasPrefix(strings.TrimSpace(string(data)), "[") {
 		t.Fatalf("chrome trace file bad: %v, %.40q", err, data)
+	}
+	// Any registry row traces, with buffers sized for its collective.
+	out = run(t, "mhatrace", "-alg", "compose-a2a", "-nodes", "2", "-ppn", "2", "-size", "4096")
+	if !strings.HasPrefix(out, "compose-a2a alltoall, 2 nodes x 2 ppn") || !strings.Contains(out, "legend") {
+		t.Fatalf("alltoall timeline unexpected:\n%s", out)
+	}
+	// A shape outside the row's contract is refused, and an unknown name
+	// lists the registry.
+	for _, tc := range []struct{ alg, want string }{
+		{"mha-intra", "verify: mha-intra does not support 2 nodes x 2 ppn"},
+		{"mha-inter", "unknown algorithm \"mha-inter\" (have bruck, cluster-contended-2,"},
+	} {
+		cmd := exec.Command(filepath.Join(binaries(t), "mhatrace"), "-alg", tc.alg, "-nodes", "2", "-ppn", "2")
+		if out, err := cmd.CombinedOutput(); err == nil || !strings.Contains(string(out), tc.want) {
+			t.Fatalf("mhatrace -alg %s: err %v, output %q, want %q", tc.alg, err, out, tc.want)
+		}
 	}
 }
 
@@ -113,6 +129,19 @@ func TestSmokeMhafaultResilienceTable(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("mhafault output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestSmokeMhafaultAnyRow: mhafault runs a non-allgather registry row
+// and refuses a row whose contract excludes the cluster.
+func TestSmokeMhafaultAnyRow(t *testing.T) {
+	out := run(t, "mhafault", "-nodes", "2", "-ppn", "2", "-sizes", "4K", "-algs", "compose-gather")
+	if !strings.Contains(out, "compose-gather") {
+		t.Fatalf("mhafault output missing compose-gather:\n%s", out)
+	}
+	cmd := exec.Command(filepath.Join(binaries(t), "mhafault"), "-nodes", "2", "-ppn", "3", "-algs", "multi-leader")
+	if out, err := cmd.CombinedOutput(); err == nil || !strings.Contains(string(out), "multi-leader does not support") {
+		t.Fatalf("odd ppn accepted for multi-leader: %v\n%s", err, out)
 	}
 }
 

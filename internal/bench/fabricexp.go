@@ -4,26 +4,33 @@ import (
 	"fmt"
 	"io"
 
-	"mha/internal/collectives"
 	"mha/internal/fabric"
 	"mha/internal/mpi"
 	"mha/internal/netmodel"
 	"mha/internal/sim"
 	"mha/internal/topology"
+	"mha/internal/verify"
 )
 
 // FabricAllgatherLatency measures one allgather of m bytes per rank by
 // registered algorithm name on a cluster whose inter-node traffic
 // crosses the given fabric (nil = flat non-blocking).
 func FabricAllgatherLatency(topo topology.Cluster, prm *netmodel.Params, m int, spec *fabric.Spec, alg string) sim.Duration {
-	run, ok := collectives.AllgatherByName(alg)
-	if !ok {
-		panic(fmt.Sprintf("bench: allgather %q is not registered", alg))
-	}
+	run := row(alg).Run
 	w := mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true, Fabric: spec})
 	return makespan(w, func(p *mpi.Proc) {
-		run(p, w.CommWorld(), mpi.Phantom(m), mpi.Phantom(m*p.Size()))
+		run(p, w, mpi.Phantom(m), mpi.Phantom(m*p.Size()))
 	})
+}
+
+// row resolves a registered variant by name; the experiments name only
+// registered ones.
+func row(name string) verify.Algorithm {
+	a, ok := verify.ByName(name)
+	if !ok {
+		panic(fmt.Sprintf("bench: %q is not registered", name))
+	}
+	return a
 }
 
 // fabricSweepSpecs returns the fabric rows of the sweep for a cluster of

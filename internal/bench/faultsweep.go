@@ -4,46 +4,26 @@ import (
 	"fmt"
 	"io"
 
-	"mha/internal/collectives"
-	"mha/internal/core"
+	"mha/internal/compose"
 	"mha/internal/faults"
 	"mha/internal/mpi"
 	"mha/internal/netmodel"
 	"mha/internal/sim"
 	"mha/internal/topology"
+	"mha/internal/verify"
 )
 
-// AllgatherFn is one allgather implementation under test in the fault
-// sweep.
-type AllgatherFn func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf)
-
-// FaultAlgorithms returns the allgather variants the resilience sweep
+// faultSweepAlgs are the registered variants the resilience sweep
 // compares, in presentation order.
-func FaultAlgorithms() []struct {
-	Name string
-	Fn   AllgatherFn
-} {
-	return []struct {
-		Name string
-		Fn   AllgatherFn
-	}{
-		{"mha", core.MHAAllgather},
-		{"two-level", collectives.KandallaAllgather},
-		{"multi-leader", func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
-			collectives.MultiLeaderAllgather(p, w, send, recv, 2)
-		}},
-		{"ring", func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
-			collectives.RingAllgather(p, w.CommWorld(), send, recv)
-		}},
-	}
-}
+var faultSweepAlgs = []string{"mha", "two-level", "multi-leader", "ring"}
 
-// FaultedAllgatherLatency times one allgather of m bytes per rank on a
+// FaultedLatency times one run of a registered variant with m bytes per
+// rank (buffers sized by compose.Geometry for its collective) on a
 // world running under the given fault schedule, returning the completion
 // time and the per-rail utilization summary. blind selects the naive
 // (health-unaware) transport baseline.
-func FaultedAllgatherLatency(topo topology.Cluster, prm *netmodel.Params, m int,
-	alg AllgatherFn, sched *faults.Schedule, blind bool) (sim.Duration, []mpi.RailStat) {
+func FaultedLatency(topo topology.Cluster, prm *netmodel.Params, m int,
+	alg verify.Algorithm, sched *faults.Schedule, blind bool) (sim.Duration, []mpi.RailStat) {
 	w := mpi.New(mpi.Config{
 		Topo:       topo,
 		Params:     prm,
@@ -51,8 +31,9 @@ func FaultedAllgatherLatency(topo topology.Cluster, prm *netmodel.Params, m int,
 		Faults:     sched,
 		FaultBlind: blind,
 	})
+	sendLen, recvLen := compose.Geometry(alg.Coll, topo.Size(), m)
 	lat := makespan(w, func(p *mpi.Proc) {
-		alg(p, w, mpi.Phantom(m), mpi.Phantom(m*p.Size()))
+		alg.Run(p, w, mpi.Phantom(sendLen), mpi.Phantom(recvLen))
 	})
 	return lat, w.RailStats()
 }
@@ -106,18 +87,19 @@ func runFaultSweep(w io.Writer, sc Scale) error {
 	prm := netmodel.Thor()
 	sizes := sc.Sizes(geometric(64<<10, 512<<10))
 
-	for _, alg := range FaultAlgorithms() {
+	for _, name := range faultSweepAlgs {
+		alg := row(name)
 		t := NewTable(
 			fmt.Sprintf("degraded-mode allgather latency (us), %s, %d nodes x %d ppn x 2 rails",
-				alg.Name, topo.Nodes, topo.PPN),
+				name, topo.Nodes, topo.PPN),
 			append([]string{"size"}, scenarioColumns()...)...)
 		for _, m := range sizes {
 			row := []interface{}{SizeLabel(m)}
 			for _, sc := range FaultScenarios() {
-				lat, _ := FaultedAllgatherLatency(topo, prm, m, alg.Fn, sc.Sched, sc.Blind)
+				lat, _ := FaultedLatency(topo, prm, m, alg, sc.Sched, sc.Blind)
 				row = append(row, lat.Micros())
 			}
-			lat1, _ := FaultedAllgatherLatency(oneRail, prm, m, alg.Fn, nil, false)
+			lat1, _ := FaultedLatency(oneRail, prm, m, alg, nil, false)
 			row = append(row, lat1.Micros())
 			t.Add(row...)
 		}
@@ -130,8 +112,7 @@ func runFaultSweep(w io.Writer, sc Scale) error {
 	// rail of node 0 is dead, so its engines must show zero acquisitions
 	// while its partner rail carries the whole node.
 	m := sizes[len(sizes)-1]
-	_, stats := FaultedAllgatherLatency(topo, prm, m,
-		core.MHAAllgather, FaultScenarios()[1].Sched, false)
+	_, stats := FaultedLatency(topo, prm, m, row("mha"), FaultScenarios()[1].Sched, false)
 	return FprintRailStats(w,
 		fmt.Sprintf("per-rail utilization, mha, %s, rail1@node0 down", SizeLabel(m)),
 		stats[:4*2]) // first four nodes keep the table readable

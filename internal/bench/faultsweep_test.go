@@ -4,7 +4,6 @@ import (
 	"io"
 	"testing"
 
-	"mha/internal/core"
 	"mha/internal/faults"
 	"mha/internal/netmodel"
 	"mha/internal/sim"
@@ -25,9 +24,9 @@ func TestOneRailDownLandsBetweenHealthyAndSingleRail(t *testing.T) {
 		Until: 40 * sim.Time(sim.Microsecond)})
 
 	for _, m := range []int{64 << 10, 256 << 10} {
-		healthy, _ := FaultedAllgatherLatency(topo, prm, m, core.MHAAllgather, nil, false)
-		degraded, _ := FaultedAllgatherLatency(topo, prm, m, core.MHAAllgather, down, false)
-		single, _ := FaultedAllgatherLatency(oneRail, prm, m, core.MHAAllgather, nil, false)
+		healthy, _ := FaultedLatency(topo, prm, m, row("mha"), nil, false)
+		degraded, _ := FaultedLatency(topo, prm, m, row("mha"), down, false)
+		single, _ := FaultedLatency(oneRail, prm, m, row("mha"), nil, false)
 		if !(healthy < degraded && degraded < single) {
 			t.Errorf("m=%d: want healthy (%v) < one-rail-down (%v) < single-rail machine (%v)",
 				m, healthy, degraded, single)
@@ -46,9 +45,9 @@ func TestPermanentRailDownNeverBeatsSingleRailMachine(t *testing.T) {
 	down := faults.MustNew(faults.Fault{Kind: faults.Down, Node: 0, Rail: 1})
 
 	for _, m := range []int{64 << 10, 256 << 10} {
-		healthy, _ := FaultedAllgatherLatency(topo, prm, m, core.MHAAllgather, nil, false)
-		degraded, _ := FaultedAllgatherLatency(topo, prm, m, core.MHAAllgather, down, false)
-		single, _ := FaultedAllgatherLatency(oneRail, prm, m, core.MHAAllgather, nil, false)
+		healthy, _ := FaultedLatency(topo, prm, m, row("mha"), nil, false)
+		degraded, _ := FaultedLatency(topo, prm, m, row("mha"), down, false)
+		single, _ := FaultedLatency(oneRail, prm, m, row("mha"), nil, false)
 		if !(healthy < degraded && degraded <= single) {
 			t.Errorf("m=%d: want healthy (%v) < permanent-down (%v) <= single-rail machine (%v)",
 				m, healthy, degraded, single)
@@ -66,8 +65,8 @@ func TestAwareStripingBeatsNaiveOnDegradedRail(t *testing.T) {
 		Kind: faults.Degrade, Node: faults.AllNodes, Rail: 1, Fraction: 0.5})
 
 	for _, m := range []int{128 << 10, 512 << 10} {
-		aware, _ := FaultedAllgatherLatency(topo, prm, m, core.MHAAllgather, degraded, false)
-		naive, _ := FaultedAllgatherLatency(topo, prm, m, core.MHAAllgather, degraded, true)
+		aware, _ := FaultedLatency(topo, prm, m, row("mha"), degraded, false)
+		naive, _ := FaultedLatency(topo, prm, m, row("mha"), degraded, true)
 		if aware >= naive {
 			t.Errorf("m=%d: aware striping (%v) not faster than naive equal split (%v)",
 				m, aware, naive)
@@ -78,8 +77,8 @@ func TestAwareStripingBeatsNaiveOnDegradedRail(t *testing.T) {
 func TestFaultedLatencyDeterministic(t *testing.T) {
 	topo := topology.New(4, 2, 2)
 	sched := faults.Random(7, 4, 2, 5_000_000)
-	a, _ := FaultedAllgatherLatency(topo, netmodel.Thor(), 64<<10, core.MHAAllgather, sched, false)
-	b, _ := FaultedAllgatherLatency(topo, netmodel.Thor(), 64<<10, core.MHAAllgather, sched, false)
+	a, _ := FaultedLatency(topo, netmodel.Thor(), 64<<10, row("mha"), sched, false)
+	b, _ := FaultedLatency(topo, netmodel.Thor(), 64<<10, row("mha"), sched, false)
 	if a != b {
 		t.Fatalf("same schedule, different latencies: %v vs %v", a, b)
 	}
@@ -88,7 +87,7 @@ func TestFaultedLatencyDeterministic(t *testing.T) {
 func TestRailStatsReflectDeadRail(t *testing.T) {
 	topo := topology.New(2, 2, 2)
 	down := faults.MustNew(faults.Fault{Kind: faults.Down, Node: 0, Rail: 1})
-	_, stats := FaultedAllgatherLatency(topo, netmodel.Thor(), 128<<10, core.MHAAllgather, down, false)
+	_, stats := FaultedLatency(topo, netmodel.Thor(), 128<<10, row("mha"), down, false)
 	var usedAny bool
 	for _, s := range stats {
 		if s.Node == 0 && s.Rail == 1 && s.TxUses != 0 {

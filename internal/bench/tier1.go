@@ -39,8 +39,7 @@ func Tier1(sc Scale) []Tier1Metric {
 		faults.Fault{Kind: faults.Degrade, Node: faults.AllNodes, Rail: 1,
 			Fraction: 0.5, From: sim.Time(40 * sim.Microsecond)},
 	)
-	mhaFaulted, _ := FaultedAllgatherLatency(topology.New(4, 4, 2), prm, 64<<10,
-		core.MHAAllgather, demoFaults, false)
+	mhaFaulted, _ := FaultedLatency(topology.New(4, 4, 2), prm, 64<<10, row("mha"), demoFaults, false)
 
 	out := []Tier1Metric{
 		{"fig3-pt2pt-2hca-64k", PtPtLatency(topology.New(2, 1, 2), prm, 64<<10).Micros()},

@@ -188,8 +188,8 @@ func TestValidateRejects(t *testing.T) {
 			[]JobSpec{{ID: 7, Ranks: 2}, {ID: 7, Ranks: 2}}, "duplicate job ID"},
 		{"odd allreduce", Config{Topo: topo},
 			[]JobSpec{{ID: 0, Coll: Allreduce, Ranks: 2, Msg: 12}}, "multiple of 8"},
-		{"bad alg", Config{Topo: topo},
-			[]JobSpec{{ID: 0, Coll: Bcast, Alg: "ring", Ranks: 2}}, "unknown bcast algorithm"},
+		{"bad collective", Config{Topo: topo},
+			[]JobSpec{{ID: 0, Coll: Scatter + 1, Ranks: 2}}, "unknown collective"},
 		{"no jobs", Config{Topo: topo}, nil, "no jobs"},
 	}
 	for _, tc := range cases {

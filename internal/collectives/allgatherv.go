@@ -6,11 +6,7 @@ import (
 	"mha/internal/mpi"
 )
 
-const (
-	phaseAGV = 21 + iota
-	phaseBarrier
-	phaseScan
-)
+const phaseAGV = 21
 
 // vOffsets returns the receive-buffer offset of each rank's block and the
 // total size for variable counts.
@@ -57,50 +53,5 @@ func RingAllgatherv(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf, counts []int) 
 		cur = (cur - 1 + n) % n
 		p.WaitInto(rreq, recv.Slice(offs[cur], counts[cur]), nil)
 		p.Wait(sreq)
-	}
-}
-
-// DisseminationBarrier is the log2(N)-round dissemination barrier over
-// zero-byte messages — unlike Comm.Barrier (a free synchronization fence
-// for test orchestration), its cost is modeled, so it can appear inside
-// timed regions.
-func DisseminationBarrier(p *mpi.Proc, c *mpi.Comm) {
-	n := c.Size()
-	if n == 1 {
-		return
-	}
-	me := c.Rank(p)
-	epoch := c.Epoch(p)
-	for dist, round := 1, 0; dist < n; dist, round = dist*2, round+1 {
-		dst := (me + dist) % n
-		src := (me - dist + n) % n
-		tag := mpi.Tag(epoch, phaseBarrier, round)
-		sreq := p.Isend(c, dst, tag, mpi.Phantom(0))
-		p.Wait(p.Irecv(c, src, tag))
-		p.Wait(sreq)
-	}
-}
-
-// InclusiveScan computes, at each rank r, the reduction of ranks 0..r's
-// buffers (in place), with the log-round doubling-distance algorithm.
-// Note the combine order is commutative-only (Float64Sum qualifies).
-func InclusiveScan(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, red Reducer) {
-	n := c.Size()
-	me := c.Rank(p)
-	epoch := c.Epoch(p)
-	for dist, round := 1, 0; dist < n; dist, round = dist*2, round+1 {
-		tag := mpi.Tag(epoch, phaseScan, round)
-		var sreq *mpi.Request
-		if me+dist < n {
-			sreq = p.Isend(c, me+dist, tag, buf)
-		}
-		if me-dist >= 0 {
-			got := p.Wait(p.Irecv(c, me-dist, tag))
-			red.Reduce(buf, got)
-			p.Compute(red.Cost(buf.Len()))
-		}
-		if sreq != nil {
-			p.Wait(sreq)
-		}
 	}
 }

@@ -1,19 +1,12 @@
 package collectives
 
-import (
-	"fmt"
+import "mha/internal/mpi"
 
-	"mha/internal/mpi"
-)
-
-// Additional tag phases for the broadcast/reduce/gather/scatter/alltoall
-// family.
+// Additional tag phases for the broadcast/reduce/alltoall family.
 const (
-	phaseBcast2 = 16 + iota
-	phaseReduce
-	phaseGatherL
-	phaseScatterL
-	phaseA2A
+	phaseBcast2 = 16
+	phaseReduce = 17
+	phaseA2A    = 20
 )
 
 // BinomialBcast broadcasts root's buffer to every rank of c along a
@@ -81,53 +74,6 @@ func BinomialReduce(p *mpi.Proc, c *mpi.Comm, root int, buf mpi.Buf, red Reducer
 		parent := (rel&^mask + root) % n
 		p.Send(c, parent, mpi.Tag(epoch, phaseReduce, mask), buf)
 	}
-}
-
-// LinearGather collects every rank's m-byte block at root in comm-rank
-// order. It is the flat baseline for MPI_Gather: root matches N-1
-// messages, one per peer.
-func LinearGather(p *mpi.Proc, c *mpi.Comm, root int, send, recv mpi.Buf) {
-	n := c.Size()
-	m := send.Len()
-	me := c.Rank(p)
-	epoch := c.Epoch(p)
-	if me != root {
-		p.Send(c, root, mpi.Tag(epoch, phaseGatherL, me), send)
-		return
-	}
-	if recv.Len() != n*m {
-		panic(fmt.Sprintf("collectives: gather recv %dB != %d x %dB", recv.Len(), n, m))
-	}
-	p.LocalCopy(recv.Slice(me*m, m), send)
-	for r := 0; r < n; r++ {
-		if r == root {
-			continue
-		}
-		p.WaitInto(p.Irecv(c, r, mpi.Tag(epoch, phaseGatherL, r)), recv.Slice(r*m, m), nil)
-	}
-}
-
-// LinearScatter distributes root's N blocks of m bytes to the ranks in
-// comm-rank order — the flat baseline for MPI_Scatter.
-func LinearScatter(p *mpi.Proc, c *mpi.Comm, root int, send, recv mpi.Buf) {
-	n := c.Size()
-	m := recv.Len()
-	me := c.Rank(p)
-	epoch := c.Epoch(p)
-	if me != root {
-		p.WaitInto(p.Irecv(c, root, mpi.Tag(epoch, phaseScatterL, me)), recv, nil)
-		return
-	}
-	if send.Len() != n*m {
-		panic(fmt.Sprintf("collectives: scatter send %dB != %d x %dB", send.Len(), n, m))
-	}
-	for r := 0; r < n; r++ {
-		if r == root {
-			continue
-		}
-		p.Send(c, r, mpi.Tag(epoch, phaseScatterL, r), send.Slice(r*m, m))
-	}
-	p.LocalCopy(recv, send.Slice(me*m, m))
 }
 
 // PairwiseAlltoall is the flat pairwise-exchange MPI_Alltoall: in step s,

@@ -60,39 +60,6 @@ func TestBinomialReduceAllRoots(t *testing.T) {
 	}
 }
 
-func TestLinearGatherScatterRoundTrip(t *testing.T) {
-	for _, s := range []struct{ nodes, ppn int }{{1, 3}, {2, 2}, {3, 2}} {
-		n := s.nodes * s.ppn
-		for _, root := range []int{0, n - 1} {
-			w := mpi.New(mpi.Config{Topo: topology.New(s.nodes, s.ppn, 1)})
-			m := 64
-			err := w.Run(func(p *mpi.Proc) {
-				c := w.CommWorld()
-				// Gather everyone's pattern at root...
-				var gathered mpi.Buf
-				if p.Rank() == root {
-					gathered = mpi.NewBuf(n * m)
-				}
-				LinearGather(p, c, root, mpi.Bytes(pattern(p.Rank(), m)), gathered)
-				if p.Rank() == root {
-					if string(gathered.Data()) != string(expectedAllgather(n, m)) {
-						t.Errorf("gather root=%d wrong", root)
-					}
-				}
-				// ...then scatter it back and check each rank gets its own.
-				out := mpi.NewBuf(m)
-				LinearScatter(p, c, root, gathered, out)
-				if string(out.Data()) != string(pattern(p.Rank(), m)) {
-					t.Errorf("scatter root=%d rank=%d wrong", root, p.Rank())
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
 // alltoallPattern is rank r's block destined for rank d.
 func alltoallPattern(r, d, m int) []byte {
 	b := make([]byte, m)
@@ -214,47 +181,4 @@ func ExampleBinomialBcast() {
 		panic(err)
 	}
 	// Output: x
-}
-
-func TestGathervScattervRoundTrip(t *testing.T) {
-	for _, s := range []struct{ nodes, ppn int }{{1, 4}, {2, 3}, {3, 2}} {
-		n := s.nodes * s.ppn
-		counts := make([]int, n)
-		for i := range counts {
-			counts[i] = (i * 13) % 29 // includes zero for i=0
-		}
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		for _, root := range []int{0, n - 1} {
-			w := mpi.New(mpi.Config{Topo: topology.New(s.nodes, s.ppn, 1)})
-			err := w.Run(func(p *mpi.Proc) {
-				c := w.CommWorld()
-				me := p.Rank()
-				var gathered mpi.Buf
-				if me == root {
-					gathered = mpi.NewBuf(total)
-				}
-				LinearGatherv(p, c, root, mpi.Bytes(pattern(me, counts[me])), gathered, counts)
-				if me == root {
-					want := []byte{}
-					for r := 0; r < n; r++ {
-						want = append(want, pattern(r, counts[r])...)
-					}
-					if string(gathered.Data()) != string(want) {
-						t.Errorf("%dx%d root=%d: gatherv wrong", s.nodes, s.ppn, root)
-					}
-				}
-				out := mpi.NewBuf(counts[me])
-				LinearScatterv(p, c, root, gathered, out, counts)
-				if string(out.Data()) != string(pattern(me, counts[me])) {
-					t.Errorf("%dx%d root=%d rank=%d: scatterv wrong", s.nodes, s.ppn, root, me)
-				}
-			})
-			if err != nil {
-				t.Fatalf("%dx%d root=%d: %v", s.nodes, s.ppn, root, err)
-			}
-		}
-	}
 }

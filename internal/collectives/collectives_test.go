@@ -501,60 +501,6 @@ func TestCommNamedSharedAcrossRanks(t *testing.T) {
 	}
 }
 
-func TestIAllgatherMatchesOracle(t *testing.T) {
-	for _, s := range []struct{ nodes, ppn int }{{1, 4}, {2, 3}, {4, 2}} {
-		w := mpi.New(mpi.Config{Topo: topology.New(s.nodes, s.ppn, 2)})
-		n := w.Topo().Size()
-		m := 128
-		want := string(expectedAllgather(n, m))
-		err := w.Run(func(p *mpi.Proc) {
-			recv := mpi.NewBuf(n * m)
-			req := IAllgatherDirect(p, w.CommWorld(), mpi.Bytes(pattern(p.Rank(), m)), recv)
-			req.Wait()
-			req.Wait() // idempotent
-			if string(recv.Data()) != want {
-				t.Errorf("%dx%d: rank %d wrong", s.nodes, s.ppn, p.Rank())
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestIAllgatherOverlapsCompute(t *testing.T) {
-	// One rank per node: the transfers ride the NICs, so computing between
-	// Start and Wait costs max(comm, compute), not the sum.
-	m := 2 << 20
-	compute := 300 * sim.Microsecond
-	measure := func(withCompute bool) sim.Time {
-		w := mpi.New(mpi.Config{Topo: topology.New(4, 1, 2), Phantom: true})
-		err := w.Run(func(p *mpi.Proc) {
-			recv := mpi.Phantom(m * p.Size())
-			req := IAllgatherDirect(p, w.CommWorld(), mpi.Phantom(m), recv)
-			if withCompute {
-				p.Sleep(compute) // independent work
-			}
-			req.Wait()
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w.Makespan()
-	}
-	plain := measure(false)
-	overlapped := measure(true)
-	// The overlapped run may be at most slightly longer than
-	// max(plain, compute), never plain+compute.
-	bound := plain
-	if sim.Time(compute) > bound {
-		bound = sim.Time(compute)
-	}
-	if float64(overlapped) > 1.1*float64(bound) {
-		t.Fatalf("overlap broken: plain %v, compute %v, overlapped %v", plain, compute, overlapped)
-	}
-}
-
 func TestExtremeReducers(t *testing.T) {
 	w := mpi.New(mpi.Config{Topo: topology.New(2, 2, 2)})
 	n := w.Topo().Size()

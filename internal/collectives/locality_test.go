@@ -135,8 +135,9 @@ func TestLocalityBeatsFlatOnOversubscribedFatTree(t *testing.T) {
 		return w.Makespan()
 	}
 	bestFlat := sim.Time(0)
-	for _, name := range []string{"ring", "rd", "bruck", "direct", "neighbor"} {
-		run, _ := AllgatherByName(name)
+	for _, run := range []func(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf){
+		RingAllgather, RDAllgather, BruckAllgather, DirectSpreadAllgather, NeighborExchangeAllgather,
+	} {
 		if tt := measure(run); bestFlat == 0 || tt < bestFlat {
 			bestFlat = tt
 		}

@@ -181,9 +181,9 @@ func TestComposeBcastEqualsMHABcast(t *testing.T) {
 	diffBufs(t, "compose-bcast", got, want)
 }
 
-// TestDerivedEqualHandWritten: the derived gather, scatter and
-// alltoall agree byte-for-byte with the hand-written hierarchical
-// implementations in internal/core (root 0, world-rank block order).
+// TestDerivedEqualHandWritten: the derived alltoall agrees
+// byte-for-byte with the hand-written hierarchical implementation in
+// internal/core (world-rank block order).
 func TestDerivedEqualHandWritten(t *testing.T) {
 	topo := topology.Cluster{Nodes: 2, PPN: 4, HCAs: 2, Layout: topology.Block}
 	n := topo.Size()
@@ -193,14 +193,6 @@ func TestDerivedEqualHandWritten(t *testing.T) {
 		comp compose.Composition
 		hand func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf)
 	}{
-		{"gather", compose.Hierarchical(compose.Gather),
-			func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
-				core.MHAGather(p, w, 0, send, recv)
-			}},
-		{"scatter", compose.Hierarchical(compose.Scatter),
-			func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
-				core.MHAScatter(p, w, 0, send, recv)
-			}},
 		{"alltoall", compose.Hierarchical(compose.Alltoall), core.MHAAlltoall},
 	}
 	for _, tc := range cases {

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
-	"mha/internal/collectives"
 	"mha/internal/mpi"
 	"mha/internal/sim"
 	"mha/internal/topology"
@@ -142,70 +140,5 @@ func TestQuickAllgathervCorrect(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDisseminationBarrierSynchronizes(t *testing.T) {
-	w := mpi.New(mpi.Config{Topo: topology.New(2, 3, 2)})
-	var minExit sim.Time = 1 << 62
-	var maxEnter sim.Time
-	err := w.Run(func(p *mpi.Proc) {
-		p.Sleep(sim.Duration(p.Rank()) * 10 * sim.Microsecond)
-		if p.Now() > maxEnter {
-			maxEnter = p.Now()
-		}
-		collectives.DisseminationBarrier(p, w.CommWorld())
-		if p.Now() < minExit {
-			minExit = p.Now()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if minExit < maxEnter {
-		t.Fatalf("a rank left the barrier (%v) before the last rank entered (%v)", minExit, maxEnter)
-	}
-}
-
-func TestDisseminationBarrierCostIsLogarithmic(t *testing.T) {
-	lat := func(n int) sim.Time {
-		w := mpi.New(mpi.Config{Topo: topology.New(n, 1, 2), Phantom: true})
-		err := w.Run(func(p *mpi.Proc) {
-			collectives.DisseminationBarrier(p, w.CommWorld())
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w.Makespan()
-	}
-	l8, l16 := lat(8), lat(16)
-	if l8 == 0 {
-		t.Fatal("barrier should have modeled cost")
-	}
-	if float64(l16) > 1.5*float64(l8) {
-		t.Fatalf("barrier not logarithmic: %v -> %v", l8, l16)
-	}
-}
-
-func TestInclusiveScan(t *testing.T) {
-	for _, s := range []struct{ nodes, ppn int }{{1, 4}, {2, 3}, {4, 2}, {1, 7}} {
-		w := mpi.New(mpi.Config{Topo: topology.New(s.nodes, s.ppn, 2)})
-		elems := 4
-		err := w.Run(func(p *mpi.Proc) {
-			buf := f64buf(float64(p.Rank()), elems)
-			collectives.InclusiveScan(p, w.CommWorld(), buf, collectives.SumF64())
-			r := p.Rank()
-			for i := 0; i < elems; i++ {
-				// sum over k<=r of (k+i) = r(r+1)/2 + (r+1)*i
-				want := float64(r*(r+1))/2 + float64((r+1)*i)
-				if got := f64at(buf, i); math.Abs(got-want) > 1e-9 {
-					t.Errorf("%dx%d rank %d elem %d = %v want %v", s.nodes, s.ppn, r, i, got, want)
-					return
-				}
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 }

@@ -2,11 +2,11 @@ package core
 
 // The paper's future work ("we plan to address other collectives"): the
 // same three-phase hierarchical, multi-rail-aware template applied to
-// Bcast, Reduce, Gather, Scatter and Alltoall. Each follows the MHA-inter
-// recipe — single leader per node, inter-leader traffic striped across
-// every rail, node-level distribution through shared-memory chunk
-// counters overlapped with the network phase — and each is verified
-// against its flat baseline's oracle in the tests.
+// Bcast, Reduce and Alltoall. Each follows the MHA-inter recipe — single
+// leader per node, inter-leader traffic striped across every rail,
+// node-level distribution through shared-memory chunk counters
+// overlapped with the network phase — and each is verified against its
+// flat baseline's oracle in the tests.
 
 import (
 	"fmt"
@@ -16,11 +16,9 @@ import (
 )
 
 const (
-	phaseMBcast = 24 + iota
-	phaseMReduce
-	phaseMGather
-	phaseMScatter
-	phaseMA2A
+	phaseMBcast  = 24
+	phaseMReduce = 25
+	phaseMA2A    = 28
 )
 
 // bcastChunk is the pipeline granularity of the shared-memory broadcast
@@ -108,114 +106,6 @@ func MHAReduce(p *mpi.Proc, w *mpi.World, root int, buf mpi.Buf, red collectives
 			p.WaitInto(p.Irecv(c, lead, mpi.Tag(epoch, phaseMReduce, 1<<12)), buf, nil)
 		}
 	}
-}
-
-// MHAGather collects every rank's m-byte block at root in world-rank
-// order: node-level gather to each leader (leader-driven CMA pulls), then
-// each leader ships its whole node block to root in one striped transfer,
-// N-1 messages instead of N*L-1.
-func MHAGather(p *mpi.Proc, w *mpi.World, root int, send, recv mpi.Buf) {
-	topo := w.Topo()
-	c := w.CommWorld()
-	epoch := c.Epoch(p)
-	m := send.Len()
-	L := topo.PPN
-	B := L * m
-	rootNode := topo.NodeOf(root)
-	me := p.Rank()
-
-	if me == root && recv.Len() != m*topo.Size() {
-		panic(fmt.Sprintf("core: gather recv %dB != %d x %dB", recv.Len(), topo.Size(), m))
-	}
-
-	// Phase A: node-level gather into the leader's staging block. On the
-	// root's node the staging area is root's receive buffer directly.
-	var nodeBlock mpi.Buf
-	if p.IsLeader() {
-		nodeBlock = mpi.Make(B, send.IsPhantom())
-	}
-	collectives.GatherToLeader(p, w.NodeComm(p.Node()), send, nodeBlock)
-
-	// Phase B: leaders ship node blocks to root.
-	if p.IsLeader() && p.Node() != rootNode {
-		p.Send(c, root, mpi.Tag(epoch, phaseMGather, p.Node()), nodeBlock)
-	}
-	if me == root {
-		// Own node's block.
-		var own mpi.Buf
-		if p.IsLeader() {
-			own = nodeBlock
-		} else {
-			own = p.Recv(c, topo.LeaderOf(rootNode), mpi.Tag(epoch, phaseMGather, 1<<12))
-		}
-		recv.Slice(rootNode*B, B).CopyFrom(own)
-		for nd := 0; nd < topo.Nodes; nd++ {
-			if nd == rootNode {
-				continue
-			}
-			p.WaitInto(p.Irecv(c, topo.LeaderOf(nd), mpi.Tag(epoch, phaseMGather, nd)), recv.Slice(nd*B, B), nil)
-		}
-	}
-	if p.IsLeader() && p.Node() == rootNode && me != root {
-		p.Send(c, root, mpi.Tag(epoch, phaseMGather, 1<<12), nodeBlock)
-	}
-}
-
-// MHAScatter distributes root's per-rank blocks: root ships one striped
-// node block to each leader, and leaders fan out through shared memory
-// with availability counters.
-func MHAScatter(p *mpi.Proc, w *mpi.World, root int, send, recv mpi.Buf) {
-	topo := w.Topo()
-	c := w.CommWorld()
-	epoch := c.Epoch(p)
-	m := recv.Len()
-	L := topo.PPN
-	B := L * m
-	me := p.Rank()
-	rootNode := topo.NodeOf(root)
-
-	if me == root {
-		if send.Len() != m*topo.Size() {
-			panic(fmt.Sprintf("core: scatter send %dB != %d x %dB", send.Len(), topo.Size(), m))
-		}
-		for nd := 0; nd < topo.Nodes; nd++ {
-			dst := topo.LeaderOf(nd)
-			blk := send.Slice(nd*B, B)
-			if nd == rootNode {
-				if p.IsLeader() {
-					continue // handled below via shm
-				}
-				p.Send(c, dst, mpi.Tag(epoch, phaseMScatter, nd), blk)
-				continue
-			}
-			p.Send(c, dst, mpi.Tag(epoch, phaseMScatter, nd), blk)
-		}
-	}
-
-	if L == 1 {
-		// Every rank is a leader; just receive the block.
-		if me != root {
-			p.WaitInto(p.Irecv(c, root, mpi.Tag(epoch, phaseMScatter, p.Node())), recv, nil)
-		} else {
-			p.LocalCopy(recv, send.Slice(rootNode*B, m))
-		}
-		return
-	}
-
-	shm := p.ShmOpen(fmt.Sprintf("mha-scatter-%d", epoch), B)
-	avail := shm.Counter("block")
-	if p.IsLeader() {
-		var blk mpi.Buf
-		if me == root {
-			blk = send.Slice(rootNode*B, B)
-		} else {
-			blk = p.Recv(c, root, mpi.Tag(epoch, phaseMScatter, p.Node()))
-		}
-		shm.CopyIn(p, 0, blk)
-		avail.Add(1)
-	}
-	shm.WaitCounter(p, "block", 1)
-	shm.CopyOut(p, p.Local()*m, recv)
 }
 
 // MHAAlltoall is the hierarchical alltoall: ranks stage their slices into

@@ -82,37 +82,6 @@ func TestMHAReduceAllRoots(t *testing.T) {
 	}
 }
 
-func TestMHAGatherScatterRoundTrip(t *testing.T) {
-	for _, s := range []struct{ nodes, ppn int }{{2, 2}, {3, 2}, {2, 4}, {4, 1}} {
-		n := s.nodes * s.ppn
-		for _, root := range []int{0, n - 1} {
-			w := mpi.New(mpi.Config{Topo: topology.New(s.nodes, s.ppn, 2)})
-			m := 64
-			err := w.Run(func(p *mpi.Proc) {
-				var gathered mpi.Buf
-				if p.Rank() == root {
-					gathered = mpi.NewBuf(n * m)
-				}
-				MHAGather(p, w, root, mpi.Bytes(pattern(p.Rank(), m)), gathered)
-				if p.Rank() == root {
-					want := expected(n, m)
-					if string(gathered.Data()) != want {
-						t.Errorf("%dx%d root=%d: gather wrong", s.nodes, s.ppn, root)
-					}
-				}
-				out := mpi.NewBuf(m)
-				MHAScatter(p, w, root, gathered, out)
-				if string(out.Data()) != string(pattern(p.Rank(), m)) {
-					t.Errorf("%dx%d root=%d: scatter rank %d wrong", s.nodes, s.ppn, root, p.Rank())
-				}
-			})
-			if err != nil {
-				t.Fatalf("%dx%d root=%d: %v", s.nodes, s.ppn, root, err)
-			}
-		}
-	}
-}
-
 func a2aPattern(r, d, m int) []byte {
 	b := make([]byte, m)
 	for i := range b {

@@ -70,10 +70,12 @@ func TestStressMixedCollectiveSequences(t *testing.T) {
 				case 4: // allreduce
 					buf := f64buf(float64(p.Rank()), m/8*n/n) // m/8 elems
 					collectives.RingAllreduce(p, w.CommWorld(), buf, collectives.SumF64())
-				case 5: // barrier + scan
-					collectives.DisseminationBarrier(p, w.CommWorld())
+				case 5: // MHA reduce
 					buf := f64buf(1, 2)
-					collectives.InclusiveScan(p, w.CommWorld(), buf, collectives.SumF64())
+					MHAReduce(p, w, root, buf, collectives.SumF64())
+					if p.Rank() == root && f64at(buf, 0) != float64(n) {
+						t.Errorf("trial %d step %d: reduce wrong", trial, i)
+					}
 				}
 			}
 		})

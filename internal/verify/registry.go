@@ -12,6 +12,7 @@ package verify
 import (
 	"sort"
 
+	"mha/internal/cluster"
 	"mha/internal/collectives"
 	"mha/internal/compose"
 	"mha/internal/core"
@@ -73,10 +74,21 @@ func onComm(fn func(*mpi.Proc, *mpi.Comm, mpi.Buf, mpi.Buf)) RunFn {
 	}
 }
 
-// registry is the built-in variant set plus any Register additions.
-// The flat allgathers and the compose-derived collectives join through
-// their registration tables in init below.
+// registry is the one table that resolves a name to a runnable
+// collective: the campaign, the explorer, the bench experiments that
+// name a variant and the CLIs all look names up here. Rows derived from
+// compose.Variants join in init below; Register adds test variants.
 var registry = []Algorithm{
+	// The flat allgathers run on any communicator and any layout.
+	{Name: "ring", Run: onComm(collectives.RingAllgather)},
+	{Name: "rd", Run: onComm(collectives.RDAllgather)},
+	{Name: "bruck", Run: onComm(collectives.BruckAllgather)},
+	{Name: "direct", Run: onComm(collectives.DirectSpreadAllgather)},
+	{Name: "neighbor", Run: onComm(collectives.NeighborExchangeAllgather)},
+	{Name: "locality-p2p", Run: onComm(collectives.LocalityP2PAllgather)},
+	{Name: "locality-ring", Run: onComm(collectives.LocalityRingAllgather)},
+	{Name: "locality-bruck", Run: onComm(collectives.LocalityBruckAllgather)},
+	{Name: "hier-bruck-ml", Run: onComm(collectives.HierBruckMLAllgather)},
 	{Name: "two-level", Run: collectives.KandallaAllgather, BlockOnly: true},
 	{Name: "two-level-rd", Run: collectives.MamidalaAllgather, BlockOnly: true},
 	{Name: "multi-leader", BlockOnly: true, EvenPPN: true,
@@ -112,16 +124,21 @@ var registry = []Algorithm{
 		Run: sched.Runner(func(topo topology.Cluster, msg int) *sched.Schedule {
 			return sched.TwoPhaseMHA(topo, nil, msg, sched.MHAOptions{Offload: sched.AutoOffload})
 		})},
+	// The world allgather run the way the multi-tenant scheduler runs
+	// jobs: contiguous rank groups run overlapping sub-communicator
+	// allgathers, contending for rails and memory like co-scheduled
+	// tenants, then leaders exchange windows and each group broadcasts
+	// the result. This puts runtime comm creation, per-comm epochs,
+	// interleaved rail traffic and teardown audits with several owners
+	// under the campaign.
+	{Name: "cluster-contended-2", Run: cluster.Contended(2)},
+	{Name: "cluster-contended-4", Run: cluster.Contended(4)},
 }
 
-// The flat allgathers and the compose-derived variants register
-// through their packages' single registration points, so an algorithm
-// or composition added there automatically joins the campaign with its
-// collective's geometry and oracle.
+// The compose-derived variants register through compose.Variants, so a
+// composition added there joins the campaign with its collective's
+// geometry and oracle.
 func init() {
-	for _, a := range collectives.Allgathers() {
-		registry = append(registry, Algorithm{Name: a.Name, Run: onComm(a.Run)})
-	}
 	for _, v := range compose.Variants() {
 		registry = append(registry, Algorithm{
 			Name: v.Name, Coll: v.Coll, Run: RunFn(v.Run), BlockOnly: v.BlockOnly,

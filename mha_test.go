@@ -249,32 +249,13 @@ func TestPublicVerification(t *testing.T) {
 	}
 }
 
-func TestPublicIAllgatherAndMachines(t *testing.T) {
+func TestPublicMachines(t *testing.T) {
 	m, ok := mha.MachineByName("thor")
 	if !ok || m.Topo.Size() != 1024 {
 		t.Fatalf("thor preset: %+v ok=%v", m, ok)
 	}
 	if len(mha.Machines()) < 5 {
 		t.Fatal("machine catalog too small")
-	}
-	topo := mha.NewCluster(2, 2, 2)
-	w := mha.NewWorld(mha.Config{Topo: topo})
-	n := topo.Size()
-	err := w.Run(func(p *mha.Proc) {
-		send := mha.NewBuf(16)
-		send.Data()[0] = byte(p.Rank())
-		recv := mha.NewBuf(16 * n)
-		req := mha.IAllgather(p, w.CommWorld(), send, recv)
-		p.Compute(mha.Duration(10000)) // overlapped work
-		req.Wait()
-		for r := 0; r < n; r++ {
-			if recv.Data()[r*16] != byte(r) {
-				t.Errorf("rank %d: block %d wrong", p.Rank(), r)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
