@@ -96,8 +96,8 @@ func (sc Scenario) Validate() error {
 	if sc.Msg < 0 {
 		return fmt.Errorf("verify: negative message size %d", sc.Msg)
 	}
-	if sc.Jitter < 0 {
-		return fmt.Errorf("verify: negative jitter %g", sc.Jitter)
+	if !(sc.Jitter >= 0 && sc.Jitter <= 1) { // NaN fails both
+		return fmt.Errorf("verify: jitter %g outside [0, 1]", sc.Jitter)
 	}
 	if fs, err := sc.FabricSpec(); err != nil {
 		return err
@@ -194,9 +194,10 @@ func splitFloats(v string) ([]float64, error) {
 }
 
 // ParseSpec reads a line produced by Spec (the inverse, modulo
-// whitespace). Unknown keys are an error; every key except faults must
-// appear at most once and has a sensible default (one node, one rank, one
-// rail, block layout, empty message, healthy rails).
+// whitespace). Unknown and repeated keys are errors; faults, if present,
+// is the last key and takes the rest of the line. Every key has a
+// sensible default (one node, one rank, one rail, block layout, empty
+// message, healthy rails).
 func ParseSpec(line string) (Scenario, error) {
 	sc := Scenario{Nodes: 1, PPN: 1, HCAs: 1, Layout: topology.Block, Seed: 1}
 	line = strings.TrimSpace(line)
@@ -205,11 +206,16 @@ func ParseSpec(line string) (Scenario, error) {
 		faultText = strings.TrimSpace(line[i+len("faults="):])
 		line = line[:i]
 	}
+	seen := map[string]bool{}
 	for _, field := range strings.Fields(line) {
 		k, v, ok := strings.Cut(field, "=")
 		if !ok {
 			return sc, fmt.Errorf("verify: bad field %q (want key=value)", field)
 		}
+		if seen[k] {
+			return sc, fmt.Errorf("verify: field %q: key %s given twice", field, k)
+		}
+		seen[k] = true
 		var err error
 		switch k {
 		case "alg":
@@ -238,7 +244,14 @@ func ParseSpec(line string) (Scenario, error) {
 		case "jitter":
 			sc.Jitter, err = strconv.ParseFloat(v, 64)
 		case "blind":
-			sc.Blind = v == "1" || v == "true"
+			switch v {
+			case "0", "false":
+				sc.Blind = false
+			case "1", "true":
+				sc.Blind = true
+			default:
+				err = fmt.Errorf("want 0 or 1, have %q", v)
+			}
 		case "fabric":
 			var fs fabric.Spec
 			if fs, err = fabric.ParseSpec(v); err == nil {

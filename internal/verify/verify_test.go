@@ -216,6 +216,13 @@ func TestParseSpecRejectsGarbage(t *testing.T) {
 		"alg=mha-intra nodes=2 ppn=2",     // contract violation
 		"alg=ring faults=down node=5 z=1", // bad fault field
 		"alg=ring nodes=2 ppn=1 layout=hexagonal",
+		"alg=ring alg=mha nodes=2 ppn=2 hcas=2", // repeated key
+		"alg=ring nodes=2 nodes=4",              // repeated key
+		"alg=ring blind=yes",                    // not a 0/1 flag
+		"alg=ring nodes=2 jitter=5",             // outside [0, 1]
+		"alg=ring nodes=2 jitter=+Inf",
+		"alg=ring nodes=2 jitter=NaN",
+		"alg=ring nodes=2 jitter=-0.5",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted garbage", bad)
