@@ -17,9 +17,9 @@ type Variant struct {
 }
 
 // Variants is the single registration point for every derived
-// collective. The verify campaign, the cluster scheduler's job mix and
-// the bench registry all enumerate from this table, so a variant added
-// here cannot drift out of any of them.
+// collective. The verify registry derives one row from each entry, and
+// the compose experiment and mhacompose enumerate it, so a variant added
+// here is verified, explored and priced without further wiring.
 func Variants() []Variant {
 	var out []Variant
 	add := func(comp Composition, blockOnly bool) {

@@ -39,7 +39,7 @@ type reqSummary struct {
 
 // isRequestType reports whether t is a request shape: a named type
 // whose name is or ends in Request (mpi.Request, but also wrapper
-// handles like collectives.AllgatherRequest), a pointer to one, or a
+// handles a nonblocking collective returns), a pointer to one, or a
 // slice of either. Wrapper handles complete via their own Wait method,
 // which classify recognizes alongside the p.Wait(req) form.
 func isRequestType(t types.Type) bool {

@@ -2,8 +2,8 @@ package waitpair
 
 // Wrapper request handles: any named type ending in Request is a
 // request shape, and a Wait method called on the handle itself
-// completes it — the collectives.AllgatherRequest pattern, where
-// IAllgatherDirect returns a handle that owns the underlying requests.
+// completes it — the pattern of a nonblocking collective that returns
+// a handle owning the underlying requests.
 
 // GroupRequest owns a batch of in-flight receives.
 type GroupRequest struct {

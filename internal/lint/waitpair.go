@@ -276,7 +276,7 @@ func (a *reqAnalysis) classify(id *ast.Ident) use {
 			if p.X == exprOf(cur) {
 				if call, ok := a.parents[p].(*ast.CallExpr); ok && call.Fun == ast.Expr(p) {
 					// Method call on the request itself: wrapper handles
-					// (AllgatherRequest and friends) complete via their
+					// (a nonblocking collective's) complete via their
 					// own Wait method rather than p.Wait(req).
 					if p.Sel.Name == "Wait" || p.Sel.Name == "Waitall" {
 						return use{id: id, kind: useWait}

@@ -30,8 +30,7 @@ type Mailbox struct {
 // before an item put earlier leaves a hole (gone), dropped when it reaches
 // the front. What a delivery costs therefore does not depend on how many
 // items are in flight: 1-3 in the ring and hierarchical schedules, N-1 per
-// mailbox where every send is posted up front (IAllgatherDirect, a linear
-// gather's root, a direct alltoall).
+// mailbox where every send is posted up front (a direct alltoall).
 type wireItem struct {
 	seq  uint64
 	v    interface{}
