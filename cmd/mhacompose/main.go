@@ -29,6 +29,7 @@ import (
 	"mha/internal/netmodel"
 	"mha/internal/sched"
 	"mha/internal/topology"
+	"mha/internal/trace"
 	"mha/internal/verify"
 )
 
@@ -253,7 +254,8 @@ func cmdRun(args []string) error {
 		Sockets: topo.Sockets, Layout: topo.Layout,
 		Msg: *msg, Seed: *seed, Jitter: *jitter,
 	}
-	res := verify.RunOnce(sc, nil)
+	rec := trace.New()
+	res := verify.RunOnce(sc, rec, nil)
 	if len(res.Violations) > 0 {
 		for _, v := range res.Violations {
 			fmt.Fprintf(os.Stderr, "  %s: %s\n", v.Kind, v.Detail)
@@ -262,6 +264,6 @@ func cmdRun(args []string) error {
 	}
 	fmt.Printf("%s on %dx%dx%d, msg %d B: verified, makespan %.3f us, trace hash %#016x\n",
 		*name, topo.Nodes, topo.PPN, topo.HCAs, *msg,
-		float64(res.Makespan)/1e3, res.Hash())
+		float64(res.Makespan)/1e3, rec.Hash())
 	return nil
 }

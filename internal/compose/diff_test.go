@@ -12,6 +12,7 @@ import (
 	"mha/internal/mpi"
 	"mha/internal/sched"
 	"mha/internal/topology"
+	"mha/internal/trace"
 	"mha/internal/verify"
 )
 
@@ -81,16 +82,17 @@ func TestComposeAgTraceEqualsSchedMHA(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		sc.Alg = "compose-ag"
-		r1 := verify.RunOnce(sc, nil)
+		rec1, rec2 := trace.New(), trace.New()
+		r1 := verify.RunOnce(sc, rec1, nil)
 		if len(r1.Violations) > 0 {
 			t.Fatalf("%+v: %v", sc, r1.Violations)
 		}
 		sc.Alg = "sched-mha"
-		r2 := verify.RunOnce(sc, nil)
+		r2 := verify.RunOnce(sc, rec2, nil)
 		if len(r2.Violations) > 0 {
 			t.Fatalf("%+v: %v", sc, r2.Violations)
 		}
-		if h1, h2 := r1.Hash(), r2.Hash(); h1 != h2 {
+		if h1, h2 := rec1.Hash(), rec2.Hash(); h1 != h2 {
 			t.Errorf("%+v: trace hash %#x (compose-ag) vs %#x (sched-mha)", sc, h1, h2)
 		}
 		if r1.Makespan != r2.Makespan {

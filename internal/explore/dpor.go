@@ -22,18 +22,18 @@ import (
 // A step is one executed engine step of the current trace.
 type step struct {
 	seq    uint64
-	label  string
+	label  sim.Key
 	at     sim.Time
-	foot   []string // sorted shared-state keys the step touched
-	parent int      // index of the step that spawned this step's event, or -1
-	point  int      // decision-point index this step was chosen at, or -1
+	foot   []sim.Key // sorted shared-state keys the step touched
+	parent int       // index of the step that spawned this step's event, or -1
+	point  int       // decision-point index this step was chosen at, or -1
 }
 
 // A sleepEntry is one event (with the footprint its step exhibited) whose
 // subtree is already covered by an explored sibling branch.
 type sleepEntry struct {
 	seq uint64
-	fp  []string
+	fp  []sim.Key
 }
 
 // A point is one decision: a moment where the engine offered a frontier
@@ -60,25 +60,24 @@ type point struct {
 // sets on later passes).
 type choice struct {
 	done, backtrack, observed bool
-	fp                        []string
+	fp                        []sim.Key
 }
 
-// guided is the sim.Scheduler+StepObserver that drives one execution.
-// In driver mode it replays the forced prefix of the shared points and
-// extends them canonically; in replay mode (points == nil) it forces a
-// raw choice list and records nothing.
+// guided is the sim.Scheduler+StepObserver that drives the executions of
+// one exploration: it replays the forced prefix of the shared points and
+// extends them canonically.
 type guided struct {
+	// points[:len] is the DFS stack; points[len:cap] are the points the last
+	// restart dropped, whose storage the next decision at their depth reuses.
 	points []*point
 	prefix int // leading points whose chosen index is forced
-	record bool
-	forced []int // replay mode choice list
 
 	steps []step
 	// parentOf[seq] is 1 + the index of the step that spawned event seq,
 	// 0 for an event no observed step spawned. Sequence numbers are small
 	// and handed out in order, so the table is as long as the run.
 	parentOf  []int
-	arena     []string // the steps' footprints, copied out of engine scratch
+	arena     []sim.Key // the steps' footprints, copied out of engine scratch
 	sleep     []sleepEntry
 	nextPt    int
 	pending   int // point index whose chosen step is the next observed step
@@ -87,7 +86,7 @@ type guided struct {
 }
 
 func newGuided() *guided {
-	return &guided{record: true, pending: -1}
+	return &guided{pending: -1}
 }
 
 // restart readies g for the next execution of the search: the first
@@ -100,28 +99,10 @@ func (g *guided) restart(prefix int) {
 	g.nextPt, g.pending, g.diverged, g.redundant = 0, -1, "", 0
 }
 
-func newReplay(choices []int) *guided {
-	return &guided{forced: choices, pending: -1}
-}
-
 // Pick implements sim.Scheduler.
 func (g *guided) Pick(now sim.Time, frontier []sim.EventInfo) int {
 	d := g.nextPt
 	g.nextPt++
-	if g.points == nil && !g.record {
-		// Replay mode: force the listed choices, canonical afterwards.
-		if d < len(g.forced) {
-			c := g.forced[d]
-			if c < 0 || c >= len(frontier) {
-				if g.diverged == "" {
-					g.diverged = fmt.Sprintf("decision %d: choice %d outside %d-event frontier", d, c, len(frontier))
-				}
-				return 0
-			}
-			return c
-		}
-		return 0
-	}
 	if d < g.prefix {
 		// Forced prefix: the engine is deterministic, so the frontier must
 		// be byte-identical to the recorded one; anything else means the
@@ -153,21 +134,41 @@ func (g *guided) Pick(now sim.Time, frontier []sim.EventInfo) int {
 		c = 0
 		g.redundant++
 	}
-	pt := &point{
-		at:       now,
-		frontier: append([]sim.EventInfo(nil), frontier...),
-		chosen:   c,
-		alt:      make([]choice, len(frontier)),
-		stepIdx:  -1,
-		sleepAt:  append([]sleepEntry(nil), g.sleep...),
-	}
-	pt.alt[c].done = true
 	if d != len(g.points) {
 		panic(fmt.Sprintf("explore: decision %d but %d points recorded", d, len(g.points)))
 	}
-	g.points = append(g.points, pt)
+	pt := g.push()
+	pt.reset(now, frontier, c, g.sleep)
 	g.enterPoint(pt, d)
 	return c
+}
+
+// push appends a point to the stack and returns it: the one the last
+// restart dropped at that depth, if there is one, else a new one.
+func (g *guided) push() *point {
+	if n := len(g.points); n < cap(g.points) && g.points[:n+1][n] != nil {
+		g.points = g.points[:n+1]
+	} else {
+		g.points = append(g.points, new(point))
+	}
+	return g.points[len(g.points)-1]
+}
+
+// reset makes pt a fresh decision over frontier that takes index chosen,
+// reached with the sleep set sleep. Every field is overwritten; the slices
+// keep their arrays, and so does each choice's footprint.
+func (pt *point) reset(at sim.Time, frontier []sim.EventInfo, chosen int, sleep []sleepEntry) {
+	pt.at, pt.chosen, pt.stepIdx = at, chosen, -1
+	pt.frontier = append(pt.frontier[:0], frontier...)
+	if cap(pt.alt) < len(frontier) {
+		pt.alt = make([]choice, len(frontier))
+	}
+	pt.alt = pt.alt[:len(frontier)]
+	for k := range pt.alt {
+		pt.alt[k] = choice{fp: pt.alt[k].fp[:0]}
+	}
+	pt.alt[chosen].done = true
+	pt.sleepAt = append(pt.sleepAt[:0], sleep...)
 }
 
 // enterPoint marks pt as the pending decision and moves its explored
@@ -194,9 +195,6 @@ func (g *guided) sleeping(seq uint64) bool {
 
 // ObserveStep implements sim.StepObserver.
 func (g *guided) ObserveStep(info sim.StepInfo) {
-	if !g.record {
-		return
-	}
 	idx := len(g.steps)
 	parent := -1
 	if info.Seq < uint64(len(g.parentOf)) {
@@ -218,7 +216,7 @@ func (g *guided) ObserveStep(info sim.StepInfo) {
 		// The chosen event's step is the same on every execution through
 		// the point, and the choice outlives this execution's arena.
 		if c := &pt.alt[pt.chosen]; !c.observed {
-			c.observed, c.fp = true, append([]string(nil), foot...)
+			c.observed, c.fp = true, append(c.fp, foot...)
 		}
 		ptIdx = g.pending
 		g.pending = -1
@@ -261,13 +259,13 @@ func (g *guided) hb(i, j int) bool {
 }
 
 // dependent reports whether two sorted footprints intersect.
-func dependent(a, b []string) bool {
+func dependent(a, b []sim.Key) bool {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
+		switch c := a[i].Compare(b[j]); {
+		case c == 0:
 			return true
-		case a[i] < b[j]:
+		case c < 0:
 			i++
 		default:
 			j++
@@ -275,11 +273,6 @@ func dependent(a, b []string) bool {
 	}
 	return false
 }
-
-// extLabel marks events scheduled through the untyped Schedule/After
-// API; their closures may touch state the footprint instrumentation
-// cannot see, so they are conservatively dependent with everything.
-func extLabel(label string) bool { return label == "ext" }
 
 func sameFrontier(a, b []sim.EventInfo) bool {
 	if len(a) != len(b) {
@@ -325,7 +318,10 @@ func (g *guided) analyze(m *metrics) {
 		sj := &g.steps[j]
 		for i := j - 1; i >= 0 && g.steps[i].at == sj.at; i-- {
 			si := &g.steps[i]
-			dep := dependent(si.foot, sj.foot) || extLabel(si.label) || extLabel(sj.label)
+			// An "ext" event, scheduled through the untyped Schedule/After
+			// API, may touch state the footprints cannot see, so it is
+			// conservatively dependent with everything.
+			dep := dependent(si.foot, sj.foot) || si.label.Ext() || sj.label.Ext()
 			if !dep {
 				continue
 			}

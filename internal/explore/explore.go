@@ -8,7 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mha/internal/mpi"
+	"mha/internal/sim"
 	"mha/internal/verify"
 )
 
@@ -188,17 +188,15 @@ func Run(opt Options) (*Report, error) {
 	return rep, nil
 }
 
-// runSpec executes the spec's scenario once under the guided scheduler,
-// which both forces the schedule and records the trace.
-func runSpec(base Spec, g *guided) (verify.RunResult, error) {
+// runSpec executes the spec's scenario once under s, which forces the
+// schedule. No trace is recorded: the search reads the steps s observes and
+// the run's violations, nothing else.
+func runSpec(base Spec, s sim.Scheduler) (verify.RunResult, error) {
 	sc, err := base.scenario()
 	if err != nil {
 		return verify.RunResult{}, err
 	}
-	res := verify.RunOnce(sc, func(w *mpi.World) {
-		w.Engine().SetScheduler(g)
-	})
-	return res, nil
+	return verify.RunOnce(sc, nil, s), nil
 }
 
 // explorePlacement is the stateless DFS over schedules of one (variant,
@@ -296,18 +294,43 @@ func Replay(s Spec) ([]verify.Violation, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	g := newReplay(s.Choices)
-	res, err := runSpec(s, g)
+	f := &forced{choices: s.Choices}
+	res, err := runSpec(s, f)
 	if err != nil {
 		return nil, err
 	}
-	if g.diverged != "" {
-		return nil, fmt.Errorf("explore: schedule does not replay: %s", g.diverged)
+	if f.diverged != "" {
+		return nil, fmt.Errorf("explore: schedule does not replay: %s", f.diverged)
 	}
-	for d := g.nextPt; d < len(s.Choices); d++ {
+	for d := f.made; d < len(s.Choices); d++ {
 		if c := s.Choices[d]; c != 0 {
-			return nil, fmt.Errorf("explore: schedule does not replay: choice %d at decision %d, but the execution made only %d decisions", c, d, g.nextPt)
+			return nil, fmt.Errorf("explore: schedule does not replay: choice %d at decision %d, but the execution made only %d decisions", c, d, f.made)
 		}
 	}
 	return res.Violations, nil
+}
+
+// forced is Replay's scheduler: it takes the listed choices, canonical past
+// their end, and observes no steps, so the engine collects no footprints.
+type forced struct {
+	choices  []int
+	made     int // decisions made so far
+	diverged string
+}
+
+// Pick implements sim.Scheduler.
+func (f *forced) Pick(_ sim.Time, frontier []sim.EventInfo) int {
+	d := f.made
+	f.made++
+	if d >= len(f.choices) {
+		return 0
+	}
+	c := f.choices[d]
+	if c < 0 || c >= len(frontier) {
+		if f.diverged == "" {
+			f.diverged = fmt.Sprintf("decision %d: choice %d outside %d-event frontier", d, c, len(frontier))
+		}
+		return 0
+	}
+	return c
 }

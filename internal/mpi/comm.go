@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 	"slices"
-	"strconv"
 
 	"mha/internal/sim"
 )
@@ -51,7 +50,7 @@ func (w *World) newComm(ranks []int) *Comm {
 		}
 	}
 	c.id = len(w.comms)
-	c.barCounter = w.eng.NewCounter("comm" + strconv.Itoa(c.id) + ".barrier")
+	c.barCounter = w.eng.NewCounter(barrierNames.name(c.id))
 	w.comms = append(w.comms, c)
 	return c
 }

@@ -18,7 +18,6 @@ package mpi
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 
 	"mha/internal/fabric"
 	"mha/internal/faults"
@@ -196,12 +195,12 @@ func New(cfg Config) *World {
 	for n := range w.nodes {
 		k := cfg.Topo.HCAsOf(n)
 		nd := &w.nodes[n]
-		*nd = node{id: n, hcas: hcas[:k:k], mem: eng.NewGauge("node" + strconv.Itoa(n) + ".mem")}
+		*nd = node{id: n, hcas: hcas[:k:k], mem: eng.NewGauge(memNames.name(n))}
 		hcas = hcas[k:]
 		for h := range nd.hcas {
-			name := "node" + strconv.Itoa(n) + ".hca" + strconv.Itoa(h)
+			tx, rx := railNames(n, h)
 			a := &nd.hcas[h]
-			a.tx, a.rx = eng.NewResource(name+".tx"), eng.NewResource(name+".rx")
+			a.tx, a.rx = eng.NewResource(tx), eng.NewResource(rx)
 			if w.health.Faulty() {
 				rate := func(t sim.Time) (float64, sim.Time) {
 					return cfg.Faults.RailState(n, h, t)
@@ -213,13 +212,12 @@ func New(cfg Config) *World {
 	}
 	w.ranks = make([]rankState, cfg.Topo.Size())
 	for r := range w.ranks {
-		name := rankName(r)
 		w.ranks[r] = rankState{
 			rank:  r,
 			node:  cfg.Topo.NodeOf(r),
 			local: cfg.Topo.LocalOf(r),
-			mbox:  eng.NewMailbox(name),
-			cpu:   eng.NewResource(name + ".cpu"),
+			mbox:  eng.NewMailbox(rankNames.name(r)),
+			cpu:   eng.NewResource(cpuNames.name(r)),
 		}
 	}
 	// Pre-build the standard communicators.
@@ -338,17 +336,12 @@ func (w *World) perturb(d sim.Duration) sim.Duration {
 	return sim.Duration(float64(d) * f)
 }
 
-// rankName is the name of rank r's process and mailbox, and the stem of
-// its cpu resource's. Names are built by concatenation: a world of 4
-// ranks built 40 000 times a pass spent a third of New in Sprintf.
-func rankName(r int) string { return "rank" + strconv.Itoa(r) }
-
 // Run spawns one simulated process per rank, each executing body, and runs
 // the simulation to completion.
 func (w *World) Run(body func(*Proc)) error {
 	for r := range w.ranks {
 		rs := &w.ranks[r]
-		w.eng.Spawn(rankName(r), func(sp *sim.Proc) {
+		w.eng.Spawn(rs.mbox.Name(), func(sp *sim.Proc) {
 			body(&Proc{sp: sp, w: w, rs: rs})
 			if now := sp.Now(); now > w.makespan {
 				w.makespan = now

@@ -78,6 +78,9 @@ func (e *Engine) NewMailbox(name string) *Mailbox {
 	return m
 }
 
+// Name returns the mailbox's diagnostic name.
+func (m *Mailbox) Name() string { return m.name }
+
 // PutAt deposits v into the mailbox at virtual time at (clamped to now).
 // The caller does not block; delivery happens via a scheduled event so the
 // depositor can keep computing while the message is "on the wire".

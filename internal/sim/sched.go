@@ -34,7 +34,7 @@ type EventInfo struct {
 	// wake, "mbox:NAME" for a message arrival, "ctr:NAME" for a counter
 	// advance, "gauge:NAME" for a gauge decrement, "ext" for events
 	// scheduled through the public Schedule/After API.
-	Label string
+	Label Key
 }
 
 // A Scheduler chooses which of several co-enabled (same virtual time)
@@ -55,14 +55,15 @@ type Scheduler interface {
 type StepInfo struct {
 	// Seq and Label identify the event that initiated the step.
 	Seq   uint64
-	Label string
+	Label Key
 	// At is the virtual time the step executed at.
 	At Time
-	// Footprint is the sorted set of shared-state keys the step touched:
-	// "proc:NAME", "res:NAME", "mbox:NAME", "ctr:NAME", "gauge:NAME".
-	// Two steps with disjoint footprints commute: executing them in
-	// either order yields the same terminal state.
-	Footprint []string
+	// Footprint is the set of shared-state keys the step touched —
+	// "proc:NAME", "res:NAME", "mbox:NAME", "ctr:NAME", "gauge:NAME" —
+	// sorted by Key.Compare, each name once per kind however many objects
+	// share it. Two steps with disjoint footprints commute: executing them
+	// in either order yields the same terminal state.
+	Footprint []Key
 	// Spawned lists the sequence numbers of events scheduled during the
 	// step, in creation order. They are causally after this step.
 	Spawned []uint64
@@ -134,13 +135,13 @@ func (e *Engine) flushStep() {
 		return
 	}
 	e.stepOpen = false
-	// Keys are deduplicated as strings, not as objects: two resources may
-	// share a name, and observers see names.
+	// Keys are deduplicated by name, not by object: two resources may share
+	// a name, and observers see names (see Key).
 	fp := e.footKeys[:0]
 	for _, l := range e.foot {
 		fp = append(fp, l.key())
 	}
-	slices.Sort(fp)
+	slices.SortFunc(fp, Key.Compare)
 	fp = slices.Compact(fp)
 	e.footKeys = fp
 	e.obs.ObserveStep(StepInfo{Seq: e.stepSeq, Label: e.stepOn.key(), At: e.stepAt, Footprint: fp, Spawned: e.spawned})

@@ -174,7 +174,7 @@ func TestSchedulerSeesLabeledFrontier(t *testing.T) {
 		t.Fatalf("expected at least 2 multi-event frontiers, got %d", len(s.frontiers))
 	}
 	for _, f := range s.frontiers {
-		if len(f) != 2 || f[0].Label != "proc:a" || f[1].Label != "proc:b" {
+		if len(f) != 2 || f[0].Label.String() != "proc:a" || f[1].Label.String() != "proc:b" {
 			t.Fatalf("unexpected frontier %v", f)
 		}
 		if f[0].Seq >= f[1].Seq {
@@ -206,7 +206,7 @@ func TestStepObserverFootprints(t *testing.T) {
 	joined := ""
 	spawnedAny := false
 	for _, st := range s.steps {
-		joined += st.Label + "{" + strings.Join(st.Footprint, ",") + "} "
+		joined += st.Label.String() + "{" + joinKeys(st.Footprint) + "} "
 		if len(st.Spawned) > 0 {
 			spawnedAny = true
 		}
@@ -224,13 +224,61 @@ func TestStepObserverFootprints(t *testing.T) {
 	// receiver's proc key together (that is the dependency DPOR keys on).
 	foundDeposit := false
 	for _, st := range s.steps {
-		fp := strings.Join(st.Footprint, ",")
-		if st.Label == "mbox:mb" && strings.Contains(fp, "mbox:mb") && strings.Contains(fp, "proc:recv") {
+		fp := joinKeys(st.Footprint)
+		if st.Label.String() == "mbox:mb" && strings.Contains(fp, "mbox:mb") && strings.Contains(fp, "proc:recv") {
 			foundDeposit = true
 		}
 	}
 	if !foundDeposit {
 		t.Errorf("deposit step footprint missing mailbox+receiver keys: %s", joined)
+	}
+}
+
+// joinKeys renders a footprint as its keys' text, comma-separated.
+func joinKeys(fp []Key) string {
+	s := make([]string, len(fp))
+	for i, k := range fp {
+		s[i] = k.String()
+	}
+	return strings.Join(s, ",")
+}
+
+// TestFootprintKeyRules: a key is a kind and a name. A mailbox and a
+// process that share the name rank0 stay two keys; two resources that
+// share a name fold into one; an event scheduled through After is "ext".
+func TestFootprintKeyRules(t *testing.T) {
+	e := NewEngine()
+	a, b := e.NewResource("rail"), e.NewResource("rail")
+	m := e.NewMailbox("rank0")
+	e.Spawn("rank0", func(p *Proc) {
+		m.Get(p, "msg", func(interface{}) bool { return true })
+		a.Acquire(Microsecond)
+		b.Acquire(Microsecond)
+		p.Sleep(Microsecond)
+	})
+	e.Spawn("sender", func(p *Proc) {
+		m.PutAt(p.Now()+Time(Microsecond), "hello")
+		e.After(Microsecond, func() {})
+	})
+	s := &recordingSched{}
+	e.SetScheduler(s)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var steps []string
+	for _, st := range s.steps {
+		steps = append(steps, st.Label.String()+"{"+joinKeys(st.Footprint)+"}")
+	}
+	for _, want := range []string{
+		"mbox:rank0{proc:rank0,mbox:rank0,res:rail}", // one res:rail for two resources
+		"ext{}",
+	} {
+		if !slices.Contains(steps, want) {
+			t.Errorf("no step %s among %v", want, steps)
+		}
+	}
+	if k := (*label)(nil).key(); !k.Ext() || k != (Key{}) {
+		t.Errorf("nil label keys as %v, want the zero Key, \"ext\"", k)
 	}
 }
 

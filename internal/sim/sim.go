@@ -105,20 +105,24 @@ type event struct {
 	fire func()
 }
 
-// A label names a piece of shared state (a process, mailbox, counter, gauge
-// or resource) for Scheduler frontiers and step footprints. Every such
-// object embeds one; the "kind:name" key is only built when a Scheduler
-// asks for it, and then kept.
-type label struct {
+// A Key names a piece of shared state — a process, mailbox, counter, gauge
+// or resource — by its kind and name, for Scheduler frontiers and step
+// footprints; the zero Key is "ext", the conservative label of events
+// scheduled through Schedule/After. Keys compare with ==: identity is the
+// name, never the object, because objects are built afresh on every run
+// (and in another order on another schedule) while their names stay put,
+// and two objects of one kind that share a name are one piece of state to
+// an observer.
+type Key struct {
 	kind labelKind
 	name string
-	text string // kind:name, rendered on first use
 }
 
 type labelKind uint8
 
 const (
-	kindProc labelKind = iota
+	kindExt labelKind = iota
+	kindProc
 	kindMailbox
 	kindCounter
 	kindGauge
@@ -133,16 +137,37 @@ var kindPrefix = [...]string{
 	kindResource: "res:",
 }
 
-// key returns the label's "kind:name" string; a nil label is the
-// conservative "ext" of events scheduled through Schedule/After.
-func (l *label) key() string {
-	if l == nil {
+// String renders the key as "kind:name" ("proc:rank0", "gauge:node0.mem"),
+// or "ext".
+func (k Key) String() string {
+	if k.kind == kindExt {
 		return "ext"
 	}
-	if l.text == "" {
-		l.text = kindPrefix[l.kind] + l.name
+	return kindPrefix[k.kind] + k.name
+}
+
+// Ext reports whether k is the "ext" key of an event scheduled through
+// Schedule/After, whose closure may touch anything.
+func (k Key) Ext() bool { return k.kind == kindExt }
+
+// Compare orders keys by kind, then name: the order of a footprint.
+func (k Key) Compare(o Key) int {
+	if k.kind != o.kind {
+		return int(k.kind) - int(o.kind)
 	}
-	return l.text
+	return strings.Compare(k.name, o.name)
+}
+
+// A label is the Key every process, mailbox, counter, gauge and resource
+// embeds; events and footprint notes point at it.
+type label Key
+
+// key returns the label's Key; a nil label is "ext".
+func (l *label) key() Key {
+	if l == nil {
+		return Key{}
+	}
+	return Key(*l)
 }
 
 // Engine is a discrete-event simulation. The zero value is not usable; call
@@ -201,7 +226,7 @@ type Engine struct {
 	stepOn   *label
 	stepAt   Time
 	foot     []*label
-	footKeys []string // scratch for flushStep, reused across steps like frontier
+	footKeys []Key // scratch for flushStep, reused across steps like frontier
 	spawned  []uint64
 }
 

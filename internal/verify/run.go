@@ -164,30 +164,22 @@ type RunResult struct {
 	Makespan sim.Time
 	// Violations holds every broken property; empty means the run passed.
 	Violations []Violation
-	// rec is the run's tracer, kept for Check's comparison and for Hash.
-	// A rank's panic or a deadlock ends the run with the events recorded
-	// up to it. rec is nil when no world ran: the spec was unrunnable, or
-	// a panic unwound the run itself (world construction, the install
-	// hook, or engine-side code such as a Scheduler).
-	rec *trace.Recorder
 }
-
-// Hash fingerprints the run's event timeline in the recorder's canonical
-// order. Every run without a recorder (see rec) has the same one.
-func (r RunResult) Hash() uint64 { return r.rec.Hash() }
 
 // RunOnce executes the scenario with real payloads and full
 // instrumentation: the differential oracle on every rank's receive
 // buffer, the clock-advance watcher, and the teardown audit. Panics
 // anywhere in the run (including world construction) become "run"
-// violations. If install is non-nil it is called with the constructed
-// world before any rank runs — internal/explore uses the hook to attach
-// a sim.Scheduler to the engine, sharing this oracle across the
-// randomized campaign and the exhaustive explorer.
-func RunOnce(sc Scenario, install func(*mpi.World)) RunResult {
+// violations. A non-nil rec records the run's events, for the caller to
+// hash or compare; a rank's panic or a deadlock leaves the events recorded
+// up to it. A non-nil s is installed as the engine's scheduler before any
+// rank runs — internal/explore drives its schedules through it, sharing
+// this oracle across the randomized campaign and the exhaustive explorer,
+// and records no trace.
+func RunOnce(sc Scenario, rec *trace.Recorder, s sim.Scheduler) RunResult {
 	var bufs buffers
 	defer bufs.release()
-	return run(sc, install, &bufs)
+	return run(sc, rec, s, &bufs)
 }
 
 // buffers is what a run of a scenario needs besides the world: the
@@ -223,7 +215,7 @@ func (rb *rankBufs) fill(pat []byte, recvLen int) (send, recv mpi.Buf) {
 func (b *buffers) release() { giveArrays(b.ranks) }
 
 // run is RunOnce on the buffers given; it takes their arrays on first use.
-func run(sc Scenario, install func(*mpi.World), bufs *buffers) (res RunResult) {
+func run(sc Scenario, rec *trace.Recorder, s sim.Scheduler, bufs *buffers) (res RunResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			res.Violations = append(res.Violations,
@@ -238,7 +230,6 @@ func run(sc Scenario, install func(*mpi.World), bufs *buffers) (res RunResult) {
 	if ferr != nil {
 		return RunResult{Violations: []Violation{{Kind: "spec", Detail: ferr.Error()}}}
 	}
-	rec := trace.New()
 	w := mpi.New(mpi.Config{
 		Topo: sc.Topo(), Params: sc.Params(), Tracer: rec,
 		Seed: sc.Seed, Faults: sc.Faults, FaultBlind: sc.Blind,
@@ -262,9 +253,7 @@ func run(sc Scenario, install func(*mpi.World), bufs *buffers) (res RunResult) {
 		}
 		lastTo = to
 	})
-	if install != nil {
-		install(w)
-	}
+	w.Engine().SetScheduler(s)
 
 	n := sc.Topo().Size()
 	m := sc.Msg
@@ -319,7 +308,6 @@ func run(sc Scenario, install func(*mpi.World), bufs *buffers) (res RunResult) {
 		res.Violations = append(res.Violations, Violation{Kind: "oracle", Detail: s})
 	}
 	res.Makespan = w.Engine().Stats().Now
-	res.rec = rec
 	return res
 }
 
@@ -334,8 +322,9 @@ func Check(sc Scenario) []Violation {
 		return []Violation{{Kind: "spec", Detail: err.Error()}}
 	}
 	var bufs buffers
-	r1 := run(sc, nil, &bufs)
-	r2 := run(sc, nil, &bufs)
+	rec1, rec2 := trace.New(), trace.New()
+	r1 := run(sc, rec1, nil, &bufs)
+	r2 := run(sc, rec2, nil, &bufs)
 	bufs.release()
 	out := r1.Violations
 	for _, v := range r2.Violations {
@@ -343,7 +332,7 @@ func Check(sc Scenario) []Violation {
 			out = append(out, Violation{Kind: v.Kind, Detail: "second run: " + v.Detail})
 		}
 	}
-	if at, e1, e2 := r1.rec.Diff(r2.rec); at >= 0 {
+	if at, e1, e2 := rec1.Diff(rec2); at >= 0 {
 		out = append(out, Violation{Kind: "determinism",
 			Detail: fmt.Sprintf("event %d is %s vs %s across identical runs", at, eventText(e1), eventText(e2))})
 	} else if r1.Makespan != r2.Makespan {

@@ -1,6 +1,10 @@
 package verify
 
-import "testing"
+import (
+	"testing"
+
+	"mha/internal/trace"
+)
 
 // TestScheduleInterpreterPinned runs the schedule-interpreter variants
 // (sched.Execute under sched-*, sched.ExecuteGoal under compose-*)
@@ -26,10 +30,11 @@ func TestScheduleInterpreterPinned(t *testing.T) {
 			t.Errorf("%s: %v", tc.sc.Spec(), vs)
 			continue
 		}
-		res := RunOnce(tc.sc, nil)
-		if res.Hash() != tc.hash || int64(res.Makespan) != tc.makespan {
+		rec := trace.New()
+		res := RunOnce(tc.sc, rec, nil)
+		if rec.Hash() != tc.hash || int64(res.Makespan) != tc.makespan {
 			t.Errorf("%s: trace hash %#x makespan %d, recorded %#x and %d",
-				tc.sc.Spec(), res.Hash(), int64(res.Makespan), tc.hash, tc.makespan)
+				tc.sc.Spec(), rec.Hash(), int64(res.Makespan), tc.hash, tc.makespan)
 		}
 	}
 }

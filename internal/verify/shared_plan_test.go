@@ -33,7 +33,7 @@ func TestLoweringErrorIsARunViolation(t *testing.T) {
 		t.Fatal("expected the hierarchical pipeline not to lower on a cyclic layout")
 	}
 	want := `sim: process "rank0" (id 0) panicked: ` + lerr.Error() + " (at run time)\n"
-	for run, vs := range [][]Violation{RunOnce(sc, nil).Violations, Check(sc)} {
+	for run, vs := range [][]Violation{RunOnce(sc, nil, nil).Violations, Check(sc)} {
 		if len(vs) != 1 || vs[0].Kind != "run" || !strings.HasPrefix(vs[0].Detail, want) {
 			t.Errorf("run %d: violations %v, want one run violation starting %q", run, vs, want)
 		}
