@@ -89,14 +89,9 @@ func topoFlags(fs *flag.FlagSet) func() (topology.Cluster, error) {
 	return func() (topology.Cluster, error) {
 		c := topology.New(*nodes, *ppn, *hcas)
 		c.Sockets = *sockets
-		switch *layout {
-		case "block":
-		case "cyclic":
-			c.Layout = topology.Cyclic
-		default:
-			return c, fmt.Errorf("unknown layout %q (want block or cyclic)", *layout)
-		}
-		return c, nil
+		var err error
+		c.Layout, err = topology.ParseLayout(*layout)
+		return c, err
 	}
 }
 

@@ -1,9 +1,11 @@
 package compose
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
+	"mha/internal/kv"
 	"mha/internal/topology"
 )
 
@@ -75,28 +77,19 @@ func ParseHierarchy(line string) (Hierarchy, error) {
 	if len(fields) == 0 || fields[0] != "world" {
 		return Hierarchy{}, fmt.Errorf("compose: hierarchy spec must start with \"world\"")
 	}
-	kv, err := keyvals(fields[1:], "nodes", "ppn", "hcas", "layout", "sockets")
+	set, err := kv.Parse(fields[1:], "nodes", "ppn", "hcas", "layout", "sockets")
 	if err != nil {
 		return Hierarchy{}, fmt.Errorf("compose: %v", err)
 	}
 	var t topology.Cluster
-	var errs [4]error
-	t.Nodes, errs[0] = kv.num("nodes", -1)
-	t.PPN, errs[1] = kv.num("ppn", -1)
-	t.HCAs, errs[2] = kv.num("hcas", 1)
-	t.Sockets, errs[3] = kv.num("sockets", 0)
-	for _, err := range errs {
-		if err != nil {
-			return Hierarchy{}, fmt.Errorf("compose: %v", err)
-		}
-	}
-	switch kv.str("layout", "block") {
-	case "block":
-		t.Layout = topology.Block
-	case "cyclic":
-		t.Layout = topology.Cyclic
-	default:
-		return Hierarchy{}, fmt.Errorf("compose: unknown layout %q", kv.str("layout", ""))
+	var errs [5]error
+	t.Nodes, errs[0] = set.Int("nodes", -1)
+	t.PPN, errs[1] = set.Int("ppn", -1)
+	t.HCAs, errs[2] = set.Int("hcas", 1)
+	t.Sockets, errs[3] = set.Int("sockets", 0)
+	t.Layout, errs[4] = topology.ParseLayout(set.Str("layout", "block"))
+	if err := cmp.Or(errs[:]...); err != nil {
+		return Hierarchy{}, fmt.Errorf("compose: %v", err)
 	}
 	h := Hierarchy{Topo: t}
 	if err := h.Validate(); err != nil {

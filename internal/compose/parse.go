@@ -1,9 +1,11 @@
 package compose
 
 import (
+	"errors"
 	"fmt"
-	"strconv"
 	"strings"
+
+	"mha/internal/kv"
 )
 
 // The composition spec is line-oriented, mirroring the sched text form:
@@ -53,133 +55,85 @@ func (pr Prim) String() string {
 // whether the pipeline actually lowers for a machine is Lower's job.
 func ParseComposition(text string) (Composition, error) {
 	var c Composition
-	seen := false
-	for ln, raw := range strings.Split(text, "\n") {
-		line := raw
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		at := fmt.Sprintf("compose: line %d", ln+1)
+	named := false
+	directive := func(fields []string) error {
 		switch fields[0] {
 		case "compose":
-			if seen {
-				return c, fmt.Errorf("%s: duplicate compose header", at)
+			if named {
+				return errors.New("duplicate compose header")
 			}
 			if len(fields) < 2 || strings.ContainsRune(fields[1], '=') {
-				return c, fmt.Errorf("%s: compose header needs a name", at)
+				return errors.New("compose header needs a name")
 			}
-			kv, err := keyvals(fields[2:], "coll")
+			set, err := kv.Parse(fields[2:], "coll")
 			if err != nil {
-				return c, fmt.Errorf("%s: %v", at, err)
+				return err
 			}
-			coll, err := ParseCollective(kv.str("coll", ""))
+			coll, err := ParseCollective(set.Str("coll", ""))
 			if err != nil {
-				return c, fmt.Errorf("%s: %v", at, err)
+				return err
 			}
 			c.Name, c.Coll = fields[1], coll
-			seen = true
+			named = true
 		case "mc", "red":
-			if !seen {
-				return c, fmt.Errorf("%s: primitive before compose header", at)
+			if !named {
+				return errors.New("primitive before compose header")
 			}
-			kv, err := keyvals(fields[1:], "scope", "alg", "striped", "offload")
+			set, err := kv.Parse(fields[1:], "scope", "alg", "striped", "offload")
 			if err != nil {
-				return c, fmt.Errorf("%s: %v", at, err)
+				return err
 			}
 			pr := Prim{Op: Multicast}
 			if fields[0] == "red" {
 				pr.Op = Reduce
 			}
-			if pr.Scope, err = parseScope(kv.str("scope", "world")); err != nil {
-				return c, fmt.Errorf("%s: %v", at, err)
+			if pr.Scope, err = parseScope(set.Str("scope", "world")); err != nil {
+				return err
 			}
-			if pr.Alg, err = parseAlg(kv.str("alg", "direct")); err != nil {
-				return c, fmt.Errorf("%s: %v", at, err)
+			if pr.Alg, err = parseAlg(set.Str("alg", "direct")); err != nil {
+				return err
 			}
-			striped, err := kv.num("striped", 0)
+			striped, err := set.Int("striped", 0)
 			if err != nil {
-				return c, fmt.Errorf("%s: %v", at, err)
+				return err
 			}
 			pr.Striped = striped != 0
-			if off := kv.str("offload", "0"); off == "auto" {
+			if set.Str("offload", "") == "auto" {
 				pr.Offload = AutoOffload
-			} else if pr.Offload, err = kv.num("offload", 0); err != nil {
-				return c, fmt.Errorf("%s: %v", at, err)
+			} else if pr.Offload, err = set.Int("offload", 0); err != nil {
+				return err
 			}
 			if pr.Offload < AutoOffload {
-				return c, fmt.Errorf("%s: offload %d out of range", at, pr.Offload)
+				return fmt.Errorf("offload %d out of range", pr.Offload)
 			}
 			c.Pipeline = append(c.Pipeline, pr)
 		case "fence":
-			if !seen {
-				return c, fmt.Errorf("%s: primitive before compose header", at)
+			if !named {
+				return errors.New("primitive before compose header")
 			}
 			if len(fields) != 1 {
-				return c, fmt.Errorf("%s: fence takes no arguments", at)
+				return errors.New("fence takes no arguments")
 			}
 			c.Pipeline = append(c.Pipeline, Prim{Op: Fence})
 		default:
-			return c, fmt.Errorf("%s: unknown directive %q", at, fields[0])
+			return fmt.Errorf("unknown directive %q", fields[0])
 		}
+		return nil
 	}
-	if !seen {
+	err := kv.Lines(text, func(ln int, fields []string) error {
+		if err := directive(fields); err != nil {
+			return fmt.Errorf("compose: line %d: %v", ln, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return c, err
+	}
+	if !named {
 		return c, fmt.Errorf("compose: empty input")
 	}
 	if len(c.Pipeline) == 0 {
 		return c, fmt.Errorf("compose: %s has no primitives", c.Name)
 	}
 	return c, nil
-}
-
-// kvset holds the key=value fields of one directive line.
-type kvset map[string]string
-
-// keyvals splits "k=v" fields, rejecting unknown keys and duplicates.
-func keyvals(fields []string, allowed ...string) (kvset, error) {
-	kv := kvset{}
-	for _, f := range fields {
-		eq := strings.IndexByte(f, '=')
-		if eq <= 0 {
-			return nil, fmt.Errorf("malformed field %q (want key=value)", f)
-		}
-		k, v := f[:eq], f[eq+1:]
-		ok := false
-		for _, a := range allowed {
-			if k == a {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return nil, fmt.Errorf("unknown key %q", k)
-		}
-		if _, dup := kv[k]; dup {
-			return nil, fmt.Errorf("duplicate key %q", k)
-		}
-		kv[k] = v
-	}
-	return kv, nil
-}
-
-func (kv kvset) str(k, def string) string {
-	if v, ok := kv[k]; ok {
-		return v
-	}
-	return def
-}
-
-func (kv kvset) num(k string, def int) (int, error) {
-	v, ok := kv[k]
-	if !ok {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s value %q", k, v)
-	}
-	return n, nil
 }

@@ -215,6 +215,7 @@ func TestParseSpecRejectsGarbage(t *testing.T) {
 		"alg=ring nodes=2 sched=a.b",          // non-numeric choice
 		"alg=ring nodes=2 fault=node5.rail0",  // fault off-cluster
 		"alg=ring nodes=2 fault=node0.railxy", // malformed fault
+		"alg=ring alg=rd nodes=2",             // repeated key
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted garbage", bad)

@@ -10,12 +10,14 @@
 package explore
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
 
 	"mha/internal/fabric"
 	"mha/internal/faults"
+	"mha/internal/kv"
 	"mha/internal/sim"
 	"mha/internal/verify"
 )
@@ -56,22 +58,22 @@ func parsePlacement(s string) (Placement, error) {
 	}
 	rest, ok := strings.CutPrefix(s, "node")
 	if !ok {
-		return NoFault, fmt.Errorf("explore: bad fault %q (want none or nodeN.railR)", s)
+		return NoFault, fmt.Errorf("bad fault %q (want none or nodeN.railR)", s)
 	}
 	ns, rs, ok := strings.Cut(rest, ".rail")
 	if !ok {
-		return NoFault, fmt.Errorf("explore: bad fault %q (want none or nodeN.railR)", s)
+		return NoFault, fmt.Errorf("bad fault %q (want none or nodeN.railR)", s)
 	}
 	n, err := strconv.Atoi(ns)
 	if err != nil {
-		return NoFault, fmt.Errorf("explore: bad fault node in %q: %v", s, err)
+		return NoFault, fmt.Errorf("bad fault node in %q: %v", s, err)
 	}
 	r, err := strconv.Atoi(rs)
 	if err != nil {
-		return NoFault, fmt.Errorf("explore: bad fault rail in %q: %v", s, err)
+		return NoFault, fmt.Errorf("bad fault rail in %q: %v", s, err)
 	}
 	if n < 0 || r < 0 {
-		return NoFault, fmt.Errorf("explore: negative fault location %q", s)
+		return NoFault, fmt.Errorf("negative fault location %q", s)
 	}
 	return Placement{Node: n, Rail: r}, nil
 }
@@ -114,56 +116,35 @@ func (s Spec) String() string {
 }
 
 // ParseSpec reads a line produced by String (the inverse, modulo
-// whitespace). Unknown keys are an error; every key except alg has a
-// default (one node, one rank, one rail, empty message, healthy rails,
-// canonical schedule).
+// whitespace). Unknown and repeated keys and empty values are errors;
+// every key except alg has a default (one node, one rank, one rail,
+// empty message, healthy rails, canonical schedule).
 func ParseSpec(line string) (Spec, error) {
-	s := Spec{Nodes: 1, PPN: 1, HCAs: 1, Fault: NoFault}
-	for _, field := range strings.Fields(strings.TrimSpace(line)) {
-		k, v, ok := strings.Cut(field, "=")
-		if !ok {
-			return s, fmt.Errorf("explore: bad field %q (want key=value)", field)
-		}
-		var err error
-		switch k {
-		case "alg":
-			s.Alg = v
-		case "nodes":
-			s.Nodes, err = strconv.Atoi(v)
-		case "ppn":
-			s.PPN, err = strconv.Atoi(v)
-		case "hcas":
-			s.HCAs, err = strconv.Atoi(v)
-		case "msg":
-			s.Msg, err = strconv.Atoi(v)
-		case "fabric":
-			var fs fabric.Spec
-			if fs, err = fabric.ParseSpec(v); err == nil {
-				s.Fabric = fs.String()
-				if fs.Kind == fabric.Flat {
-					s.Fabric = ""
-				}
+	s := Spec{}
+	set, err := kv.Parse(strings.Fields(line), "alg", "nodes", "ppn", "hcas", "msg", "fabric", "fault", "sched")
+	if err != nil {
+		return s, fmt.Errorf("explore: %v", err)
+	}
+	s.Alg = set.Str("alg", "")
+	var errs [7]error
+	s.Nodes, errs[0] = set.Int("nodes", 1)
+	s.PPN, errs[1] = set.Int("ppn", 1)
+	s.HCAs, errs[2] = set.Int("hcas", 1)
+	s.Msg, errs[3] = set.Int("msg", 0)
+	s.Fabric, errs[4] = fabric.Canonical(set.Str("fabric", "flat"))
+	s.Fault, errs[5] = parsePlacement(set.Str("fault", "none"))
+	if v := set.Str("sched", "canonical"); v != "canonical" {
+		for _, part := range strings.Split(v, ".") {
+			c, err := strconv.Atoi(part)
+			if err != nil || c < 0 {
+				errs[6] = fmt.Errorf("bad choice %q", part)
+				break
 			}
-		case "fault":
-			s.Fault, err = parsePlacement(v)
-		case "sched":
-			if v != "canonical" {
-				for _, part := range strings.Split(v, ".") {
-					var c int
-					c, err = strconv.Atoi(part)
-					if err != nil || c < 0 {
-						err = fmt.Errorf("bad choice %q", part)
-						break
-					}
-					s.Choices = append(s.Choices, c)
-				}
-			}
-		default:
-			err = fmt.Errorf("unknown key")
+			s.Choices = append(s.Choices, c)
 		}
-		if err != nil {
-			return s, fmt.Errorf("explore: field %q: %v", field, err)
-		}
+	}
+	if err := cmp.Or(errs[:]...); err != nil {
+		return s, fmt.Errorf("explore: %v", err)
 	}
 	if s.Alg == "" {
 		return s, fmt.Errorf("explore: spec is missing alg=")

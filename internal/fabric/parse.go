@@ -1,9 +1,12 @@
 package fabric
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
+
+	"mha/internal/kv"
 )
 
 // ParseSpec parses the compact fabric spec grammar. It never panics on
@@ -38,6 +41,16 @@ func ParseSpec(text string) (Spec, error) {
 	return s, nil
 }
 
+// Canonical parses a spec and renders its canonical form, "" for the
+// flat fabric: the form the verify and explore repro lines hold.
+func Canonical(text string) (string, error) {
+	s, err := ParseSpec(text)
+	if err != nil || s.Kind == Flat {
+		return "", err
+	}
+	return s.String(), nil
+}
+
 // MustParse is ParseSpec for statically known specs (tests, tables).
 func MustParse(text string) Spec {
 	s, err := ParseSpec(text)
@@ -48,35 +61,30 @@ func MustParse(text string) Spec {
 }
 
 func parseFatTree(rest string) (Spec, error) {
-	s := Spec{Kind: FatTree, Levels: 2}
-	sawLevels := false
-	err := eachField(rest, func(key, val string) error {
-		switch key {
-		case "arity":
-			return parseInt(val, &s.Arity)
-		case "levels":
-			sawLevels = true
-			return parseInt(val, &s.Levels)
-		case "over":
-			for _, part := range strings.Split(val, "/") {
-				o, err := parseFactor(part)
-				if err != nil {
-					return err
-				}
-				s.Over = append(s.Over, o)
-			}
-			return nil
-		default:
-			return fmt.Errorf("fabric: unknown fat-tree key %q", key)
-		}
-	})
+	s := Spec{Kind: FatTree}
+	set, err := kv.Parse(strings.Split(rest, ","), "arity", "levels", "over")
 	if err != nil {
+		return Spec{}, fmt.Errorf("fabric: %v", err)
+	}
+	if s.Arity, err = count(set, "arity", 0); err != nil {
 		return Spec{}, err
+	}
+	if s.Levels, err = count(set, "levels", 2); err != nil {
+		return Spec{}, err
+	}
+	if set.Has("over") {
+		for _, part := range strings.Split(set.Str("over", ""), "/") {
+			o, err := parseFactor(part)
+			if err != nil {
+				return Spec{}, err
+			}
+			s.Over = append(s.Over, o)
+		}
 	}
 	if s.Arity == 0 {
 		return Spec{}, fmt.Errorf("fabric: fat-tree spec needs arity=")
 	}
-	if !sawLevels && len(s.Over) > 1 {
+	if !set.Has("levels") && len(s.Over) > 1 {
 		// Taper list implies the trunk-level count.
 		s.Levels = len(s.Over) + 1
 	}
@@ -88,28 +96,25 @@ func parseFatTree(rest string) (Spec, error) {
 }
 
 func parseDragonfly(rest string) (Spec, error) {
-	s := Spec{Kind: Dragonfly, NodesPer: 1, LocalOver: 1, GlobalOver: 1}
-	err := eachField(rest, func(key, val string) error {
-		switch key {
-		case "groups":
-			return parseInt(val, &s.Groups)
-		case "routers":
-			return parseInt(val, &s.Routers)
-		case "nodes", "nodesper":
-			return parseInt(val, &s.NodesPer)
-		case "local":
-			o, err := parseFactor(val)
-			s.LocalOver = o
-			return err
-		case "global":
-			o, err := parseFactor(val)
-			s.GlobalOver = o
-			return err
-		default:
-			return fmt.Errorf("fabric: unknown dragonfly key %q", key)
-		}
-	})
+	s := Spec{Kind: Dragonfly}
+	set, err := kv.Parse(strings.Split(rest, ","), "groups", "routers", "nodes", "nodesper", "local", "global")
 	if err != nil {
+		return Spec{}, fmt.Errorf("fabric: %v", err)
+	}
+	nodes := "nodes"
+	if set.Has("nodesper") {
+		if set.Has("nodes") {
+			return Spec{}, fmt.Errorf("fabric: duplicate key %q (nodesper is nodes)", "nodes")
+		}
+		nodes = "nodesper"
+	}
+	var errs [5]error
+	s.Groups, errs[0] = count(set, "groups", 0)
+	s.Routers, errs[1] = count(set, "routers", 0)
+	s.NodesPer, errs[2] = count(set, nodes, 1)
+	s.LocalOver, errs[3] = parseFactor(set.Str("local", "1"))
+	s.GlobalOver, errs[4] = parseFactor(set.Str("global", "1"))
+	if err := cmp.Or(errs[:]...); err != nil {
 		return Spec{}, err
 	}
 	if s.Groups == 0 || s.Routers == 0 {
@@ -118,33 +123,13 @@ func parseDragonfly(rest string) (Spec, error) {
 	return s, nil
 }
 
-// eachField walks "k=v,k=v" fields, rejecting malformed and duplicate
-// keys.
-func eachField(rest string, fn func(key, val string) error) error {
-	seen := map[string]bool{}
-	for _, field := range strings.Split(rest, ",") {
-		key, val, ok := strings.Cut(field, "=")
-		if !ok || key == "" || val == "" {
-			return fmt.Errorf("fabric: malformed field %q (want key=value)", field)
-		}
-		if seen[key] {
-			return fmt.Errorf("fabric: duplicate key %q", key)
-		}
-		seen[key] = true
-		if err := fn(key, val); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func parseInt(val string, dst *int) error {
-	n, err := strconv.Atoi(val)
+// count reads a non-negative integer value, def when the key is absent.
+func count(set kv.Set, k string, def int) (int, error) {
+	n, err := set.Int(k, def)
 	if err != nil || n < 0 {
-		return fmt.Errorf("fabric: bad count %q", val)
+		return 0, fmt.Errorf("fabric: bad count %q", set.Str(k, ""))
 	}
-	*dst = n
-	return nil
+	return n, nil
 }
 
 // parseFactor reads an oversubscription factor: a plain float ("2",

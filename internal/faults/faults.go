@@ -104,7 +104,7 @@ func (f Fault) validate() error {
 	switch f.Kind {
 	case Down:
 	case Degrade:
-		if f.Fraction <= 0 || f.Fraction >= 1 {
+		if !(f.Fraction > 0 && f.Fraction < 1) { // NaN fails both
 			return fmt.Errorf("faults: degrade fraction %v outside (0, 1)", f.Fraction)
 		}
 	case Latency:

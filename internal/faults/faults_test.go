@@ -232,6 +232,10 @@ func TestParseErrors(t *testing.T) {
 		"down wat=1",            // unknown key
 		"degrade node=0 rail=0", // missing frac fails validation
 		"down from=-5us",        // negative duration
+		"down node=0 frac=0.5",  // a key down does not take
+		"latency node=0 rail=0 extra=5us period=1ms", // a key latency does not take
+		"down node=0 node=1 rail=0",                  // repeated key
+		"degrade node=0 rail=0 frac=NaN",             // NaN fraction
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {

@@ -28,6 +28,7 @@ func FuzzParseSpec(f *testing.F) {
 		"degrade frac=1.5",
 		"latency extra=9223372036854775807ns",
 		"down from=2ms until=1ms",
+		"degrade node=0 rail=0 frac=NaN",
 	} {
 		f.Add(seed)
 	}

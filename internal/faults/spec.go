@@ -3,9 +3,9 @@ package faults
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
+	"mha/internal/kv"
 	"mha/internal/sim"
 )
 
@@ -16,48 +16,52 @@ import (
 //	latency node=2 rail=* extra=5us from=1ms
 //	flap    node=1 rail=0 period=200us down=50us until=forever
 //
-// Keys may appear in any order. node/rail default to * (every node/rail),
-// from defaults to 0 and until to forever. Durations use Go syntax
-// (ns/us/ms/s). Blank lines and #-comments are skipped.
+// Keys may appear in any order. Every kind takes node, rail, from and
+// until; degrade adds frac, latency extra, and flap period and down. A
+// key the kind does not take, a repeated key and an empty value are
+// errors. node/rail default to * (every node/rail), from defaults to 0
+// and until to forever. Durations use Go syntax (ns/us/ms/s). Blank
+// lines and #-comments are skipped.
 func Parse(text string) (*Schedule, error) {
 	var fs []Fault
-	for ln, line := range strings.Split(text, "\n") {
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
+	err := kv.Lines(text, func(ln int, fields []string) error {
 		f, err := parseFault(fields)
 		if err != nil {
-			return nil, fmt.Errorf("faults: line %d: %w", ln+1, err)
+			return fmt.Errorf("faults: line %d: %w", ln, err)
 		}
 		fs = append(fs, f)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return New(fs...)
 }
 
 func parseFault(fields []string) (Fault, error) {
 	f := Fault{Node: AllNodes, Rail: AllRails, Until: Forever}
+	keys := []string{"node", "rail", "from", "until"}
 	switch fields[0] {
 	case "down":
 		f.Kind = Down
 	case "degrade":
-		f.Kind = Degrade
+		f.Kind, keys = Degrade, append(keys, "frac")
 	case "latency":
-		f.Kind = Latency
+		f.Kind, keys = Latency, append(keys, "extra")
 	case "flap":
-		f.Kind = Flap
+		f.Kind, keys = Flap, append(keys, "period", "down")
 	default:
 		return f, fmt.Errorf("unknown fault kind %q (want down|degrade|latency|flap)", fields[0])
 	}
-	for _, kv := range fields[1:] {
-		key, val, ok := strings.Cut(kv, "=")
+	set, err := kv.Parse(fields[1:], keys...)
+	if err != nil {
+		return f, err
+	}
+	for _, key := range keys {
+		val, ok := set[key]
 		if !ok {
-			return f, fmt.Errorf("malformed field %q (want key=value)", kv)
+			continue
 		}
-		var err error
 		switch key {
 		case "node":
 			f.Node, err = parseIndex(val)
@@ -83,11 +87,9 @@ func parseFault(fields []string) (Fault, error) {
 			f.Period, err = parseDuration(val)
 		case "down":
 			f.DownFor, err = parseDuration(val)
-		default:
-			return f, fmt.Errorf("unknown key %q", key)
 		}
 		if err != nil {
-			return f, fmt.Errorf("field %q: %w", kv, err)
+			return f, fmt.Errorf("field %q: %w", key+"="+val, err)
 		}
 	}
 	return f, nil

@@ -2,12 +2,15 @@ package sched
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
 	"strings"
 
+	"mha/internal/kv"
 	"mha/internal/topology"
 )
 
@@ -34,7 +37,10 @@ import (
 // JSON renders the schedule in the tuple form, one step per line (the
 // machine-readable counterpart of String, accepted back by Parse).
 func (s *Schedule) JSON() ([]byte, error) {
-	name, _ := json.Marshal(s.Name) // a string always marshals
+	// A string always marshals. Marshal writes invalid UTF-8 as the
+	// escape \ufffd but a valid U+FFFD as itself, so replace first, or
+	// a reparsed name would render differently.
+	name, _ := json.Marshal(strings.ToValidUTF8(s.Name, "\uFFFD"))
 	b := fmt.Appendf(nil, `{"name":%s,"nodes":%d,"ppn":%d,"hcas":%d,"layout":"%s","msg":%d`,
 		name, s.Topo.Nodes, s.Topo.PPN, s.Topo.HCAs, s.Topo.Layout, s.Msg)
 	if s.NumBlocks != 0 {
@@ -103,7 +109,7 @@ func parseJSON(text string) (*Schedule, error) {
 	if err := dec.Decode(&js); err != nil {
 		return nil, fmt.Errorf("sched: bad JSON: %v", err)
 	}
-	layout, err := parseLayout(js.Layout)
+	layout, err := topology.ParseLayout(js.Layout)
 	if err != nil {
 		return nil, fmt.Errorf("sched: %v", err)
 	}
@@ -156,55 +162,33 @@ func tuple(raw []json.RawMessage, arity ...int) (v [9]int, err error) {
 	return v, nil
 }
 
-func parseLayout(s string) (topology.Layout, error) {
-	switch s {
-	case "block":
-		return topology.Block, nil
-	case "cyclic":
-		return topology.Cyclic, nil
-	default:
-		return 0, fmt.Errorf("unknown layout %q", s)
-	}
-}
-
 func parseText(text string) (*Schedule, error) {
 	var s *Schedule
 	inStep := false
-	for ln, raw := range strings.Split(text, "\n") {
-		line := raw
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		at := fmt.Sprintf("sched: line %d", ln+1)
+	directive := func(fields []string) error {
 		switch fields[0] {
 		case "schedule":
 			if s != nil {
-				return nil, fmt.Errorf("%s: duplicate schedule header", at)
+				return errors.New("duplicate schedule header")
 			}
 			if len(fields) < 2 || strings.ContainsRune(fields[1], '=') {
-				return nil, fmt.Errorf("%s: schedule header needs a name", at)
+				return errors.New("schedule header needs a name")
 			}
-			kv, err := keyvals(fields[2:], "nodes", "ppn", "hcas", "layout", "msg", "blocks")
+			set, err := kv.Parse(fields[2:], "nodes", "ppn", "hcas", "layout", "msg", "blocks")
 			if err != nil {
-				return nil, fmt.Errorf("%s: %v", at, err)
+				return err
 			}
-			layout, err := parseLayout(kv.str("layout", "block"))
+			layout, err := topology.ParseLayout(set.Str("layout", "block"))
 			if err != nil {
-				return nil, fmt.Errorf("%s: %v", at, err)
+				return err
 			}
-			nodes, err1 := kv.num("nodes", -1)
-			ppn, err2 := kv.num("ppn", -1)
-			hcas, err3 := kv.num("hcas", 1)
-			msg, err4 := kv.num("msg", -1)
-			blocks, err5 := kv.num("blocks", 0)
-			for _, err := range []error{err1, err2, err3, err4, err5} {
-				if err != nil {
-					return nil, fmt.Errorf("%s: %v", at, err)
-				}
+			nodes, err1 := set.Int("nodes", -1)
+			ppn, err2 := set.Int("ppn", -1)
+			hcas, err3 := set.Int("hcas", 1)
+			msg, err4 := set.Int("msg", -1)
+			blocks, err5 := set.Int("blocks", 0)
+			if err := cmp.Or(err1, err2, err3, err4, err5); err != nil {
+				return err
 			}
 			s = &Schedule{
 				Name:      fields[1],
@@ -214,68 +198,74 @@ func parseText(text string) (*Schedule, error) {
 			}
 		case "step":
 			if s == nil {
-				return nil, fmt.Errorf("%s: step before schedule header", at)
+				return errors.New("step before schedule header")
 			}
 			if len(fields) != 1 {
-				return nil, fmt.Errorf("%s: step takes no arguments", at)
+				return errors.New("step takes no arguments")
 			}
 			s.Steps = append(s.Steps, Step{})
 			inStep = true
 		case "xfer":
 			if !inStep {
-				return nil, fmt.Errorf("%s: xfer outside a step", at)
+				return errors.New("xfer outside a step")
 			}
-			kv, err := keyvals(fields[1:], "src", "dst", "first", "count", "off", "len", "via", "rail", "red")
+			set, err := kv.Parse(fields[1:], "src", "dst", "first", "count", "off", "len", "via", "rail", "red")
 			if err != nil {
-				return nil, fmt.Errorf("%s: %v", at, err)
+				return err
 			}
 			t, red := Transfer{}, 0
 			var errs [8]error
-			t.Src, errs[0] = kv.num("src", -1)
-			t.Dst, errs[1] = kv.num("dst", -1)
-			t.First, errs[2] = kv.num("first", -1)
-			t.Count, errs[3] = kv.num("count", -1)
-			t.Off, errs[4] = kv.num("off", 0)
-			t.Len, errs[5] = kv.num("len", t.Count*s.Msg)
-			t.Rail, errs[6] = kv.num("rail", 0)
-			red, errs[7] = kv.num("red", 0)
-			for _, err := range errs {
-				if err != nil {
-					return nil, fmt.Errorf("%s: %v", at, err)
-				}
+			t.Src, errs[0] = set.Int("src", -1)
+			t.Dst, errs[1] = set.Int("dst", -1)
+			t.First, errs[2] = set.Int("first", -1)
+			t.Count, errs[3] = set.Int("count", -1)
+			t.Off, errs[4] = set.Int("off", 0)
+			t.Len, errs[5] = set.Int("len", t.Count*s.Msg)
+			t.Rail, errs[6] = set.Int("rail", 0)
+			red, errs[7] = set.Int("red", 0)
+			if err := cmp.Or(errs[:]...); err != nil {
+				return err
 			}
-			if kv.has("off") != kv.has("len") {
-				return nil, fmt.Errorf("%s: off and len must appear together", at)
+			if set.Has("off") != set.Has("len") {
+				return errors.New("off and len must appear together")
 			}
-			if t.Via, err = parseVia(kv.str("via", "auto")); err != nil {
-				return nil, fmt.Errorf("%s: %v", at, err)
+			if t.Via, err = parseVia(set.Str("via", "auto")); err != nil {
+				return err
 			}
 			t.Red = red != 0
 			st := &s.Steps[len(s.Steps)-1]
 			st.Xfers = append(st.Xfers, t)
 		case "copy":
 			if !inStep {
-				return nil, fmt.Errorf("%s: copy outside a step", at)
+				return errors.New("copy outside a step")
 			}
-			kv, err := keyvals(fields[1:], "rank", "first", "count")
+			set, err := kv.Parse(fields[1:], "rank", "first", "count")
 			if err != nil {
-				return nil, fmt.Errorf("%s: %v", at, err)
+				return err
 			}
 			cp := Copy{}
-			var errs [3]error
-			cp.Rank, errs[0] = kv.num("rank", -1)
-			cp.First, errs[1] = kv.num("first", -1)
-			cp.Count, errs[2] = kv.num("count", -1)
-			for _, err := range errs {
-				if err != nil {
-					return nil, fmt.Errorf("%s: %v", at, err)
-				}
+			var err1, err2, err3 error
+			cp.Rank, err1 = set.Int("rank", -1)
+			cp.First, err2 = set.Int("first", -1)
+			cp.Count, err3 = set.Int("count", -1)
+			if err := cmp.Or(err1, err2, err3); err != nil {
+				return err
 			}
 			st := &s.Steps[len(s.Steps)-1]
 			st.Copies = append(st.Copies, cp)
 		default:
-			return nil, fmt.Errorf("%s: unknown directive %q", at, fields[0])
+			return fmt.Errorf("unknown directive %q", fields[0])
 		}
+		return nil
+	}
+	err := kv.Lines(text, func(ln int, fields []string) error {
+		if err := directive(fields); err != nil {
+			return fmt.Errorf("sched: line %d: %v", ln, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if s == nil {
 		return nil, fmt.Errorf("sched: empty input")
@@ -284,58 +274,4 @@ func parseText(text string) (*Schedule, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// kvset holds the key=value fields of one directive line.
-type kvset map[string]string
-
-// keyvals splits "k=v" fields, rejecting unknown keys and duplicates.
-func keyvals(fields []string, allowed ...string) (kvset, error) {
-	kv := kvset{}
-	for _, f := range fields {
-		eq := strings.IndexByte(f, '=')
-		if eq <= 0 {
-			return nil, fmt.Errorf("malformed field %q (want key=value)", f)
-		}
-		k, v := f[:eq], f[eq+1:]
-		ok := false
-		for _, a := range allowed {
-			if k == a {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return nil, fmt.Errorf("unknown key %q", k)
-		}
-		if _, dup := kv[k]; dup {
-			return nil, fmt.Errorf("duplicate key %q", k)
-		}
-		kv[k] = v
-	}
-	return kv, nil
-}
-
-func (kv kvset) has(k string) bool { return kv[k] != "" }
-
-func (kv kvset) str(k, def string) string {
-	if v, ok := kv[k]; ok {
-		return v
-	}
-	return def
-}
-
-// num parses an integer value; def < 0 with the key present is fine, a
-// def of -1 paired with an absent required key surfaces later as a
-// Validate range error.
-func (kv kvset) num(k string, def int) (int, error) {
-	v, ok := kv[k]
-	if !ok {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s value %q", k, v)
-	}
-	return n, nil
 }

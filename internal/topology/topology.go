@@ -34,6 +34,17 @@ func (l Layout) String() string {
 	}
 }
 
+// ParseLayout reads the name of a spec-settable layout: block or cyclic.
+func ParseLayout(s string) (Layout, error) {
+	switch s {
+	case "block":
+		return Block, nil
+	case "cyclic":
+		return Cyclic, nil
+	}
+	return 0, fmt.Errorf("unknown layout %q (want block or cyclic)", s)
+}
+
 // Error is a typed topology-validation failure. Field names the Cluster
 // field at fault so callers (and tests) can assert on the cause rather
 // than on message text.

@@ -83,8 +83,10 @@ func (q Query) validate() error {
 	case q.Msg < 1 || q.Msg > MaxQueryMsg:
 		return fmt.Errorf("tuner: msg %d outside [1,%d]", q.Msg, MaxQueryMsg)
 	}
-	if q.Layout != "" && q.Layout != "block" && q.Layout != "cyclic" {
-		return fmt.Errorf("tuner: unknown layout %q", q.Layout)
+	if q.Layout != "" {
+		if _, err := topology.ParseLayout(q.Layout); err != nil {
+			return fmt.Errorf("tuner: %v", err)
+		}
 	}
 	if q.Fabric != "" && q.Fabric != "flat" {
 		return fmt.Errorf("tuner: fabric %q: the synthesizer prices a flat fabric only", q.Fabric)
@@ -161,10 +163,7 @@ func (q Query) Canonical() (Query, string, error) {
 
 // Cluster is the topology the canonical query describes.
 func (q Query) Cluster() topology.Cluster {
-	layout := topology.Block
-	if q.Layout == "cyclic" {
-		layout = topology.Cyclic
-	}
+	layout, _ := topology.ParseLayout(q.Layout) // validated; "" is the zero Layout, block
 	return topology.Cluster{Nodes: q.Nodes, PPN: q.PPN, HCAs: q.HCAs, Layout: layout}
 }
 

@@ -1,12 +1,14 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
 
 	"mha/internal/fabric"
 	"mha/internal/faults"
+	"mha/internal/kv"
 	"mha/internal/netmodel"
 	"mha/internal/topology"
 )
@@ -194,82 +196,49 @@ func splitFloats(v string) ([]float64, error) {
 }
 
 // ParseSpec reads a line produced by Spec (the inverse, modulo
-// whitespace). Unknown and repeated keys are errors; faults, if present,
-// is the last key and takes the rest of the line. Every key has a
-// sensible default (one node, one rank, one rail, block layout, empty
-// message, healthy rails).
+// whitespace). Unknown and repeated keys and empty values are errors;
+// faults, if present, is the last key and takes the rest of the line.
+// Every key has a sensible default (one node, one rank, one rail, block
+// layout, empty message, healthy rails).
 func ParseSpec(line string) (Scenario, error) {
-	sc := Scenario{Nodes: 1, PPN: 1, HCAs: 1, Layout: topology.Block, Seed: 1}
+	sc := Scenario{}
 	line = strings.TrimSpace(line)
 	faultText := ""
 	if i := strings.Index(line, "faults="); i >= 0 {
 		faultText = strings.TrimSpace(line[i+len("faults="):])
 		line = line[:i]
 	}
-	seen := map[string]bool{}
-	for _, field := range strings.Fields(line) {
-		k, v, ok := strings.Cut(field, "=")
-		if !ok {
-			return sc, fmt.Errorf("verify: bad field %q (want key=value)", field)
-		}
-		if seen[k] {
-			return sc, fmt.Errorf("verify: field %q: key %s given twice", field, k)
-		}
-		seen[k] = true
-		var err error
-		switch k {
-		case "alg":
-			sc.Alg = v
-		case "nodes":
-			sc.Nodes, err = strconv.Atoi(v)
-		case "ppn":
-			sc.PPN, err = strconv.Atoi(v)
-		case "hcas":
-			sc.HCAs, err = strconv.Atoi(v)
-		case "sockets":
-			sc.Sockets, err = strconv.Atoi(v)
-		case "layout":
-			switch v {
-			case "block":
-				sc.Layout = topology.Block
-			case "cyclic":
-				sc.Layout = topology.Cyclic
-			default:
-				err = fmt.Errorf("want block or cyclic, have %q", v)
-			}
-		case "msg":
-			sc.Msg, err = strconv.Atoi(v)
-		case "seed":
-			sc.Seed, err = strconv.ParseInt(v, 10, 64)
-		case "jitter":
-			sc.Jitter, err = strconv.ParseFloat(v, 64)
-		case "blind":
-			switch v {
-			case "0", "false":
-				sc.Blind = false
-			case "1", "true":
-				sc.Blind = true
-			default:
-				err = fmt.Errorf("want 0 or 1, have %q", v)
-			}
-		case "fabric":
-			var fs fabric.Spec
-			if fs, err = fabric.ParseSpec(v); err == nil {
-				sc.Fabric = fs.String()
-				if fs.Kind == fabric.Flat {
-					sc.Fabric = ""
-				}
-			}
-		case "nodehcas":
-			sc.NodeHCAs, err = splitInts(v)
-		case "railbw":
-			sc.RailBW, err = splitFloats(v)
-		default:
-			err = fmt.Errorf("unknown key")
-		}
-		if err != nil {
-			return sc, fmt.Errorf("verify: field %q: %v", field, err)
-		}
+	set, err := kv.Parse(strings.Fields(line), "alg", "nodes", "ppn", "hcas", "sockets",
+		"layout", "msg", "seed", "jitter", "blind", "fabric", "nodehcas", "railbw")
+	if err != nil {
+		return sc, fmt.Errorf("verify: %v", err)
+	}
+	sc.Alg = set.Str("alg", "")
+	var errs [12]error
+	sc.Nodes, errs[0] = set.Int("nodes", 1)
+	sc.PPN, errs[1] = set.Int("ppn", 1)
+	sc.HCAs, errs[2] = set.Int("hcas", 1)
+	sc.Sockets, errs[3] = set.Int("sockets", 0)
+	sc.Layout, errs[4] = topology.ParseLayout(set.Str("layout", "block"))
+	sc.Msg, errs[5] = set.Int("msg", 0)
+	sc.Seed, errs[6] = strconv.ParseInt(set.Str("seed", "1"), 10, 64)
+	sc.Jitter, errs[7] = strconv.ParseFloat(set.Str("jitter", "0"), 64)
+	switch v := set.Str("blind", "0"); v {
+	case "0", "false":
+	case "1", "true":
+		sc.Blind = true
+	default:
+		errs[8] = fmt.Errorf("blind: want 0 or 1, have %q", v)
+	}
+	sc.Fabric, errs[9] = fabric.Canonical(set.Str("fabric", "flat"))
+	if set.Has("nodehcas") {
+		sc.NodeHCAs, errs[10] = splitInts(set.Str("nodehcas", ""))
+	}
+	if set.Has("railbw") {
+		sc.RailBW, errs[11] = splitFloats(set.Str("railbw", ""))
+	}
+	if err := cmp.Or(errs[:]...); err != nil {
+		return sc, fmt.Errorf("verify: %v", err)
 	}
 	if faultText != "" && faultText != "none" && faultText != "(healthy)" {
 		sched, err := faults.Parse(strings.ReplaceAll(faultText, ";", "\n"))

@@ -223,6 +223,7 @@ func TestParseSpecRejectsGarbage(t *testing.T) {
 		"alg=ring nodes=2 jitter=+Inf",
 		"alg=ring nodes=2 jitter=NaN",
 		"alg=ring nodes=2 jitter=-0.5",
+		"alg=ring nodes=2 hcas=2 faults=degrade node=0 rail=0 frac=NaN",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted garbage", bad)
