@@ -30,9 +30,12 @@ type Goal struct {
 // is rank b's contribution, and every rank must end holding all of them.
 func AllgatherGoal(n int) *Goal {
 	g := &Goal{Blocks: n, Init: make([][]Range, n), Want: make([][]Range, n)}
+	// One backing array per side; each rank's list is capped at its own
+	// entry, so growing one never writes into another's.
+	init, want := make([]Range, n), make([]Range, n)
 	for r := 0; r < n; r++ {
-		g.Init[r] = []Range{{First: r, Count: 1}}
-		g.Want[r] = []Range{{First: 0, Count: n}}
+		init[r], want[r] = Range{First: r, Count: 1}, Range{First: 0, Count: n}
+		g.Init[r], g.Want[r] = init[r:r+1:r+1], want[r:r+1:r+1]
 	}
 	return g
 }
@@ -67,110 +70,31 @@ func (g *Goal) Validate(n, blocks int) error {
 		return err
 	}
 	// Every block some rank wants must have at least one contributor, or
-	// completeness could never hold.
-	contrib := make([]bool, g.Blocks)
+	// completeness could never hold. gap[b] is the first block from b on
+	// that nobody contributes (Blocks if none), so a wanted range is
+	// checked in one look.
+	gap := make([]int, g.Blocks+1)
 	for _, list := range g.Init {
 		for _, rng := range list {
 			for b := rng.First; b < rng.First+rng.Count; b++ {
-				contrib[b] = true
+				gap[b] = -1
 			}
+		}
+	}
+	gap[g.Blocks] = g.Blocks
+	for b := g.Blocks - 1; b >= 0; b-- {
+		if gap[b] < 0 {
+			gap[b] = gap[b+1]
+		} else {
+			gap[b] = b
 		}
 	}
 	for r, list := range g.Want {
 		for _, rng := range list {
-			for b := rng.First; b < rng.First+rng.Count; b++ {
-				if !contrib[b] {
-					return fmt.Errorf("sched: goal: rank %d wants block %d, which no rank contributes", r, b)
-				}
+			if b := gap[rng.First]; b < rng.First+rng.Count {
+				return fmt.Errorf("sched: goal: rank %d wants block %d, which no rank contributes", r, b)
 			}
 		}
 	}
 	return nil
-}
-
-// contributors returns the canonical contributor set of every block.
-func (g *Goal) contributors(n int) []contribSet {
-	out := make([]contribSet, g.Blocks)
-	for r, list := range g.Init {
-		for _, rng := range list {
-			for b := rng.First; b < rng.First+rng.Count; b++ {
-				out[b] = out[b].with(r, n)
-			}
-		}
-	}
-	return out
-}
-
-// contribSet is a bitset of contributing ranks; nil means empty. All
-// operations are pure (copy-on-write), so snapshots of pre-step state
-// may alias live sets safely.
-type contribSet []uint64
-
-func setWords(n int) int { return (n + 63) / 64 }
-
-func (s contribSet) has(r int) bool {
-	w := r / 64
-	return w < len(s) && s[w]&(1<<uint(r%64)) != 0
-}
-
-// with returns a new set with rank r added (n sizes fresh allocations).
-func (s contribSet) with(r, n int) contribSet {
-	out := make(contribSet, setWords(n))
-	copy(out, s)
-	out[r/64] |= 1 << uint(r%64)
-	return out
-}
-
-func (s contribSet) equal(o contribSet) bool {
-	long, short := s, o
-	if len(long) < len(short) {
-		long, short = short, long
-	}
-	for i, w := range long {
-		if i < len(short) {
-			if w != short[i] {
-				return false
-			}
-		} else if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (s contribSet) disjoint(o contribSet) bool {
-	n := len(s)
-	if len(o) < n {
-		n = len(o)
-	}
-	for i := 0; i < n; i++ {
-		if s[i]&o[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// union returns a fresh set holding both operands' ranks.
-func (s contribSet) union(o contribSet) contribSet {
-	n := len(s)
-	if len(o) > n {
-		n = len(o)
-	}
-	out := make(contribSet, n)
-	copy(out, s)
-	for i, w := range o {
-		out[i] |= w
-	}
-	return out
-}
-
-func (s contribSet) count() int {
-	c := 0
-	for _, w := range s {
-		for ; w != 0; w &= w - 1 {
-			c++
-		}
-	}
-	return c
 }

@@ -262,16 +262,52 @@ const synthGolden = `
 8x4x2/1048576/[1 0.5]: best=ring cost=2768041 makespan=2768041 pruned=false seeds=ring=2768041,mha-ring-d0=3096698,mha-ring=3246217,mha-ring-d3=3545255,mha-rd-d0=4080026,mha-rd=4229545,mha-rd-d3=4528583,rd=6653978,mha-rd-seq-d0=6795946,mha-ring-seq-d0=6807944,mha-rd-seq-d3=7244503,mha-ring-seq-d3=7256501,mha-rd-push-d0=7991254,mha-ring-push-d0=7998448,mha-rd-push-d3=8439811,mha-ring-push-d3=8447005,direct-rail=9679630,mha-rd-seq-push-d0=16201692,mha-ring-seq-push-d0=16213690,mha-rd-seq-push-d3=16650249,mha-ring-seq-push-d3=16662247
 `
 
+// BenchmarkSchedAnalyze prices two 128-rank plans: the two-phase MHA
+// allgather a cold tuner miss analyzes, and a recursive-doubling
+// allreduce whose every delivery folds, so every step interns a new
+// contributor set per block and group.
 func BenchmarkSchedAnalyze(b *testing.B) {
 	prm := netmodel.Thor()
-	s := TwoPhaseMHA(topology.New(8, 16, 2), prm, 64<<10, MHAOptions{Offload: AutoOffload})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := AnalyzeHealth(s, prm, nil); err != nil {
-			b.Fatal(err)
+	topo := topology.New(8, 16, 2)
+	allreduce, goal := rdAllreduce(topo, 512)
+	for _, bc := range []struct {
+		name string
+		s    *Schedule
+		g    *Goal
+	}{
+		{"8x16x2-mha", TwoPhaseMHA(topo, prm, 64<<10, MHAOptions{Offload: AutoOffload}), nil},
+		{"8x16x2-rd-allreduce", allreduce, goal},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := AnalyzeGoalHealth(bc.s, prm, nil, bc.g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// rdAllreduce is a recursive-doubling allreduce over a power-of-two
+// world: in step k every rank folds all n blocks into its partner's at
+// distance 2^k. The goal is the allreduce's: every rank contributes and
+// wants every block.
+func rdAllreduce(topo topology.Cluster, msg int) (*Schedule, *Goal) {
+	n := topo.Size()
+	bld := NewBuilder("rd-allreduce", topo, msg).Blocks(n)
+	for d := 1; d < n; d <<= 1 {
+		bld.Step()
+		for r := 0; r < n; r++ {
+			bld.SendRed(r, r^d, 0, n)
 		}
 	}
+	g := &Goal{Blocks: n, Init: make([][]Range, n), Want: make([][]Range, n)}
+	for r := 0; r < n; r++ {
+		g.Init[r] = []Range{{First: 0, Count: n}}
+		g.Want[r] = []Range{{First: 0, Count: n}}
+	}
+	return bld.MustBuild(), g
 }
 
 // BenchmarkSchedSynthesize is one cold tuner miss: the probe shape of
