@@ -3,7 +3,7 @@
 // representative configuration at Quick scale (so `go test -bench=.`
 // completes in minutes) and reports the simulated virtual latency as a
 // custom metric "virt-us" — wall-clock ns/op measures only the simulator
-// itself. Regenerate the full-scale tables with cmd/mhabench.
+// itself. Regenerate the full-scale tables with `mha bench`.
 package mha
 
 import (

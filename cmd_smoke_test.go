@@ -5,6 +5,7 @@ package mha_test
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -48,8 +49,82 @@ func run(t *testing.T, name string, args ...string) string {
 	return string(out)
 }
 
+// mhaExit runs mha with args and returns its combined output and exit
+// status, failing the test only when the binary cannot be run at all.
+func mhaExit(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(filepath.Join(binaries(t), "mha"), args...)
+	out, err := cmd.CombinedOutput()
+	var exitErr *exec.ExitError
+	if err != nil && !errors.As(err, &exitErr) {
+		t.Fatalf("mha %v: %v", args, err)
+	}
+	return string(out), cmd.ProcessState.ExitCode()
+}
+
+// mhaTools is every tool the mha binary must dispatch to.
+var mhaTools = []string{"bench", "cluster", "compose", "explore", "fabric", "fault",
+	"lint", "model", "osu", "sched", "trace", "verify"}
+
+func TestSmokeMhaDispatch(t *testing.T) {
+	for _, args := range [][]string{nil, {"nosuch"}} {
+		out, code := mhaExit(t, args...)
+		if code != 2 {
+			t.Errorf("mha %v exited %d, want 2:\n%s", args, code, out)
+		}
+		for _, name := range mhaTools {
+			if !strings.Contains(out, "\n  "+name+" ") {
+				t.Errorf("mha %v usage does not list %s:\n%s", args, name, out)
+			}
+		}
+	}
+	for _, name := range mhaTools {
+		if out, code := mhaExit(t, name, "-h"); code != 0 {
+			t.Errorf("mha %s -h exited %d, want 0:\n%s", name, code, out)
+		}
+	}
+	for _, name := range []string{"sched", "compose", "cluster", "fabric", "osu"} {
+		if out, code := mhaExit(t, name, "nosuch"); code != 2 || !strings.Contains(out, `unknown subcommand "nosuch"`) {
+			t.Errorf("mha %s nosuch exited %d, want 2 naming the subcommand:\n%s", name, code, out)
+		}
+	}
+}
+
+// TestSmokeMhaBadShapeIsAnError: every tool that takes a machine shape
+// refuses an empty one with topology's one-line diagnostic, not a panic.
+// explore reports it as a failed run (1); the rest as a bad command line
+// (2).
+func TestSmokeMhaBadShapeIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"sched", "build"}, 2},
+		{[]string{"compose", "lower", "-coll", "allgather"}, 2},
+		{[]string{"cluster", "run"}, 2},
+		{[]string{"model"}, 2},
+		{[]string{"osu", "latency"}, 2},
+		{[]string{"fabric", "describe"}, 2},
+		{[]string{"fault"}, 2},
+		{[]string{"explore"}, 1},
+		{[]string{"trace"}, 2},
+	} {
+		for _, bad := range []struct{ flag, want string }{
+			{"-nodes", "topology: Nodes: need at least 1 node, have 0"},
+			{"-hcas", "topology: HCAs: need at least 1 HCA per node, have 0"},
+		} {
+			args := append(append([]string(nil), tc.args...), bad.flag, "0")
+			out, code := mhaExit(t, args...)
+			if code != tc.code || strings.Count(out, "\n") != 1 || !strings.Contains(out, bad.want) ||
+				strings.Contains(out, "goroutine") {
+				t.Errorf("mha %v exited %d, want %d and one line with %q:\n%s", args, code, tc.code, bad.want, out)
+			}
+		}
+	}
+}
+
 func TestSmokeMhabenchList(t *testing.T) {
-	out := run(t, "mhabench", "-list")
+	out := run(t, "mha", "bench", "-list")
 	for _, id := range []string{"14b", "17c", "abl-overlap", "ext-numa"} {
 		if !strings.Contains(out, id) {
 			t.Fatalf("-list missing %s:\n%s", id, out)
@@ -58,19 +133,19 @@ func TestSmokeMhabenchList(t *testing.T) {
 }
 
 func TestSmokeMhabenchRunsOneFigure(t *testing.T) {
-	out := run(t, "mhabench", "-fig", "3", "-quick")
+	out := run(t, "mha", "bench", "-fig", "3", "-quick")
 	if !strings.Contains(out, "Figure 3") || !strings.Contains(out, "50%") {
 		t.Fatalf("figure 3 output unexpected:\n%s", out)
 	}
 }
 
 func TestSmokeMhatraceTimelineAndChrome(t *testing.T) {
-	out := run(t, "mhatrace", "-nodes", "2", "-ppn", "2")
+	out := run(t, "mha", "trace", "-nodes", "2", "-ppn", "2")
 	if !strings.Contains(out, "legend") || !strings.Contains(out, "rank") {
 		t.Fatalf("timeline output unexpected:\n%s", out)
 	}
 	tmp := filepath.Join(t.TempDir(), "trace.json")
-	out = run(t, "mhatrace", "-alg", "mha", "-nodes", "2", "-ppn", "2", "-chrome", tmp)
+	out = run(t, "mha", "trace", "-alg", "mha", "-nodes", "2", "-ppn", "2", "-chrome", tmp)
 	if !strings.Contains(out, "wrote") {
 		t.Fatalf("chrome export output unexpected:\n%s", out)
 	}
@@ -79,7 +154,7 @@ func TestSmokeMhatraceTimelineAndChrome(t *testing.T) {
 		t.Fatalf("chrome trace file bad: %v, %.40q", err, data)
 	}
 	// Any registry row traces, with buffers sized for its collective.
-	out = run(t, "mhatrace", "-alg", "compose-a2a", "-nodes", "2", "-ppn", "2", "-size", "4096")
+	out = run(t, "mha", "trace", "-alg", "compose-a2a", "-nodes", "2", "-ppn", "2", "-size", "4096")
 	if !strings.HasPrefix(out, "compose-a2a alltoall, 2 nodes x 2 ppn") || !strings.Contains(out, "legend") {
 		t.Fatalf("alltoall timeline unexpected:\n%s", out)
 	}
@@ -89,7 +164,7 @@ func TestSmokeMhatraceTimelineAndChrome(t *testing.T) {
 		{"mha-intra", "verify: mha-intra does not support 2 nodes x 2 ppn"},
 		{"mha-inter", "unknown algorithm \"mha-inter\" (have bruck, cluster-contended-2,"},
 	} {
-		cmd := exec.Command(filepath.Join(binaries(t), "mhatrace"), "-alg", tc.alg, "-nodes", "2", "-ppn", "2")
+		cmd := exec.Command(filepath.Join(binaries(t), "mha"), "trace", "-alg", tc.alg, "-nodes", "2", "-ppn", "2")
 		if out, err := cmd.CombinedOutput(); err == nil || !strings.Contains(string(out), tc.want) {
 			t.Fatalf("mhatrace -alg %s: err %v, output %q, want %q", tc.alg, err, out, tc.want)
 		}
@@ -97,24 +172,24 @@ func TestSmokeMhatraceTimelineAndChrome(t *testing.T) {
 }
 
 func TestSmokeMhamodel(t *testing.T) {
-	out := run(t, "mhamodel", "-nodes", "4", "-ppn", "8", "-max", "65536")
+	out := run(t, "mha", "model", "-nodes", "4", "-ppn", "8", "-max", "65536")
 	for _, want := range []string{"cost model", "Eq.1 d", "Eq.7"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("mhamodel output missing %q:\n%s", want, out)
 		}
 	}
-	out = run(t, "mhamodel", "-validate", "9", "-quick")
+	out = run(t, "mha", "model", "-validate", "9", "-quick")
 	if !strings.Contains(out, "Figure 9") {
 		t.Fatalf("validation output unexpected:\n%s", out)
 	}
 }
 
 func TestSmokeMhaosu(t *testing.T) {
-	out := run(t, "mhaosu", "latency", "-min", "1024", "-max", "4096")
+	out := run(t, "mha", "osu", "latency", "-min", "1024", "-max", "4096")
 	if !strings.Contains(out, "latency") || len(strings.Split(out, "\n")) < 4 {
 		t.Fatalf("mhaosu latency output unexpected:\n%s", out)
 	}
-	out = run(t, "mhaosu", "allgather", "-nodes", "2", "-ppn", "4", "-lib", "mha",
+	out = run(t, "mha", "osu", "allgather", "-nodes", "2", "-ppn", "4", "-lib", "mha",
 		"-min", "4096", "-max", "16384")
 	if !strings.Contains(out, "MHA") {
 		t.Fatalf("mhaosu allgather output unexpected:\n%s", out)
@@ -122,7 +197,7 @@ func TestSmokeMhaosu(t *testing.T) {
 }
 
 func TestSmokeMhafaultResilienceTable(t *testing.T) {
-	out := run(t, "mhafault", "-nodes", "2", "-ppn", "2", "-sizes", "64K",
+	out := run(t, "mha", "fault", "-nodes", "2", "-ppn", "2", "-sizes", "64K",
 		"-algs", "mha,ring", "-naive")
 	for _, want := range []string{"resilience under the fault schedule",
 		"aware vs naive", "per-rail utilization", "node0.rail1", "mha", "ring"} {
@@ -135,11 +210,11 @@ func TestSmokeMhafaultResilienceTable(t *testing.T) {
 // TestSmokeMhafaultAnyRow: mhafault runs a non-allgather registry row
 // and refuses a row whose contract excludes the cluster.
 func TestSmokeMhafaultAnyRow(t *testing.T) {
-	out := run(t, "mhafault", "-nodes", "2", "-ppn", "2", "-sizes", "4K", "-algs", "compose-gather")
+	out := run(t, "mha", "fault", "-nodes", "2", "-ppn", "2", "-sizes", "4K", "-algs", "compose-gather")
 	if !strings.Contains(out, "compose-gather") {
 		t.Fatalf("mhafault output missing compose-gather:\n%s", out)
 	}
-	cmd := exec.Command(filepath.Join(binaries(t), "mhafault"), "-nodes", "2", "-ppn", "3", "-algs", "multi-leader")
+	cmd := exec.Command(filepath.Join(binaries(t), "mha"), "fault", "-nodes", "2", "-ppn", "3", "-algs", "multi-leader")
 	if out, err := cmd.CombinedOutput(); err == nil || !strings.Contains(string(out), "multi-leader does not support") {
 		t.Fatalf("odd ppn accepted for multi-leader: %v\n%s", err, out)
 	}
@@ -152,7 +227,7 @@ func TestSmokeMhafaultSpecAndChrome(t *testing.T) {
 		t.Fatal(err)
 	}
 	tmp := filepath.Join(dir, "trace.json")
-	out := run(t, "mhafault", "-nodes", "2", "-ppn", "2", "-sizes", "32K",
+	out := run(t, "mha", "fault", "-nodes", "2", "-ppn", "2", "-sizes", "32K",
 		"-algs", "mha", "-spec", spec, "-chrome", tmp, "-timeline")
 	if !strings.Contains(out, "legend") || !strings.Contains(out, "wrote") {
 		t.Fatalf("mhafault trace output unexpected:\n%s", out)
@@ -164,7 +239,7 @@ func TestSmokeMhafaultSpecAndChrome(t *testing.T) {
 }
 
 func TestSmokeMhafaultRejectsBadSpec(t *testing.T) {
-	cmd := exec.Command(filepath.Join(binaries(t), "mhafault"), "-inline", "explode node=0")
+	cmd := exec.Command(filepath.Join(binaries(t), "mha"), "fault", "-inline", "explode node=0")
 	out, err := cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("bad spec accepted:\n%s", out)
@@ -175,7 +250,7 @@ func TestSmokeMhafaultRejectsBadSpec(t *testing.T) {
 }
 
 func TestSmokeMhaverifyCampaign(t *testing.T) {
-	out := run(t, "mhaverify", "-n", "25", "-seed", "42")
+	out := run(t, "mha", "verify", "-n", "25", "-seed", "42")
 	for _, want := range []string{"verified 25 scenarios", "all scenarios passed"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("mhaverify output missing %q:\n%s", want, out)
@@ -184,12 +259,12 @@ func TestSmokeMhaverifyCampaign(t *testing.T) {
 }
 
 func TestSmokeMhaverifyRepro(t *testing.T) {
-	out := run(t, "mhaverify", "-repro",
+	out := run(t, "mha", "verify", "-repro",
 		"alg=mha nodes=2 ppn=2 hcas=2 msg=257 faults=down node=0 rail=1 until=40us")
 	if !strings.Contains(out, "repro passed") {
 		t.Fatalf("mhaverify -repro output unexpected:\n%s", out)
 	}
-	out = run(t, "mhaverify", "-list")
+	out = run(t, "mha", "verify", "-list")
 	for _, want := range []string{"mha", "ring", "block-layout"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("mhaverify -list missing %q:\n%s", want, out)
@@ -198,7 +273,7 @@ func TestSmokeMhaverifyRepro(t *testing.T) {
 }
 
 func TestSmokeMhaverifyRejectsBadSpec(t *testing.T) {
-	cmd := exec.Command(filepath.Join(binaries(t), "mhaverify"), "-repro", "alg=mha-intra nodes=2 ppn=2")
+	cmd := exec.Command(filepath.Join(binaries(t), "mha"), "verify", "-repro", "alg=mha-intra nodes=2 ppn=2")
 	out, err := cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("contract-violating spec accepted:\n%s", out)
@@ -211,18 +286,18 @@ func TestSmokeMhaverifyRejectsBadSpec(t *testing.T) {
 func TestSmokeMhaexplore(t *testing.T) {
 	// A shape small enough to exhaust in well under a second, with fault
 	// placements so the placement matrix is exercised end to end.
-	out := run(t, "mhaexplore", "-algs", "ring,rd", "-nodes", "2", "-ppn", "1",
+	out := run(t, "mha", "explore", "-algs", "ring,rd", "-nodes", "2", "-ppn", "1",
 		"-hcas", "2", "-msg", "4", "-faults")
 	for _, want := range []string{"fault=node1.rail1", "all interleavings verified", "across 10 placements"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("mhaexplore output missing %q:\n%s", want, out)
 		}
 	}
-	out = run(t, "mhaexplore", "-repro", "alg=ring nodes=1 ppn=2 hcas=1 msg=4 fault=none sched=canonical")
+	out = run(t, "mha", "explore", "-repro", "alg=ring nodes=1 ppn=2 hcas=1 msg=4 fault=none sched=canonical")
 	if !strings.Contains(out, "repro passed") {
 		t.Fatalf("mhaexplore -repro output unexpected:\n%s", out)
 	}
-	out = run(t, "mhaexplore", "-list")
+	out = run(t, "mha", "explore", "-list")
 	for _, want := range []string{"ring", "rd", "sched-mha"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("mhaexplore -list missing %q:\n%s", want, out)
@@ -235,7 +310,7 @@ func TestSmokeMhaexploreRejectsUnfittingSchedule(t *testing.T) {
 		"9.9.9",                     // outside the frontier
 		"0.0.0.0.0.0.0.0.0.0.0.0.1", // inside a frontier that never was: the run makes 7 decisions
 	} {
-		cmd := exec.Command(filepath.Join(binaries(t), "mhaexplore"), "-repro",
+		cmd := exec.Command(filepath.Join(binaries(t), "mha"), "explore", "-repro",
 			"alg=ring nodes=1 ppn=2 hcas=1 msg=4 fault=none sched="+sched)
 		out, err := cmd.CombinedOutput()
 		if err == nil {
@@ -248,7 +323,7 @@ func TestSmokeMhaexploreRejectsUnfittingSchedule(t *testing.T) {
 }
 
 func TestSmokeMhaosuMachinePreset(t *testing.T) {
-	out := run(t, "mhaosu", "allgather", "-machine", "thetagpu", "-nodes", "2", "-ppn", "4",
+	out := run(t, "mha", "osu", "allgather", "-machine", "thetagpu", "-nodes", "2", "-ppn", "4",
 		"-min", "16384", "-max", "65536")
 	if !strings.Contains(out, "8 HCAs") {
 		t.Fatalf("preset did not apply:\n%s", out)
@@ -258,29 +333,29 @@ func TestSmokeMhaosuMachinePreset(t *testing.T) {
 func TestSmokeMhaschedPipeline(t *testing.T) {
 	dir := t.TempDir()
 	plan := filepath.Join(dir, "plan.sched")
-	out := run(t, "mhasched", "build", "-alg", "mha", "-nodes", "2", "-ppn", "2",
+	out := run(t, "mha", "sched", "build", "-alg", "mha", "-nodes", "2", "-ppn", "2",
 		"-hcas", "2", "-msg", "1024", "-o", plan)
 	if out != "" {
 		t.Fatalf("build -o wrote to stdout:\n%s", out)
 	}
-	out = run(t, "mhasched", "analyze", "-f", plan)
+	out = run(t, "mha", "sched", "analyze", "-f", plan)
 	for _, want := range []string{"mha-ring", "cost", "OK"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("analyze output missing %q:\n%s", want, out)
 		}
 	}
-	out = run(t, "mhasched", "run", "-f", plan)
+	out = run(t, "mha", "sched", "run", "-f", plan)
 	if !strings.Contains(out, "4 ranks verified") {
 		t.Fatalf("run did not verify:\n%s", out)
 	}
 	// JSON export must re-parse to the same canonical schedule.
 	js := filepath.Join(dir, "plan.json")
-	run(t, "mhasched", "export", "-f", plan, "-json", "-o", js)
-	out = run(t, "mhasched", "analyze", "-f", js)
+	run(t, "mha", "sched", "export", "-f", plan, "-json", "-o", js)
+	out = run(t, "mha", "sched", "analyze", "-f", js)
 	if !strings.Contains(out, "OK") {
 		t.Fatalf("exported JSON does not analyze:\n%s", out)
 	}
-	out = run(t, "mhasched", "search", "-nodes", "2", "-ppn", "2", "-hcas", "2", "-msg", "65536")
+	out = run(t, "mha", "sched", "search", "-nodes", "2", "-ppn", "2", "-hcas", "2", "-msg", "65536")
 	if !strings.Contains(out, "best:") {
 		t.Fatalf("search output missing winner:\n%s", out)
 	}
@@ -294,7 +369,7 @@ func TestSmokeMhaschedRejectsInvalid(t *testing.T) {
 	if err := os.WriteFile(bad, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(filepath.Join(binaries(t), "mhasched"), "analyze", "-f", bad)
+	cmd := exec.Command(filepath.Join(binaries(t), "mha"), "sched", "analyze", "-f", bad)
 	out, err := cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("incomplete schedule accepted:\n%s", out)
@@ -311,7 +386,7 @@ func TestSmokeMhaschedRejectsInvalid(t *testing.T) {
 	if err := os.WriteFile(red, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err = exec.Command(filepath.Join(binaries(t), "mhasched"), "run", "-f", red).CombinedOutput()
+	out, err = exec.Command(filepath.Join(binaries(t), "mha"), "sched", "run", "-f", red).CombinedOutput()
 	if err == nil {
 		t.Fatalf("reducing allgather schedule ran and verified:\n%s", out)
 	}
@@ -321,28 +396,28 @@ func TestSmokeMhaschedRejectsInvalid(t *testing.T) {
 }
 
 func TestSmokeMhacluster(t *testing.T) {
-	out := run(t, "mhacluster", "policy-compare", "-workload", "burst", "-jobs", "4")
+	out := run(t, "mha", "cluster", "policy-compare", "-workload", "burst", "-jobs", "4")
 	for _, want := range []string{"policy comparison", "packed", "spread", "rail-aware",
 		"lowest mean slowdown: rail-aware"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("policy-compare output missing %q:\n%s", want, out)
 		}
 	}
-	out = run(t, "mhacluster", "run", "-nodes", "4", "-ppn", "4", "-jobs", "4",
+	out = run(t, "mha", "cluster", "run", "-nodes", "4", "-ppn", "4", "-jobs", "4",
 		"-payload", "-timeline", "-faults", "down node=1 rail=1 until=100us")
 	for _, want := range []string{"per-job metrics", "trace hash", "legend", "J=job"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("run output missing %q:\n%s", want, out)
 		}
 	}
-	out = run(t, "mhacluster", "sweep", "-jobs", "2,4", "-policy", "packed")
+	out = run(t, "mha", "cluster", "sweep", "-jobs", "2,4", "-policy", "packed")
 	if !strings.Contains(out, "load sweep") {
 		t.Fatalf("sweep output unexpected:\n%s", out)
 	}
 }
 
 func TestSmokeMhalint(t *testing.T) {
-	out := run(t, "mhalint", "-list")
+	out := run(t, "mha", "lint", "-list")
 	for _, pass := range []string{"detnow", "maporder", "waitpair", "railpin", "gonosim",
 		"sharedstate", "purity", "locklint", "suppaudit"} {
 		if !strings.Contains(out, pass) {
@@ -352,7 +427,7 @@ func TestSmokeMhalint(t *testing.T) {
 	// One clean package is enough to see the binary load, run all nine
 	// passes and report; the whole tree is lint.TestTreeIsClean's and the
 	// CI Lint step's.
-	out = run(t, "mhalint", "./internal/topology")
+	out = run(t, "mha", "lint", "./internal/topology")
 	if !strings.Contains(out, "9 passes") || !strings.Contains(out, "no findings") {
 		t.Fatalf("internal/topology should lint clean under all nine passes:\n%s", out)
 	}
@@ -363,7 +438,7 @@ func TestSmokeMhalintFlagsFixtures(t *testing.T) {
 	// itself in the diagnostics.
 	for _, pass := range []string{"detnow", "maporder", "waitpair", "railpin", "gonosim",
 		"sharedstate", "purity", "locklint", "suppaudit"} {
-		cmd := exec.Command(filepath.Join(binaries(t), "mhalint"),
+		cmd := exec.Command(filepath.Join(binaries(t), "mha"), "lint",
 			"./internal/lint/testdata/src/"+pass)
 		out, err := cmd.CombinedOutput()
 		if err == nil {
@@ -379,16 +454,16 @@ func TestSmokeMhalintPassSelection(t *testing.T) {
 	// -pass restricts the run: the waitpair fixture fires under its own
 	// pass but is silent under detnow alone.
 	fixture := "./internal/lint/testdata/src/waitpair"
-	cmd := exec.Command(filepath.Join(binaries(t), "mhalint"), "-pass", "waitpair", fixture)
+	cmd := exec.Command(filepath.Join(binaries(t), "mha"), "lint", "-pass", "waitpair", fixture)
 	out, err := cmd.CombinedOutput()
 	if err == nil || !strings.Contains(string(out), "waitpair:") {
 		t.Fatalf("-pass waitpair did not fire on its fixture (err=%v):\n%s", err, out)
 	}
-	out2 := run(t, "mhalint", "-pass", "detnow", fixture)
+	out2 := run(t, "mha", "lint", "-pass", "detnow", fixture)
 	if !strings.Contains(out2, "no findings") {
 		t.Fatalf("-pass detnow should be silent on the waitpair fixture:\n%s", out2)
 	}
-	cmd = exec.Command(filepath.Join(binaries(t), "mhalint"), "-pass", "nosuchpass", fixture)
+	cmd = exec.Command(filepath.Join(binaries(t), "mha"), "lint", "-pass", "nosuchpass", fixture)
 	if _, err := cmd.CombinedOutput(); err == nil {
 		t.Fatal("-pass nosuchpass must be a usage error")
 	}
@@ -396,11 +471,11 @@ func TestSmokeMhalintPassSelection(t *testing.T) {
 
 func TestSmokeMhalintJSONAndBaseline(t *testing.T) {
 	fixture := "./internal/lint/testdata/src/detnow"
-	bin := filepath.Join(binaries(t), "mhalint")
+	bin := filepath.Join(binaries(t), "mha")
 
 	// -json: findings as machine-readable output, still exit 1; two runs
 	// must agree byte for byte.
-	cmd := exec.Command(bin, "-json", fixture)
+	cmd := exec.Command(bin, "lint", "-json", fixture)
 	out, err := cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("fixture lints clean under -json:\n%s", out)
@@ -408,7 +483,7 @@ func TestSmokeMhalintJSONAndBaseline(t *testing.T) {
 	if !strings.Contains(string(out), `"pass": "detnow"`) || !strings.Contains(string(out), `"findings"`) {
 		t.Fatalf("-json output shape unexpected:\n%s", out)
 	}
-	cmd = exec.Command(bin, "-json", fixture)
+	cmd = exec.Command(bin, "lint", "-json", fixture)
 	out2, _ := cmd.CombinedOutput()
 	if string(out) != string(out2) {
 		t.Fatalf("-json output not deterministic:\n%s\nvs\n%s", out, out2)
@@ -417,8 +492,8 @@ func TestSmokeMhalintJSONAndBaseline(t *testing.T) {
 	// -write-baseline accepts the findings; -baseline then comes back
 	// clean, and deleting a line resurfaces exactly that finding.
 	base := filepath.Join(t.TempDir(), "fixture.baseline")
-	run(t, "mhalint", "-write-baseline", base, fixture)
-	out3 := run(t, "mhalint", "-baseline", base, fixture)
+	run(t, "mha", "lint", "-write-baseline", base, fixture)
+	out3 := run(t, "mha", "lint", "-baseline", base, fixture)
 	if !strings.Contains(out3, "baselined") {
 		t.Fatalf("-baseline did not absorb the accepted findings:\n%s", out3)
 	}
@@ -430,7 +505,7 @@ func TestSmokeMhalintJSONAndBaseline(t *testing.T) {
 	if err := os.WriteFile(base, []byte(strings.Join(lines[:len(lines)-1], "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd = exec.Command(bin, "-baseline", base, fixture)
+	cmd = exec.Command(bin, "lint", "-baseline", base, fixture)
 	out4, err := cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("shrunken baseline still absorbs everything:\n%s", out4)
@@ -539,7 +614,7 @@ func TestSmokeMhatunedBench(t *testing.T) {
 }
 
 func TestSmokeMhaclusterRejectsBadPolicy(t *testing.T) {
-	cmd := exec.Command(filepath.Join(binaries(t), "mhacluster"), "run", "-policy", "best-fit")
+	cmd := exec.Command(filepath.Join(binaries(t), "mha"), "cluster", "run", "-policy", "best-fit")
 	out, err := cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("bad policy accepted:\n%s", out)
@@ -550,13 +625,13 @@ func TestSmokeMhaclusterRejectsBadPolicy(t *testing.T) {
 }
 
 func TestSmokeMhacomposeListAndDescribe(t *testing.T) {
-	out := run(t, "mhacompose", "list")
+	out := run(t, "mha", "compose", "list")
 	for _, name := range []string{"compose-ag", "compose-rs", "compose-a2a", "compose-ar", "compose-bcast"} {
 		if !strings.Contains(out, name) {
 			t.Fatalf("list missing %s:\n%s", name, out)
 		}
 	}
-	out = run(t, "mhacompose", "describe", "-coll", "reduce-scatter", "-nodes", "4", "-ppn", "4", "-hcas", "2")
+	out = run(t, "mha", "compose", "describe", "-coll", "reduce-scatter", "-nodes", "4", "-ppn", "4", "-hcas", "2")
 	for _, want := range []string{"coll=reduce-scatter", "red scope=node", "mc scope=node alg=pull", "leader-group"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("describe missing %q:\n%s", want, out)
@@ -565,7 +640,7 @@ func TestSmokeMhacomposeListAndDescribe(t *testing.T) {
 }
 
 func TestSmokeMhacomposeLowerAnalyzeRun(t *testing.T) {
-	out := run(t, "mhacompose", "lower", "-coll", "alltoall", "-nodes", "2", "-ppn", "2", "-hcas", "2", "-msg", "4096")
+	out := run(t, "mha", "compose", "lower", "-coll", "alltoall", "-nodes", "2", "-ppn", "2", "-hcas", "2", "-msg", "4096")
 	if !strings.Contains(out, "step") {
 		t.Fatalf("lowered IR unexpected:\n%s", out)
 	}
@@ -575,11 +650,11 @@ func TestSmokeMhacomposeLowerAnalyzeRun(t *testing.T) {
 	if err := os.WriteFile(pipe, []byte(custom), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out = run(t, "mhacompose", "analyze", "-f", pipe, "-nodes", "2", "-ppn", "2", "-msg", "65536")
+	out = run(t, "mha", "compose", "analyze", "-f", pipe, "-nodes", "2", "-ppn", "2", "-msg", "65536")
 	if !strings.Contains(out, "my-rs") || !strings.Contains(out, "invariants: ok") {
 		t.Fatalf("analyze output unexpected:\n%s", out)
 	}
-	out = run(t, "mhacompose", "run", "-name", "compose-rs", "-nodes", "2", "-ppn", "4", "-msg", "1024")
+	out = run(t, "mha", "compose", "run", "-name", "compose-rs", "-nodes", "2", "-ppn", "4", "-msg", "1024")
 	if !strings.Contains(out, "verified") || !strings.Contains(out, "trace hash") {
 		t.Fatalf("run output unexpected:\n%s", out)
 	}
@@ -593,7 +668,7 @@ func TestSmokeMhacomposeRejectsIncompletePipeline(t *testing.T) {
 	if err := os.WriteFile(pipe, []byte(bad), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(filepath.Join(binaries(t), "mhacompose"),
+	cmd := exec.Command(filepath.Join(binaries(t), "mha"), "compose",
 		"analyze", "-f", pipe, "-nodes", "2", "-ppn", "2", "-msg", "1024")
 	out, err := cmd.CombinedOutput()
 	if err == nil {
@@ -605,23 +680,23 @@ func TestSmokeMhacomposeRejectsIncompletePipeline(t *testing.T) {
 }
 
 func TestSmokeMhafabricDescribeAndRoute(t *testing.T) {
-	out := run(t, "mhafabric", "describe", "-fabric", "ft:arity=2,levels=2,over=2", "-nodes", "8")
+	out := run(t, "mha", "fabric", "describe", "-fabric", "ft:arity=2,levels=2,over=2", "-nodes", "8")
 	if !strings.Contains(out, "fattree") || !strings.Contains(out, "shared links: 8") {
 		t.Fatalf("describe output unexpected:\n%s", out)
 	}
-	out = run(t, "mhafabric", "route", "-fabric", "dfly:groups=2,routers=2,nodes=2", "-nodes", "8", "-src", "0", "-dst", "7")
+	out = run(t, "mha", "fabric", "route", "-fabric", "dfly:groups=2,routers=2,nodes=2", "-nodes", "8", "-src", "0", "-dst", "7")
 	if !strings.Contains(out, "node0 -> node7:") || !strings.Contains(out, "dfly.g0-g1") {
 		t.Fatalf("route output unexpected:\n%s", out)
 	}
 	// Same-leaf traffic crosses no shared links.
-	out = run(t, "mhafabric", "route", "-fabric", "ft:arity=2,levels=2,over=2", "-nodes", "4", "-src", "0", "-dst", "1")
+	out = run(t, "mha", "fabric", "route", "-fabric", "ft:arity=2,levels=2,over=2", "-nodes", "4", "-src", "0", "-dst", "1")
 	if !strings.Contains(out, "no shared links") {
 		t.Fatalf("same-leaf route output unexpected:\n%s", out)
 	}
 }
 
 func TestSmokeMhafabricSweepMatchesGolden(t *testing.T) {
-	out := run(t, "mhafabric", "sweep")
+	out := run(t, "mha", "fabric", "sweep")
 	want, err := os.ReadFile(filepath.Join("internal", "bench", "testdata", "golden", "fabric.golden"))
 	if err != nil {
 		t.Fatal(err)
@@ -632,7 +707,7 @@ func TestSmokeMhafabricSweepMatchesGolden(t *testing.T) {
 }
 
 func TestSmokeMhafabricRejectsBadSpec(t *testing.T) {
-	cmd := exec.Command(filepath.Join(binaries(t), "mhafabric"), "describe", "-fabric", "torus:dims=3")
+	cmd := exec.Command(filepath.Join(binaries(t), "mha"), "fabric", "describe", "-fabric", "torus:dims=3")
 	out, err := cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("bad fabric spec accepted:\n%s", out)

@@ -1,7 +1,7 @@
 // Package bench is the evaluation harness: one registered experiment per
 // table and figure of the paper's evaluation (Section 5), each printing
 // the same rows/series the paper reports, plus the ablation studies called
-// out in DESIGN.md. The cmd/mhabench binary and the repository-level
+// out in DESIGN.md. The `mha bench` tool and the repository-level
 // testing.B benchmarks both drive this package.
 package bench
 

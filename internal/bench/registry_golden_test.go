@@ -66,7 +66,7 @@ func firstDiff(want, got []byte) string {
 // render must match byte for byte. A modeled number that moves on purpose
 // is re-recorded with
 //
-//	go run ./cmd/mhabench -quick -tier1 BENCH_tier1.json
+//	go run ./cmd/mha bench -quick -tier1 BENCH_tier1.json
 func TestTier1Metrics(t *testing.T) {
 	seen := map[string]bool{}
 	for _, m := range Tier1(Quick) {

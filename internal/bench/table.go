@@ -56,7 +56,7 @@ func (t *Table) FprintCSV(w io.Writer) error {
 }
 
 // CSVMode switches every experiment's Fprint to CSV output. It is set
-// once by cmd/mhabench's -csv flag before any experiment runs; the
+// once by `mha bench`'s -csv flag before any experiment runs; the
 // harness is single-threaded per process.
 var CSVMode bool
 

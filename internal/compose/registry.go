@@ -18,7 +18,7 @@ type Variant struct {
 
 // Variants is the single registration point for every derived
 // collective. The verify registry derives one row from each entry, and
-// the compose experiment and mhacompose enumerate it, so a variant added
+// the compose experiment and `mha compose` enumerate it, so a variant added
 // here is verified, explored and priced without further wiring.
 func Variants() []Variant {
 	var out []Variant

@@ -6,7 +6,7 @@ import "testing"
 // input. Properties: ParseSpec never panics; whatever it accepts
 // validates, renders via String() in a form ParseSpec accepts again, and
 // that render is a fixed point — otherwise a counterexample line printed
-// by mhaexplore might not replay.
+// by mha explore might not replay.
 func FuzzParseExploreSpec(f *testing.F) {
 	for _, seed := range []string{
 		"alg=ring nodes=2 ppn=2 hcas=2 msg=8 fault=none sched=canonical",

@@ -83,7 +83,7 @@ func parsePlacement(s string) (Placement, error) {
 // points (each an index into that point's co-enabled event frontier;
 // points beyond the list take the canonical lowest-seq event). It
 // round-trips through a one-line text form, so a counterexample can be
-// replayed with `mhaexplore -repro`.
+// replayed with `mha explore -repro`.
 type Spec struct {
 	Alg                   string
 	Nodes, PPN, HCAs, Msg int

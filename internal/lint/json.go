@@ -85,8 +85,8 @@ func FormatBaseline(diags []Diagnostic) []byte {
 	}
 	sort.Strings(lines)
 	var buf bytes.Buffer
-	buf.WriteString("# mhalint baseline: accepted findings, one per line (file<TAB>pass<TAB>message).\n")
-	buf.WriteString("# Regenerate with: go run ./cmd/mhalint -write-baseline lint.baseline ./...\n")
+	buf.WriteString("# mha lint baseline: accepted findings, one per line (file<TAB>pass<TAB>message).\n")
+	buf.WriteString("# Regenerate with: go run ./cmd/mha lint -write-baseline lint.baseline ./...\n")
 	for _, l := range lines {
 		buf.WriteString(l)
 		buf.WriteString("\n")

@@ -1,4 +1,4 @@
-// Package lint implements mhalint, a stdlib-only static-analysis suite
+// Package lint implements `mha lint`, a stdlib-only static-analysis suite
 // that proves the simulator's determinism and resource-discipline rules
 // at build time (go/ast + go/parser + go/types; no external modules).
 //

@@ -10,7 +10,7 @@ import (
 // These tables pin the exact text, and so the order, of every error
 // Schedule.Validate and the analyzer can report. They were written
 // against the map-and-Sprintf implementations and must pass unchanged
-// on any rewrite of either: callers (mhasched, the tuner's cache
+// on any rewrite of either: callers (mha sched, the tuner's cache
 // re-verification, verify's run violations) surface these strings.
 
 // whole is a whole-range transfer of count blocks over the default

@@ -5,7 +5,7 @@
 // oracle of the expected bytes, and audits the simulator's physics along
 // the way (clock monotonicity, resource-busy conservation, drained
 // mailboxes, determinism of the event timeline). Failing scenarios are
-// greedily shrunk to a minimal one-line repro spec that cmd/mhaverify can
+// greedily shrunk to a minimal one-line repro spec that `mha verify -repro` can
 // replay.
 package verify
 

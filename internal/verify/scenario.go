@@ -16,7 +16,7 @@ import (
 // Scenario is one fully-specified verification run: a variant, a cluster,
 // a payload, and the environment (jitter, faults, health-blindness). It
 // round-trips through a one-line textual spec so a shrunk failure can be
-// replayed with `mhaverify -repro`.
+// replayed with `mha verify -repro`.
 type Scenario struct {
 	// Alg names a registered Algorithm.
 	Alg string

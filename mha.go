@@ -244,7 +244,7 @@ var (
 	RandomFaults     = faults.Random
 )
 
-// Communication-schedule IR (internal/sched, cmd/mhasched): the
+// Communication-schedule IR (internal/sched, mha sched): the
 // collective designs as explicit data — steps of (src, dst, block
 // window, transport/rail) transfers plus intra-node staging copies —
 // with a static analyzer (correctness invariants, alpha-beta
@@ -313,7 +313,7 @@ var (
 	SimulateScheduleHealth = sched.SimulateHealth
 )
 
-// Compositional collectives (internal/compose, cmd/mhacompose): a
+// Compositional collectives (internal/compose, mha compose): a
 // collective as a declarative pipeline of multicast / reduce / fence
 // primitives over the machine hierarchy, compiled to the schedule IR
 // and checked by the same analyzer and verification campaign as the
@@ -408,7 +408,7 @@ func MeasureAllreduce(topo Cluster, prm *Params, n int, prof Profile) Duration {
 }
 
 // Verification: the randomized differential-verification harness (see
-// cmd/mhaverify and DESIGN.md section 7). Every registered variant runs
+// mha verify and DESIGN.md section 7). Every registered variant runs
 // with real payloads against a byte-exact oracle, under simulator
 // invariant audits (clock monotonicity, resource-busy conservation,
 // drained mailboxes at teardown) and a same-seed determinism cross-check.
@@ -456,7 +456,7 @@ func VerifyCampaign(n int, seed int64) error {
 }
 
 // Exhaustive exploration: the DPOR model checker for small worlds (see
-// cmd/mhaexplore and DESIGN.md section 12). Where the verification
+// mha explore and DESIGN.md section 12). Where the verification
 // campaign samples scenarios at random, Explore enumerates every
 // meaningfully distinct interleaving of same-virtual-time events — and,
 // with a fault budget, every single-rail-fault placement — checking the
@@ -505,7 +505,7 @@ func ExploreReplay(spec string) error {
 
 // Multi-tenant cluster scheduling: a stream of collective jobs admitted
 // onto ONE shared fabric, running concurrently in virtual time and
-// contending for HCA rails and memory buses (see cmd/mhacluster and
+// contending for HCA rails and memory buses (see mha cluster and
 // DESIGN.md section 9).
 type (
 	// ClusterJob is one collective job in a scheduler workload: which
@@ -551,7 +551,7 @@ func ClusterRandomJobs(seed int64, n int, topo Cluster, horizon Duration) []Clus
 	return cluster.RandomJobs(seed, n, topo, horizon)
 }
 
-// Structured fabrics (internal/fabric, cmd/mhafabric): fat-tree and
+// Structured fabrics (internal/fabric, mha fabric): fat-tree and
 // dragonfly inter-node network models with deterministic routing over
 // shared per-link resources (DESIGN.md §14).
 type (
