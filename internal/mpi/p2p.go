@@ -119,6 +119,14 @@ func (p *Proc) Isend(c *Comm, dst, tag int, data Buf, opts ...SendOption) *Reque
 	return r
 }
 
+// IsendInto is Isend into a request the caller owns: r is overwritten, and
+// complete it with Wait as Isend's. A rank that keeps many sends in flight
+// at once posts them into a slice of its own instead of one allocation
+// each.
+func (p *Proc) IsendInto(r *Request, c *Comm, dst, tag int, data Buf, opts ...SendOption) {
+	p.isend(r, c, dst, tag, data, opts)
+}
+
 func (p *Proc) isend(r *Request, c *Comm, dst, tag int, data Buf, opts []SendOption) {
 	var o sendOpts
 	o.rail = -1
@@ -441,6 +449,11 @@ func (p *Proc) Irecv(c *Comm, src, tag int) *Request {
 	r := new(Request)
 	p.irecv(r, c, src, tag)
 	return r
+}
+
+// IrecvInto is Irecv into a request the caller owns (see IsendInto).
+func (p *Proc) IrecvInto(r *Request, c *Comm, src, tag int) {
+	p.irecv(r, c, src, tag)
 }
 
 func (p *Proc) irecv(r *Request, c *Comm, src, tag int) {
