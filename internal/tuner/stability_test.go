@@ -92,3 +92,19 @@ func TestWireBytesFence(t *testing.T) {
 		t.Errorf("55 keys serve %d bytes, over the fence of %d (measured %d + 5 %%)", total, limit, measured)
 	}
 }
+
+// BenchmarkColdMiss is tuner-serve's cold set-up without the HTTP
+// harness: one op answers the benchmark's 55 keys on a fresh Service, so
+// every answer is a synthesis.
+func BenchmarkColdMiss(b *testing.B) {
+	qs := benchmarkQueries()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		svc := New(Config{Capacity: 512})
+		for _, q := range qs {
+			if _, err := svc.Decide(q); err != nil {
+				b.Fatalf("%+v: %v", q, err)
+			}
+		}
+	}
+}
