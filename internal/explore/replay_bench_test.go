@@ -23,25 +23,39 @@ func BenchmarkExploreReplay(b *testing.B) {
 	}
 }
 
-// TestReplayAllocFence bounds what one replay of rd on 2x2x2 allocates:
-// the world, its four ranks' messages and buffers, the step records. It
-// was 395 when every point kept three maps, every replay regrew its trace
-// from nil and every send formatted a span name; 287 when every object of
-// a world was an allocation of its own and every step's footprint was
-// copied for the observer; and 199 when every footprint key was a
-// concatenated string, every world concatenated its names, every new
-// decision point was allocated afresh and every replay recorded a trace.
-// It is 131 now, and the fence is that plus 15 %.
+// TestReplayAllocFence bounds what one replay on 2x2x2 allocates.
+//
+// rd: the world, its four ranks' messages and buffers, the step records.
+// It was 395 when every point kept three maps, every replay regrew its
+// trace from nil and every send formatted a span name; 287 when every
+// object of a world was an allocation of its own and every step's
+// footprint was copied for the observer; and 199 when every footprint key
+// was a concatenated string, every world concatenated its names, every
+// new decision point was allocated afresh and every replay recorded a
+// trace. It is 131 now, and the fence is that plus 15 %.
+//
+// sched-mha: the same, plus the schedule and its per-rank transfer lists,
+// built once per world. It is 154 now, and the fence is that plus 15 %.
+// It was 184 when every rank walked every transfer of every step and
+// every post allocated its request.
 func TestReplayAllocFence(t *testing.T) {
 	const replays = 500
-	allocs := testing.AllocsPerRun(3, func() {
-		if rep, err := Run(replayOptions("rd", replays)); err != nil || rep.Executions != replays {
-			t.Fatalf("%d executions, err %v", rep.Executions, err)
+	for _, tc := range []struct {
+		alg   string
+		fence float64
+	}{
+		{"rd", 151},
+		{"sched-mha", 177},
+	} {
+		allocs := testing.AllocsPerRun(3, func() {
+			if rep, err := Run(replayOptions(tc.alg, replays)); err != nil || rep.Executions != replays {
+				t.Fatalf("%s: %d executions, err %v", tc.alg, rep.Executions, err)
+			}
+		})
+		if per := allocs / replays; per > tc.fence {
+			t.Errorf("%s: %.0f allocations per replay, fence is %.0f", tc.alg, per, tc.fence)
+		} else {
+			t.Logf("%s: %.0f allocations per replay", tc.alg, per)
 		}
-	})
-	if per := allocs / replays; per > 151 {
-		t.Errorf("%.0f allocations per replay, fence is 151", per)
-	} else {
-		t.Logf("%.0f allocations per replay", per)
 	}
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"unicode/utf8"
 
@@ -12,9 +13,10 @@ import (
 // FuzzParseSchedule drives the schedule parser (text and JSON forms)
 // with arbitrary input. Properties: Parse never panics; whatever it
 // accepts validates, renders via String() and via JSON() in forms Parse
-// accepts again, each render is a fixed point, and the analyzer can
-// process small accepted schedules, healthy or with a rail degraded,
-// without panicking.
+// accepts again, each render is a fixed point, the analyzer can process
+// small accepted schedules, healthy or with a rail degraded, without
+// panicking, and the interpreter's per-rank lists are each rank's
+// transfers in step order (see checkIndex).
 func FuzzParseSchedule(f *testing.F) {
 	valid := NewBuilder("seedling", topology.New(2, 2, 2), 64)
 	valid.Step()
@@ -99,6 +101,7 @@ func FuzzParseSchedule(f *testing.F) {
 		// healthy or degraded; keep the work bounded so the fuzzer spends
 		// its time in the parser.
 		if s.Topo.Size() <= 64 && len(s.Steps) <= 32 && s.NumTransfers() <= 256 {
+			checkIndex(t, s)
 			_, _ = Analyze(s, prm)
 			if H := s.Topo.HCAs; H <= 64 {
 				// One rail dead (which one depends on the input) when there
@@ -116,4 +119,35 @@ func FuzzParseSchedule(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkIndex holds NewIndex, and the one-rank walk of an Execute without
+// one, to their definition: rank r's list is the in-order filter of every
+// step's transfers to those r sends or receives, each tagged with its step
+// and with how many transfers of its ordered pair precede it in the step.
+func checkIndex(t *testing.T, s *Schedule) {
+	ix := NewIndex(s)
+	for r := 0; r < s.Topo.Size(); r++ {
+		var want []xferRef
+		for si, st := range s.Steps {
+			for xi, x := range st.Xfers {
+				if x.Src != r && x.Dst != r {
+					continue
+				}
+				q := 0
+				for _, y := range st.Xfers[:xi] {
+					if y.Src == x.Src && y.Dst == x.Dst {
+						q++
+					}
+				}
+				want = append(want, xferRef{xi: int32(xi), tag: int32(si<<7 | q)})
+			}
+		}
+		if got := ix.own(r); !slices.Equal(got, want) {
+			t.Fatalf("rank %d: index lists %v, want %v\n%s", r, got, want, s)
+		}
+		if got := ownXfers(s, r); !slices.Equal(got, want) {
+			t.Fatalf("rank %d: its own walk lists %v, want %v\n%s", r, got, want, s)
+		}
+	}
 }
