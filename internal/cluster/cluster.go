@@ -544,7 +544,7 @@ func runComposed(p *mpi.Proc, c *mpi.Comm, job JobSpec, comp compose.Composition
 			send.Data()[i] = jobPat(job.ID, me, i)
 		}
 	}
-	compose.ExecutePlanOn(p, c, plan, send, recv)
+	compose.ExecutePlanOn(p, c, plan, nil, send, recv)
 	if !payload || report == nil {
 		return
 	}

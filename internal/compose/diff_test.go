@@ -259,7 +259,7 @@ func TestExecutePlanLeavesPlanUntouched(t *testing.T) {
 			send := mpi.NewBuf(sendLen)
 			fill(send, p.Rank())
 			recv := mpi.NewBuf(recvLen)
-			compose.ExecutePlan(p, w, plan, send, recv)
+			compose.ExecutePlan(p, w, plan, nil, send, recv)
 			return recv
 		})
 		if !reflect.DeepEqual(plan, ref) {
