@@ -219,8 +219,9 @@ func schedSearch(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Rows the bound ruled out were never simulated; measure them here.
-	if err := res.MeasureLowered(topo, prm, nil); err != nil {
+	// Rows the bound ruled out and a pick priced exactly at its cost were
+	// never simulated; simulate them here.
+	if err := res.Measure(topo, prm, nil); err != nil {
 		return err
 	}
 	fmt.Printf("search on %v, msg %d B: %d seeds\n", topo, *msg, len(res.Seeds))

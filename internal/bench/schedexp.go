@@ -40,9 +40,10 @@ func runSchedExperiment(w io.Writer, sc Scale) error {
 		if err != nil {
 			return fmt.Errorf("synthesize on %v: %v", topo, err)
 		}
-		// The pick simulates only the lowerings it cannot rule out; the
-		// table reports every one.
-		if err := res.MeasureLowered(topo, prm, nil); err != nil {
+		// The pick simulates only the lowerings it can neither rule out nor
+		// price exactly; the table reports every one, and the pick, as
+		// simulated.
+		if err := res.Measure(topo, prm, nil); err != nil {
 			return err
 		}
 		machine := fmt.Sprintf("%dx%dx%d", topo.Nodes, topo.PPN, topo.HCAs)

@@ -23,7 +23,7 @@ func TestSynthesizeBeatsLowerings(t *testing.T) {
 		if err != nil {
 			t.Fatalf("synthesize on %v: %v", topo, err)
 		}
-		if err := res.MeasureLowered(topo, prm, nil); err != nil {
+		if err := res.Measure(topo, prm, nil); err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Lowered) == 0 {
@@ -64,7 +64,7 @@ func TestAnalyzerSimAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatalf("synthesize on %v: %v", topo, err)
 		}
-		if err := res.MeasureLowered(topo, prm, nil); err != nil {
+		if err := res.Measure(topo, prm, nil); err != nil {
 			t.Fatal(err)
 		}
 		byCost, bySim := res.Lowered[0], res.Lowered[0]

@@ -23,8 +23,10 @@ type Decision struct {
 	Name string `json:"name"`
 	// CostUS is the analyzer's health-aware alpha-beta prediction.
 	CostUS float64 `json:"cost_us"`
-	// MakespanUS is the simulated makespan, 0 when the analytic margin
-	// pruned the simulation pass (see Pruned).
+	// MakespanUS is the final pick's makespan: simulated, or, for a
+	// schedule the synthesizer proves to simulate at exactly its cost
+	// (sched.Candidate.Exact), that cost. It is 0 when the analytic
+	// margin pruned the simulation pass (see Pruned).
 	MakespanUS float64 `json:"makespan_us,omitempty"`
 	// PredictedUS is the Section-4 closed-form model's estimate for the
 	// shape, recorded for cross-checking the pick against the paper's
