@@ -333,19 +333,6 @@ func RailWeights(fracs, scales []float64) []float64 {
 	return out
 }
 
-// EffectiveBW is the effective-bandwidth lookup for a (possibly degraded)
-// rail: the rail's line rate scaled by the fault schedule's surviving
-// fraction. Zero means the rail is down.
-func (p *Params) EffectiveBW(fraction float64) float64 {
-	if fraction <= 0 {
-		return 0
-	}
-	if fraction > 1 {
-		fraction = 1
-	}
-	return p.BWHCA * fraction
-}
-
 // ShouldStripe reports whether a message of n bytes should stripe across
 // all rails rather than use a single round-robin rail.
 func (p *Params) ShouldStripe(n int) bool { return n >= p.StripeThreshold }

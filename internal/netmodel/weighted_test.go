@@ -73,22 +73,3 @@ func TestRailChunkWeightedPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestEffectiveBW(t *testing.T) {
-	p := Thor()
-	if got := p.EffectiveBW(1); got != p.BWHCA {
-		t.Fatalf("EffectiveBW(1) = %v, want %v", got, p.BWHCA)
-	}
-	if got := p.EffectiveBW(0.5); got != 0.5*p.BWHCA {
-		t.Fatalf("EffectiveBW(0.5) = %v", got)
-	}
-	if got := p.EffectiveBW(0); got != 0 {
-		t.Fatalf("EffectiveBW(0) = %v, want 0", got)
-	}
-	if got := p.EffectiveBW(-2); got != 0 {
-		t.Fatalf("EffectiveBW(-2) = %v, want 0", got)
-	}
-	if got := p.EffectiveBW(7); got != p.BWHCA {
-		t.Fatalf("EffectiveBW(7) = %v, want clamp to %v", got, p.BWHCA)
-	}
-}

@@ -722,10 +722,10 @@ func (a *analysis) price(st *Step) sim.Duration {
 				r := railRR[t.Src] % H
 				railRR[t.Src]++
 				for healthOf(health, r) <= 0 {
-					// The runtime's failover skips dead rails; ValidHealth
-					// guarantees a live one exists.
-					r = railRR[t.Src] % H
-					railRR[t.Src]++
+					// The runtime's failover takes the next live rail
+					// without moving the cursor again; ValidHealth
+					// guarantees one exists.
+					r = (r + 1) % H
 				}
 				d := hcaPiece(prm, t.Len, t.Len, healthOf(health, r))
 				busyTX[srcNode*H+r] += d
@@ -846,16 +846,20 @@ func (a *analysis) canonical() []int32 {
 // model (collectives.Float64Sum and compose's byte-sum both use 8 GB/s).
 const reduceBW = 8e9
 
-// hcaPiece prices one rail piece of an adapter transfer: startup plus
-// wire time at the rail's surviving bandwidth, plus the rendezvous
-// handshake when the whole message crosses the threshold — the same
-// shape mpi.sendHCA charges per rail. Dead rails (health <= 0) are the
-// caller's problem: pinned use is a violation and the policy paths never
-// route bytes to them.
+// hcaPiece prices one rail piece of an adapter transfer as the runtime
+// charges it: mpi.sendHCA's healthy occupation (startup, the rendezvous
+// handshake when the whole message crosses the threshold, wire time),
+// stretched whole by a degraded rail's health and rounded the way
+// sim.Resource's steady rate profile rounds it. Dead rails (health <= 0)
+// are the caller's problem: pinned use is a violation and the policy
+// paths never route bytes to them.
 func hcaPiece(prm *netmodel.Params, total, piece int, health float64) sim.Duration {
-	d := prm.AlphaHCA + sim.FromSeconds(float64(piece)/prm.EffectiveBW(health))
+	d := prm.AlphaHCA + sim.FromSeconds(float64(piece)/prm.BWHCA)
 	if total >= prm.RendezvousThreshold {
 		d += prm.AlphaRendezvous
+	}
+	if health < 1 {
+		d = sim.Duration(float64(d)/health + 0.5)
 	}
 	return d
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"mha/internal/netmodel"
@@ -26,8 +27,11 @@ func (k boundKey) String() string {
 // 55 tuner keys (the 128-rank one included), the dead-rail and three-rail
 // degraded keys of the tuner's pinned decisions, cyclic layouts, healthy
 // machines of one, three and four rails, the corners of what
-// exactWhenBounded admits (16 nodes, 16 ppn, 128 ranks, 1 MiB), and a
-// sweep of 1-8 nodes by 1-8 ppn from 1 KiB to 1 MiB.
+// exactWhenBounded admits (16 nodes, 16 ppn, 128 ranks, 1 MiB), a sweep
+// of 1-8 nodes by 1-8 ppn from 1 KiB to 1 MiB, and degraded machines:
+// slow, very slow and dead rails of two, three and four, from 1 B to
+// 1 MiB, where the analyzer must charge a slow rail's whole occupation
+// and route round-robin traffic off a dead rail as the runtime does.
 func boundGrid() []boundKey {
 	var ks []boundKey
 	for _, nodes := range []int{2, 4, 8} {
@@ -69,32 +73,68 @@ func boundGrid() []boundKey {
 			}
 		}
 	}
+	// With one rail dead among three or four, 1 B and 4 KiB go
+	// round-robin: there the cursor must not skip a second rail past the
+	// dead one (2x4x4 and 8x2x4 at [0.75 0 1 1], 4x4x3 at [0.75 0 1]).
+	degraded := [][]float64{
+		{0.5, 1}, {0.25, 1}, {0.5, 0.5}, {1, 1.0 / 64}, {0.75, 0.5}, {0, 1}, {1, 0},
+		{0.75, 0, 1}, {1, 0.5, 0}, {0.75, 0, 1, 1}, {0, 0.5, 1, 0.25},
+	}
+	for _, health := range degraded {
+		for _, shape := range [][2]int{{2, 4}, {4, 4}, {8, 2}} {
+			for _, msg := range []int{1, 4 << 10, 64 << 10, 1 << 20} {
+				ks = append(ks, boundKey{topology.New(shape[0], shape[1], len(health)), msg, health})
+			}
+		}
+	}
 	return ks
 }
 
+// gateRun is one key of boundGrid taken through the search up to its
+// final pick, with every seed's Report as the shared analysis made it.
+type gateRun struct {
+	boundKey
+	res       *SynthResult
+	finalists []Candidate
+	reports   map[string]*Report
+}
+
+// gateRuns is the search's pass over boundGrid, made once for the tests
+// that read it.
+var gateRuns = sync.OnceValue(func() []gateRun {
+	prm := netmodel.Thor()
+	var runs []gateRun
+	for _, k := range boundGrid() {
+		sr := &search{prm: prm, health: k.health, seedReports: map[string]*Report{}}
+		res, finalists := sr.finalists(k.topo, k.msg)
+		runs = append(runs, gateRun{k, res, finalists, sr.seedReports})
+	}
+	return runs
+})
+
 // TestBoundedFinalistsNeverBeatTheirCost is the gate the final pick's
 // branch and bound stands on: every seed and every finalist Synthesize
-// marks bounded simulates no faster than the analyzer prices it, on
-// every key of boundGrid, and on a fully healthy machine at exactly that
-// price, which is what lets the pick take a healthy bounded finalist's
-// cost as its makespan. It logs the tightest point by name. Marking any
-// other construction bounded fails it: rd, direct-rail, the ring on a
-// cyclic layout, each sequential and each offload-tail grid seed all
-// simulate below their cost somewhere on the grid.
+// marks bounded simulates at exactly the price the analyzer gives it, on
+// every key of boundGrid, healthy or degraded. That is what lets the pick
+// stop at a bounded finalist that costs more than the fastest makespan so
+// far, and take a bounded finalist's cost as its makespan, everywhere
+// exactWhenBounded admits. Marking any other construction bounded fails
+// it: rd, direct-rail, the ring on a cyclic layout, each sequential and
+// each offload-tail grid seed all simulate below their cost somewhere on
+// the grid.
 func TestBoundedFinalistsNeverBeatTheirCost(t *testing.T) {
 	prm := netmodel.Thor()
-	tightest, where := 0.0, ""
-	checked, exact := 0, 0
-	for _, k := range boundGrid() {
-		if fullyHealthy(k.health) && !exactWhenBounded(k.topo, prm, k.msg, k.health) {
-			t.Errorf("%v: a healthy key of the gate that the final pick would still simulate", k)
+	checked, degraded, exact := 0, 0, 0
+	for _, run := range gateRuns() {
+		k := run.boundKey
+		if !exactWhenBounded(k.topo, prm, k.msg) {
+			t.Errorf("%v: a key of the gate outside exactWhenBounded, where the final pick simulates every finalist", k)
+			continue
 		}
-		sr := &search{prm: prm, health: k.health}
-		res, finalists := sr.finalists(k.topo, k.msg)
 		// Many bounded seeds are one schedule under several names (the
 		// option grid collapses onto the AutoOffload plans): once each.
 		var seen []*Schedule
-		for _, c := range slices.Concat(res.Seeds, finalists) {
+		for _, c := range slices.Concat(run.res.Seeds, run.finalists) {
 			if !c.bounded || slices.ContainsFunc(seen, func(s *Schedule) bool { return sameSteps(s, c.Sched) }) {
 				continue
 			}
@@ -104,21 +144,20 @@ func TestBoundedFinalistsNeverBeatTheirCost(t *testing.T) {
 				t.Fatalf("%v %s: %v", k, c.Name, err)
 			}
 			checked++
-			if mk == c.Cost {
-				exact++
+			if k.health != nil {
+				degraded++
 			}
-			if mk < c.Cost {
+			switch {
+			case mk < c.Cost:
 				t.Errorf("%v: bounded %s simulates in %d ns, below its cost %d ns", k, c.Name, int64(mk), int64(c.Cost))
-			}
-			if mk != c.Cost && exactWhenBounded(k.topo, prm, k.msg, k.health) {
-				t.Errorf("%v: bounded %s simulates in %d ns on a healthy machine, not at its cost %d ns", k, c.Name, int64(mk), int64(c.Cost))
-			}
-			if r := float64(mk) / float64(c.Cost); where == "" || r < tightest {
-				tightest, where = r, fmt.Sprintf("%v %s (cost %d ns, makespan %d ns)", k, c.Name, int64(c.Cost), int64(mk))
+			case mk != c.Cost:
+				t.Errorf("%v: bounded %s simulates in %d ns, not at its cost %d ns", k, c.Name, int64(mk), int64(c.Cost))
+			default:
+				exact++
 			}
 		}
 	}
-	t.Logf("%d bounded schedules, %d simulated at exactly their cost; tightest simulated/analyzed %.4f at %s", checked, exact, tightest, where)
+	t.Logf("%d bounded schedules, %d of them under a health vector; %d simulated at exactly their cost", checked, degraded, exact)
 }
 
 // TestExactPricingOnlyWhereGated: a bounded finalist is priced at its
@@ -174,6 +213,22 @@ func TestExactPricingOnlyWhereGated(t *testing.T) {
 	}
 }
 
+// TestBoundOnlyWhereGated: past 16 ranks a node bounded MHA seeds
+// simulate below their cost (0.654x for mha-rd-push-d0 at 8x32x2), so
+// there the final pick neither prices a bounded finalist exactly nor
+// lets one end the loop: every finalist is simulated.
+func TestBoundOnlyWhereGated(t *testing.T) {
+	for _, topo := range []topology.Cluster{topology.New(8, 32, 2), topology.New(2, 64, 2), topology.New(2, 128, 2)} {
+		res, err := Synthesize(topo, netmodel.Thor(), 64<<10, SynthOptions{})
+		if err != nil {
+			t.Fatalf("%v: %v", topo, err)
+		}
+		if res.Search.Exact != 0 || res.Search.Skipped != 0 {
+			t.Errorf("%v: %v; want every finalist simulated", topo, res.Search)
+		}
+	}
+}
+
 // TestSeedReportsMatchFreshAnalysis: the synthesizer assembles its MHA
 // seeds from parts it shares between them, prices every seed on one
 // shared analysis, and resumes every MHA plan after the phase 1 it shares
@@ -184,16 +239,16 @@ func TestExactPricingOnlyWhereGated(t *testing.T) {
 func TestSeedReportsMatchFreshAnalysis(t *testing.T) {
 	prm := netmodel.Thor()
 	seeds, plans := 0, 0
-	for _, k := range boundGrid() {
-		sr := &search{prm: prm, health: k.health, seedReports: map[string]*Report{}}
+	for _, run := range gateRuns() {
+		k := run.boundKey
 		pool := map[string]*Schedule{}
-		for _, c := range sr.seeds(k.topo, k.msg) {
+		for _, c := range run.res.Seeds {
 			pool[c.Name] = c.Sched
 			want, err := AnalyzeHealth(c.Sched, prm, k.health)
 			if err != nil {
 				t.Fatalf("%v %s: %v", k, c.Name, err)
 			}
-			if got := sr.seedReports[c.Name]; !reflect.DeepEqual(got, want) {
+			if got := run.reports[c.Name]; !reflect.DeepEqual(got, want) {
 				t.Errorf("%v %s: the search's report\n%+v\ndiffers from a fresh analysis\n%+v", k, c.Name, got, want)
 			}
 			seeds++

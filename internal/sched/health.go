@@ -52,16 +52,6 @@ func healthOf(health []float64, rail int) float64 {
 	return health[rail]
 }
 
-// fullyHealthy reports whether every rail runs at full rate.
-func fullyHealthy(health []float64) bool {
-	for _, h := range health {
-		if h != 1 {
-			return false
-		}
-	}
-	return true
-}
-
 // healthAllUp reports whether no rail is fully down.
 func healthAllUp(health []float64) bool {
 	for _, h := range health {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mha/internal/netmodel"
+	"mha/internal/sim"
 	"mha/internal/topology"
 )
 
@@ -145,21 +146,22 @@ func TestSynthesizeUnderRailOutage(t *testing.T) {
 }
 
 // TestSynthesizePruneMarginSkipsSimulation takes both branches of the
-// tuner's margin on two keys of synthGolden. On 2x8x2 at 64 KiB with rail
-// 1 at half rate, ring (100 666 ns) undercuts every other finalist by
-// more than 25 %, so nothing is simulated. Healthy, ring (93 736 ns) and
-// the MHA lowerings (113 680 ns) sit within 25 %, so the pick is
-// measured.
+// tuner's margin on two keys of synthGolden. On 2x8x2 at 1 MiB with rail
+// 1 at half rate, ring (1 360 345 ns) undercuts every other finalist by
+// more than 25 %, so nothing is simulated. Healthy at 64 KiB, ring
+// (93 736 ns) and the MHA lowerings (113 680 ns) sit within 25 %, so the
+// pick is measured.
 func TestSynthesizePruneMarginSkipsSimulation(t *testing.T) {
 	topo := topology.New(2, 8, 2)
 	for _, tc := range []struct {
+		msg    int
 		health []float64
 		pruned bool
 	}{
-		{[]float64{1, 0.5}, true},
-		{nil, false},
+		{1 << 20, []float64{1, 0.5}, true},
+		{64 << 10, nil, false},
 	} {
-		res, err := Synthesize(topo, netmodel.Thor(), 64<<10, SynthOptions{PruneMargin: 0.25, Health: tc.health})
+		res, err := Synthesize(topo, netmodel.Thor(), tc.msg, SynthOptions{PruneMargin: 0.25, Health: tc.health})
 		if err != nil {
 			t.Fatalf("health %v: %v", tc.health, err)
 		}
@@ -172,6 +174,40 @@ func TestSynthesizePruneMarginSkipsSimulation(t *testing.T) {
 			t.Errorf("health %v: pruned, but simulated %d finalists (best makespan %v)", tc.health, res.Search.Simulated, res.Best.Makespan)
 		case !tc.pruned && (res.Best.Makespan == 0 || res.Search.Simulated == 0):
 			t.Errorf("health %v: not pruned, but the winner %s is unmeasured", tc.health, res.Best.Name)
+		}
+	}
+}
+
+// TestHCAPieceIsTheRuntimesOccupation: the analyzer prices a rail piece
+// at exactly what the runtime charges for it. mpi.sendHCA's healthy
+// occupation, acquired on a sim.Resource under the steady rate profile
+// HealthFaults installs, must end hcaPiece's nanoseconds after it starts,
+// at every health from 1/64 to 1 in steps of 1/64, for pieces whole and
+// striped on both sides of the rendezvous threshold.
+func TestHCAPieceIsTheRuntimesOccupation(t *testing.T) {
+	prm := netmodel.Thor()
+	thr := prm.RendezvousThreshold
+	sizes := [][2]int{{1, 1}, {4 << 10, 4 << 10}, {thr - 1, thr - 1}, {thr - 1, thr / 2}, {thr, thr}, {thr, thr / 2},
+		{64 << 10, 21846}, {1 << 20, 1 << 20}, {1 << 20, 1 << 19}, {64 << 20, 16 << 20}}
+	for k := 1; k <= 64; k++ {
+		h := float64(k) / 64
+		fs, err := HealthFaults([]float64{h})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := sim.NewEngine()
+		for _, sz := range sizes {
+			total, piece := sz[0], sz[1]
+			rail := eng.NewResource("rail")
+			rail.SetRate(func(at sim.Time) (float64, sim.Time) { return fs.RailState(0, 0, at) })
+			rendezvous := sim.Duration(0)
+			if total >= thr {
+				rendezvous = prm.AlphaRendezvous
+			}
+			start, end := rail.Acquire(prm.AlphaHCA + rendezvous + sim.FromSeconds(float64(piece)/prm.BWHCA))
+			if got, want := hcaPiece(prm, total, piece, h), sim.Duration(end-start); got != want {
+				t.Errorf("health %d/64, piece %d of %d: hcaPiece %d ns, the rail charges %d ns", k, piece, total, int64(got), int64(want))
+			}
 		}
 	}
 }

@@ -105,64 +105,64 @@ func pinSeeds(out *strings.Builder, topo topology.Cluster, prm *netmodel.Params,
 
 const reportsGolden = `
 2x2x2/4096/[]: 7c5a9836eab43c51
-2x2x2/4096/[1 0.5]: b52907dff2d184da
+2x2x2/4096/[1 0.5]: 22e4409c78bff749
 2x2x2/65536/[]: a712e13722258ca7
-2x2x2/65536/[1 0.5]: 53a5f8423c43ff6a
+2x2x2/65536/[1 0.5]: 7a6e691eeef04e24
 2x2x2/1048576/[]: b697ab0106efc40c
-2x2x2/1048576/[1 0.5]: d546609b02c9ef05
+2x2x2/1048576/[1 0.5]: dd05a1708fdddde2
 2x4x2/4096/[]: 8de8795c51c0a19a
-2x4x2/4096/[1 0.5]: d7719904b306567d
+2x4x2/4096/[1 0.5]: 4ec1417b26a345c9
 2x4x2/65536/[]: e7d1e37f7738622c
-2x4x2/65536/[1 0.5]: 2b68a7432a87f98b
+2x4x2/65536/[1 0.5]: 7a65c0fe55636fec
 2x4x2/1048576/[]: ab3cf670c348bdeb
-2x4x2/1048576/[1 0.5]: 39338ce0a18aeff6
+2x4x2/1048576/[1 0.5]: 0e787e0a7d8f3da1
 2x8x2/4096/[]: 8477a3a7b9fae9d8
-2x8x2/4096/[1 0.5]: e5750077b1f25c70
+2x8x2/4096/[1 0.5]: 128358933436366b
 2x8x2/65536/[]: d1e6e820c66b8e41
-2x8x2/65536/[1 0.5]: 280092d62e5911cb
+2x8x2/65536/[1 0.5]: 8ab3a659df2d7f3b
 2x8x2/1048576/[]: 53bd03b62c44dd74
-2x8x2/1048576/[1 0.5]: cd056da689e9a7dc
+2x8x2/1048576/[1 0.5]: 7147fb5141027049
 4x2x2/4096/[]: 5720652ac61e6d1c
-4x2x2/4096/[1 0.5]: 36491a2372ee56f4
+4x2x2/4096/[1 0.5]: 4a00b8b6406346eb
 4x2x2/65536/[]: 46ae03bbaccb8426
-4x2x2/65536/[1 0.5]: ed46acaa53970613
+4x2x2/65536/[1 0.5]: 79e7d11be8ae3d3a
 4x2x2/1048576/[]: b6e93411abbf3e4e
-4x2x2/1048576/[1 0.5]: 22f87aaeeb96a94d
+4x2x2/1048576/[1 0.5]: a50300ca2600b285
 4x4x2/4096/[]: e42517fb20755038
-4x4x2/4096/[1 0.5]: 35adea29f359078d
+4x4x2/4096/[1 0.5]: e08f9ef8064a6446
 4x4x2/65536/[]: d1a444fe712031ae
-4x4x2/65536/[1 0.5]: ae56fda81521c6f0
+4x4x2/65536/[1 0.5]: d3aee44745e9edaf
 4x4x2/1048576/[]: 8ba1666e1feecbbf
-4x4x2/1048576/[1 0.5]: 8e41220d7bd9b164
+4x4x2/1048576/[1 0.5]: 0eccd48604886755
 4x8x2/4096/[]: ce447b437e969a3c
-4x8x2/4096/[1 0.5]: 2d4868de6a6c9d07
+4x8x2/4096/[1 0.5]: 31e828f0c95ac76b
 4x8x2/65536/[]: 9446f30b7e2c76c6
-4x8x2/65536/[1 0.5]: 04f745541c732c3d
+4x8x2/65536/[1 0.5]: 0d2a91e2606ecf58
 4x8x2/1048576/[]: 9e301faa1dd3e5f5
-4x8x2/1048576/[1 0.5]: c964bc97174bf3b6
+4x8x2/1048576/[1 0.5]: ec176a52ca44bf0e
 8x2x2/4096/[]: d2acce19e36f673d
-8x2x2/4096/[1 0.5]: 6ae6a760474e677b
+8x2x2/4096/[1 0.5]: 18bf57b5dd85af2a
 8x2x2/65536/[]: 042c16e0d4f5ec58
-8x2x2/65536/[1 0.5]: 77bcba710b9b1b7c
+8x2x2/65536/[1 0.5]: 70f4597bccfd7dcb
 8x2x2/1048576/[]: 901f1225a8b9783b
-8x2x2/1048576/[1 0.5]: 79c5490922bb592b
+8x2x2/1048576/[1 0.5]: bba4ba45efb149db
 8x4x2/4096/[]: ff4956a660e9c604
-8x4x2/4096/[1 0.5]: 56a36f5da6bcfac7
+8x4x2/4096/[1 0.5]: 5330f1b236813d81
 8x4x2/65536/[]: 47fad13b423ac9f4
-8x4x2/65536/[1 0.5]: 4114d97f28b2eaba
+8x4x2/65536/[1 0.5]: 41f63eaa30c08a74
 8x4x2/1048576/[]: a9dd58527269a6d4
-8x4x2/1048576/[1 0.5]: 684dfe84ff42d38a
+8x4x2/1048576/[1 0.5]: a25269642c5b93be
 8x8x2/4096/[]: 52f33a397770b577
-8x8x2/4096/[1 0.5]: afc0e4483f9c3620
+8x8x2/4096/[1 0.5]: 576906e910cea36c
 8x8x2/65536/[]: fc1f0d33c8e11195
-8x8x2/65536/[1 0.5]: ac1c5a36d4ae4693
+8x8x2/65536/[1 0.5]: f5f5ec4b5bb27023
 8x8x2/1048576/[]: 8502c7da6292fc17
-8x8x2/1048576/[1 0.5]: 0cca8accba7617f3
+8x8x2/1048576/[1 0.5]: 708a1c5fecabde02
 8x16x2/65536/[]: b6359d62a80d6ca8
 compose 2x2x2/[]: 43eb34f1ceb60325
-compose 2x2x2/[1 0.5]: 8e3788d818b3e759
+compose 2x2x2/[1 0.5]: 35bc1bf002c92acf
 compose 2x4x2/[]: b66b019e08a9c974
-compose 2x4x2/[1 0.5]: b681c47e89faa3c1
+compose 2x4x2/[1 0.5]: 27d8a844fe430e09
 compose 4x4x2/[]: bf49e29c6440f661
-compose 4x4x2/[1 0.5]: d3a80d01b1ed40be
+compose 4x4x2/[1 0.5]: 8cc13ce2366d47be
 `

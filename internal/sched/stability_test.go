@@ -200,7 +200,7 @@ func TestMutateStable(t *testing.T) {
 		want   string
 	}{
 		{1 << 20, false, nil, "serial+f0=1005495 serial+f2=1005495 serial+f3=1005495 serial+f5=1005495 serial+f7=1005495 serial+f8=1005495 serial+f10=1005495"},
-		{1 << 20, false, []float64{0.25, 1}, "serial+f0=3034573 serial+f2=3034573 serial+f3=3034573 serial+f5=2781304 serial+f7=3034573 serial+f8=3034573 serial+f10=3034573"},
+		{1 << 20, false, []float64{0.25, 1}, "serial+f0=3106589 serial+f2=3106589 serial+f3=3106589 serial+f5=2844318 serial+f7=3106589 serial+f8=3106589 serial+f10=3106589"},
 		{4 << 10, true, nil, "serial+f0=21121 serial+f1=19832 serial+f2=21121 serial+f3=21121 serial+f4=19832 serial+f5=19832 serial+f6=19832 serial+f7=21121"},
 	} {
 		s := serial(tc.msg, tc.spread)
@@ -244,23 +244,23 @@ func TestSearchCountersPinned(t *testing.T) {
 
 const synthGolden = `
 2x8x2/4096/[]: best=mha-rd cost=14697 makespan=14697 pruned=false seeds=mha-rd=14697,mha-rd-d0=14697,mha-rd-seq-d0=14697,mha-ring=14697,mha-ring-d0=14697,mha-ring-seq-d0=14697,ring=33908,mha-rd-push-d0=34683,mha-ring-push-d0=34683,mha-rd-seq-push-d0=36243,mha-ring-seq-push-d0=36243,rd=39215,direct-rail=71818,mha-rd-d7=132990,mha-rd-seq-d7=132990,mha-ring-d7=132990,mha-ring-seq-d7=132990,mha-rd-push-d7=152976,mha-ring-push-d7=152976,mha-rd-seq-push-d7=154536,mha-ring-seq-push-d7=154536
-2x8x2/4096/[1 0.5]: best=mha-rd cost=16019 makespan=19018 pruned=false seeds=mha-rd=16019,mha-rd-d0=16019,mha-rd-seq-d0=16019,mha-ring=16019,mha-ring-d0=16019,mha-ring-seq-d0=16019,mha-rd-push-d0=36005,mha-ring-push-d0=36005,ring=36225,mha-rd-seq-push-d0=37565,mha-ring-seq-push-d0=37565,rd=42743,direct-rail=82410,mha-rd-d7=142256,mha-rd-seq-d7=142256,mha-ring-d7=142256,mha-ring-seq-d7=142256,mha-rd-push-d7=162242,mha-ring-push-d7=162242,mha-rd-seq-push-d7=163802,mha-ring-seq-push-d7=163802
+2x8x2/4096/[1 0.5]: best=mha-rd cost=19018 makespan=19018 pruned=false seeds=mha-rd=19018,mha-rd-d0=19018,mha-rd-seq-d0=19018,mha-ring=19018,mha-ring-d0=19018,mha-ring-seq-d0=19018,mha-rd-push-d0=39004,mha-ring-push-d0=39004,mha-rd-seq-push-d0=40564,mha-ring-seq-push-d0=40564,ring=49518,rd=66743,direct-rail=143178,mha-rd-d7=190831,mha-rd-seq-d7=190831,mha-ring-d7=190831,mha-ring-seq-d7=190831,mha-rd-push-d7=210817,mha-ring-push-d7=210817,mha-rd-seq-push-d7=212377,mha-ring-seq-push-d7=212377
 2x8x2/65536/[]: best=ring cost=93736 makespan=93736 pruned=false seeds=ring=93736,mha-rd=113680,mha-rd-d0=113680,mha-rd-seq-d0=113680,mha-ring=113680,mha-ring-d0=113680,mha-ring-seq-d0=113680,rd=235978,direct-rail=267941,mha-rd-push-d0=379426,mha-ring-push-d0=379426,mha-rd-d7=387261,mha-rd-seq-d7=387261,mha-ring-d7=387261,mha-ring-seq-d7=387261,mha-rd-seq-push-d0=399891,mha-ring-seq-push-d0=399891,mha-rd-push-d7=653007,mha-ring-push-d7=653007,mha-rd-seq-push-d7=673472,mha-ring-seq-push-d7=673472
-2x8x2/65536/[1 0.5]: best=ring cost=100666 makespan=0 pruned=true seeds=ring=100666,mha-rd=134820,mha-rd-d0=134820,mha-rd-seq-d0=134820,mha-ring=134820,mha-ring-d0=134820,mha-ring-seq-d0=134820,rd=292354,mha-rd-push-d0=400566,mha-ring-push-d0=400566,mha-rd-seq-push-d0=421031,mha-ring-seq-push-d0=421031,direct-rail=437061,mha-rd-d7=457681,mha-rd-seq-d7=457681,mha-ring-d7=457681,mha-ring-seq-d7=457681,mha-rd-push-d7=723427,mha-ring-push-d7=723427,mha-rd-seq-push-d7=743892,mha-ring-seq-push-d7=743892
+2x8x2/65536/[1 0.5]: best=mha-rd cost=137821 makespan=137821 pruned=false seeds=mha-rd=137821,mha-rd-d0=137821,mha-rd-seq-d0=137821,mha-ring=137821,mha-ring-d0=137821,mha-ring-seq-d0=137821,ring=145681,rd=316354,mha-rd-push-d0=403567,mha-ring-push-d0=403567,mha-rd-seq-push-d0=424032,mha-ring-seq-push-d0=424032,direct-rail=533061,mha-rd-d7=628738,mha-rd-seq-d7=628738,mha-ring-d7=628738,mha-ring-seq-d7=628738,mha-rd-push-d7=894484,mha-ring-push-d7=894484,mha-rd-seq-push-d7=914949,mha-ring-seq-push-d7=914949
 2x8x2/1048576/[]: best=ring cost=1360345 makespan=1360345 pruned=false seeds=ring=1360345,mha-rd-d0=1697398,mha-rd-seq-d0=1697398,mha-ring-d0=1697398,mha-ring-seq-d0=1697398,mha-rd=1971665,mha-ring=1971665,direct-rail=2845572,rd=3384099,mha-rd-d7=3617267,mha-rd-seq-d7=3617267,mha-ring-d7=3617267,mha-ring-seq-d7=3617267,mha-rd-push-d0=5895304,mha-ring-push-d0=5895304,mha-rd-seq-push-d0=6218243,mha-ring-seq-push-d0=6218243,mha-rd-push-d7=7815173,mha-ring-push-d7=7815173,mha-rd-seq-push-d7=8138112,mha-ring-seq-push-d7=8138112
-2x8x2/1048576/[1 0.5]: best=ring cost=1360345 makespan=0 pruned=true seeds=ring=1360345,mha-rd-d0=2035649,mha-rd-seq-d0=2035649,mha-ring-d0=2035649,mha-ring-seq-d0=2035649,mha-rd=2422668,mha-ring=2422668,rd=4286099,mha-rd-d7=4744782,mha-rd-seq-d7=4744782,mha-ring-d7=4744782,mha-ring-seq-d7=4744782,direct-rail=5548630,mha-rd-push-d0=6233555,mha-ring-push-d0=6233555,mha-rd-seq-push-d0=6556494,mha-ring-seq-push-d0=6556494,mha-rd-push-d7=8942688,mha-ring-push-d7=8942688,mha-rd-seq-push-d7=9265627,mha-ring-seq-push-d7=9265627
+2x8x2/1048576/[1 0.5]: best=ring cost=1360345 makespan=0 pruned=true seeds=ring=1360345,mha-rd-d0=2038648,mha-rd-seq-d0=2038648,mha-ring-d0=2038648,mha-ring-seq-d0=2038648,mha-rd=2449675,mha-ring=2449675,rd=4310099,mha-rd-d7=4915837,mha-rd-seq-d7=4915837,mha-ring-d7=4915837,mha-ring-seq-d7=4915837,direct-rail=5644662,mha-rd-push-d0=6236554,mha-ring-push-d0=6236554,mha-rd-seq-push-d0=6559493,mha-ring-seq-push-d0=6559493,mha-rd-push-d7=9113743,mha-ring-push-d7=9113743,mha-rd-seq-push-d7=9436682,mha-ring-seq-push-d7=9436682
 4x8x2/4096/[]: best=mha-rd cost=23070 makespan=23070 pruned=false seeds=mha-rd=23070,mha-rd-d0=23070,mha-ring=23339,mha-ring-d0=23339,mha-rd-seq-d0=30605,mha-ring-seq-d0=33604,ring=69588,mha-rd-push-d0=77110,mha-ring-push-d0=81317,rd=84359,mha-rd-seq-push-d0=116861,mha-ring-seq-push-d0=119860,mha-rd-d7=141363,mha-ring-d7=141632,mha-rd-seq-d7=148898,mha-ring-seq-d7=151897,mha-rd-push-d7=195403,mha-ring-push-d7=199610,direct-rail=214538,mha-rd-seq-push-d7=235154,mha-ring-seq-push-d7=238153
-4x8x2/4096/[1 0.5]: best=mha-rd cost=27034 makespan=33034 pruned=false seeds=mha-rd=27034,mha-rd-d0=27034,mha-ring=27305,mha-ring-d0=27305,mha-rd-seq-d0=34569,mha-ring-seq-d0=37570,ring=74553,mha-rd-push-d0=78432,mha-ring-push-d0=82639,rd=94927,mha-rd-seq-push-d0=120825,mha-ring-seq-push-d0=123826,mha-rd-d7=153271,mha-ring-d7=153542,mha-rd-seq-d7=160806,mha-ring-seq-d7=163807,mha-rd-push-d7=204669,mha-ring-push-d7=208876,direct-rail=246314,mha-rd-seq-push-d7=247062,mha-ring-seq-push-d7=250063
+4x8x2/4096/[1 0.5]: best=mha-rd cost=33034 makespan=33034 pruned=false seeds=mha-rd=33034,mha-rd-d0=33034,mha-ring=36302,mha-ring-d0=36302,mha-rd-seq-d0=40569,mha-ring-seq-d0=46567,mha-rd-push-d0=81431,mha-ring-push-d0=85638,ring=103038,mha-rd-seq-push-d0=126825,mha-ring-seq-push-d0=132823,rd=142935,mha-rd-d7=204847,mha-ring-d7=208115,mha-rd-seq-d7=212382,mha-ring-seq-d7=218380,mha-rd-push-d7=253244,mha-ring-push-d7=257451,mha-rd-seq-push-d7=298638,mha-ring-seq-push-d7=304636,direct-rail=428618
 4x8x2/65536/[]: best=ring cost=190712 makespan=190712 pruned=false seeds=ring=190712,mha-ring=202262,mha-ring-d0=202262,mha-rd=202651,mha-rd-d0=202651,mha-rd-seq-d0=305215,mha-ring-seq-d0=308216,mha-ring-d7=475843,mha-rd-d7=476232,mha-rd-seq-d7=578796,mha-ring-seq-d7=581797,rd=598226,direct-rail=798181,mha-rd-push-d0=995293,mha-ring-push-d0=999500,mha-rd-push-d7=1268874,mha-ring-push-d7=1273081,mha-rd-seq-push-d0=1509880,mha-ring-seq-push-d0=1512881,mha-rd-seq-push-d7=1783461,mha-ring-seq-push-d7=1786462
-4x8x2/65536/[1 0.5]: best=mha-ring cost=225382 makespan=234385 pruned=false seeds=ring=205034,mha-ring=225382,mha-ring-d0=225382,mha-rd=266073,mha-rd-d0=266073,mha-rd-seq-d0=368637,mha-ring-seq-d0=371636,mha-ring-d7=548243,mha-rd-d7=588934,mha-rd-seq-d7=691498,mha-ring-seq-d7=694497,rd=767354,mha-rd-push-d0=1016433,mha-ring-push-d0=1020640,direct-rail=1305541,mha-rd-push-d7=1339294,mha-ring-push-d7=1343501,mha-rd-seq-push-d0=1573302,mha-ring-seq-push-d0=1576301,mha-rd-seq-push-d7=1896163,mha-ring-seq-push-d7=1899162
+4x8x2/65536/[1 0.5]: best=mha-ring cost=234385 makespan=234385 pruned=false seeds=mha-ring=234385,mha-ring-d0=234385,mha-rd=272073,mha-rd-d0=272073,ring=298065,mha-rd-seq-d0=374637,mha-ring-seq-d0=380639,mha-ring-d7=725302,mha-rd-d7=762990,rd=815362,mha-rd-seq-d7=865554,mha-ring-seq-d7=871556,mha-rd-push-d0=1019434,mha-ring-push-d0=1023641,mha-rd-push-d7=1510351,mha-ring-push-d7=1514558,mha-rd-seq-push-d0=1579302,mha-ring-seq-push-d0=1585304,direct-rail=1593541,mha-rd-seq-push-d7=2070219,mha-ring-seq-push-d7=2076221
 4x8x2/1048576/[]: best=ring cost=2768041 makespan=2768041 pruned=false seeds=ring=2768041,mha-rd-d0=3096099,mha-ring-d0=3096700,mha-rd=3370366,mha-ring=3370967,mha-rd-seq-d0=4698947,mha-ring-seq-d0=4701946,mha-rd-d7=5015968,mha-ring-d7=5016569,mha-rd-seq-d7=6618816,mha-ring-seq-d7=6621815,direct-rail=8449604,rd=8820107,mha-rd-push-d0=15686211,mha-ring-push-d0=15690418,mha-rd-push-d7=17606080,mha-ring-push-d7=17610287,mha-rd-seq-push-d0=23797958,mha-ring-seq-push-d0=23800957,mha-rd-seq-push-d7=25717827,mha-ring-seq-push-d7=25720826
-4x8x2/1048576/[1 0.5]: best=ring cost=2768041 makespan=2768041 pruned=false seeds=ring=2768041,mha-ring-d0=3434951,mha-ring=3821970,mha-rd-d0=4090700,mha-rd=4477719,mha-rd-seq-d0=5713698,mha-ring-seq-d0=5716699,mha-ring-d7=6144084,mha-rd-d7=6799833,mha-rd-seq-d7=8422831,mha-ring-seq-d7=8425832,rd=11526107,mha-rd-push-d0=16024462,mha-ring-push-d0=16028669,direct-rail=16564630,mha-rd-push-d7=18733595,mha-ring-push-d7=18737802,mha-rd-seq-push-d0=24812709,mha-ring-seq-push-d0=24815710,mha-rd-seq-push-d7=27521842,mha-ring-seq-push-d7=27524843
+4x8x2/1048576/[1 0.5]: best=ring cost=2768041 makespan=2768041 pruned=false seeds=ring=2768041,mha-ring-d0=3437950,mha-ring=3848977,mha-rd-d0=4096700,mha-rd=4507727,mha-rd-seq-d0=5719698,mha-ring-seq-d0=5725696,mha-ring-d7=6315139,mha-rd-d7=6973889,mha-rd-seq-d7=8596887,mha-ring-seq-d7=8602885,rd=11574099,mha-rd-push-d0=16027461,mha-ring-push-d0=16031668,direct-rail=16852726,mha-rd-push-d7=18904650,mha-ring-push-d7=18908857,mha-rd-seq-push-d0=24818709,mha-ring-seq-push-d0=24824707,mha-rd-seq-push-d7=27695898,mha-ring-seq-push-d7=27701896
 8x4x2/4096/[]: best=mha-rd cost=21867 makespan=21867 pruned=false seeds=mha-rd=21867,mha-rd-d0=21867,mha-ring=23173,mha-ring-d0=23173,mha-rd-seq-d0=36064,mha-rd-push-d0=39913,mha-ring-seq-d0=41466,mha-rd-d3=45804,mha-ring-push-d0=47107,mha-ring-d3=47110,rd=57182,mha-rd-seq-d3=60001,mha-rd-push-d3=63850,mha-ring-seq-d3=65403,ring=69588,mha-ring-push-d3=71044,mha-rd-seq-push-d0=83265,mha-ring-seq-push-d0=88667,mha-rd-seq-push-d3=107202,mha-ring-seq-push-d3=112604,direct-rail=125338
-8x4x2/4096/[1 0.5]: best=mha-rd cost=26491 makespan=34392 pruned=false seeds=mha-rd=26491,mha-rd-d0=26491,mha-ring=27793,mha-ring-d0=27793,mha-rd-push-d0=40573,mha-rd-seq-d0=40688,mha-ring-seq-d0=46086,mha-ring-push-d0=47767,mha-rd-d3=51752,mha-ring-d3=53054,rd=63346,mha-rd-push-d3=65834,mha-rd-seq-d3=65949,mha-ring-seq-d3=71347,mha-ring-push-d3=73028,ring=74553,mha-rd-seq-push-d0=87889,mha-ring-seq-push-d0=93287,mha-rd-seq-push-d3=113150,mha-ring-seq-push-d3=118548,direct-rail=143874
+8x4x2/4096/[1 0.5]: best=mha-rd cost=34392 makespan=34392 pruned=false seeds=mha-rd=34392,mha-rd-d0=34392,mha-ring=41100,mha-ring-d0=41100,mha-rd-push-d0=46514,mha-rd-seq-d0=48589,mha-ring-push-d0=49668,mha-ring-seq-d0=59393,mha-rd-d3=67249,mha-ring-d3=73957,mha-rd-push-d3=79371,mha-rd-seq-d3=81446,mha-ring-push-d3=82525,mha-ring-seq-d3=92250,mha-rd-seq-push-d0=95790,rd=99346,ring=103038,mha-ring-seq-push-d0=106594,mha-rd-seq-push-d3=128647,mha-ring-seq-push-d3=139451,direct-rail=250218
 8x4x2/65536/[]: best=ring cost=190712 makespan=190712 pruned=false seeds=ring=190712,mha-ring=191689,mha-ring-d0=191689,mha-rd=191977,mha-rd-d0=191977,mha-ring-d3=241222,mha-rd-d3=241510,rd=352373,mha-rd-seq-d0=365096,mha-ring-seq-d0=377094,mha-rd-seq-d3=414629,mha-ring-seq-d3=426627,direct-rail=466781,mha-rd-push-d0=498725,mha-ring-push-d0=505919,mha-rd-push-d3=548258,mha-ring-push-d3=555452,mha-rd-seq-push-d0=962798,mha-ring-seq-push-d0=974796,mha-rd-seq-push-d3=1012331,mha-ring-seq-push-d3=1024329
-8x4x2/65536/[1 0.5]: best=mha-ring cost=212436 makespan=233429 pruned=false seeds=ring=205034,mha-ring=212436,mha-ring-d0=212436,mha-rd=265970,mha-rd-d0=265970,mha-ring-d3=272529,mha-rd-d3=326063,mha-rd-seq-d0=439089,rd=451033,mha-ring-seq-d0=451091,mha-rd-seq-d3=499182,mha-rd-push-d0=509296,mha-ring-seq-d3=511184,mha-ring-push-d0=516490,mha-rd-push-d3=569389,mha-ring-push-d3=576583,direct-rail=762741,mha-rd-seq-push-d0=1036791,mha-ring-seq-push-d0=1048793,mha-rd-seq-push-d3=1096884,mha-ring-seq-push-d3=1108886
+8x4x2/65536/[1 0.5]: best=mha-ring cost=233429 makespan=233429 pruned=false seeds=mha-ring=233429,mha-ring-d0=233429,mha-rd=274969,mha-rd-d0=274969,ring=298065,mha-ring-d3=329534,mha-rd-d3=371074,mha-rd-seq-d0=448088,mha-ring-seq-d0=472084,rd=487037,mha-rd-push-d0=512295,mha-ring-push-d0=519489,mha-rd-seq-d3=544193,mha-ring-seq-d3=568189,mha-rd-push-d3=608400,mha-ring-push-d3=615594,direct-rail=930741,mha-rd-seq-push-d0=1045790,mha-ring-seq-push-d0=1069786,mha-rd-seq-push-d3=1141895,mha-ring-seq-push-d3=1165891
 8x4x2/1048576/[]: best=ring cost=2768041 makespan=2768041 pruned=false seeds=ring=2768041,mha-rd-d0=2925175,mha-ring-d0=2927573,mha-rd=3018318,mha-ring=3020716,mha-rd-d3=3204604,mha-ring-d3=3207002,direct-rail=4945412,rd=5075478,mha-rd-seq-d0=5612070,mha-ring-seq-d0=5624069,mha-rd-seq-d3=5891499,mha-ring-seq-d3=5903498,mha-rd-push-d0=7822129,mha-ring-push-d0=7829323,mha-rd-push-d3=8101558,mha-ring-push-d3=8108752,mha-rd-seq-push-d0=15017816,mha-ring-seq-push-d0=15029815,mha-rd-seq-push-d3=15297245,mha-ring-seq-push-d3=15309244
-8x4x2/1048576/[1 0.5]: best=ring cost=2768041 makespan=2768041 pruned=false seeds=ring=2768041,mha-ring-d0=3096698,mha-ring=3246217,mha-ring-d3=3545255,mha-rd-d0=4080026,mha-rd=4229545,mha-rd-d3=4528583,rd=6653978,mha-rd-seq-d0=6795946,mha-ring-seq-d0=6807944,mha-rd-seq-d3=7244503,mha-ring-seq-d3=7256501,mha-rd-push-d0=7991254,mha-ring-push-d0=7998448,mha-rd-push-d3=8439811,mha-ring-push-d3=8447005,direct-rail=9679630,mha-rd-seq-push-d0=16201692,mha-ring-seq-push-d0=16213690,mha-rd-seq-push-d3=16650249,mha-ring-seq-push-d3=16662247
+8x4x2/1048576/[1 0.5]: best=ring cost=2768041 makespan=2768041 pruned=false seeds=ring=2768041,mha-ring-d0=3099698,mha-ring=3261221,mha-ring-d3=3584267,mha-rd-d0=4089026,mha-rd=4250549,mha-rd-d3=4573595,rd=6689974,mha-rd-seq-d0=6804946,mha-ring-seq-d0=6828944,mha-rd-seq-d3=7289515,mha-ring-seq-d3=7313513,mha-rd-push-d0=7994254,mha-ring-push-d0=8001448,mha-rd-push-d3=8478823,mha-ring-push-d3=8486017,direct-rail=9847686,mha-rd-seq-push-d0=16210692,mha-ring-seq-push-d0=16234690,mha-rd-seq-push-d3=16695261,mha-ring-seq-push-d3=16719259
 `
 
 // BenchmarkSchedAnalyze prices two 128-rank plans: the two-phase MHA

@@ -37,9 +37,10 @@ type Candidate struct {
 	Cost     sim.Duration
 	Makespan sim.Duration
 	Exact    bool
-	// bounded marks a construction whose simulated makespan is never
-	// below its Cost (TestBoundedFinalistsNeverBeatTheirCost is the
-	// gate): set per seed in seeds, inherited by a fusion from its parent.
+	// bounded marks a construction whose simulated makespan is exactly
+	// its Cost wherever exactWhenBounded holds, degraded rails included
+	// (TestBoundedFinalistsNeverBeatTheirCost is the gate): set per seed
+	// in seeds, inherited by a fusion from its parent.
 	bounded bool
 }
 
@@ -134,18 +135,17 @@ func Synthesize(topo topology.Cluster, prm *netmodel.Params, msg int, opt SynthO
 	// finalist, so each is measured or proven slower than the pick, which
 	// keeps "never worse than the best hand-written lowering" structural.
 	//
-	// On a fully healthy machine the gate has covered, a bounded finalist
-	// simulates at exactly its cost (the same gate shows it), so it takes
-	// its cost as its makespan without a simulation. Under degraded rails
-	// most simulate above it, so there, as everywhere outside what the
-	// gate covers, each is measured.
+	// The cut stands only where the gate has looked (exactWhenBounded).
+	// There a bounded finalist simulates at exactly its cost, healthy or
+	// degraded, so it also takes its cost as its makespan without a
+	// simulation. Outside it every finalist is simulated and none is cut.
 	sort.SliceStable(finalists, func(i, j int) bool { return !finalists[i].bounded && finalists[j].bounded })
-	exact := exactWhenBounded(topo, prm, msg, opt.Health)
+	exact := exactWhenBounded(topo, prm, msg)
 	n := 0
 	var fastest sim.Duration
 	for ; n < len(finalists); n++ {
 		f := &finalists[n]
-		if f.bounded && n > 0 && f.Cost > fastest {
+		if exact && f.bounded && n > 0 && f.Cost > fastest {
 			break
 		}
 		if f.bounded && exact {
@@ -221,18 +221,18 @@ func (sr *search) finalists(topo topology.Cluster, msg int) (*SynthResult, []Can
 	return &SynthResult{Lowered: lowered, Seeds: seeds}, finalists
 }
 
-// exactWhenBounded reports whether a bounded finalist may take its cost
-// as its makespan: the machine is fully healthy, and the calibration, the
-// cluster and the message size are inside what
+// exactWhenBounded reports whether the final pick's bound holds, and
+// with it whether a bounded finalist may take its cost as its makespan:
+// the calibration, the cluster and the message size are inside what
 // TestBoundedFinalistsNeverBeatTheirCost simulates — the Thor
 // calibration on a homogeneous block or cyclic cluster of at most 16
-// nodes, 16 ranks a node, 128 ranks and 4 rails, at up to 1 MiB. Outside
-// it the simulator charges what the analyzer does not model (posting
-// overhead, jitter, a fat tree's uplinks, NUMA sockets, per-node rail
-// counts and per-rail rates, CMA congestion at higher ppn), so there every
-// finalist is simulated.
-func exactWhenBounded(topo topology.Cluster, prm *netmodel.Params, msg int, health []float64) bool {
-	return fullyHealthy(health) && *prm == *netmodel.Thor() &&
+// nodes, 16 ranks a node, 128 ranks and 4 rails, at up to 1 MiB, under
+// any rail health. Outside it the simulator charges what the analyzer
+// does not model (posting overhead, jitter, a fat tree's uplinks, NUMA
+// sockets, per-node rail counts and per-rail rates, CMA congestion at
+// higher ppn), so there every finalist is simulated.
+func exactWhenBounded(topo topology.Cluster, prm *netmodel.Params, msg int) bool {
+	return *prm == *netmodel.Thor() &&
 		(topo.Layout == topology.Block || topo.Layout == topology.Cyclic) &&
 		topo.Sockets <= 1 && len(topo.NodeHCAs) == 0 && len(topo.RailBW) == 0 &&
 		topo.Nodes <= 16 && topo.PPN <= 16 && topo.Size() <= 128 && topo.HCAs <= 4 && msg <= 1<<20

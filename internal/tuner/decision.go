@@ -55,8 +55,9 @@ func (d *Decision) Encode() ([]byte, error) {
 // the query must canonicalize back to the stored key, the schedule must
 // parse, match the query's machine and message size, and pass the
 // health-aware analyzer invariants (completeness, hold, rail conflicts,
-// no dead-rail pins). Anything less and a corrupt or stale cache file
-// could serve a wrong schedule forever.
+// no dead-rail pins), and the recorded cost must be what that analysis
+// prices the schedule at. Anything less and a corrupt or stale cache file
+// could serve a wrong schedule, or a wrong cost, forever.
 func DecodeDecision(data []byte, prm *netmodel.Params) (*Decision, error) {
 	var d Decision
 	if err := json.Unmarshal(data, &d); err != nil {
@@ -83,8 +84,12 @@ func DecodeDecision(data []byte, prm *netmodel.Params) (*Decision, error) {
 		return nil, fmt.Errorf("tuner: decision schedule is for %v msg=%d, query wants %v msg=%d",
 			s.Topo, s.Msg, cq.Cluster(), cq.Msg)
 	}
-	if _, err := sched.AnalyzeHealth(s, prm, cq.Health); err != nil {
+	rep, err := sched.AnalyzeHealth(s, prm, cq.Health)
+	if err != nil {
 		return nil, fmt.Errorf("tuner: decision schedule fails invariants: %v", err)
+	}
+	if c := rep.Cost.Micros(); d.CostUS != c {
+		return nil, fmt.Errorf("tuner: decision cost %v us is stale: the analyzer prices its schedule at %v us", d.CostUS, c)
 	}
 	return &d, nil
 }

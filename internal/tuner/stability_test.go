@@ -39,9 +39,9 @@ func TestDecisionsPinned(t *testing.T) {
 	qs := append(benchmarkQueries(),
 		Query{Nodes: 4, PPN: 4, HCAs: 2, Msg: 64 << 10, Health: []float64{0, 1}},
 		Query{Nodes: 2, PPN: 4, HCAs: 3, Msg: 256 << 10, Health: []float64{1, 0.5, 0.25}})
-	want := "6759814d9ca2231ce73e3b3cbb5282a6792f955dfab14e087183d69d0f4d4022"
+	want := "ca86a2499c9a67fbb4587c5e45272902cb462668b5948ed4e56ffc6443254e7f"
 	if testing.Short() {
-		want = "1a37f1fc1b2964014b52ebb6f8b8a78e18039aea8eecc6ec365e0ecf4a614f20"
+		want = "e7073ebb5b9ca0d02e3fdb15fa8b01be13416b1fbbb940aea2c940ee035469c7"
 	}
 	svc := New(Config{Capacity: 512})
 	h := sha256.New()

@@ -379,6 +379,9 @@ func TestLoadCacheRejectsCorrupt(t *testing.T) {
 		// tuples under the current one either.
 		"version-1 file with object transfers": {strings.Replace(v1, `"version":2`, `"version":1`, 1), "version 1, want 2"},
 		"object transfers under version 2":     {v1, "decision schedule: sched: bad JSON"},
+		// A cost the analyzer no longer gives the schedule, as a file
+		// saved under an older pricing of degraded rails carries.
+		"stale cost": {regexp.MustCompile(`"cost_us":[^,]+`).ReplaceAllString(good, `"cost_us":1`), "is stale"},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
