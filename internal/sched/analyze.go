@@ -421,18 +421,13 @@ func AnalyzeHealth(s *Schedule, prm *netmodel.Params, health []float64) (*Report
 	return AnalyzeGoalHealth(s, prm, health, nil)
 }
 
-// AnalyzeGoal is Analyze against an explicit goal: initial holds come
-// from goal.Init, completeness requires every Want range fully covered
-// and carrying exactly its canonical contributor set, and reducing
-// transfers are checked for double folds. A nil goal means the classic
-// allgather contract (and then the schedule must use the default block
-// space). This is how internal/compose verifies every lowered
+// AnalyzeGoalHealth is AnalyzeHealth against an explicit goal: initial
+// holds come from goal.Init, completeness requires every Want range fully
+// covered and carrying exactly its canonical contributor set, and
+// reducing transfers are checked for double folds. A nil goal means the
+// classic allgather contract (and then the schedule must use the default
+// block space). This is how internal/compose verifies every lowered
 // collective with the same machinery the allgather variants use.
-func AnalyzeGoal(s *Schedule, prm *netmodel.Params, g *Goal) (*Report, error) {
-	return AnalyzeGoalHealth(s, prm, nil, g)
-}
-
-// AnalyzeGoalHealth is AnalyzeGoal under a rail-health vector.
 //
 //lint:pure the alpha-beta price feeds cached decisions and must not drift
 func AnalyzeGoalHealth(s *Schedule, prm *netmodel.Params, health []float64, g *Goal) (*Report, error) {
@@ -461,56 +456,32 @@ type analysis struct {
 	memOps                  []int // CMA/copy operations hitting the node this step
 	busyCPU, busyTX, busyRX []sim.Duration
 	srcSets                 []int32 // the step's pre-delivery source sets, one per block a window touches, in transfer order
-	canon                   []int32 // finish's canonical set of every block
+	canon                   []int32 // finishFrom's canonical set of every block
 
 	viol violations
 	rep  *Report
 }
 
-// run is the whole analysis: every step in order, then completeness.
+// run is the whole analysis: validation, every step in order, then
+// completeness.
 func (a *analysis) run(s *Schedule, prm *netmodel.Params, health []float64, g *Goal) (*Report, error) {
-	if err := a.begin(s, prm, health, g); err != nil {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	if err := a.begin(s, prm, health, g, nil); err != nil {
 		return nil, err
 	}
 	return a.finishFrom(s, 0)
 }
 
-// begin validates the inputs and puts the tables in their pre-step-0
-// state; the report starts at the initial self-copy.
-func (a *analysis) begin(s *Schedule, prm *netmodel.Params, health []float64, g *Goal) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	return a.start(s, prm, health, g)
-}
-
-// start is begin for a schedule known to be valid: a Builder's (which
-// ApplyHealth's repair keeps valid), or one the search analyzed in full.
-func (a *analysis) start(s *Schedule, prm *netmodel.Params, health []float64, g *Goal) error {
-	if err := a.prepare(s, prm, health, g); err != nil {
-		return err
-	}
-	n := s.Topo.Size()
-	a.hold.reset(n, s.Blocks(), s.Msg, a.goal)
-	a.viol = violations{}
-	a.rep = &Report{StepCosts: make([]sim.Duration, len(s.Steps))}
-	// Every rank starts by staging its initial blocks into place; the
-	// interpreter performs the same LocalCopys.
-	for _, list := range a.goal.Init {
-		var d sim.Duration
-		for _, rng := range list {
-			d += a.prm.CopyTime(rng.Count*s.Msg, 1)
-		}
-		a.rep.Cost = max(a.rep.Cost, d)
-	}
-	a.railRR = zeroed(a.railRR, n)
-	return nil
-}
-
-// prepare is begin short of the schedule's validation and of the state
-// the steps carry forward (holds, cursors, report, findings): it checks
-// the other inputs and sizes the per-step tables for s.
-func (a *analysis) prepare(s *Schedule, prm *netmodel.Params, health []float64, g *Goal) error {
+// begin checks the inputs other than s, which it takes to be valid (run
+// validates it; a Builder's plan, which ApplyHealth's repair keeps valid,
+// and a plan the search analyzed in full are), and sizes the per-step
+// tables for s. With a nil cp it puts the analysis before step 0, the
+// report at the initial self-copy; otherwise where cp stopped, for an s
+// whose first cp.steps steps are the ones cp walked, under cp's goal and
+// otherwise the same inputs.
+func (a *analysis) begin(s *Schedule, prm *netmodel.Params, health []float64, g *Goal, cp *checkpoint) error {
 	if err := ValidHealth(health, s.Topo.HCAs); err != nil {
 		return err
 	}
@@ -526,6 +497,9 @@ func (a *analysis) prepare(s *Schedule, prm *netmodel.Params, health []float64, 
 		return fmt.Errorf("sched: analyzer supports up to %d ranks, schedule has %d", analyzeMaxRanks, n)
 	}
 	nb := s.Blocks()
+	if cp != nil {
+		g = cp.goal
+	}
 	if g == nil {
 		if s.NumBlocks != 0 && s.NumBlocks != n {
 			return fmt.Errorf("sched: block space %d needs an explicit goal (world has %d ranks)", s.NumBlocks, n)
@@ -561,6 +535,32 @@ func (a *analysis) prepare(s *Schedule, prm *netmodel.Params, health []float64, 
 		most = max(most, blocks)
 	}
 	a.srcSets = slices.Grow(a.srcSets[:0], most)
+
+	stepCosts := make([]sim.Duration, len(s.Steps))
+	if cp != nil {
+		a.hold.copyFrom(&cp.hold)
+		a.railRR = append(a.railRR[:0], cp.railRR...)
+		rep := cp.rep
+		rep.StepCosts = stepCosts
+		copy(stepCosts, cp.rep.StepCosts)
+		a.rep = &rep
+		a.viol = cp.viol
+		a.viol.msgs = slices.Clone(cp.viol.msgs)
+		return nil
+	}
+	a.hold.reset(n, nb, s.Msg, g)
+	a.viol = violations{}
+	a.rep = &Report{StepCosts: stepCosts}
+	// Every rank starts by staging its initial blocks into place; the
+	// interpreter performs the same LocalCopys.
+	for _, list := range g.Init {
+		var d sim.Duration
+		for _, rng := range list {
+			d += a.prm.CopyTime(rng.Count*s.Msg, 1)
+		}
+		a.rep.Cost = max(a.rep.Cost, d)
+	}
+	a.railRR = zeroed(a.railRR, n)
 	return nil
 }
 
@@ -583,33 +583,6 @@ func (a *analysis) save(steps int) *checkpoint {
 	cp.rep.StepCosts = slices.Clone(a.rep.StepCosts[:steps])
 	cp.viol.msgs = slices.Clone(a.viol.msgs)
 	return cp
-}
-
-// resume puts the analysis where cp stopped, for a schedule s whose first
-// cp.steps steps are the ones cp walked, under the same inputs. Like
-// start, it takes s to be valid.
-func (a *analysis) resume(s *Schedule, prm *netmodel.Params, health []float64, cp *checkpoint) error {
-	if err := a.prepare(s, prm, health, cp.goal); err != nil {
-		return err
-	}
-	a.hold.copyFrom(&cp.hold)
-	a.railRR = append(a.railRR[:0], cp.railRR...)
-	rep := cp.rep
-	rep.StepCosts = make([]sim.Duration, len(s.Steps))
-	copy(rep.StepCosts, cp.rep.StepCosts)
-	a.rep = &rep
-	a.viol = cp.viol
-	a.viol.msgs = slices.Clone(cp.viol.msgs)
-	return nil
-}
-
-// finishFrom takes the analysis through steps from.. of s and checks
-// completeness.
-func (a *analysis) finishFrom(s *Schedule, from int) (*Report, error) {
-	for si := from; si < len(s.Steps); si++ {
-		a.step(si, &s.Steps[si])
-	}
-	return a.finish()
 }
 
 // step takes the analysis from before step si to after it.
@@ -780,11 +753,14 @@ func (a *analysis) deliver(si int, st *Step) {
 	}
 }
 
-// finish is completeness: every wanted block fully covered and carrying
-// exactly its canonical contributor set (for an allgather, "rank r ends
-// holding every block"; for a reduction, "fully folded, no double
-// counting").
-func (a *analysis) finish() (*Report, error) {
+// finishFrom takes the analysis through steps from.. of s, then checks
+// completeness: every wanted block fully covered and carrying exactly its
+// canonical contributor set (for an allgather, "rank r ends holding every
+// block"; for a reduction, "fully folded, no double counting").
+func (a *analysis) finishFrom(s *Schedule, from int) (*Report, error) {
+	for si := from; si < len(s.Steps); si++ {
+		a.step(si, &s.Steps[si])
+	}
 	g, hold, viol := a.goal, &a.hold, &a.viol
 	n := hold.n
 	canon := a.canonical()
@@ -812,7 +788,7 @@ func (a *analysis) finish() (*Report, error) {
 }
 
 // holdsAll reports whether every entry of row is done and carries the
-// set want names for it. finish asks it first: a loop with no calls in
+// set want names for it. finishFrom asks it first: a loop with no calls in
 // it keeps its state in registers, where the reporting loop spills.
 func holdsAll(row []holdEntry, want []int32) bool {
 	for j, e := range row {

@@ -294,3 +294,48 @@ func mhaSeedOptions(topo topology.Cluster) map[string]MHAOptions {
 	}
 	return opts
 }
+
+// TestMHAPartsAnyOrder: every MHA seed's plan, built through one shared
+// mhaParts in sorted name order and again in reverse, deep-equals what
+// TwoPhaseMHA builds in one Builder, and its prefix is its phase 1.
+// Between them the two orders build plans in all four ways: whole, with
+// phase 1 alone, with the rest alone, and from two kept parts. The plans
+// are compared only once all of them are built, so none may have written
+// into a part another one shares.
+func TestMHAPartsAnyOrder(t *testing.T) {
+	prm := netmodel.Thor()
+	const msg = 64 << 10
+	for _, shape := range [][3]int{{4, 4, 2}, {2, 8, 2}, {1, 4, 2}, {3, 4, 3}} {
+		topo := topology.New(shape[0], shape[1], shape[2])
+		opts := mhaSeedOptions(topo)
+		var names []string
+		for name := range opts {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		kept := map[[2]bool]bool{} // which of the two parts a plan found kept
+		for _, order := range []string{"sorted", "reversed"} {
+			parts := mhaParts{phase1: map[int]*prefix{}, rest: map[MHAOptions][]Step{}}
+			plans, prefixes := map[string]*Schedule{}, map[string]*prefix{}
+			for _, name := range names {
+				o := opts[name]
+				d, ro := offloadSteps(topo, prm, msg, o.Offload), o
+				ro.Offload = 0
+				kept[[2]bool{parts.phase1[d] != nil, parts.rest[ro] != nil}] = true
+				plans[name], prefixes[name] = parts.plan(topo, prm, msg, o)
+			}
+			for name, s := range plans {
+				if want := TwoPhaseMHA(topo, prm, msg, opts[name]); !reflect.DeepEqual(s, want) {
+					t.Errorf("%v %s %s: the plan differs from TwoPhaseMHA's", topo, order, name)
+				}
+				if pre := prefixes[name]; !reflect.DeepEqual(pre.steps, s.Steps[:topo.PPN-1]) {
+					t.Errorf("%v %s %s: the prefix is not the plan's phase 1", topo, order, name)
+				}
+			}
+			slices.Reverse(names)
+		}
+		if len(kept) != 4 {
+			t.Errorf("%v: the plans were built in %d of the four ways: %v", topo, len(kept), kept)
+		}
+	}
+}

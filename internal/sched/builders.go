@@ -118,7 +118,56 @@ func TwoPhaseMHA(topo topology.Cluster, prm *netmodel.Params, msg int, opt MHAOp
 	if prm == nil {
 		prm = netmodel.Thor()
 	}
-	return NewBuilder(opt.name(), topo, msg).NodeSpread(prm, opt.Offload).mhaRest(opt).MustBuild()
+	s, _ := (*mhaParts)(nil).plan(topo, prm, msg, opt)
+	return s
+}
+
+// mhaParts keeps the two parts of two-phase MHA plans for plans that
+// share them: phase 1 by its offload, and what follows it by the other
+// options (the options with Offload zeroed, so that no option can drop
+// out of the key). A nil *mhaParts keeps nothing.
+type mhaParts struct {
+	phase1 map[int]*prefix
+	rest   map[MHAOptions][]Step
+}
+
+// plan is the one construction of a two-phase MHA plan. A plan with
+// neither part kept is built in one Builder and, when p keeps parts,
+// split at the phase boundary; otherwise the part p lacks is built alone
+// and joined to the one it has (sharedSteps). The prefix is the plan's
+// phase 1 as p keeps it, nil when p is.
+func (p *mhaParts) plan(topo topology.Cluster, prm *netmodel.Params, msg int, opt MHAOptions) (*Schedule, *prefix) {
+	d := offloadSteps(topo, prm, msg, opt.Offload)
+	opt.Offload = 0
+	var pre *prefix
+	var rest []Step
+	if p != nil {
+		pre, rest = p.phase1[d], p.rest[opt]
+	}
+	if pre == nil && rest == nil {
+		b := NewBuilder(opt.name(), topo, msg).NodeSpread(prm, d)
+		k := len(b.s.Steps)
+		s := b.mhaRest(opt).MustBuild()
+		if p == nil {
+			return s, nil
+		}
+		pre = &prefix{steps: s.Steps[:k:k]}
+		p.phase1[d], p.rest[opt] = pre, s.Steps[k:]
+		return s, pre
+	}
+	if pre == nil {
+		pre = &prefix{steps: NewBuilder("", topo, msg).NodeSpread(prm, d).MustBuild().Steps}
+		p.phase1[d] = pre
+	}
+	if rest == nil {
+		rest = NewBuilder("", topo, msg).mhaRest(opt).MustBuild().Steps
+		p.rest[opt] = rest
+	}
+	s := &Schedule{Name: opt.name(), Topo: topo, Msg: msg, Steps: sharedSteps(pre.steps, rest)}
+	if len(s.Steps) > maxSteps {
+		panic(s.Validate()) // parts that validate make a plan that does, but for the step limit
+	}
+	return s, pre
 }
 
 // name is the lowering's schedule name; the offload is not part of it.

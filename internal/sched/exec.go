@@ -384,15 +384,7 @@ func Runner(build func(topo topology.Cluster, msg int) *Schedule) func(p *mpi.Pr
 // makespan (the latest rank-finish time). It is the measured counterpart
 // of Analyze's Cost: same plan, real contention.
 func Simulate(topo topology.Cluster, prm *netmodel.Params, s *Schedule) (sim.Duration, error) {
-	return simulate(topo, prm, nil, phantomAllgather(s))
-}
-
-// phantomAllgather is the rank body Simulate and SimulateHealth time.
-func phantomAllgather(s *Schedule) func(p *mpi.Proc, w *mpi.World) {
-	ix := NewIndex(s)
-	return func(p *mpi.Proc, w *mpi.World) {
-		ExecuteIndexed(p, w, s, ix, mpi.Phantom(s.Msg), mpi.Phantom(s.Msg*p.Size()))
-	}
+	return SimulateHealth(topo, prm, s, nil)
 }
 
 // SimulateGoal is Simulate for a goal-based schedule: every rank runs

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"mha/internal/faults"
+	"mha/internal/mpi"
 	"mha/internal/netmodel"
 	"mha/internal/sim"
 	"mha/internal/topology"
@@ -132,5 +133,8 @@ func SimulateHealth(topo topology.Cluster, prm *netmodel.Params, s *Schedule, he
 	if err != nil {
 		return 0, err
 	}
-	return simulate(topo, prm, fsched, phantomAllgather(s))
+	ix := NewIndex(s)
+	return simulate(topo, prm, fsched, func(p *mpi.Proc, w *mpi.World) {
+		ExecuteIndexed(p, w, s, ix, mpi.Phantom(s.Msg), mpi.Phantom(s.Msg*p.Size()))
+	})
 }

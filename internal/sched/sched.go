@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"strings"
 
+	"mha/internal/netmodel"
 	"mha/internal/topology"
 )
 
@@ -131,7 +132,7 @@ type Step struct {
 // (rank r starts holding only block r and must end holding all of
 // them); a schedule lowered from internal/compose may set NumBlocks to
 // use a different block space and pair the schedule with a Goal
-// describing who starts and ends with what (see AnalyzeGoal).
+// describing who starts and ends with what (see AnalyzeGoalHealth).
 type Schedule struct {
 	Name string
 	Topo topology.Cluster
@@ -461,14 +462,9 @@ func (b *Builder) Striped(src, dst, first, count, rails int) *Builder {
 	if total == 0 {
 		return b.RailPiece(src, dst, first, count, 0, 0, 0)
 	}
+	var buf [16]int
 	off := 0
-	for r := 0; r < rails; r++ {
-		// Equal split with the remainder on the first rails, matching the
-		// runtime's healthy striping.
-		piece := total / rails
-		if r < total%rails {
-			piece++
-		}
+	for r, piece := range netmodel.AppendRailChunk(buf[:0], total, rails) {
 		if piece == 0 {
 			continue
 		}

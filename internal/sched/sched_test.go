@@ -418,7 +418,7 @@ func TestAnalyzePieceOrders(t *testing.T) {
 func TestFoldsAcrossSetWords(t *testing.T) {
 	prm := netmodel.Thor()
 	s, g := rdAllreduce(topology.New(8, 16, 2), 512)
-	rep, err := AnalyzeGoal(s, prm, g)
+	rep, err := AnalyzeGoalHealth(s, prm, nil, g)
 	if err != nil {
 		t.Fatalf("rd allreduce rejected: %v", err)
 	}
@@ -427,13 +427,13 @@ func TestFoldsAcrossSetWords(t *testing.T) {
 	}
 	short := s.Clone()
 	short.Steps = short.Steps[:6]
-	_, err = AnalyzeGoal(short, prm, g)
+	_, err = AnalyzeGoalHealth(short, prm, nil, g)
 	if err == nil || !strings.Contains(err.Error(), "rank 0 ends block 0 with 64 of 128 contributions") {
 		t.Errorf("six of seven steps: %v", err)
 	}
 	twice := s.Clone()
 	twice.Steps = slices.Insert(twice.Steps, 6, twice.Steps[5])
-	_, err = AnalyzeGoal(twice, prm, g)
+	_, err = AnalyzeGoalHealth(twice, prm, nil, g)
 	if err == nil || !strings.Contains(err.Error(), "step 6 xfer 0: double fold into rank 32 block 0") {
 		t.Errorf("a step repeated: %v", err)
 	}

@@ -209,7 +209,7 @@ func TestMutateStable(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []string
-		for _, m := range mutate(Candidate{Name: "serial", Sched: s, Cost: rep.Cost}, prm, tc.health) {
+		for _, m := range (&search{prm: prm, health: tc.health}).mutate(Candidate{Name: "serial", Sched: s, Cost: rep.Cost}) {
 			if m.Sched.Name != m.Name {
 				t.Errorf("mutant %s carries schedule name %s", m.Name, m.Sched.Name)
 			}
@@ -262,6 +262,28 @@ const synthGolden = `
 8x4x2/1048576/[]: best=ring cost=2768041 makespan=2768041 pruned=false seeds=ring=2768041,mha-rd-d0=2925175,mha-ring-d0=2927573,mha-rd=3018318,mha-ring=3020716,mha-rd-d3=3204604,mha-ring-d3=3207002,direct-rail=4945412,rd=5075478,mha-rd-seq-d0=5612070,mha-ring-seq-d0=5624069,mha-rd-seq-d3=5891499,mha-ring-seq-d3=5903498,mha-rd-push-d0=7822129,mha-ring-push-d0=7829323,mha-rd-push-d3=8101558,mha-ring-push-d3=8108752,mha-rd-seq-push-d0=15017816,mha-ring-seq-push-d0=15029815,mha-rd-seq-push-d3=15297245,mha-ring-seq-push-d3=15309244
 8x4x2/1048576/[1 0.5]: best=ring cost=2768041 makespan=2768041 pruned=false seeds=ring=2768041,mha-ring-d0=3099698,mha-ring=3261221,mha-ring-d3=3584267,mha-rd-d0=4089026,mha-rd=4250549,mha-rd-d3=4573595,rd=6689974,mha-rd-seq-d0=6804946,mha-ring-seq-d0=6828944,mha-rd-seq-d3=7289515,mha-ring-seq-d3=7313513,mha-rd-push-d0=7994254,mha-ring-push-d0=8001448,mha-rd-push-d3=8478823,mha-ring-push-d3=8486017,direct-rail=9847686,mha-rd-seq-push-d0=16210692,mha-ring-seq-push-d0=16234690,mha-rd-seq-push-d3=16695261,mha-ring-seq-push-d3=16719259
 `
+
+// BenchmarkTwoPhaseMHA is the one MHA construction with nothing kept:
+// the plan every sched-mha replay of the explorer builds (2x2x2, 8 B)
+// and the 128-rank plan BenchmarkSchedAnalyze prices.
+func BenchmarkTwoPhaseMHA(b *testing.B) {
+	prm := netmodel.Thor()
+	for _, bc := range []struct {
+		name string
+		topo topology.Cluster
+		msg  int
+	}{
+		{"2x2x2-8B", topology.New(2, 2, 2), 8},
+		{"8x16x2-64KiB", topology.New(8, 16, 2), 64 << 10},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				TwoPhaseMHA(bc.topo, prm, bc.msg, MHAOptions{Offload: AutoOffload})
+			}
+		})
+	}
+}
 
 // BenchmarkSchedAnalyze prices two 128-rank plans: the two-phase MHA
 // allgather a cold tuner miss analyzes, and a recursive-doubling

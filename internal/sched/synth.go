@@ -310,27 +310,12 @@ func (sr *search) seeds(topo topology.Cluster, msg int) []Candidate {
 		addSeed("rd", rd, false, nil)
 	}
 	if block {
-		// An MHA plan is assembled from two parts, each built and
-		// validated once per synthesis: phase 1, which depends only on the
-		// offload (NodeSpread), and what follows it, which depends only on
-		// the phase-2 options (mhaRest). Parts that validate make a plan
-		// that does, if it is short enough.
-		phase1, rest := map[int]*prefix{}, map[MHAOptions][]Step{}
-		part := func(b *Builder) []Step { return b.MustBuild().Steps }
+		// Each part of the MHA plans is built and validated once per
+		// synthesis (mhaParts).
+		parts := mhaParts{phase1: map[int]*prefix{}, rest: map[MHAOptions][]Step{}}
 		mha := func(name string, o MHAOptions, bounded bool) {
-			d := offloadSteps(topo, sr.prm, msg, o.Offload)
-			if phase1[d] == nil {
-				phase1[d] = &prefix{steps: part(NewBuilder("", topo, msg).NodeSpread(sr.prm, d))}
-			}
-			ro := MHAOptions{Phase2: o.Phase2, Sequential: o.Sequential, Push: o.Push}
-			if rest[ro] == nil {
-				rest[ro] = part(NewBuilder("", topo, msg).mhaRest(ro))
-			}
-			s := &Schedule{Name: o.name(), Topo: topo, Msg: msg, Steps: sharedSteps(phase1[d].steps, rest[ro])}
-			if len(s.Steps) > maxSteps {
-				panic(s.Validate()) // the step limit, as TwoPhaseMHA's Build would
-			}
-			addSeed(name, s, bounded, phase1[d])
+			s, pre := parts.plan(topo, sr.prm, msg, o)
+			addSeed(name, s, bounded, pre)
 		}
 		mha("mha-ring", MHAOptions{Offload: AutoOffload}, true)
 		if pow2N {
@@ -372,22 +357,21 @@ type prefix struct {
 // after them from where the first such seed's analysis stood.
 func (sr *search) analyzeSeed(s *Schedule, pre *prefix) (*Report, error) {
 	a := &sr.a
+	var cp *checkpoint
+	if pre != nil {
+		cp = pre.at
+	}
+	if err := a.begin(s, sr.prm, sr.health, nil, cp); err != nil {
+		return nil, err
+	}
 	from := 0
-	if pre != nil && pre.at != nil {
-		if err := a.resume(s, sr.prm, sr.health, pre.at); err != nil {
-			return nil, err
+	if cp != nil {
+		from = cp.steps
+	} else if pre != nil {
+		for ; from < len(pre.steps); from++ {
+			a.step(from, &s.Steps[from])
 		}
-		from = pre.at.steps
-	} else {
-		if err := a.start(s, sr.prm, sr.health, nil); err != nil {
-			return nil, err
-		}
-		if pre != nil {
-			for ; from < len(pre.steps); from++ {
-				a.step(from, &s.Steps[from])
-			}
-			pre.at = a.save(from)
-		}
+		pre.at = a.save(from)
 	}
 	return a.finishFrom(s, from)
 }
@@ -495,7 +479,7 @@ func (sr *search) walk(s *Schedule, qs []neighbor) error {
 	sr.stats.Walks++
 	a := &sr.a
 	// A parent is a seed or a mutant the full analysis accepted: valid.
-	if err := a.start(s, sr.prm, sr.health, nil); err != nil {
+	if err := a.begin(s, sr.prm, sr.health, nil, nil); err != nil {
 		return err
 	}
 	for si := range s.Steps {
@@ -518,10 +502,6 @@ func (sr *search) walk(s *Schedule, qs []neighbor) error {
 // step it makes; those that pass and are strictly cheaper are built and
 // fully analyzed, and only what the full analysis accepts at a strictly
 // lower cost survives. Under a health vector the pricing is health-aware.
-func mutate(c Candidate, prm *netmodel.Params, health []float64) []Candidate {
-	return (&search{prm: prm, health: health}).mutate(c)
-}
-
 func (sr *search) mutate(c Candidate) []Candidate {
 	qs := neighbors(c.Sched)
 	if sr.walk(c.Sched, qs) != nil {
