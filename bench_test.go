@@ -15,6 +15,7 @@ import (
 	"mha/internal/bench"
 	"mha/internal/collectives"
 	"mha/internal/core"
+	"mha/internal/fabric"
 	"mha/internal/mpi"
 	"mha/internal/netmodel"
 	"mha/internal/sim"
@@ -354,11 +355,10 @@ func BenchmarkExtFabricTaper(b *testing.B) {
 		taper := taper
 		b.Run(fmt.Sprintf("taper-%.0f", taper), func(b *testing.B) {
 			prm := netmodel.Thor()
-			prm.NodesPerLeaf = 1
-			prm.Oversubscription = taper
+			tree := fabric.TwoLevel(1, taper)
 			var last sim.Duration
 			for i := 0; i < b.N; i++ {
-				last = bench.AllgatherLatency(topology.New(4, 8, 2), prm, 64<<10, core.Profile())
+				last = bench.FabricAllgatherLatency(topology.New(4, 8, 2), prm, 64<<10, &tree, "mha")
 			}
 			reportVirt(b, last)
 		})

@@ -11,6 +11,7 @@ import (
 	"mha/internal/apps/stencil"
 	"mha/internal/collectives"
 	"mha/internal/core"
+	"mha/internal/fabric"
 	"mha/internal/mpi"
 	"mha/internal/netmodel"
 	"mha/internal/perfmodel"
@@ -461,13 +462,13 @@ func runExtFabric(w io.Writer, sc Scale) error {
 	t.Notes = "ring schedules are leaf-local (only boundary hops cross), so taper barely " +
 		"touches them; recursive doubling crosses leaves at every distance and pays the taper"
 	m := 64 << 10
+	prm := netmodel.Thor()
 	for _, taper := range []float64{1, 2, 4} {
-		prm := netmodel.Thor()
-		prm.NodesPerLeaf = nodesPerLeaf
-		prm.Oversubscription = taper
-		hpcx := AllgatherLatency(topo, prm, m, Profiles()[0])
-		ring := core.MeasureInter(topo, prm, m, core.InterConfig{LeaderAlg: core.ForceRing})
-		rd := core.MeasureInter(topo, prm, m, core.InterConfig{LeaderAlg: core.ForceRD})
+		tree := fabric.TwoLevel(nodesPerLeaf, taper)
+		// HPC-X runs the flat ring at 64 KiB (collectives.HPCX).
+		hpcx := FabricAllgatherLatency(topo, prm, m, &tree, "ring")
+		ring := FabricAllgatherLatency(topo, prm, m, &tree, "mha-ring")
+		rd := FabricAllgatherLatency(topo, prm, m, &tree, "mha-rd")
 		t.Add(fmt.Sprintf("%.0f:1", taper),
 			hpcx.Micros(), ring.Micros(), rd.Micros(),
 			fmt.Sprintf("%.2fx", float64(rd)/float64(ring)))

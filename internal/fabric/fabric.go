@@ -13,9 +13,9 @@
 //	ft:arity=4,levels=2,over=2:1
 //	dfly:groups=2,routers=2,nodes=2,local=1,global=2:1
 //
-// Oversubscription values accept both plain factors ("2") and ratio
-// form ("2:1"); lists (one taper per fat-tree trunk level, leaf
-// upward) are "/"-separated: over=4:1/2:1.
+// Taper values accept both plain factors ("2") and ratio form ("2:1");
+// lists (one taper per fat-tree trunk level, leaf upward) are
+// "/"-separated: over=4:1/2:1.
 package fabric
 
 import (
@@ -92,10 +92,8 @@ type Spec struct {
 	GlobalOver float64
 }
 
-// TwoLevel returns the fat-tree spec equivalent to the legacy
-// netmodel NodesPerLeaf/Oversubscription parameters: leaves of
-// nodesPerLeaf nodes under a non-blocking core, uplinks tapered by
-// over.
+// TwoLevel returns a two-level fat tree: leaves of nodesPerLeaf nodes
+// under a non-blocking core, uplinks tapered by over.
 func TwoLevel(nodesPerLeaf int, over float64) Spec {
 	return Spec{Kind: FatTree, Arity: nodesPerLeaf, Levels: 2, Over: []float64{over}}
 }

@@ -62,21 +62,19 @@ func TestParseSpecRejects(t *testing.T) {
 	}
 }
 
-// The synthesized two-level spec must reproduce the legacy leaf-uplink
-// capacity bit-for-bit, including partially filled leaves.
-func TestTwoLevelMatchesLegacyLeafUplink(t *testing.T) {
+// A two-level tree's leaf uplinks carry the full leaf's injection
+// divided by the taper, on a partially filled leaf too.
+func TestTwoLevelUplinkCapacity(t *testing.T) {
 	prm := netmodel.Thor()
-	prm.NodesPerLeaf = 3
-	prm.Oversubscription = 2
 	topo := topology.New(7, 2, 2) // 3 leaves, last one partial
-	nw, err := Build(nil, TwoLevel(prm.NodesPerLeaf, prm.Oversubscription), topo, prm)
+	nw, err := Build(nil, TwoLevel(3, 2), topo, prm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := prm.LeafUplinkBW(topo.HCAs)
+	want := 3 * float64(topo.HCAs) * prm.BWHCA / 2
 	for _, l := range nw.Links() {
 		if l.BW != want {
-			t.Fatalf("link %s capacity %v, legacy leaf uplink %v", l.Name, l.BW, want)
+			t.Fatalf("link %s capacity %v, want %v", l.Name, l.BW, want)
 		}
 	}
 	if len(nw.Links()) != 6 {

@@ -115,9 +115,9 @@ func (nw *Network) buildFatTree(eng *sim.Engine, prm *netmodel.Params) {
 		for s := 0; s < switches; s++ {
 			var bw float64
 			if !hetero {
-				// Matches the legacy two-level LeafUplinkBW formula
-				// bit-for-bit at k=1, including partially filled leaves,
-				// which keeps pre-fabric goldens stable.
+				// A switch's trunk is sized for a full subtree, so a
+				// partially filled leaf keeps the full leaf's uplink;
+				// the ext-fabric and fabric goldens rely on it.
 				bw = powF * float64(topo.HCAs) * prm.BWHCA / cum
 			} else {
 				inj := 0.0

@@ -3,26 +3,25 @@ package mpi
 import (
 	"testing"
 
+	"mha/internal/fabric"
 	"mha/internal/netmodel"
 	"mha/internal/sim"
 	"mha/internal/topology"
 )
 
-// fabricParams returns a Thor calibration on a fat tree with the given
-// leaf size and taper.
-func fabricParams(nodesPerLeaf int, oversub float64) *netmodel.Params {
-	p := netmodel.Thor()
-	p.NodesPerLeaf = nodesPerLeaf
-	p.Oversubscription = oversub
-	return p
+// twoLevel returns a two-level fat tree with the given leaf size and
+// taper.
+func twoLevel(nodesPerLeaf int, taper float64) *fabric.Spec {
+	s := fabric.TwoLevel(nodesPerLeaf, taper)
+	return &s
 }
 
-// crossLeafLatency measures N simultaneous single-rank pairs all crossing
-// between two leaves.
-func crossTraffic(t *testing.T, prm *netmodel.Params, pairs, m int) sim.Time {
+// crossTraffic measures N simultaneous single-rank pairs all crossing
+// between two leaves of the given fabric (nil is flat).
+func crossTraffic(t *testing.T, spec *fabric.Spec, pairs, m int) sim.Time {
 	t.Helper()
 	// Nodes 0..pairs-1 on leaf 0, nodes pairs..2*pairs-1 on leaf 1.
-	w := New(Config{Topo: topology.New(2*pairs, 1, 2), Params: prm, Phantom: true})
+	w := New(Config{Topo: topology.New(2*pairs, 1, 2), Params: netmodel.Thor(), Phantom: true, Fabric: spec})
 	err := w.Run(func(p *Proc) {
 		c := w.CommWorld()
 		if p.Rank() < pairs {
@@ -38,9 +37,9 @@ func crossTraffic(t *testing.T, prm *netmodel.Params, pairs, m int) sim.Time {
 }
 
 func TestNonBlockingFabricUnchanged(t *testing.T) {
-	// NodesPerLeaf = 0 must reproduce the direct model exactly.
-	direct := crossTraffic(t, netmodel.Thor(), 4, 1<<20)
-	tree := crossTraffic(t, fabricParams(4, 1), 4, 1<<20)
+	// A nil fabric is the direct model.
+	direct := crossTraffic(t, nil, 4, 1<<20)
+	tree := crossTraffic(t, twoLevel(4, 1), 4, 1<<20)
 	// Full bisection: uplink aggregate equals the nodes' injection rate,
 	// so four concurrent pairs serialize through it exactly as they fill
 	// it — identical completion.
@@ -49,20 +48,21 @@ func TestNonBlockingFabricUnchanged(t *testing.T) {
 	}
 }
 
-func TestOversubscriptionThrottlesCrossLeafTraffic(t *testing.T) {
-	full := crossTraffic(t, fabricParams(4, 1), 4, 1<<20)
-	tapered := crossTraffic(t, fabricParams(4, 2), 4, 1<<20)
+func TestTaperThrottlesCrossLeafTraffic(t *testing.T) {
+	full := crossTraffic(t, twoLevel(4, 1), 4, 1<<20)
+	tapered := crossTraffic(t, twoLevel(4, 2), 4, 1<<20)
 	ratio := float64(tapered) / float64(full)
 	if ratio < 1.8 || ratio > 2.2 {
-		t.Fatalf("2:1 oversubscription ratio = %.2f (full %v, tapered %v), want ~2",
+		t.Fatalf("2:1 taper ratio = %.2f (full %v, tapered %v), want ~2",
 			ratio, full, tapered)
 	}
 }
 
 func TestSameLeafTrafficUnaffectedByTaper(t *testing.T) {
 	// Two nodes under one leaf: the uplink is never touched.
-	prm := fabricParams(4, 4) // brutal taper
-	w := New(Config{Topo: topology.New(2, 1, 2), Params: prm, Phantom: true})
+	prm := netmodel.Thor()
+	w := New(Config{Topo: topology.New(2, 1, 2), Params: prm, Phantom: true,
+		Fabric: twoLevel(4, 4)}) // brutal taper
 	var arrived sim.Time
 	err := w.Run(func(p *Proc) {
 		c := w.CommWorld()
@@ -79,31 +79,6 @@ func TestSameLeafTrafficUnaffectedByTaper(t *testing.T) {
 	want := prm.HCATime(1<<20, 2)
 	if arrived != sim.Time(want) {
 		t.Fatalf("same-leaf latency %v, want endpoint-only %v", arrived, want)
-	}
-}
-
-func TestLeafUplinkBW(t *testing.T) {
-	p := fabricParams(8, 2)
-	want := 8 * 2 * p.BWHCA / 2
-	if got := p.LeafUplinkBW(2); got != want {
-		t.Fatalf("LeafUplinkBW = %v, want %v", got, want)
-	}
-	if netmodel.Thor().LeafUplinkBW(2) != 0 {
-		t.Fatal("non-blocking fabric should report 0 uplink bandwidth")
-	}
-}
-
-func TestFabricValidation(t *testing.T) {
-	p := netmodel.Thor()
-	p.NodesPerLeaf = -1
-	if p.Validate() == nil {
-		t.Fatal("negative NodesPerLeaf should fail")
-	}
-	p = netmodel.Thor()
-	p.NodesPerLeaf = 4
-	p.Oversubscription = 0.5
-	if p.Validate() == nil {
-		t.Fatal("oversubscription < 1 should fail")
 	}
 }
 

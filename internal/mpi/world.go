@@ -54,8 +54,8 @@ type Config struct {
 	FaultBlind bool
 	// Fabric, when non-nil, selects the structured inter-node network
 	// (fat-tree or dragonfly) whose shared links cross-node traffic must
-	// traverse. Nil falls back to the legacy Params.NodesPerLeaf two-level
-	// tree when that is set, else the flat non-blocking fabric.
+	// traverse. Nil is the flat non-blocking fabric, on which transfers
+	// contend only at the endpoints' HCAs.
 	Fabric *fabric.Spec
 }
 
@@ -178,12 +178,7 @@ func New(cfg Config) *World {
 		w.health = &RailHealth{hcas: cfg.Topo.HCAs}
 	}
 	w.faultBlind = cfg.FaultBlind
-	fspec := cfg.Fabric
-	if fspec == nil && prm.NodesPerLeaf > 0 {
-		s := fabric.TwoLevel(prm.NodesPerLeaf, prm.Oversubscription)
-		fspec = &s
-	}
-	if fspec != nil && fspec.Kind != fabric.Flat {
+	if fspec := cfg.Fabric; fspec != nil && fspec.Kind != fabric.Flat {
 		nw, err := fabric.Build(eng, *fspec, cfg.Topo, prm)
 		if err != nil {
 			panic(fmt.Sprintf("mpi: %v", err))

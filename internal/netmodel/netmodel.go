@@ -89,19 +89,6 @@ type Params struct {
 	// sensitivity study of how per-message software costs compress the
 	// medium-message margins (see EXPERIMENTS.md).
 	AlphaPost sim.Duration
-
-	// NodesPerLeaf, when positive, enables a two-level fat-tree fabric:
-	// nodes attach in groups of NodesPerLeaf to leaf switches whose shared
-	// uplinks carry all cross-leaf traffic. Zero models a non-blocking
-	// fabric (transfers only contend at the endpoints' HCAs, which is how
-	// the paper's single-switch Thor behaves).
-	NodesPerLeaf int
-
-	// Oversubscription is the leaf uplink taper: aggregate uplink
-	// bandwidth = NodesPerLeaf * HCAs * BWHCA / Oversubscription. 1 is a
-	// full-bisection tree; 2 means half bisection. Ignored when
-	// NodesPerLeaf is zero; values below 1 are invalid.
-	Oversubscription float64
 }
 
 // Thor returns the default calibration modeled after the paper's testbed.
@@ -162,21 +149,8 @@ func (p *Params) Validate() error {
 		return fmt.Errorf("netmodel: inter-socket factor %v < 1", p.InterSocketFactor)
 	case p.Jitter < 0 || p.Jitter > 1:
 		return fmt.Errorf("netmodel: jitter %v outside [0, 1]", p.Jitter)
-	case p.NodesPerLeaf < 0:
-		return fmt.Errorf("netmodel: negative nodes per leaf %d", p.NodesPerLeaf)
-	case p.NodesPerLeaf > 0 && p.Oversubscription < 1:
-		return fmt.Errorf("netmodel: oversubscription %v < 1", p.Oversubscription)
 	}
 	return nil
-}
-
-// LeafUplinkBW returns the aggregate uplink bandwidth of one leaf switch
-// for hcas rails per node, or 0 when the fabric is non-blocking.
-func (p *Params) LeafUplinkBW(hcas int) float64 {
-	if p.NodesPerLeaf <= 0 {
-		return 0
-	}
-	return float64(p.NodesPerLeaf) * float64(hcas) * p.BWHCA / p.Oversubscription
 }
 
 // SocketFactor returns the effective cross-socket scale (>= 1; a zero

@@ -169,9 +169,8 @@ func TestBoundedFinalistsNeverBeatTheirCost(t *testing.T) {
 func TestExactPricingOnlyWhereGated(t *testing.T) {
 	const msg = 64 << 10
 	topo := topology.New(4, 4, 2)
-	jitter, leaves := netmodel.Thor(), netmodel.Thor()
+	jitter := netmodel.Thor()
 	jitter.Jitter = 0.05
-	leaves.NodesPerLeaf, leaves.Oversubscription = 2, 2
 	numa := topology.New(4, 4, 2)
 	numa.Sockets = 2
 	railBW := topology.New(4, 4, 2)
@@ -189,7 +188,6 @@ func TestExactPricingOnlyWhereGated(t *testing.T) {
 		{"posting overhead", topo, netmodel.ThorWithOverhead(sim.FromMicros(0.5)), msg},
 		{"numa", numa, netmodel.NumaThor(), msg},
 		{"jitter", topo, jitter, msg},
-		{"fat tree", topo, leaves, msg},
 		{"hdr200", topo, netmodel.ThetaGPU(), msg},
 		{"sockets", numa, netmodel.Thor(), msg},
 		{"rail rates", railBW, netmodel.Thor(), msg},

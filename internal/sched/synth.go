@@ -228,9 +228,9 @@ func (sr *search) finalists(topo topology.Cluster, msg int) (*SynthResult, []Can
 // calibration on a homogeneous block or cyclic cluster of at most 16
 // nodes, 16 ranks a node, 128 ranks and 4 rails, at up to 1 MiB, under
 // any rail health. Outside it the simulator charges what the analyzer
-// does not model (posting overhead, jitter, a fat tree's uplinks, NUMA
-// sockets, per-node rail counts and per-rail rates, CMA congestion at
-// higher ppn), so there every finalist is simulated.
+// does not model (posting overhead, jitter, NUMA sockets, per-node rail
+// counts and per-rail rates, CMA congestion at higher ppn), so there
+// every finalist is simulated.
 func exactWhenBounded(topo topology.Cluster, prm *netmodel.Params, msg int) bool {
 	return *prm == *netmodel.Thor() &&
 		(topo.Layout == topology.Block || topo.Layout == topology.Cyclic) &&

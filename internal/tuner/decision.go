@@ -28,10 +28,6 @@ type Decision struct {
 	// (sched.Candidate.Exact), that cost. It is 0 when the analytic
 	// margin pruned the simulation pass (see Pruned).
 	MakespanUS float64 `json:"makespan_us,omitempty"`
-	// PredictedUS is the Section-4 closed-form model's estimate for the
-	// shape, recorded for cross-checking the pick against the paper's
-	// analytics.
-	PredictedUS float64 `json:"predicted_us"`
 	// Pruned records that the analytic margin made simulation unnecessary.
 	Pruned bool `json:"pruned,omitempty"`
 	// Source names what produced the decision: "synth", the daemon's

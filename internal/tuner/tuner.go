@@ -34,9 +34,7 @@ import (
 	"time"
 
 	"mha/internal/netmodel"
-	"mha/internal/perfmodel"
 	"mha/internal/sched"
-	"mha/internal/topology"
 )
 
 // Config configures a Service.
@@ -196,46 +194,20 @@ func (s *Service) synthesize(cq Query, key string) (*Decision, []byte, error) {
 		return nil, nil, err
 	}
 	dec := &Decision{
-		Key:         key,
-		Query:       cq,
-		Name:        res.Best.Name,
-		CostUS:      res.Best.Cost.Micros(),
-		MakespanUS:  res.Best.Makespan.Micros(),
-		PredictedUS: s.predictUS(cq),
-		Pruned:      res.Pruned,
-		Source:      "synth",
-		Schedule:    json.RawMessage(js),
+		Key:        key,
+		Query:      cq,
+		Name:       res.Best.Name,
+		CostUS:     res.Best.Cost.Micros(),
+		MakespanUS: res.Best.Makespan.Micros(),
+		Pruned:     res.Pruned,
+		Source:     "synth",
+		Schedule:   json.RawMessage(js),
 	}
 	raw, err := dec.Encode()
 	if err != nil {
 		return nil, nil, err
 	}
 	return dec, raw, nil
-}
-
-// predictUS evaluates the paper's closed-form Section-4 model for the
-// query's shape: the analytic reference number recorded alongside the
-// searched pick.
-func (s *Service) predictUS(cq Query) float64 { return predictQueryUS(s.prm, cq) }
-
-//lint:pure the recorded analytic reference must replay bit-identically
-func predictQueryUS(prm *netmodel.Params, cq Query) float64 {
-	topo := cq.Cluster()
-	m := perfmodel.New(prm, topo)
-	switch {
-	case topo.Nodes == 1:
-		return m.MHAIntra(cq.Msg).Micros()
-	case topo.Layout == topology.Block:
-		ring := m.MHAInterRing(cq.Msg)
-		if topo.Nodes&(topo.Nodes-1) == 0 {
-			if rd := m.MHAInterRD(cq.Msg); rd < ring {
-				return rd.Micros()
-			}
-		}
-		return ring.Micros()
-	default:
-		return m.FlatRing(cq.Msg).Micros()
-	}
 }
 
 // Stats snapshots the counters.
