@@ -173,6 +173,20 @@ func lower(mkComp func() (compose.Composition, error), mkTopo func() (topology.C
 	return compose.Lower(comp, compose.NewHierarchy(topo), msg, nil)
 }
 
+// lowers refuses a shape a compose row cannot be lowered on, so the
+// refusal is one line before a world is built rather than a panic on
+// every rank at run time (compose.Runner). Other rows pass.
+func lowers(alg string, topo topology.Cluster, msg int) error {
+	v, ok := compose.ByName(alg)
+	if !ok {
+		return nil
+	}
+	if _, err := compose.Lower(v.Comp, compose.NewHierarchy(topo), msg, nil); err != nil {
+		return usageError{err}
+	}
+	return nil
+}
+
 func composeRun(args []string) error {
 	fs := flag.NewFlagSet("mha compose run", flag.ExitOnError)
 	name := fs.String("name", "compose-ag", "registered variant name (see 'mha compose list')")
@@ -188,11 +202,10 @@ func composeRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	sc := verify.Scenario{
-		Alg: *name, Nodes: topo.Nodes, PPN: topo.PPN, HCAs: topo.HCAs,
-		Sockets: topo.Sockets, Layout: topo.Layout,
-		Msg: *msg, Seed: *seed, Jitter: *jitter,
+	if err := lowers(*name, topo, *msg); err != nil {
+		return err
 	}
+	sc := verify.Scenario{Alg: *name, Cluster: topo, Msg: *msg, Seed: *seed, Jitter: *jitter}
 	rec := trace.New()
 	res := verify.RunOnce(sc, rec, nil)
 	if len(res.Violations) > 0 {

@@ -199,7 +199,7 @@ func pickAlgorithms(list string, topo topology.Cluster) ([]verify.Algorithm, err
 		if !ok {
 			return nil, fmt.Errorf("unknown algorithm %q (have %s)", name, names())
 		}
-		sc := verify.Scenario{Alg: name, Nodes: topo.Nodes, PPN: topo.PPN, HCAs: topo.HCAs, Layout: topo.Layout}
+		sc := verify.Scenario{Alg: name, Cluster: topo}
 		if err := sc.Validate(); err != nil {
 			return nil, err
 		}

@@ -41,14 +41,17 @@ func runTrace(args []string) error {
 	if err != nil {
 		return err
 	}
-	sc := verify.Scenario{Alg: *alg, Nodes: topo.Nodes, PPN: topo.PPN, HCAs: topo.HCAs, Layout: topo.Layout, Msg: *size}
+	sc := verify.Scenario{Alg: *alg, Cluster: topo, Msg: *size}
 	if err := sc.Validate(); err != nil {
 		return usageError{err}
+	}
+	if err := lowers(*alg, topo, *size); err != nil {
+		return err
 	}
 
 	rec := trace.New()
 	w := mpi.New(mpi.Config{
-		Topo:    sc.Topo(),
+		Topo:    topo,
 		Tracer:  rec,
 		Phantom: true,
 	})

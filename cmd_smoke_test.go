@@ -679,6 +679,22 @@ func TestSmokeMhacomposeRejectsIncompletePipeline(t *testing.T) {
 	}
 }
 
+// TestSmokeMhaComposeShapeTooLargeIsAnError: a compose row that cannot
+// be lowered on the shape is refused before a world is built, with the
+// lowering error on one line (exit 2), not a panic on every rank.
+func TestSmokeMhaComposeShapeTooLargeIsAnError(t *testing.T) {
+	for _, args := range [][]string{
+		{"trace", "-alg", "compose-a2a", "-nodes", "8", "-ppn", "32", "-hcas", "2", "-size", "1024"},
+		{"compose", "run", "-name", "compose-a2a", "-nodes", "8", "-ppn", "32", "-msg", "1024"},
+	} {
+		out, code := mhaExit(t, args...)
+		if code != 2 || strings.Count(out, "\n") != 1 || !strings.Contains(out, "more than 128 transfers") ||
+			strings.Contains(out, "goroutine") {
+			t.Errorf("mha %v exited %d, want 2 and one line with %q:\n%s", args, code, "more than 128 transfers", out)
+		}
+	}
+}
+
 func TestSmokeMhafabricDescribeAndRoute(t *testing.T) {
 	out := run(t, "mha", "fabric", "describe", "-fabric", "ft:arity=2,levels=2,over=2", "-nodes", "8")
 	if !strings.Contains(out, "fattree") || !strings.Contains(out, "shared links: 8") {

@@ -75,28 +75,28 @@ func TestComposeAgRingEqualsRing(t *testing.T) {
 // indistinguishable from the hand-lowered one at the simulator level.
 func TestComposeAgTraceEqualsSchedMHA(t *testing.T) {
 	scenarios := []verify.Scenario{
-		{Nodes: 2, PPN: 4, HCAs: 2, Layout: topology.Block, Msg: 1024, Seed: 7},
-		{Nodes: 3, PPN: 2, HCAs: 2, Layout: topology.Block, Msg: 8192, Seed: 11},
-		{Nodes: 4, PPN: 4, HCAs: 4, Layout: topology.Block, Msg: 257, Seed: 13},
-		{Nodes: 4, PPN: 3, HCAs: 2, Layout: topology.Block, Msg: 65536, Seed: 17, NodeHCAs: []int{1, 2, 1, 2}},
+		{Cluster: topology.New(2, 4, 2), Msg: 1024, Seed: 7},
+		{Cluster: topology.New(3, 2, 2), Msg: 8192, Seed: 11},
+		{Cluster: topology.New(4, 4, 4), Msg: 257, Seed: 13},
+		{Cluster: topology.Cluster{Nodes: 4, PPN: 3, HCAs: 2, NodeHCAs: []int{1, 2, 1, 2}}, Msg: 65536, Seed: 17},
 	}
 	for _, sc := range scenarios {
 		sc.Alg = "compose-ag"
 		rec1, rec2 := trace.New(), trace.New()
 		r1 := verify.RunOnce(sc, rec1, nil)
 		if len(r1.Violations) > 0 {
-			t.Fatalf("%+v: %v", sc, r1.Violations)
+			t.Fatalf("%s: %v", sc.Spec(), r1.Violations)
 		}
 		sc.Alg = "sched-mha"
 		r2 := verify.RunOnce(sc, rec2, nil)
 		if len(r2.Violations) > 0 {
-			t.Fatalf("%+v: %v", sc, r2.Violations)
+			t.Fatalf("%s: %v", sc.Spec(), r2.Violations)
 		}
 		if h1, h2 := rec1.Hash(), rec2.Hash(); h1 != h2 {
-			t.Errorf("%+v: trace hash %#x (compose-ag) vs %#x (sched-mha)", sc, h1, h2)
+			t.Errorf("%s: trace hash %#x (compose-ag) vs %#x (sched-mha)", sc.Spec(), h1, h2)
 		}
 		if r1.Makespan != r2.Makespan {
-			t.Errorf("%+v: makespan %v vs %v", sc, r1.Makespan, r2.Makespan)
+			t.Errorf("%s: makespan %v vs %v", sc.Spec(), r1.Makespan, r2.Makespan)
 		}
 	}
 }

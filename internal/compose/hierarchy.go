@@ -1,7 +1,6 @@
 package compose
 
 import (
-	"cmp"
 	"fmt"
 	"strings"
 
@@ -63,9 +62,6 @@ func (h Hierarchy) Describe() string {
 	return b.String()
 }
 
-// Validate checks the underlying machine shape.
-func (h Hierarchy) Validate() error { return h.Topo.Validate() }
-
 // ParseHierarchy reads the one-line spec String produces:
 //
 //	world nodes=4 ppn=8 hcas=2 layout=block sockets=2
@@ -81,19 +77,12 @@ func ParseHierarchy(line string) (Hierarchy, error) {
 	if err != nil {
 		return Hierarchy{}, fmt.Errorf("compose: %v", err)
 	}
-	var t topology.Cluster
-	var errs [5]error
-	t.Nodes, errs[0] = set.Int("nodes", -1)
-	t.PPN, errs[1] = set.Int("ppn", -1)
-	t.HCAs, errs[2] = set.Int("hcas", 1)
-	t.Sockets, errs[3] = set.Int("sockets", 0)
-	t.Layout, errs[4] = topology.ParseLayout(set.Str("layout", "block"))
-	if err := cmp.Or(errs[:]...); err != nil {
+	t, err := topology.Decode(set, topology.Cluster{Nodes: -1, PPN: -1, HCAs: 1})
+	if err == nil {
+		err = t.Validate()
+	}
+	if err != nil {
 		return Hierarchy{}, fmt.Errorf("compose: %v", err)
 	}
-	h := Hierarchy{Topo: t}
-	if err := h.Validate(); err != nil {
-		return Hierarchy{}, fmt.Errorf("compose: %v", err)
-	}
-	return h, nil
+	return Hierarchy{Topo: t}, nil
 }

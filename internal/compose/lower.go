@@ -35,7 +35,7 @@ func (p *Plan) Analyze(prm *netmodel.Params, health []float64) (*sched.Report, e
 // on multi-node machines, like every leader-based design in this repo:
 // a node's blocks must be one contiguous range.
 func Lower(comp Composition, hier Hierarchy, msg int, prm *netmodel.Params) (*Plan, error) {
-	if err := hier.Validate(); err != nil {
+	if err := hier.Topo.Validate(); err != nil {
 		return nil, err
 	}
 	if len(comp.Pipeline) == 0 {

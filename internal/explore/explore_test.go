@@ -216,6 +216,8 @@ func TestParseSpecRejectsGarbage(t *testing.T) {
 		"alg=ring nodes=2 fault=node5.rail0",  // fault off-cluster
 		"alg=ring nodes=2 fault=node0.railxy", // malformed fault
 		"alg=ring alg=rd nodes=2",             // repeated key
+		// 2^32 x 2^32 ranks wrap to 0.
+		"alg=ring nodes=4294967296 ppn=4294967296",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted garbage", bad)

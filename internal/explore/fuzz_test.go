@@ -27,6 +27,7 @@ func FuzzParseExploreSpec(f *testing.F) {
 		"alg=ring sched=",
 		"  alg=ring   nodes=2  ",
 		"alg=ring nodes=99999999999999999999",
+		"alg=ring nodes=4294967296 ppn=4294967296",
 		"alg=ring alg=rd nodes=2 ppn=1 hcas=2",
 	} {
 		f.Add(seed)

@@ -19,6 +19,7 @@ import (
 	"mha/internal/faults"
 	"mha/internal/kv"
 	"mha/internal/sim"
+	"mha/internal/topology"
 	"mha/internal/verify"
 )
 
@@ -126,18 +127,17 @@ func ParseSpec(line string) (Spec, error) {
 		return s, fmt.Errorf("explore: %v", err)
 	}
 	s.Alg = set.Str("alg", "")
-	var errs [7]error
-	s.Nodes, errs[0] = set.Int("nodes", 1)
-	s.PPN, errs[1] = set.Int("ppn", 1)
-	s.HCAs, errs[2] = set.Int("hcas", 1)
-	s.Msg, errs[3] = set.Int("msg", 0)
-	s.Fabric, errs[4] = fabric.Canonical(set.Str("fabric", "flat"))
-	s.Fault, errs[5] = parsePlacement(set.Str("fault", "none"))
+	shape, err := topology.Decode(set, topology.Cluster{Nodes: 1, PPN: 1, HCAs: 1})
+	s.Nodes, s.PPN, s.HCAs = shape.Nodes, shape.PPN, shape.HCAs
+	errs := [5]error{err}
+	s.Msg, errs[1] = set.Int("msg", 0)
+	s.Fabric, errs[2] = fabric.Canonical(set.Str("fabric", "flat"))
+	s.Fault, errs[3] = parsePlacement(set.Str("fault", "none"))
 	if v := set.Str("sched", "canonical"); v != "canonical" {
 		for _, part := range strings.Split(v, ".") {
 			c, err := strconv.Atoi(part)
 			if err != nil || c < 0 {
-				errs[6] = fmt.Errorf("bad choice %q", part)
+				errs[4] = fmt.Errorf("bad choice %q", part)
 				break
 			}
 			s.Choices = append(s.Choices, c)
@@ -178,7 +178,7 @@ func (s Spec) Validate() error {
 // timing noise.
 func (s Spec) scenario() (verify.Scenario, error) {
 	sc := verify.Scenario{
-		Alg: s.Alg, Nodes: s.Nodes, PPN: s.PPN, HCAs: s.HCAs,
+		Alg: s.Alg, Cluster: topology.Cluster{Nodes: s.Nodes, PPN: s.PPN, HCAs: s.HCAs},
 		Msg: s.Msg, Seed: 1, Fabric: s.Fabric,
 	}
 	if !s.Fault.Healthy() {

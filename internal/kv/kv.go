@@ -1,8 +1,10 @@
 // Package kv is the one tokenizer under the repo's text spec grammars:
 // the fault schedule, the sched text form, the compose pipeline and
 // hierarchy, the fabric spec, and the verify and explore repro lines.
-// Each grammar keeps its own directives, defaults, typed values and
-// error prefix; kv only splits lines and key=value fields, and is strict
+// The machine-shape keys of a set are read by topology.Decode, over a
+// default cluster each grammar passes; every other key, each grammar's
+// directives, encoder and error prefix stay the grammar's own. kv only
+// splits lines and key=value fields, and is strict
 // in one place: a field with no '=', an empty key, an empty value, a key
 // the directive does not take, and a repeated key are all errors.
 package kv

@@ -178,24 +178,13 @@ func parseText(text string) (*Schedule, error) {
 			if err != nil {
 				return err
 			}
-			layout, err := topology.ParseLayout(set.Str("layout", "block"))
-			if err != nil {
+			topo, err1 := topology.Decode(set, topology.Cluster{Nodes: -1, PPN: -1, HCAs: 1})
+			msg, err2 := set.Int("msg", -1)
+			blocks, err3 := set.Int("blocks", 0)
+			if err := cmp.Or(err1, err2, err3); err != nil {
 				return err
 			}
-			nodes, err1 := set.Int("nodes", -1)
-			ppn, err2 := set.Int("ppn", -1)
-			hcas, err3 := set.Int("hcas", 1)
-			msg, err4 := set.Int("msg", -1)
-			blocks, err5 := set.Int("blocks", 0)
-			if err := cmp.Or(err1, err2, err3, err4, err5); err != nil {
-				return err
-			}
-			s = &Schedule{
-				Name:      fields[1],
-				Topo:      topology.Cluster{Nodes: nodes, PPN: ppn, HCAs: hcas, Layout: layout},
-				Msg:       msg,
-				NumBlocks: blocks,
-			}
+			s = &Schedule{Name: fields[1], Topo: topo, Msg: msg, NumBlocks: blocks}
 		case "step":
 			if s == nil {
 				return errors.New("step before schedule header")

@@ -7,7 +7,10 @@
 // (e.g. "32 nodes, 32 PPN" = ranks 0..31 on node 0, 32..63 on node 1, ...).
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Layout selects how ranks map to nodes.
 type Layout int
@@ -111,6 +114,9 @@ func (c Cluster) Validate() error {
 	}
 	if c.HCAs < 1 {
 		return errf("HCAs", "need at least 1 HCA per node, have %d", c.HCAs)
+	}
+	if c.Nodes > math.MaxInt/c.PPN {
+		return errf("Nodes", "%d nodes x %d ppn overflows the rank count", c.Nodes, c.PPN)
 	}
 	if c.Layout != Block && c.Layout != Cyclic && c.Layout != Custom {
 		return errf("Layout", "unknown layout %v", c.Layout)

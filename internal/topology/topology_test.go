@@ -2,6 +2,7 @@ package topology
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -55,6 +56,7 @@ func TestValidateRejectsBadShapes(t *testing.T) {
 		{Nodes: 1, PPN: 1, HCAs: 0},
 		{Nodes: 1, PPN: 1, HCAs: 1, Layout: Layout(9)},
 		{Nodes: 1, PPN: 1, HCAs: 1, Sockets: -1},
+		{Nodes: math.MaxInt/2 + 1, PPN: 2, HCAs: 1}, // rank count overflows int
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {

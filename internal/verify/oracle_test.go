@@ -7,6 +7,7 @@ import (
 
 	"mha/internal/compose"
 	"mha/internal/mpi"
+	"mha/internal/topology"
 )
 
 // plant registers a deliberately broken variant for one test and removes
@@ -200,7 +201,7 @@ func TestOracleViolationText(t *testing.T) {
 					specFill(tc.coll, p, recv, tc.msg)
 					tc.defect(p, send.Data(), recv.Data())
 				}})
-			sc := Scenario{Alg: "broken-planted", Nodes: 2, PPN: 2, HCAs: 1, Msg: tc.msg, Seed: 1}
+			sc := Scenario{Alg: "broken-planted", Cluster: topology.New(2, 2, 1), Msg: tc.msg, Seed: 1}
 			var got []string
 			for _, v := range Check(sc) {
 				got = append(got, v.String())
@@ -223,7 +224,7 @@ func TestOracleViolationOrderAcrossKinds(t *testing.T) {
 			recv.Data()[0] = 0xff
 		}
 	}})
-	sc := Scenario{Alg: "broken-planted", Nodes: 1, PPN: 2, HCAs: 1, Msg: 4, Seed: 1}
+	sc := Scenario{Alg: "broken-planted", Cluster: topology.New(1, 2, 1), Msg: 4, Seed: 1}
 	var kinds []string
 	vs := Check(sc)
 	for _, v := range vs {
@@ -254,7 +255,7 @@ func TestOracleViolationTextRealRun(t *testing.T) {
 		"oracle: rank 3: block 1 byte 0 = 0x26, want 0x86",
 	}
 	var got []string
-	for _, v := range Check(Scenario{Alg: "broken-ring", Nodes: 2, PPN: 2, HCAs: 1, Msg: 8, Seed: 1}) {
+	for _, v := range Check(Scenario{Alg: "broken-ring", Cluster: topology.New(2, 2, 1), Msg: 8, Seed: 1}) {
 		got = append(got, v.String())
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -269,7 +270,7 @@ func TestOracleViolationTextRealRun(t *testing.T) {
 // buffer in the first world finds the pattern there again in the second.
 func TestSecondRunStartsClean(t *testing.T) {
 	const m = 8
-	sc := Scenario{Alg: "broken-planted", Nodes: 2, PPN: 2, HCAs: 1, Msg: m, Seed: 1}
+	sc := Scenario{Alg: "broken-planted", Cluster: topology.New(2, 2, 1), Msg: m, Seed: 1}
 	cases := []struct {
 		name string
 		run  func(p *mpi.Proc, send, recv mpi.Buf, first bool)

@@ -231,7 +231,7 @@ func run(sc Scenario, rec *trace.Recorder, s sim.Scheduler, bufs *buffers) (res 
 		return RunResult{Violations: []Violation{{Kind: "spec", Detail: ferr.Error()}}}
 	}
 	w := mpi.New(mpi.Config{
-		Topo: sc.Topo(), Params: sc.Params(), Tracer: rec,
+		Topo: sc.Cluster, Params: sc.Params(), Tracer: rec,
 		Seed: sc.Seed, Faults: sc.Faults, FaultBlind: sc.Blind,
 		Fabric: fspec,
 	})
@@ -255,7 +255,7 @@ func run(sc Scenario, rec *trace.Recorder, s sim.Scheduler, bufs *buffers) (res 
 	})
 	w.Engine().SetScheduler(s)
 
-	n := sc.Topo().Size()
+	n := sc.Size()
 	m := sc.Msg
 	// The ranks are coroutines of Run's goroutine, so they append in turn.
 	var oracle []string

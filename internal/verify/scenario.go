@@ -20,10 +20,11 @@ import (
 type Scenario struct {
 	// Alg names a registered Algorithm.
 	Alg string
-	// Cluster shape.
-	Nodes, PPN, HCAs, Sockets int
-	// Layout is the rank-to-node mapping.
-	Layout topology.Layout
+	// Cluster is the machine: its shape, layout, sockets and, when set,
+	// per-node rail counts (mixed 1/2-HCA clusters) and per-rail
+	// bandwidth scales (asymmetric rails). A spec line cannot render a
+	// custom layout's Ranks table.
+	topology.Cluster
 	// Msg is the per-rank contribution in bytes (0 is legal).
 	Msg int
 	// Seed feeds the world's jitter RNG.
@@ -36,21 +37,8 @@ type Scenario struct {
 	// flat fabric), putting the run's inter-node traffic on shared
 	// fat-tree or dragonfly links.
 	Fabric string
-	// NodeHCAs, when non-empty, gives each node its own usable rail
-	// count (mixed 1/2-HCA clusters); len must equal Nodes.
-	NodeHCAs []int
-	// RailBW, when non-empty, scales each rail's bandwidth (asymmetric
-	// rails); len must equal HCAs.
-	RailBW []float64
 	// Faults degrades the rails over the run; nil means healthy.
 	Faults *faults.Schedule
-}
-
-// Topo returns the scenario's cluster.
-func (sc Scenario) Topo() topology.Cluster {
-	return topology.Cluster{Nodes: sc.Nodes, PPN: sc.PPN, HCAs: sc.HCAs,
-		Layout: sc.Layout, Sockets: sc.Sockets,
-		NodeHCAs: sc.NodeHCAs, RailBW: sc.RailBW}
 }
 
 // FabricSpec parses the scenario's fabric field (nil when flat).
@@ -88,12 +76,11 @@ func (sc Scenario) Validate() error {
 	if !ok {
 		return fmt.Errorf("verify: unknown algorithm %q", sc.Alg)
 	}
-	topo := sc.Topo()
-	if err := topo.Validate(); err != nil {
+	if err := sc.Cluster.Validate(); err != nil {
 		return err
 	}
-	if !alg.Supports(topo) {
-		return fmt.Errorf("verify: %s does not support %v", sc.Alg, topo)
+	if !alg.Supports(sc.Cluster) {
+		return fmt.Errorf("verify: %s does not support %v", sc.Alg, sc.Cluster)
 	}
 	if sc.Msg < 0 {
 		return fmt.Errorf("verify: negative message size %d", sc.Msg)
@@ -169,32 +156,6 @@ func joinFloats(xs []float64) string {
 	return strings.Join(parts, "/")
 }
 
-func splitInts(v string) ([]int, error) {
-	parts := strings.Split(v, "/")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		x, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = x
-	}
-	return out, nil
-}
-
-func splitFloats(v string) ([]float64, error) {
-	parts := strings.Split(v, "/")
-	out := make([]float64, len(parts))
-	for i, p := range parts {
-		x, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = x
-	}
-	return out, nil
-}
-
 // ParseSpec reads a line produced by Spec (the inverse, modulo
 // whitespace). Unknown and repeated keys and empty values are errors;
 // faults, if present, is the last key and takes the rest of the line.
@@ -214,29 +175,19 @@ func ParseSpec(line string) (Scenario, error) {
 		return sc, fmt.Errorf("verify: %v", err)
 	}
 	sc.Alg = set.Str("alg", "")
-	var errs [12]error
-	sc.Nodes, errs[0] = set.Int("nodes", 1)
-	sc.PPN, errs[1] = set.Int("ppn", 1)
-	sc.HCAs, errs[2] = set.Int("hcas", 1)
-	sc.Sockets, errs[3] = set.Int("sockets", 0)
-	sc.Layout, errs[4] = topology.ParseLayout(set.Str("layout", "block"))
-	sc.Msg, errs[5] = set.Int("msg", 0)
-	sc.Seed, errs[6] = strconv.ParseInt(set.Str("seed", "1"), 10, 64)
-	sc.Jitter, errs[7] = strconv.ParseFloat(set.Str("jitter", "0"), 64)
+	var errs [6]error
+	sc.Cluster, errs[0] = topology.Decode(set, topology.Cluster{Nodes: 1, PPN: 1, HCAs: 1})
+	sc.Msg, errs[1] = set.Int("msg", 0)
+	sc.Seed, errs[2] = strconv.ParseInt(set.Str("seed", "1"), 10, 64)
+	sc.Jitter, errs[3] = strconv.ParseFloat(set.Str("jitter", "0"), 64)
 	switch v := set.Str("blind", "0"); v {
 	case "0", "false":
 	case "1", "true":
 		sc.Blind = true
 	default:
-		errs[8] = fmt.Errorf("blind: want 0 or 1, have %q", v)
+		errs[4] = fmt.Errorf("blind: want 0 or 1, have %q", v)
 	}
-	sc.Fabric, errs[9] = fabric.Canonical(set.Str("fabric", "flat"))
-	if set.Has("nodehcas") {
-		sc.NodeHCAs, errs[10] = splitInts(set.Str("nodehcas", ""))
-	}
-	if set.Has("railbw") {
-		sc.RailBW, errs[11] = splitFloats(set.Str("railbw", ""))
-	}
+	sc.Fabric, errs[5] = fabric.Canonical(set.Str("fabric", "flat"))
 	if err := cmp.Or(errs[:]...); err != nil {
 		return sc, fmt.Errorf("verify: %v", err)
 	}

@@ -3,6 +3,7 @@ package verify
 import (
 	"testing"
 
+	"mha/internal/topology"
 	"mha/internal/trace"
 )
 
@@ -18,13 +19,13 @@ func TestScheduleInterpreterPinned(t *testing.T) {
 		hash     uint64
 		makespan int64
 	}{
-		{Scenario{Alg: "sched-ring", Nodes: 2, PPN: 4, HCAs: 2, Msg: 4096}, 0xe5d141cdd8ac4649, 16068},
-		{Scenario{Alg: "sched-rd", Nodes: 2, PPN: 4, HCAs: 2, Msg: 4096}, 0x6236208d39e4e8b, 17326},
-		{Scenario{Alg: "sched-mha", Nodes: 2, PPN: 4, HCAs: 2, Msg: 4096}, 0xee70dffb91309f25, 7807},
-		{Scenario{Alg: "sched-mha", Nodes: 4, PPN: 2, HCAs: 2, Msg: 65536}, 0x89ec3975e9e8871d, 51736},
-		{Scenario{Alg: "compose-ag", Nodes: 4, PPN: 2, HCAs: 2, Msg: 65536}, 0x89ec3975e9e8871d, 51736},
-		{Scenario{Alg: "compose-rs", Nodes: 2, PPN: 4, HCAs: 2, Msg: 4096}, 0x90421a448cd88997, 24287},
-		{Scenario{Alg: "compose-rs", Nodes: 4, PPN: 2, HCAs: 2, Msg: 65536}, 0x9eb4f140e341d185, 213181},
+		{Scenario{Alg: "sched-ring", Cluster: topology.New(2, 4, 2), Msg: 4096}, 0xe5d141cdd8ac4649, 16068},
+		{Scenario{Alg: "sched-rd", Cluster: topology.New(2, 4, 2), Msg: 4096}, 0x6236208d39e4e8b, 17326},
+		{Scenario{Alg: "sched-mha", Cluster: topology.New(2, 4, 2), Msg: 4096}, 0xee70dffb91309f25, 7807},
+		{Scenario{Alg: "sched-mha", Cluster: topology.New(4, 2, 2), Msg: 65536}, 0x89ec3975e9e8871d, 51736},
+		{Scenario{Alg: "compose-ag", Cluster: topology.New(4, 2, 2), Msg: 65536}, 0x89ec3975e9e8871d, 51736},
+		{Scenario{Alg: "compose-rs", Cluster: topology.New(2, 4, 2), Msg: 4096}, 0x90421a448cd88997, 24287},
+		{Scenario{Alg: "compose-rs", Cluster: topology.New(4, 2, 2), Msg: 65536}, 0x9eb4f140e341d185, 213181},
 	} {
 		if vs := Check(tc.sc); len(vs) != 0 {
 			t.Errorf("%s: %v", tc.sc.Spec(), vs)

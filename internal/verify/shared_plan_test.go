@@ -14,7 +14,7 @@ import (
 // package under -race with default GOMAXPROCS.
 func TestSharedPlanVariantsPass(t *testing.T) {
 	for _, alg := range []string{"sched-mha", "compose-ag", "compose-rs"} {
-		sc := Scenario{Alg: alg, Nodes: 2, PPN: 4, HCAs: 2, Msg: 4096, Seed: 1}
+		sc := Scenario{Alg: alg, Cluster: topology.New(2, 4, 2), Msg: 4096, Seed: 1}
 		for _, v := range Check(sc) {
 			t.Errorf("%s: %s", sc.Spec(), v)
 		}
@@ -27,8 +27,8 @@ func TestSharedPlanVariantsPass(t *testing.T) {
 func TestLoweringErrorIsARunViolation(t *testing.T) {
 	comp := compose.Hierarchical(compose.ReduceScatter)
 	plant(t, Algorithm{Name: "broken-unlowerable", Coll: comp.Coll, Run: RunFn(compose.Runner(comp))})
-	sc := Scenario{Alg: "broken-unlowerable", Nodes: 2, PPN: 2, HCAs: 1, Layout: topology.Cyclic, Msg: 64, Seed: 1}
-	_, lerr := compose.Lower(comp, compose.NewHierarchy(sc.Topo()), sc.Msg, nil)
+	sc := Scenario{Alg: "broken-unlowerable", Cluster: topology.Cluster{Nodes: 2, PPN: 2, HCAs: 1, Layout: topology.Cyclic}, Msg: 64, Seed: 1}
+	_, lerr := compose.Lower(comp, compose.NewHierarchy(sc.Cluster), sc.Msg, nil)
 	if lerr == nil {
 		t.Fatal("expected the hierarchical pipeline not to lower on a cyclic layout")
 	}

@@ -8,6 +8,7 @@ import (
 
 	"mha/internal/compose"
 	"mha/internal/mpi"
+	"mha/internal/topology"
 )
 
 // emptyStore drops every kept array, so a test sees only the arrays its
@@ -42,7 +43,7 @@ func storeState(t *testing.T) (held, arrays int) {
 func TestStoreNeverPassesStaleBytes(t *testing.T) {
 	emptyStore()
 	const m = 16 << 10
-	sc := Scenario{Alg: "ring", Nodes: 1, PPN: 2, HCAs: 1, Msg: m, Seed: 1}
+	sc := Scenario{Alg: "ring", Cluster: topology.New(1, 2, 1), Msg: m, Seed: 1}
 	if vs := Check(sc); len(vs) > 0 {
 		t.Fatalf("ring: %v", vs)
 	}
@@ -84,7 +85,7 @@ func TestStoreHandsOutExactBuffers(t *testing.T) {
 		specFill(compose.Allgather, p, recv, send.Len())
 	}})
 	for _, m := range []int{64 << 10, 48 << 10, 40 << 10} {
-		sc := Scenario{Alg: "broken-planted", Nodes: 1, PPN: 2, HCAs: 1, Msg: m, Seed: 1}
+		sc := Scenario{Alg: "broken-planted", Cluster: topology.New(1, 2, 1), Msg: m, Seed: 1}
 		if vs := Check(sc); len(vs) > 0 {
 			t.Errorf("msg=%d: %v", m, vs)
 		}
@@ -101,7 +102,7 @@ func TestStoreHandsOutExactBuffers(t *testing.T) {
 func TestStoreCapped(t *testing.T) {
 	emptyStore()
 	// 12 ranks, each with a 512 KiB send and a 6 MiB receive array: 78 MiB.
-	sc := Scenario{Alg: "ring", Nodes: 3, PPN: 4, HCAs: 1, Msg: 512 << 10, Seed: 1}
+	sc := Scenario{Alg: "ring", Cluster: topology.New(3, 4, 1), Msg: 512 << 10, Seed: 1}
 	if vs := Check(sc); len(vs) > 0 {
 		t.Fatalf("%v", vs)
 	}
@@ -121,7 +122,7 @@ func TestStoreConcurrentChecks(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range 4 {
-				sc := Scenario{Alg: "ring", Nodes: 2, PPN: 2, HCAs: 1, Msg: (8 + 4*g + i) << 10, Seed: int64(1 + i)}
+				sc := Scenario{Alg: "ring", Cluster: topology.New(2, 2, 1), Msg: (8 + 4*g + i) << 10, Seed: int64(1 + i)}
 				errs[g] = append(errs[g], Check(sc)...)
 			}
 		}()

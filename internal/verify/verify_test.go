@@ -9,6 +9,7 @@ import (
 
 	"mha/internal/mpi"
 	"mha/internal/sim"
+	"mha/internal/topology"
 )
 
 // TestCampaignHeadClean is the standing correctness gate: a seeded
@@ -125,7 +126,7 @@ func plantFlaky(t *testing.T, misbehave func(p *mpi.Proc, recv mpi.Buf, second b
 // and a wrong byte, or a panic under its own kind, marked "second run: "
 // — including a wrong byte that leaves the trace alone.
 func TestSecondRunCaught(t *testing.T) {
-	sc := Scenario{Alg: "broken-flaky", Nodes: 2, PPN: 2, HCAs: 1, Msg: 64, Seed: 1}
+	sc := Scenario{Alg: "broken-flaky", Cluster: topology.New(2, 2, 1), Msg: 64, Seed: 1}
 	cases := []struct {
 		name      string
 		misbehave func(p *mpi.Proc, recv mpi.Buf, second bool)
@@ -224,6 +225,8 @@ func TestParseSpecRejectsGarbage(t *testing.T) {
 		"alg=ring nodes=2 jitter=NaN",
 		"alg=ring nodes=2 jitter=-0.5",
 		"alg=ring nodes=2 hcas=2 faults=degrade node=0 rail=0 frac=NaN",
+		// 2^32 x 2^32 ranks wrap to 0.
+		"alg=ring nodes=4294967296 ppn=4294967296",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted garbage", bad)
@@ -235,7 +238,7 @@ func TestParseSpecRejectsGarbage(t *testing.T) {
 // is a fixed point.
 func TestShrinkFixedPoint(t *testing.T) {
 	Register(Algorithm{Name: "broken-ring", Run: brokenRing})
-	min := Scenario{Alg: "broken-ring", Nodes: 1, PPN: 2, HCAs: 1, Msg: 1, Seed: 1}
+	min := Scenario{Alg: "broken-ring", Cluster: topology.New(1, 2, 1), Msg: 1, Seed: 1}
 	vs := Check(min)
 	if len(vs) == 0 {
 		t.Fatal("expected the minimal broken-ring scenario to fail")
@@ -254,7 +257,7 @@ func TestShrinkFixedPoint(t *testing.T) {
 func TestShrinkRespectsBudget(t *testing.T) {
 	Register(Algorithm{Name: "broken-ring", Run: brokenRing})
 	// A deliberately non-minimal failing scenario so shrinking has work.
-	sc := Scenario{Alg: "broken-ring", Nodes: 2, PPN: 4, HCAs: 2, Msg: 64, Seed: 7}
+	sc := Scenario{Alg: "broken-ring", Cluster: topology.New(2, 4, 2), Msg: 64, Seed: 7}
 	vs := Check(sc)
 	if len(vs) == 0 {
 		t.Fatal("expected the broken-ring scenario to fail")
