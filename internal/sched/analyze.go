@@ -458,6 +458,8 @@ type analysis struct {
 	srcSets                 []int32 // the step's pre-delivery source sets, one per block a window touches, in transfer order
 	canon                   []int32 // finishFrom's canonical set of every block
 
+	total []sim.Duration // floor's per-resource sums: CPUs, then rail tx, then rail rx
+
 	viol violations
 	rep  *Report
 }
@@ -741,6 +743,44 @@ func (a *analysis) quote(si int, st *Step) (sim.Duration, bool) {
 	copy(a.railRR, a.rrSaved)
 	*a.rep = rep
 	return worst, true
+}
+
+// floor is a lower bound on the makespan of s, which the analysis has
+// found valid: the most work any one serial resource — a rank's CPU, a
+// node's rail tx or rx — does over the whole schedule. It is price run on
+// every step with census's counts cleared, so at the uncongested rate,
+// with each resource's busy time summed over the steps, plus the initial
+// self-copies begin charges. Cost takes each step's busiest resource at
+// the congested rate, so floor <= Cost. Each resource is one
+// sim.Resource, which serializes its work, and where the runtime charges
+// every op at least its uncongested price (exactWhenBounded) no run ends
+// before its busiest resource has drained. begin gives the walk a report
+// of its own, so the tallies price makes go no further.
+func (a *analysis) floor(s *Schedule, prm *netmodel.Params, health []float64) (sim.Duration, error) {
+	if err := a.begin(s, prm, health, nil, nil); err != nil {
+		return 0, err
+	}
+	n, ends := len(a.busyCPU), len(a.busyTX)
+	a.total = zeroed(a.total, n+2*ends)
+	cpu, tx, rx := a.total[:n], a.total[n:n+ends], a.total[n+ends:]
+	for r, list := range a.goal.Init {
+		for _, rng := range list {
+			cpu[r] += a.prm.CopyTime(rng.Count*s.Msg, 1)
+		}
+	}
+	add := func(sum, busy []sim.Duration) {
+		for i, d := range busy {
+			sum[i] += d
+		}
+	}
+	for si := range s.Steps {
+		clear(a.memOps)
+		a.price(&s.Steps[si])
+		add(cpu, a.busyCPU)
+		add(tx, a.busyTX)
+		add(rx, a.busyRX)
+	}
+	return slices.Max(a.total), nil
 }
 
 // deliver is pass 4: the step's deliveries land, for the next step to

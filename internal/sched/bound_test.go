@@ -160,6 +160,56 @@ func TestBoundedFinalistsNeverBeatTheirCost(t *testing.T) {
 	t.Logf("%d bounded schedules, %d of them under a health vector; %d simulated at exactly their cost", checked, degraded, exact)
 }
 
+// TestFloorIsALowerBound is the gate the final pick's cut of an
+// unbounded finalist stands on: on every key of boundGrid, every
+// unbounded finalist — the schedules whose floor the pick reads — once
+// per distinct schedule, simulates no faster than its floor, and its
+// floor is no more than its cost (item 3(i) of ROADMAP.md, per
+// schedule). Planting Cost as the floor fails it: rd simulates below
+// its cost at 4x2x2 / 4 KiB / [1 0.5]. TestFloorIsALowerBoundOnEverySeed
+// (build tag sweep) adds every unbounded seed.
+func TestFloorIsALowerBound(t *testing.T) { checkFloors(t, false) }
+
+// checkFloors is TestFloorIsALowerBound, over the unbounded seeds too
+// when seeds is set.
+func checkFloors(t *testing.T, seeds bool) {
+	prm := netmodel.Thor()
+	var a analysis
+	checked := 0
+	var ratio float64
+	for _, run := range gateRuns() {
+		k := run.boundKey
+		pool := run.finalists
+		if seeds {
+			pool = slices.Concat(pool, run.res.Seeds)
+		}
+		var seen []*Schedule
+		for _, c := range pool {
+			if c.bounded || slices.ContainsFunc(seen, func(s *Schedule) bool { return sameSteps(s, c.Sched) }) {
+				continue
+			}
+			seen = append(seen, c.Sched)
+			floor, err := a.floor(c.Sched, prm, k.health)
+			if err != nil {
+				t.Fatalf("%v %s: %v", k, c.Name, err)
+			}
+			mk, err := SimulateHealth(k.topo, prm, c.Sched, k.health)
+			if err != nil {
+				t.Fatalf("%v %s: %v", k, c.Name, err)
+			}
+			if floor > mk {
+				t.Errorf("%v: %s simulates in %d ns, below its floor %d ns", k, c.Name, int64(mk), int64(floor))
+			}
+			if floor > c.Cost {
+				t.Errorf("%v: %s costs %d ns, below its floor %d ns", k, c.Name, int64(c.Cost), int64(floor))
+			}
+			checked++
+			ratio += float64(floor) / float64(mk)
+		}
+	}
+	t.Logf("%d unbounded schedules; mean floor/simulated %.2f", checked, ratio/float64(checked))
+}
+
 // TestExactPricingOnlyWhereGated: a bounded finalist is priced at its
 // cost only on inputs TestBoundedFinalistsNeverBeatTheirCost covers.
 // A calibration the analyzer does not fully model, a cluster that is not
