@@ -44,8 +44,15 @@ func composeTopo(fs *flag.FlagSet) func() (topology.Cluster, error) {
 	sockets := fs.Int("sockets", 0, "NUMA sockets per node (0 = uniform)")
 	return func() (topology.Cluster, error) {
 		c, err := shape()
+		if err != nil {
+			return c, err
+		}
+		// shape validated the cluster before it had sockets.
 		c.Sockets = *sockets
-		return c, err
+		if err := c.Validate(); err != nil {
+			return c, usageError{err}
+		}
+		return c, nil
 	}
 }
 

@@ -93,7 +93,7 @@ func TestSmokeMhaDispatch(t *testing.T) {
 // TestSmokeMhaBadShapeIsAnError: every tool that takes a machine shape
 // refuses an empty one with topology's one-line diagnostic, not a panic.
 // explore reports it as a failed run (1); the rest as a bad command line
-// (2).
+// (2). So does compose for a socket count the ppn does not divide.
 func TestSmokeMhaBadShapeIsAnError(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -119,6 +119,15 @@ func TestSmokeMhaBadShapeIsAnError(t *testing.T) {
 				strings.Contains(out, "goroutine") {
 				t.Errorf("mha %v exited %d, want %d and one line with %q:\n%s", args, code, tc.code, bad.want, out)
 			}
+		}
+	}
+	// compose's -sockets is checked against the shape it divides.
+	for _, sub := range []string{"lower", "analyze"} {
+		args := []string{"compose", sub, "-coll", "allgather", "-nodes", "2", "-ppn", "4", "-sockets", "3"}
+		const want = "topology: Sockets: PPN 4 not divisible by 3 sockets"
+		out, code := mhaExit(t, args...)
+		if code != 2 || strings.Count(out, "\n") != 1 || !strings.Contains(out, want) || strings.Contains(out, "goroutine") {
+			t.Errorf("mha %v exited %d, want 2 and one line with %q:\n%s", args, code, want, out)
 		}
 	}
 }
@@ -157,6 +166,11 @@ func TestSmokeMhatraceTimelineAndChrome(t *testing.T) {
 	out = run(t, "mha", "trace", "-alg", "compose-a2a", "-nodes", "2", "-ppn", "2", "-size", "4096")
 	if !strings.HasPrefix(out, "compose-a2a alltoall, 2 nodes x 2 ppn") || !strings.Contains(out, "legend") {
 		t.Fatalf("alltoall timeline unexpected:\n%s", out)
+	}
+	// An end label wider than the chart runs past its edge.
+	args := []string{"trace", "-alg", "rd", "-nodes", "8", "-ppn", "32", "-hcas", "2", "-size", "65536", "-width", "10"}
+	if out, code := mhaExit(t, args...); code != 0 || strings.Contains(out, "goroutine") || !strings.Contains(out, "legend") {
+		t.Fatalf("mha %v exited %d:\n%s", args, code, out)
 	}
 	// A shape outside the row's contract is refused, and an unknown name
 	// lists the registry.

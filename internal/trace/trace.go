@@ -208,7 +208,9 @@ func (r *Recorder) Timeline(width int) string {
 		}
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "t=0%s%v\n", strings.Repeat(" ", width-len(fmt.Sprint(tEnd))), tEnd)
+	end := fmt.Sprint(tEnd)
+	// An end label wider than the chart runs past its right edge.
+	fmt.Fprintf(&b, "t=0%s%s\n", strings.Repeat(" ", max(width-len(end), 0)), end)
 	for rank, lane := range lanes {
 		fmt.Fprintf(&b, "rank %3d |%s|\n", rank, lane)
 	}

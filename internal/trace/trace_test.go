@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -163,6 +164,22 @@ func TestTimelineMinWidth(t *testing.T) {
 	out := r.Timeline(1) // clamped up to 10
 	if len(strings.Split(out, "\n")[1]) < 10 {
 		t.Fatalf("width not clamped:\n%s", out)
+	}
+}
+
+// TestTimelineEndLabelWiderThanChart: an end time whose label is wider
+// than the chart is printed past its right edge, not padded by a
+// negative count.
+func TestTimelineEndLabelWiderThanChart(t *testing.T) {
+	r := New()
+	r.Add(ev(0, CatSend, 0, 123456789012345))
+	end := fmt.Sprint(sim.Time(123456789012345))
+	if len(end) <= 10 {
+		t.Fatalf("label %q fits the chart, so the case shows nothing", end)
+	}
+	out := r.Timeline(10)
+	if head := strings.Split(out, "\n")[0]; head != "t=0"+end {
+		t.Fatalf("header %q, want %q", head, "t=0"+end)
 	}
 }
 
