@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 
+	"mha/internal/compose"
 	"mha/internal/mpi"
 	"mha/internal/netmodel"
 	"mha/internal/sched"
@@ -173,7 +174,7 @@ func schedRun(args []string) error {
 		return fmt.Errorf("refusing to run an invalid schedule:\n%v", err)
 	}
 	// Real-payload execution with byte verification against the
-	// allgather contract: rank r's contribution is r's pattern.
+	// allgather contract of the payload oracle.
 	w := mpi.New(mpi.Config{Topo: s.Topo, Params: prm})
 	n := s.Topo.Size()
 	m := s.Msg
@@ -181,12 +182,12 @@ func schedRun(args []string) error {
 	err = w.Run(func(p *mpi.Proc) {
 		send := mpi.NewBuf(m)
 		for i := range send.Data() {
-			send.Data()[i] = byte(p.Rank()*131 + i*7 + 3)
+			send.Data()[i] = compose.PatternByte(0, p.Rank(), i)
 		}
 		recv := mpi.NewBuf(n * m)
 		sched.Execute(p, w, s, send, recv)
 		for i, b := range recv.Data() {
-			if b != byte((i/m)*131+(i%m)*7+3) {
+			if b != compose.ExpectByte(compose.Allgather, 0, n, m, p.Rank(), i/m, i%m) {
 				bad++
 				break
 			}

@@ -24,15 +24,15 @@ import (
 //	mha verify -list                        # show registered variants
 //	mha verify -repro "alg=mha nodes=2 ppn=2 hcas=1 msg=13 faults=none"
 //
-// The exit status is 0 when every scenario passes and 1 otherwise, so CI
-// can gate on it directly.
+// The exit status is 0 when every scenario passes, 1 when one fails, so
+// CI can gate on it directly, and 2 for a bad flag or repro spec.
 func runVerify(args []string) error {
 	fs := flag.NewFlagSet("mha verify", flag.ExitOnError)
 	var (
 		n        = fs.Int("n", 200, "number of scenarios to generate")
 		seed     = fs.Int64("seed", 42, "campaign seed (same seed, same scenarios)")
 		algs     = fs.String("algs", "", "comma-separated variant names (default: all registered)")
-		maxRanks = fs.Int("maxranks", 0, "cap on nodes*ppn per scenario (default 48)")
+		maxRanks = fs.Int("maxranks", 0, fmt.Sprintf("cap on nodes*ppn per scenario (default 48, at most %d)", verify.MaxScenarioRanks))
 		budget   = fs.Int("shrink-budget", 0, "candidate evaluations per shrink (default 150)")
 		noshrink = fs.Bool("noshrink", false, "report failures without minimizing them")
 		verbose  = fs.Bool("v", false, "log every scenario as it runs")
@@ -65,7 +65,7 @@ func runVerify(args []string) error {
 	if *repro != "" {
 		sc, err := verify.ParseSpec(*repro)
 		if err != nil {
-			return err
+			return usageError{err}
 		}
 		vs := verify.Check(sc)
 		if len(vs) == 0 {
@@ -92,7 +92,7 @@ func runVerify(args []string) error {
 	opt.Log = log
 	rep, err := verify.Campaign(*n, *seed, opt)
 	if err != nil {
-		return err
+		return usageError{err}
 	}
 
 	names := make([]string, 0, len(rep.PerAlg))

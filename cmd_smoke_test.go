@@ -121,6 +121,14 @@ func TestSmokeMhaBadShapeIsAnError(t *testing.T) {
 			}
 		}
 	}
+	// A repro line whose world fits an int but no machine is refused at
+	// parse time.
+	args := []string{"verify", "-repro", "alg=ring nodes=3037000499 ppn=3037000499"}
+	const want = "9223372030926249001 ranks exceeds the 1024-rank scenario limit"
+	if out, code := mhaExit(t, args...); code != 2 || strings.Count(out, "\n") != 1 || !strings.Contains(out, want) ||
+		strings.Contains(out, "goroutine") {
+		t.Errorf("mha %v exited %d, want 2 and one line with %q:\n%s", args, code, want, out)
+	}
 	// compose's -sockets is checked against the shape it divides.
 	for _, sub := range []string{"lower", "analyze"} {
 		args := []string{"compose", sub, "-coll", "allgather", "-nodes", "2", "-ppn", "4", "-sockets", "3"}

@@ -23,6 +23,7 @@ import (
 	"mha/internal/faults"
 	"mha/internal/mpi"
 	"mha/internal/netmodel"
+	"mha/internal/sched"
 	"mha/internal/sim"
 	"mha/internal/topology"
 	"mha/internal/trace"
@@ -172,6 +173,8 @@ type (
 	assignMsg  struct {
 		job  JobSpec
 		comm *mpi.Comm
+		plan *compose.Plan // see lower
+		ix   *sched.Index
 	}
 	stopMsg struct{}
 )
@@ -346,8 +349,10 @@ func Run(cfg Config, jobs []JobSpec) (*Result, error) {
 				jm.Placement = placement
 				jobTrace(cfg.Tracer, placement[0], now,
 					fmt.Sprintf("dispatch job%d(%s %s x%d)", job.ID, job.Coll, algName(job.Coll), job.Ranks), job.Msg)
+				a := assignMsg{job: job, comm: comm}
+				a.plan, a.ix = lower(job)
 				for _, r := range placement {
-					ctl[r].PutAt(now, assignMsg{job: job, comm: comm})
+					ctl[r].PutAt(now, a)
 				}
 			}
 		}
@@ -364,7 +369,7 @@ func Run(cfg Config, jobs []JobSpec) (*Result, error) {
 			case stopMsg:
 				return
 			case assignMsg:
-				runJob(p, m.job, m.comm, cfg.Payload, report)
+				runJob(p, m, cfg.Payload, report)
 				schedM.PutAt(p.Now(), doneMsg{jobID: m.job.ID, worldRank: p.Rank()})
 			}
 		}
@@ -484,12 +489,13 @@ func isolatedTime(cfg Config, job JobSpec, placement []int, cache map[string]sim
 		return d
 	}
 	w := mpi.New(mpi.Config{Topo: cfg.Topo, Params: cfg.Params, Phantom: true, Seed: cfg.Seed})
-	comm := w.NewComm(placement)
+	a := assignMsg{job: job, comm: w.NewComm(placement)}
+	a.plan, a.ix = lower(job)
 	if err := w.Run(func(p *mpi.Proc) {
-		if comm.Rank(p) < 0 {
+		if a.comm.Rank(p) < 0 {
 			return
 		}
-		runJob(p, job, comm, false, nil)
+		runJob(p, a, false, nil)
 	}); err != nil {
 		panic(fmt.Sprintf("cluster: isolated baseline for job %d failed: %v", job.ID, err))
 	}
@@ -512,119 +518,85 @@ func algName(c Coll) string {
 	}
 }
 
-// composeColl maps the compose-derived job collectives to their compose
-// counterparts. Their flat pipelines run on arbitrary sub-communicators;
-// the transport still routes each transfer over CMA or the rails by the
-// ranks' real placement.
-var composeColl = map[Coll]compose.Collective{
+// composeColl maps each job collective to its compose counterpart, whose
+// Geometry sizes the job's buffers and whose ExpectByte checks them in
+// payload mode (allreduce keeps its own float64 oracle). The last four
+// run their flat pipelines on arbitrary sub-communicators; the transport
+// still routes each transfer over CMA or the rails by the ranks' real
+// placement.
+var composeColl = [...]compose.Collective{
+	Allgather:     compose.Allgather,
+	Allreduce:     compose.Allreduce,
+	Bcast:         compose.Bcast,
 	ReduceScatter: compose.ReduceScatter,
 	Alltoall:      compose.Alltoall,
 	Gather:        compose.Gather,
 	Scatter:       compose.Scatter,
 }
 
-// runComposed lowers the job's composition for a flat machine of the
-// communicator's size and runs it under the goal interpreter with the
-// ByteSum fold. In payload mode the result is byte-checked against the
-// collective's oracle over the job's pattern.
-func runComposed(p *mpi.Proc, c *mpi.Comm, job JobSpec, comp compose.Composition,
-	payload bool, report func(string)) {
-	n, m := c.Size(), job.Msg
-	flat := compose.NewHierarchy(topology.Cluster{Nodes: 1, PPN: n, HCAs: 1, Layout: topology.Block})
-	plan, err := compose.Lower(comp, flat, m, nil)
+// lower lowers a compose-derived job's flat composition for its rank
+// count and indexes the plan's schedule, once per job for all its ranks;
+// the other collectives have no plan. Lowering makes no simulator calls,
+// so it takes no virtual time wherever it runs.
+func lower(job JobSpec) (*compose.Plan, *sched.Index) {
+	switch job.Coll {
+	case Allgather, Allreduce, Bcast:
+		return nil, nil
+	}
+	flat := compose.NewHierarchy(topology.Cluster{Nodes: 1, PPN: job.Ranks, HCAs: 1, Layout: topology.Block})
+	plan, err := compose.Lower(compose.Flat(composeColl[job.Coll]), flat, job.Msg, nil)
 	if err != nil {
 		panic(fmt.Sprintf("cluster: job %d: %v", job.ID, err))
 	}
-	sendLen, recvLen := compose.Geometry(comp.Coll, n, m)
-	send := mpi.Make(sendLen, !payload)
-	recv := mpi.Make(recvLen, !payload)
-	me := c.Rank(p)
-	if payload {
-		for i := range send.Data() {
-			send.Data()[i] = jobPat(job.ID, me, i)
-		}
-	}
-	compose.ExecutePlanOn(p, c, plan, nil, send, recv)
-	if !payload || report == nil {
+	return plan, sched.NewIndex(plan.Sched)
+}
+
+// runJob executes one job's collective on its communicator. In payload
+// mode every rank's send buffer holds its compose.PatternByte row salted
+// with the job's ID, so cross-job payload mixups surface as wrong bytes,
+// and this rank's result is checked against compose.ExpectByte. A bcast
+// runs in place, and only its root's buffer is filled.
+func runJob(p *mpi.Proc, a assignMsg, payload bool, report func(string)) {
+	job, c := a.job, a.comm
+	if job.Coll == Allreduce {
+		runAllreduce(p, c, job, payload, report)
 		return
 	}
-	data := recv.Data()
-	for blk := 0; m > 0 && blk*m < len(data); blk++ {
-		for i := 0; i < m; i++ {
-			b, want := data[blk*m+i], jobExpByte(comp.Coll, job.ID, n, m, me, blk, i)
-			if b != want {
-				report(fmt.Sprintf("job %d rank %d: %s block %d byte %d = %#02x, want %#02x",
-					job.ID, p.Rank(), job.Coll, blk, i, b, want))
-				break
-			}
+	n, me := c.Size(), c.Rank(p)
+	sendLen, recvLen := compose.Geometry(composeColl[job.Coll], n, job.Msg)
+	send := mpi.Make(sendLen, !payload)
+	recv := send
+	if job.Coll != Bcast {
+		recv = mpi.Make(recvLen, !payload)
+	}
+	if payload && (job.Coll != Bcast || me == 0) {
+		for i := range send.Data() {
+			send.Data()[i] = compose.PatternByte(job.ID, me, i)
 		}
 	}
-}
-
-// jobExpByte is the oracle for byte i of receive block blk at comm
-// rank me of a compose-derived job, under the jobPat fill (see the
-// analogous oracle in internal/verify).
-func jobExpByte(coll compose.Collective, jobID, n, m, me, blk, i int) byte {
-	switch coll {
-	case compose.ReduceScatter:
-		var s byte
-		for r := 0; r < n; r++ {
-			s += jobPat(jobID, r, me*m+i)
-		}
-		return s
-	case compose.Alltoall:
-		return jobPat(jobID, blk, me*m+i)
-	case compose.Gather:
-		if me != 0 {
-			return 0
-		}
-		return jobPat(jobID, blk, i)
-	case compose.Scatter:
-		return jobPat(jobID, 0, me*m+i)
-	default:
-		panic("cluster: no oracle for collective " + coll.String())
-	}
-}
-
-// runJob executes one job's collective on its communicator and, in
-// payload mode, byte-checks this rank's result against the job's oracle.
-func runJob(p *mpi.Proc, job JobSpec, c *mpi.Comm, payload bool, report func(string)) {
 	switch job.Coll {
 	case Allgather:
-		runAllgather(p, c, job, payload, report)
-	case Allreduce:
-		runAllreduce(p, c, job, payload, report)
+		collectives.RingAllgather(p, c, send, recv)
 	case Bcast:
-		runBcast(p, c, job, payload, report)
+		collectives.BinomialBcast(p, c, 0, recv)
 	default:
-		runComposed(p, c, job, compose.Flat(composeColl[job.Coll]), payload, report)
+		compose.ExecutePlanOn(p, c, a.plan, a.ix, send, recv)
+	}
+	if payload && report != nil {
+		check(job, n, me, p.Rank(), recv.Data(), report)
 	}
 }
 
-// jobPat is byte i of comm-rank r's contribution to a job: the pattern
-// differs per job so cross-job payload mixups surface as byte mismatches.
-func jobPat(jobID, r, i int) byte { return byte(jobID*29 + r*131 + i*7 + 3) }
-
-func runAllgather(p *mpi.Proc, c *mpi.Comm, job JobSpec, payload bool, report func(string)) {
-	n, m := c.Size(), job.Msg
-	send := mpi.Make(m, !payload)
-	me := c.Rank(p)
-	if payload {
-		for i := range send.Data() {
-			send.Data()[i] = jobPat(job.ID, me, i)
-		}
-	}
-	recv := mpi.Make(n*m, !payload)
-	collectives.RingAllgather(p, c, send, recv)
-	if !payload || report == nil {
-		return
-	}
-	for r := 0; r < n; r++ {
-		blk := recv.Data()[r*m : (r+1)*m]
-		for i, b := range blk {
-			if b != jobPat(job.ID, r, i) {
-				report(fmt.Sprintf("job %d rank %d: allgather block %d byte %d = %#02x, want %#02x",
-					job.ID, p.Rank(), r, i, b, jobPat(job.ID, r, i)))
+// check compares comm rank me's receive buffer of a job with
+// compose.ExpectByte under the job's salt and reports the first wrong byte
+// of every wrong block; rank is the world rank the report names.
+func check(job JobSpec, n, me, rank int, data []byte, report func(string)) {
+	coll, m := composeColl[job.Coll], job.Msg
+	for blk := 0; m > 0 && blk*m < len(data); blk++ {
+		for i, b := range data[blk*m : (blk+1)*m] {
+			if want := compose.ExpectByte(coll, job.ID, n, m, me, blk, i); b != want {
+				report(fmt.Sprintf("job %d rank %d: %s block %d byte %d = %#02x, want %#02x",
+					job.ID, rank, job.Coll, blk, i, b, want))
 				break
 			}
 		}
@@ -657,26 +629,6 @@ func runAllreduce(p *mpi.Proc, c *mpi.Comm, job JobSpec, payload bool, report fu
 		if got != want {
 			report(fmt.Sprintf("job %d rank %d: allreduce value %d = %g, want %g",
 				job.ID, p.Rank(), k, got, want))
-			break
-		}
-	}
-}
-
-func runBcast(p *mpi.Proc, c *mpi.Comm, job JobSpec, payload bool, report func(string)) {
-	buf := mpi.Make(job.Msg, !payload)
-	if payload && c.Rank(p) == 0 {
-		for i := range buf.Data() {
-			buf.Data()[i] = jobPat(job.ID, 0, i)
-		}
-	}
-	collectives.BinomialBcast(p, c, 0, buf)
-	if !payload || report == nil {
-		return
-	}
-	for i, b := range buf.Data() {
-		if b != jobPat(job.ID, 0, i) {
-			report(fmt.Sprintf("job %d rank %d: bcast byte %d = %#02x, want %#02x",
-				job.ID, p.Rank(), i, b, jobPat(job.ID, 0, i)))
 			break
 		}
 	}

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"mha/internal/compose"
 	"mha/internal/faults"
 	"mha/internal/sim"
 	"mha/internal/topology"
@@ -254,6 +256,71 @@ func TestRailShareBounds(t *testing.T) {
 	for _, jm := range res.Jobs {
 		if jm.RailShare < 0 || jm.RailShare > 4 {
 			t.Fatalf("job %d rail share %.3f out of bounds", jm.Spec.ID, jm.RailShare)
+		}
+	}
+}
+
+// TestCheckCatchesAPlantedByte: for every byte-contract collective, the
+// shared check passes a receive buffer built from compose.ExpectByte under
+// the job's salt, reports exactly the block and byte of one flipped byte
+// in it, and refuses the same buffer built under another job's salt.
+func TestCheckCatchesAPlantedByte(t *testing.T) {
+	const n, m = 4, 5
+	for c := Allgather; c <= Scatter; c++ {
+		if c == Allreduce {
+			continue // a float64 oracle, not the byte contract
+		}
+		job := JobSpec{ID: 3, Coll: c, Msg: m, Ranks: n}
+		_, recvLen := compose.Geometry(composeColl[c], n, m)
+		build := func(salt, me int) []byte {
+			b := make([]byte, recvLen)
+			for k := range b {
+				b[k] = compose.ExpectByte(composeColl[c], salt, n, m, me, k/m, k%m)
+			}
+			return b
+		}
+		run := func(me int, data []byte) []string {
+			var got []string
+			check(job, n, me, 10+me, data, func(s string) { got = append(got, s) })
+			return got
+		}
+		for me := 0; me < n; me++ {
+			data := build(job.ID, me)
+			if got := run(me, data); len(got) != 0 {
+				t.Fatalf("%v rank %d: correct buffer reported %v", c, me, got)
+			}
+			blk, i := recvLen/m-1, m-2
+			data[blk*m+i] ^= 0x40
+			want := fmt.Sprintf("job 3 rank %d: %v block %d byte %d = ", 10+me, c, blk, i)
+			if got := run(me, data); len(got) != 1 || !strings.HasPrefix(got[0], want) {
+				t.Errorf("%v rank %d: flipped block %d byte %d reported %q, want one %q...", c, me, blk, i, got, want)
+			}
+		}
+		// Rank 0 is the root, whose blocks all carry the salt.
+		if got := run(0, build(0, 0)); len(got) == 0 {
+			t.Errorf("%v: a buffer built with salt 0 passed for job %d", c, job.ID)
+		}
+	}
+}
+
+// TestPayloadEveryCollective runs one job of each collective with real
+// bytes, isolated baselines included, and requires every result to pass
+// its oracle.
+func TestPayloadEveryCollective(t *testing.T) {
+	var jobs []JobSpec
+	for c := Allgather; c <= Scatter; c++ {
+		jobs = append(jobs, JobSpec{ID: int(c) + 1, Coll: c, Msg: 4 << 10, Ranks: 6})
+	}
+	res, err := Run(Config{Topo: topology.New(4, 4, 2), Payload: true}, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Errors) > 0 {
+		t.Fatalf("byte-check failures: %v", res.Errors)
+	}
+	for _, jm := range res.Jobs {
+		if jm.Isolated <= 0 {
+			t.Errorf("job %d (%v): no isolated baseline", jm.Spec.ID, jm.Spec.Coll)
 		}
 	}
 }

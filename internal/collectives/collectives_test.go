@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mha/internal/compose"
 	"mha/internal/mpi"
 	"mha/internal/sim"
 	"mha/internal/topology"
@@ -16,7 +17,7 @@ import (
 func pattern(r, m int) []byte {
 	b := make([]byte, m)
 	for i := range b {
-		b[i] = byte(r*131 + i*7 + 3)
+		b[i] = compose.PatternByte(0, r, i)
 	}
 	return b
 }

@@ -54,3 +54,53 @@ func Fold(p *mpi.Proc, dst, src mpi.Buf) {
 	sched.ChargeRed(p, dst, src)
 	ByteSum{}.Reduce(dst, src)
 }
+
+// PatternByte is byte i of rank r's contribution under the payload
+// oracle: a non-repeating pattern, so block swaps, off-by-ones and stale
+// bytes all show up as wrong bytes. salt tells apart runs that share one
+// world: a cluster job passes its ID, so one job's bytes in another's
+// buffer are wrong too, and the verify campaign passes 0. The step per
+// byte is odd and the same for every rank and salt, so the pattern has
+// period 256 and every row is one sequence entered at its own offset.
+func PatternByte(salt, r, i int) byte { return byte(salt*29 + r*131 + i*7 + 3) }
+
+// SumByte is the ByteSum fold of byte i of all n ranks' contributions,
+// the reduction oracle. Wrapping byte addition is exactly commutative and
+// associative, so the value does not depend on fold order.
+func SumByte(salt, n, i int) byte {
+	var s byte
+	for r := 0; r < n; r++ {
+		s += PatternByte(salt, r, i)
+	}
+	return s
+}
+
+// ExpectByte is the payload oracle: byte i of receive block blk (m bytes
+// each) at rank me of a collective over n ranks, when every rank's send
+// buffer holds its PatternByte row over Geometry's send length.
+// Allgather-family blocks are contributions verbatim, reduce-family slots
+// are SumByte folds, alltoall chunk (s -> me) is bytes [me*m, me*m+m) of
+// s's row, and a gather's non-root receive buffer stays untouched (zero).
+func ExpectByte(coll Collective, salt, n, m, me, blk, i int) byte {
+	switch coll {
+	case Allgather:
+		return PatternByte(salt, blk, i)
+	case ReduceScatter:
+		return SumByte(salt, n, me*m+i)
+	case Alltoall:
+		return PatternByte(salt, blk, me*m+i)
+	case Gather:
+		if me != 0 {
+			return 0
+		}
+		return PatternByte(salt, blk, i)
+	case Scatter:
+		return PatternByte(salt, 0, me*m+i)
+	case Allreduce:
+		return SumByte(salt, n, blk*m+i)
+	case Bcast:
+		return PatternByte(salt, 0, i)
+	default:
+		panic("compose: no oracle for collective " + coll.String())
+	}
+}

@@ -121,7 +121,7 @@ func runCollect(t *testing.T, topo topology.Cluster, body func(p *mpi.Proc, w *m
 
 func fill(b mpi.Buf, r int) {
 	for i := range b.Data() {
-		b.Data()[i] = byte(r*131 + i*7 + 3)
+		b.Data()[i] = compose.PatternByte(0, r, i)
 	}
 }
 

@@ -16,6 +16,7 @@ func FuzzParseHierarchy(f *testing.F) {
 	f.Add("world nodes=0 ppn=-1 hcas=9999999")
 	f.Add("world nodes=2 ppn=2 nodes=2")
 	f.Add("worldnodes=2")
+	f.Add("world nodes=3037000499 ppn=3037000499")
 	f.Fuzz(func(t *testing.T, spec string) {
 		h, err := compose.ParseHierarchy(spec)
 		if err != nil {

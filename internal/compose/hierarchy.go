@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"mha/internal/kv"
+	"mha/internal/sched"
 	"mha/internal/topology"
 )
 
@@ -67,7 +68,8 @@ func (h Hierarchy) Describe() string {
 //	world nodes=4 ppn=8 hcas=2 layout=block sockets=2
 //
 // layout defaults to block and sockets to 0 (no NUMA split); hcas
-// defaults to 1. The result is shape-validated.
+// defaults to 1. The result is shape-validated, and a world past the
+// schedule limit (sched.MaxRanks) is refused, since no plan for it lowers.
 func ParseHierarchy(line string) (Hierarchy, error) {
 	fields := strings.Fields(line)
 	if len(fields) == 0 || fields[0] != "world" {
@@ -80,6 +82,9 @@ func ParseHierarchy(line string) (Hierarchy, error) {
 	t, err := topology.Decode(set, topology.Cluster{Nodes: -1, PPN: -1, HCAs: 1})
 	if err == nil {
 		err = t.Validate()
+	}
+	if err == nil && t.Size() > sched.MaxRanks {
+		err = fmt.Errorf("%d ranks exceeds the %d-rank schedule limit", t.Size(), sched.MaxRanks)
 	}
 	if err != nil {
 		return Hierarchy{}, fmt.Errorf("compose: %v", err)

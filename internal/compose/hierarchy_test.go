@@ -53,6 +53,7 @@ func TestHierarchyErrors(t *testing.T) {
 		"world nodes=2 ppn=2 nodes=3",
 		"world nodes=0 ppn=2",
 		"world nodes=2 ppn=2 rails=2",
+		"world nodes=3037000499 ppn=3037000499", // past sched.MaxRanks
 	} {
 		if _, err := compose.ParseHierarchy(spec); err == nil {
 			t.Errorf("ParseHierarchy(%q): expected error", spec)

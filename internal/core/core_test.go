@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"mha/internal/collectives"
+	"mha/internal/compose"
 	"mha/internal/mpi"
 	"mha/internal/netmodel"
 	"mha/internal/perfmodel"
@@ -18,7 +19,7 @@ import (
 func pattern(r, m int) []byte {
 	b := make([]byte, m)
 	for i := range b {
-		b[i] = byte(r*131 + i*7 + 3)
+		b[i] = compose.PatternByte(0, r, i)
 	}
 	return b
 }

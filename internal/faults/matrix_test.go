@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mha/internal/collectives"
+	"mha/internal/compose"
 	"mha/internal/core"
 	"mha/internal/faults"
 	"mha/internal/mpi"
@@ -19,7 +20,7 @@ import (
 func pattern(r, m int) []byte {
 	b := make([]byte, m)
 	for i := range b {
-		b[i] = byte(r*131 + i*7 + 3)
+		b[i] = compose.PatternByte(0, r, i)
 	}
 	return b
 }

@@ -150,11 +150,12 @@ const maxSteps = 512
 // maxPerPair bounds same-step transfers between one (src, dst) pair.
 const maxPerPair = 128
 
-// maxRanks and maxMsg bound the schedule's scale so byte arithmetic
+// MaxRanks and maxMsg bound the schedule's scale so byte arithmetic
 // (Count*Msg) cannot overflow and hostile parsed inputs cannot demand
-// absurd allocations downstream.
+// absurd allocations downstream. A machine shape parsed for lowering
+// (compose.ParseHierarchy) is held to MaxRanks too.
 const (
-	maxRanks = 1 << 16
+	MaxRanks = 1 << 16
 	maxMsg   = 1 << 32
 )
 
@@ -197,8 +198,8 @@ func (s *Schedule) Validate() error {
 	if s.Msg < 0 || s.Msg > maxMsg {
 		return fmt.Errorf("sched: message size %d outside [0,%d]", s.Msg, maxMsg)
 	}
-	if s.Topo.Nodes > maxRanks || s.Topo.PPN > maxRanks || s.Topo.Size() > maxRanks {
-		return fmt.Errorf("sched: topology %v exceeds the %d-rank limit", s.Topo, maxRanks)
+	if s.Topo.Nodes > MaxRanks || s.Topo.PPN > MaxRanks || s.Topo.Size() > MaxRanks {
+		return fmt.Errorf("sched: topology %v exceeds the %d-rank limit", s.Topo, MaxRanks)
 	}
 	if len(s.Steps) > maxSteps {
 		return fmt.Errorf("sched: %d steps exceed the %d-step limit", len(s.Steps), maxSteps)

@@ -15,8 +15,9 @@ import (
 type Options struct {
 	// Algs restricts the campaign to these registered names; nil means all.
 	Algs []string
-	// MaxRanks caps Nodes*PPN per scenario (default 48), bounding both
-	// run time and the n^2*m bytes the oracle materializes.
+	// MaxRanks caps Nodes*PPN per scenario (default 48, at most
+	// MaxScenarioRanks), bounding both run time and the n^2*m bytes the
+	// oracle materializes.
 	MaxRanks int
 	// ShrinkBudget caps candidate evaluations per failure (default 150).
 	ShrinkBudget int
@@ -67,6 +68,8 @@ func Campaign(n int, seed int64, opt Options) (*Report, error) {
 	}
 	if opt.MaxRanks <= 0 {
 		opt.MaxRanks = 48
+	} else if opt.MaxRanks > MaxScenarioRanks {
+		return nil, fmt.Errorf("verify: MaxRanks %d exceeds the %d-rank scenario limit", opt.MaxRanks, MaxScenarioRanks)
 	}
 	if opt.ShrinkBudget <= 0 {
 		opt.ShrinkBudget = 150

@@ -20,6 +20,7 @@ func FuzzParseScenarioSpec(f *testing.F) {
 		"alg=ring nodes=2 jitter=NaN",
 		"alg=mha-intra nodes=2 ppn=2",
 		"alg=ring nodes=4294967296 ppn=4294967296",
+		"alg=ring nodes=3037000499 ppn=3037000499",
 		"alg=ring faults=down node=5 z=1",
 		"nodes=2",
 		"",

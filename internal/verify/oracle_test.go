@@ -28,7 +28,7 @@ func specFill(coll compose.Collective, p *mpi.Proc, recv mpi.Buf, m int) {
 	d := recv.Data()
 	for blk := 0; m > 0 && blk*m < len(d); blk++ {
 		for i := 0; i < m; i++ {
-			d[blk*m+i] = expByte(coll, p.Size(), m, p.Rank(), blk, i)
+			d[blk*m+i] = compose.ExpectByte(coll, 0, p.Size(), m, p.Rank(), blk, i)
 		}
 	}
 }
@@ -120,7 +120,7 @@ func TestOracleViolationText(t *testing.T) {
 		{"reduce-scatter drops rank 1's contribution", compose.ReduceScatter, m,
 			func(p *mpi.Proc, _, recv []byte) {
 				for i := range recv {
-					recv[i] -= patByte(1, p.Rank()*m+i)
+					recv[i] -= compose.PatternByte(0, 1, p.Rank()*m+i)
 				}
 			},
 			[]string{
@@ -132,7 +132,7 @@ func TestOracleViolationText(t *testing.T) {
 		{"allreduce drops rank 1's contribution: more than 8 corrupt blocks", compose.Allreduce, m,
 			func(p *mpi.Proc, send, recv []byte) {
 				for i := range recv {
-					recv[i] -= patByte(1, i)
+					recv[i] -= compose.PatternByte(0, 1, i)
 				}
 				if p.Rank() == 0 {
 					send[9] = 0
@@ -178,7 +178,7 @@ func TestOracleViolationText(t *testing.T) {
 			func(p *mpi.Proc, _, recv []byte) {
 				if p.Rank() == 2 {
 					for i := range recv {
-						recv[i] = patByte(0, 1*m+i)
+						recv[i] = compose.PatternByte(0, 0, 1*m+i)
 					}
 				}
 			},
@@ -294,7 +294,7 @@ func TestSecondRunStartsClean(t *testing.T) {
 			}},
 		{"send buffer clobbered in the first run",
 			func(p *mpi.Proc, send, recv mpi.Buf, first bool) {
-				if !first && send.Data()[3] != patByte(p.Rank(), 3) {
+				if !first && send.Data()[3] != compose.PatternByte(0, p.Rank(), 3) {
 					panic("the second run started from the first run's send buffer")
 				}
 				specFill(compose.Allgather, p, recv, m)
@@ -326,7 +326,7 @@ func TestSecondRunStartsClean(t *testing.T) {
 }
 
 // TestImageMatchesSpec holds the tabulated image to the written contract:
-// every byte of every expected block equals expByte, and a rank's blocks
+// every byte of every expected block equals ExpectByte, and a rank's blocks
 // add up to exactly the receive buffer Geometry sizes. Besides a few
 // small block sizes, the send lengths sit on either side of the
 // pattern's 256-byte period, and one is long enough for the image's
@@ -350,9 +350,9 @@ func TestImageMatchesSpec(t *testing.T) {
 							coll, n, m, me, len(im.pat[me]), sendLen)
 					}
 					for i, b := range im.pat[me] {
-						if b != patByte(me, i) {
-							t.Fatalf("%v n=%d m=%d: send image of rank %d byte %d = %#02x, patByte says %#02x",
-								coll, n, m, me, i, b, patByte(me, i))
+						if b != compose.PatternByte(0, me, i) {
+							t.Fatalf("%v n=%d m=%d: send image of rank %d byte %d = %#02x, PatternByte says %#02x",
+								coll, n, m, me, i, b, compose.PatternByte(0, me, i))
 						}
 					}
 					total := 0
@@ -360,8 +360,8 @@ func TestImageMatchesSpec(t *testing.T) {
 						w := im.want(me, blk)
 						total += len(w)
 						for i, b := range w {
-							if e := expByte(coll, n, m, me, blk, i); b != e {
-								t.Fatalf("%v n=%d m=%d: want(%d, %d)[%d] = %#02x, expByte says %#02x",
+							if e := compose.ExpectByte(coll, 0, n, m, me, blk, i); b != e {
+								t.Fatalf("%v n=%d m=%d: want(%d, %d)[%d] = %#02x, ExpectByte says %#02x",
 									coll, n, m, me, blk, i, b, e)
 							}
 						}

@@ -25,63 +25,16 @@ type Violation struct {
 
 func (v Violation) String() string { return v.Kind + ": " + v.Detail }
 
-// patByte is the oracle's expected byte i of rank r's contribution: a
-// non-repeating pattern so block swaps, off-by-ones and stale bytes all
-// produce visible mismatches. newImage relies on the per-byte step being
-// odd and the same for every rank.
-func patByte(r, i int) byte { return byte(r*131 + i*7 + 3) }
-
-// sumByte is the ByteSum fold of every rank's contribution byte i —
-// the reduction oracle. Wrapping byte addition is exactly commutative
-// and associative, so the expected value is independent of fold order.
-func sumByte(n, i int) byte {
-	var s byte
-	for r := 0; r < n; r++ {
-		s += patByte(r, i)
-	}
-	return s
-}
-
-// expByte is the oracle for byte i of receive block blk at rank me
-// under each collective's contract. Send buffers are always filled
-// with the owner's patByte pattern over their Geometry length, so:
-// allgather-family blocks are contributions verbatim, reduce-family
-// slots are ByteSum folds, alltoall chunk (s -> me) is bytes
-// [me*m, me*m+m) of s's pattern, and a gather's non-root receive
-// buffer must stay untouched (all zero).
-func expByte(coll compose.Collective, n, m, me, blk, i int) byte {
-	switch coll {
-	case compose.Allgather:
-		return patByte(blk, i)
-	case compose.ReduceScatter:
-		return sumByte(n, me*m+i)
-	case compose.Alltoall:
-		return patByte(blk, me*m+i)
-	case compose.Gather:
-		if me != 0 {
-			return 0
-		}
-		return patByte(blk, i)
-	case compose.Scatter:
-		return patByte(0, me*m+i)
-	case compose.Allreduce:
-		return sumByte(n, blk*m+i)
-	case compose.Bcast:
-		return patByte(0, i)
-	default:
-		panic("verify: no oracle for collective " + coll.String())
-	}
-}
-
-// image is expByte tabulated once per scenario, so the per-rank check is
-// a block compare instead of a call per byte. expByte stays the written
-// contract: it names the first wrong byte of a block that compares
-// unequal, and TestImageMatchesSpec holds the table to it.
+// image is compose.ExpectByte at salt 0 tabulated once per scenario, so
+// the per-rank check is a block compare instead of a call per byte.
+// ExpectByte stays the written contract: it names the first wrong byte of
+// a block that compares unequal, and TestImageMatchesSpec holds the table
+// to it.
 type image struct {
 	coll compose.Collective
 	m    int
-	// pat[r] is rank r's send buffer, patByte(r, 0..sendLen); rows overlap
-	// in memory and are read-only.
+	// pat[r] is rank r's send buffer, PatternByte(0, r, 0..sendLen); rows
+	// overlap in memory and are read-only.
 	pat [][]byte
 	// sum is the ByteSum fold of pat's rows (reduce family only).
 	sum []byte
@@ -92,17 +45,17 @@ type image struct {
 func newImage(coll compose.Collective, n, m int) *image {
 	sendLen, _ := compose.Geometry(coll, n, m)
 	im := &image{coll: coll, m: m, pat: make([][]byte, n)}
-	// patByte steps by the same odd amount per byte on every rank, so the
+	// PatternByte steps by the same odd amount per byte on every rank, so the
 	// pattern has period 256 and rank r's row is rank 0's row entered at
 	// the offset where r's first byte occurs: n windows into one sequence
 	// instead of an n x sendLen table (32 MiB for a large alltoall).
 	seq := make([]byte, 256+sendLen)
 	for i := range seq[:256] {
-		seq[i] = patByte(0, i)
+		seq[i] = compose.PatternByte(0, 0, i)
 	}
 	repeat256(seq)
 	for r := range im.pat {
-		at := bytes.IndexByte(seq[:256], patByte(r, 0))
+		at := bytes.IndexByte(seq[:256], compose.PatternByte(0, r, 0))
 		im.pat[r] = seq[at : at+sendLen : at+sendLen]
 	}
 	switch coll {
@@ -110,7 +63,7 @@ func newImage(coll compose.Collective, n, m int) *image {
 		// The fold of n rows of period 256 has period 256 too.
 		im.sum = make([]byte, sendLen)
 		for i := range im.sum[:min(sendLen, 256)] {
-			im.sum[i] = sumByte(n, i)
+			im.sum[i] = compose.SumByte(0, n, i)
 		}
 		repeat256(im.sum)
 	case compose.Gather:
@@ -127,8 +80,8 @@ func repeat256(b []byte) {
 	}
 }
 
-// want is the expected receive block blk at rank me — expByte(coll, n,
-// m, me, blk, 0..m) — as a slice into the shared tables.
+// want is the expected receive block blk at rank me — compose.ExpectByte(
+// coll, 0, n, m, me, blk, 0..m) — as a slice into the shared tables.
 func (im *image) want(me, blk int) []byte {
 	m := im.m
 	switch im.coll {
@@ -280,7 +233,7 @@ func run(sc Scenario, rec *trace.Recorder, s sim.Scheduler, bufs *buffers) (res 
 				continue
 			}
 			for i, b := range got {
-				if want := expByte(alg.Coll, n, m, me, blk, i); b != want {
+				if want := compose.ExpectByte(alg.Coll, 0, n, m, me, blk, i); b != want {
 					report(fmt.Sprintf("rank %d: block %d byte %d = %#02x, want %#02x",
 						me, blk, i, b, want))
 					break
@@ -289,7 +242,7 @@ func run(sc Scenario, rec *trace.Recorder, s sim.Scheduler, bufs *buffers) (res 
 		}
 		if !bytes.Equal(send.Data(), img.pat[me]) {
 			for i, b := range send.Data() {
-				if b != patByte(me, i) {
+				if b != compose.PatternByte(0, me, i) {
 					report(fmt.Sprintf("rank %d: send buffer clobbered at byte %d", me, i))
 					break
 				}

@@ -70,6 +70,11 @@ func (sc Scenario) Params() *netmodel.Params {
 	return &prm
 }
 
+// MaxScenarioRanks caps a scenario's world: Validate, and so ParseSpec,
+// refuses a larger one, and Campaign a larger Options.MaxRanks. It is the
+// paper's largest world.
+const MaxScenarioRanks = 1024
+
 // Validate reports why the scenario is not runnable, or nil.
 func (sc Scenario) Validate() error {
 	alg, ok := ByName(sc.Alg)
@@ -78,6 +83,9 @@ func (sc Scenario) Validate() error {
 	}
 	if err := sc.Cluster.Validate(); err != nil {
 		return err
+	}
+	if n := sc.Size(); n > MaxScenarioRanks {
+		return fmt.Errorf("verify: %d ranks exceeds the %d-rank scenario limit", n, MaxScenarioRanks)
 	}
 	if !alg.Supports(sc.Cluster) {
 		return fmt.Errorf("verify: %s does not support %v", sc.Alg, sc.Cluster)

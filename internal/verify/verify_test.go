@@ -227,6 +227,8 @@ func TestParseSpecRejectsGarbage(t *testing.T) {
 		"alg=ring nodes=2 hcas=2 faults=degrade node=0 rail=0 frac=NaN",
 		// 2^32 x 2^32 ranks wrap to 0.
 		"alg=ring nodes=4294967296 ppn=4294967296",
+		// Fits an int, but past MaxScenarioRanks.
+		"alg=ring nodes=3037000499 ppn=3037000499",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted garbage", bad)
