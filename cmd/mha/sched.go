@@ -225,7 +225,7 @@ func schedSearch(args []string) error {
 	if err := res.Measure(topo, prm, nil); err != nil {
 		return err
 	}
-	fmt.Printf("search on %v, msg %d B: %d seeds\n", topo, *msg, len(res.Seeds))
+	fmt.Printf("search on %v, msg %d B: %d seeds priced, %d abandoned\n", topo, *msg, len(res.Seeds), res.Search.Abandoned)
 	fmt.Printf("%-16s %14s %14s\n", "lowered", "analyzer", "simulated")
 	for _, c := range res.Lowered {
 		fmt.Printf("%-16s %14v %14v\n", c.Name, c.Cost, c.Makespan)

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/bits"
 	"slices"
 	"strings"
@@ -473,7 +474,7 @@ func (a *analysis) run(s *Schedule, prm *netmodel.Params, health []float64, g *G
 	if err := a.begin(s, prm, health, g, nil); err != nil {
 		return nil, err
 	}
-	return a.finishFrom(s, 0)
+	return a.finishFrom(s, 0, math.MaxInt64)
 }
 
 // begin checks the inputs other than s, which it takes to be valid (run
@@ -796,10 +797,16 @@ func (a *analysis) deliver(si int, st *Step) {
 // finishFrom takes the analysis through steps from.. of s, then checks
 // completeness: every wanted block fully covered and carrying exactly its
 // canonical contributor set (for an allgather, "rank r ends holding every
-// block"; for a reduction, "fully folded, no double counting").
-func (a *analysis) finishFrom(s *Schedule, from int) (*Report, error) {
-	for si := from; si < len(s.Steps); si++ {
+// block"; for a reduction, "fully folded, no double counting"). It gives
+// up, with neither a report nor an error, as soon as the running cost is
+// above limit; a step's cost is never negative, so the whole schedule's
+// would be too.
+func (a *analysis) finishFrom(s *Schedule, from int, limit sim.Duration) (*Report, error) {
+	for si := from; si < len(s.Steps) && a.rep.Cost <= limit; si++ {
 		a.step(si, &s.Steps[si])
+	}
+	if a.rep.Cost > limit {
+		return nil, nil
 	}
 	g, hold, viol := a.goal, &a.hold, &a.viol
 	n := hold.n

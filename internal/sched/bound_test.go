@@ -91,12 +91,15 @@ func boundGrid() []boundKey {
 }
 
 // gateRun is one key of boundGrid taken through the search up to its
-// final pick, with every seed's Report as the shared analysis made it.
+// final pick, with every seed's Report as the shared analysis made it,
+// and the full seed pool built apart from the search.
 type gateRun struct {
 	boundKey
 	res       *SynthResult
 	finalists []Candidate
 	reports   map[string]*Report
+	pool      []Candidate
+	fresh     map[string]*Report // the pool's reports, by name
 }
 
 // gateRuns is the search's pass over boundGrid, made once for the tests
@@ -107,10 +110,146 @@ var gateRuns = sync.OnceValue(func() []gateRun {
 	for _, k := range boundGrid() {
 		sr := &search{prm: prm, health: k.health, seedReports: map[string]*Report{}}
 		res, finalists := sr.finalists(k.topo, k.msg)
-		runs = append(runs, gateRun{k, res, finalists, sr.seedReports})
+		res.Search = sr.stats
+		pool, fresh := fullPool(k, prm)
+		runs = append(runs, gateRun{k, res, finalists, sr.seedReports, pool, fresh})
 	}
 	return runs
 })
+
+// fullPool is every seed the search may price on k, each built by its
+// own constructor — Ring, RecursiveDoubling, TwoPhaseMHA with every
+// mhaSeedOptions plan, DirectRail — repaired off dead rails, priced by a
+// full AnalyzeHealth of its own and marked bounded as seeds marks it,
+// cheapest first, with the reports by name. No seed is cut here: it is
+// what the search would price with no limit.
+func fullPool(k boundKey, prm *netmodel.Params) ([]Candidate, map[string]*Report) {
+	var pool []Candidate
+	reports := map[string]*Report{}
+	add := func(name string, s *Schedule, bounded bool) {
+		if s == nil {
+			return
+		}
+		s = ApplyHealth(s, k.health)
+		rep, err := AnalyzeHealth(s, prm, k.health)
+		if err != nil {
+			panic(fmt.Sprintf("%v: seed %s invalid: %v", k, name, err))
+		}
+		reports[name] = rep
+		pool = append(pool, Candidate{Name: name, Sched: s, Cost: rep.Cost, bounded: bounded})
+	}
+	add("ring", Ring(k.topo, k.msg), k.topo.Nodes == 1 || k.topo.Layout == topology.Block)
+	if rd := RecursiveDoubling(k.topo, k.msg); rd.Name == "rd" {
+		add("rd", rd, false)
+	}
+	for name, o := range mhaSeedOptions(k.topo) {
+		add(name, TwoPhaseMHA(k.topo, prm, k.msg, o), o.Offload == AutoOffload || o.Offload == 0 && !o.Sequential)
+	}
+	add("direct-rail", DirectRail(k.topo, k.msg), false)
+	sortCandidates(pool)
+	return pool, reports
+}
+
+// TestSeedCutKeepsTheBeam is the gate the seed cut stands on: on every
+// key of boundGrid (the benchmark's 55 keys among them) the search's
+// first beamWidth seeds are the full pool's, name and cost, so the beam
+// and all that follows from it are what pricing every seed in full
+// gives; every seed the search priced costs what its own analysis
+// prices it at; every seed it cut costs strictly more than its
+// beamWidth-th seed; and Search.Abandoned counts exactly those. Cutting
+// at a running cost equal to the limit fails it: ties are common at the
+// top of the pool (six MHA seeds cost 14 697 ns at 2x8x2 / 4 KiB).
+func TestSeedCutKeepsTheBeam(t *testing.T) {
+	prm := netmodel.Thor()
+	keys, cut := 0, 0
+	for _, run := range gateRuns() {
+		k, seeds, pool := run.boundKey, run.res.Seeds, run.pool
+		top := min(len(pool), beamWidth)
+		if len(seeds) < top {
+			t.Errorf("%v: %d seeds priced, fewer than the beam's %d", k, len(seeds), top)
+			continue
+		}
+		for i := range top {
+			if seeds[i].Name != pool[i].Name || seeds[i].Cost != pool[i].Cost {
+				t.Errorf("%v: seed %d is %s at %d ns, the full pool's is %s at %d ns",
+					k, i, seeds[i].Name, int64(seeds[i].Cost), pool[i].Name, int64(pool[i].Cost))
+			}
+		}
+		priced := map[string]bool{}
+		for _, c := range seeds {
+			priced[c.Name] = true
+			if i := slices.IndexFunc(pool, func(p Candidate) bool { return p.Name == c.Name }); i < 0 {
+				t.Errorf("%v: the search priced %s, which the full pool lacks", k, c.Name)
+			} else if p := pool[i]; c.Cost != p.Cost || c.bounded != p.bounded {
+				t.Errorf("%v %s: the search has cost %d ns, bounded %v; its own analysis %d ns, bounded %v",
+					k, c.Name, int64(c.Cost), c.bounded, int64(p.Cost), p.bounded)
+			}
+		}
+		abandoned := 0
+		for _, p := range pool {
+			if priced[p.Name] {
+				continue
+			}
+			abandoned++
+			if limit := seeds[top-1].Cost; p.Cost <= limit {
+				t.Errorf("%v: the search cut %s at %d ns, not above its seed %d's %d ns", k, p.Name, int64(p.Cost), top-1, int64(limit))
+			}
+		}
+		// DirectRail builds nothing on shapes past its step limit, where
+		// its floor is far above the limit: that cut counts, but no seed
+		// is in the pool.
+		if !priced["direct-rail"] && DirectRail(k.topo, k.msg) == nil && directRailFloor(k.topo, prm, k.msg) > seeds[top-1].Cost {
+			abandoned++
+		}
+		if got := run.res.Search.Abandoned; got != abandoned {
+			t.Errorf("%v: Search.Abandoned is %d, the search left %d seeds of the full pool unpriced", k, got, abandoned)
+		}
+		keys++
+		cut += abandoned
+	}
+	t.Logf("%d keys; %d seeds cut", keys, cut)
+}
+
+// TestDirectRailFloorIsALowerBound: directRailFloor, which decides from
+// the shape alone that DirectRail is not worth building, is at most the
+// analysed cost of DirectRail on every key of boundGrid that has one,
+// healthy, degraded or with a dead rail, block or cyclic. Counting
+// L(n-L) steps instead of ceil(L(n-L)/H) fails it.
+func TestDirectRailFloorIsALowerBound(t *testing.T) {
+	prm := netmodel.Thor()
+	checked := 0
+	for _, run := range gateRuns() {
+		k := run.boundKey
+		rep, ok := run.fresh["direct-rail"]
+		if !ok {
+			continue
+		}
+		if floor := directRailFloor(k.topo, prm, k.msg); floor > rep.Cost {
+			t.Errorf("%v: direct-rail costs %d ns, below its floor %d ns", k, int64(rep.Cost), int64(floor))
+		}
+		checked++
+	}
+	t.Logf("%d direct-rail schedules", checked)
+}
+
+// TestStepCostsAreNonNegative is the seed cut's precondition: every
+// step of every seed of the full pool costs no less than nothing, so a
+// running cost never falls and a seed abandoned above the limit would
+// have ended above it.
+func TestStepCostsAreNonNegative(t *testing.T) {
+	steps := 0
+	for _, run := range gateRuns() {
+		for name, rep := range run.fresh {
+			for si, d := range rep.StepCosts {
+				if d < 0 {
+					t.Errorf("%v %s: step %d costs %d ns", run.boundKey, name, si, int64(d))
+				}
+				steps++
+			}
+		}
+	}
+	t.Logf("%d steps", steps)
+}
 
 // TestBoundedFinalistsNeverBeatTheirCost is the gate the final pick's
 // branch and bound stands on: every seed and every finalist Synthesize
@@ -134,7 +273,7 @@ func TestBoundedFinalistsNeverBeatTheirCost(t *testing.T) {
 		// Many bounded seeds are one schedule under several names (the
 		// option grid collapses onto the AutoOffload plans): once each.
 		var seen []*Schedule
-		for _, c := range slices.Concat(run.res.Seeds, run.finalists) {
+		for _, c := range slices.Concat(run.pool, run.finalists) {
 			if !c.bounded || slices.ContainsFunc(seen, func(s *Schedule) bool { return sameSteps(s, c.Sched) }) {
 				continue
 			}
@@ -181,7 +320,7 @@ func checkFloors(t *testing.T, seeds bool) {
 		k := run.boundKey
 		pool := run.finalists
 		if seeds {
-			pool = slices.Concat(pool, run.res.Seeds)
+			pool = slices.Concat(pool, run.pool)
 		}
 		var seen []*Schedule
 		for _, c := range pool {
@@ -281,39 +420,37 @@ func TestBoundOnlyWhereGated(t *testing.T) {
 // seeds from parts it shares between them, prices every seed on one
 // shared analysis, and resumes every MHA plan after the phase 1 it shares
 // with the others. On every key of boundGrid (the benchmark's 55 keys
-// among them) each MHA seed must still be what TwoPhaseMHA builds,
-// repaired off dead rails, and each seed's Report must deep-equal a fresh
-// AnalyzeHealth of the same schedule.
+// among them) every seed of the full pool must pass a fresh AnalyzeHealth
+// (fullPool's), and each seed the search priced must be the pool's
+// schedule — for an MHA seed, what TwoPhaseMHA builds, repaired off dead
+// rails — with a Report that deep-equals the fresh one.
 func TestSeedReportsMatchFreshAnalysis(t *testing.T) {
-	prm := netmodel.Thor()
-	seeds, plans := 0, 0
+	seeds, priced, plans := 0, 0, 0
 	for _, run := range gateRuns() {
 		k := run.boundKey
-		pool := map[string]*Schedule{}
-		for _, c := range run.res.Seeds {
-			pool[c.Name] = c.Sched
-			want, err := AnalyzeHealth(c.Sched, prm, k.health)
-			if err != nil {
-				t.Fatalf("%v %s: %v", k, c.Name, err)
-			}
-			if got := run.reports[c.Name]; !reflect.DeepEqual(got, want) {
-				t.Errorf("%v %s: the search's report\n%+v\ndiffers from a fresh analysis\n%+v", k, c.Name, got, want)
-			}
+		mha := mhaSeedOptions(k.topo)
+		for _, p := range run.pool {
 			seeds++
-		}
-		for name, o := range mhaSeedOptions(k.topo) {
-			got, ok := pool[name]
-			if !ok {
-				t.Errorf("%v: no seed %s", k, name)
+			if _, ok := mha[p.Name]; ok {
+				plans++
+			}
+			i := slices.IndexFunc(run.res.Seeds, func(c Candidate) bool { return c.Name == p.Name })
+			if i < 0 {
 				continue
 			}
-			if want := ApplyHealth(TwoPhaseMHA(k.topo, prm, k.msg, o), k.health); !reflect.DeepEqual(got, want) {
-				t.Errorf("%v %s: the assembled seed differs from TwoPhaseMHA's plan with %+v", k, name, o)
+			priced++
+			if got := run.res.Seeds[i].Sched; !reflect.DeepEqual(got, p.Sched) {
+				t.Errorf("%v %s: the search's seed differs from the one its constructor builds", k, p.Name)
 			}
-			plans++
+			if got, want := run.reports[p.Name], run.fresh[p.Name]; !reflect.DeepEqual(got, want) {
+				t.Errorf("%v %s: the search's report\n%+v\ndiffers from a fresh analysis\n%+v", k, p.Name, got, want)
+			}
+		}
+		if n := len(run.reports); n != len(run.res.Seeds) {
+			t.Errorf("%v: %d seed reports for %d seeds priced", k, n, len(run.res.Seeds))
 		}
 	}
-	t.Logf("%d seeds, %d of them MHA plans", seeds, plans)
+	t.Logf("%d seeds, %d of them MHA plans; %d priced by the search", seeds, plans, priced)
 }
 
 // mhaSeedOptions names every MHA seed seeds makes on topo, with the

@@ -3,6 +3,7 @@ package sched
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -72,7 +73,11 @@ type SynthResult struct {
 	// final pick simulated it; a caller that reports every row as
 	// simulated measures the rest with Measure.
 	Lowered []Candidate
-	// Seeds holds every analyzer-scored starting point, cheapest first.
+	// Seeds holds every seed priced to the end, cheapest first: the
+	// lowered baselines, and every other seed whose running cost never
+	// passed the beamWidth-th cheapest cost priced before it. The seeds
+	// the search abandoned on the way (Search.Abandoned) cost strictly
+	// more than Seeds[beamWidth-1], so the beam is the same either way.
 	Seeds []Candidate
 	// Pruned records that the simulation pass was skipped because the
 	// analytic margin exceeded PruneMargin.
@@ -82,21 +87,23 @@ type SynthResult struct {
 }
 
 // Search is where one Synthesize spent its effort, in deterministic
-// counts: mutation rounds, parents walked by the analyzer, neighbors
+// counts: seeds abandoned before they were priced to the end, mutation
+// rounds, parents walked by the analyzer, neighbors
 // considered — each rejected on the step it changes, or priced there at
 // no less than what it replaces, or built and fully analyzed — how many
 // of the analyzed were accepted, finalists simulated, finalists priced
 // exactly at their cost without a simulation, and finalists a lower
 // bound ruled out.
 type Search struct {
+	Abandoned                                         int
 	Rounds, Walks                                     int
 	Considered, RejectedLocally, NotCheaper, Analyzed int
 	Accepted, Simulated, Exact, Skipped               int
 }
 
 func (s Search) String() string {
-	return fmt.Sprintf("%d rounds, %d walks; %d neighbors: %d rejected locally, %d not cheaper, %d analyzed, %d accepted; %d simulated, %d exact, %d skipped",
-		s.Rounds, s.Walks, s.Considered, s.RejectedLocally, s.NotCheaper, s.Analyzed, s.Accepted, s.Simulated, s.Exact, s.Skipped)
+	return fmt.Sprintf("%d seeds abandoned; %d rounds, %d walks; %d neighbors: %d rejected locally, %d not cheaper, %d analyzed, %d accepted; %d simulated, %d exact, %d skipped",
+		s.Abandoned, s.Rounds, s.Walks, s.Considered, s.RejectedLocally, s.NotCheaper, s.Analyzed, s.Accepted, s.Simulated, s.Exact, s.Skipped)
 }
 
 // The beam keeps beamWidth survivors per round for at most searchRounds
@@ -211,7 +218,7 @@ func (sr *search) finalists(topo topology.Cluster, msg int) (*SynthResult, []Can
 	// The canonical hand-written lowerings serve as the comparison
 	// baselines; recover them from the seed pool by name.
 	var lowered []Candidate
-	for _, name := range []string{"ring", "rd", "mha-ring", "mha-rd"} {
+	for _, name := range loweredNames {
 		for _, c := range seeds {
 			if c.Name == name {
 				lowered = append(lowered, c)
@@ -287,6 +294,10 @@ func (r *SynthResult) Measure(topo topology.Cluster, prm *netmodel.Params, healt
 	return nil
 }
 
+// loweredNames names the canonical hand-written lowerings: the baselines
+// the final pick measures, which the seed pool always prices in full.
+var loweredNames = []string{"ring", "rd", "mha-ring", "mha-rd"}
+
 // seeds is the search's starting pool, cheapest first: the canonical
 // lowerings plus an MHA option grid and the greedy direct construction,
 // each repaired off dead rails before it is scored. A seed is bounded
@@ -298,10 +309,29 @@ func (r *SynthResult) Measure(topo topology.Cluster, prm *netmodel.Params, healt
 //
 // The MHA seeds share phase 1: it is built once per distinct offload, and
 // the analysis walks it once and resumes every plan on it from there.
+//
+// Only the cheapest beamWidth seeds and the lowered baselines can reach
+// a finalist, so every other seed is priced against a limit, the
+// beamWidth-th cheapest cost priced so far, and abandoned once its
+// running cost is strictly above it. A step costs no less than nothing,
+// so an abandoned seed ends strictly above the limit, the limit only
+// falls, and the seed could not have made the beam: the beam, and all
+// that follows from it, is what pricing every seed in full gives. Two
+// cheaper forms of the cut come first: an MHA plan whose phase 1 alone
+// costs more than the limit is not assembled, and DirectRail is not built
+// when directRailFloor is above it.
 func (sr *search) seeds(topo topology.Cluster, msg int) []Candidate {
 	L := topo.PPN
 	pow2N := topo.Nodes > 1 && topo.Nodes&(topo.Nodes-1) == 0
 	var seeds []Candidate
+	// cheapest holds the lowest beamWidth costs priced so far, in order.
+	var cheapest []sim.Duration
+	limit := func(name string) sim.Duration {
+		if len(cheapest) < beamWidth || slices.Contains(loweredNames, name) {
+			return math.MaxInt64
+		}
+		return cheapest[beamWidth-1]
+	}
 	addSeed := func(name string, s *Schedule, bounded bool, pre *prefix) {
 		if s == nil {
 			return
@@ -312,16 +342,23 @@ func (sr *search) seeds(topo topology.Cluster, msg int) []Candidate {
 			}
 		}
 		s = ApplyHealth(s, sr.health)
-		rep, err := sr.analyzeSeed(s, pre)
+		rep, err := sr.analyzeSeed(s, pre, limit(name))
 		if err != nil {
 			// A lowering that fails its own analysis is a bug; surface it
 			// instead of silently searching around it.
 			panic(fmt.Sprintf("sched: seed %s invalid: %v", name, err))
 		}
+		if rep == nil {
+			sr.stats.Abandoned++
+			return
+		}
 		if sr.seedReports != nil {
 			sr.seedReports[name] = rep
 		}
 		seeds = append(seeds, Candidate{Name: name, Sched: s, Cost: rep.Cost, bounded: bounded})
+		i, _ := slices.BinarySearch(cheapest, rep.Cost)
+		cheapest = slices.Insert(cheapest, i, rep.Cost)
+		cheapest = cheapest[:min(len(cheapest), beamWidth)]
 	}
 
 	// On a block layout one ring transfer per node leaves it in a step; on
@@ -337,6 +374,10 @@ func (sr *search) seeds(topo topology.Cluster, msg int) []Candidate {
 		// synthesis (mhaParts).
 		parts := mhaParts{phase1: map[int]*prefix{}, rest: map[MHAOptions][]Step{}}
 		mha := func(name string, o MHAOptions, bounded bool) {
+			if pre := parts.phase1[offloadSteps(topo, sr.prm, msg, o.Offload)]; pre != nil && pre.at != nil && pre.at.rep.Cost > limit(name) {
+				sr.stats.Abandoned++
+				return
+			}
 			s, pre := parts.plan(topo, sr.prm, msg, o)
 			addSeed(name, s, bounded, pre)
 		}
@@ -363,9 +404,28 @@ func (sr *search) seeds(topo topology.Cluster, msg int) []Candidate {
 			}
 		}
 	}
-	addSeed("direct-rail", DirectRail(topo, msg), false, nil)
+	if directRailFloor(topo, sr.prm, msg) > limit("direct-rail") {
+		sr.stats.Abandoned++
+	} else {
+		addSeed("direct-rail", DirectRail(topo, msg), false, nil)
+	}
 	sortCandidates(seeds)
 	return seeds
+}
+
+// directRailFloor is a lower bound on what DirectRail costs, from the
+// shape alone, under any health vector. Each node sends L(n-L) blocks
+// off-node, at most one a rail a step, so the greedy takes at least
+// ceil(L(n-L)/H) steps, and each of them places at least one cross-node
+// block: a step is only added for a block no earlier step had room for.
+// That block's rail is busy for at least one hcaPiece of the message —
+// pinned, or once ApplyHealth has moved it off a dead rail, round-robin
+// whole or striped, where the largest piece is at least ceil(msg/H)
+// bytes — and a degraded rail only stretches it.
+func directRailFloor(topo topology.Cluster, prm *netmodel.Params, msg int) sim.Duration {
+	n, L, H := topo.Size(), topo.PPN, topo.HCAs
+	steps := (L*(n-L) + H - 1) / H
+	return sim.Duration(steps) * hcaPiece(prm, msg, (msg+H-1)/H, 1)
 }
 
 // prefix is a phase 1 the MHA seeds with one offload share: its steps,
@@ -375,10 +435,12 @@ type prefix struct {
 	at    *checkpoint
 }
 
-// analyzeSeed is analyze for a seed, which its construction validated.
-// A seed that begins with pre's steps (none when pre is nil) is analyzed
-// after them from where the first such seed's analysis stood.
-func (sr *search) analyzeSeed(s *Schedule, pre *prefix) (*Report, error) {
+// analyzeSeed is analyze for a seed, which its construction validated,
+// abandoned with a nil report once its running cost passes limit. A seed
+// that begins with pre's steps (none when pre is nil) is analyzed after
+// them from where the first such seed's analysis stood; that first seed
+// walks all of them before it may be abandoned.
+func (sr *search) analyzeSeed(s *Schedule, pre *prefix, limit sim.Duration) (*Report, error) {
 	a := &sr.a
 	var cp *checkpoint
 	if pre != nil {
@@ -396,7 +458,7 @@ func (sr *search) analyzeSeed(s *Schedule, pre *prefix) (*Report, error) {
 		}
 		pre.at = a.save(from)
 	}
-	return a.finishFrom(s, from)
+	return a.finishFrom(s, from, limit)
 }
 
 func sortCandidates(cs []Candidate) {
