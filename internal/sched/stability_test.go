@@ -128,11 +128,14 @@ func TestDirectRailMakespanPinned(t *testing.T) {
 
 // TestSynthesizeStable pins what the search returns — winner, its
 // analyzer cost and measured makespan, whether the measurement was
-// pruned, and the scored seed order — on three 32-rank shapes at three
-// sizes, healthy and with rail 1 at half rate, under the tuner's
-// pruning margin. Recorded before the
-// analyzer's per-step state moved from maps to slices; any rewrite of
-// the cold path must leave every line alone.
+// pruned, and the seeds priced to the end, in order — on three 32-rank
+// shapes at three sizes, healthy and with rail 1 at half rate, under the
+// tuner's pruning margin. Recorded before the analyzer's per-step state
+// moved from maps to slices; any rewrite of the cold path must leave
+// every line alone. The seed lists were re-recorded once, on purpose,
+// when the search began to abandon a seed that cannot reach the beam:
+// each list lost the seeds cut, and kept its first beamWidth entries and
+// every winner, cost, makespan and pruning verdict.
 func TestSynthesizeStable(t *testing.T) {
 	want := map[string]string{}
 	for _, line := range strings.Split(strings.TrimSpace(synthGolden), "\n") {
@@ -243,24 +246,24 @@ func TestSearchCountersPinned(t *testing.T) {
 }
 
 const synthGolden = `
-2x8x2/4096/[]: best=mha-rd cost=14697 makespan=14697 pruned=false seeds=mha-rd=14697,mha-rd-d0=14697,mha-rd-seq-d0=14697,mha-ring=14697,mha-ring-d0=14697,mha-ring-seq-d0=14697,ring=33908,mha-rd-push-d0=34683,mha-ring-push-d0=34683,mha-rd-seq-push-d0=36243,mha-ring-seq-push-d0=36243,rd=39215,direct-rail=71818,mha-rd-d7=132990,mha-rd-seq-d7=132990,mha-ring-d7=132990,mha-ring-seq-d7=132990,mha-rd-push-d7=152976,mha-ring-push-d7=152976,mha-rd-seq-push-d7=154536,mha-ring-seq-push-d7=154536
-2x8x2/4096/[1 0.5]: best=mha-rd cost=19018 makespan=19018 pruned=false seeds=mha-rd=19018,mha-rd-d0=19018,mha-rd-seq-d0=19018,mha-ring=19018,mha-ring-d0=19018,mha-ring-seq-d0=19018,mha-rd-push-d0=39004,mha-ring-push-d0=39004,mha-rd-seq-push-d0=40564,mha-ring-seq-push-d0=40564,ring=49518,rd=66743,direct-rail=143178,mha-rd-d7=190831,mha-rd-seq-d7=190831,mha-ring-d7=190831,mha-ring-seq-d7=190831,mha-rd-push-d7=210817,mha-ring-push-d7=210817,mha-rd-seq-push-d7=212377,mha-ring-seq-push-d7=212377
-2x8x2/65536/[]: best=ring cost=93736 makespan=93736 pruned=false seeds=ring=93736,mha-rd=113680,mha-rd-d0=113680,mha-rd-seq-d0=113680,mha-ring=113680,mha-ring-d0=113680,mha-ring-seq-d0=113680,rd=235978,direct-rail=267941,mha-rd-push-d0=379426,mha-ring-push-d0=379426,mha-rd-d7=387261,mha-rd-seq-d7=387261,mha-ring-d7=387261,mha-ring-seq-d7=387261,mha-rd-seq-push-d0=399891,mha-ring-seq-push-d0=399891,mha-rd-push-d7=653007,mha-ring-push-d7=653007,mha-rd-seq-push-d7=673472,mha-ring-seq-push-d7=673472
-2x8x2/65536/[1 0.5]: best=mha-rd cost=137821 makespan=137821 pruned=false seeds=mha-rd=137821,mha-rd-d0=137821,mha-rd-seq-d0=137821,mha-ring=137821,mha-ring-d0=137821,mha-ring-seq-d0=137821,ring=145681,rd=316354,mha-rd-push-d0=403567,mha-ring-push-d0=403567,mha-rd-seq-push-d0=424032,mha-ring-seq-push-d0=424032,direct-rail=533061,mha-rd-d7=628738,mha-rd-seq-d7=628738,mha-ring-d7=628738,mha-ring-seq-d7=628738,mha-rd-push-d7=894484,mha-ring-push-d7=894484,mha-rd-seq-push-d7=914949,mha-ring-seq-push-d7=914949
-2x8x2/1048576/[]: best=ring cost=1360345 makespan=1360345 pruned=false seeds=ring=1360345,mha-rd-d0=1697398,mha-rd-seq-d0=1697398,mha-ring-d0=1697398,mha-ring-seq-d0=1697398,mha-rd=1971665,mha-ring=1971665,direct-rail=2845572,rd=3384099,mha-rd-d7=3617267,mha-rd-seq-d7=3617267,mha-ring-d7=3617267,mha-ring-seq-d7=3617267,mha-rd-push-d0=5895304,mha-ring-push-d0=5895304,mha-rd-seq-push-d0=6218243,mha-ring-seq-push-d0=6218243,mha-rd-push-d7=7815173,mha-ring-push-d7=7815173,mha-rd-seq-push-d7=8138112,mha-ring-seq-push-d7=8138112
-2x8x2/1048576/[1 0.5]: best=ring cost=1360345 makespan=0 pruned=true seeds=ring=1360345,mha-rd-d0=2038648,mha-rd-seq-d0=2038648,mha-ring-d0=2038648,mha-ring-seq-d0=2038648,mha-rd=2449675,mha-ring=2449675,rd=4310099,mha-rd-d7=4915837,mha-rd-seq-d7=4915837,mha-ring-d7=4915837,mha-ring-seq-d7=4915837,direct-rail=5644662,mha-rd-push-d0=6236554,mha-ring-push-d0=6236554,mha-rd-seq-push-d0=6559493,mha-ring-seq-push-d0=6559493,mha-rd-push-d7=9113743,mha-ring-push-d7=9113743,mha-rd-seq-push-d7=9436682,mha-ring-seq-push-d7=9436682
-4x8x2/4096/[]: best=mha-rd cost=23070 makespan=23070 pruned=false seeds=mha-rd=23070,mha-rd-d0=23070,mha-ring=23339,mha-ring-d0=23339,mha-rd-seq-d0=30605,mha-ring-seq-d0=33604,ring=69588,mha-rd-push-d0=77110,mha-ring-push-d0=81317,rd=84359,mha-rd-seq-push-d0=116861,mha-ring-seq-push-d0=119860,mha-rd-d7=141363,mha-ring-d7=141632,mha-rd-seq-d7=148898,mha-ring-seq-d7=151897,mha-rd-push-d7=195403,mha-ring-push-d7=199610,direct-rail=214538,mha-rd-seq-push-d7=235154,mha-ring-seq-push-d7=238153
-4x8x2/4096/[1 0.5]: best=mha-rd cost=33034 makespan=33034 pruned=false seeds=mha-rd=33034,mha-rd-d0=33034,mha-ring=36302,mha-ring-d0=36302,mha-rd-seq-d0=40569,mha-ring-seq-d0=46567,mha-rd-push-d0=81431,mha-ring-push-d0=85638,ring=103038,mha-rd-seq-push-d0=126825,mha-ring-seq-push-d0=132823,rd=142935,mha-rd-d7=204847,mha-ring-d7=208115,mha-rd-seq-d7=212382,mha-ring-seq-d7=218380,mha-rd-push-d7=253244,mha-ring-push-d7=257451,mha-rd-seq-push-d7=298638,mha-ring-seq-push-d7=304636,direct-rail=428618
-4x8x2/65536/[]: best=ring cost=190712 makespan=190712 pruned=false seeds=ring=190712,mha-ring=202262,mha-ring-d0=202262,mha-rd=202651,mha-rd-d0=202651,mha-rd-seq-d0=305215,mha-ring-seq-d0=308216,mha-ring-d7=475843,mha-rd-d7=476232,mha-rd-seq-d7=578796,mha-ring-seq-d7=581797,rd=598226,direct-rail=798181,mha-rd-push-d0=995293,mha-ring-push-d0=999500,mha-rd-push-d7=1268874,mha-ring-push-d7=1273081,mha-rd-seq-push-d0=1509880,mha-ring-seq-push-d0=1512881,mha-rd-seq-push-d7=1783461,mha-ring-seq-push-d7=1786462
-4x8x2/65536/[1 0.5]: best=mha-ring cost=234385 makespan=234385 pruned=false seeds=mha-ring=234385,mha-ring-d0=234385,mha-rd=272073,mha-rd-d0=272073,ring=298065,mha-rd-seq-d0=374637,mha-ring-seq-d0=380639,mha-ring-d7=725302,mha-rd-d7=762990,rd=815362,mha-rd-seq-d7=865554,mha-ring-seq-d7=871556,mha-rd-push-d0=1019434,mha-ring-push-d0=1023641,mha-rd-push-d7=1510351,mha-ring-push-d7=1514558,mha-rd-seq-push-d0=1579302,mha-ring-seq-push-d0=1585304,direct-rail=1593541,mha-rd-seq-push-d7=2070219,mha-ring-seq-push-d7=2076221
-4x8x2/1048576/[]: best=ring cost=2768041 makespan=2768041 pruned=false seeds=ring=2768041,mha-rd-d0=3096099,mha-ring-d0=3096700,mha-rd=3370366,mha-ring=3370967,mha-rd-seq-d0=4698947,mha-ring-seq-d0=4701946,mha-rd-d7=5015968,mha-ring-d7=5016569,mha-rd-seq-d7=6618816,mha-ring-seq-d7=6621815,direct-rail=8449604,rd=8820107,mha-rd-push-d0=15686211,mha-ring-push-d0=15690418,mha-rd-push-d7=17606080,mha-ring-push-d7=17610287,mha-rd-seq-push-d0=23797958,mha-ring-seq-push-d0=23800957,mha-rd-seq-push-d7=25717827,mha-ring-seq-push-d7=25720826
-4x8x2/1048576/[1 0.5]: best=ring cost=2768041 makespan=2768041 pruned=false seeds=ring=2768041,mha-ring-d0=3437950,mha-ring=3848977,mha-rd-d0=4096700,mha-rd=4507727,mha-rd-seq-d0=5719698,mha-ring-seq-d0=5725696,mha-ring-d7=6315139,mha-rd-d7=6973889,mha-rd-seq-d7=8596887,mha-ring-seq-d7=8602885,rd=11574099,mha-rd-push-d0=16027461,mha-ring-push-d0=16031668,direct-rail=16852726,mha-rd-push-d7=18904650,mha-ring-push-d7=18908857,mha-rd-seq-push-d0=24818709,mha-ring-seq-push-d0=24824707,mha-rd-seq-push-d7=27695898,mha-ring-seq-push-d7=27701896
-8x4x2/4096/[]: best=mha-rd cost=21867 makespan=21867 pruned=false seeds=mha-rd=21867,mha-rd-d0=21867,mha-ring=23173,mha-ring-d0=23173,mha-rd-seq-d0=36064,mha-rd-push-d0=39913,mha-ring-seq-d0=41466,mha-rd-d3=45804,mha-ring-push-d0=47107,mha-ring-d3=47110,rd=57182,mha-rd-seq-d3=60001,mha-rd-push-d3=63850,mha-ring-seq-d3=65403,ring=69588,mha-ring-push-d3=71044,mha-rd-seq-push-d0=83265,mha-ring-seq-push-d0=88667,mha-rd-seq-push-d3=107202,mha-ring-seq-push-d3=112604,direct-rail=125338
-8x4x2/4096/[1 0.5]: best=mha-rd cost=34392 makespan=34392 pruned=false seeds=mha-rd=34392,mha-rd-d0=34392,mha-ring=41100,mha-ring-d0=41100,mha-rd-push-d0=46514,mha-rd-seq-d0=48589,mha-ring-push-d0=49668,mha-ring-seq-d0=59393,mha-rd-d3=67249,mha-ring-d3=73957,mha-rd-push-d3=79371,mha-rd-seq-d3=81446,mha-ring-push-d3=82525,mha-ring-seq-d3=92250,mha-rd-seq-push-d0=95790,rd=99346,ring=103038,mha-ring-seq-push-d0=106594,mha-rd-seq-push-d3=128647,mha-ring-seq-push-d3=139451,direct-rail=250218
-8x4x2/65536/[]: best=ring cost=190712 makespan=190712 pruned=false seeds=ring=190712,mha-ring=191689,mha-ring-d0=191689,mha-rd=191977,mha-rd-d0=191977,mha-ring-d3=241222,mha-rd-d3=241510,rd=352373,mha-rd-seq-d0=365096,mha-ring-seq-d0=377094,mha-rd-seq-d3=414629,mha-ring-seq-d3=426627,direct-rail=466781,mha-rd-push-d0=498725,mha-ring-push-d0=505919,mha-rd-push-d3=548258,mha-ring-push-d3=555452,mha-rd-seq-push-d0=962798,mha-ring-seq-push-d0=974796,mha-rd-seq-push-d3=1012331,mha-ring-seq-push-d3=1024329
-8x4x2/65536/[1 0.5]: best=mha-ring cost=233429 makespan=233429 pruned=false seeds=mha-ring=233429,mha-ring-d0=233429,mha-rd=274969,mha-rd-d0=274969,ring=298065,mha-ring-d3=329534,mha-rd-d3=371074,mha-rd-seq-d0=448088,mha-ring-seq-d0=472084,rd=487037,mha-rd-push-d0=512295,mha-ring-push-d0=519489,mha-rd-seq-d3=544193,mha-ring-seq-d3=568189,mha-rd-push-d3=608400,mha-ring-push-d3=615594,direct-rail=930741,mha-rd-seq-push-d0=1045790,mha-ring-seq-push-d0=1069786,mha-rd-seq-push-d3=1141895,mha-ring-seq-push-d3=1165891
-8x4x2/1048576/[]: best=ring cost=2768041 makespan=2768041 pruned=false seeds=ring=2768041,mha-rd-d0=2925175,mha-ring-d0=2927573,mha-rd=3018318,mha-ring=3020716,mha-rd-d3=3204604,mha-ring-d3=3207002,direct-rail=4945412,rd=5075478,mha-rd-seq-d0=5612070,mha-ring-seq-d0=5624069,mha-rd-seq-d3=5891499,mha-ring-seq-d3=5903498,mha-rd-push-d0=7822129,mha-ring-push-d0=7829323,mha-rd-push-d3=8101558,mha-ring-push-d3=8108752,mha-rd-seq-push-d0=15017816,mha-ring-seq-push-d0=15029815,mha-rd-seq-push-d3=15297245,mha-ring-seq-push-d3=15309244
-8x4x2/1048576/[1 0.5]: best=ring cost=2768041 makespan=2768041 pruned=false seeds=ring=2768041,mha-ring-d0=3099698,mha-ring=3261221,mha-ring-d3=3584267,mha-rd-d0=4089026,mha-rd=4250549,mha-rd-d3=4573595,rd=6689974,mha-rd-seq-d0=6804946,mha-ring-seq-d0=6828944,mha-rd-seq-d3=7289515,mha-ring-seq-d3=7313513,mha-rd-push-d0=7994254,mha-ring-push-d0=8001448,mha-rd-push-d3=8478823,mha-ring-push-d3=8486017,direct-rail=9847686,mha-rd-seq-push-d0=16210692,mha-ring-seq-push-d0=16234690,mha-rd-seq-push-d3=16695261,mha-ring-seq-push-d3=16719259
+2x8x2/4096/[]: best=mha-rd cost=14697 makespan=14697 pruned=false seeds=mha-rd=14697,mha-rd-d0=14697,mha-rd-seq-d0=14697,mha-ring=14697,mha-ring-d0=14697,mha-ring-seq-d0=14697,ring=33908,rd=39215
+2x8x2/4096/[1 0.5]: best=mha-rd cost=19018 makespan=19018 pruned=false seeds=mha-rd=19018,mha-rd-d0=19018,mha-rd-seq-d0=19018,mha-ring=19018,mha-ring-d0=19018,mha-ring-seq-d0=19018,mha-ring-push-d0=39004,ring=49518,rd=66743
+2x8x2/65536/[]: best=ring cost=93736 makespan=93736 pruned=false seeds=ring=93736,mha-rd=113680,mha-rd-d0=113680,mha-rd-seq-d0=113680,mha-ring=113680,mha-ring-d0=113680,mha-ring-seq-d0=113680,rd=235978
+2x8x2/65536/[1 0.5]: best=mha-rd cost=137821 makespan=137821 pruned=false seeds=mha-rd=137821,mha-rd-d0=137821,mha-rd-seq-d0=137821,mha-ring=137821,mha-ring-d0=137821,mha-ring-seq-d0=137821,ring=145681,rd=316354
+2x8x2/1048576/[]: best=ring cost=1360345 makespan=1360345 pruned=false seeds=ring=1360345,mha-rd-d0=1697398,mha-rd-seq-d0=1697398,mha-ring-d0=1697398,mha-ring-seq-d0=1697398,mha-rd=1971665,mha-ring=1971665,rd=3384099
+2x8x2/1048576/[1 0.5]: best=ring cost=1360345 makespan=0 pruned=true seeds=ring=1360345,mha-rd-d0=2038648,mha-rd-seq-d0=2038648,mha-ring-d0=2038648,mha-ring-seq-d0=2038648,mha-rd=2449675,mha-ring=2449675,rd=4310099
+4x8x2/4096/[]: best=mha-rd cost=23070 makespan=23070 pruned=false seeds=mha-rd=23070,mha-rd-d0=23070,mha-ring=23339,mha-ring-d0=23339,mha-ring-seq-d0=33604,ring=69588,rd=84359
+4x8x2/4096/[1 0.5]: best=mha-rd cost=33034 makespan=33034 pruned=false seeds=mha-rd=33034,mha-rd-d0=33034,mha-ring=36302,mha-ring-d0=36302,mha-ring-seq-d0=46567,mha-ring-push-d0=85638,ring=103038,rd=142935
+4x8x2/65536/[]: best=ring cost=190712 makespan=190712 pruned=false seeds=ring=190712,mha-ring=202262,mha-ring-d0=202262,mha-rd=202651,mha-rd-d0=202651,rd=598226
+4x8x2/65536/[1 0.5]: best=mha-ring cost=234385 makespan=234385 pruned=false seeds=mha-ring=234385,mha-ring-d0=234385,mha-rd=272073,mha-rd-d0=272073,ring=298065,rd=815362
+4x8x2/1048576/[]: best=ring cost=2768041 makespan=2768041 pruned=false seeds=ring=2768041,mha-rd-d0=3096099,mha-ring-d0=3096700,mha-rd=3370366,mha-ring=3370967,rd=8820107
+4x8x2/1048576/[1 0.5]: best=ring cost=2768041 makespan=2768041 pruned=false seeds=ring=2768041,mha-ring-d0=3437950,mha-ring=3848977,mha-rd-d0=4096700,mha-rd=4507727,rd=11574099
+8x4x2/4096/[]: best=mha-rd cost=21867 makespan=21867 pruned=false seeds=mha-rd=21867,mha-rd-d0=21867,mha-ring=23173,mha-ring-d0=23173,mha-ring-seq-d0=41466,mha-ring-push-d0=47107,rd=57182,ring=69588
+8x4x2/4096/[1 0.5]: best=mha-rd cost=34392 makespan=34392 pruned=false seeds=mha-rd=34392,mha-rd-d0=34392,mha-ring=41100,mha-ring-d0=41100,mha-ring-push-d0=49668,rd=99346,ring=103038
+8x4x2/65536/[]: best=ring cost=190712 makespan=190712 pruned=false seeds=ring=190712,mha-ring=191689,mha-ring-d0=191689,mha-rd=191977,mha-rd-d0=191977,rd=352373
+8x4x2/65536/[1 0.5]: best=mha-ring cost=233429 makespan=233429 pruned=false seeds=mha-ring=233429,mha-ring-d0=233429,mha-rd=274969,mha-rd-d0=274969,ring=298065,rd=487037
+8x4x2/1048576/[]: best=ring cost=2768041 makespan=2768041 pruned=false seeds=ring=2768041,mha-rd-d0=2925175,mha-ring-d0=2927573,mha-rd=3018318,mha-ring=3020716,rd=5075478
+8x4x2/1048576/[1 0.5]: best=ring cost=2768041 makespan=2768041 pruned=false seeds=ring=2768041,mha-ring-d0=3099698,mha-ring=3261221,mha-ring-d3=3584267,mha-rd-d0=4089026,mha-rd=4250549,rd=6689974
 `
 
 // BenchmarkTwoPhaseMHA is the one MHA construction with nothing kept:
