@@ -226,7 +226,8 @@ func TestMutateStable(t *testing.T) {
 
 // TestSearchCountersPinned pins where one search spends its effort, on
 // the shape of the benchmark's sched.synth_ms probe under the tuner's
-// margin: one round over a beam of four, each parent walked once, every
+// margin: 15 of the 21 seeds abandoned before they are priced to the
+// end, one round over a beam of four, each parent walked once, every
 // one of its 59 fusions settled by that walk (41 fail the read or pin
 // checks of the step they make, 18 pass at no lower a price), none
 // built. Of the five finalists none is simulated. ring, the cheapest
@@ -239,7 +240,7 @@ func TestSearchCountersPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "1 rounds, 4 walks; 59 neighbors: 41 rejected locally, 18 not cheaper, 0 analyzed, 0 accepted; 0 simulated, 1 exact, 4 skipped"
+	const want = "15 seeds abandoned; 1 rounds, 4 walks; 59 neighbors: 41 rejected locally, 18 not cheaper, 0 analyzed, 0 accepted; 0 simulated, 1 exact, 4 skipped"
 	if got := res.Search.String(); got != want {
 		t.Errorf("search counters moved:\n got %s\nwant %s", got, want)
 	}
