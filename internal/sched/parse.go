@@ -37,18 +37,30 @@ import (
 // JSON renders the schedule in the tuple form, one step per line (the
 // machine-readable counterpart of String, accepted back by Parse).
 func (s *Schedule) JSON() ([]byte, error) {
-	// A string always marshals. Marshal writes invalid UTF-8 as the
-	// escape \ufffd but a valid U+FFFD as itself, so replace first, or
-	// a reparsed name would render differently.
+	return s.appendJSON(nil, "\n"), nil
+}
+
+// AppendJSON appends the tuple form to b with no whitespace: JSON without
+// its line breaks, byte for byte what encoding/json makes of JSON when it
+// embeds it compacted.
+func (s *Schedule) AppendJSON(b []byte) []byte {
+	return s.appendJSON(b, "")
+}
+
+// appendJSON appends the tuple form, with nl before each step.
+func (s *Schedule) appendJSON(b []byte, nl string) []byte {
+	// A string always marshals, HTML-escaped. Marshal writes invalid
+	// UTF-8 as the escape \ufffd but a valid U+FFFD as itself, so replace
+	// first, or a reparsed name would render differently.
 	name, _ := json.Marshal(strings.ToValidUTF8(s.Name, "\uFFFD"))
-	b := fmt.Appendf(nil, `{"name":%s,"nodes":%d,"ppn":%d,"hcas":%d,"layout":"%s","msg":%d`,
+	b = fmt.Appendf(b, `{"name":%s,"nodes":%d,"ppn":%d,"hcas":%d,"layout":"%s","msg":%d`,
 		name, s.Topo.Nodes, s.Topo.PPN, s.Topo.HCAs, s.Topo.Layout, s.Msg)
 	if s.NumBlocks != 0 {
 		b = fmt.Appendf(b, `,"blocks":%d`, s.NumBlocks)
 	}
 	b = append(b, `,"steps":[`...)
 	for _, st := range s.Steps {
-		b = append(b, "\n{"...)
+		b = append(append(b, nl...), '{')
 		if len(st.Xfers) > 0 {
 			b = append(b, `"xfers":[`...)
 			for _, t := range st.Xfers {
@@ -73,7 +85,7 @@ func (s *Schedule) JSON() ([]byte, error) {
 		}
 		b = append(closeWith(b, '}'), ',')
 	}
-	return append(closeWith(b, ']'), '}'), nil
+	return append(closeWith(b, ']'), '}')
 }
 
 // appendTuple appends v as a JSON array and a comma for closeWith to end.

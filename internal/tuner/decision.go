@@ -39,11 +39,44 @@ type Decision struct {
 	Schedule json.RawMessage `json:"schedule"`
 }
 
-// Encode renders the canonical wire/persisted bytes.
+// Encode renders the canonical wire/persisted bytes: exactly what
+// json.Marshal(d) gives. Marshal would re-validate and re-compact the
+// schedule, most of the body; Encode marshals only the fields before it
+// and appends the schedule as it is when nothing in it would change —
+// no whitespace, nothing HTML-escaped — as in every schedule the service
+// renders (sched.Schedule.AppendJSON) or decodes from a body it wrote. It
+// takes Schedule, like every RawMessage, to hold one JSON value; any
+// other schedule is left to Marshal.
 //
 //lint:pure persisted bytes must be a function of the decision alone
 func (d *Decision) Encode() ([]byte, error) {
-	return json.Marshal(d)
+	if !embedsAsIs(d.Schedule) {
+		return json.Marshal(d)
+	}
+	head := *d
+	head.Schedule = nil
+	b, err := json.Marshal(&head)
+	if err != nil {
+		return nil, err
+	}
+	b = append(b[:len(b)-len("null}")], d.Schedule...)
+	return append(b, '}'), nil
+}
+
+// embedsAsIs reports whether json.Marshal embeds the JSON value raw
+// byte for byte: it compacts away whitespace and escapes <, >, & and
+// U+2028/U+2029 (whose UTF-8 starts with 0xE2), and raw has none of them.
+func embedsAsIs(raw json.RawMessage) bool {
+	if len(raw) == 0 {
+		return false
+	}
+	for _, c := range raw {
+		switch c {
+		case ' ', '\t', '\n', '\r', '<', '>', '&', 0xE2:
+			return false
+		}
+	}
+	return true
 }
 
 // DecodeDecision parses and fully re-verifies a decision — used when

@@ -1,7 +1,9 @@
 package tuner
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -91,6 +93,65 @@ func TestWireBytesFence(t *testing.T) {
 	t.Logf("55 keys: %d wire bytes", total)
 	if limit := measured + measured/20; total > limit {
 		t.Errorf("55 keys serve %d bytes, over the fence of %d (measured %d + 5 %%)", total, limit, measured)
+	}
+}
+
+// TestEncodeIsMarshal: Encode marshals only the fields before the
+// schedule and appends the schedule as it is, and must still give
+// exactly json.Marshal's bytes. On the benchmark's 55 keys — the pruned
+// one, 2x8x2 / 1 MiB / [1 0.5] with makespan 0, among them — it checks
+// the decision the service synthesized and served, that decision decoded
+// back from its bytes, and the decoded one with its schedule one step a
+// line, as a hand-written cache file may hold it. -short keeps the shapes
+// of at most 16 ranks.
+func TestEncodeIsMarshal(t *testing.T) {
+	svc := New(Config{Capacity: 512})
+	pruned := 0
+	for _, q := range benchmarkQueries() {
+		if testing.Short() && q.Nodes*q.PPN > 16 {
+			continue
+		}
+		res, err := svc.Decide(q)
+		if err != nil {
+			t.Fatalf("%+v: %v", q, err)
+		}
+		dec, err := DecodeDecision(res.Raw, svc.Params())
+		if err != nil {
+			t.Fatalf("%+v: %v", q, err)
+		}
+		s, err := sched.Parse(string(dec.Schedule))
+		if err != nil {
+			t.Fatalf("%+v: %v", q, err)
+		}
+		spaced := *dec
+		if spaced.Schedule, err = s.JSON(); err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			d    *Decision
+		}{{"served", res.Decision}, {"decoded", dec}, {"one step a line", &spaced}} {
+			want, err := json.Marshal(tc.d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := tc.d.Encode()
+			if err != nil {
+				t.Fatalf("%+v %s: %v", q, tc.name, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%+v %s: Encode gives\n%.300s\njson.Marshal\n%.300s", q, tc.name, got, want)
+			}
+			if !bytes.Equal(want, res.Raw) {
+				t.Errorf("%+v %s: json.Marshal differs from the served bytes", q, tc.name)
+			}
+		}
+		if dec.Pruned && dec.MakespanUS == 0 {
+			pruned++
+		}
+	}
+	if pruned == 0 {
+		t.Error("no key served a pruned decision with makespan 0")
 	}
 }
 

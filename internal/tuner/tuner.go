@@ -27,7 +27,6 @@
 package tuner
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -189,10 +188,6 @@ func (s *Service) synthesize(cq Query, key string) (*Decision, []byte, error) {
 	if _, err := sched.AnalyzeHealth(res.Best.Sched, s.prm, cq.Health); err != nil {
 		return nil, nil, fmt.Errorf("tuner: synthesized schedule for %v fails invariants: %v", cq, err)
 	}
-	js, err := res.Best.Sched.JSON()
-	if err != nil {
-		return nil, nil, err
-	}
 	dec := &Decision{
 		Key:        key,
 		Query:      cq,
@@ -201,7 +196,7 @@ func (s *Service) synthesize(cq Query, key string) (*Decision, []byte, error) {
 		MakespanUS: res.Best.Makespan.Micros(),
 		Pruned:     res.Pruned,
 		Source:     "synth",
-		Schedule:   json.RawMessage(js),
+		Schedule:   res.Best.Sched.AppendJSON(nil),
 	}
 	raw, err := dec.Encode()
 	if err != nil {
