@@ -232,6 +232,9 @@ func Validate(cfg Config, jobs []JobSpec) error {
 		if j.Coll < Allgather || j.Coll > Scatter {
 			return fmt.Errorf("cluster: job %d: unknown collective %v", j.ID, j.Coll)
 		}
+		if _, err := lowerPlan(j); err != nil {
+			return fmt.Errorf("cluster: job %d: %v", j.ID, err)
+		}
 	}
 	if cfg.Faults.Len() > 0 {
 		if err := cfg.Faults.Check(cfg.Topo.Nodes, cfg.Topo.HCAs); err != nil {
@@ -537,18 +540,28 @@ var composeColl = [...]compose.Collective{
 // lower lowers a compose-derived job's flat composition for its rank
 // count and indexes the plan's schedule, once per job for all its ranks;
 // the other collectives have no plan. Lowering makes no simulator calls,
-// so it takes no virtual time wherever it runs.
+// so it takes no virtual time wherever it runs. Run validates every job
+// first, and Validate lowers it, so here lowering cannot fail.
 func lower(job JobSpec) (*compose.Plan, *sched.Index) {
+	plan, err := lowerPlan(job)
+	if err != nil {
+		panic(fmt.Sprintf("cluster: job %d: %v", job.ID, err))
+	}
+	if plan == nil {
+		return nil, nil
+	}
+	return plan, sched.NewIndex(plan.Sched)
+}
+
+// lowerPlan is lower's plan, or why the job does not lower: past sched's
+// message, step or block-space limits.
+func lowerPlan(job JobSpec) (*compose.Plan, error) {
 	switch job.Coll {
 	case Allgather, Allreduce, Bcast:
 		return nil, nil
 	}
 	flat := compose.NewHierarchy(topology.Cluster{Nodes: 1, PPN: job.Ranks, HCAs: 1, Layout: topology.Block})
-	plan, err := compose.Lower(compose.Flat(composeColl[job.Coll]), flat, job.Msg, nil)
-	if err != nil {
-		panic(fmt.Sprintf("cluster: job %d: %v", job.ID, err))
-	}
-	return plan, sched.NewIndex(plan.Sched)
+	return compose.Lower(compose.Flat(composeColl[job.Coll]), flat, job.Msg, nil)
 }
 
 // runJob executes one job's collective on its communicator. In payload

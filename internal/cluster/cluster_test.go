@@ -202,6 +202,34 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesWhatLoweringRefuses: a reduce-scatter, alltoall,
+// gather or scatter job runs a plan lowered for its rank count, and a job
+// that does not lower — a message past sched's 4 GiB limit, a
+// reduce-scatter ring of more steps than a schedule may have — is a
+// one-line error from Validate, not a panic in the scheduler proc with a
+// goroutine stack in its text.
+func TestValidateRefusesWhatLoweringRefuses(t *testing.T) {
+	for _, tc := range []struct {
+		topo topology.Cluster
+		job  JobSpec
+		want string
+	}{
+		{topology.New(2, 2, 1), JobSpec{Coll: Alltoall, Msg: 1 << 33, Ranks: 2}, "message size 8589934592"},
+		{topology.New(4, 130, 1), JobSpec{Coll: ReduceScatter, Msg: 8, Ranks: 520}, "519 steps exceed"},
+	} {
+		_, err := Run(Config{Topo: tc.topo, SkipIsolated: true}, []JobSpec{tc.job})
+		switch {
+		case err == nil:
+			t.Errorf("%v job %+v: no error", tc.topo, tc.job)
+		case !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "goroutine") || strings.Contains(err.Error(), "\n"):
+			t.Errorf("%v job %+v: error %q, want one line naming %q", tc.topo, tc.job, err, tc.want)
+		}
+		if err := Validate(Config{Topo: tc.topo}, []JobSpec{tc.job}); err == nil {
+			t.Errorf("%v job %+v: Validate accepts it", tc.topo, tc.job)
+		}
+	}
+}
+
 // TestRandomWorkload: a seeded generated stream runs byte-correct on
 // every policy, and the generator itself is deterministic.
 func TestRandomWorkload(t *testing.T) {
