@@ -306,11 +306,11 @@ func TestBoundedFinalistsNeverBeatTheirCost(t *testing.T) {
 // floor is no more than its cost (item 3(i) of ROADMAP.md, per
 // schedule). Planting Cost as the floor fails it: rd simulates below
 // its cost at 4x2x2 / 4 KiB / [1 0.5]. TestFloorIsALowerBoundOnEverySeed
-// (build tag sweep) adds every unbounded seed.
+// (build tag sweep) adds every unbounded seed of the full pool.
 func TestFloorIsALowerBound(t *testing.T) { checkFloors(t, false) }
 
-// checkFloors is TestFloorIsALowerBound, over the unbounded seeds too
-// when seeds is set.
+// checkFloors is TestFloorIsALowerBound, over the full pool's unbounded
+// seeds too when seeds is set.
 func checkFloors(t *testing.T, seeds bool) {
 	prm := netmodel.Thor()
 	var a analysis
