@@ -39,20 +39,21 @@ type Decision struct {
 	Schedule json.RawMessage `json:"schedule"`
 }
 
-// Encode renders the canonical wire/persisted bytes: exactly what
+// Encode renders the canonical wire/persisted bytes, exactly what
 // json.Marshal(d) gives. Marshal would re-validate and re-compact the
-// schedule, most of the body; Encode marshals only the fields before it
-// and appends the schedule as it is when nothing in it would change —
-// no whitespace, nothing HTML-escaped — as in every schedule the service
-// renders (sched.Schedule.AppendJSON) or decodes from a body it wrote. It
-// takes Schedule, like every RawMessage, to hold one JSON value; any
-// other schedule is left to Marshal.
+// schedule, most of the body. So when the schedule holds nothing Marshal
+// would change (no whitespace, nothing it HTML-escapes), as every
+// schedule the service renders (sched.Schedule.AppendJSON) or decodes
+// from a body it wrote does, Encode marshals only the other fields and
+// appends the schedule as it is, taking it to be one JSON value as a
+// RawMessage promises. Any other schedule goes through Marshal.
 //
 //lint:pure persisted bytes must be a function of the decision alone
 func (d *Decision) Encode() ([]byte, error) {
 	if !embedsAsIs(d.Schedule) {
 		return json.Marshal(d)
 	}
+	// Schedule is the last field, so head's bytes end in its null.
 	head := *d
 	head.Schedule = nil
 	b, err := json.Marshal(&head)
