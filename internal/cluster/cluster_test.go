@@ -253,6 +253,46 @@ func TestRandomWorkload(t *testing.T) {
 	}
 }
 
+// TestRandomJobsNarrowToWhatLowers: on worlds wider than a flat
+// reduce-scatter (32x32x2, 1 024 ranks) or alltoall (64x32x2) lowers for,
+// the generator narrows those jobs to the widest that lowers, and the
+// reduce-scatter limit is the lowering's own. Lowering the alltoalls
+// takes seconds, so TestRandomWorkloadsValidateOnLargeWorlds (build tag
+// sweep) is the one that validates every workload whole and holds the
+// alltoall limit to the lowering.
+func TestRandomJobsNarrowToWhatLowers(t *testing.T) {
+	for _, tc := range []struct {
+		topo  topology.Cluster
+		coll  Coll
+		limit int
+	}{
+		{topology.New(32, 32, 2), ReduceScatter, maxReduceScatterRanks},
+		{topology.New(64, 32, 2), Alltoall, maxAlltoallRanks},
+	} {
+		narrowed := 0
+		for seed := int64(1); seed <= 50; seed++ {
+			for _, j := range RandomJobs(seed, 8, tc.topo, sim.Duration(sim.Millisecond)) {
+				if j.Coll != tc.coll {
+					continue
+				}
+				if j.Ranks > tc.limit {
+					t.Errorf("%v seed %d: job %d is a %v of %d ranks", tc.topo, seed, j.ID, j.Coll, j.Ranks)
+				} else if j.Ranks == tc.limit {
+					narrowed++
+				}
+			}
+		}
+		if narrowed == 0 {
+			t.Errorf("%v: no %v narrowed to %d ranks", tc.topo, tc.coll, tc.limit)
+		}
+	}
+	for ranks, ok := range map[int]bool{maxReduceScatterRanks: true, maxReduceScatterRanks + 1: false} {
+		if _, err := lowerPlan(JobSpec{Coll: ReduceScatter, Ranks: ranks, Msg: 4 << 10}); (err == nil) != ok {
+			t.Errorf("a reduce-scatter of %d ranks lowers with error %v", ranks, err)
+		}
+	}
+}
+
 // TestRaceStress is the -race workout: many concurrent jobs multiplexing
 // one shared world through every policy and both queues.
 func TestRaceStress(t *testing.T) {

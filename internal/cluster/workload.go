@@ -7,13 +7,24 @@ import (
 	"mha/internal/topology"
 )
 
+// The most ranks a job of a collective lowers for (lowerPlan): a flat
+// reduce-scatter is a ring of n-1 steps, and a schedule has at most 512;
+// a flat alltoall has n² blocks, and a schedule at most 2^20.
+const (
+	maxReduceScatterRanks = 513
+	maxAlltoallRanks      = 1 << 10
+)
+
 // RandomJobs generates a seeded mixed workload of n jobs for a topology:
 // mostly allgathers with a tail of allreduces, bcasts and the
 // compose-derived collectives (reduce-scatter, alltoall, gather,
 // scatter), payloads from 4 KB to 256 KB, rank counts from 2 to the
-// world size, arrivals uniform over the horizon, priorities 0-3. The
-// same seed always yields the same stream, so scheduler runs over
-// generated workloads stay reproducible.
+// world size, arrivals uniform over the horizon, priorities 0-3. A
+// reduce-scatter or alltoall drawn wider than it lowers for is narrowed
+// to the widest that does, after the draw, so the stream of draws is the
+// same on every world. The same seed always yields the same stream, so
+// scheduler runs over generated workloads stay reproducible, and every
+// workload passes Validate.
 func RandomJobs(seed int64, n int, topo topology.Cluster, horizon sim.Duration) []JobSpec {
 	rng := rand.New(rand.NewSource(seed))
 	size := topo.Size()
@@ -40,6 +51,12 @@ func RandomJobs(seed int64, n int, topo topology.Cluster, horizon sim.Duration) 
 		ranks := 2
 		if size > 2 {
 			ranks = 2 + rng.Intn(size-1)
+		}
+		switch coll {
+		case ReduceScatter:
+			ranks = min(ranks, maxReduceScatterRanks)
+		case Alltoall:
+			ranks = min(ranks, maxAlltoallRanks)
 		}
 		arrival := sim.Time(0)
 		if horizon > 0 {

@@ -201,16 +201,20 @@ func runSpec(base Spec, s sim.Scheduler) (verify.RunResult, error) {
 
 // explorePlacement is the stateless DFS over schedules of one (variant,
 // placement) pair: run, analyze races, backtrack at the deepest pending
-// decision, repeat until the backtrack sets drain or a cap hits.
+// decision, repeat until the backtrack sets drain or a cap hits. Every
+// replay runs the one scenario prepared for the pair on a world of its own.
 func explorePlacement(opt Options, base Spec) (PlacementReport, error) {
 	rep := PlacementReport{Alg: base.Alg, Fault: base.Fault, Complete: true}
+	sc, err := base.scenario()
+	if err != nil {
+		return rep, err
+	}
+	prep := verify.Prepare(sc)
+	defer prep.Release()
 	var m metrics
 	g := newGuided()
 	for {
-		res, err := runSpec(base, g)
-		if err != nil {
-			return rep, err
-		}
+		res := prep.Run(nil, g)
 		rep.Executions++
 		rep.Steps += int64(len(g.steps))
 		rep.Decisions += int64(len(g.points) - g.prefix)

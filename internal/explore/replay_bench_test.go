@@ -32,20 +32,23 @@ func BenchmarkExploreReplay(b *testing.B) {
 // footprint was copied for the observer; and 199 when every footprint key
 // was a concatenated string, every world concatenated its names, every
 // new decision point was allocated afresh and every replay recorded a
-// trace. It is 131 now, and the fence is that plus 15 %.
+// trace; and 131 when every replay resolved its scenario again and grew
+// its engine's event buckets and step scratch from nil. It is 90 now, and
+// the fence is that plus 15 %.
 //
-// sched-mha: the same, plus the schedule and its per-rank transfer lists,
-// built once per world. It is 154 now, and the fence is that plus 15 %.
-// It was 184 when every rank walked every transfer of every step and
-// every post allocated its request.
+// sched-mha: the same, plus what running the schedule allocates. It is 95
+// now, and the fence is that plus 15 %. It was 154 when every replay built
+// the schedule and its per-rank transfer lists again, and 184 when every
+// rank walked every transfer of every step and every post allocated its
+// request.
 func TestReplayAllocFence(t *testing.T) {
 	const replays = 500
 	for _, tc := range []struct {
 		alg   string
 		fence float64
 	}{
-		{"rd", 151},
-		{"sched-mha", 177},
+		{"rd", 104},
+		{"sched-mha", 109},
 	} {
 		allocs := testing.AllocsPerRun(3, func() {
 			if rep, err := Run(replayOptions(tc.alg, replays)); err != nil || rep.Executions != replays {

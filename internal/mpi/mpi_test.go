@@ -692,3 +692,55 @@ func TestPerWorld(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedTable: worlds built on one Shared table build each PerWorld
+// value once between them, a world without the table builds its own, and
+// New refuses the table to a world of any other topology.
+func TestSharedTable(t *testing.T) {
+	builds := 0
+	get := PerWorld(func(w *World, arg int) *int {
+		builds++
+		return &arg
+	})
+	topo := topology.New(2, 2, 1)
+	sh := NewShared(topo)
+	var first *int
+	for world := 1; world <= 3; world++ {
+		w := New(Config{Topo: topology.New(2, 2, 1), Shared: sh})
+		err := w.Run(func(p *Proc) {
+			if first == nil {
+				first = get(w, 7)
+			}
+			if v := get(w, 7); v != first || *v != 7 {
+				t.Errorf("world %d rank %d: got %p (%d), the table holds %p", world, p.Rank(), v, *v, first)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if builds != 1 {
+		t.Errorf("three worlds on one table built the value %d times, want 1", builds)
+	}
+	if w := New(Config{Topo: topo}); get(w, 7) == first || builds != 2 {
+		t.Errorf("a world without the table got the table's value (%d builds)", builds)
+	}
+
+	cyclic := topology.New(2, 2, 1)
+	cyclic.Layout = topology.Cyclic
+	mixed := topology.New(2, 2, 2)
+	mixed.NodeHCAs = []int{1, 2}
+	for _, other := range []topology.Cluster{topology.New(2, 2, 2), topology.New(4, 1, 1), cyclic, mixed} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("New accepted a table shared by %v worlds for a %v world", topo, other)
+				}
+			}()
+			New(Config{Topo: other, Shared: sh})
+		}()
+	}
+	if sh2 := NewShared(mixed); New(Config{Topo: mixed, Shared: sh2}) == nil {
+		t.Error("New refused a table of its own topology")
+	}
+}

@@ -257,11 +257,11 @@ func (p *Proc) sendHCA(wdst, n int, o sendOpts) sim.Time {
 		rails, pieces = append(railBuf[:0], r), append(pieceBuf[:0], n)
 	case !o.noStripe && prm.ShouldStripe(n) && H > 1:
 		if consult {
-			rails, pieces = p.stripeByHealth(srcNodeID, dstNodeID, wdst, n, H, now)
+			rails, pieces = p.stripeByHealth(railBuf[:0], pieceBuf[:0], srcNodeID, dstNodeID, wdst, n, H, now)
 		} else if scales := p.railScales(H); scales != nil {
 			// Asymmetric rails: split in proportion to deliverable
 			// bandwidth so every rail finishes its share together.
-			rails, pieces = dropEmptyPieces(appendRails(railBuf[:0], H), netmodel.RailChunkWeighted(n, scales))
+			rails, pieces = dropEmptyPieces(appendRails(railBuf[:0], H), netmodel.AppendRailChunkWeighted(pieceBuf[:0], n, scales))
 		} else {
 			rails = appendRails(railBuf[:0], H)
 			pieces = netmodel.AppendRailChunk(pieceBuf[:0], n, H)
@@ -390,11 +390,13 @@ func dropEmptyPieces(rails, pieces []int) ([]int, []int) {
 // asymmetric-rail scale, when the cluster has one), so every rail
 // finishes its share at the same moment despite unequal degradation. Any
 // deviation from the healthy equal split is recorded as a CatFault event
-// naming the piece layout.
-func (p *Proc) stripeByHealth(srcNodeID, dstNodeID, wdst, n, H int, now sim.Time) (rails, pieces []int) {
+// naming the piece layout. rails and pieces come in empty, on the
+// caller's storage (its frame, up to 8 rails), and the plan is appended.
+func (p *Proc) stripeByHealth(rails, pieces []int, srcNodeID, dstNodeID, wdst, n, H int, now sim.Time) ([]int, []int) {
 	health := p.w.health
 	scales := p.railScales(H)
-	var fracs []float64
+	var fracBuf [8]float64
+	fracs := fracBuf[:0]
 	allHealthy := true
 	for r := 0; r < H; r++ {
 		f := health.LinkFraction(srcNodeID, dstNodeID, r, now)
@@ -412,13 +414,13 @@ func (p *Proc) stripeByHealth(srcNodeID, dstNodeID, wdst, n, H int, now sim.Time
 		// let the rate profile charge the remaining outage.
 		r, _ := health.bestRail(srcNodeID, dstNodeID, 0, -1, H, now)
 		p.trace(trace.CatFault, fmt.Sprintf("raildown(wait rail%d)", r), now, now, wdst, n)
-		return []int{r}, []int{n}
+		return append(rails, r), append(pieces, n)
 	case allHealthy && scales == nil:
-		return rails, netmodel.RailChunk(n, H)
+		return rails, netmodel.AppendRailChunk(pieces, n, H)
 	case allHealthy:
 		// Every rail is up; only the hardware asymmetry shapes the split,
 		// which is the expected plan — no fault event.
-		return dropEmptyPieces(rails, netmodel.RailChunkWeighted(n, scales))
+		return dropEmptyPieces(rails, netmodel.AppendRailChunkWeighted(pieces, n, scales))
 	}
 	weights := fracs
 	if scales != nil {
@@ -428,7 +430,7 @@ func (p *Proc) stripeByHealth(srcNodeID, dstNodeID, wdst, n, H int, now sim.Time
 		}
 		weights = netmodel.RailWeights(fracs, sub)
 	}
-	pieces = netmodel.RailChunkWeighted(n, weights)
+	pieces = netmodel.AppendRailChunkWeighted(pieces, n, weights)
 	// Drop pieces rounded down to nothing so we don't pay startup costs
 	// for empty transfers.
 	rails, pieces = dropEmptyPieces(rails, pieces)

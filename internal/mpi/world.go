@@ -57,6 +57,27 @@ type Config struct {
 	// traverse. Nil is the flat non-blocking fabric, on which transfers
 	// contend only at the endpoints' HCAs.
 	Fabric *fabric.Spec
+	// Shared, when non-nil, is where the world keeps its PerWorld values,
+	// so that every world built on one table derives each of them once.
+	// New refuses a table made for another topology.
+	Shared *Shared
+}
+
+// Shared is a table of PerWorld values that outlives the worlds built on
+// it. What PerWorld holds is a pure function of the world's topology and
+// its arg — a schedule built, a plan lowered — so worlds of one topology
+// may share it; the table is bound to that topology, and a world of any
+// other never sees it. A caller that builds many worlds of one scenario
+// (verify.Prepared) keeps one. Like a world, it belongs to one goroutine
+// at a time, and it is never package state: what it holds dies with it.
+type Shared struct {
+	topo topology.Cluster
+	vals map[perWorldKey]any
+}
+
+// NewShared returns an empty table for worlds of topology topo.
+func NewShared(topo topology.Cluster) *Shared {
+	return &Shared{topo: topo, vals: map[perWorldKey]any{}}
 }
 
 // World is one simulated MPI job. Create it with New, then call Run with
@@ -158,6 +179,9 @@ func New(cfg Config) *World {
 	if err := prm.Validate(); err != nil {
 		panic(err)
 	}
+	if sh := cfg.Shared; sh != nil && !sh.topo.Equal(cfg.Topo) {
+		panic(fmt.Sprintf("mpi: a table shared by %v worlds given a %v world", sh.topo, cfg.Topo))
+	}
 	eng := sim.NewEngine()
 	w := &World{
 		eng:     eng,
@@ -165,6 +189,9 @@ func New(cfg Config) *World {
 		prm:     prm,
 		tracer:  cfg.Tracer,
 		phantom: cfg.Phantom,
+	}
+	if cfg.Shared != nil {
+		w.shared = cfg.Shared.vals
 	}
 	if prm.Jitter > 0 {
 		w.jitter = rand.New(rand.NewSource(cfg.Seed))
@@ -300,9 +327,12 @@ func (w *World) Phantom() bool { return w.phantom }
 // a job share what is identical for all of them — a schedule built or a
 // plan lowered for the world's machine and a message size — instead of
 // deriving it once per rank; callers must treat the value as read-only.
-// The value lives exactly as long as the world, so nothing is ever
-// evicted or invalidated. build must not block in virtual time, so it
-// returns, or panics and ends the simulation, before any other rank asks.
+// build must be a function of w.Topo() and arg alone: on a world built on
+// a Shared table the value goes into the table, and every later world of
+// the table gets it without a build. Otherwise it lives exactly as long
+// as the world. Nothing is ever evicted or invalidated. build must not
+// block in virtual time, so it returns, or panics and ends the
+// simulation, before any other rank asks.
 func PerWorld[T any](build func(w *World, arg int) T) func(w *World, arg int) T {
 	id := new(byte)
 	return func(w *World, arg int) T {

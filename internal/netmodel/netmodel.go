@@ -244,6 +244,13 @@ func AppendRailChunk(dst []int, n, rails int) []int {
 // zero piece; at least one weight must be positive. With equal weights it
 // reproduces RailChunk's equal split.
 func RailChunkWeighted(n int, weights []float64) []int {
+	return AppendRailChunkWeighted(make([]int, 0, len(weights)), n, weights)
+}
+
+// AppendRailChunkWeighted appends RailChunkWeighted(n, weights) to dst,
+// for callers that bring their own storage. Up to eight rails it
+// allocates nothing else.
+func AppendRailChunkWeighted(dst []int, n int, weights []float64) []int {
 	if len(weights) == 0 {
 		panic("netmodel: RailChunkWeighted with no rails")
 	}
@@ -257,15 +264,18 @@ func RailChunkWeighted(n int, weights []float64) []int {
 	if total <= 0 {
 		panic("netmodel: RailChunkWeighted needs a positive total weight")
 	}
-	out := make([]int, len(weights))
-	rem := make([]float64, len(weights))
+	var remBuf [8]float64
+	rem := remBuf[:0]
+	start := len(dst)
 	assigned := 0
-	for i, w := range weights {
+	for _, w := range weights {
 		exact := float64(n) * w / total
-		out[i] = int(exact)
-		rem[i] = exact - float64(out[i])
-		assigned += out[i]
+		piece := int(exact)
+		dst = append(dst, piece)
+		rem = append(rem, exact-float64(piece))
+		assigned += piece
 	}
+	out := dst[start:]
 	for left := n - assigned; left > 0; left-- {
 		best := 0
 		for i := 1; i < len(rem); i++ {
@@ -276,7 +286,7 @@ func RailChunkWeighted(n int, weights []float64) []int {
 		out[best]++
 		rem[best] = -1
 	}
-	return out
+	return dst
 }
 
 // RailBW is the line rate of one rail under an asymmetric-rail scale

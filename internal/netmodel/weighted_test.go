@@ -73,3 +73,20 @@ func TestRailChunkWeightedPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestAppendRailChunkWeighted: the append form writes RailChunkWeighted's
+// pieces after what dst holds and, into a buffer of eight, allocates
+// nothing.
+func TestAppendRailChunkWeighted(t *testing.T) {
+	w := []float64{0.3, 0, 0.45, 0.25}
+	got := AppendRailChunkWeighted([]int{-1}, 1<<20+7, w)
+	if want := append([]int{-1}, RailChunkWeighted(1<<20+7, w)...); !reflect.DeepEqual(got, want) {
+		t.Fatalf("appended %v, want %v", got, want)
+	}
+	var buf [8]int
+	if allocs := testing.AllocsPerRun(100, func() {
+		AppendRailChunkWeighted(buf[:0], 1<<20+7, w)
+	}); allocs != 0 {
+		t.Fatalf("%.0f allocations into a buffer of eight, want 0", allocs)
+	}
+}

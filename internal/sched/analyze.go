@@ -456,6 +456,7 @@ type analysis struct {
 	pinnedTX, pinnedRX      []int // pinned users of the endpoint this step
 	memOps                  []int // CMA/copy operations hitting the node this step
 	busyCPU, busyTX, busyRX []sim.Duration
+	chunks                  []int   // a striped transfer's pieces, price's scratch
 	srcSets                 []int32 // the step's pre-delivery source sets, one per block a window touches, in transfer order
 	canon                   []int32 // finishFrom's canonical set of every block
 
@@ -686,7 +687,8 @@ func (a *analysis) price(st *Step) sim.Duration {
 			rep.WireBytes += int64(t.Len)
 		default: // ViaHCA anywhere, or ViaAuto across nodes
 			if prm.ShouldStripe(t.Len) && H > 1 {
-				for rail, piece := range stripeChunks(t.Len, H, health) {
+				a.chunks = stripeChunks(a.chunks[:0], t.Len, H, health)
+				for rail, piece := range a.chunks {
 					if piece == 0 {
 						continue
 					}
@@ -887,13 +889,13 @@ func hcaPiece(prm *netmodel.Params, total, piece int, health float64) sim.Durati
 	return d
 }
 
-// stripeChunks splits a striped policy transfer across the rails: equal
-// pieces when every rail is healthy (the runtime's healthy split),
-// health-weighted pieces otherwise (its re-weighted split, dead rails
-// getting nothing).
-func stripeChunks(n, rails int, health []float64) []int {
+// stripeChunks appends to dst the split of a striped policy transfer
+// across the rails: equal pieces when every rail is healthy (the runtime's
+// healthy split), health-weighted pieces otherwise (its re-weighted split,
+// dead rails getting nothing).
+func stripeChunks(dst []int, n, rails int, health []float64) []int {
 	if health == nil {
-		return netmodel.RailChunk(n, rails)
+		return netmodel.AppendRailChunk(dst, n, rails)
 	}
 	uniform := true
 	for _, h := range health {
@@ -903,7 +905,7 @@ func stripeChunks(n, rails int, health []float64) []int {
 		}
 	}
 	if uniform {
-		return netmodel.RailChunk(n, rails)
+		return netmodel.AppendRailChunk(dst, n, rails)
 	}
-	return netmodel.RailChunkWeighted(n, health)
+	return netmodel.AppendRailChunkWeighted(dst, n, health)
 }

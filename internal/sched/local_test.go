@@ -110,21 +110,40 @@ func looseParent(msg int) *Schedule {
 
 // TestLocalVerdictsMatchFullAnalysis is the proof that mutate's shortcut
 // is sound and exact: for every seed of Synthesize on every block-layout
-// machine of at most 32 ranks (16 under -short), at two sizes, healthy,
-// with rail 1 at half rate and with a rail down, every fusion the
-// search would ask about gets the same verdict from one walk of its
-// parent as from a full analysis of the neighbor built the old way, and
-// the same cost to the nanosecond.
+// machine of at most 16 ranks, at two sizes, healthy, with rail 1 at half
+// rate and with a rail down, every fusion the search would ask about gets
+// the same verdict from one walk of its parent as from a full analysis of
+// the neighbor built the old way, and the same cost to the nanosecond.
+// TestLocalVerdictsMatchFullAnalysisTo32 (build tag sweep, a CI step of
+// its own) carries the proof on to 32 ranks.
 func TestLocalVerdictsMatchFullAnalysis(t *testing.T) {
 	prm := netmodel.Thor()
-	maxRanks := 32
-	if testing.Short() {
-		maxRanks = 16
+	tally, parents := checkLocalVerdictSweep(t, prm, 1, 16)
+	for _, health := range [][]float64{nil, {1, 0.5}, {0.25, 1}} {
+		for _, msg := range []int{4 << 10, 1 << 20} {
+			checkLocalVerdicts(t, looseParent(msg), prm, health, tally)
+			parents++
+		}
 	}
+	t.Logf("%d parents; %d fusions rejected locally, %d priced (%d of a step with copies)",
+		parents, tally.rejected, tally.priced, tally.pricedFusionOfCopies)
+	if tally.pricedFusionOfCopies == 0 {
+		t.Error("no priced fusion of a step with copies")
+	}
+}
+
+// checkLocalVerdictSweep checks the local verdicts of every distinct seed
+// on every block-layout machine of lo to hi ranks, at 4 KiB and 1 MiB,
+// under the health vectors each rail count has (three rails only to 16
+// ranks), and returns the tally and the number of parents walked.
+func checkLocalVerdictSweep(t *testing.T, prm *netmodel.Params, lo, hi int) (*verdictTally, int) {
 	tally := &verdictTally{}
 	parents := 0
-	for nodes := 1; nodes <= maxRanks; nodes++ {
-		for ppn := 1; nodes*ppn <= maxRanks; ppn++ {
+	for nodes := 1; nodes <= hi; nodes++ {
+		for ppn := 1; nodes*ppn <= hi; ppn++ {
+			if nodes*ppn < lo {
+				continue
+			}
 			for hcas := 1; hcas <= 3; hcas++ {
 				healths := [][]float64{nil}
 				switch hcas {
@@ -157,18 +176,9 @@ func TestLocalVerdictsMatchFullAnalysis(t *testing.T) {
 			}
 		}
 	}
-	for _, health := range [][]float64{nil, {1, 0.5}, {0.25, 1}} {
-		for _, msg := range []int{4 << 10, 1 << 20} {
-			checkLocalVerdicts(t, looseParent(msg), prm, health, tally)
-			parents++
-		}
-	}
-	t.Logf("%d parents; %d fusions rejected locally, %d priced (%d of a step with copies)",
-		parents, tally.rejected, tally.priced, tally.pricedFusionOfCopies)
 	if tally.rejected == 0 || tally.priced == 0 {
-		t.Errorf("%d fusions rejected, %d priced — the sweep must see both", tally.rejected, tally.priced)
+		t.Errorf("%d to %d ranks: %d fusions rejected, %d priced — the sweep must see both",
+			lo, hi, tally.rejected, tally.priced)
 	}
-	if tally.pricedFusionOfCopies == 0 {
-		t.Error("no priced fusion of a step with copies")
-	}
+	return tally, parents
 }

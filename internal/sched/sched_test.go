@@ -274,11 +274,12 @@ func TestAnalyzeAllocFence(t *testing.T) {
 }
 
 // TestSynthesizeAllocFence bounds one cold tuner miss on 4x8x2 at 64 KiB:
-// 1 142 allocations, with 15 of the 21 seeds abandoned before they are
+// 544 allocations, with 15 of the 21 seeds abandoned before they are
 // priced to the end (DirectRail not built, the d7 plans not assembled),
 // none of the five finalists simulated, one priced exactly at its cost
-// and four ruled out by the bound (1 940 when every seed was priced to
-// the end; 2 255 while one finalist was still simulated; 7 017 when every
+// and four ruled out by the bound (1 142 when every striped transfer the
+// analyzer priced allocated its pieces; 1 940 when every seed was priced
+// to the end; 2 255 while one finalist was still simulated; 7 017 when every
 // rank of a simulation allocated each request it posted, the healthy
 // bounded finalist was simulated too and every MHA seed was built and
 // analyzed whole; 11 521 before the hold matrix dropped its per-entry
@@ -296,8 +297,8 @@ func TestSynthesizeAllocFence(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 1313 {
-		t.Errorf("Synthesize on 4x8x2/64KiB: %.0f allocations, fence is 1313", allocs)
+	if allocs > 626 {
+		t.Errorf("Synthesize on 4x8x2/64KiB: %.0f allocations, fence is 626", allocs)
 	} else {
 		t.Logf("Synthesize on 4x8x2/64KiB: %.0f allocations", allocs)
 	}

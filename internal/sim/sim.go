@@ -22,8 +22,8 @@
 // Stats or CheckQuiescent once Run has returned or its goroutine has ended.
 // Handing an engine from one goroutine to the next needs the ordering any
 // other value does (a channel, a WaitGroup); two engines share nothing but
-// the idle workers of worker.go, so any number may run at once, each on its
-// own goroutine. The gonosim lint keeps simulation packages from starting
+// the idle workers of worker.go and the emptied scratch of scratch.go, so
+// any number may run at once, each on its own goroutine. The gonosim lint keeps simulation packages from starting
 // goroutines of their own.
 package sim
 
@@ -230,9 +230,12 @@ type Engine struct {
 	spawned  []uint64
 }
 
-// NewEngine returns an empty simulation.
+// NewEngine returns an empty simulation. Its queue and step scratch come
+// from the free list of scratch.go when a finished engine left some.
 func NewEngine() *Engine {
-	return &Engine{}
+	e := &Engine{}
+	e.takeScratch()
+	return e
 }
 
 // Now returns the current virtual time.
@@ -375,6 +378,9 @@ func (e *Engine) Run() error {
 	}
 	if e.endPanic != nil {
 		panic(e.endPanic)
+	}
+	if e.endErr == nil {
+		e.giveScratch()
 	}
 	return e.endErr
 }

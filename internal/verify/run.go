@@ -7,7 +7,9 @@ import (
 	"strings"
 
 	"mha/internal/compose"
+	"mha/internal/fabric"
 	"mha/internal/mpi"
+	"mha/internal/netmodel"
 	"mha/internal/sim"
 	"mha/internal/trace"
 )
@@ -128,21 +130,62 @@ type RunResult struct {
 // up to it. A non-nil s is installed as the engine's scheduler before any
 // rank runs — internal/explore drives its schedules through it, sharing
 // this oracle across the randomized campaign and the exhaustive explorer,
-// and records no trace.
+// and records no trace. It is Prepare, one Run and Release.
 func RunOnce(sc Scenario, rec *trace.Recorder, s sim.Scheduler) RunResult {
-	var bufs buffers
-	defer bufs.release()
-	return run(sc, rec, s, &bufs)
+	p := Prepare(sc)
+	defer p.Release()
+	return p.Run(rec, s)
 }
 
-// buffers is what a run of a scenario needs besides the world: the
-// oracle's image and every rank's send and receive array. Check's two
-// runs share one. Each rank keeps arrays of its own: one slab for all of
-// them cost more to set up than it saved.
-type buffers struct {
-	img   *image
-	ranks []rankBufs
+// Prepared is a scenario made ready to run many times: what the scenario
+// fixes is resolved once — the registry row, the cost model, the fabric
+// spec, the buffer geometry, the oracle's image, every rank's arrays and
+// a table of the world's PerWorld values (a schedule and its Index, a
+// lowered plan) — and each Run builds only a new world on them, with its
+// own engine, processes, resources, mailboxes, counters, gauges, comms
+// and jitter RNG. Nothing a run does is carried into the next: the image
+// and the table are read-only, and fill rewrites a rank's arrays in full.
+// Check runs its two runs on one; the explorer one per (variant,
+// placement). A Prepared belongs to one goroutine at a time.
+type Prepared struct {
+	sc     Scenario
+	alg    Algorithm
+	prm    *netmodel.Params
+	fspec  *fabric.Spec
+	shared *mpi.Shared
+	spec   []Violation // why the scenario cannot run at all, or nil
+
+	// img is the oracle's image and ranks every rank's send and receive
+	// array, both made on the first run. Each rank keeps arrays of its
+	// own: one slab for all of them cost more to set up than it saved.
+	img     *image
+	ranks   []rankBufs
+	recvLen int
 }
+
+// Prepare resolves the scenario for Run. A scenario that names no
+// registered variant or an unparsable fabric still prepares; each of its
+// runs reports the "spec" violation.
+func Prepare(sc Scenario) *Prepared {
+	p := &Prepared{sc: sc}
+	alg, ok := ByName(sc.Alg)
+	if !ok {
+		p.spec = []Violation{{Kind: "spec", Detail: "unknown algorithm " + sc.Alg}}
+		return p
+	}
+	fspec, ferr := sc.FabricSpec()
+	if ferr != nil {
+		p.spec = []Violation{{Kind: "spec", Detail: ferr.Error()}}
+		return p
+	}
+	p.alg, p.fspec, p.prm = alg, fspec, sc.Params()
+	p.shared = mpi.NewShared(sc.Cluster)
+	return p
+}
+
+// Release gives the ranks' arrays back to the store once no run of p will
+// touch them again.
+func (pr *Prepared) Release() { giveArrays(pr.ranks) }
 
 // rankBufs is one rank's pair of arrays from the store, nil until the rank
 // first runs. An array may be longer than its buffer (see takeArray).
@@ -163,30 +206,23 @@ func (rb *rankBufs) fill(pat []byte, recvLen int) (send, recv mpi.Buf) {
 	return mpi.Bytes(s), mpi.Bytes(r)
 }
 
-// release gives the ranks' arrays back to the store once no run will touch
-// them again.
-func (b *buffers) release() { giveArrays(b.ranks) }
-
-// run is RunOnce on the buffers given; it takes their arrays on first use.
-func run(sc Scenario, rec *trace.Recorder, s sim.Scheduler, bufs *buffers) (res RunResult) {
+// Run executes the prepared scenario once, as RunOnce does, on a new
+// world; the image and the ranks' arrays are made on the first run.
+func (pr *Prepared) Run(rec *trace.Recorder, s sim.Scheduler) (res RunResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			res.Violations = append(res.Violations,
 				Violation{Kind: "run", Detail: fmt.Sprintf("panic: %v", r)})
 		}
 	}()
-	alg, ok := ByName(sc.Alg)
-	if !ok {
-		return RunResult{Violations: []Violation{{Kind: "spec", Detail: "unknown algorithm " + sc.Alg}}}
+	if pr.spec != nil {
+		return RunResult{Violations: slices.Clone(pr.spec)}
 	}
-	fspec, ferr := sc.FabricSpec()
-	if ferr != nil {
-		return RunResult{Violations: []Violation{{Kind: "spec", Detail: ferr.Error()}}}
-	}
+	sc, alg := &pr.sc, pr.alg
 	w := mpi.New(mpi.Config{
-		Topo: sc.Cluster, Params: sc.Params(), Tracer: rec,
+		Topo: sc.Cluster, Params: pr.prm, Tracer: rec,
 		Seed: sc.Seed, Faults: sc.Faults, FaultBlind: sc.Blind,
-		Fabric: fspec,
+		Fabric: pr.fspec, Shared: pr.shared,
 	})
 
 	// Clock monotonicity: the engine must only ever advance, and each
@@ -217,11 +253,11 @@ func run(sc Scenario, rec *trace.Recorder, s sim.Scheduler, bufs *buffers) (res 
 			oracle = append(oracle, s)
 		}
 	}
-	_, recvLen := compose.Geometry(alg.Coll, n, m)
-	if bufs.img == nil {
-		bufs.img, bufs.ranks = newImage(alg.Coll, n, m), make([]rankBufs, n)
+	if pr.img == nil {
+		_, pr.recvLen = compose.Geometry(alg.Coll, n, m)
+		pr.img, pr.ranks = newImage(alg.Coll, n, m), make([]rankBufs, n)
 	}
-	img, ranks := bufs.img, bufs.ranks
+	img, ranks, recvLen := pr.img, pr.ranks, pr.recvLen
 	err := w.Run(func(p *mpi.Proc) {
 		me := p.Rank()
 		send, recv := ranks[me].fill(img.pat[me], recvLen)
@@ -265,20 +301,20 @@ func run(sc Scenario, rec *trace.Recorder, s sim.Scheduler, bufs *buffers) (res 
 }
 
 // Check verifies one scenario completely: it validates the spec, executes
-// it twice, and returns every violation found — the first run's, then any
-// the second run alone produced (prefixed "second run: "), then a
-// "determinism" violation when the two identically-seeded runs record
-// different event sequences (in insertion order, naming the first event
-// that differs) or makespans. An empty slice means the scenario passed.
+// it twice on one Prepared, and returns every violation found — the first
+// run's, then any the second run alone produced (prefixed "second run: "),
+// then a "determinism" violation when the two identically-seeded runs
+// record different event sequences (in insertion order, naming the first
+// event that differs) or makespans. An empty slice means the scenario passed.
 func Check(sc Scenario) []Violation {
 	if err := sc.Validate(); err != nil {
 		return []Violation{{Kind: "spec", Detail: err.Error()}}
 	}
-	var bufs buffers
+	p := Prepare(sc)
 	rec1, rec2 := trace.New(), trace.New()
-	r1 := run(sc, rec1, nil, &bufs)
-	r2 := run(sc, rec2, nil, &bufs)
-	bufs.release()
+	r1 := p.Run(rec1, nil)
+	r2 := p.Run(rec2, nil)
+	p.Release()
 	out := r1.Violations
 	for _, v := range r2.Violations {
 		if !slices.ContainsFunc(r1.Violations, func(v1 Violation) bool { return headline(v1) == headline(v) }) {
