@@ -455,6 +455,16 @@ func TestSmokeMhalint(t *testing.T) {
 	}
 }
 
+// TestSmokeMhalintImportCycle: two packages that import each other are
+// one line and exit 2, not a goroutine stack from unbounded recursion.
+func TestSmokeMhalintImportCycle(t *testing.T) {
+	out, code := mhaExit(t, "lint", "./internal/lint/testdata/src/cycle/a", "./internal/lint/testdata/src/cycle/b")
+	if code != 2 || strings.Count(out, "\n") != 1 || !strings.Contains(out, "import cycle") ||
+		strings.Contains(out, "goroutine") {
+		t.Fatalf("mha lint on an import cycle exited %d, want 2 and one line naming the cycle:\n%s", code, out)
+	}
+}
+
 func TestSmokeMhalintFlagsFixtures(t *testing.T) {
 	// Every pass must exit non-zero on its own firing fixture, naming
 	// itself in the diagnostics.

@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 
 	"mha/internal/collectives"
 	"mha/internal/compose"
@@ -173,7 +172,7 @@ type (
 	assignMsg  struct {
 		job  JobSpec
 		comm *mpi.Comm
-		plan *compose.Plan // see lower
+		plan *compose.Plan // see validate
 		ix   *sched.Index
 	}
 	stopMsg struct{}
@@ -191,64 +190,82 @@ type runInfo struct {
 
 // Validate reports why the configuration or job list is not runnable.
 func Validate(cfg Config, jobs []JobSpec) error {
+	_, err := validate(cfg, jobs)
+	return err
+}
+
+// validate is Validate, which on success also returns every job's
+// assignment but its communicator. A compose-derived job's flat
+// composition is lowered for its rank count and its schedule indexed
+// here, once for all its ranks, the shared run and the isolated baseline
+// alike; the other collectives have no plan. Lowering makes no simulator
+// calls, so it takes no virtual time.
+func validate(cfg Config, jobs []JobSpec) ([]assignMsg, error) {
 	if err := cfg.Topo.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	switch cfg.Policy {
 	case "", Packed, Spread, RailAware:
 	default:
-		return fmt.Errorf("cluster: unknown policy %q (have %v)", cfg.Policy, Policies())
+		return nil, fmt.Errorf("cluster: unknown policy %q (have %v)", cfg.Policy, Policies())
 	}
 	switch cfg.Queue {
 	case "", "fifo", "priority":
 	default:
-		return fmt.Errorf("cluster: unknown queue %q (fifo or priority)", cfg.Queue)
+		return nil, fmt.Errorf("cluster: unknown queue %q (fifo or priority)", cfg.Queue)
 	}
 	if cfg.MaxInFlight < 0 {
-		return fmt.Errorf("cluster: negative MaxInFlight %d", cfg.MaxInFlight)
+		return nil, fmt.Errorf("cluster: negative MaxInFlight %d", cfg.MaxInFlight)
 	}
 	if len(jobs) == 0 {
-		return fmt.Errorf("cluster: no jobs")
+		return nil, fmt.Errorf("cluster: no jobs")
 	}
 	size := cfg.Topo.Size()
 	seen := map[int]bool{}
-	for _, j := range jobs {
+	as := make([]assignMsg, len(jobs))
+	for i, j := range jobs {
 		if seen[j.ID] {
-			return fmt.Errorf("cluster: duplicate job ID %d", j.ID)
+			return nil, fmt.Errorf("cluster: duplicate job ID %d", j.ID)
 		}
 		seen[j.ID] = true
 		if j.Ranks < 1 || j.Ranks > size {
-			return fmt.Errorf("cluster: job %d needs %d ranks, world has %d", j.ID, j.Ranks, size)
+			return nil, fmt.Errorf("cluster: job %d needs %d ranks, world has %d", j.ID, j.Ranks, size)
 		}
 		if j.Msg < 0 {
-			return fmt.Errorf("cluster: job %d has negative message size", j.ID)
+			return nil, fmt.Errorf("cluster: job %d has negative message size", j.ID)
 		}
 		if j.Coll == Allreduce && j.Msg%8 != 0 {
-			return fmt.Errorf("cluster: job %d: allreduce size %d is not a multiple of 8", j.ID, j.Msg)
+			return nil, fmt.Errorf("cluster: job %d: allreduce size %d is not a multiple of 8", j.ID, j.Msg)
 		}
 		if j.Arrival < 0 {
-			return fmt.Errorf("cluster: job %d arrives at negative time", j.ID)
+			return nil, fmt.Errorf("cluster: job %d arrives at negative time", j.ID)
 		}
 		if j.Coll < Allgather || j.Coll > Scatter {
-			return fmt.Errorf("cluster: job %d: unknown collective %v", j.ID, j.Coll)
+			return nil, fmt.Errorf("cluster: job %d: unknown collective %v", j.ID, j.Coll)
 		}
-		if _, err := lowerPlan(j); err != nil {
-			return fmt.Errorf("cluster: job %d: %v", j.ID, err)
+		plan, err := lowerPlan(j)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: job %d: %v", j.ID, err)
+		}
+		as[i] = assignMsg{job: j, plan: plan}
+		if plan != nil {
+			as[i].ix = sched.NewIndex(plan.Sched)
 		}
 	}
 	if cfg.Faults.Len() > 0 {
 		if err := cfg.Faults.Check(cfg.Topo.Nodes, cfg.Topo.HCAs); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return as, nil
 }
 
 // Run executes the job stream on one shared world and returns per-job and
 // aggregate metrics. The run is deterministic: identical inputs give
 // identical schedules, metrics, and (with a Tracer) trace hashes.
 func Run(cfg Config, jobs []JobSpec) (*Result, error) {
-	if err := Validate(cfg, jobs); err != nil {
+	assigns, err := validate(cfg, jobs)
+	if err != nil {
 		return nil, err
 	}
 	w := mpi.New(mpi.Config{
@@ -276,14 +293,13 @@ func Run(cfg Config, jobs []JobSpec) (*Result, error) {
 	for i, j := range jobs {
 		metrics[i] = JobMetrics{Spec: j, Wait: -1}
 	}
-	var errMu sync.Mutex
+	// Only rank procs report, and they are coroutines of Run's goroutine,
+	// so they append in turn.
 	var errs []string
 	report := func(s string) {
-		errMu.Lock()
 		if len(errs) < 32 {
 			errs = append(errs, s)
 		}
-		errMu.Unlock()
 	}
 	any := func(interface{}) bool { return true }
 
@@ -352,8 +368,8 @@ func Run(cfg Config, jobs []JobSpec) (*Result, error) {
 				jm.Placement = placement
 				jobTrace(cfg.Tracer, placement[0], now,
 					fmt.Sprintf("dispatch job%d(%s %s x%d)", job.ID, job.Coll, algName(job.Coll), job.Ranks), job.Msg)
-				a := assignMsg{job: job, comm: comm}
-				a.plan, a.ix = lower(job)
+				a := assigns[idx]
+				a.comm = comm
 				for _, r := range placement {
 					ctl[r].PutAt(now, a)
 				}
@@ -364,7 +380,7 @@ func Run(cfg Config, jobs []JobSpec) (*Result, error) {
 		}
 	})
 
-	err := w.Run(func(p *mpi.Proc) {
+	err = w.Run(func(p *mpi.Proc) {
 		sp := p.Sim()
 		mb := ctl[p.Rank()]
 		for {
@@ -390,7 +406,7 @@ func Run(cfg Config, jobs []JobSpec) (*Result, error) {
 		jm := &res.Jobs[i]
 		res.MeanWait += jm.Wait
 		if !cfg.SkipIsolated {
-			jm.Isolated = isolatedTime(cfg, jm.Spec, jm.Placement, iso)
+			jm.Isolated = isolatedTime(cfg, assigns[i], jm.Placement, iso)
 			if jm.Isolated > 0 {
 				jm.Slowdown = float64(jm.Makespan) / float64(jm.Isolated)
 			}
@@ -486,14 +502,14 @@ func railShare(w *mpi.World, info *runInfo, end sim.Time, hcas int) float64 {
 // with the same shape and placement — the denominator of Slowdown.
 // Buffers are phantom (the byte-level check already ran on the shared
 // world). Results are cached per (collective, msg, placement).
-func isolatedTime(cfg Config, job JobSpec, placement []int, cache map[string]sim.Duration) sim.Duration {
+func isolatedTime(cfg Config, a assignMsg, placement []int, cache map[string]sim.Duration) sim.Duration {
+	job := a.job
 	key := fmt.Sprintf("%d|%d|%v", job.Coll, job.Msg, placement)
 	if d, ok := cache[key]; ok {
 		return d
 	}
 	w := mpi.New(mpi.Config{Topo: cfg.Topo, Params: cfg.Params, Phantom: true, Seed: cfg.Seed})
-	a := assignMsg{job: job, comm: w.NewComm(placement)}
-	a.plan, a.ix = lower(job)
+	a.comm = w.NewComm(placement)
 	if err := w.Run(func(p *mpi.Proc) {
 		if a.comm.Rank(p) < 0 {
 			return
@@ -537,24 +553,9 @@ var composeColl = [...]compose.Collective{
 	Scatter:       compose.Scatter,
 }
 
-// lower lowers a compose-derived job's flat composition for its rank
-// count and indexes the plan's schedule, once per job for all its ranks;
-// the other collectives have no plan. Lowering makes no simulator calls,
-// so it takes no virtual time wherever it runs. Run validates every job
-// first, and Validate lowers it, so here lowering cannot fail.
-func lower(job JobSpec) (*compose.Plan, *sched.Index) {
-	plan, err := lowerPlan(job)
-	if err != nil {
-		panic(fmt.Sprintf("cluster: job %d: %v", job.ID, err))
-	}
-	if plan == nil {
-		return nil, nil
-	}
-	return plan, sched.NewIndex(plan.Sched)
-}
-
-// lowerPlan is lower's plan, or why the job does not lower: past sched's
-// message, step or block-space limits.
+// lowerPlan lowers a compose-derived job's flat composition for its rank
+// count, or says why the job does not lower: past sched's message, step
+// or block-space limits. The other collectives have no plan.
 func lowerPlan(job JobSpec) (*compose.Plan, error) {
 	switch job.Coll {
 	case Allgather, Allreduce, Bcast:

@@ -46,35 +46,42 @@ func runDetnow(u *Unit) []Diagnostic {
 			if !ok {
 				return true
 			}
-			base, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			pn, ok := u.Info.Uses[base].(*types.PkgName)
-			if !ok {
-				return true
-			}
-			// Type and constant references (rand.Rand, time.Duration,
-			// time.Millisecond) are deterministic; only the functions that
-			// touch the wall clock or the global source matter.
-			if _, isType := u.Info.Uses[sel.Sel].(*types.TypeName); isType {
-				return true
-			}
-			name := sel.Sel.Name
-			switch pn.Imported().Path() {
+			switch pkg, name := nondet(u, sel); pkg {
 			case "time":
-				if detnowTime[name] {
-					out = append(out, diag(u, sel, "detnow",
-						"time.%s reads the wall clock; simulator code must use sim virtual time (Proc.Now/Sleep)", name))
-				}
-			case "math/rand", "math/rand/v2":
-				if !detnowRandOK[name] {
-					out = append(out, diag(u, sel, "detnow",
-						"rand.%s uses the process-global source; draw from a seeded rand.New(rand.NewSource(seed)) so runs replay bit-identically", name))
-				}
+				out = append(out, diag(u, sel, "detnow",
+					"time.%s reads the wall clock; simulator code must use sim virtual time (Proc.Now/Sleep)", name))
+			case "rand":
+				out = append(out, diag(u, sel, "detnow",
+					"rand.%s uses the process-global source; draw from a seeded rand.New(rand.NewSource(seed)) so runs replay bit-identically", name))
 			}
 			return true
 		})
 	}
 	return out
+}
+
+// nondet reports whether sel names a function that reads the wall clock
+// ("time") or draws from the process-global math/rand source ("rand"),
+// and which function. detnow forbids both, and purity counts them as
+// effects.
+func nondet(u *Unit, sel *ast.SelectorExpr) (pkg, name string) {
+	base, _ := sel.X.(*ast.Ident)
+	pn, ok := u.Info.Uses[base].(*types.PkgName)
+	// Type and constant references (rand.Rand, time.Duration,
+	// time.Millisecond) are deterministic; only the functions that
+	// touch the wall clock or the global source matter.
+	if _, isType := u.Info.Uses[sel.Sel].(*types.TypeName); !ok || isType {
+		return "", ""
+	}
+	switch name = sel.Sel.Name; pn.Imported().Path() {
+	case "time":
+		if detnowTime[name] {
+			return "time", name
+		}
+	case "math/rand", "math/rand/v2":
+		if !detnowRandOK[name] {
+			return "rand", name
+		}
+	}
+	return "", ""
 }

@@ -36,20 +36,91 @@ func Load(patterns []string) ([]*Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	// The source importer type-checks dependencies (stdlib included) from
-	// source, so the loader needs nothing but the go/* stdlib packages.
-	imp := importer.ForCompiler(fset, "source", nil)
-	var units []*Unit
+	l := &loader{fset: token.NewFileSet(), dirs: map[string]string{}, units: map[string][]*Unit{}}
+	// The source importer type-checks the stdlib from source, so the
+	// loader needs nothing but the go/* stdlib packages.
+	l.src = importer.ForCompiler(l.fset, "source", nil)
+	var paths []string
 	for _, dir := range dirs {
-		us, err := loadDir(fset, imp, dir)
+		path, root, mod, err := importPath(dir)
+		if err != nil {
+			return nil, err
+		}
+		if l.mod == "" {
+			l.root, l.mod = root, mod
+		}
+		if _, dup := l.dirs[path]; !dup {
+			l.dirs[path] = dir
+			paths = append(paths, path)
+		}
+	}
+	sort.Strings(paths)
+	var units []*Unit
+	for _, path := range paths {
+		us, err := l.load(path)
 		if err != nil {
 			return nil, err
 		}
 		units = append(units, us...)
 	}
-	sort.Slice(units, func(i, j int) bool { return units[i].Path < units[j].Path })
 	return units, nil
+}
+
+// A loader is the importer of its own type checks, so every package of
+// the module is checked once, the first time it is named or imported,
+// and every importer sees that one *types.Package. Only the named
+// packages become Units.
+type loader struct {
+	fset      *token.FileSet
+	src       types.Importer     // packages outside the module
+	root, mod string             // the module of the first named package
+	dirs      map[string]string  // import path -> directory, of every module package met
+	units     map[string][]*Unit // checked packages by import path
+	stack     []string           // packages being checked, outermost first
+}
+
+func (l *loader) Import(path string) (*types.Package, error) {
+	if _, ok := l.dirs[path]; !ok {
+		// An in-module package the patterns do not name is checked here
+		// too: through the source importer it would be a second copy of
+		// every named package it imports, and its types would not match
+		// theirs.
+		rest, ok := strings.CutPrefix(path+"/", l.mod+"/")
+		if dir := filepath.Join(l.root, rest); ok && hasGoFiles(dir) {
+			l.dirs[path] = dir
+		} else {
+			return l.src.Import(path)
+		}
+	}
+	us, err := l.load(path)
+	if err != nil {
+		return nil, err
+	}
+	if len(us) > 1 {
+		return nil, fmt.Errorf("lint: found packages %s and %s in %s", us[0].Pkg.Name(), us[1].Pkg.Name(), us[0].Dir)
+	}
+	return us[0].Pkg, nil
+}
+
+// load returns the units of one package, checking it first if no
+// earlier import has. The stack refuses an import cycle, which would
+// otherwise recurse until the goroutine stack overflows.
+func (l *loader) load(path string) ([]*Unit, error) {
+	if us, ok := l.units[path]; ok {
+		return us, nil
+	}
+	for i, p := range l.stack {
+		if p == path {
+			return nil, fmt.Errorf("lint: import cycle: %s", strings.Join(append(l.stack[i:], path), " -> "))
+		}
+	}
+	l.stack = append(l.stack, path)
+	us, err := loadDir(l.fset, l, l.dirs[path], path)
+	l.stack = l.stack[:len(l.stack)-1]
+	if err == nil {
+		l.units[path] = us
+	}
+	return us, err
 }
 
 // expand resolves `/...` patterns into the list of directories that
@@ -111,17 +182,13 @@ func hasGoFiles(dir string) bool {
 }
 
 // loadDir parses the non-test files of one directory and type-checks
-// them as a package rooted at its module-derived import path.
-func loadDir(fset *token.FileSet, imp types.Importer, dir string) ([]*Unit, error) {
+// them as the package at import path.
+func loadDir(fset *token.FileSet, imp types.Importer, dir, path string) ([]*Unit, error) {
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, parser.ParseComments)
 	if err != nil {
 		return nil, fmt.Errorf("lint: parsing %s: %w", dir, err)
-	}
-	path, err := importPath(dir)
-	if err != nil {
-		return nil, err
 	}
 	var units []*Unit
 	// A directory holds at most one non-test package in a healthy tree,
@@ -162,34 +229,26 @@ func loadDir(fset *token.FileSet, imp types.Importer, dir string) ([]*Unit, erro
 }
 
 // importPath derives a directory's import path from the enclosing
-// module's go.mod.
-func importPath(dir string) (string, error) {
+// module's go.mod, and returns that module's root directory and path.
+func importPath(dir string) (path, root, mod string, err error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
-		return "", err
+		return "", "", "", err
 	}
-	root := abs
-	for {
-		data, err := os.ReadFile(filepath.Join(root, "go.mod"))
-		if err == nil {
-			mod := modulePath(data)
-			if mod == "" {
-				return "", fmt.Errorf("lint: no module line in %s/go.mod", root)
+	for root = abs; ; root = filepath.Dir(root) {
+		if data, err := os.ReadFile(filepath.Join(root, "go.mod")); err == nil {
+			if mod = modulePath(data); mod == "" {
+				return "", "", "", fmt.Errorf("lint: no module line in %s/go.mod", root)
 			}
 			rel, err := filepath.Rel(root, abs)
-			if err != nil {
-				return "", err
+			if err != nil || rel == "." {
+				return mod, root, mod, err
 			}
-			if rel == "." {
-				return mod, nil
-			}
-			return mod + "/" + filepath.ToSlash(rel), nil
+			return mod + "/" + filepath.ToSlash(rel), root, mod, nil
 		}
-		parent := filepath.Dir(root)
-		if parent == root {
-			return "", fmt.Errorf("lint: %s is not inside a Go module", dir)
+		if filepath.Dir(root) == root {
+			return "", "", "", fmt.Errorf("lint: %s is not inside a Go module", dir)
 		}
-		root = parent
 	}
 }
 

@@ -135,8 +135,7 @@ func fakeNode(p token.Pos) ast.Node { return posNode(p) }
 
 func runLocklint(p *Program) []Diagnostic {
 	var out []Diagnostic
-	for _, key := range p.keys {
-		fi := p.Funcs[key]
+	for _, fi := range p.Funcs {
 		if !applies(locklintPass, fi.Unit.Path) {
 			continue
 		}

@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the whole-program layer under the interprocedural passes:
-// a function index over every loaded unit, a call graph with stable
-// string keys, and a capture analysis for closures. Passes that need to
+// a function index over every loaded unit, a call graph sorted by
+// function name, and a capture analysis for closures. Passes that need to
 // see across function and package boundaries (sharedstate, purity,
 // locklint, the interprocedural half of waitpair) run over a Program;
 // the original single-unit passes still run unit by unit.
@@ -19,27 +19,24 @@ import (
 // function index and call graph.
 type Program struct {
 	Units []*Unit
-	// Funcs indexes every function declared in a loaded unit by its
-	// canonical key (types.Func FullName), which is stable across the
-	// two ways a package reaches the type checker: loaded directly as a
-	// unit, or pulled in as a source-imported dependency.
-	Funcs map[string]*FuncInfo
-	keys  []string // sorted index keys, for deterministic iteration
+	// Funcs lists every function declared in a loaded unit, sorted by Key.
+	Funcs []*FuncInfo
+	byObj map[*types.Func]*FuncInfo
 }
 
 // A FuncInfo is one declared function or method with its derived facts.
 type FuncInfo struct {
-	Key  string // canonical key (types.Func.FullName)
+	Key  string // types.Func.FullName: the sort key and the name in messages
 	Unit *Unit
 	Decl *ast.FuncDecl
 	Obj  *types.Func
-	// Callees lists the canonical keys of every statically resolvable
-	// callee, sorted and deduplicated. Calls through function values and
-	// interface methods have no static target and are not recorded;
-	// referencing a function as a value (a method value, a handler
-	// registration) conservatively counts as an edge, since a reference
-	// is how a later dynamic call is formed.
-	Callees []string
+	// Callees lists every statically resolvable callee declared in the
+	// program, sorted by Key and deduplicated. Calls through function
+	// values and interface methods have no static target and are not
+	// recorded; referencing a function as a value (a method value, a
+	// handler registration) conservatively counts as an edge, since a
+	// reference is how a later dynamic call is formed.
+	Callees []*FuncInfo
 	// parents maps every node in Decl to its syntactic parent; built
 	// once per function and shared by the analyses.
 	parents map[ast.Node]ast.Node
@@ -48,14 +45,12 @@ type FuncInfo struct {
 	facts   *purityFacts
 }
 
-// funcKey returns the canonical index key for a function object.
-func funcKey(fn *types.Func) string { return fn.FullName() }
-
 // BuildProgram derives the function index and call graph from the loaded
 // units. It is deterministic: units arrive sorted by import path, files
-// within a unit are sorted, and every derived list is sorted.
+// within a unit are sorted, and every derived list is sorted stably by
+// Key (a package's init functions share one).
 func BuildProgram(units []*Unit) *Program {
-	p := &Program{Units: units, Funcs: map[string]*FuncInfo{}}
+	p := &Program{Units: units, byObj: map[*types.Func]*FuncInfo{}}
 	for _, u := range units {
 		for _, f := range u.Files {
 			for _, decl := range f.Decls {
@@ -68,51 +63,32 @@ func BuildProgram(units []*Unit) *Program {
 					continue
 				}
 				fi := &FuncInfo{
-					Key:     funcKey(obj),
+					Key:     obj.FullName(),
 					Unit:    u,
 					Decl:    fd,
 					Obj:     obj,
 					parents: buildParents(fd),
 				}
-				p.Funcs[fi.Key] = fi
+				p.Funcs = append(p.Funcs, fi)
+				p.byObj[obj] = fi
 			}
 		}
 	}
+	sortByKey(p.Funcs)
 	for _, fi := range p.Funcs {
-		fi.Callees = callees(fi)
+		fi.Callees = p.callees(fi)
 	}
-	p.keys = make([]string, 0, len(p.Funcs))
-	for k := range p.Funcs {
-		p.keys = append(p.keys, k)
-	}
-	sort.Strings(p.keys)
 	return p
 }
 
-// Keys returns the index keys in sorted order.
-func (p *Program) Keys() []string { return p.keys }
+func sortByKey(fs []*FuncInfo) {
+	sort.SliceStable(fs, func(i, j int) bool { return fs[i].Key < fs[j].Key })
+}
 
 // FuncAt resolves a call expression to the declared function it
 // statically targets, or nil for dynamic and out-of-program calls.
 func (p *Program) FuncAt(u *Unit, call *ast.CallExpr) *FuncInfo {
-	fn := staticCallee(u, call)
-	if fn == nil {
-		return nil
-	}
-	return p.Funcs[funcKey(fn)]
-}
-
-// unitFor returns the unit whose file set position covers pos (every
-// unit shares one fset, so filename lookup suffices).
-func (p *Program) unitFor(filename string) *Unit {
-	for _, u := range p.Units {
-		for _, f := range u.Files {
-			if u.Fset.Position(f.Pos()).Filename == filename {
-				return u
-			}
-		}
-	}
-	return nil
+	return p.byObj[staticCallee(u, call)]
 }
 
 // staticCallee resolves a call's target to a declared *types.Func: a
@@ -135,25 +111,22 @@ func staticCallee(u *Unit, call *ast.CallExpr) *types.Func {
 // callees records every statically resolvable outgoing edge of one
 // function, including closures declared inside it (a closure's calls are
 // attributed to the enclosing declaration) and bare function references.
-func callees(fi *FuncInfo) []string {
-	seen := map[string]bool{}
+func (p *Program) callees(fi *FuncInfo) []*FuncInfo {
+	seen := map[*FuncInfo]bool{}
+	var out []*FuncInfo
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
 			return true
 		}
-		fn, ok := fi.Unit.Info.Uses[id].(*types.Func)
-		if !ok {
-			return true
+		fn, _ := fi.Unit.Info.Uses[id].(*types.Func)
+		if callee := p.byObj[fn]; callee != nil && !seen[callee] {
+			seen[callee] = true // self-edges stay: recursion is a real cycle
+			out = append(out, callee)
 		}
-		seen[funcKey(fn)] = true // self-edges stay: recursion is a real cycle
 		return true
 	})
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
+	sortByKey(out)
 	return out
 }
 

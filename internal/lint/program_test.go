@@ -20,23 +20,31 @@ func loadProgram(t *testing.T, dir string) *Program {
 func funcNamed(t *testing.T, p *Program, name string) *FuncInfo {
 	t.Helper()
 	var found *FuncInfo
-	for _, key := range p.Keys() {
-		if strings.HasSuffix(key, name) {
+	for _, fi := range p.Funcs {
+		if strings.HasSuffix(fi.Key, name) {
 			if found != nil {
-				t.Fatalf("two functions match %q: %s and %s", name, found.Key, key)
+				t.Fatalf("two functions match %q: %s and %s", name, found.Key, fi.Key)
 			}
-			found = p.Funcs[key]
+			found = fi
 		}
 	}
 	if found == nil {
-		t.Fatalf("no function %q in program (have %v)", name, p.Keys())
+		t.Fatalf("no function %q in program (have %v)", name, keys(p.Funcs))
 	}
 	return found
 }
 
+func keys(fs []*FuncInfo) []string {
+	out := make([]string, len(fs))
+	for i, fi := range fs {
+		out[i] = fi.Key
+	}
+	return out
+}
+
 func callsTo(fi *FuncInfo, name string) bool {
-	for _, k := range fi.Callees {
-		if strings.HasSuffix(k, name) {
+	for _, c := range fi.Callees {
+		if strings.HasSuffix(c.Key, name) {
 			return true
 		}
 	}
@@ -49,13 +57,13 @@ func TestCallGraphRecursion(t *testing.T) {
 	p := loadProgram(t, "testdata/src/program")
 	fact := funcNamed(t, p, ".fact")
 	if !callsTo(fact, ".fact") {
-		t.Errorf("fact's self-edge missing: callees = %v", fact.Callees)
+		t.Errorf("fact's self-edge missing: callees = %v", keys(fact.Callees))
 	}
 
 	wp := loadProgram(t, "testdata/src/waitpair")
 	a, b := funcNamed(t, wp, ".shuffleA"), funcNamed(t, wp, ".shuffleB")
 	if !callsTo(a, ".shuffleB") || !callsTo(b, ".shuffleA") {
-		t.Errorf("shuffle cycle not closed: A->%v, B->%v", a.Callees, b.Callees)
+		t.Errorf("shuffle cycle not closed: A->%v, B->%v", keys(a.Callees), keys(b.Callees))
 	}
 }
 
@@ -65,7 +73,7 @@ func TestCallGraphMethodValue(t *testing.T) {
 	p := loadProgram(t, "testdata/src/program")
 	umv := funcNamed(t, p, ".useMethodValue")
 	if !callsTo(umv, ".Greet") {
-		t.Errorf("method-value reference to Greet not recorded: %v", umv.Callees)
+		t.Errorf("method-value reference to Greet not recorded: %v", keys(umv.Callees))
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // three effects that would make a cache key or a price depend on anything
 // but its inputs:
 //
-//   - wall-clock reads (time.Now and friends, the detnow list),
+//   - wall-clock reads (time.Now and friends, as detnow judges them),
 //   - process-global randomness (unseeded math/rand),
 //   - map iteration with order-dependent effects (an encoder that walks
 //     a map in randomized order produces a different key per run).
@@ -45,19 +45,6 @@ type purityFacts struct {
 	unprovable []string
 }
 
-// pureRoots returns every function in the program carrying a //lint:pure
-// directive, in key order.
-func pureRoots(p *Program) []*FuncInfo {
-	var roots []*FuncInfo
-	for _, key := range p.keys {
-		fi := p.Funcs[key]
-		if hasPureDirective(fi) {
-			roots = append(roots, fi)
-		}
-	}
-	return roots
-}
-
 // hasPureDirective reports whether fi's doc comment, or any comment on
 // the line directly above its declaration, is //lint:pure.
 func hasPureDirective(fi *FuncInfo) bool {
@@ -68,13 +55,12 @@ func hasPureDirective(fi *FuncInfo) bool {
 			}
 		}
 	}
-	declLine := fi.Unit.Fset.Position(fi.Decl.Pos()).Line
-	declFile := fi.Unit.Fset.Position(fi.Decl.Pos()).Filename
+	decl := fi.Unit.Fset.Position(fi.Decl.Pos())
 	for _, f := range fi.Unit.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				pos := fi.Unit.Fset.Position(c.Pos())
-				if pos.Filename == declFile && pos.Line == declLine-1 &&
+				if pos.Filename == decl.Filename && pos.Line == decl.Line-1 &&
 					parseDirective(c.Text).kind == directivePure {
 					return true
 				}
@@ -86,11 +72,11 @@ func hasPureDirective(fi *FuncInfo) bool {
 
 func runPurity(p *Program) []Diagnostic {
 	var out []Diagnostic
-	for _, root := range pureRoots(p) {
-		if !applies(purityPass, root.Unit.Path) {
+	for _, root := range p.Funcs {
+		if !hasPureDirective(root) || !applies(purityPass, root.Unit.Path) {
 			continue
 		}
-		visiting := map[string]bool{}
+		visiting := map[*FuncInfo]bool{}
 		if msg := p.impurityOf(root, visiting, nil); msg != "" {
 			out = append(out, diag(root.Unit, root.Decl.Name, "purity",
 				"%s is marked //lint:pure but %s", root.Obj.Name(), msg))
@@ -104,11 +90,11 @@ func runPurity(p *Program) []Diagnostic {
 // whole call tree is provably pure. path carries the call chain from the
 // root for the message; visiting breaks recursion cycles (a cycle adds no
 // effects beyond its members' own, all of which are checked).
-func (p *Program) impurityOf(fi *FuncInfo, visiting map[string]bool, path []string) string {
-	if visiting[fi.Key] {
+func (p *Program) impurityOf(fi *FuncInfo, visiting map[*FuncInfo]bool, path []string) string {
+	if visiting[fi] {
 		return ""
 	}
-	visiting[fi.Key] = true
+	visiting[fi] = true
 
 	facts := p.factsOf(fi)
 	via := ""
@@ -122,11 +108,7 @@ func (p *Program) impurityOf(fi *FuncInfo, visiting map[string]bool, path []stri
 		return fmt.Sprintf("calls %s, whose body is outside the loaded program, so purity cannot be proven%s",
 			facts.unprovable[0], via)
 	}
-	for _, key := range fi.Callees {
-		callee := p.Funcs[key]
-		if callee == nil {
-			continue // outside the index: already judged by unprovable/stdlib rules
-		}
+	for _, callee := range fi.Callees {
 		if msg := p.impurityOf(callee, visiting, append(path, callee.Obj.Name())); msg != "" {
 			return msg
 		}
@@ -144,27 +126,11 @@ func (p *Program) factsOf(fi *FuncInfo) *purityFacts {
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
-			base, ok := n.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			pn, ok := u.Info.Uses[base].(*types.PkgName)
-			if !ok {
-				return true
-			}
-			if _, isType := u.Info.Uses[n.Sel].(*types.TypeName); isType {
-				return true
-			}
-			name := n.Sel.Name
-			switch pn.Imported().Path() {
+			switch pkg, name := nondet(u, n); pkg {
 			case "time":
-				if detnowTime[name] {
-					facts.effects = append(facts.effects, "calls time."+name)
-				}
-			case "math/rand", "math/rand/v2":
-				if !detnowRandOK[name] {
-					facts.effects = append(facts.effects, "uses the process-global rand."+name)
-				}
+				facts.effects = append(facts.effects, "calls time."+name)
+			case "rand":
+				facts.effects = append(facts.effects, "uses the process-global rand."+name)
 			}
 		case *ast.RangeStmt:
 			tv, ok := u.Info.Types[n.X]
@@ -182,7 +148,7 @@ func (p *Program) factsOf(fi *FuncInfo) *purityFacts {
 			if fn == nil {
 				return true // dynamic call: not judged (documented approximation)
 			}
-			if p.Funcs[funcKey(fn)] != nil {
+			if p.byObj[fn] != nil {
 				return true // in the index: the DFS recurses into it
 			}
 			if p.InProgramPackage(fn) {

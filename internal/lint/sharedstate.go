@@ -146,8 +146,7 @@ type sharedCapture struct {
 
 func runSharedstate(p *Program) []Diagnostic {
 	var sites []*spawnSite
-	for _, key := range p.keys {
-		fi := p.Funcs[key]
+	for _, fi := range p.Funcs {
 		if !applies(sharedstatePass, fi.Unit.Path) {
 			continue
 		}

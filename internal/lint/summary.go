@@ -66,8 +66,7 @@ func (p *Program) summaryOf(fi *FuncInfo) *reqSummary {
 // buildSummaries seeds every function's summary from its signature and
 // iterates parameter consumption to a fixpoint.
 func (p *Program) buildSummaries() {
-	for _, key := range p.keys {
-		fi := p.Funcs[key]
+	for _, fi := range p.Funcs {
 		sig := fi.Obj.Type().(*types.Signature)
 		s := &reqSummary{}
 		for i := 0; i < sig.Results().Len(); i++ {
@@ -85,8 +84,8 @@ func (p *Program) buildSummaries() {
 	// iteration terminates; the bound is belt and braces.
 	for round := 0; round < 16; round++ {
 		changed := false
-		for _, key := range p.keys {
-			if p.refineSummary(p.Funcs[key]) {
+		for _, fi := range p.Funcs {
+			if p.refineSummary(fi) {
 				changed = true
 			}
 		}

@@ -43,8 +43,7 @@ func init() { waitpairPass.RunProgram = runWaitpairProgram }
 
 func runWaitpairProgram(prog *Program) []Diagnostic {
 	var out []Diagnostic
-	for _, key := range prog.Keys() {
-		fi := prog.Funcs[key]
+	for _, fi := range prog.Funcs {
 		if !applies(waitpairPass, fi.Unit.Path) {
 			continue
 		}
@@ -58,7 +57,7 @@ type reqAnalysis struct {
 	u       *Unit
 	body    *ast.BlockStmt
 	parents map[ast.Node]ast.Node
-	prog    *Program // nil disables the interprocedural refinements
+	prog    *Program
 }
 
 // buildParents maps every node under root to its syntactic parent.
@@ -97,17 +96,13 @@ type use struct {
 }
 
 // producer resolves a call to a request producer: Isend/Irecv by name,
-// or — with a program loaded — any declared function whose signature
-// returns a request. Returns the producer's display name and its
+// or any declared function whose signature returns a request. Returns the producer's display name and its
 // request-typed result mask (nil when the call is not a producer).
 func (a *reqAnalysis) producer(call *ast.CallExpr) (string, []bool) {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if name := sel.Sel.Name; name == "Isend" || name == "Irecv" {
 			return name, []bool{true}
 		}
-	}
-	if a.prog == nil {
-		return "", nil
 	}
 	fi := a.prog.FuncAt(a.u, call)
 	if fi == nil {
@@ -335,9 +330,6 @@ func (a *reqAnalysis) classify(id *ast.Ident) use {
 // trusted escape, preserving the old boundary behavior where the program
 // cannot see.
 func (a *reqAnalysis) classifyHelperArg(id *ast.Ident, call *ast.CallExpr, arg ast.Expr) use {
-	if a.prog == nil {
-		return use{id: id, kind: useEscape}
-	}
 	fi := a.prog.FuncAt(a.u, call)
 	if fi == nil {
 		return use{id: id, kind: useEscape}

@@ -81,21 +81,3 @@ func TestSameLeafTrafficUnaffectedByTaper(t *testing.T) {
 		t.Fatalf("same-leaf latency %v, want endpoint-only %v", arrived, want)
 	}
 }
-
-func TestAcquireHeteroDurations(t *testing.T) {
-	e := sim.NewEngine()
-	a := e.NewResource("a")
-	b := e.NewResource("b")
-	e.Spawn("p", func(p *sim.Proc) {
-		start, end := sim.AcquireHetero([]sim.Duration{10 * sim.Microsecond, 30 * sim.Microsecond}, a, b)
-		if start != 0 || end != sim.Time(30*sim.Microsecond) {
-			t.Errorf("hetero acquire [%v %v]", start, end)
-		}
-		if a.FreeAt() != sim.Time(10*sim.Microsecond) || b.FreeAt() != sim.Time(30*sim.Microsecond) {
-			t.Errorf("per-resource ends wrong: %v %v", a.FreeAt(), b.FreeAt())
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -216,14 +216,8 @@ func (p *Params) HCATime(n, rails int) sim.Duration {
 	return d
 }
 
-// RailChunk returns the per-rail piece sizes when n bytes stripe across
-// `rails` rails; the remainder goes to the first rails.
-func RailChunk(n, rails int) []int {
-	return AppendRailChunk(make([]int, 0, rails), n, rails)
-}
-
-// AppendRailChunk appends RailChunk(n, rails) to dst, for callers that
-// bring their own storage.
+// AppendRailChunk appends to dst the per-rail piece sizes when n bytes
+// stripe across `rails` rails; the remainder goes to the first rails.
 func AppendRailChunk(dst []int, n, rails int) []int {
 	base := n / rails
 	rem := n % rails
@@ -237,22 +231,16 @@ func AppendRailChunk(dst []int, n, rails int) []int {
 	return dst
 }
 
-// RailChunkWeighted returns per-rail piece sizes when n bytes stripe
-// across rails of unequal surviving bandwidth: piece i is proportional to
-// weights[i] (largest-remainder rounding, ties to the lowest index, so the
-// split is deterministic and sums exactly to n). A zero weight yields a
-// zero piece; at least one weight must be positive. With equal weights it
-// reproduces RailChunk's equal split.
-func RailChunkWeighted(n int, weights []float64) []int {
-	return AppendRailChunkWeighted(make([]int, 0, len(weights)), n, weights)
-}
-
-// AppendRailChunkWeighted appends RailChunkWeighted(n, weights) to dst,
-// for callers that bring their own storage. Up to eight rails it
-// allocates nothing else.
+// AppendRailChunkWeighted appends to dst the per-rail piece sizes when n
+// bytes stripe across rails of unequal surviving bandwidth: piece i is
+// proportional to weights[i] (largest-remainder rounding, ties to the
+// lowest index, so the split is deterministic and sums exactly to n). A
+// zero weight yields a zero piece; at least one weight must be positive.
+// With equal weights it reproduces AppendRailChunk's equal split. Up to
+// eight rails it allocates nothing but what dst needs to grow.
 func AppendRailChunkWeighted(dst []int, n int, weights []float64) []int {
 	if len(weights) == 0 {
-		panic("netmodel: RailChunkWeighted with no rails")
+		panic("netmodel: AppendRailChunkWeighted with no rails")
 	}
 	total := 0.0
 	for _, w := range weights {
@@ -262,7 +250,7 @@ func AppendRailChunkWeighted(dst []int, n int, weights []float64) []int {
 		total += w
 	}
 	if total <= 0 {
-		panic("netmodel: RailChunkWeighted needs a positive total weight")
+		panic("netmodel: AppendRailChunkWeighted needs a positive total weight")
 	}
 	var remBuf [8]float64
 	rem := remBuf[:0]
@@ -301,10 +289,11 @@ func (p *Params) RailBW(scale float64) float64 {
 }
 
 // RailWeights combines per-rail surviving health fractions with
-// per-rail bandwidth scales into the striping weights RailChunkWeighted
-// expects: weight i = frac[i] * scale[i]. scales may be nil (all
-// nominal). The result is proportional to each rail's deliverable
-// bandwidth, so the stripe finishes evenly across asymmetric rails.
+// per-rail bandwidth scales into the striping weights
+// AppendRailChunkWeighted expects: weight i = frac[i] * scale[i]. scales
+// may be nil (all nominal). The result is proportional to each rail's
+// deliverable bandwidth, so the stripe finishes evenly across asymmetric
+// rails.
 func RailWeights(fracs, scales []float64) []float64 {
 	out := make([]float64, len(fracs))
 	for i, f := range fracs {

@@ -85,12 +85,12 @@ func TestCongestionFactor(t *testing.T) {
 }
 
 func TestRailChunk(t *testing.T) {
-	got := RailChunk(10, 3)
+	got := AppendRailChunk(nil, 10, 3)
 	if got[0] != 4 || got[1] != 3 || got[2] != 3 {
-		t.Fatalf("RailChunk(10,3) = %v", got)
+		t.Fatalf("AppendRailChunk(nil, 10, 3) = %v", got)
 	}
 	total := 0
-	for _, c := range RailChunk(1<<20+7, 8) {
+	for _, c := range AppendRailChunk(nil, 1<<20+7, 8) {
 		total += c
 	}
 	if total != 1<<20+7 {
@@ -120,13 +120,13 @@ func TestQuickMoreRailsNeverSlower(t *testing.T) {
 	}
 }
 
-// Property: RailChunk always partitions n into `rails` pieces differing by
+// Property: AppendRailChunk always partitions n into `rails` pieces differing by
 // at most one byte.
 func TestQuickRailChunkBalanced(t *testing.T) {
 	f := func(n uint32, r uint8) bool {
 		size := int(n % (64 << 20))
 		rails := int(r)%8 + 1
-		chunks := RailChunk(size, rails)
+		chunks := AppendRailChunk(nil, size, rails)
 		if len(chunks) != rails {
 			return false
 		}
@@ -245,7 +245,7 @@ func TestRailWeights(t *testing.T) {
 	if got[0] != 2 || got[1] != 0.5 {
 		t.Fatalf("combined weights: %v", got)
 	}
-	pieces := RailChunkWeighted(3000, RailWeights([]float64{1, 1}, []float64{2, 1}))
+	pieces := AppendRailChunkWeighted(nil, 3000, RailWeights([]float64{1, 1}, []float64{2, 1}))
 	if pieces[0] != 2000 || pieces[1] != 1000 {
 		t.Fatalf("weighted stripe: %v", pieces)
 	}

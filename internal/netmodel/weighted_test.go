@@ -7,11 +7,11 @@ import (
 )
 
 func TestRailChunkWeightedSumsAndProportions(t *testing.T) {
-	got := RailChunkWeighted(30, []float64{1, 0.5})
+	got := AppendRailChunkWeighted(nil, 30, []float64{1, 0.5})
 	if got[0] != 20 || got[1] != 10 {
-		t.Fatalf("RailChunkWeighted(30, [1 .5]) = %v, want [20 10]", got)
+		t.Fatalf("AppendRailChunkWeighted(nil, 30, [1 .5]) = %v, want [20 10]", got)
 	}
-	got = RailChunkWeighted(100, []float64{1, 0, 1})
+	got = AppendRailChunkWeighted(nil, 100, []float64{1, 0, 1})
 	if !reflect.DeepEqual(got, []int{50, 0, 50}) {
 		t.Fatalf("zero-weight rail got bytes: %v", got)
 	}
@@ -24,7 +24,7 @@ func TestRailChunkWeightedEqualWeightsMatchRailChunk(t *testing.T) {
 			for i := range w {
 				w[i] = 1
 			}
-			if got, want := RailChunkWeighted(n, w), RailChunk(n, h); !reflect.DeepEqual(got, want) {
+			if got, want := AppendRailChunkWeighted(nil, n, w), AppendRailChunk(nil, n, h); !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d h=%d: weighted %v != equal %v", n, h, got, want)
 			}
 		}
@@ -33,8 +33,8 @@ func TestRailChunkWeightedEqualWeightsMatchRailChunk(t *testing.T) {
 
 func TestRailChunkWeightedDeterministic(t *testing.T) {
 	w := []float64{0.3, 0.3, 0.4}
-	a := RailChunkWeighted(1<<20+1, w)
-	b := RailChunkWeighted(1<<20+1, w)
+	a := AppendRailChunkWeighted(nil, 1<<20+1, w)
+	b := AppendRailChunkWeighted(nil, 1<<20+1, w)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same inputs, different splits: %v vs %v", a, b)
 	}
@@ -44,7 +44,7 @@ func TestQuickRailChunkWeightedConserves(t *testing.T) {
 	f := func(n uint16, a, b, c uint8) bool {
 		w := []float64{float64(a) + 1, float64(b), float64(c)}
 		total := 0
-		for _, p := range RailChunkWeighted(int(n), w) {
+		for _, p := range AppendRailChunkWeighted(nil, int(n), w) {
 			if p < 0 {
 				return false
 			}
@@ -59,9 +59,9 @@ func TestQuickRailChunkWeightedConserves(t *testing.T) {
 
 func TestRailChunkWeightedPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"no rails":        func() { RailChunkWeighted(10, nil) },
-		"negative weight": func() { RailChunkWeighted(10, []float64{1, -1}) },
-		"zero total":      func() { RailChunkWeighted(10, []float64{0, 0}) },
+		"no rails":        func() { AppendRailChunkWeighted(nil, 10, nil) },
+		"negative weight": func() { AppendRailChunkWeighted(nil, 10, []float64{1, -1}) },
+		"zero total":      func() { AppendRailChunkWeighted(nil, 10, []float64{0, 0}) },
 	} {
 		func() {
 			defer func() {
@@ -74,13 +74,13 @@ func TestRailChunkWeightedPanics(t *testing.T) {
 	}
 }
 
-// TestAppendRailChunkWeighted: the append form writes RailChunkWeighted's
-// pieces after what dst holds and, into a buffer of eight, allocates
-// nothing.
+// TestAppendRailChunkWeighted: the pieces go after what dst holds, the
+// same pieces a nil dst gets, and into a buffer of eight nothing is
+// allocated.
 func TestAppendRailChunkWeighted(t *testing.T) {
 	w := []float64{0.3, 0, 0.45, 0.25}
 	got := AppendRailChunkWeighted([]int{-1}, 1<<20+7, w)
-	if want := append([]int{-1}, RailChunkWeighted(1<<20+7, w)...); !reflect.DeepEqual(got, want) {
+	if want := append([]int{-1}, AppendRailChunkWeighted(nil, 1<<20+7, w)...); !reflect.DeepEqual(got, want) {
 		t.Fatalf("appended %v, want %v", got, want)
 	}
 	var buf [8]int

@@ -456,8 +456,8 @@ func (b *Builder) RailPiece(src, dst, first, count, off, n, rail int) *Builder {
 }
 
 // Striped emits a whole block range split across every rail in pinned
-// pieces (netmodel.RailChunk sizing), or a single rail-0 transfer when
-// the range is empty (zero-byte messages still synchronize).
+// pieces (netmodel.AppendRailChunk sizing), or a single rail-0 transfer
+// when the range is empty (zero-byte messages still synchronize).
 func (b *Builder) Striped(src, dst, first, count, rails int) *Builder {
 	total := count * b.s.Msg
 	if total == 0 {

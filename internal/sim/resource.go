@@ -156,42 +156,6 @@ func AcquireTogether(d Duration, rs ...*Resource) (start, end Time) {
 	return start, end
 }
 
-// AcquireHetero occupies several resources simultaneously with per-
-// resource durations: the occupation starts when the last one becomes
-// free; resource i is then busy for ds[i]. It returns the common start
-// and the latest end. This models a transfer that holds pipeline stages
-// of different speeds at once (e.g. a NIC at line rate and a shared
-// switch uplink at its aggregate rate).
-func AcquireHetero(ds []Duration, rs ...*Resource) (start, end Time) {
-	if len(rs) == 0 || len(ds) != len(rs) {
-		panic("sim: AcquireHetero needs one duration per resource")
-	}
-	e := rs[0].eng
-	start = e.Now()
-	for _, r := range rs {
-		if r.eng != e {
-			panic("sim: AcquireHetero across engines")
-		}
-		e.note(&r.label)
-		if r.freeAt > start {
-			start = r.freeAt
-		}
-	}
-	for i, r := range rs {
-		if ds[i] < 0 {
-			panic("sim: negative acquire")
-		}
-		fin := r.serviceEnd(start, ds[i])
-		r.freeAt = fin
-		r.busy += Duration(fin - start)
-		r.uses++
-		if fin > end {
-			end = fin
-		}
-	}
-	return start, end
-}
-
 // MarkOwner records who is responsible for the resource's most recent
 // acquisition. With several jobs contending for one rail, the quiescence
 // audit uses the label to attribute a still-busy resource to a job
