@@ -1,6 +1,7 @@
 package compose_test
 
 import (
+	"slices"
 	"testing"
 
 	"mha/internal/compose"
@@ -19,9 +20,10 @@ const sweepMaxRanks = 32
 // variant — the sched constructors and all compose.Variants() — through
 // the analyzer's completeness / hold-progression / rail-conflict proof
 // on every machine shape of at most sweepMaxRanks ranks, both layouts,
-// non-power-of-two counts and ppn = 1 included. No simulation: what the
-// analyzer cannot see (timing, faults, teardown) is the randomized
-// campaign's job.
+// non-power-of-two counts and ppn = 1 included, and requires its JSON
+// form to parse back to the same transfers and copies in the same
+// order. No simulation: what the analyzer cannot see (timing, faults,
+// teardown) is the randomized campaign's job.
 func TestAnalyzeEveryVariantEverySmallShape(t *testing.T) {
 	const msg = 64 << 10
 	prm := netmodel.Thor()
@@ -34,6 +36,7 @@ func TestAnalyzeEveryVariantEverySmallShape(t *testing.T) {
 			if _, err := sched.Analyze(s, prm); err != nil {
 				t.Fatalf("%s on %v: %v", s.Name, topo, err)
 			}
+			checkJSON(t, s)
 			analyses++
 		}
 		check(sched.Ring(topo, msg))
@@ -57,8 +60,27 @@ func TestAnalyzeEveryVariantEverySmallShape(t *testing.T) {
 			if _, err := plan.Analyze(prm, nil); err != nil {
 				t.Fatalf("%s on %v: %v", v.Name, topo, err)
 			}
+			checkJSON(t, plan.Sched)
 			analyses++
 		}
 	}
 	t.Logf("%d analyses, all clean", analyses)
+}
+
+// checkJSON requires Parse(s.JSON()) to give s's block space and every
+// transfer and copy of every step, in order.
+func checkJSON(t *testing.T, s *sched.Schedule) {
+	t.Helper()
+	js, err := s.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := sched.Parse(string(js))
+	if err != nil {
+		t.Fatalf("%s on %v: JSON does not parse: %v", s.Name, s.Topo, err)
+	}
+	same := func(a, b sched.Step) bool { return slices.Equal(a.Xfers, b.Xfers) && slices.Equal(a.Copies, b.Copies) }
+	if s2.Msg != s.Msg || s2.Blocks() != s.Blocks() || !slices.EqualFunc(s2.Steps, s.Steps, same) {
+		t.Fatalf("%s on %v: JSON round trip changed the schedule:\nwant:\n%s\ngot:\n%s", s.Name, s.Topo, s, s2)
+	}
 }

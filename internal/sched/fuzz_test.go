@@ -58,6 +58,17 @@ func FuzzParseSchedule(f *testing.F) {
 		tupleJSON(`{"xfers":[[-1,1,0,1],[0,1,0,1,-4,4,-1,-1,-1]],"copies":[[-1,0,1]]}`),
 		tupleJSON(`{"copies":[[0,0]]}`),
 		tupleJSON(`{"xfers":[{"src":0,"dst":1,"first":0,"count":1}]}`),
+		// Runs: a short and a long one that wrap their moduli, one over
+		// an explicit block space, and malformed ones (too short, past
+		// the cap, a huge length, strides negative or at their modulus).
+		`{"name":"r","nodes":2,"ppn":2,"hcas":2,"layout":"block","msg":8,"steps":[
+{"xfers":[[4,0,1,0,1,1,1,1]]},{"xfers":[[2,0,2,0,2,0,8,3,1,0,2,2,2],[3,1,0,1,1,0,8,0,0,1,1,1,1]]}]}`,
+		`{"name":"b","nodes":1,"ppn":3,"hcas":1,"layout":"block","msg":4,"blocks":9,"steps":[
+{"xfers":[[6,0,1,0,1,1,1,4]],"copies":[[0,0,9]]}]}`,
+		tupleJSON(`{"xfers":[[1,0,1,0,1,1,1,1]]}`),
+		tupleJSON(`{"xfers":[[129,0,1,0,1,0,0,0]]}`),
+		tupleJSON(`{"xfers":[[9223372036854775807,0,1,0,1,1,1,1]]}`),
+		tupleJSON(`{"xfers":[[2,0,1,0,1,-1,1,1],[2,0,1,0,1,0,4,0,0,0,1,2,1]]}`),
 	} {
 		f.Add(seed)
 	}

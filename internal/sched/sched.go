@@ -192,20 +192,8 @@ func (s *Schedule) NumTransfers() int {
 // formats nothing and allocates only for a step that could break the
 // pair limit at all.
 func (s *Schedule) Validate() error {
-	if err := s.Topo.Validate(); err != nil {
+	if err := s.validateHeader(); err != nil {
 		return err
-	}
-	if s.Msg < 0 || s.Msg > maxMsg {
-		return fmt.Errorf("sched: message size %d outside [0,%d]", s.Msg, maxMsg)
-	}
-	if s.Topo.Nodes > MaxRanks || s.Topo.PPN > MaxRanks || s.Topo.Size() > MaxRanks {
-		return fmt.Errorf("sched: topology %v exceeds the %d-rank limit", s.Topo, MaxRanks)
-	}
-	if len(s.Steps) > maxSteps {
-		return fmt.Errorf("sched: %d steps exceed the %d-step limit", len(s.Steps), maxSteps)
-	}
-	if s.NumBlocks < 0 || s.NumBlocks > maxBlocks {
-		return fmt.Errorf("sched: block space %d outside [0,%d]", s.NumBlocks, maxBlocks)
 	}
 	n := s.Topo.Size()
 	nb := s.Blocks()
@@ -257,6 +245,28 @@ func (s *Schedule) Validate() error {
 				return fmt.Errorf("sched: step %d copy %d: block range [%d,%d) out of [0,%d)", si, ci, cp.First, cp.First+cp.Count, nb)
 			}
 		}
+	}
+	return nil
+}
+
+// validateHeader is the part of Validate that reads no step but their
+// count: the topology, message size, rank limit, step limit and block
+// space.
+func (s *Schedule) validateHeader() error {
+	if err := s.Topo.Validate(); err != nil {
+		return err
+	}
+	if s.Msg < 0 || s.Msg > maxMsg {
+		return fmt.Errorf("sched: message size %d outside [0,%d]", s.Msg, maxMsg)
+	}
+	if s.Topo.Nodes > MaxRanks || s.Topo.PPN > MaxRanks || s.Topo.Size() > MaxRanks {
+		return fmt.Errorf("sched: topology %v exceeds the %d-rank limit", s.Topo, MaxRanks)
+	}
+	if len(s.Steps) > maxSteps {
+		return fmt.Errorf("sched: %d steps exceed the %d-step limit", len(s.Steps), maxSteps)
+	}
+	if s.NumBlocks < 0 || s.NumBlocks > maxBlocks {
+		return fmt.Errorf("sched: block space %d outside [0,%d]", s.NumBlocks, maxBlocks)
 	}
 	return nil
 }

@@ -86,10 +86,10 @@ type persistEntry struct {
 	Decision json.RawMessage `json:"decision"`
 }
 
-// persistVersion 2 is the tuple form of the embedded schedules; a
-// version-1 file (object transfers) is refused, and the daemon starts
-// cold.
-const persistVersion = 2
+// persistVersion 3 is the tuple form of the embedded schedules with
+// runs; a version-1 file (object transfers) or version-2 file (no run
+// tuples) is refused, and the daemon starts cold.
+const persistVersion = 3
 
 // save writes the cache in the persistence format, each decision as the
 // bytes it is served as.

@@ -33,7 +33,7 @@ func TestServerHealthz(t *testing.T) {
 
 func TestServerScheduleMissThenHit(t *testing.T) {
 	_, ts := testServer(t)
-	query := `{"nodes":4,"ppn":4,"hcas":2,"msg":4096}`
+	query := `{"nodes":4,"ppn":8,"hcas":2,"msg":4096}`
 
 	post := func() (*http.Response, []byte) {
 		t.Helper()

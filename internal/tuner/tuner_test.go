@@ -369,7 +369,7 @@ func TestLoadCacheRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.String()
-	v1 := objectForm(good)
+	v1 := objectForm(good, 4)
 	if !strings.Contains(v1, `"src":`) {
 		t.Fatalf("no transfer tuple found to rewrite in:\n%s", good)
 	}
@@ -377,7 +377,7 @@ func TestLoadCacheRejectsCorrupt(t *testing.T) {
 	// Each case names a text its error must carry, or "" for any error.
 	cases := map[string]struct{ text, why string }{
 		"not json":      {"what cache", ""},
-		"wrong version": {strings.Replace(good, `"version":2`, `"version":99`, 1), "version 99"},
+		"wrong version": {strings.Replace(good, `"version":3`, `"version":99`, 1), "version 99"},
 		"tampered key":  {strings.Replace(good, `"key":"`, `"key":"0000`, 1), ""},
 		// Changing the message size inside the decision breaks both the
 		// key derivation and the schedule match. The query precedes the
@@ -387,9 +387,11 @@ func TestLoadCacheRejectsCorrupt(t *testing.T) {
 		"fat-tree query": {strings.Replace(good, `"msg":4096`, `"fabric":"ft:arity=2,levels=2,over=2:1","msg":4096`, 1), "flat fabric"},
 		// A file saved before schedules travelled as tuples is refused by
 		// its version, and its object transfers would not be misread as
-		// tuples under the current one either.
-		"version-1 file with object transfers": {strings.Replace(v1, `"version":2`, `"version":1`, 1), "version 1, want 2"},
-		"object transfers under version 2":     {v1, "decision schedule: sched: bad JSON"},
+		// tuples under the current one either. So is one saved before
+		// runs had tuples of their own.
+		"version-1 file with object transfers":       {strings.Replace(v1, `"version":3`, `"version":1`, 1), "version 1, want 3"},
+		"object transfers under the current version": {v1, "decision schedule: sched: bad JSON"},
+		"version-2 file": {strings.Replace(good, `"version":3`, `"version":2`, 1), "version 2, want 3"},
 		// A cost the analyzer no longer gives the schedule, as a file
 		// saved under an older pricing of degraded rails carries.
 		"stale cost": {regexp.MustCompile(`"cost_us":[^,]+`).ReplaceAllString(good, `"cost_us":1`), "is stale"},
@@ -429,11 +431,12 @@ func TestLoadCacheRejectsCorrupt(t *testing.T) {
 	})
 }
 
-// objectForm rewrites every integer tuple of a saved cache file as the
-// object a version-1 file carried in its place: a transfer's off and len
-// only for a partial window, its via by name unless auto, its rail and
-// red only when set.
-func objectForm(file string) string {
+// objectForm rewrites every integer tuple of a saved cache file whose
+// schedules have n ranks as what a version-1 file carried in its place:
+// a copy or transfer object, a run as one object per transfer. A
+// transfer's off and len appear only for a partial window, its via by
+// name unless auto, its rail and red only when set.
+func objectForm(file string, n int) string {
 	return regexp.MustCompile(`\[-?\d+(,-?\d+)*\]`).ReplaceAllStringFunc(file, func(tup string) string {
 		var v []int
 		if err := json.Unmarshal([]byte(tup), &v); err != nil {
@@ -442,20 +445,29 @@ func objectForm(file string) string {
 		if len(v) == 3 {
 			return fmt.Sprintf(`{"rank":%d,"first":%d,"count":%d}`, v[0], v[1], v[2])
 		}
-		obj := fmt.Sprintf(`{"src":%d,"dst":%d,"first":%d,"count":%d`, v[0], v[1], v[2], v[3])
-		if len(v) == 9 {
-			obj += fmt.Sprintf(`,"off":%d,"len":%d`, v[4], v[5])
-			if v[6] != 0 {
-				obj += fmt.Sprintf(`,"via":%q`, sched.Via(v[6]))
-			}
-			if v[7] != 0 {
-				obj += fmt.Sprintf(`,"rail":%d`, v[7])
-			}
-			if v[8] != 0 {
-				obj += `,"red":true`
-			}
+		k, d := 1, []int{0, 0, 0}
+		if len(v) == 8 || len(v) == 13 {
+			k, d, v = v[0], v[len(v)-3:], v[1:len(v)-3]
 		}
-		return obj + "}"
+		objs := make([]string, k)
+		for j := range objs {
+			obj := fmt.Sprintf(`{"src":%d,"dst":%d,"first":%d,"count":%d`,
+				(v[0]+j*d[0])%n, (v[1]+j*d[1])%n, (v[2]+j*d[2])%n, v[3])
+			if len(v) == 9 {
+				obj += fmt.Sprintf(`,"off":%d,"len":%d`, v[4], v[5])
+				if v[6] != 0 {
+					obj += fmt.Sprintf(`,"via":%q`, sched.Via(v[6]))
+				}
+				if v[7] != 0 {
+					obj += fmt.Sprintf(`,"rail":%d`, v[7])
+				}
+				if v[8] != 0 {
+					obj += `,"red":true`
+				}
+			}
+			objs[j] = obj + "}"
+		}
+		return strings.Join(objs, ",")
 	})
 }
 
