@@ -178,6 +178,7 @@ func schedRun(args []string) error {
 	w := mpi.New(mpi.Config{Topo: s.Topo, Params: prm})
 	n := s.Topo.Size()
 	m := s.Msg
+	ix := sched.NewIndex(s)
 	bad := 0
 	err = w.Run(func(p *mpi.Proc) {
 		send := mpi.NewBuf(m)
@@ -185,7 +186,7 @@ func schedRun(args []string) error {
 			send.Data()[i] = compose.PatternByte(0, p.Rank(), i)
 		}
 		recv := mpi.NewBuf(n * m)
-		sched.Execute(p, w, s, send, recv)
+		sched.Execute(p, w, s, ix, send, recv)
 		for i, b := range recv.Data() {
 			if b != compose.ExpectByte(compose.Allgather, 0, n, m, p.Rank(), i/m, i%m) {
 				bad++

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"mha/internal/mpi"
+	"mha/internal/netmodel"
 	"mha/internal/sched"
 	"mha/internal/sim"
 )
@@ -41,10 +42,10 @@ func (ByteSum) Reduce(dst, src mpi.Buf) {
 	}
 }
 
-// Cost implements collectives.Reducer at the analyzer's fold
-// throughput, so modeled and executed reduction times agree.
+// Cost implements collectives.Reducer at netmodel.BWReduce, the
+// analyzer's fold throughput, so modeled and executed folds agree.
 func (ByteSum) Cost(n int) sim.Duration {
-	return sim.FromSeconds(float64(n) / 8e9)
+	return sim.FromSeconds(float64(n) / netmodel.BWReduce)
 }
 
 // Fold is the sched.ExecuteGoal reducer for derived schedules: charge

@@ -254,12 +254,13 @@ func TestExecutePlanLeavesPlanUntouched(t *testing.T) {
 			t.Fatalf("%s: %v", v.Name, err)
 		}
 		ref, _ := compose.Lower(v.Comp, compose.NewHierarchy(topo), m, nil)
+		ix := sched.NewIndex(plan.Sched)
 		sendLen, recvLen := compose.Geometry(v.Coll, n, m)
 		runCollect(t, topo, func(p *mpi.Proc, w *mpi.World) mpi.Buf {
 			send := mpi.NewBuf(sendLen)
 			fill(send, p.Rank())
 			recv := mpi.NewBuf(recvLen)
-			compose.ExecutePlan(p, w, plan, nil, send, recv)
+			compose.ExecutePlan(p, w, plan, ix, send, recv)
 			return recv
 		})
 		if !reflect.DeepEqual(plan, ref) {

@@ -53,11 +53,10 @@ func Runner(comp Composition) func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf
 // goal is the interpreter's native contract — so a re-derived allgather
 // is trace-identical to its hand-lowered counterpart; everything else
 // runs under the goal interpreter with the ByteSum fold. ix is the plan
-// schedule's sched.Index, or nil to have each rank list its own
-// transfers.
+// schedule's sched.Index.
 func ExecutePlan(p *mpi.Proc, w *mpi.World, plan *Plan, ix *sched.Index, send, recv mpi.Buf) {
 	if plan.Comp.Coll == Allgather {
-		sched.ExecuteIndexed(p, w, plan.Sched, ix, send, recv)
+		sched.Execute(p, w, plan.Sched, ix, send, recv)
 		return
 	}
 	ExecutePlanOn(p, w.CommWorld(), plan, ix, send, recv)

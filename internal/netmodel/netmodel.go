@@ -91,6 +91,12 @@ type Params struct {
 	AlphaPost sim.Duration
 }
 
+// BWReduce is the element-wise reduction throughput in bytes/second: a
+// memory-bound AVX2 fold on one Broadwell core. It prices every fold the
+// same way, whether the analyzer models it or a reducer executes it, so
+// it is one constant rather than a per-calibration Params field.
+const BWReduce = 8e9
+
 // Thor returns the default calibration modeled after the paper's testbed.
 func Thor() *Params {
 	return &Params{

@@ -237,66 +237,3 @@ func TestIntraBcastOfMatchesIntraBcast(t *testing.T) {
 		t.Fatal("intraBcastOf(M*L) should equal IntraBcast(M)")
 	}
 }
-
-func TestAllreduceModels(t *testing.T) {
-	m := thor(8, 32, 2)
-	n := 1 << 20
-	flat := m.FlatRingAllreduce(n)
-	ours := m.MHAAllreduce(n)
-	if ours >= flat {
-		t.Fatalf("model says MHA allreduce (%v) not faster than flat (%v)", ours, flat)
-	}
-	imp := m.AllreduceImprovement(n)
-	if imp < 0.2 || imp > 0.8 {
-		t.Fatalf("predicted improvement %.2f outside the paper's plausible band", imp)
-	}
-	single := thor(1, 1, 2)
-	if single.FlatRingAllreduce(n) != 0 || single.MHAAllreduce(n) != 0 ||
-		single.AllreduceImprovement(n) != 0 {
-		t.Fatal("single-rank allreduce should be free")
-	}
-}
-
-func TestAllreduceModelTracksSimulator(t *testing.T) {
-	// The model's predicted improvement should be in the same band as the
-	// measured Figure 15 numbers (paper: 34-56%; simulator: 37-48%).
-	m := thor(8, 32, 2)
-	imp := m.AllreduceImprovement(1 << 20)
-	if imp < 0.15 || imp > 0.7 {
-		t.Fatalf("predicted improvement %.0f%% implausible", imp*100)
-	}
-}
-
-func TestBcastModels(t *testing.T) {
-	m := thor(8, 16, 2)
-	n := 4 << 20
-	flat := m.FlatBinomialBcast(n)
-	ours := m.MHABcast(n)
-	if ours >= flat {
-		t.Fatalf("model says MHA bcast (%v) not faster than flat (%v)", ours, flat)
-	}
-	if thor(1, 1, 1).FlatBinomialBcast(n) != 0 {
-		t.Fatal("single-rank bcast should be free")
-	}
-	// Single node: just the shm pipeline.
-	intra := thor(1, 8, 2)
-	if intra.MHABcast(n) <= 0 {
-		t.Fatal("single-node MHA bcast should cost the shm pipeline")
-	}
-}
-
-// Property: both allreduce models are monotone in buffer size.
-func TestQuickAllreduceModelsMonotone(t *testing.T) {
-	m := thor(4, 8, 2)
-	f := func(a, b uint32) bool {
-		x, y := int(a%(8<<20))+1024, int(b%(8<<20))+1024
-		if x > y {
-			x, y = y, x
-		}
-		return m.FlatRingAllreduce(x) <= m.FlatRingAllreduce(y) &&
-			m.MHAAllreduce(x) <= m.MHAAllreduce(y)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}

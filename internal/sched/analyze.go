@@ -712,9 +712,9 @@ func (a *analysis) price(st *Step) sim.Duration {
 			rep.WireBytes += int64(t.Len)
 		}
 		if t.Red {
-			// The destination folds the arrived bytes into its copy;
-			// priced like the byte-wise reducers charge compute.
-			busyCPU[t.Dst] += sim.FromSeconds(float64(t.Len) / reduceBW)
+			// The destination folds the arrived bytes into its copy at
+			// the rate every reducer charges.
+			busyCPU[t.Dst] += sim.FromSeconds(float64(t.Len) / netmodel.BWReduce)
 			rep.Reduces++
 		}
 		rep.Transfers++
@@ -865,11 +865,6 @@ func (a *analysis) canonical() []int32 {
 	a.canon = canon
 	return canon
 }
-
-// reduceBW is the fold bandwidth (bytes/s) charged to the destination
-// CPU per reducing delivery, matching the byte-wise reducers' cost
-// model (collectives.Float64Sum and compose's byte-sum both use 8 GB/s).
-const reduceBW = 8e9
 
 // hcaPiece prices one rail piece of an adapter transfer as the runtime
 // charges it: mpi.sendHCA's healthy occupation (startup, the rendezvous

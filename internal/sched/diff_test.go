@@ -112,8 +112,9 @@ func TestDifferential(t *testing.T) {
 					if _, err := Analyze(s, prm); err != nil {
 						t.Fatalf("lowered %s schedule invalid: %v", v.name, err)
 					}
+					ix := NewIndex(s)
 					run := func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
-						Execute(p, w, s, send, recv)
+						Execute(p, w, s, ix, send, recv)
 					}
 					gotS, hashS1 := runReal(t, topo, m, run)
 					_, hashS2 := runReal(t, topo, m, run)

@@ -106,7 +106,7 @@ func TestExecuteRefusesReducingTransfers(t *testing.T) {
 	g := AllgatherGoal(topo.Size())
 	w := mpi.New(mpi.Config{Topo: topo, Params: prm, Phantom: true})
 	phantom := func(rng Range) mpi.Buf { return mpi.Phantom(rng.Count * s.Msg) }
-	err := w.Run(func(p *mpi.Proc) { ExecuteGoal(p, w.CommWorld(), s, nil, g, phantom, phantom, nil) })
+	err := w.Run(func(p *mpi.Proc) { ExecuteGoal(p, w.CommWorld(), s, NewIndex(s), g, phantom, phantom, nil) })
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("ExecuteGoal without a reducer: err = %v, want one naming %q", err, want)
 	}

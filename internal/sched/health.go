@@ -135,6 +135,6 @@ func SimulateHealth(topo topology.Cluster, prm *netmodel.Params, s *Schedule, he
 	}
 	ix := NewIndex(s)
 	return simulate(topo, prm, fsched, func(p *mpi.Proc, w *mpi.World) {
-		ExecuteIndexed(p, w, s, ix, mpi.Phantom(s.Msg), mpi.Phantom(s.Msg*p.Size()))
+		Execute(p, w, s, ix, mpi.Phantom(s.Msg), mpi.Phantom(s.Msg*p.Size()))
 	})
 }

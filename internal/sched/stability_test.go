@@ -42,11 +42,12 @@ func TestExecutorTagContract(t *testing.T) {
 	if _, err := Analyze(s, nil); err != nil {
 		t.Fatal(err)
 	}
+	ix := NewIndex(s)
 
 	interpreters := map[string]func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf){
-		"Execute": func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) { Execute(p, w, s, send, recv) },
+		"Execute": func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) { Execute(p, w, s, ix, send, recv) },
 		"ExecuteGoal": func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
-			ExecuteGoal(p, w.CommWorld(), s, nil, AllgatherGoal(2),
+			ExecuteGoal(p, w.CommWorld(), s, ix, AllgatherGoal(2),
 				func(Range) mpi.Buf { return send }, func(Range) mpi.Buf { return recv }, nil)
 		},
 	}

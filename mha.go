@@ -279,10 +279,13 @@ var (
 	// ParseSchedule reads the text form or the JSON form, whose
 	// transfers and copies are integer tuples (see Schedule.String and
 	// Schedule.JSON); AnalyzeSchedule checks invariants and prices the
-	// critical path; ExecuteSchedule runs a valid schedule as this rank's
-	// share of an allgather; SimulateSchedule measures one phantom run.
+	// critical path; NewScheduleIndex lists every rank's transfers once
+	// per schedule, and ExecuteSchedule runs a valid schedule with that
+	// shared index as this rank's share of an allgather; SimulateSchedule
+	// measures one phantom run.
 	ParseSchedule    = sched.Parse
 	AnalyzeSchedule  = sched.Analyze
+	NewScheduleIndex = sched.NewIndex
 	ExecuteSchedule  = sched.Execute
 	SimulateSchedule = sched.Simulate
 	// SynthesizeSchedule searches schedule space for a machine and
