@@ -2,38 +2,22 @@ package explore
 
 import "mha/internal/verify"
 
-// shrinkSpec greedily minimizes a failing explored schedule, mirroring
-// verify.Shrink's contract: vs must be the violations s already
-// exhibited, the returned violations belong to the returned spec, and at
-// most budget candidate replays are spent. Candidates that fail to
-// replay (their choices no longer fit the frontiers of the reduced
-// world) are charged against the budget and discarded.
+// shrinkSpec greedily minimizes a failing explored schedule with
+// verify.ShrinkBy, under verify.Shrink's contract: vs must be the
+// violations s already exhibited, the returned violations belong to the
+// returned spec, and at most budget candidate replays are spent.
+// Candidates that fail to replay (their choices no longer fit the
+// frontiers of the reduced world) are charged against the budget and
+// discarded.
 func shrinkSpec(s Spec, vs []verify.Violation, budget int) (Spec, []verify.Violation, int) {
-	cur, curVs := s, vs
-	used := 0
-	for used < budget {
-		improved := false
-		for _, cand := range shrinkCandidates(cur) {
-			if used >= budget {
-				break
-			}
-			if cand.String() == cur.String() || cand.Validate() != nil {
-				continue
-			}
-			used++
+	return verify.ShrinkBy(s, vs, budget, shrinkCandidates, Spec.String, Spec.Validate,
+		func(cand Spec) []verify.Violation {
 			cvs, err := Replay(cand)
-			if err != nil || len(cvs) == 0 {
-				continue
+			if err != nil {
+				return nil
 			}
-			cur, curVs = cand, cvs
-			improved = true
-			break
-		}
-		if !improved {
-			break
-		}
-	}
-	return cur, curVs, used
+			return cvs
+		})
 }
 
 // shrinkCandidates proposes one-step reductions, most aggressive first:
