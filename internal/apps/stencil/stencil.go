@@ -112,12 +112,12 @@ func Run(cfg Config) (Result, error) {
 			// Halo exchange: send edges, receive neighbors' edges.
 			var reqs []*mpi.Request
 			if left >= 0 {
-				reqs = append(reqs, proc.Isend(c, left, mpi.Tag(it, 0, 1), cell(cur[1], cfg.Phantom)))
-				reqs = append(reqs, proc.Irecv(c, left, mpi.Tag(it, 0, 2)))
+				reqs = append(reqs, proc.Isend(c, left, mpi.Tag(it, mpi.PhaseHalo, 1), cell(cur[1], cfg.Phantom)))
+				reqs = append(reqs, proc.Irecv(c, left, mpi.Tag(it, mpi.PhaseHalo, 2)))
 			}
 			if right < p {
-				reqs = append(reqs, proc.Isend(c, right, mpi.Tag(it, 0, 2), cell(cur[per], cfg.Phantom)))
-				reqs = append(reqs, proc.Irecv(c, right, mpi.Tag(it, 0, 1)))
+				reqs = append(reqs, proc.Isend(c, right, mpi.Tag(it, mpi.PhaseHalo, 2), cell(cur[per], cfg.Phantom)))
+				reqs = append(reqs, proc.Irecv(c, right, mpi.Tag(it, mpi.PhaseHalo, 1)))
 			}
 			idx := 0
 			if left >= 0 {

@@ -60,8 +60,8 @@ func Contended(groups int) func(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
 				if j == gi {
 					continue
 				}
-				recvs[j] = p.Irecv(lc, j, mpi.Tag(ep, 1, j))
-				reqs = append(reqs, p.Isend(lc, j, mpi.Tag(ep, 1, gi), recv.Slice(lo*m, (hi-lo)*m)))
+				recvs[j] = p.Irecv(lc, j, mpi.Tag(ep, mpi.PhaseContended, j))
+				reqs = append(reqs, p.Isend(lc, j, mpi.Tag(ep, mpi.PhaseContended, gi), recv.Slice(lo*m, (hi-lo)*m)))
 			}
 			for j := 0; j < g; j++ {
 				if j == gi {

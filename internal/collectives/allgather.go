@@ -17,23 +17,6 @@ import (
 	"mha/internal/mpi"
 )
 
-// Phase ids used in message tags, one per algorithm family, so different
-// algorithms can never match each other's traffic even within one epoch.
-const (
-	phaseRing = iota
-	phaseRD
-	phaseBruck
-	phaseDirect
-	phaseGather
-	phaseLeader
-	phaseBcast
-	phaseRS // reduce-scatter
-	phaseARAG
-	phaseLocGather // locality family: intra-group gather to the group leader
-	phaseLocX      // locality family: inter-group exchange
-	phaseLocBcast  // locality family: intra-group distribution
-)
-
 // checkAllgatherArgs validates an allgather call: recv must hold exactly
 // Size contributions of send's length.
 func checkAllgatherArgs(c *mpi.Comm, send, recv mpi.Buf) {
@@ -61,7 +44,7 @@ func RingAllgather(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf) {
 	left := (me - 1 + n) % n
 	cur := me
 	for s := 0; s < n-1; s++ {
-		tag := mpi.Tag(epoch, phaseRing, s)
+		tag := mpi.Tag(epoch, mpi.PhaseRing, s)
 		rreq := p.Irecv(c, left, tag)
 		sreq := p.Isend(c, right, tag, recv.Slice(cur*m, m))
 		cur = (cur - 1 + n) % n
@@ -90,7 +73,7 @@ func RDAllgather(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf) {
 	blockLen := 1
 	for dist := 1; dist < n; dist *= 2 {
 		peer := me ^ dist
-		tag := mpi.Tag(epoch, phaseRD, dist)
+		tag := mpi.Tag(epoch, mpi.PhaseRD, dist)
 		own := recv.Slice(blockStart*m, blockLen*m)
 		got := p.SendRecv(c, peer, tag, own, peer, tag)
 		peerStart := blockStart ^ dist // the peer's block is the sibling
@@ -121,7 +104,7 @@ func BruckAllgather(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf) {
 		}
 		dst := (me - pow + n) % n
 		src := (me + pow) % n
-		tag := mpi.Tag(epoch, phaseBruck, step)
+		tag := mpi.Tag(epoch, mpi.PhaseBruck, step)
 		got := p.SendRecv(c, dst, tag, tmp.Slice(0, cnt*m), src, tag)
 		tmp.Slice(filled*m, cnt*m).CopyFrom(got)
 		filled += cnt
@@ -148,7 +131,7 @@ func DirectSpreadAllgather(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf) {
 	for s := 1; s < n; s++ {
 		dst := (me + s) % n
 		src := (me - s + n) % n
-		tag := mpi.Tag(epoch, phaseDirect, s)
+		tag := mpi.Tag(epoch, mpi.PhaseDirect, s)
 		rreq := p.Irecv(c, src, tag)
 		sreq := p.Isend(c, dst, tag, send)
 		p.WaitInto(rreq, recv.Slice(src*m, m), nil)
@@ -186,7 +169,7 @@ func NeighborExchangeAllgather(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf) {
 		peer = (me - 1 + n) % n
 		prevLo = peer
 	}
-	tag := mpi.Tag(epoch, phaseDirect, 1<<10|1)
+	tag := mpi.Tag(epoch, mpi.PhaseDirect, 1<<10|1)
 	got := p.SendRecv(c, peer, tag, recv.Slice(me*m, m), peer, tag)
 	recv.Slice(peer*m, m).CopyFrom(got)
 
@@ -212,7 +195,7 @@ func NeighborExchangeAllgather(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf) {
 				lo = (me - k + n) % n
 			}
 		}
-		tag := mpi.Tag(epoch, phaseDirect, 1<<10|k)
+		tag := mpi.Tag(epoch, mpi.PhaseDirect, 1<<10|k)
 		got := p.SendRecv(c, peer, tag, recv.Slice(prevLo*m, 2*m), peer, tag)
 		recv.Slice(lo*m, 2*m).CopyFrom(got)
 		prevLo = lo

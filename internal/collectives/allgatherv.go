@@ -6,8 +6,6 @@ import (
 	"mha/internal/mpi"
 )
 
-const phaseAGV = 21
-
 // vOffsets returns the receive-buffer offset of each rank's block and the
 // total size for variable counts.
 func vOffsets(counts []int) (offs []int, total int) {
@@ -47,7 +45,7 @@ func RingAllgatherv(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf, counts []int) 
 	left := (me - 1 + n) % n
 	cur := me
 	for s := 0; s < n-1; s++ {
-		tag := mpi.Tag(epoch, phaseAGV, s)
+		tag := mpi.Tag(epoch, mpi.PhaseAGV, s)
 		rreq := p.Irecv(c, left, tag)
 		sreq := p.Isend(c, right, tag, recv.Slice(offs[cur], counts[cur]))
 		cur = (cur - 1 + n) % n

@@ -2,13 +2,6 @@ package collectives
 
 import "mha/internal/mpi"
 
-// Additional tag phases for the broadcast/reduce/alltoall family.
-const (
-	phaseBcast2 = 16
-	phaseReduce = 17
-	phaseA2A    = 20
-)
-
 // BinomialBcast broadcasts root's buffer to every rank of c along a
 // binomial tree: log2(N) rounds, with the set of holders doubling each
 // round. This is the classic flat baseline for MPI_Bcast.
@@ -28,7 +21,7 @@ func BinomialBcast(p *mpi.Proc, c *mpi.Comm, root int, buf mpi.Buf) {
 	for mask < n {
 		if rel&mask != 0 {
 			src := (rel - mask + root) % n
-			p.WaitInto(p.Irecv(c, src, mpi.Tag(epoch, phaseBcast2, mask)), buf, nil)
+			p.WaitInto(p.Irecv(c, src, mpi.Tag(epoch, mpi.PhaseBcast, mask)), buf, nil)
 			break
 		}
 		mask <<= 1
@@ -36,7 +29,7 @@ func BinomialBcast(p *mpi.Proc, c *mpi.Comm, root int, buf mpi.Buf) {
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if rel+mask < n {
 			dst := (rel + mask + root) % n
-			p.Send(c, dst, mpi.Tag(epoch, phaseBcast2, mask), buf)
+			p.Send(c, dst, mpi.Tag(epoch, mpi.PhaseBcast, mask), buf)
 		}
 	}
 }
@@ -61,7 +54,7 @@ func BinomialReduce(p *mpi.Proc, c *mpi.Comm, root int, buf mpi.Buf, red Reducer
 	for mask := top >> 1; mask >= 1; mask >>= 1 {
 		if rel&(mask-1) == 0 && rel&mask == 0 && rel+mask < n {
 			src := (rel + mask + root) % n
-			got := p.Recv(c, src, mpi.Tag(epoch, phaseReduce, mask))
+			got := p.Recv(c, src, mpi.Tag(epoch, mpi.PhaseReduce, mask))
 			red.Reduce(buf, got)
 			p.Compute(red.Cost(buf.Len()))
 		}
@@ -72,7 +65,7 @@ func BinomialReduce(p *mpi.Proc, c *mpi.Comm, root int, buf mpi.Buf, red Reducer
 			mask <<= 1
 		}
 		parent := (rel&^mask + root) % n
-		p.Send(c, parent, mpi.Tag(epoch, phaseReduce, mask), buf)
+		p.Send(c, parent, mpi.Tag(epoch, mpi.PhaseReduce, mask), buf)
 	}
 }
 
@@ -91,7 +84,7 @@ func PairwiseAlltoall(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf) {
 	for s := 1; s < n; s++ {
 		dst := (me + s) % n
 		src := (me - s + n) % n
-		tag := mpi.Tag(epoch, phaseA2A, s)
+		tag := mpi.Tag(epoch, mpi.PhaseA2A, s)
 		got := p.SendRecv(c, dst, tag, send.Slice(dst*m, m), src, tag)
 		recv.Slice(src*m, m).CopyFrom(got)
 	}

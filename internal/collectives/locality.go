@@ -68,8 +68,8 @@ func localityAllgather(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf, exchange lo
 		// leader assembled (phase 3). The ByRef handoff costs nothing; the
 		// CMA pulls carry the real intra-node price.
 		leader := mine[0]
-		p.Send(c, leader, mpi.Tag(epoch, phaseLocGather, slot), send, mpi.ByRef())
-		p.WaitInto(p.Irecv(c, leader, mpi.Tag(epoch, phaseLocBcast, slot)), recv, nil)
+		p.Send(c, leader, mpi.Tag(epoch, mpi.PhaseLocGather, slot), send, mpi.ByRef())
+		p.WaitInto(p.Irecv(c, leader, mpi.Tag(epoch, mpi.PhaseLocBcast, slot)), recv, nil)
 		p.ChargeCMA(n * m)
 		return
 	}
@@ -84,7 +84,7 @@ func localityAllgather(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf, exchange lo
 	}
 	tmp.Slice(off[g], m).CopyFrom(send)
 	for j := 1; j < k; j++ {
-		p.WaitInto(p.Irecv(c, mine[j], mpi.Tag(epoch, phaseLocGather, j)), tmp.Slice(off[g]+j*m, m), nil)
+		p.WaitInto(p.Irecv(c, mine[j], mpi.Tag(epoch, mpi.PhaseLocGather, j)), tmp.Slice(off[g]+j*m, m), nil)
 		p.ChargeCMA(m)
 	}
 	p.ChargeCopy(k * m)
@@ -107,7 +107,7 @@ func localityAllgather(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf, exchange lo
 	if k > 1 {
 		reqs := make([]*mpi.Request, 0, k-1)
 		for j := 1; j < k; j++ {
-			reqs = append(reqs, p.Isend(c, mine[j], mpi.Tag(epoch, phaseLocBcast, j), recv, mpi.ByRef()))
+			reqs = append(reqs, p.Isend(c, mine[j], mpi.Tag(epoch, mpi.PhaseLocBcast, j), recv, mpi.ByRef()))
 		}
 		for _, r := range reqs {
 			p.Wait(r)
@@ -127,7 +127,7 @@ func LocalityP2PAllgather(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf) {
 			for s := 1; s < G; s++ {
 				dst := (g + s) % G
 				src := (g - s + G) % G
-				tag := mpi.Tag(epoch, phaseLocX, s)
+				tag := mpi.Tag(epoch, mpi.PhaseLocX, s)
 				rreq := p.Irecv(c, groups[src][0], tag)
 				sreq := p.Isend(c, groups[dst][0], tag, own)
 				p.WaitInto(rreq, tmp.Slice(off[src], off[src+1]-off[src]), nil)
@@ -148,7 +148,7 @@ func LocalityRingAllgather(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf) {
 			left := groups[(g-1+G)%G][0]
 			cur := g
 			for s := 0; s < G-1; s++ {
-				tag := mpi.Tag(epoch, phaseLocX, s)
+				tag := mpi.Tag(epoch, mpi.PhaseLocX, s)
 				rreq := p.Irecv(c, left, tag)
 				sreq := p.Isend(c, right, tag, tmp.Slice(off[cur], off[cur+1]-off[cur]))
 				cur = (cur - 1 + G) % G
@@ -185,7 +185,7 @@ func LocalityBruckAllgather(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf) {
 				}
 				dst := (g - pow + G) % G
 				src := (g + pow) % G
-				tag := mpi.Tag(epoch, phaseLocX, step)
+				tag := mpi.Tag(epoch, mpi.PhaseLocX, step)
 				got := p.SendRecv(c, groups[dst][0], tag, stage.Slice(0, rot[cnt]), groups[src][0], tag)
 				stage.Slice(rot[filled], rot[filled+cnt]-rot[filled]).CopyFrom(got)
 				filled += cnt
@@ -242,7 +242,7 @@ func HierBruckMLAllgather(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf) {
 				continue
 			}
 			pending = append(pending, p.Isend(c, groups[g][jj],
-				mpi.Tag(epoch, phaseLocBcast, round), tmpJ.Slice(lo*m, cnt*m), mpi.ByRef()))
+				mpi.Tag(epoch, mpi.PhaseLocBcast, round), tmpJ.Slice(lo*m, cnt*m), mpi.ByRef()))
 		}
 		for i := lo; i < lo+cnt; i++ {
 			recv.Slice(groups[(g+i)%G][j]*m, m).CopyFrom(tmpJ.Slice(i*m, m))
@@ -252,7 +252,7 @@ func HierBruckMLAllgather(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf) {
 			if jj == j {
 				continue
 			}
-			got := p.Recv(c, groups[g][jj], mpi.Tag(epoch, phaseLocBcast, round))
+			got := p.Recv(c, groups[g][jj], mpi.Tag(epoch, mpi.PhaseLocBcast, round))
 			p.ChargeCMA(cnt * m)
 			for i := lo; i < lo+cnt; i++ {
 				recv.Slice(groups[(g+i)%G][jj]*m, m).CopyFrom(got.Slice((i-lo)*m, m))
@@ -273,7 +273,7 @@ func HierBruckMLAllgather(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf) {
 		}
 		dst := groups[(g-pow+G)%G][j]
 		src := groups[(g+pow)%G][j]
-		tag := mpi.Tag(epoch, phaseLocX, step)
+		tag := mpi.Tag(epoch, mpi.PhaseLocX, step)
 		rreq := p.Irecv(c, src, tag)
 		sreq := p.Isend(c, dst, tag, tmpJ.Slice(0, cnt*m))
 		share(step, prevLo, prevCnt) // CPU shares round s while NICs run step s+1

@@ -72,7 +72,7 @@ func MultiLeaderAllgather(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf, groups 
 		B := grpSize * m
 		cur := me
 		for s := 0; s < nl-1; s++ {
-			tag := mpi.Tag(epoch, phaseLeader, s)
+			tag := mpi.Tag(epoch, mpi.PhaseLeader, s)
 			rreq := p.Irecv(lc, left, tag)
 			sreq := p.Isend(lc, right, tag, recv.Slice(cur*B, B))
 			cur = (me - s - 1 + nl) % nl

@@ -148,12 +148,12 @@ func gatherToLeader(p *mpi.Proc, nodeComm *mpi.Comm, epoch int, send, nodeBlock 
 	m := send.Len()
 	l := nodeComm.Rank(p)
 	if l != 0 {
-		p.Send(nodeComm, 0, mpi.Tag(epoch, phaseGather, l), send, mpi.ByRef())
+		p.Send(nodeComm, 0, mpi.Tag(epoch, mpi.PhaseGather, l), send, mpi.ByRef())
 		return
 	}
 	p.LocalCopy(nodeBlock.Slice(0, m), send)
 	for peer := 1; peer < nodeComm.Size(); peer++ {
-		p.WaitInto(p.Irecv(nodeComm, peer, mpi.Tag(epoch, phaseGather, peer)), nodeBlock.Slice(peer*m, m), nil)
+		p.WaitInto(p.Irecv(nodeComm, peer, mpi.Tag(epoch, mpi.PhaseGather, peer)), nodeBlock.Slice(peer*m, m), nil)
 		p.ChargeCMA(m)
 	}
 }
@@ -208,7 +208,7 @@ func leaderRing(p *mpi.Proc, lc *mpi.Comm, epoch int, recv mpi.Buf, B, node int,
 
 	cur := node // node whose block we forward next
 	for s := 0; s < n-1; s++ {
-		tag := mpi.Tag(epoch, phaseLeader, s)
+		tag := mpi.Tag(epoch, mpi.PhaseLeader, s)
 		rreq := p.Irecv(lc, left, tag)
 		sreq := p.Isend(lc, right, tag, recv.Slice(cur*B, B))
 		if overlap {
@@ -260,7 +260,7 @@ func leaderRD(p *mpi.Proc, lc *mpi.Comm, epoch int, recv mpi.Buf, B, node int, s
 	for dist := 1; dist < n; dist *= 2 {
 		peer := me ^ dist
 		base = base &^ (dist - 1)
-		tag := mpi.Tag(epoch, phaseLeader, dist)
+		tag := mpi.Tag(epoch, mpi.PhaseLeader, dist)
 		own := recv.Slice(base*B, dist*B)
 		rreq := p.Irecv(lc, peer, tag)
 		sreq := p.Isend(lc, peer, tag, own)

@@ -7,11 +7,6 @@ import (
 	"mha/internal/mpi"
 )
 
-const (
-	phaseVGather = 29 + iota
-	phaseVLeader
-)
-
 // MHAAllgatherv is the hierarchical, multi-rail-aware MPI_Allgatherv:
 // rank r contributes counts[r] bytes (world-rank indexed). The design is
 // the MHA-inter template with variable block sizes — leader-pull node
@@ -56,12 +51,12 @@ func MHAAllgatherv(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf, counts []int) 
 
 	// Phase 1: leader-pull gather of the node block.
 	if !p.IsLeader() {
-		p.Send(c, topo.LeaderOf(node), mpi.Tag(epoch, phaseVGather, p.Local()), send, mpi.ByRef())
+		p.Send(c, topo.LeaderOf(node), mpi.Tag(epoch, mpi.PhaseVGather, p.Local()), send, mpi.ByRef())
 	} else {
 		p.LocalCopy(recv.Slice(offs[me], counts[me]), send)
 		for l := 1; l < L; l++ {
 			src := topo.RankOf(node, l)
-			p.WaitInto(p.Irecv(c, src, mpi.Tag(epoch, phaseVGather, l)), recv.Slice(offs[src], counts[src]), nil)
+			p.WaitInto(p.Irecv(c, src, mpi.Tag(epoch, mpi.PhaseVGather, l)), recv.Slice(offs[src], counts[src]), nil)
 			p.ChargeCMA(counts[src])
 		}
 	}
@@ -92,7 +87,7 @@ func MHAAllgatherv(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf, counts []int) 
 		left := (node - 1 + N) % N
 		cur := node
 		for s := 0; s < N-1; s++ {
-			tag := mpi.Tag(epoch, phaseVLeader, s)
+			tag := mpi.Tag(epoch, mpi.PhaseVLeader, s)
 			rreq := p.Irecv(lc, left, tag)
 			sreq := p.Isend(lc, right, tag, recv.Slice(nodeOff[cur], nodeLen[cur]))
 			// Publish the block already held while the wire is busy.

@@ -21,15 +21,6 @@ import (
 	"mha/internal/perfmodel"
 )
 
-// Tag phase ids private to the MHA algorithms. (Phases 0-8 belong to the
-// flat algorithms in internal/collectives; collisions would be harmless —
-// every collective invocation gets its own epoch — but distinct ids keep
-// traces and tag dumps unambiguous.)
-const (
-	phaseIntraCPU = 10 + iota // direct-spread transfer carried by the CPU
-	phaseIntraHCA             // transfer (or split remainder) carried by HCAs
-)
-
 // AutoOffload asks MHAIntraAllgatherD to derive the offload from
 // Equation (1).
 const AutoOffload = -1
@@ -98,10 +89,10 @@ func MHAIntraAllgatherD(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf, d float64)
 		src := (me - s + L) % L
 		cpuN, hcaN := plan[s].cpu, plan[s].hca
 		if cpuN > 0 {
-			recvs = append(recvs, pending{p.Irecv(c, src, mpi.Tag(epoch, phaseIntraCPU, s)), src, 0, cpuN})
+			recvs = append(recvs, pending{p.Irecv(c, src, mpi.Tag(epoch, mpi.PhaseIntraCPU, s)), src, 0, cpuN})
 		}
 		if hcaN > 0 {
-			recvs = append(recvs, pending{p.Irecv(c, src, mpi.Tag(epoch, phaseIntraHCA, s)), src, cpuN, hcaN})
+			recvs = append(recvs, pending{p.Irecv(c, src, mpi.Tag(epoch, mpi.PhaseIntraHCA, s)), src, cpuN, hcaN})
 		}
 	}
 
@@ -113,7 +104,7 @@ func MHAIntraAllgatherD(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf, d float64)
 			dst := (me + s) % L
 			off := plan[s].cpu
 			sends = append(sends,
-				p.Isend(c, dst, mpi.Tag(epoch, phaseIntraHCA, s), send.Slice(off, n), mpi.ViaHCA()))
+				p.Isend(c, dst, mpi.Tag(epoch, mpi.PhaseIntraHCA, s), send.Slice(off, n), mpi.ViaHCA()))
 		}
 	}
 
@@ -124,7 +115,7 @@ func MHAIntraAllgatherD(p *mpi.Proc, c *mpi.Comm, send, recv mpi.Buf, d float64)
 	for s := 1; s < L; s++ {
 		if n := plan[s].cpu; n > 0 {
 			dst := (me + s) % L
-			p.Send(c, dst, mpi.Tag(epoch, phaseIntraCPU, s), send.Slice(0, n))
+			p.Send(c, dst, mpi.Tag(epoch, mpi.PhaseIntraCPU, s), send.Slice(0, n))
 		}
 	}
 

@@ -15,12 +15,6 @@ import (
 	"mha/internal/mpi"
 )
 
-const (
-	phaseMBcast  = 24
-	phaseMReduce = 25
-	phaseMA2A    = 28
-)
-
 // bcastChunk is the pipeline granularity of the shared-memory broadcast
 // stage: small enough to overlap, large enough to amortize alpha_L.
 const bcastChunk = 256 << 10
@@ -40,10 +34,10 @@ func MHABcast(p *mpi.Proc, w *mpi.World, root int, buf mpi.Buf) {
 
 	// Phase A: move the payload from root to its node's leader.
 	if me == root && !p.IsLeader() {
-		p.Send(c, topo.LeaderOf(rootNode), mpi.Tag(epoch, phaseMBcast, 1<<12), buf)
+		p.Send(c, topo.LeaderOf(rootNode), mpi.Tag(epoch, mpi.PhaseMBcast, 1<<12), buf)
 	}
 	if p.IsLeader() && p.Node() == rootNode && me != root {
-		p.WaitInto(p.Irecv(c, root, mpi.Tag(epoch, phaseMBcast, 1<<12)), buf, nil)
+		p.WaitInto(p.Irecv(c, root, mpi.Tag(epoch, mpi.PhaseMBcast, 1<<12)), buf, nil)
 	}
 
 	// Phase B: binomial broadcast over the leaders (world ranks of local 0).
@@ -100,10 +94,10 @@ func MHAReduce(p *mpi.Proc, w *mpi.World, root int, buf mpi.Buf, red collectives
 	if !topo.IsLeader(root) {
 		lead := topo.LeaderOf(rootNode)
 		if p.Rank() == lead {
-			p.Send(c, root, mpi.Tag(epoch, phaseMReduce, 1<<12), buf)
+			p.Send(c, root, mpi.Tag(epoch, mpi.PhaseMReduce, 1<<12), buf)
 		}
 		if p.Rank() == root {
-			p.WaitInto(p.Irecv(c, lead, mpi.Tag(epoch, phaseMReduce, 1<<12)), buf, nil)
+			p.WaitInto(p.Irecv(c, lead, mpi.Tag(epoch, mpi.PhaseMReduce, 1<<12)), buf, nil)
 		}
 	}
 }
@@ -167,14 +161,14 @@ func MHAAlltoall(p *mpi.Proc, w *mpi.World, send, recv mpi.Buf) {
 		order := make([]int, 0, N-1)
 		for s := 1; s < N; s++ {
 			srcN := (node - s + N) % N
-			reqs = append(reqs, p.Irecv(lc, srcN, mpi.Tag(epoch, phaseMA2A, s)))
+			reqs = append(reqs, p.Irecv(lc, srcN, mpi.Tag(epoch, mpi.PhaseMA2A, s)))
 			order = append(order, srcN)
 		}
 		sends := make([]*mpi.Request, 0, N-1)
 		for s := 1; s < N; s++ {
 			dstN := (node + s) % N
 			blk := out.Region(dstN*pair, pair)
-			sends = append(sends, p.Isend(lc, dstN, mpi.Tag(epoch, phaseMA2A, s), blk))
+			sends = append(sends, p.Isend(lc, dstN, mpi.Tag(epoch, mpi.PhaseMA2A, s), blk))
 		}
 		for i, rq := range reqs {
 			got := p.Wait(rq)

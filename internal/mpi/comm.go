@@ -146,18 +146,6 @@ func bump(byComm *[]int, id int) int {
 	return (*byComm)[id] - 1
 }
 
-// Tag composes a collision-free message tag from a collective epoch, a
-// phase id (5 bits) and a step number (16 bits).
-func Tag(epoch, phase, step int) int {
-	if phase < 0 || phase > 31 {
-		panic(fmt.Sprintf("mpi: tag phase %d out of range", phase))
-	}
-	if step < 0 || step >= 1<<16 {
-		panic(fmt.Sprintf("mpi: tag step %d out of range", step))
-	}
-	return epoch<<21 | phase<<16 | step
-}
-
 // Barrier blocks until every rank of the communicator has entered the same
 // barrier generation. It is a synchronization fence in virtual time with no
 // modeled network cost; benchmarks use it to align ranks before timing.
