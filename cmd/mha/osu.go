@@ -105,17 +105,15 @@ func osuTest(name, title, unit string, measure func(osuCase) float64) tool {
 	}}
 }
 
+// profileOf finds the modeled library whose name, lowercased with its
+// dashes dropped, is lib ("HPC-X" is hpcx, "MVAPICH2-X" mvapich2x).
 func profileOf(lib string) (collectives.Profile, bool) {
-	switch lib {
-	case "hpcx":
-		return collectives.HPCX(), true
-	case "mvapich2x":
-		return collectives.MVAPICH2X(), true
-	case "mha":
-		return core.Profile(), true
-	default:
-		return collectives.Profile{}, false
+	for _, prof := range bench.Profiles() {
+		if strings.ToLower(strings.ReplaceAll(prof.Name, "-", "")) == lib {
+			return prof, true
+		}
 	}
+	return collectives.Profile{}, false
 }
 
 func measureBcast(topo topology.Cluster, prm *netmodel.Params, m int, lib string) sim.Duration {
