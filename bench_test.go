@@ -325,17 +325,6 @@ func BenchmarkExtCollectives(b *testing.B) {
 			core.MHAAlltoall(p, w, mpi.Phantom(n), mpi.Phantom(n))
 		})
 	})
-	b.Run("allgatherv-mha", func(b *testing.B) {
-		measure(b, func(p *mpi.Proc, w *mpi.World) {
-			counts := make([]int, p.Size())
-			total := 0
-			for i := range counts {
-				counts[i] = 16<<10 + i*1024
-				total += counts[i]
-			}
-			core.MHAAllgatherv(p, w, mpi.Phantom(counts[p.Rank()]), mpi.Phantom(total), counts)
-		})
-	})
 }
 
 func BenchmarkExtJitterDistribution(b *testing.B) {

@@ -19,18 +19,17 @@ func TestRegistryCoversEveryFigure(t *testing.T) {
 		"abl-leaders", "ext-numa", "ext-coll", "ext-noise", "ext-fabric", "ext-overhead", "ext-apps",
 		"ext-validate", "ext-faults", "sched", "cluster", "compose", "fabric",
 	}
-	ids := IDs()
 	have := map[string]bool{}
-	for _, id := range ids {
-		have[id] = true
+	for _, e := range registry {
+		have[e.ID] = true
 	}
 	for _, id := range want {
 		if !have[id] {
 			t.Errorf("experiment %q missing from registry", id)
 		}
 	}
-	if len(ids) != len(want) {
-		t.Errorf("registry has %d experiments, want %d", len(ids), len(want))
+	if len(registry) != len(want) {
+		t.Errorf("registry has %d experiments, want %d", len(registry), len(want))
 	}
 }
 

@@ -54,15 +54,6 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// IDs lists all experiment ids.
-func IDs() []string {
-	ids := make([]string, len(registry))
-	for i, e := range registry {
-		ids[i] = e.ID
-	}
-	return ids
-}
-
 func init() {
 	register("1", "pt2pt bandwidth: intra-node CMA vs inter-node 1/2 HCAs", runFig1)
 	register("2", "ring allgather timeline, 2 nodes 2 PPN (TAU-style)", runFig2)

@@ -188,14 +188,8 @@ type runInfo struct {
 	busyAt    sim.Duration // rail busy-time on the job's nodes at dispatch
 }
 
-// Validate reports why the configuration or job list is not runnable.
-func Validate(cfg Config, jobs []JobSpec) error {
-	_, err := validate(cfg, jobs)
-	return err
-}
-
-// validate is Validate, which on success also returns every job's
-// assignment but its communicator. A compose-derived job's flat
+// validate reports why the configuration or job list is not runnable,
+// and on success returns every job's assignment but its communicator. A compose-derived job's flat
 // composition is lowered for its rank count and its schedule indexed
 // here, once for all its ranks, the shared run and the isolated baseline
 // alike; the other collectives have no plan. Lowering makes no simulator

@@ -171,7 +171,7 @@ func TestPriorityQueue(t *testing.T) {
 	}
 }
 
-// TestValidateRejects covers the spec errors Validate must catch.
+// TestValidateRejects covers the spec errors validate must catch.
 func TestValidateRejects(t *testing.T) {
 	topo := topology.New(2, 2, 2)
 	cases := []struct {
@@ -206,7 +206,7 @@ func TestValidateRejects(t *testing.T) {
 // gather or scatter job runs a plan lowered for its rank count, and a job
 // that does not lower — a message past sched's 4 GiB limit, a
 // reduce-scatter ring of more steps than a schedule may have — is a
-// one-line error from Validate, not a panic in the scheduler proc with a
+// one-line error from validate, not a panic in the scheduler proc with a
 // goroutine stack in its text.
 func TestValidateRefusesWhatLoweringRefuses(t *testing.T) {
 	for _, tc := range []struct {
@@ -224,8 +224,8 @@ func TestValidateRefusesWhatLoweringRefuses(t *testing.T) {
 		case !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "goroutine") || strings.Contains(err.Error(), "\n"):
 			t.Errorf("%v job %+v: error %q, want one line naming %q", tc.topo, tc.job, err, tc.want)
 		}
-		if err := Validate(Config{Topo: tc.topo}, []JobSpec{tc.job}); err == nil {
-			t.Errorf("%v job %+v: Validate accepts it", tc.topo, tc.job)
+		if _, err := validate(Config{Topo: tc.topo}, []JobSpec{tc.job}); err == nil {
+			t.Errorf("%v job %+v: validate accepts it", tc.topo, tc.job)
 		}
 	}
 }

@@ -24,7 +24,7 @@ const (
 // to the widest that does, after the draw, so the stream of draws is the
 // same on every world. The same seed always yields the same stream, so
 // scheduler runs over generated workloads stay reproducible, and every
-// workload passes Validate.
+// workload passes validate.
 func RandomJobs(seed int64, n int, topo topology.Cluster, horizon sim.Duration) []JobSpec {
 	rng := rand.New(rand.NewSource(seed))
 	size := topo.Size()

@@ -10,7 +10,7 @@ import (
 )
 
 // TestRandomWorkloadsValidateOnLargeWorlds: every workload of seeds 1-50
-// on 32x32x2 passes Validate, which lowers each job, and the alltoall
+// on 32x32x2 passes validate, which lowers each job, and the alltoall
 // limit RandomJobs narrows to is the lowering's own. Alltoalls of up to
 // 1 024 ranks take some fifteen seconds to lower, so CI runs it in a step
 // of its own:
@@ -20,7 +20,7 @@ func TestRandomWorkloadsValidateOnLargeWorlds(t *testing.T) {
 	topo := topology.New(32, 32, 2)
 	for seed := int64(1); seed <= 50; seed++ {
 		jobs := RandomJobs(seed, 8, topo, sim.Duration(sim.Millisecond))
-		if err := Validate(Config{Topo: topo}, jobs); err != nil {
+		if _, err := validate(Config{Topo: topo}, jobs); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}

@@ -72,13 +72,13 @@ func TestTwoLevelUplinkCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 3 * float64(topo.HCAs) * prm.BWHCA / 2
-	for _, l := range nw.Links() {
+	for _, l := range nw.links {
 		if l.BW != want {
 			t.Fatalf("link %s capacity %v, want %v", l.Name, l.BW, want)
 		}
 	}
-	if len(nw.Links()) != 6 {
-		t.Fatalf("want 3 leaves x up/down, got %d links", len(nw.Links()))
+	if len(nw.links) != 6 {
+		t.Fatalf("want 3 leaves x up/down, got %d links", len(nw.links))
 	}
 }
 

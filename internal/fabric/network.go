@@ -232,12 +232,6 @@ func (nw *Network) dflyRoute(src, dst int) []*Link {
 	return path
 }
 
-// Spec returns the fabric description the network was built from.
-func (nw *Network) Spec() Spec { return nw.spec }
-
-// Links returns every shared link in creation order.
-func (nw *Network) Links() []*Link { return nw.links }
-
 // Describe writes a human-readable structure summary.
 func (nw *Network) Describe(w io.Writer) {
 	spec := &nw.spec

@@ -286,11 +286,6 @@ func (s *Schedule) Fraction(node, rail int, t sim.Time) float64 {
 	return f
 }
 
-// Up reports whether (node, rail) can carry traffic at t.
-func (s *Schedule) Up(node, rail int, t sim.Time) bool {
-	return s.Fraction(node, rail, t) > 0
-}
-
 // NextUp returns the earliest time >= t at which (node, rail) carries
 // traffic again, or Forever if it never recovers.
 func (s *Schedule) NextUp(node, rail int, t sim.Time) sim.Time {

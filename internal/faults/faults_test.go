@@ -181,9 +181,6 @@ func TestNilScheduleIsHealthy(t *testing.T) {
 	if f, until := s.RailState(0, 0, 0); f != 1 || until != Forever {
 		t.Fatalf("nil schedule state = %v, %v", f, until)
 	}
-	if !s.Up(0, 0, 0) {
-		t.Fatal("nil schedule rail down")
-	}
 	if s.String() != "(healthy)" {
 		t.Fatalf("nil schedule String = %q", s.String())
 	}

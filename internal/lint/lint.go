@@ -19,12 +19,16 @@
 //	            global-randomness, and map-order effects
 //	locklint    every mutex unlocks on all paths and is never held
 //	            across a simulation or synthesis call
+//	unreached   every function is reached from a main, an init, a
+//	            package-level value, a library export or an interface
+//	            method; judged only on a whole-module load
 //	suppaudit   no //lint:ignore directive that suppresses nothing
 //
-// The first six are unit passes (one package at a time); waitpair,
-// sharedstate, purity, and locklint run over a whole Program — the call
-// graph and capture analysis built in program.go — so helpers, closures,
-// and cross-package call chains are inside the proof, not exempt from it.
+// detnow, maporder, railpin and gonosim are unit passes (one package at
+// a time); waitpair, sharedstate, purity, locklint and unreached run over
+// a whole Program — the call graph and capture analysis built in
+// program.go — so helpers, closures, and cross-package call chains are
+// inside the proof, not exempt from it.
 //
 // A finding can be silenced for one line with
 //
@@ -68,14 +72,35 @@ type Pass struct {
 	Scope      func(path string) bool
 	Run        func(u *Unit) []Diagnostic
 	RunProgram func(p *Program) []Diagnostic
+	// Whole marks a pass that judges only a whole-module load or its
+	// fixture: on any other load Judging drops it.
+	Whole bool
 }
 
 // Passes returns every registered analysis in reporting order.
 func Passes() []*Pass {
 	return []*Pass{
 		detnowPass, maporderPass, waitpairPass, railpinPass, gonosimPass,
-		sharedstatePass, purityPass, locklintPass, suppauditPass,
+		sharedstatePass, purityPass, locklintPass, unreachedPass, suppauditPass,
 	}
+}
+
+// Judging returns the passes that judge the loaded units: all of them but
+// a Whole pass on a load that is neither the whole module nor holds that
+// pass's fixture. A dropped pass reports nothing and its //lint:ignore
+// directives are not audited.
+func Judging(passes []*Pass, units []*Unit) []*Pass {
+	var out []*Pass
+	for _, p := range passes {
+		judged := !p.Whole || wholeModule(units)
+		for _, u := range units {
+			judged = judged || applies(p, u.Path)
+		}
+		if judged {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // suppauditPass is the driver-implemented suppression audit: a valid
@@ -116,6 +141,7 @@ func applies(p *Pass, path string) bool {
 // pseudo-pass "lint"; stale directives are reported by suppaudit when it
 // is among the selected passes.
 func Check(units []*Unit, passes []*Pass) []Diagnostic {
+	passes = Judging(passes, units)
 	known := map[string]bool{}
 	for _, p := range Passes() {
 		known[p.Name] = true

@@ -15,11 +15,30 @@ func TestTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-tree type-check is slow; the CI Lint step covers it")
 	}
-	units, err := Load([]string{"../..."})
+	units, err := Load([]string{"../../..."})
 	if err != nil {
 		t.Fatalf("loading tree: %v", err)
 	}
 	for _, d := range Check(units, Passes()) {
+		t.Errorf("unexpected finding: %s", d)
+	}
+}
+
+// TestUnreachedJudgesOnlyTheWholeModule: a load without the module root
+// lacks the mains that reach most of sim, so the unreached pass does not
+// run on it, and the //lint:ignore unreached directives in sim are not
+// judged stale either.
+func TestUnreachedJudgesOnlyTheWholeModule(t *testing.T) {
+	units, err := Load([]string{"../sim"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range Judging(Passes(), units) {
+		if p == unreachedPass {
+			t.Error("Judging keeps unreached on a load of one package")
+		}
+	}
+	for _, d := range Check(units, []*Pass{unreachedPass, suppauditPass}) {
 		t.Errorf("unexpected finding: %s", d)
 	}
 }
@@ -153,6 +172,8 @@ func TestScopes(t *testing.T) {
 		{locklintPass, "mha/internal/cluster", true},
 		{locklintPass, "mha/internal/sim", false},
 		{suppauditPass, "mha/internal/lint", true},
+		{unreachedPass, "mha/internal/sim", false},
+		{unreachedPass, "mha/internal/lint/testdata/src/unreached", true},
 		// The suppaudit fixture is in every pass's scope so its live
 		// suppressions have findings to absorb.
 		{detnowPass, "mha/internal/lint/testdata/src/suppaudit", true},

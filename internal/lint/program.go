@@ -88,7 +88,17 @@ func sortByKey(fs []*FuncInfo) {
 // FuncAt resolves a call expression to the declared function it
 // statically targets, or nil for dynamic and out-of-program calls.
 func (p *Program) FuncAt(u *Unit, call *ast.CallExpr) *FuncInfo {
-	return p.byObj[staticCallee(u, call)]
+	return p.declOf(staticCallee(u, call))
+}
+
+// declOf returns the declared function behind fn, or nil. A method of an
+// instantiated generic type is its own object; its Origin is the one the
+// declaration defines.
+func (p *Program) declOf(fn *types.Func) *FuncInfo {
+	if fn == nil {
+		return nil
+	}
+	return p.byObj[fn.Origin()]
 }
 
 // staticCallee resolves a call's target to a declared *types.Func: a
@@ -120,7 +130,7 @@ func (p *Program) callees(fi *FuncInfo) []*FuncInfo {
 			return true
 		}
 		fn, _ := fi.Unit.Info.Uses[id].(*types.Func)
-		if callee := p.byObj[fn]; callee != nil && !seen[callee] {
+		if callee := p.declOf(fn); callee != nil && !seen[callee] {
 			seen[callee] = true // self-edges stay: recursion is a real cycle
 			out = append(out, callee)
 		}

@@ -77,6 +77,27 @@ func TestCallGraphMethodValue(t *testing.T) {
 	}
 }
 
+// TestCallGraphGenericMethod: a call of a generic type's method names the
+// instantiated method object; the edge and FuncAt still reach the
+// declaration.
+func TestCallGraphGenericMethod(t *testing.T) {
+	p := loadProgram(t, "testdata/src/program")
+	ug, swap := funcNamed(t, p, ".useGeneric"), funcNamed(t, p, ".swap")
+	if !callsTo(ug, ".swap") {
+		t.Errorf("generic method call to swap not recorded: %v", keys(ug.Callees))
+	}
+	var call *ast.CallExpr
+	ast.Inspect(ug.Decl.Body, func(n ast.Node) bool {
+		if c, ok := n.(*ast.CallExpr); ok && call == nil {
+			call = c
+		}
+		return true
+	})
+	if got := p.FuncAt(ug.Unit, call); got != swap {
+		t.Errorf("FuncAt(%s) = %v, want %s", "pair[int]{1, 2}.swap()", got, swap.Key)
+	}
+}
+
 // TestCapturesLoopVariable: the closure in loopCaptures writes the outer
 // accumulator and reads the per-iteration loop variable; the capture
 // analysis must see both, classify the write, and place the loop

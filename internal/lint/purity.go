@@ -148,7 +148,7 @@ func (p *Program) factsOf(fi *FuncInfo) *purityFacts {
 			if fn == nil {
 				return true // dynamic call: not judged (documented approximation)
 			}
-			if p.byObj[fn] != nil {
+			if p.declOf(fn) != nil {
 				return true // in the index: the DFS recurses into it
 			}
 			if p.InProgramPackage(fn) {

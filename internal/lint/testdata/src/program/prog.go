@@ -1,5 +1,5 @@
 // Package program exercises the whole-program layer directly: the call
-// graph (recursion, method values), and the closure capture analysis
+// graph (recursion, method values, methods of generic types), and the closure capture analysis
 // (loop variables, outer accumulators). It is not a pass fixture — the
 // program_test.go unit tests load it by name.
 package program
@@ -23,6 +23,14 @@ func (g Greeter) Greet(s string) string { return g.prefix + s }
 func useMethodValue(g Greeter) func(string) string {
 	return g.Greet
 }
+
+// pair is generic: a call of swap on an instantiation resolves to a method
+// object of its own, whose Origin is the declared swap.
+type pair[T any] struct{ a, b T }
+
+func (p pair[T]) swap() pair[T] { return pair[T]{p.b, p.a} }
+
+func useGeneric() pair[int] { return pair[int]{1, 2}.swap() }
 
 // loopCaptures closes over the (per-iteration) loop variable and a
 // (shared) outer accumulator.

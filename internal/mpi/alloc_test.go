@@ -254,10 +254,8 @@ func TestSendOptionsFillSendOpts(t *testing.T) {
 		{"ViaHCA", []SendOption{ViaHCA()}, sendOpts{forceHCA: true, rail: -1}},
 		{"ViaRail(0)", []SendOption{ViaRail(0)}, sendOpts{forceHCA: true, rail: 0}},
 		{"ViaRail(3)", []SendOption{ViaRail(3)}, sendOpts{forceHCA: true, rail: 3}},
-		{"NoStripe", []SendOption{NoStripe()}, sendOpts{noStripe: true, rail: -1}},
 		{"ByRef", []SendOption{ByRef()}, sendOpts{byRef: true, rail: -1}},
-		{"ViaRail(1)+NoStripe", []SendOption{ViaRail(1), NoStripe()}, sendOpts{forceHCA: true, noStripe: true, rail: 1}},
-		{"ViaHCA+NoStripe", []SendOption{ViaHCA(), NoStripe()}, sendOpts{forceHCA: true, noStripe: true, rail: -1}},
+		{"ViaRail(1)+ByRef", []SendOption{ViaRail(1), ByRef()}, sendOpts{forceHCA: true, byRef: true, rail: 1}},
 		{"ViaRail(2)+ViaHCA", []SendOption{ViaRail(2), ViaHCA()}, sendOpts{forceHCA: true, rail: 2}},
 	}
 	for _, tc := range cases {

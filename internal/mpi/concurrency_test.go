@@ -27,7 +27,7 @@ func TestConcurrentCommsShareRails(t *testing.T) {
 	w, a, b := concurrentWorld()
 	err := w.Run(func(p *Proc) {
 		c := a
-		if !a.Contains(p.Rank()) {
+		if a.Rank(p) < 0 {
 			c = b
 		}
 		me := c.Rank(p)
@@ -75,7 +75,7 @@ func TestVerifyTeardownAttributesLeakToJob(t *testing.T) {
 	w, a, b := concurrentWorld()
 	err := w.Run(func(p *Proc) {
 		c := a
-		if !a.Contains(p.Rank()) {
+		if a.Rank(p) < 0 {
 			c = b
 		}
 		me := c.Rank(p)

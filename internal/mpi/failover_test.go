@@ -203,15 +203,6 @@ func TestViaRailNegativePanics(t *testing.T) {
 	ViaRail(-1)
 }
 
-func TestNoStripeAboveThresholdUsesOneRail(t *testing.T) {
-	rec := trace.New()
-	w := faultWorld(2, nil, false, rec)
-	oneSend(t, w, 256<<10, ViaHCA(), NoStripe()) // far above StripeThreshold
-	if !hasEvent(rec, "hca(x1)") || hasEvent(rec, "hca(x2)") {
-		t.Fatalf("NoStripe still striped; trace: %v", traceNames(rec))
-	}
-}
-
 func TestFaultScheduleOutOfRangePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -24,9 +24,6 @@ func (w *World) Health() *RailHealth { return w.health }
 // paths' cheap guard before any per-rail lookups.
 func (h *RailHealth) Faulty() bool { return h.sched != nil }
 
-// Schedule returns the attached fault schedule, or nil when healthy.
-func (h *RailHealth) Schedule() *faults.Schedule { return h.sched }
-
 // Fraction reports the surviving bandwidth fraction of one node's rail at
 // virtual time t (1 healthy, 0 down).
 func (h *RailHealth) Fraction(node, rail int, t sim.Time) float64 {

@@ -195,11 +195,11 @@ func TestBufStringForms(t *testing.T) {
 func TestCommAccessors(t *testing.T) {
 	w := New(Config{Topo: topology.New(2, 2, 1)})
 	c := w.CommWorld()
-	if !c.Contains(3) || c.Contains(4) {
-		t.Fatal("Contains wrong")
+	if c.rankOf(3) != 3 || c.rankOf(4) != -1 {
+		t.Fatal("rankOf wrong")
 	}
-	if got := c.Ranks(); len(got) != 4 || got[2] != 2 {
-		t.Fatalf("Ranks = %v", got)
+	if c.Size() != 4 || c.WorldRank(2) != 2 {
+		t.Fatalf("comm world of size %d maps rank 2 to %d", c.Size(), c.WorldRank(2))
 	}
 	if w.Engine() == nil {
 		t.Fatal("engine accessor nil")

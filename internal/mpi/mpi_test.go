@@ -91,10 +91,6 @@ func TestStripingHalvesLargeMessageLatency(t *testing.T) {
 	if ratio < 1.8 || ratio > 2.1 {
 		t.Fatalf("striping speedup = %.2f (1 rail %v, 2 rails %v), want ~2x", ratio, one, two)
 	}
-	noStripe := run(2, NoStripe())
-	if noStripe != one {
-		t.Fatalf("NoStripe latency %v, want single-rail %v", noStripe, one)
-	}
 }
 
 func TestViaRailPinsTransfer(t *testing.T) {
@@ -611,7 +607,7 @@ func TestWorldAccessors(t *testing.T) {
 		t.Fatal("accessor mismatch")
 	}
 	err := w.Run(func(p *Proc) {
-		if p.Size() != 6 || p.PPN() != 3 || p.HCAs() != 2 {
+		if p.Size() != 6 || p.w.topo.PPN != 3 || p.w.topo.HCAs != 2 {
 			t.Errorf("rank %d sees wrong shape", p.Rank())
 		}
 		if p.Node() != p.Rank()/3 || p.Local() != p.Rank()%3 {

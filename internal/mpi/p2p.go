@@ -18,7 +18,6 @@ const AnySource = -1
 type sendOpts struct {
 	forceHCA bool   // use an HCA even for an intra-node peer (loopback)
 	rail     int    // specific rail index, or -1 for the default policy
-	noStripe bool   // never stripe, even above the striping threshold
 	byRef    bool   // zero-cost pointer handoff (same node only)
 	owner    string // owning job label, from the comm (audit attribution)
 }
@@ -36,7 +35,6 @@ type optKind uint8
 const (
 	optViaHCA optKind = iota + 1
 	optViaRail
-	optNoStripe
 	optByRef
 )
 
@@ -47,8 +45,6 @@ func (opt SendOption) apply(o *sendOpts) {
 	case optViaRail:
 		o.forceHCA = true
 		o.rail = opt.rail
-	case optNoStripe:
-		o.noStripe = true
 	case optByRef:
 		o.byRef = true
 	}
@@ -70,9 +66,6 @@ func ViaRail(r int) SendOption {
 	}
 	return SendOption{kind: optViaRail, rail: r}
 }
-
-// NoStripe disables multirail striping for this message.
-func NoStripe() SendOption { return SendOption{kind: optNoStripe} }
 
 // ByRef delivers the message instantly with no transfer cost, modeling a
 // pointer handoff between on-node ranks (e.g. exposing a buffer for the
@@ -255,7 +248,7 @@ func (p *Proc) sendHCA(wdst, n int, o sendOpts) sim.Time {
 			}
 		}
 		rails, pieces = append(railBuf[:0], r), append(pieceBuf[:0], n)
-	case !o.noStripe && prm.ShouldStripe(n) && H > 1:
+	case prm.ShouldStripe(n) && H > 1:
 		if consult {
 			rails, pieces = p.stripeByHealth(railBuf[:0], pieceBuf[:0], srcNodeID, dstNodeID, wdst, n, H, now)
 		} else if scales := p.railScales(H); scales != nil {
@@ -532,12 +525,12 @@ func (p *Proc) WaitInto(req *Request, dst Buf, red func(p *Proc, dst, src Buf)) 
 const keptPayload = 24
 
 // maxSparePayloads caps World.payloads. Without a cap, an array of a size
-// no later send asks for (allgatherv's varying counts, a ring's uneven
-// slices) would stay until the world ends and lengthen every scan. On the
-// verify-payload pool (400 scenarios, up to 48 ranks), whose largest
-// uncapped store held 390 arrays, 64 keeps 45 870 of the 45 884 reuses and
-// allocates no more bytes; 16 loses 2 % of the reuses and adds 1.4 % to
-// the campaign's bytes.
+// no later send asks for (a ring's uneven slices) would stay until the
+// world ends and lengthen every scan. On the verify-payload pool (400
+// scenarios, up to 48 ranks), whose largest uncapped store held 390
+// arrays, 64 keeps 45 870 of the 45 884 reuses and allocates no more
+// bytes; 16 loses 2 % of the reuses and adds 1.4 % to the campaign's
+// bytes.
 const maxSparePayloads = 64
 
 // giveBack makes a payload array spare, newest last. A full store first

@@ -41,10 +41,7 @@ const (
 	PhaseReduce    = 17 // collectives: binomial reduce
 	PhaseHalo      = 18 // apps/stencil: halo exchange
 	PhaseA2A       = 20 // collectives: pairwise alltoall
-	PhaseAGV       = 21 // collectives: ring allgatherv
 	PhaseMBcast    = 24 // core: MHA bcast
 	PhaseMReduce   = 25 // core: MHA reduce
 	PhaseMA2A      = 28 // core: MHA alltoall
-	PhaseVGather   = 29 // core: MHA allgatherv gather to the node leader
-	PhaseVLeader   = 30 // core: MHA allgatherv leaders' exchange
 )

@@ -288,10 +288,6 @@ func New(cfg Config) *World {
 	return w
 }
 
-// Fabric returns the structured inter-node network, or nil on a flat
-// (non-blocking) fabric.
-func (w *World) Fabric() *fabric.Network { return w.net }
-
 // routeOf returns the shared fabric links between two nodes (nil for
 // same-node traffic or a flat fabric).
 func (w *World) routeOf(srcNode, dstNode int) []*fabric.Link {
@@ -408,12 +404,6 @@ func (p *Proc) Node() int { return p.rs.node }
 // Local returns the rank's index within its node.
 func (p *Proc) Local() int { return p.rs.local }
 
-// PPN returns the processes-per-node count.
-func (p *Proc) PPN() int { return p.w.topo.PPN }
-
-// HCAs returns the number of rails per node.
-func (p *Proc) HCAs() int { return p.w.topo.HCAs }
-
 // World returns the job this process belongs to.
 func (p *Proc) World() *World { return p.w }
 
@@ -483,6 +473,8 @@ func (p *Proc) ChargeCMA(n int) {
 }
 
 // Sleep advances this rank's virtual clock without occupying any resource.
+//
+//lint:ignore unreached TestMakespanIsTheLatestRankFinish and TestNonblockingOverlap stagger ranks through it
 func (p *Proc) Sleep(d sim.Duration) { p.sp.Sleep(d) }
 
 func (p *Proc) trace(cat trace.Category, name string, start, end sim.Time, peer, bytes int) {

@@ -97,7 +97,7 @@ func looseParent(msg int) *Schedule {
 		for dst := 0; dst < 4; dst++ {
 			switch {
 			case src == dst:
-			case topo.SameNode(src, dst):
+			case topo.NodeOf(src) == topo.NodeOf(dst):
 				b.Step().SendHCA(src, dst, src, 1).Copy(src, src, 1)
 			default:
 				b.Step().RailPiece(src, dst, src, 1, 0, msg/2, 0)

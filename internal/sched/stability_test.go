@@ -186,7 +186,7 @@ func TestMutateStable(t *testing.T) {
 			for dst := 0; dst < 4; dst++ {
 				switch {
 				case src == dst:
-				case topo.SameNode(src, dst):
+				case topo.NodeOf(src) == topo.NodeOf(dst):
 					b.Step().Send(src, dst, src)
 				case spread:
 					b.Step().RailPiece(src, dst, src, 1, 0, msg, dst%2)

@@ -3,7 +3,7 @@ package sim
 import "fmt"
 
 // A Counter is a monotonic condition variable in virtual time. Producers
-// advance it with Add or SetAtLeast; consumers block until it reaches a
+// advance it with Add; consumers block until it reaches a
 // threshold with WaitGE. It models the shared-memory chunk-availability
 // counters the paper's phase-3 broadcast uses: the node leader bumps the
 // counter as each chunk lands in shared memory, and non-leader ranks wait
@@ -43,28 +43,6 @@ func (c *Counter) Add(delta int64) {
 	c.eng.note(&c.label)
 	c.val += delta
 	c.release()
-}
-
-// AddAt schedules the counter to advance by delta at virtual time at.
-func (c *Counter) AddAt(at Time, delta int64) {
-	if delta < 0 {
-		panic(fmt.Sprintf("sim: negative AddAt on counter %s", c.name))
-	}
-	e := c.eng
-	e.schedule(max(at, e.now), &c.label, func() {
-		e.note(&c.label)
-		c.val += delta
-		c.release()
-	})
-}
-
-// SetAtLeast raises the counter to at least v (it never decreases).
-func (c *Counter) SetAtLeast(v int64) {
-	c.eng.note(&c.label)
-	if v > c.val {
-		c.val = v
-		c.release()
-	}
 }
 
 // release schedules a wake event for every satisfied waiter. Each waiter

@@ -19,7 +19,6 @@ type Mailbox struct {
 	head    int
 	items   []mailItem
 	waiters []*mailWaiter
-	arrived int64  // total items ever deposited
 	arrival func() // arrive, the one callback every PutAt schedules
 }
 
@@ -124,7 +123,6 @@ func (m *Mailbox) arrive() {
 // or queues it; at most one process is woken, preserving determinism.
 func (m *Mailbox) deposit(v interface{}) {
 	m.eng.note(&m.label)
-	m.arrived++
 	for _, w := range m.waiters {
 		if !w.found && w.accepts(v) {
 			w.found = true
@@ -213,18 +211,6 @@ func (m *Mailbox) take(w *mailWaiter) (interface{}, bool) {
 	return v, true
 }
 
-// TryGet removes and returns the first queued item matching match without
-// blocking. It returns nil, false when nothing matches.
-func (m *Mailbox) TryGet(match func(interface{}) bool) (interface{}, bool) {
-	m.eng.note(&m.label)
-	return m.take(&mailWaiter{match: match})
-}
-
-// Pending reports how many delivered-but-unclaimed items are queued.
-func (m *Mailbox) Pending() int {
-	return len(m.items)
-}
-
 // PendingItems returns the delivered-but-unclaimed items in arrival order.
 // Teardown audits use it to attribute leaked messages to their senders.
 func (m *Mailbox) PendingItems() []interface{} {
@@ -240,14 +226,4 @@ func (m *Mailbox) PendingItems() []interface{} {
 // the mailbox leaks, so concurrent owners stay distinguishable.
 func (m *Mailbox) SetOwner(label string) {
 	m.owner = label
-}
-
-// Owner returns the attribution label set with SetOwner ("" = unowned).
-func (m *Mailbox) Owner() string {
-	return m.owner
-}
-
-// Arrived reports the total number of items ever delivered.
-func (m *Mailbox) Arrived() int64 {
-	return m.arrived
 }

@@ -197,10 +197,9 @@ func (r *Resource) Uses() int64 {
 // decrement is scheduled for the operation's completion time.
 type Gauge struct {
 	label
-	eng  *Engine
-	val  int
-	peak int
-	dec  func() // the decrement event every DecAt schedules
+	eng *Engine
+	val int
+	dec func() // the decrement event every DecAt schedules
 }
 
 // NewGauge creates a named gauge bound to the engine.
@@ -221,9 +220,6 @@ func (e *Engine) NewGauge(name string) *Gauge {
 func (g *Gauge) Inc() int {
 	g.eng.note(&g.label)
 	g.val++
-	if g.val > g.peak {
-		g.peak = g.val
-	}
 	return g.val
 }
 
@@ -236,9 +232,4 @@ func (g *Gauge) DecAt(at Time) {
 func (g *Gauge) Value() int {
 	g.eng.note(&g.label)
 	return g.val
-}
-
-// Peak returns the maximum in-flight count observed.
-func (g *Gauge) Peak() int {
-	return g.peak
 }

@@ -342,9 +342,6 @@ func (c Cluster) LeaderOf(node int) int { return c.RankOf(node, 0) }
 // IsLeader reports whether rank r is its node's leader.
 func (c Cluster) IsLeader(r int) bool { return c.LocalOf(r) == 0 }
 
-// SameNode reports whether two ranks share a node.
-func (c Cluster) SameNode(a, b int) bool { return c.NodeOf(a) == c.NodeOf(b) }
-
 // NodeRanks returns the ranks on a node in local order.
 func (c Cluster) NodeRanks(node int) []int {
 	out := make([]int, c.PPN)

@@ -21,8 +21,8 @@ func TestBlockMapping(t *testing.T) {
 	if c.LeaderOf(2) != 16 || !c.IsLeader(16) || c.IsLeader(17) {
 		t.Fatal("leader wrong")
 	}
-	if !c.SameNode(8, 15) || c.SameNode(7, 8) {
-		t.Fatal("SameNode wrong")
+	if c.NodeOf(8) != c.NodeOf(15) || c.NodeOf(7) == c.NodeOf(8) {
+		t.Fatal("NodeOf wrong")
 	}
 }
 

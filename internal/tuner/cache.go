@@ -64,15 +64,6 @@ func (c *lruCache) put(e *cacheEntry) {
 	}
 }
 
-// keys lists the cached keys, most recently used first.
-func (c *lruCache) keys() []string {
-	out := make([]string, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*cacheEntry).key)
-	}
-	return out
-}
-
 // The persisted form. Entries are written oldest-first, so replaying
 // them through put in file order reproduces the exact recency order the
 // cache had when saved.

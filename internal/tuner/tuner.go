@@ -240,14 +240,6 @@ func (s *Service) SynthCount() int64 {
 	return s.synths
 }
 
-// CachedKeys lists the cached keys, most recently used first — the
-// LRU-order observable the determinism test locks down.
-func (s *Service) CachedKeys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cache.keys()
-}
-
 // SaveCache writes the cache in the persistence format.
 func (s *Service) SaveCache(w io.Writer) error {
 	s.mu.Lock()

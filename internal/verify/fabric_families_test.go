@@ -5,6 +5,54 @@ import (
 	"testing"
 )
 
+// The fabric scenario families put the locality-aware allgathers on
+// non-flat fabrics: every variant runs on an oversubscribed fat-tree
+// ("fabric-ft-2:1") and a dragonfly ("fabric-dfly"), each in three
+// environments — homogeneous block layout, heterogeneous cyclic layout
+// (mixed 1/2-HCA nodes with asymmetric rails), and a rail fault. The
+// campaign's full instrumentation applies: byte oracle, teardown audit,
+// clock monotonicity and the determinism cross-check.
+
+// localityVariants are the locality-aware allgathers under family test.
+var localityVariants = []string{
+	"locality-p2p", "locality-ring", "locality-bruck", "hier-bruck-ml",
+}
+
+// fabricFamilies returns the named fabric scenario families as replayable
+// spec lines (parse with ParseSpec, judge with Check).
+func fabricFamilies() map[string][]string {
+	fams := map[string][]string{}
+	envs := []string{
+		// Homogeneous, block layout, oversubscribed links in the hot path.
+		"nodes=4 ppn=2 hcas=2 msg=4096",
+		// Mixed 1/2-HCA nodes, asymmetric rails, cyclic layout, odd bytes.
+		"nodes=4 ppn=2 hcas=2 layout=cyclic msg=257 nodehcas=2/1/2/1 railbw=1/0.5",
+		// A rail outage mid-run on a node feeding a shared trunk.
+		"nodes=4 ppn=2 hcas=2 msg=32768 faults=down node=0 rail=1 until=80us",
+	}
+	for _, alg := range localityVariants {
+		for _, env := range envs {
+			fams["fabric-ft-2:1"] = append(fams["fabric-ft-2:1"],
+				"alg="+alg+" "+withFabric(env, "ft:arity=2,levels=2,over=2"))
+			fams["fabric-dfly"] = append(fams["fabric-dfly"],
+				"alg="+alg+" "+withFabric(env, "dfly:groups=2,routers=2,nodes=1,global=2"))
+		}
+	}
+	return fams
+}
+
+// withFabric splices a fabric= field into an env string, keeping faults=
+// (which must stay last) at the end.
+func withFabric(env, spec string) string {
+	const faultsKey = " faults="
+	for i := 0; i+len(faultsKey) <= len(env); i++ {
+		if env[i:i+len(faultsKey)] == faultsKey {
+			return env[:i] + " fabric=" + spec + env[i:]
+		}
+	}
+	return env + " fabric=" + spec
+}
+
 // TestLocalityVariantsRegistered: the locality family joined the campaign
 // pool through the collectives registration table, unconstrained (they
 // derive node groups from the communicator, so any layout is fine).
@@ -24,7 +72,7 @@ func TestLocalityVariantsRegistered(t *testing.T) {
 // locality variant, byte-exact, on oversubscribed fat-tree and dragonfly
 // fabrics, homogeneous and heterogeneous, healthy and under a rail fault.
 func TestFabricFamilies(t *testing.T) {
-	fams := FabricFamilies()
+	fams := fabricFamilies()
 	for _, fam := range []string{"fabric-ft-2:1", "fabric-dfly"} {
 		specs := fams[fam]
 		if len(specs) != 4*3 {
